@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluation, extract as extract_mod
@@ -289,20 +288,14 @@ def cmd_extract(args) -> int:
             for line in Path(args.input).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-
-        def run_line(pair):
-            index, line = pair
-            return extractor.extract_text(
+        results = [
+            extractor.extract_text(
                 line, sentence_index=index,
                 ontology_filter=args.ontology_filter,
                 confidence_floor=args.confidence_floor,
             )
-
-        if args.workers and args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run_line, enumerate(lines)))
-        else:
-            results = [run_line(item) for item in enumerate(lines)]
+            for index, line in enumerate(lines)
+        ]
     else:
         corpus = load_corpus(args.dataset, _ontology(args))
         for i, sentence in enumerate(corpus.sentences):
@@ -390,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dataset", required=True, help="corpus JSON file")
         p.add_argument("--ontology", help="ontology JSON (default: bundled schema)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--workers", type=int, default=1)
         if out_required:
             p.add_argument("--out", required=True, help="output directory")
         else:

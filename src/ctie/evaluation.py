@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
-from .model import ModelConfig, Params, forward, ner_predict
-from .mslr import Vocabulary, collate, encode_all, expand
+from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
+from .mslr import Vocabulary, expand
 from .train import TrainConfig, TrainResult, split, train_loop
 
 
@@ -242,62 +242,64 @@ def gold_pairs(sentences: Sequence[AnnotatedSentence]) -> list[PairPrediction]:
     ]
 
 
+def encode_sentences(
+    params: Params,
+    vocab: Vocabulary,
+    token_seqs: Sequence[Sequence[str]],
+    batch_size: int = 32,
+) -> list[np.ndarray]:
+    """Each sentence's (length, 2h) encoding: one deterministic encoder pass
+    per sentence, ``batch_size`` sentences per padded batch."""
+    out: list[np.ndarray] = []
+    for lo in range(0, len(token_seqs), batch_size):
+        chunk = token_seqs[lo : lo + batch_size]
+        ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
+        mask = np.zeros(ids.shape)
+        for b, tokens in enumerate(chunk):
+            ids[b, : len(tokens)] = [vocab.id(t) for t in tokens]
+            mask[b, : len(tokens)] = 1.0
+        h = encode(ids, mask, params)
+        out.extend(h[b, : len(tokens)] for b, tokens in enumerate(chunk))
+    return out
+
+
 def predict_ner_labels(
     params: Params,
-    config: ModelConfig,
-    vocab: Vocabulary,
     types: TypeSystem,
-    sentences: Sequence[AnnotatedSentence],
-    max_len: int = 256,
-    batch_size: int = 32,
+    encodings: Sequence[np.ndarray],
+    allowed: np.ndarray | None = None,
 ) -> list[list[str]]:
-    """CRF-decoded BIO tags per sentence (deterministic, eval mode)."""
-    del max_len  # the NER path has no length cap; kept for call symmetry
-    out: list[list[str]] = []
-    for lo in range(0, len(sentences), batch_size):
-        chunk = sentences[lo : lo + batch_size]
-        width = max(len(s.tokens) for s in chunk)
-        ids = np.zeros((len(chunk), width), dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=np.float64)
-        for b, sentence in enumerate(chunk):
-            for t, token in enumerate(sentence.tokens):
-                ids[b, t] = vocab.id(token)
-            mask[b, : len(sentence.tokens)] = 1.0
-        for path in ner_predict(ids, mask, params, config):
-            out.append([types.bio_tag(i) for i in path])
-    return out
+    """CRF-decoded BIO tags per sentence from its encoding."""
+    return [
+        [types.bio_tag(i) for i in ner_predict(h[None], np.ones((1, len(h))), params, allowed)[0]]
+        for h in encodings
+    ]
 
 
 def predict_relations_gold_pairs(
     params: Params,
     config: ModelConfig,
-    vocab: Vocabulary,
     types: TypeSystem,
     sentences: Sequence[AnnotatedSentence],
+    encodings: Sequence[np.ndarray],
     max_len: int = 256,
-    batch_size: int = 32,
 ) -> list[PairPrediction]:
     """Classify each annotated entity pair using gold spans and gold types
-    as features (mirrors the training instances)."""
-    examples = []
-    for i, sentence in enumerate(sentences):
-        examples.extend(expand(sentence, types, sentence_index=i))
-    instances, _skipped = encode_all(examples, vocab, max_len=max_len)
+    as features (mirrors the training instances); like training, skip
+    sentences longer than ``max_len``."""
     preds: list[PairPrediction] = []
-    for lo in range(0, len(instances), batch_size):
-        batch = collate(instances[lo : lo + batch_size])
-        result = forward(batch, params, config, mode="eval")
-        choice = np.argmax(result.re_probs, axis=1)
-        for b in range(batch.size):
-            inst = instances[lo + b]
-            preds.append(
-                PairPrediction(
-                    sentence_index=inst.origin[0],
-                    head_span=inst.head_span,
-                    tail_span=inst.tail_span,
-                    relation=types.relations[int(choice[b])].name,
-                )
-            )
+    for i, (sentence, h) in enumerate(zip(sentences, encodings)):
+        examples = expand(sentence, types, sentence_index=i)
+        if not examples or len(sentence.tokens) > max_len:
+            continue
+        *_, probs = relation_head(
+            h, [e.entity_mask for e in examples], [e.head_type for e in examples],
+            [e.tail_type for e in examples], params, config,
+        )
+        preds.extend(
+            PairPrediction(i, e.head_span, e.tail_span, types.relations[k].name)
+            for e, k in zip(examples, np.argmax(probs, axis=1))
+        )
     return preds
 
 
@@ -313,28 +315,27 @@ def evaluate_model(
     confidence_floor: float = 0.0,
     max_len: int = 256,
 ) -> dict[str, MetricReport]:
-    """NER and RE reports for one sentence set.
+    """NER and RE reports for one sentence set, from one encoding per
+    sentence; decoding honours the config's ``bio_constrained_decode``.
 
     ``re_mode="gold"`` scores relation classification on the annotated
     pairs; ``re_mode="pipeline"`` runs the end-to-end extractor (decoded
     spans, enumerated pairs) and scores its positive triples.
     """
+    encodings = encode_sentences(params, vocab, [s.tokens for s in sentences])
     predicted_labels = predict_ner_labels(
-        params, config, vocab, types, sentences, max_len=max_len
+        params, types, encodings, decode_constraint(config, types.bio_labels)
     )
-    predicted_spans = [
-        span
-        for i, labels in enumerate(predicted_labels)
-        for span in decode_spans(labels, sentence_index=i)
-    ]
+    sentence_spans = [decode_spans(t, sentence_index=i) for i, t in enumerate(predicted_labels)]
     gold_label_seqs = [list(s.labels) for s in sentences]
     ner = ner_metrics(
-        gold_spans(sentences), predicted_spans, gold_label_seqs, predicted_labels
+        gold_spans(sentences), [span for spans in sentence_spans for span in spans],
+        gold_label_seqs, predicted_labels,
     )
 
     if re_mode == "gold":
         predicted_pairs = predict_relations_gold_pairs(
-            params, config, vocab, types, sentences, max_len=max_len
+            params, config, types, sentences, encodings, max_len=max_len
         )
     elif re_mode == "pipeline":
         from .extract import Extractor
@@ -343,18 +344,18 @@ def evaluate_model(
             params=params, config=config, vocab=vocab, types=types,
             ontology=ontology or OntologySchema.default(),
         )
-        predicted_pairs = []
-        for i, sentence in enumerate(sentences):
-            result = extractor.extract_tokens(
+        predicted_pairs = [
+            PairPrediction(i, triple.head_span, triple.tail_span, triple.relation)
+            for i, (sentence, h, spans) in enumerate(zip(sentences, encodings, sentence_spans))
+            for triple in extractor.extract_tokens(
                 sentence.tokens,
                 sentence_index=i,
                 ontology_filter=ontology_filter,
                 confidence_floor=confidence_floor,
-            )
-            for triple in result.triples:
-                predicted_pairs.append(
-                    PairPrediction(i, triple.head_span, triple.tail_span, triple.relation)
-                )
+                spans=spans,
+                h=h,
+            ).triples
+        ]
     else:
         raise ValueError(f"unknown re_mode {re_mode!r}")
     re = re_metrics(gold_pairs(sentences), predicted_pairs)

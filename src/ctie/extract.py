@@ -15,22 +15,23 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import OntologySchema, TypeSystem
 from .errors import EmptyInput, ModelNotLoaded, SchemaError, UnknownFormat
-from .evaluation import SpanPrediction, decode_spans
+from .evaluation import SpanPrediction, decode_spans, encode_sentences
 from .model import (
     ModelConfig,
     Params,
-    forward,
+    decode_constraint,
     load_checkpoint,
     ner_predict,
-    set_bio_constraints,
+    relation_head,
 )
-from .mslr import Vocabulary, collate, encode, unlabeled_example
+from .mslr import Vocabulary, make_entity_mask
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,11 @@ class Extractor:
         extras = ckpt.extras
         if "vocab" not in extras or "types" not in extras:
             raise ModelNotLoaded(f"{path}: checkpoint lacks vocab/type tables")
-        types = TypeSystem.from_dict(extras["types"])
-        if ckpt.config.bio_constrained_decode:
-            set_bio_constraints(types.bio_labels)
         return cls(
             params=ckpt.params,
             config=ckpt.config,
             vocab=Vocabulary(extras["vocab"]),
-            types=types,
+            types=TypeSystem.from_dict(extras["types"]),
             ontology=ontology or OntologySchema.default(),
         )
 
@@ -113,11 +111,18 @@ class Extractor:
         if self.params is None or self.config is None or self.vocab is None or self.types is None:
             raise ModelNotLoaded("extractor has no loaded checkpoint")
 
-    def decode_entities(self, tokens: Sequence[str], sentence_index: int = 0) -> list[SpanPrediction]:
+    @cached_property
+    def _allowed(self) -> np.ndarray | None:
+        return decode_constraint(self.config, self.types.bio_labels)
+
+    def decode_entities(
+        self, tokens: Sequence[str], sentence_index: int = 0, h: np.ndarray | None = None
+    ) -> list[SpanPrediction]:
+        """Tag one sentence; ``h`` is its encoding if the caller has it."""
         self._require_loaded()
-        ids = np.asarray([[self.vocab.id(t) for t in tokens]], dtype=np.int64)
-        mask = np.ones((1, len(tokens)), dtype=np.float64)
-        path = ner_predict(ids, mask, self.params, self.config)[0]
+        if h is None:
+            h = encode_sentences(self.params, self.vocab, [tokens])[0]
+        path = ner_predict(h[None], np.ones((1, len(h))), self.params, self._allowed)[0]
         tags = [self.types.bio_tag(i) for i in path]
         return decode_spans(tags, sentence_index=sentence_index)
 
@@ -143,8 +148,11 @@ class Extractor:
         ontology_filter: bool = False,
         confidence_floor: float = 0.0,
         spans: Sequence[SpanPrediction] | None = None,
+        h: np.ndarray | None = None,
     ) -> ExtractionResult:
-        """Run the pipeline on one tokenized sentence.
+        """Run the pipeline on one tokenized sentence: one encoder pass, then
+        NER and every candidate pair scored from that encoding ``h``
+        (pass it if the caller already has it).
 
         Pass ``spans`` to skip NER and classify a known entity set (gold
         spans, or spans from an external tagger).
@@ -153,8 +161,10 @@ class Extractor:
         tokens = tuple(tokens)
         if not tokens:
             raise EmptyInput("sentence has no tokens")
+        if h is None:
+            h = encode_sentences(self.params, self.vocab, [tokens])[0]
         if spans is None:
-            spans = self.decode_entities(tokens, sentence_index)
+            spans = self.decode_entities(tokens, sentence_index, h=h)
         spans = list(spans)
 
         result = ExtractionResult(
@@ -184,22 +194,15 @@ class Extractor:
                     f"span [{s.start}, {s.end}) has entity type {s.entity_type!r} "
                     "unknown to this checkpoint's type system"
                 )
-        instances = []
-        for k, (i, j) in enumerate(pairs):
-            head, tail = spans[i], spans[j]
-            example = unlabeled_example(
-                tokens,
-                (head.start, head.end),
-                (tail.start, tail.end),
-                self.types.entity_type(head.entity_type).id,
-                self.types.entity_type(tail.entity_type).id,
-                sentence_index=sentence_index,
-                pair_index=k,
-            )
-            instances.append(encode(example, self.vocab, max_len=len(tokens)))
-        batch = collate(instances)
-        out = forward(batch, self.params, self.config, mode="eval")
-        probs = out.re_probs
+        type_id = [self.types.entity_type(s.entity_type).id for s in spans]
+        *_, probs = relation_head(
+            h,
+            [make_entity_mask(len(tokens), spans[i], spans[j]) for i, j in pairs],
+            [type_id[i] for i, _ in pairs],
+            [type_id[j] for _, j in pairs],
+            self.params,
+            self.config,
+        )
 
         rel_names = [r.name for r in self.types.relations]
         no_rel_idx = self.types.no_relation.id

@@ -1,11 +1,16 @@
 """Joint NER + relation model: embedding, BiGRU, CRF head, relation head.
 
-Forward composition per instance row:
+    encode:         token ids -> embedding -> BiGRU -> H
+    NER head:       H -> dense -> CRF, decoded by Viterbi (``ner_predict``)
+    relation head:  H -> masked sum over the pair's entity tokens -> pool
+                    [pool ; type_emb(head) ; type_emb(tail)] -> dense -> softmax
 
-    token ids -> embedding -> dropout -> BiGRU -> dropout -> H
-    H -> dense -> CRF            (per-token tag scores, decoded by Viterbi)
-    H -> masked sum over the pair's entity tokens -> pool
-    [pool ; type_emb(head) ; type_emb(tail)] -> dense -> softmax   (relation)
+Inference encodes a sentence once and scores all its candidate pairs from
+that H: pairs differ only in entity mask and type ids, which the encoder
+never reads. Training (``forward``) keeps one MSLR row per annotated pair,
+with dropout after the embedding and after the BiGRU. Viterbi takes an
+optional BIO transition mask as an argument; callers build it once from
+their ``TypeSystem`` with ``decode_constraint``.
 
 The joint training loss is ``alpha * crf_nll + beta * re_cross_entropy``.
 Everything is plain float64 numpy; ``backward`` returns exact analytic
@@ -16,6 +21,7 @@ in the test suite).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -280,8 +286,32 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     return out
 
 
+def encode(token_ids, attention_mask, params: Params) -> np.ndarray:
+    """Deterministic encoder pass: embedding then BiGRU, (B, T, 2h)."""
+    return bigru(embed(token_ids, params["embed"]), attention_mask, params)
+
+
 def ner_logits(h_bigru: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h_bigru @ w + b
+
+
+def ner_predict(
+    h: np.ndarray,
+    attention_mask,
+    params: Params,
+    allowed: np.ndarray | None = None,
+) -> list[list[int]]:
+    """NER head: one Viterbi path per row of ``h`` (B, T, 2h)."""
+    logits = ner_logits(h, params["ner_w"], params["ner_b"])
+    return [
+        crf_decode(logits[b], params["crf_trans"], attention_mask[b], allowed=allowed)
+        for b in range(len(logits))
+    ]
+
+
+def decode_constraint(config: ModelConfig, bio_labels: Sequence[str]) -> np.ndarray | None:
+    """The BIO transition mask if the config asks for constrained decoding."""
+    return bio_allowed_transitions(bio_labels) if config.bio_constrained_decode else None
 
 
 def entity_pool(h_bigru: np.ndarray, entity_mask) -> np.ndarray:
@@ -328,6 +358,29 @@ def relation_logits_and_probs(
     return logits, softmax(logits)
 
 
+def relation_head(
+    h: np.ndarray,
+    entity_mask,
+    head_type,
+    tail_type,
+    params: Params,
+    config: ModelConfig,
+    attention_mask=None,
+) -> tuple[np.ndarray, ...]:
+    """(pool mask, features, logits, probs) for B pair rows. ``h`` is
+    (B, T, 2h) or one sentence's encoding shared by every row; with entity
+    masks off the pool covers ``attention_mask`` (default: all of ``h``)."""
+    entity_mask = np.asarray(entity_mask, dtype=np.float64)
+    h = np.broadcast_to(h, entity_mask.shape + h.shape[-1:])
+    pool_mask = entity_mask
+    if not config.use_entity_mask:
+        pool_mask = np.ones(entity_mask.shape) if attention_mask is None else attention_mask
+    features = relation_features(entity_pool(h, pool_mask), head_type, tail_type,
+                                 params["type_embed"], config.use_entity_type)
+    logits, probs = relation_logits_and_probs(features, params["re_w"], params["re_b"])
+    return pool_mask, features, logits, probs
+
+
 def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1.0) -> float:
     return alpha * ner_nll + beta * re_ce
 
@@ -350,7 +403,6 @@ class ForwardTrace:
     h_d: np.ndarray
     logits_ner: np.ndarray
     pool_mask: np.ndarray
-    pooled: np.ndarray
     features: np.ndarray
     logits_re: np.ndarray
     probs_re: np.ndarray
@@ -379,12 +431,14 @@ def forward(
     config: ModelConfig,
     mode: str = "train",
     rng: np.random.Generator | None = None,
+    allowed: np.ndarray | None = None,
 ) -> ForwardResult:
-    """Run the whole network on one batch.
+    """Run the whole network on one batch of MSLR rows.
 
     Dropout is active only in train mode (after the embedding and after the
     BiGRU); eval mode is fully deterministic. Losses are computed only for
-    labeled batches; inference batches never have their label fields read.
+    labeled batches. Each row is also Viterbi-decoded under ``allowed`` (see
+    ``decode_constraint``) for the training log's token accuracy.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -410,22 +464,14 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-
-    allowed = None
-    if config.bio_constrained_decode:
-        allowed = _allowed_cache(config)
     decoded = [
         crf_decode(logits[b], params["crf_trans"], mask[b], allowed=allowed)
         for b in range(batch.size)
     ]
-
-    pool_mask = batch.entity_mask if config.use_entity_mask else mask
-    pooled = entity_pool(h_d, pool_mask)
-    features = relation_features(
-        pooled, batch.head_type, batch.tail_type, params["type_embed"],
-        use_entity_type=config.use_entity_type,
+    pool_mask, features, logits_re, probs_re = relation_head(
+        h_d, batch.entity_mask, batch.head_type, batch.tail_type, params, config,
+        attention_mask=mask,
     )
-    logits_re, probs_re = relation_logits_and_probs(features, params["re_w"], params["re_b"])
 
     ner_nll_mean = re_ce_mean = joint = None
     if batch.labeled:
@@ -444,30 +490,13 @@ def forward(
         trace = ForwardTrace(
             config=config, batch=batch, emb=emb, drop_emb=drop_emb, emb_d=emb_d,
             gru_traces=gru_traces, h_bigru=h_bigru, drop_h=drop_h, h_d=h_d,
-            logits_ner=logits, pool_mask=pool_mask, pooled=pooled,
-            features=features, logits_re=logits_re, probs_re=probs_re,
+            logits_ner=logits, pool_mask=pool_mask, features=features,
+            logits_re=logits_re, probs_re=probs_re,
         )
     return ForwardResult(
         ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, decoded=decoded,
         re_probs=probs_re, re_logits=logits_re, ner_scores=logits, trace=trace,
     )
-
-
-_ALLOWED_CACHE: dict[int, np.ndarray] = {}
-
-
-def _allowed_cache(config: ModelConfig) -> np.ndarray:
-    # Rebuilding the BIO constraint needs the label names; the model layer
-    # only knows counts, so the CLI/eval layer seeds this cache via
-    # set_bio_constraints. Identity fallback allows everything.
-    return _ALLOWED_CACHE.get(
-        config.num_ner_labels,
-        np.ones((config.crf_size, config.crf_size), dtype=bool),
-    )
-
-
-def set_bio_constraints(bio_labels: Sequence[str]) -> None:
-    _ALLOWED_CACHE[len(bio_labels)] = bio_allowed_transitions(bio_labels)
 
 
 def backward(trace: ForwardTrace, params: Params) -> Params:
@@ -532,23 +561,6 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
     return grads
 
 
-def ner_predict(
-    token_ids: np.ndarray,
-    attention_mask: np.ndarray,
-    params: Params,
-    config: ModelConfig,
-) -> list[list[int]]:
-    """Deterministic NER-only path (no relation features needed)."""
-    emb = embed(token_ids, params["embed"])
-    h = bigru(emb, attention_mask, params)
-    logits = ner_logits(h, params["ner_w"], params["ner_b"])
-    allowed = _allowed_cache(config) if config.bio_constrained_decode else None
-    return [
-        crf_decode(logits[b], params["crf_trans"], attention_mask[b], allowed=allowed)
-        for b in range(token_ids.shape[0])
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint and pretrained-embedding containers
 # ---------------------------------------------------------------------------
@@ -570,18 +582,34 @@ def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.nda
 
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
+    """(JSON header, payload bytes). A file cut inside the fixed or the
+    JSON header, or a header that does not decode, raises SchemaError."""
     raw = Path(path).read_bytes()
+    fixed = len(magic) + 12
+    if len(raw) < fixed:
+        raise SchemaError(f"{path}: {len(raw)} bytes, shorter than a container header")
     if raw[: len(magic)] != magic:
         raise SchemaError(f"{path}: bad magic, not a {magic.decode()} file")
-    offset = len(magic)
-    (version,) = struct.unpack_from("<I", raw, offset)
+    version, header_len = struct.unpack_from("<IQ", raw, len(magic))
     if version != _FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported container version {version}")
-    offset += 4
-    (header_len,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    return header, raw[offset + header_len :]
+    end = fixed + header_len
+    if len(raw) < end:
+        raise SchemaError(f"{path}: file ends inside its {header_len}-byte JSON header")
+    try:
+        header = json.loads(raw[fixed:end].decode("utf-8"))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: JSON header does not decode ({exc})") from None
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path}: JSON header is not an object")
+    return header, raw[end:]
+
+
+def _check_payload(path, payload: bytes, nbytes: int) -> None:
+    if len(payload) != nbytes:
+        raise SchemaError(
+            f"{path}: payload holds {len(payload)} bytes, the header declares {nbytes}"
+        )
 
 
 @dataclass
@@ -615,14 +643,18 @@ def save_checkpoint(path, params: Params, config: ModelConfig, extras: dict | No
 
 def load_checkpoint(path) -> Checkpoint:
     header, payload = _read_container(Path(path), _CKPT_MAGIC)
-    config = ModelConfig.from_dict(header["config"])
-    params: Params = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=start)
-        params[entry["name"]] = arr.reshape(shape).copy()
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
+        _check_payload(path, payload, sum(8 * math.prod(shape) for _, shape, _ in manifest))
+        params: Params = {
+            name: np.frombuffer(
+                payload, dtype=np.float64, count=math.prod(shape), offset=offset
+            ).reshape(shape).copy()
+            for name, shape, offset in manifest
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed checkpoint manifest ({exc})") from None
     validate_params(params, config)
     return Checkpoint(config=config, params=params, extras=header.get("extras", {}))
 
@@ -640,11 +672,15 @@ def save_embedding_file(path, vectors: np.ndarray, vocab_hash: str) -> None:
 
 def load_embedding_file(path, expected_vocab_hash: str | None = None) -> np.ndarray:
     header, payload = _read_container(Path(path), _EMB_MAGIC)
-    if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
-        raise SchemaError(
-            "embedding file was built for a different vocabulary "
-            f"(hash {header['vocab_hash'][:12]}... != {expected_vocab_hash[:12]}...)"
-        )
-    count, dim = header["count"], header["dim"]
-    arr = np.frombuffer(payload, dtype=np.float64, count=count * dim)
-    return arr.reshape(count, dim).copy()
+    try:
+        vocab_hash = str(header["vocab_hash"])
+        if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
+            raise SchemaError(
+                "embedding file was built for a different vocabulary "
+                f"(hash {vocab_hash[:12]}... != {expected_vocab_hash[:12]}...)"
+            )
+        count, dim = int(header["count"]), int(header["dim"])
+        _check_payload(path, payload, 8 * count * dim)
+        return np.frombuffer(payload, dtype=np.float64).reshape(count, dim).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed embedding header ({exc})") from None

@@ -179,31 +179,6 @@ def expand(
     return examples
 
 
-def unlabeled_example(
-    tokens: Sequence[str],
-    head_span: tuple[int, int],
-    tail_span: tuple[int, int],
-    head_type: int,
-    tail_type: int,
-    sentence_index: int = 0,
-    pair_index: int = 0,
-) -> MslrExample:
-    """Inference-time row: no gold relation, all-O tags (never read as loss targets)."""
-    tokens = tuple(tokens)
-    return MslrExample(
-        tokens=tokens,
-        ner_tags=("O",) * len(tokens),
-        ner_labels=(0,) * len(tokens),
-        entity_mask=make_entity_mask(len(tokens), head_span, tail_span),
-        head_type=head_type,
-        tail_type=tail_type,
-        head_span=tuple(head_span),
-        tail_span=tuple(tail_span),
-        relation_label=UNLABELED_RELATION_ID,
-        origin=(sentence_index, pair_index),
-    )
-
-
 def encode(
     example: MslrExample,
     vocab: Vocabulary,

@@ -18,10 +18,10 @@ from .model import (
     ModelConfig,
     Params,
     backward,
+    decode_constraint,
     forward,
     init_params,
     save_checkpoint,
-    set_bio_constraints,
 )
 from .mslr import Vocabulary, build_vocab, encode_all, expand, make_batches
 
@@ -240,13 +240,14 @@ def _prepare_instances(sentences, types, vocab, max_len, offset=0):
     return encode_all(examples, vocab, max_len=max_len)
 
 
-def evaluate_split(params, config, batches) -> dict:
-    """Mean losses and accuracies over labeled batches (eval mode)."""
+def evaluate_split(params, config, batches, allowed=None) -> dict:
+    """Mean losses and accuracies over labeled batches (eval mode); token
+    accuracy decodes under the ``allowed`` transition mask."""
     totals = {"ner_loss": 0.0, "re_loss": 0.0, "joint_loss": 0.0}
     rows = 0
     tok_correct = tok_total = rel_correct = 0
     for batch in batches:
-        result = forward(batch, params, config, mode="eval")
+        result = forward(batch, params, config, mode="eval", allowed=allowed)
         totals["ner_loss"] += result.ner_nll * batch.size
         totals["re_loss"] += result.re_ce * batch.size
         totals["joint_loss"] += result.joint * batch.size
@@ -298,8 +299,7 @@ def train_loop(
         num_entity_types=types.num_entity_types,
         **model_kwargs,
     )
-    if config.bio_constrained_decode:
-        set_bio_constraints(types.bio_labels)
+    allowed = decode_constraint(config, types.bio_labels)
     params = init_params(config, seed=train_config.seed, pretrained_embed=pretrained_embed)
     state = init_adamw(params)
     skip = frozenset(["embed"]) if config.freeze_embeddings else frozenset()
@@ -341,7 +341,9 @@ def train_loop(
         rows = 0
         tok_correct = tok_total = rel_correct = 0
         for batch in batches:
-            result = forward(batch, params, config, mode="train", rng=dropout_rng)
+            result = forward(
+                batch, params, config, mode="train", rng=dropout_rng, allowed=allowed
+            )
             if not np.isfinite(result.joint):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}", origins=batch.origins
@@ -361,7 +363,7 @@ def train_loop(
                 np.sum(np.argmax(result.re_probs, axis=1) == batch.relation_label)
             )
 
-        val = evaluate_split(params, config, val_batches)
+        val = evaluate_split(params, config, val_batches, allowed)
         stats = EpochStats(
             epoch=epoch,
             train_ner_loss=totals["ner"] / rows,

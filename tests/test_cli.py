@@ -251,7 +251,7 @@ class TestExtractExport:
         lines = (csv_out / "edges.csv").read_text().splitlines()
         assert len(lines) == total + 1
 
-    def test_text_input_with_workers(self, trained_run, tmp_path):
+    def test_text_input(self, trained_run, tmp_path):
         text = tmp_path / "sentences.txt"
         text.write_text("APT28 used Mimikatz to target banking networks in Europe .\n"
                         "FireEye discovered Turla attacking telecom operators since 2015 .\n")
@@ -259,7 +259,7 @@ class TestExtractExport:
         code = run(
             "extract", "--input", text,
             "--checkpoint", trained_run / "best.ckpt",
-            "--workers", "2", "--out", out,
+            "--out", out,
         )
         assert code == 0
         extractions = json.loads((out / "extractions.json").read_text())
@@ -343,3 +343,148 @@ class TestAblate:
                 payload = json.loads(path.read_text())
                 assert set(payload) == {"ner", "re"}
         assert (out / "ablation.txt").exists()
+
+
+def _perturbed_checkpoint(path, types, sentences, seed):
+    """A checkpoint with ``bio_constrained_decode`` on and NER weights that
+    drive an unconstrained Viterbi into I- tags without a matching B-."""
+    import numpy as np
+
+    from ctie.model import ModelConfig, init_params, save_checkpoint
+    from ctie.mslr import build_vocab
+
+    vocab = build_vocab(sentences)
+    config = ModelConfig(
+        vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+        num_relations=types.num_relations, num_entity_types=types.num_entity_types,
+        embed_dim=8, hidden_dim=4, dropout=0.0, bio_constrained_decode=True,
+    )
+    params = init_params(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    params["ner_w"] = rng.normal(scale=5.0, size=params["ner_w"].shape)
+    inside = [i for i, tag in enumerate(types.bio_labels) if tag.startswith("I-")]
+    params["ner_b"][inside] += 3.0
+    save_checkpoint(path, params, config,
+                    extras={"vocab": vocab.to_list(), "types": types.to_dict()})
+    return params, vocab
+
+
+def _constrained_reference(params, vocab, types, sentences, allowed):
+    """NER report from an explicit encoder pass and ``crf_decode``."""
+    import numpy as np
+
+    from ctie.crf import crf_decode
+    from ctie.evaluation import decode_spans, gold_spans, ner_metrics
+    from ctie.model import bigru, embed, ner_logits
+
+    labels = []
+    for sentence in sentences:
+        ids = [vocab.id(t) for t in sentence.tokens]
+        h = bigru(embed(ids, params["embed"]), np.ones(len(ids)), params)
+        emissions = ner_logits(h, params["ner_w"], params["ner_b"])
+        path = crf_decode(emissions, params["crf_trans"], allowed=allowed)
+        labels.append([types.bio_tag(i) for i in path])
+    spans = [s for i, tags in enumerate(labels) for s in decode_spans(tags, sentence_index=i)]
+    report = ner_metrics(gold_spans(sentences), spans,
+                         [list(s.labels) for s in sentences], labels)
+    return json.loads(report.to_json()), labels
+
+
+class TestEvalHonoursBioConstraint:
+    def test_eval_decodes_under_each_checkpoints_constraint(self, tmp_path):
+        from ctie.corpus import OntologySchema, load_corpus
+        from ctie.crf import bio_allowed_transitions
+
+        # a second corpus whose entity types are renamed: its type system has
+        # the same BIO label count as the original but different label names
+        records = json.loads(SMOKE_CORPUS.read_text())
+        for record in records:
+            record["entities"] = [[s, e, f"X{name}"] for s, e, name in record["entities"]]
+            record["entity_labels"] = [
+                tag if tag == "O" else f"{tag[:2]}X{tag[2:]}" for tag in record["entity_labels"]
+            ]
+        renamed_corpus = tmp_path / "renamed.json"
+        renamed_corpus.write_text(json.dumps(records))
+        renamed_ontology = tmp_path / "renamed_ontology.json"
+        renamed_ontology.write_text(json.dumps({
+            name: {"domain": [f"X{t}" for t in sorted(rule.domain)],
+                   "range": [f"X{t}" for t in sorted(rule.range)]}
+            for name, rule in OntologySchema.default().rules.items()
+        }))
+        original = load_corpus(SMOKE_CORPUS, OntologySchema.default())
+        renamed = load_corpus(renamed_corpus, OntologySchema.load(renamed_ontology))
+        assert renamed.types.num_bio_labels == original.types.num_bio_labels
+        assert renamed.types.bio_labels != original.types.bio_labels
+
+        for k, (dataset, ontology, corpus) in enumerate((
+            (SMOKE_CORPUS, None, original),
+            (renamed_corpus, renamed_ontology, renamed),
+        )):
+            types, sentences = corpus.types, corpus.sentences
+            ckpt = tmp_path / f"model{k}.ckpt"
+            params, vocab = _perturbed_checkpoint(ckpt, types, sentences, seed=50 + k)
+            out = tmp_path / f"eval{k}"
+            ontology_flag = ("--ontology", ontology) if ontology else ()
+            assert run("eval", "--dataset", dataset, "--checkpoint", ckpt, *ontology_flag,
+                       "--split", "all", "--out", out) == 0
+            got = json.loads((out / "metrics.json").read_text())["ner"]
+
+            expected, _ = _constrained_reference(
+                params, vocab, types, sentences, bio_allowed_transitions(types.bio_labels)
+            )
+            unconstrained, labels = _constrained_reference(
+                params, vocab, types, sentences, None
+            )
+            dangling = sum(
+                tag.startswith("I-") and (pos == 0 or tags[pos - 1][2:] != tag[2:])
+                for tags in labels for pos, tag in enumerate(tags)
+            )
+            assert dangling > 0
+            assert unconstrained != expected
+            assert got["support"]["predicted"] > 0
+            assert got == expected
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        from ctie.corpus import OntologySchema, load_corpus
+
+        corpus = load_corpus(SMOKE_CORPUS, OntologySchema.default())
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        _perturbed_checkpoint(path, corpus.types, corpus.sentences, seed=60)
+        return path.read_bytes()
+
+    def _eval(self, tmp_path, blob, capsys) -> int:
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(blob)
+        code = run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path, "--split", "all")
+        assert "error:" in capsys.readouterr().err
+        return code
+
+    def test_intact_checkpoint_evaluates(self, checkpoint, tmp_path):
+        path = tmp_path / "intact.ckpt"
+        path.write_bytes(checkpoint)
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", "all") == 0
+
+    def test_cut_anywhere_exits_one(self, checkpoint, tmp_path, capsys):
+        import struct
+
+        (header_len,) = struct.unpack_from("<Q", checkpoint, 12)
+        payload_start = 20 + header_len
+        cuts = (0, 5, 8, 15, 20, 20 + header_len // 2, payload_start - 1,
+                payload_start, payload_start + 7, (payload_start + len(checkpoint)) // 2,
+                len(checkpoint) - 1)
+        for cut in cuts:
+            assert self._eval(tmp_path, checkpoint[:cut], capsys) == 1, cut
+
+    def test_trailing_bytes_exit_one(self, checkpoint, tmp_path, capsys):
+        for junk in (b"\0", b"x" * 8, b"\0" * 1000):
+            assert self._eval(tmp_path, checkpoint + junk, capsys) == 1, len(junk)
+
+    def test_undecodable_header_exits_one(self, checkpoint, tmp_path, capsys):
+        assert checkpoint[20:21] == b"{"
+        for bad in (b"[", b"\xff"):
+            blob = checkpoint[:20] + bad + checkpoint[21:]
+            assert self._eval(tmp_path, blob, capsys) == 1, bad

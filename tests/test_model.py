@@ -381,6 +381,15 @@ class TestEmbeddingFile:
         with pytest.raises(SchemaError):
             load_embedding_file(path, expected_vocab_hash="bbbb")
 
+    def test_cut_or_padded_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embedding_file(path, np.ones((3, 2)), vocab_hash="abc")
+        blob = path.read_bytes()
+        for bad in (blob[:10], blob[:25], blob[:-48], blob[:-1], blob + b"\0" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(SchemaError):
+                load_embedding_file(path)
+
     def test_wrong_shape_rejected(self):
         config = tiny_config()
         with pytest.raises(SchemaError):
@@ -394,29 +403,42 @@ def test_param_shapes_cover_all_arrays():
     assert set(init_params(config, seed=21)) == set(shapes)
 
 
+def _has_dangling_i(path, bio) -> bool:
+    tags = [bio[i] for i in path]
+    return any(
+        tag.startswith("I-") and (pos == 0 or tags[pos - 1] not in (f"B-{tag[2:]}", tag))
+        for pos, tag in enumerate(tags)
+    )
+
+
 def test_bio_constrained_decode_wired_through_forward():
     import dataclasses
 
-    from ctie.model import ner_predict, set_bio_constraints
+    from ctie.crf import bio_allowed_transitions
+    from ctie.model import decode_constraint, encode, ner_predict
 
     bio = ("O", "B-Tool", "I-Tool", "B-Org", "I-Org")
-    config = dataclasses.replace(tiny_config(), bio_constrained_decode=True)
-    set_bio_constraints(bio)
-    try:
-        rng = np.random.default_rng(30)
-        for seed in range(5):
-            params = init_params(config, seed=seed)
-            # push emissions around so an unconstrained decode would stumble
-            params["ner_w"] = rng.normal(scale=5.0, size=params["ner_w"].shape)
-            params["crf_trans"] = rng.normal(size=params["crf_trans"].shape)
-            ids = rng.integers(2, config.vocab_size, size=(3, 6))
-            mask = np.ones((3, 6))
-            for path in ner_predict(ids, mask, params, config):
-                tags = [bio[i] for i in path]
-                for pos, tag in enumerate(tags):
-                    if tag.startswith("I-"):
-                        assert pos > 0 and tags[pos - 1] in (f"B-{tag[2:]}", tag)
-    finally:
-        from ctie.model import _ALLOWED_CACHE
+    allowed = bio_allowed_transitions(bio)
+    config = tiny_config()
+    assert decode_constraint(config, bio) is None
+    constrained = dataclasses.replace(config, bio_constrained_decode=True)
+    assert np.array_equal(decode_constraint(constrained, bio), allowed)
 
-        _ALLOWED_CACHE.clear()
+    batch = tiny_batch()
+    rng = np.random.default_rng(30)
+    unconstrained_dangling = 0
+    for seed in range(5):
+        params = init_params(config, seed=seed)
+        # push emissions around so an unconstrained decode would stumble
+        params["ner_w"] = rng.normal(scale=5.0, size=params["ner_w"].shape)
+        params["crf_trans"] = rng.normal(size=params["crf_trans"].shape)
+        batch.token_ids = rng.integers(2, config.vocab_size, size=batch.token_ids.shape)
+        h = encode(batch.token_ids, batch.attention_mask, params)
+        paths = ner_predict(h, batch.attention_mask, params, allowed)
+        assert forward(batch, params, config, mode="eval", allowed=allowed).decoded == paths
+        assert not any(_has_dangling_i(path, bio) for path in paths)
+        unconstrained_dangling += sum(
+            _has_dangling_i(path, bio)
+            for path in ner_predict(h, batch.attention_mask, params)
+        )
+    assert unconstrained_dangling > 0

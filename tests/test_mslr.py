@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ctie.corpus import UNLABELED_RELATION_ID, load_corpus
+from ctie.corpus import load_corpus
 from ctie.errors import DuplicatePairError, LengthError, OverlapError
 from ctie.mslr import (
     PAD_ID,
@@ -20,7 +20,6 @@ from ctie.mslr import (
     expand,
     make_batches,
     make_entity_mask,
-    unlabeled_example,
 )
 
 from helpers import load_fig_corpus, random_corpus
@@ -254,13 +253,6 @@ class TestBatches:
         row = list(batch.lengths).index(6)
         assert batch.attention_mask[row, 6] == 0.0
         assert batch.token_ids[row, 6] == PAD_ID
-
-    def test_unlabeled_batch_flag(self):
-        example = unlabeled_example(("APT29", "uses", "Mimikatz"), (0, 1), (2, 3), 0, 1)
-        vocab = Vocabulary(["<pad>", "<unk>", "APT29"])
-        batch = collate([encode(example, vocab)])
-        assert example.relation_label == UNLABELED_RELATION_ID
-        assert not batch.labeled
 
 
 class TestDump:
