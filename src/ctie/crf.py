@@ -1,10 +1,15 @@
-"""Linear-chain CRF: log-partition, NLL, marginals, and Viterbi decoding.
+"""Linear-chain CRF over a batch: log-partition, NLL, marginals, gradients
+and Viterbi decoding.
 
-All scores live in log space. The transition matrix is square of side
-L + 2 where the last two rows/columns are virtual START and STOP states:
-``trans[START, j]`` scores starting in label j, ``trans[i, STOP]`` scores
-ending in label i, and ``trans[i, j]`` (i, j < L) scores the step i -> j.
-Entries out of those three blocks are never read and get zero gradient.
+Shapes. Emissions are (B, T, L), the mask (B, T) and gold labels (B, T)
+integers. A 2-D (T, L) input, with a (T,) mask and (T,) labels, is a batch
+of one and returns the per-row result: a float instead of a (B,) array, one
+path instead of a list of paths. All scores live in log space. The
+transition matrix is square of side L + 2 where the last two rows/columns
+are virtual START and STOP states: ``trans[START, j]`` scores starting in
+label j, ``trans[i, STOP]`` scores ending in label i, and ``trans[i, j]``
+(i, j < L) scores the step i -> j. Entries out of those three blocks are
+never read and get zero gradient.
 
 A path y over a sequence of emissions e scores
 
@@ -12,11 +17,36 @@ A path y over a sequence of emissions e scores
              + sum_t trans[y_{t-1}, y_t] + trans[y_last, STOP]
 
 and the NLL of a gold path is logZ - score(gold), with logZ computed by
-the forward recursion. Positions where ``mask`` is 0 are excluded: the
-chain is the compacted subsequence of unmasked steps.
+the forward recursion.
+
+Mask rule. Positions where the mask is 0 are excluded: each row's chain is
+the compacted subsequence of its unmasked steps, so a hole joins its two
+neighbours by one transition. Every row's unmasked steps are gathered
+left-aligned once; each recursion then runs once over the batch axis, and
+a row past the end of its chain carries its state through unchanged. A
+row with no unmasked step has logZ 0, NLL 0, zero gradients and an empty
+path.
+
+Single-pass gradient. ``crf_nll_grad`` runs the forward and the backward
+recursion once and returns the per-row NLL, d NLL / d emissions (node
+marginals minus the gold one-hot, in the original positions) and
+d NLL / d transitions summed over the batch (expected minus gold counts,
+including the START and STOP blocks). The expected inner counts of every
+row and step are summed by one GEMM in probability space,
+``exp(inner) * (P.T @ Q)``, with P and Q the alpha and the
+emission-plus-beta factors max-shifted per step; no (B, T, L, L) tensor is
+built. The factors are exact to rounding while no step's shift
+``max alpha + max(emission + beta) + max finite transition - logZ``
+overflows, about 700 nats. With every transition finite that shift is at
+most the span of the transition scores, since logZ covers the path through
+the two maxima; training's transitions are always finite. With -inf
+entries (a folded BIO mask) it is bounded only by the per-step gaps in
+alpha and in emission + beta, and a step past 700 nats gives inf or NaN.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +59,7 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 
 def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    transitions = np.asarray(transitions, dtype=np.float64)
     size = transitions.shape[0]
     if transitions.shape != (size, size) or size < 3:
         raise ValueError(f"transition matrix must be square (L+2), got {transitions.shape}")
@@ -39,135 +70,212 @@ def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return inner, start, stop, num_labels
 
 
-def _compact(emissions: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray]:
-    emissions = np.asarray(emissions, dtype=np.float64)
-    if emissions.ndim != 2:
-        raise ValueError("emissions must be (T, L)")
-    if mask is None:
-        keep = np.arange(emissions.shape[0])
-    else:
-        keep = np.flatnonzero(np.asarray(mask) != 0)
-    return emissions[keep], keep
+class _Chains:
+    """A batch gathered to its chains: ``em`` (B, N, L) holds each row's
+    unmasked steps left-aligned, N the longest chain; ``pos`` (B, N) their
+    original positions, or None when every mask is a prefix."""
+
+    def __init__(self, emissions, mask):
+        em = np.asarray(emissions, dtype=np.float64)
+        self.squeeze = em.ndim == 2
+        if self.squeeze:
+            em = em[None]
+        if em.ndim != 3:
+            raise ValueError(f"emissions must be (B, T, L) or (T, L), got {em.shape}")
+        n_batch, n_steps, _ = em.shape
+        self.shape = em.shape
+        self.em, self.pos = em, None
+        keep = None if mask is None else (np.asarray(mask) != 0).reshape(n_batch, n_steps)
+        if keep is None or keep.all():
+            self.lengths = np.full(n_batch, n_steps)
+            return
+        self.lengths = keep.sum(axis=1)
+        width = int(self.lengths.max(initial=0))
+        if np.array_equal(keep, np.arange(n_steps) < self.lengths[:, None]):
+            self.em = em[:, :width]
+        else:
+            self.pos = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+            self.em = np.take_along_axis(em, self.pos[:, :, None], axis=1)
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """(B, N) True on the steps of each chain."""
+        return np.arange(self.em.shape[1]) < self.lengths[:, None]
+
+    def gather(self, values) -> np.ndarray:
+        """Per-step values (B, T) on the chains, 0 past each chain's end."""
+        values = np.asarray(values).reshape(self.shape[:2])
+        width = self.em.shape[1]
+        out = values[:, :width] if self.pos is None else np.take_along_axis(values, self.pos, 1)
+        return np.where(self.valid, out, 0)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """(B, N, L) chain values back to (B, T, L), zeros on masked steps."""
+        out = np.zeros(self.shape)
+        values = np.where(self.valid[:, :, None], values, 0.0)
+        if self.pos is None:
+            out[:, : values.shape[1]] = values
+        else:
+            np.put_along_axis(out, self.pos[:, :, None], values, axis=1)
+        return out
+
+    def result(self, per_row: np.ndarray):
+        return float(per_row[0]) if self.squeeze else per_row
 
 
-def crf_score(
-    emissions: np.ndarray,
-    labels,
-    transitions: np.ndarray,
-    attention_mask=None,
-) -> float:
-    """Score of one label path (unmasked steps only)."""
+def _alpha_pass(chains: _Chains, inner, start, stop, keep_all: bool = False):
+    """(alphas (B, N, L) or None, logZ (B,)) by the forward recursion."""
+    em, lengths = chains.em, chains.lengths
+    n_batch, width, _ = em.shape
+    alphas = np.empty(em.shape) if keep_all else None
+    if width == 0:
+        return alphas, np.zeros(n_batch)
+    shortest = int(lengths.min())
+    into = np.ascontiguousarray(inner.T)  # into[j, i] scores i -> j
+    alpha = start + em[:, 0]
+    for t in range(width):
+        if t:
+            nxt = _logsumexp(alpha[:, None, :] + into, axis=2) + em[:, t]
+            alpha = nxt if t < shortest else np.where((t < lengths)[:, None], nxt, alpha)
+        if keep_all:
+            alphas[:, t] = alpha
+    log_z = np.where(lengths > 0, _logsumexp(alpha + stop, axis=1), 0.0)
+    return alphas, log_z
+
+
+def _beta_pass(chains: _Chains, inner, stop) -> np.ndarray:
+    """betas (B, N, L): log-score of finishing the chain from each step."""
+    em, lengths = chains.em, chains.lengths
+    width = em.shape[1]
+    betas = np.empty(em.shape)
+    beta = np.broadcast_to(stop, (len(em), len(stop)))
+    for t in range(width - 1, -1, -1):
+        if t < width - 1:
+            nxt = _logsumexp(inner + (em[:, t + 1] + beta)[:, None, :], axis=2)
+            beta = np.where((t + 1 < lengths)[:, None], nxt, stop)
+        betas[:, t] = beta
+    return betas
+
+
+def _forward_backward(chains: _Chains, inner, start, stop):
+    """(alphas, betas, node marginals (B, N, L), logZ (B,)) on the chains;
+    node marginals are zero past each chain's end."""
+    alphas, log_z = _alpha_pass(chains, inner, start, stop, keep_all=True)
+    betas = _beta_pass(chains, inner, stop)
+    valid = chains.valid[:, :, None]
+    node = np.exp(np.where(valid, alphas + betas - log_z[:, None, None], -np.inf))
+    return alphas, betas, node, log_z
+
+
+def _gold_score(chains: _Chains, y: np.ndarray, inner, start, stop) -> np.ndarray:
+    """(B,) score of each row's gold path ``y`` (gathered to the chains)."""
+    valid, lengths = chains.valid, chains.lengths
+    n_batch, width = y.shape
+    if width == 0:
+        return np.zeros(n_batch)
+    rows = np.arange(n_batch)
+    last = y[rows, np.maximum(lengths - 1, 0)]
+    total = np.where(valid, np.take_along_axis(chains.em, y[:, :, None], 2)[:, :, 0], 0.0)
+    steps = np.where(valid[:, 1:], inner[y[:, :-1], y[:, 1:]], 0.0)
+    ends = np.where(lengths > 0, start[y[:, 0]] + stop[last], 0.0)
+    return total.sum(axis=1) + steps.sum(axis=1) + ends
+
+
+def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray, attention_mask=None):
+    """log sum over all label paths of each row, by the forward recursion."""
     inner, start, stop, _ = _split_transitions(transitions)
-    em, keep = _compact(emissions, attention_mask)
-    y = np.asarray(labels)[keep] if attention_mask is not None else np.asarray(labels)
-    if em.shape[0] == 0:
-        return 0.0
-    total = start[y[0]] + em[np.arange(len(y)), y].sum() + stop[y[-1]]
-    if len(y) > 1:
-        total += inner[y[:-1], y[1:]].sum()
-    return float(total)
+    chains = _Chains(emissions, attention_mask)
+    return chains.result(_alpha_pass(chains, inner, start, stop)[1])
 
 
-def crf_log_partition(
-    emissions: np.ndarray, transitions: np.ndarray, attention_mask=None
-) -> float:
-    """log sum over all label paths, by the forward recursion."""
+def crf_nll(emissions: np.ndarray, labels, transitions: np.ndarray, attention_mask=None):
+    """Negative log-likelihood of each row's gold path; >= 0 by construction."""
     inner, start, stop, _ = _split_transitions(transitions)
-    em, _ = _compact(emissions, attention_mask)
-    if em.shape[0] == 0:
-        return 0.0
-    alpha = start + em[0]
-    for t in range(1, em.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + inner, axis=0) + em[t]
-    return float(_logsumexp(alpha + stop, axis=0))
+    chains = _Chains(emissions, attention_mask)
+    log_z = _alpha_pass(chains, inner, start, stop)[1]
+    y = chains.gather(labels).astype(np.intp)
+    return chains.result(log_z - _gold_score(chains, y, inner, start, stop))
 
 
-def crf_nll(
-    emissions: np.ndarray,
-    labels,
-    transitions: np.ndarray,
-    attention_mask=None,
-) -> float:
-    """Negative log-likelihood of the gold path; >= 0 by construction."""
-    return crf_log_partition(emissions, transitions, attention_mask) - crf_score(
-        emissions, labels, transitions, attention_mask
-    )
+def crf_marginals(emissions: np.ndarray, transitions: np.ndarray, attention_mask=None):
+    """Forward-backward node and edge marginals on the compacted chains.
 
-
-def crf_marginals(
-    emissions: np.ndarray, transitions: np.ndarray, attention_mask=None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Forward-backward node and edge marginals over unmasked steps.
-
-    Returns (node (n, L), edge (n-1, L, L), logZ) on the compacted chain.
+    Returns (node (B, N, L), edge (B, N-1, L, L), logZ (B,)), zero past each
+    chain's end; for a (T, L) input (node (n, L), edge (n-1, L, L), logZ)
+    of its one chain of n steps. The per-step edge tensor is built here
+    only; the training gradient sums it without materialising it.
     """
     inner, start, stop, num_labels = _split_transitions(transitions)
-    em, _ = _compact(emissions, attention_mask)
-    n = em.shape[0]
-    if n == 0:
-        return (
-            np.zeros((0, num_labels)),
-            np.zeros((0, num_labels, num_labels)),
-            0.0,
+    chains = _Chains(emissions, attention_mask)
+    alphas, betas, node, log_z = _forward_backward(chains, inner, start, stop)
+    width = node.shape[1]
+    edge = np.zeros((len(node), max(width - 1, 0), num_labels, num_labels))
+    if width > 1:
+        log_edge = (
+            alphas[:, :-1, :, None] + inner
+            + (chains.em[:, 1:] + betas[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
         )
-    alpha = np.empty((n, num_labels))
-    alpha[0] = start + em[0]
-    for t in range(1, n):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + inner, axis=0) + em[t]
-    beta = np.empty((n, num_labels))
-    beta[n - 1] = stop
-    for t in range(n - 2, -1, -1):
-        beta[t] = _logsumexp(inner + (em[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = float(_logsumexp(alpha[n - 1] + stop, axis=0))
-    node = np.exp(alpha + beta - log_z)
-    edge = np.zeros((max(n - 1, 0), num_labels, num_labels))
-    for t in range(n - 1):
-        edge[t] = np.exp(
-            alpha[t][:, None] + inner + (em[t + 1] + beta[t + 1])[None, :] - log_z
-        )
+        edge = np.exp(np.where(chains.valid[:, 1:, None, None], log_edge, -np.inf))
+    if chains.squeeze:
+        n = int(chains.lengths[0])
+        return node[0, :n], edge[0, : max(n - 1, 0)], float(log_z[0])
     return node, edge, log_z
 
 
-def crf_nll_grad(
-    emissions: np.ndarray,
-    labels,
-    transitions: np.ndarray,
-    attention_mask=None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(nll, d nll/d emissions, d nll/d transitions) for one sequence.
+def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attention_mask=None):
+    """(nll, d nll/d emissions, d nll/d transitions) in one forward-backward pass.
 
-    Emission gradients are node marginals minus the gold one-hot; transition
-    gradients are expected edge counts minus gold counts, including the
-    START and STOP blocks.
+    ``nll`` is per row ((B,), or a float for a (T, L) input), the emission
+    gradient has the emissions' shape, and the transition gradient is summed
+    over the rows. Emission gradients are node marginals minus the gold
+    one-hot; transition gradients are expected edge counts minus gold
+    counts, including the START and STOP blocks.
     """
-    emissions = np.asarray(emissions, dtype=np.float64)
-    node, edge, log_z = crf_marginals(emissions, transitions, attention_mask)
-    em, keep = _compact(emissions, attention_mask)
-    y = np.asarray(labels)[keep] if attention_mask is not None else np.asarray(labels)
-    n = em.shape[0]
-    num_labels = transitions.shape[0] - 2
+    inner, start, stop, num_labels = _split_transitions(transitions)
     start_idx, stop_idx = num_labels, num_labels + 1
+    chains = _Chains(emissions, attention_mask)
+    d_transitions = np.zeros((num_labels + 2, num_labels + 2))
+    if chains.em.shape[1] == 0:
+        empty = np.zeros(chains.shape)
+        zero = np.zeros(chains.shape[0])
+        return chains.result(zero), empty[0] if chains.squeeze else empty, d_transitions
 
-    d_emissions = np.zeros_like(emissions)
-    d_transitions = np.zeros_like(np.asarray(transitions, dtype=np.float64))
-    if n == 0:
-        return 0.0, d_emissions, d_transitions
+    alphas, betas, node, log_z = _forward_backward(chains, inner, start, stop)
+    y = chains.gather(labels).astype(np.intp)
+    nll = log_z - _gold_score(chains, y, inner, start, stop)
+    valid, lengths = chains.valid, chains.lengths
+    gold = np.zeros(node.shape)
+    np.put_along_axis(gold, y[:, :, None], 1.0, axis=2)
+    d_emissions = chains.scatter(node - gold)
 
-    gold = crf_score(em, y, transitions)
-    nll = log_z - gold
+    # Expected inner counts: sum over rows and steps t -> t+1 of
+    # exp(alpha_t[i] + inner[i, j] + em_{t+1}[j] + beta_{t+1}[j] - logZ).
+    if node.shape[1] > 1:
+        a = alphas[:, :-1]
+        r = chains.em[:, 1:] + betas[:, 1:]
+        a_max = np.max(a, axis=2, keepdims=True)
+        r_max = np.max(r, axis=2, keepdims=True)
+        finite = inner[np.isfinite(inner)]
+        i_max = finite.max() if finite.size else 0.0
+        shift = a_max + r_max + i_max - log_z[:, None, None]
+        scale = np.exp(np.where(valid[:, 1:, None], shift, -np.inf))
+        p = np.exp(a - a_max).reshape(-1, num_labels)
+        q = (np.exp(r - r_max) * scale).reshape(-1, num_labels)
+        d_transitions[:num_labels, :num_labels] = np.exp(inner - i_max) * (p.T @ q)
+        edges = valid[:, 1:]
+        np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -1.0)
 
-    d_compact = node.copy()
-    d_compact[np.arange(n), y] -= 1.0
-    d_emissions[keep] = d_compact
-
-    d_transitions[:num_labels, :num_labels] += edge.sum(axis=0)
-    if n > 1:
-        np.add.at(d_transitions, (y[:-1], y[1:]), -1.0)
-    d_transitions[start_idx, :num_labels] += node[0]
-    d_transitions[start_idx, y[0]] -= 1.0
-    d_transitions[:num_labels, stop_idx] += node[n - 1]
-    d_transitions[y[n - 1], stop_idx] -= 1.0
-    return float(nll), d_emissions, d_transitions
+    # node marginals are zero on empty chains; their gold labels must not count
+    has = lengths > 0
+    last = (np.arange(len(lengths)), np.maximum(lengths - 1, 0))
+    d_transitions[start_idx, :num_labels] = node[:, 0].sum(axis=0)
+    np.add.at(d_transitions[start_idx], y[has, 0], -1.0)
+    d_transitions[:num_labels, stop_idx] = node[last].sum(axis=0)
+    np.add.at(d_transitions[:, stop_idx], y[last][has], -1.0)
+    if chains.squeeze:
+        return float(nll[0]), d_emissions[0], d_transitions
+    return nll, d_emissions, d_transitions
 
 
 def crf_decode(
@@ -175,12 +283,13 @@ def crf_decode(
     transitions: np.ndarray,
     attention_mask=None,
     allowed: np.ndarray | None = None,
-) -> list[int]:
-    """Viterbi argmax path over unmasked steps.
+):
+    """Viterbi argmax path of each row over its unmasked steps.
 
-    ``allowed`` is an optional boolean (L+2, L+2) matrix; forbidden
-    transitions score -inf at decode time only. Ties break toward the
-    lower label id (np.argmax takes the first maximum).
+    Returns one path per row (a list of lists), or the path itself for a
+    (T, L) input. ``allowed`` is an optional boolean (L+2, L+2) matrix;
+    forbidden transitions score -inf at decode time only. Ties break toward
+    the lower label id (np.argmax takes the first maximum).
     """
     inner, start, stop, num_labels = _split_transitions(transitions)
     if allowed is not None:
@@ -189,23 +298,31 @@ def crf_decode(
         inner = inner + a_inner
         start = start + a_start
         stop = stop + a_stop
-    em, _ = _compact(emissions, attention_mask)
-    n = em.shape[0]
-    if n == 0:
-        return []
-    score = start + em[0]
-    back = np.zeros((n, num_labels), dtype=np.int64)
-    for t in range(1, n):
-        grid = score[:, None] + inner
-        back[t] = np.argmax(grid, axis=0)
-        score = grid[back[t], np.arange(num_labels)] + em[t]
-    last = int(np.argmax(score + stop))
-    path = [last]
-    for t in range(n - 1, 0, -1):
-        last = int(back[t, last])
-        path.append(last)
-    path.reverse()
-    return path
+    chains = _Chains(emissions, attention_mask)
+    em, lengths = chains.em, chains.lengths
+    n_batch, width, _ = em.shape
+    if width == 0:
+        return [] if chains.squeeze else [[] for _ in range(n_batch)]
+    shortest = int(lengths.min())
+    into = np.ascontiguousarray(inner.T)  # into[j, i] scores i -> j
+    back = np.empty((n_batch, width, num_labels), dtype=np.intp)
+    score = start + em[:, 0]
+    for t in range(1, width):
+        grid = score[:, None, :] + into
+        back[:, t] = grid.argmax(axis=2)
+        best = grid.max(axis=2) + em[:, t]
+        score = best if t < shortest else np.where((t < lengths)[:, None], best, score)
+    last = np.argmax(score + stop, axis=1)
+
+    out = []
+    for n, label, trail in zip(lengths.tolist(), last.tolist(), back.tolist()):
+        path = [label] if n else []
+        for t in range(n - 1, 0, -1):
+            label = trail[t][label]
+            path.append(label)
+        path.reverse()
+        out.append(path)
+    return out[0] if chains.squeeze else out
 
 
 def bio_allowed_transitions(bio_labels) -> np.ndarray:

@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
+from .errors import SchemaError, UnknownRelation
 from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
-from .mslr import Vocabulary, expand
+from .mslr import Vocabulary, make_entity_mask, relation_pairs
 from .train import TrainConfig, TrainResult, split, train_loop
 
 
@@ -242,38 +243,66 @@ def gold_pairs(sentences: Sequence[AnnotatedSentence]) -> list[PairPrediction]:
     ]
 
 
-def encode_sentences(
-    params: Params,
-    vocab: Vocabulary,
-    token_seqs: Sequence[Sequence[str]],
-    batch_size: int = 32,
-) -> list[np.ndarray]:
-    """Each sentence's (length, 2h) encoding: one deterministic encoder pass
-    per sentence, ``batch_size`` sentences per padded batch."""
-    out: list[np.ndarray] = []
-    for lo in range(0, len(token_seqs), batch_size):
-        chunk = token_seqs[lo : lo + batch_size]
+ENCODE_BATCH = 32  # sentences per padded encoder batch
+
+
+def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]]):
+    """Yield (h (B, T, 2h), mask (B, T)) for each ``ENCODE_BATCH`` sentences:
+    one deterministic encoder pass per sentence, padded to the chunk's
+    longest."""
+    for lo in range(0, len(token_seqs), ENCODE_BATCH):
+        chunk = token_seqs[lo : lo + ENCODE_BATCH]
         ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
         mask = np.zeros(ids.shape)
         for b, tokens in enumerate(chunk):
             ids[b, : len(tokens)] = [vocab.id(t) for t in tokens]
             mask[b, : len(tokens)] = 1.0
-        h = encode(ids, mask, params)
-        out.extend(h[b, : len(tokens)] for b, tokens in enumerate(chunk))
-    return out
+        yield encode(ids, mask, params), mask
+
+
+def _unpad(h: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    return [row[: int(n)] for row, n in zip(h, mask.sum(axis=1))]
+
+
+def encode_sentences(
+    params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]]
+) -> list[np.ndarray]:
+    """Each sentence's (length, 2h) encoding."""
+    return [e for h, mask in encode_batches(params, vocab, token_seqs) for e in _unpad(h, mask)]
 
 
 def predict_ner_labels(
     params: Params,
     types: TypeSystem,
-    encodings: Sequence[np.ndarray],
+    h: np.ndarray,
+    attention_mask: np.ndarray,
     allowed: np.ndarray | None = None,
 ) -> list[list[str]]:
-    """CRF-decoded BIO tags per sentence from its encoding."""
+    """CRF-decoded BIO tags of each row of one padded encoder batch, in one
+    batched Viterbi call."""
     return [
-        [types.bio_tag(i) for i in ner_predict(h[None], np.ones((1, len(h))), params, allowed)[0]]
-        for h in encodings
+        [types.bio_tag(i) for i in path] for path in ner_predict(h, attention_mask, params, allowed)
     ]
+
+
+def _checkpoint_pairs(sentence: AnnotatedSentence, types: TypeSystem, index: int) -> list[tuple]:
+    """(head, tail) entities per annotated relation, each of whose entity
+    types and relation the checkpoint's ``types`` must know."""
+    pairs = []
+    for rel, head, tail in relation_pairs(sentence, index):
+        for entity in (head, tail):
+            if not types.has_entity_type(entity.entity_type.name):
+                raise SchemaError(
+                    f"sentence {index}: entity type {entity.entity_type.name!r} is not "
+                    "in the checkpoint's type system"
+                )
+        if not types.has_relation(rel.relation.name):
+            raise UnknownRelation(
+                f"sentence {index}: relation {rel.relation.name!r} is not in the "
+                "checkpoint's type system"
+            )
+        pairs.append((head, tail))
+    return pairs
 
 
 def predict_relations_gold_pairs(
@@ -286,19 +315,25 @@ def predict_relations_gold_pairs(
 ) -> list[PairPrediction]:
     """Classify each annotated entity pair using gold spans and gold types
     as features (mirrors the training instances); like training, skip
-    sentences longer than ``max_len``."""
+    sentences longer than ``max_len``. ``types`` is the checkpoint's: type
+    ids are looked up there by name, and a pair whose relation or entity
+    types it does not know raises a ``DataError``."""
     preds: list[PairPrediction] = []
     for i, (sentence, h) in enumerate(zip(sentences, encodings)):
-        examples = expand(sentence, types, sentence_index=i)
-        if not examples or len(sentence.tokens) > max_len:
+        pairs = _checkpoint_pairs(sentence, types, i)
+        n = len(sentence.tokens)
+        if not pairs or n > max_len:
             continue
         *_, probs = relation_head(
-            h, [e.entity_mask for e in examples], [e.head_type for e in examples],
-            [e.tail_type for e in examples], params, config,
+            h, [make_entity_mask(n, head, tail) for head, tail in pairs],
+            [types.entity_type(head.entity_type.name).id for head, _ in pairs],
+            [types.entity_type(tail.entity_type.name).id for _, tail in pairs],
+            params, config,
         )
         preds.extend(
-            PairPrediction(i, e.head_span, e.tail_span, types.relations[k].name)
-            for e, k in zip(examples, np.argmax(probs, axis=1))
+            PairPrediction(i, (head.start, head.end), (tail.start, tail.end),
+                           types.relations[k].name)
+            for (head, tail), k in zip(pairs, np.argmax(probs, axis=1))
         )
     return preds
 
@@ -322,10 +357,12 @@ def evaluate_model(
     pairs; ``re_mode="pipeline"`` runs the end-to-end extractor (decoded
     spans, enumerated pairs) and scores its positive triples.
     """
-    encodings = encode_sentences(params, vocab, [s.tokens for s in sentences])
-    predicted_labels = predict_ner_labels(
-        params, types, encodings, decode_constraint(config, types.bio_labels)
-    )
+    allowed = decode_constraint(config, types.bio_labels)
+    encodings: list[np.ndarray] = []
+    predicted_labels: list[list[str]] = []
+    for h, mask in encode_batches(params, vocab, [s.tokens for s in sentences]):
+        predicted_labels.extend(predict_ner_labels(params, types, h, mask, allowed))
+        encodings.extend(_unpad(h, mask))
     sentence_spans = [decode_spans(t, sentence_index=i) for i, t in enumerate(predicted_labels)]
     gold_label_seqs = [list(s.labels) for s in sentences]
     ner = ner_metrics(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -301,12 +302,10 @@ def ner_predict(
     params: Params,
     allowed: np.ndarray | None = None,
 ) -> list[list[int]]:
-    """NER head: one Viterbi path per row of ``h`` (B, T, 2h)."""
+    """NER head: one Viterbi path per row of ``h`` (B, T, 2h), decoded in
+    one batched call."""
     logits = ner_logits(h, params["ner_w"], params["ner_b"])
-    return [
-        crf_decode(logits[b], params["crf_trans"], attention_mask[b], allowed=allowed)
-        for b in range(len(logits))
-    ]
+    return crf_decode(logits, params["crf_trans"], attention_mask, allowed=allowed)
 
 
 def decode_constraint(config: ModelConfig, bio_labels: Sequence[str]) -> np.ndarray | None:
@@ -402,6 +401,8 @@ class ForwardTrace:
     drop_h: np.ndarray | None
     h_d: np.ndarray
     logits_ner: np.ndarray
+    d_logits_ner: np.ndarray | None   # d sum-of-row-NLLs / d logits_ner
+    d_crf_trans: np.ndarray | None    # d sum-of-row-NLLs / d crf_trans
     pool_mask: np.ndarray
     features: np.ndarray
     logits_re: np.ndarray
@@ -437,7 +438,10 @@ def forward(
 
     Dropout is active only in train mode (after the embedding and after the
     BiGRU); eval mode is fully deterministic. Losses are computed only for
-    labeled batches. Each row is also Viterbi-decoded under ``allowed`` (see
+    labeled batches: a train-mode forward gets the CRF NLL and its gradients
+    from one batched forward-backward pass (kept in the trace for
+    ``backward``), an eval-mode forward runs the forward recursion only. The
+    batch is also Viterbi-decoded under ``allowed`` (see
     ``decode_constraint``) for the training log's token accuracy.
     """
     if mode not in ("train", "eval"):
@@ -464,21 +468,21 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    decoded = [
-        crf_decode(logits[b], params["crf_trans"], mask[b], allowed=allowed)
-        for b in range(batch.size)
-    ]
+    decoded = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
     pool_mask, features, logits_re, probs_re = relation_head(
         h_d, batch.entity_mask, batch.head_type, batch.tail_type, params, config,
         attention_mask=mask,
     )
 
     ner_nll_mean = re_ce_mean = joint = None
+    d_logits = d_trans = None
     if batch.labeled:
-        nlls = [
-            crf_nll(logits[b], batch.ner_labels[b], params["crf_trans"], mask[b])
-            for b in range(batch.size)
-        ]
+        if train:
+            nlls, d_logits, d_trans = crf_nll_grad(
+                logits, batch.ner_labels, params["crf_trans"], mask
+            )
+        else:
+            nlls = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
         ner_nll_mean = float(np.mean(nlls))
         gold = batch.relation_label
         picked = probs_re[np.arange(batch.size), gold]
@@ -490,8 +494,8 @@ def forward(
         trace = ForwardTrace(
             config=config, batch=batch, emb=emb, drop_emb=drop_emb, emb_d=emb_d,
             gru_traces=gru_traces, h_bigru=h_bigru, drop_h=drop_h, h_d=h_d,
-            logits_ner=logits, pool_mask=pool_mask, features=features,
-            logits_re=logits_re, probs_re=probs_re,
+            logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
+            pool_mask=pool_mask, features=features, logits_re=logits_re, probs_re=probs_re,
         )
     return ForwardResult(
         ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, decoded=decoded,
@@ -532,16 +536,10 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
 
     d_h_d = d_pool[:, None, :] * trace.pool_mask[:, :, None]
 
-    # NER head through the CRF.
-    d_logits_ner = np.zeros_like(trace.logits_ner)
+    # NER head through the CRF, whose gradients the forward pass computed.
     scale = config.alpha / n_batch
-    for b in range(n_batch):
-        _nll, d_em, d_trans = crf_nll_grad(
-            trace.logits_ner[b], batch.ner_labels[b], params["crf_trans"],
-            batch.attention_mask[b],
-        )
-        d_logits_ner[b] = d_em * scale
-        grads["crf_trans"] += d_trans * scale
+    d_logits_ner = trace.d_logits_ner * scale
+    grads["crf_trans"] += trace.d_crf_trans * scale
     grads["ner_w"] += np.einsum("btk,btl->kl", trace.h_d, d_logits_ner)
     grads["ner_b"] += d_logits_ner.sum(axis=(0, 1))
     d_h_d = d_h_d + d_logits_ner @ params["ner_w"].T
@@ -571,14 +569,24 @@ _FORMAT_VERSION = 1
 
 
 def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write to a temporary file beside ``path``, then rename it into place:
+    a write that fails midway leaves any previous file at ``path`` intact."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", _FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:

@@ -146,37 +146,43 @@ class MslrInstance:
         return json.dumps(payload, sort_keys=True)
 
 
-def expand(
-    sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0
-) -> list[MslrExample]:
-    """One example per relation, in relation order, labels preserved verbatim."""
+def relation_pairs(sentence: AnnotatedSentence, sentence_index: int = 0) -> list[tuple]:
+    """(relation, head entity, tail entity) per annotated relation, in
+    relation order; an ordered entity pair annotated twice raises
+    ``DuplicatePairError``."""
     seen: set[tuple[int, int]] = set()
-    label_ids = tuple(types.bio_id(tag) for tag in sentence.labels)
-    examples = []
-    for j, rel in enumerate(sentence.relations):
+    pairs = []
+    for rel in sentence.relations:
         pair = (rel.head_index, rel.tail_index)
         if pair in seen:
             raise DuplicatePairError(
                 f"sentence {sentence_index}: ordered entity pair {pair} annotated twice"
             )
         seen.add(pair)
-        head = sentence.entities[rel.head_index]
-        tail = sentence.entities[rel.tail_index]
-        examples.append(
-            MslrExample(
-                tokens=sentence.tokens,
-                ner_tags=sentence.labels,
-                ner_labels=label_ids,
-                entity_mask=make_entity_mask(len(sentence.tokens), head, tail),
-                head_type=head.entity_type.id,
-                tail_type=tail.entity_type.id,
-                head_span=(head.start, head.end),
-                tail_span=(tail.start, tail.end),
-                relation_label=rel.relation.id,
-                origin=(sentence_index, j),
-            )
+        pairs.append((rel, sentence.entities[rel.head_index], sentence.entities[rel.tail_index]))
+    return pairs
+
+
+def expand(
+    sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0
+) -> list[MslrExample]:
+    """One example per relation, in relation order, labels preserved verbatim."""
+    label_ids = tuple(types.bio_id(tag) for tag in sentence.labels)
+    return [
+        MslrExample(
+            tokens=sentence.tokens,
+            ner_tags=sentence.labels,
+            ner_labels=label_ids,
+            entity_mask=make_entity_mask(len(sentence.tokens), head, tail),
+            head_type=head.entity_type.id,
+            tail_type=tail.entity_type.id,
+            head_span=(head.start, head.end),
+            tail_span=(tail.start, tail.end),
+            relation_label=rel.relation.id,
+            origin=(sentence_index, j),
         )
-    return examples
+        for j, (rel, head, tail) in enumerate(relation_pairs(sentence, sentence_index))
+    ]
 
 
 def encode(

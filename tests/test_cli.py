@@ -488,3 +488,62 @@ class TestCorruptCheckpoint:
         for bad in (b"[", b"\xff"):
             blob = checkpoint[:20] + bad + checkpoint[21:]
             assert self._eval(tmp_path, blob, capsys) == 1, bad
+
+
+class TestEvalUsesCheckpointTypes:
+    """``ctie eval`` reads head/tail type ids from the checkpoint's type
+    system, looked up by name, not from the evaluated corpus's."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        from ctie.corpus import load_corpus
+
+        # sentences without an Area entity: trained without an ontology,
+        # the checkpoint knows fewer entity types than the evaluated corpus,
+        # whose type system also holds every ontology type
+        root = tmp_path_factory.mktemp("subset")
+        records = [r for r in json.loads(SMOKE_CORPUS.read_text())
+                   if all(name != "Area" for _s, _e, name in r["entities"])]
+        dataset = root / "no_area.json"
+        dataset.write_text(json.dumps(records))
+        corpus = load_corpus(dataset)
+        ckpt = root / "model.ckpt"
+        params, vocab = _perturbed_checkpoint(ckpt, corpus.types, corpus.sentences, seed=70)
+        return dataset, ckpt, records, corpus, params, vocab
+
+    def test_subset_type_inventory_evaluates_with_checkpoint_ids(self, model, tmp_path):
+        from ctie.corpus import OntologySchema, load_corpus
+        from ctie.evaluation import evaluate_model
+        from ctie.model import load_checkpoint
+
+        dataset, ckpt, _records, corpus, params, vocab = model
+        evaluated = load_corpus(dataset, OntologySchema.default()).types
+        assert [e.name for e in evaluated.entity_types] != [
+            e.name for e in corpus.types.entity_types]
+
+        out = tmp_path / "eval"
+        assert run("eval", "--dataset", dataset, "--checkpoint", ckpt,
+                   "--split", "all", "--out", out) == 0
+        got = json.loads((out / "metrics.json").read_text())
+        config = load_checkpoint(ckpt).config
+        expected = evaluate_model(params, config, vocab, corpus.types, corpus.sentences)
+        assert got["re"]["support"]["predicted"] > 0
+        assert got == {task: json.loads(r.to_json()) for task, r in expected.items()}
+
+    def test_unknown_entity_type_exits_one(self, model, capsys):
+        _dataset, ckpt, *_ = model
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", ckpt,
+                   "--split", "all") == 1
+        err = capsys.readouterr().err
+        assert "'Area'" in err and "checkpoint" in err
+
+    def test_unknown_relation_exits_one(self, model, tmp_path, capsys):
+        _dataset, ckpt, records, corpus, *_ = model
+        assert not corpus.types.has_relation("associatedWith")
+        records = json.loads(json.dumps(records))
+        head, _name, tail = records[0]["relations"][0]
+        records[0]["relations"][0] = [head, "associatedWith", tail]
+        dataset = tmp_path / "new_relation.json"
+        dataset.write_text(json.dumps(records))
+        assert run("eval", "--dataset", dataset, "--checkpoint", ckpt, "--split", "all") == 1
+        assert "'associatedWith'" in capsys.readouterr().err

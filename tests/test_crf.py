@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctie.crf import (
     bio_allowed_transitions,
@@ -187,3 +188,80 @@ class TestBioConstraints:
                     assert pos > 0
                     prev = tags[pos - 1]
                     assert prev in (f"B-{tag[2:]}", tag)
+
+
+@st.composite
+def ragged_batches(draw):
+    """A random batch with ragged masks (interior holes and all-masked rows
+    included) and, half the time, a BIO label set whose -inf forbidden
+    transitions are folded into the transition scores and used to decode;
+    gold paths then follow the BIO rules along each row's chain."""
+    n_batch = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 6))
+    bio = None
+    if draw(st.booleans()):
+        bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 2))) for p in "BI")
+    n_labels = len(bio) if bio else draw(st.integers(1, 4))
+    mask = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=n_steps, max_size=n_steps),
+        min_size=n_batch, max_size=n_batch,
+    )), dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    emissions = rng.normal(scale=scale, size=(n_batch, n_steps, n_labels))
+    transitions = rng.normal(size=(n_labels + 2, n_labels + 2))
+    labels = rng.integers(0, n_labels, size=(n_batch, n_steps))
+    allowed = None
+    if bio:
+        allowed = bio_allowed_transitions(bio)
+        transitions = transitions + np.where(allowed, 0.0, -np.inf)
+        for b in range(n_batch):
+            prev = "O"
+            for t in np.flatnonzero(mask[b]):
+                tag = bio[labels[b, t]]
+                if tag.startswith("I-") and prev[2:] != tag[2:]:
+                    labels[b, t] -= 1  # the matching B- tag
+                prev = bio[labels[b, t]]
+    return emissions, transitions, labels, mask, allowed
+
+
+class TestBatchInvariance:
+    """Each row of a batch gets what it gets alone and what its compacted
+    chain gets: the result depends neither on the mask layout nor on the
+    other rows."""
+
+    @given(ragged_batches())
+    def test_rows_match_alone_and_compacted(self, case):
+        emissions, transitions, labels, mask, allowed = case
+        nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask)
+        log_z = crf_log_partition(emissions, transitions, mask)
+        paths = crf_decode(emissions, transitions, mask, allowed=allowed)
+        node, _edge, _ = crf_marginals(emissions, transitions, mask)
+        for out in (nll, d_em, d_trans, log_z, node):
+            assert not np.any(np.isnan(out))
+        assert np.allclose(crf_nll(emissions, labels, transitions, mask), nll,
+                           rtol=1e-12, atol=1e-12)
+
+        summed = np.zeros_like(d_trans)
+        for b in range(len(emissions)):
+            keep = np.flatnonzero(mask[b])
+            alone = crf_nll_grad(emissions[b], labels[b], transitions, mask[b])
+            chain = crf_nll_grad(emissions[b][keep], labels[b][keep], transitions)
+            for row_nll, row_d_em, row_d_trans in (alone, chain):
+                assert row_nll == pytest.approx(nll[b], rel=1e-9, abs=1e-9)
+                np.testing.assert_allclose(row_d_trans, alone[2], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(alone[1], d_em[b], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(chain[1], d_em[b][keep], rtol=1e-9, atol=1e-9)
+            assert np.all(np.delete(d_em[b], keep, axis=0) == 0.0)
+            summed += alone[2]
+
+            assert crf_log_partition(emissions[b][keep], transitions) == pytest.approx(
+                log_z[b], rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(
+                crf_marginals(emissions[b][keep], transitions)[0], node[b, : len(keep)],
+                rtol=1e-9, atol=1e-9,
+            )
+            assert paths[b] == crf_decode(emissions[b], transitions, mask[b], allowed=allowed)
+            assert paths[b] == crf_decode(emissions[b][keep], transitions, allowed=allowed)
+            assert len(paths[b]) == len(keep)
+        np.testing.assert_allclose(summed, d_trans, rtol=1e-9, atol=1e-9)

@@ -1,5 +1,7 @@
 """Span decoding, NER/RE metrics, and the ablation harness shape."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,51 @@ class TestEvaluateModel:
         assert 0.0 <= reports["ner"].f1 <= 1.0
         assert 0.0 <= reports["re"].f1 <= 1.0
         assert reports["re"].accuracy is not None
+
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_batched_ner_decode_matches_per_sentence(self, monkeypatch, chunk):
+        import ctie.evaluation as evaluation
+        from ctie.crf import bio_allowed_transitions
+        from ctie.model import ModelConfig, ner_predict
+        from ctie.mslr import build_vocab
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        types, sentences = corpus.types, corpus.sentences[:41]
+        vocab = build_vocab(sentences)
+        config = ModelConfig(
+            vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+            num_relations=types.num_relations, num_entity_types=types.num_entity_types,
+            embed_dim=8, hidden_dim=4, dropout=0.0,
+        )
+        params = init_params(config, seed=4)
+        params["ner_w"] = np.random.default_rng(4).normal(scale=3.0, size=params["ner_w"].shape)
+        encodings = evaluation.encode_sentences(params, vocab, [s.tokens for s in sentences])
+        assert len({len(h) for h in encodings}) > 1
+
+        decoded = []
+        real = evaluation.predict_ner_labels
+
+        def spy(*args):
+            decoded.append(real(*args))
+            return decoded[-1]
+
+        monkeypatch.setattr(evaluation, "ENCODE_BATCH", chunk)
+        monkeypatch.setattr(evaluation, "predict_ner_labels", spy)
+        for constrained in (False, True):
+            allowed = bio_allowed_transitions(types.bio_labels) if constrained else None
+            one_by_one = [
+                [types.bio_tag(i) for i in ner_predict(h[None], np.ones((1, len(h))),
+                                                       params, allowed)[0]]
+                for h in encodings
+            ]
+            decoded.clear()
+            evaluate_model(
+                params, replace(config, bio_constrained_decode=constrained), vocab, types,
+                sentences,
+            )
+            assert [len(d) for d in decoded] == [min(chunk, 41 - lo) for lo in range(0, 41, chunk)]
+            assert [tags for d in decoded for tags in d] == one_by_one
 
 
 class TestAblationHarness:

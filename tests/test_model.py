@@ -6,6 +6,7 @@ import pytest
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
     ModelConfig,
+    backward,
     bigru,
     embed,
     entity_pool,
@@ -283,6 +284,32 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(tiny_batch(), params, config, mode="train")
 
+    def test_training_step_computes_log_partition_once(self, monkeypatch):
+        # a train-mode forward makes one batched forward-backward pass and
+        # one batched decode; backward reuses the pass and calls no CRF
+        import ctie.crf as crf_module
+        import ctie.model as model_module
+
+        calls = []
+        for name in ("crf_log_partition", "crf_nll", "crf_marginals", "crf_nll_grad",
+                     "crf_decode"):
+            def spy(*args, _fn=getattr(crf_module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(crf_module, name, spy)
+            if hasattr(model_module, name):
+                monkeypatch.setattr(model_module, name, spy)
+
+        config = tiny_config()
+        params = init_params(config, seed=25)
+        result = forward(tiny_batch(), params, config, mode="train")
+        assert sorted(calls) == ["crf_decode", "crf_nll_grad"]
+        calls.clear()
+        backward(result.trace, params)
+        assert calls == []
+        forward(tiny_batch(), params, config, mode="eval")
+        assert sorted(calls) == ["crf_decode", "crf_nll"]
+
     def test_trace_replay_reproduces_outputs_bit_identically(self):
         # re-running the forward with the same dropout stream is the trace
         # replay: every stored activation and output must match exactly
@@ -361,6 +388,49 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPTxxxxxxxxxxxx")
         with pytest.raises(SchemaError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import builtins
+        import errno
+
+        import ctie.model as model_module
+
+        config = tiny_config()
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, init_params(config, seed=18), config)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes 100 bytes, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 100
+
+            def write(self, data):
+                if len(data) > self.room:
+                    self.fh.write(data[: self.room])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(model_module, "open",
+                            lambda *a, **k: DiskFull(builtins.open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, init_params(config, seed=19), config)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        load_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
 class TestEmbeddingFile:
