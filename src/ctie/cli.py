@@ -13,24 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import evaluation, extract as extract_mod
-from .corpus import OntologySchema, dataset_stats, load_corpus, validate_ontology, validate_records
+from .corpus import OntologySchema, check_corpus, dataset_stats, load_corpus, validate_ontology
 from .errors import DataError
+from .model import ModelConfig
 from .mslr import build_vocab, dump_jsonl, encode_all, expand
 from .train import TrainConfig, train_loop
 
-_TRAIN_KEYS = {
-    "seed", "split_seed", "shuffle_seed", "learning_rate", "epsilon",
-    "weight_decay", "beta1", "beta2", "batch_size", "epochs",
-    "grad_clip_norm", "checkpoint_every", "max_len", "min_freq",
-    "train_ratio", "val_ratio", "test_ratio",
-}
-_MODEL_KEYS = {
-    "embed_dim", "hidden_dim", "dropout", "use_entity_mask", "use_entity_type",
-    "alpha", "beta", "bio_constrained_decode", "freeze_embeddings",
-}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+# the fields without a default (vocabulary and label counts) come from the data
+_MODEL_KEYS = {f.name for f in fields(ModelConfig) if f.default is not MISSING}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -76,13 +72,21 @@ def _write_run_config(out_dir: Path, command: str, payload: dict) -> None:
 
 
 def _ontology(args) -> OntologySchema:
-    if getattr(args, "ontology", None):
+    if args.ontology:
         return OntologySchema.load(args.ontology)
     return OntologySchema.default()
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _log_skipped(skipped) -> None:
+    """One line per overlong sentence, however many MSLR rows it had."""
+    rows = Counter(origin[0] for origin, _length in skipped)
+    lengths = {origin[0]: length for origin, length in skipped}
+    for index, count in rows.items():
+        _log(f"skipped overlong sentence {index} (length {lengths[index]}, {count} rows)")
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +96,11 @@ def _log(message: str) -> None:
 
 def cmd_validate(args) -> int:
     ontology = _ontology(args)
-    issues = validate_records(args.dataset, ontology)
+    corpus, issues = check_corpus(args.dataset, ontology)
     for issue in issues:
         print(str(issue))
     ontology_violations = 0
     if not issues:
-        corpus = load_corpus(args.dataset, ontology)
         for i, sentence in enumerate(corpus.sentences):
             for violation in validate_ontology(sentence, ontology):
                 ontology_violations += 1
@@ -135,8 +138,7 @@ def cmd_mslr(args) -> int:
     for i, sentence in enumerate(corpus.sentences):
         examples.extend(expand(sentence, corpus.types, sentence_index=i))
     instances, skipped = encode_all(examples, vocab, max_len=args.max_len or 256)
-    for origin, length in skipped:
-        _log(f"skipped overlong sentence {origin[0]} (length {length})")
+    _log_skipped(skipped)
     out = Path(args.out)
     _write_run_config(
         out, "mslr",
@@ -167,34 +169,17 @@ def cmd_train(args) -> int:
             "pretrained_embeddings": str(args.pretrained_embeddings or ""),
         },
     )
-    pretrained = None
-    if args.pretrained_embeddings:
-        # the file is bound to the training vocabulary; rebuild it to check
-        from .model import load_embedding_file
-        from .mslr import build_vocab
-        from .train import split as split_corpus
-
-        train_sents, _val, _test = split_corpus(
-            corpus.sentences,
-            (train_config.train_ratio, train_config.val_ratio, train_config.test_ratio),
-            seed=train_config.effective_split_seed,
-        )
-        vocab = build_vocab(train_sents, min_freq=train_config.min_freq)
-        pretrained = load_embedding_file(
-            args.pretrained_embeddings, expected_vocab_hash=vocab.content_hash()
-        )
     result = train_loop(
         corpus.sentences, corpus.types, train_config,
         model_kwargs=model_kwargs, out_dir=out, log_fn=_log,
-        pretrained_embed=pretrained,
+        pretrained_embeddings=args.pretrained_embeddings,
     )
     (out / "training_log.csv").write_text(result.log.to_csv(), encoding="utf-8")
     (out / "training_log.json").write_text(result.log.to_json() + "\n", encoding="utf-8")
     (out / "vocab.json").write_text(
         json.dumps(result.vocab.to_list(), indent=1) + "\n", encoding="utf-8"
     )
-    for origin, length in result.skipped_instances:
-        _log(f"skipped overlong sentence {origin[0]} (length {length})")
+    _log_skipped(result.skipped_instances)
     print(f"best epoch {result.best_epoch}; checkpoint {result.best_checkpoint}")
     return 0
 
@@ -203,26 +188,22 @@ def cmd_eval(args) -> int:
     from .model import load_checkpoint
     from .mslr import Vocabulary
     from .corpus import TypeSystem
-    from .train import split as split_corpus
 
     ckpt = load_checkpoint(args.checkpoint)
     vocab = Vocabulary(ckpt.extras["vocab"])
     types = TypeSystem.from_dict(ckpt.extras["types"])
     corpus = load_corpus(args.dataset, _ontology(args))
     stored = ckpt.extras.get("train_config")
+    cfg = TrainConfig() if stored is None else TrainConfig.from_dict(stored)
     if args.split == "all" or stored is None:
         target = list(corpus.sentences)
     else:
-        cfg = TrainConfig.from_dict(stored)
-        train_s, val_s, test_s = split_corpus(
-            corpus.sentences,
-            (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio),
-            seed=cfg.effective_split_seed,
-        )
+        train_s, val_s, test_s = cfg.split(corpus.sentences)
         target = {"train": train_s, "val": val_s, "test": test_s}[args.split]
     reports = evaluation.evaluate_model(
         ckpt.params, ckpt.config, vocab, types, target,
         re_mode=args.re_mode,
+        max_len=cfg.max_len,
         ontology=_ontology(args),
         ontology_filter=args.ontology_filter,
         confidence_floor=args.confidence_floor,
@@ -378,18 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, out_required=False):
+    def common(p, dataset=True, ontology=True, seed_and_out=True, out_required=False):
         if dataset:
             p.add_argument("--dataset", required=True, help="corpus JSON file")
-        p.add_argument("--ontology", help="ontology JSON (default: bundled schema)")
-        p.add_argument("--seed", type=int, default=42)
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
-        else:
-            p.add_argument("--out", help="output directory")
+        if ontology:
+            p.add_argument("--ontology", help="ontology JSON (default: bundled schema)")
+        if seed_and_out:
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("validate", help="structural + ontology validation")
-    common(p)
+    common(p, seed_and_out=False)
     p.add_argument("--strict", action="store_true",
                    help="treat domain/range violations as errors")
     p.set_defaults(func=cmd_validate)
@@ -424,15 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, dest="use_entity_type")
         p.add_argument("--bio-constrained-decode", action=argparse.BooleanOptionalAction,
                        default=None, dest="bio_constrained_decode")
-        p.add_argument("--pretrained-embeddings", default=None,
-                       dest="pretrained_embeddings",
-                       help="embedding container built for the training vocabulary")
         p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
                        default=None, dest="freeze_embeddings")
 
     p = sub.add_parser("train", help="train the joint model")
     common(p, out_required=True)
     train_flags(p)
+    p.add_argument("--pretrained-embeddings", default=None,
+                   dest="pretrained_embeddings",
+                   help="embedding container built for the training vocabulary")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -463,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("export", help="export extractions as a graph file")
-    common(p, dataset=False)
+    common(p, dataset=False, ontology=False, out_required=True)
     p.add_argument("--extractions", required=True, help="extractions.json from extract")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_export)

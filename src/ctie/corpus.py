@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
+    DataError,
     LabelError,
     MalformedDocument,
     RelationIndexError,
@@ -279,39 +280,39 @@ def _document_records(doc) -> tuple[list, tuple[str, str, str]]:
     return doc, order
 
 
-def _check_record_shape(record, index: int) -> None:
+def _check_record_shape(record, order: tuple[str, str, str]) -> list[tuple[int, str, int]]:
+    """Check field presence and types; return the relations as (head, name, tail)."""
     if not isinstance(record, dict):
-        raise SchemaError(f"record {index}: expected an object")
+        raise SchemaError("expected an object")
     for key in ("text", "entities", "relations", "entity_labels"):
         if key not in record:
-            raise SchemaError(f"record {index}: missing field {key!r}")
+            raise SchemaError(f"missing field {key!r}")
     if not isinstance(record["text"], str):
-        raise SchemaError(f"record {index}: 'text' must be a string")
+        raise SchemaError("'text' must be a string")
     for key in ("entities", "relations", "entity_labels"):
         if not isinstance(record[key], list):
-            raise SchemaError(f"record {index}: {key!r} must be a list")
+            raise SchemaError(f"{key!r} must be a list")
     for j, ent in enumerate(record["entities"]):
         if not isinstance(ent, (list, tuple)) or len(ent) != 3:
-            raise SchemaError(f"record {index}: entities[{j}] must be [start, end, type]")
+            raise SchemaError(f"entities[{j}] must be [start, end, type]")
         start, end, name = ent
         if not isinstance(start, int) or not isinstance(end, int) or not isinstance(name, str):
-            raise SchemaError(f"record {index}: entities[{j}] must be [int, int, str]")
-    for j, rel in enumerate(record["relations"]):
-        if not isinstance(rel, (list, tuple)) or len(rel) != 3:
-            raise SchemaError(f"record {index}: relations[{j}] must be a 3-item list")
+            raise SchemaError(f"entities[{j}] must be [int, int, str]")
     for j, tag in enumerate(record["entity_labels"]):
         if not isinstance(tag, str):
-            raise SchemaError(f"record {index}: entity_labels[{j}] must be a string")
-
-
-def _split_relation(rel, order: tuple[str, str, str], index: int, j: int) -> tuple[int, str, int]:
-    by_name = dict(zip(order, rel))
-    head, name, tail = by_name["head"], by_name["relation"], by_name["tail"]
-    if not isinstance(head, int) or not isinstance(tail, int) or not isinstance(name, str):
-        raise SchemaError(
-            f"record {index}: relations[{j}] fields must be (int head, str relation, int tail)"
-        )
-    return head, name, tail
+            raise SchemaError(f"entity_labels[{j}] must be a string")
+    relations = []
+    for j, rel in enumerate(record["relations"]):
+        if not isinstance(rel, (list, tuple)) or len(rel) != 3:
+            raise SchemaError(f"relations[{j}] must be a 3-item list")
+        by_name = dict(zip(order, rel))
+        head, name, tail = by_name["head"], by_name["relation"], by_name["tail"]
+        if not isinstance(head, int) or not isinstance(tail, int) or not isinstance(name, str):
+            raise SchemaError(
+                f"relations[{j}] fields must be (int head, str relation, int tail)"
+            )
+        relations.append((head, name, tail))
+    return relations
 
 
 def _labels_for_spans(n_tokens: int, spans: Sequence[tuple[int, int, str]]) -> list[str]:
@@ -323,36 +324,37 @@ def _labels_for_spans(n_tokens: int, spans: Sequence[tuple[int, int, str]]) -> l
     return labels
 
 
-def _build_sentence(record: dict, index: int, order, types: TypeSystem) -> AnnotatedSentence:
+def _build_sentence(
+    record: dict, relations: list[tuple[int, str, int]], types: TypeSystem
+) -> AnnotatedSentence:
+    """Every per-record check after the shape check, in order: label count,
+    tag form, BIO continuity, spans, relation indices."""
     tokens = tuple(record["text"].split())
     labels = tuple(record["entity_labels"])
     if len(labels) != len(tokens):
-        raise LabelError(
-            f"record {index}: {len(labels)} entity_labels for {len(tokens)} tokens"
-        )
+        raise LabelError(f"{len(labels)} entity_labels for {len(tokens)} tokens")
     for pos, tag in enumerate(labels):
         if not _BIO_TAG.match(tag):
-            raise LabelError(f"record {index}: malformed tag {tag!r} at position {pos}")
-        if tag != "O" and not types.has_entity_type(tag[2:]):
-            raise LabelError(f"record {index}: unknown entity type in tag {tag!r} at {pos}")
+            raise LabelError(f"malformed tag {tag!r} at position {pos}")
+    bio = validate_bio(labels)
+    if not bio.ok:
+        raise LabelError("; ".join(f"position {v.position}: {v.reason}" for v in bio.violations))
 
-    raw_spans = []
-    for j, (start, end, name) in enumerate(record["entities"]):
+    raw_spans = [tuple(ent) for ent in record["entities"]]
+    for j, (start, end, _name) in enumerate(raw_spans):
         if not (0 <= start < end <= len(tokens)):
             raise SpanError(
-                f"record {index}: entities[{j}] span [{start}, {end}) out of range "
-                f"for {len(tokens)} tokens"
+                f"entities[{j}] span [{start}, {end}) out of range for {len(tokens)} tokens"
             )
-        raw_spans.append((start, end, name))
     occupied = sorted(raw_spans)
     for (s1, e1, _), (s2, _e2, _) in zip(occupied, occupied[1:]):
         if s2 < e1:
-            raise SpanError(f"record {index}: overlapping entity spans at tokens {s2} < {e1}")
+            raise SpanError(f"overlapping entity spans at tokens {s2} < {e1}")
     reconstructed = _labels_for_spans(len(tokens), raw_spans)
     if list(labels) != reconstructed:
         diff = next(i for i, (a, b) in enumerate(zip(labels, reconstructed)) if a != b)
         raise SpanError(
-            f"record {index}: entity_labels disagree with entity spans at token {diff} "
+            f"entity_labels disagree with entity spans at token {diff} "
             f"({labels[diff]!r} vs {reconstructed[diff]!r})"
         )
 
@@ -360,22 +362,17 @@ def _build_sentence(record: dict, index: int, order, types: TypeSystem) -> Annot
         EntitySpan(start, end, types.entity_type(name), " ".join(tokens[start:end]))
         for start, end, name in raw_spans
     )
-
-    relations = []
-    for j, rel in enumerate(record["relations"]):
-        head, name, tail = _split_relation(rel, order, index, j)
+    instances = []
+    for j, (head, name, tail) in enumerate(relations):
         if not (0 <= head < len(entities)) or not (0 <= tail < len(entities)):
             raise RelationIndexError(
-                f"record {index}: relations[{j}] head/tail ({head}, {tail}) out of range "
+                f"relations[{j}] head/tail ({head}, {tail}) out of range "
                 f"for {len(entities)} entities"
             )
         if head == tail:
-            raise RelationIndexError(
-                f"record {index}: relations[{j}] head and tail are the same entity"
-            )
-        relations.append(RelationInstance(head, tail, types.relation(name)))
-
-    return AnnotatedSentence(tokens, entities, tuple(relations), labels)
+            raise RelationIndexError(f"relations[{j}] head and tail are the same entity")
+        instances.append(RelationInstance(head, tail, types.relation(name)))
+    return AnnotatedSentence(tokens, entities, tuple(instances), labels)
 
 
 @dataclass(frozen=True)
@@ -384,34 +381,81 @@ class Corpus:
     types: TypeSystem
 
 
-def load_corpus(source, ontology: OntologySchema | None = None) -> Corpus:
-    """Parse a corpus document and derive its type system.
+@dataclass(frozen=True)
+class RecordIssue:
+    record_index: int
+    kind: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"record {self.record_index}: [{self.kind}] {self.message}"
+
+    def error(self) -> DataError:
+        """The exception ``load_corpus`` raises for this issue."""
+        return _RECORD_ERRORS[self.kind](f"record {self.record_index}: {self.message}")
+
+
+_RECORD_ERRORS = {
+    cls.__name__: cls for cls in (SchemaError, LabelError, SpanError, RelationIndexError)
+}
+
+
+def check_corpus(
+    source, ontology: OntologySchema | None = None
+) -> tuple[Corpus, list[RecordIssue]]:
+    """Read a corpus document once: the sentences of its sound records and
+    one issue per bad record, in record order.
 
     Entity-type and relation vocabularies are the union of what the data
     mentions and what the ontology (when given) defines, so every type the
     schema refers to exists even if the corpus never uses it.
     """
-    doc = _read_document(source)
-    records, order = _document_records(doc)
-
+    records, order = _document_records(_read_document(source))
     ent_names: set[str] = set()
     rel_names: set[str] = set()
+    shaped: list[list | RecordIssue] = []  # per record: its relations or its shape issue
     for i, record in enumerate(records):
-        _check_record_shape(record, i)
-        for _s, _e, name in record["entities"]:
-            ent_names.add(name)
-        for tag in record["entity_labels"]:
-            if isinstance(tag, str) and _BIO_TAG.match(tag) and tag != "O":
-                ent_names.add(tag[2:])
-        for j, rel in enumerate(record["relations"]):
-            rel_names.add(_split_relation(rel, order, i, j)[1])
+        try:
+            relations = _check_record_shape(record, order)
+        except SchemaError as exc:
+            shaped.append(RecordIssue(i, "SchemaError", str(exc)))
+            continue
+        shaped.append(relations)
+        ent_names.update(name for _s, _e, name in record["entities"])
+        ent_names.update(
+            tag[2:] for tag in record["entity_labels"] if tag != "O" and _BIO_TAG.match(tag)
+        )
+        rel_names.update(name for _h, name, _t in relations)
     if ontology is not None:
         ent_names |= ontology.entity_type_names()
         rel_names |= set(ontology.rules)
     types = TypeSystem(ent_names, rel_names)
 
-    sentences = tuple(_build_sentence(r, i, order, types) for i, r in enumerate(records))
-    return Corpus(sentences, types)
+    sentences: list[AnnotatedSentence] = []
+    issues: list[RecordIssue] = []
+    for i, (record, relations) in enumerate(zip(records, shaped)):
+        if isinstance(relations, RecordIssue):
+            issues.append(relations)
+            continue
+        try:
+            sentences.append(_build_sentence(record, relations, types))
+        except (LabelError, SpanError, RelationIndexError) as exc:
+            issues.append(RecordIssue(i, type(exc).__name__, str(exc)))
+    return Corpus(tuple(sentences), types), issues
+
+
+def load_corpus(source, ontology: OntologySchema | None = None) -> Corpus:
+    """Parse a corpus document and derive its type system; raise the first
+    record issue ``check_corpus`` finds."""
+    corpus, issues = check_corpus(source, ontology)
+    if issues:
+        raise issues[0].error()
+    return corpus
+
+
+def validate_records(source, ontology: OntologySchema | None = None) -> list[RecordIssue]:
+    """Collect one issue per bad record, in record order, instead of raising."""
+    return check_corpus(source, ontology)[1]
 
 
 def parse_dataset(source, ontology: OntologySchema | None = None) -> list[AnnotatedSentence]:
@@ -493,85 +537,6 @@ def validate_ontology(
         if not schema.admits(rel.relation.name, head_type, tail_type):
             violations.append(OntologyViolation(j, rel.relation.name, head_type, tail_type))
     return violations
-
-
-@dataclass(frozen=True)
-class RecordIssue:
-    record_index: int
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"record {self.record_index}: [{self.kind}] {self.message}"
-
-
-def validate_records(source, ontology: OntologySchema | None = None) -> list[RecordIssue]:
-    """Collect structural problems across a whole document instead of raising.
-
-    Checks run per record in parse order and short-circuit within a record:
-    once its labels are known to be bad there is no point cross-checking
-    spans against them.
-    """
-    doc = _read_document(source)
-    records, order = _document_records(doc)
-
-    ent_names: set[str] = set()
-    rel_names: set[str] = set()
-    shape_bad: set[int] = set()
-    issues: list[RecordIssue] = []
-    for i, record in enumerate(records):
-        try:
-            _check_record_shape(record, i)
-        except SchemaError as exc:
-            issues.append(RecordIssue(i, "SchemaError", str(exc)))
-            shape_bad.add(i)
-            continue
-        for _s, _e, name in record["entities"]:
-            ent_names.add(name)
-        for tag in record["entity_labels"]:
-            if _BIO_TAG.match(tag) and tag != "O":
-                ent_names.add(tag[2:])
-        for j, rel in enumerate(record["relations"]):
-            try:
-                rel_names.add(_split_relation(rel, order, i, j)[1])
-            except SchemaError as exc:
-                issues.append(RecordIssue(i, "SchemaError", str(exc)))
-                shape_bad.add(i)
-    if ontology is not None:
-        ent_names |= ontology.entity_type_names()
-        rel_names |= set(ontology.rules)
-    types = TypeSystem(ent_names, rel_names)
-
-    for i, record in enumerate(records):
-        if i in shape_bad:
-            continue
-        labels = record["entity_labels"]
-        bad_tags = [
-            (pos, tag) for pos, tag in enumerate(labels) if not _BIO_TAG.match(tag)
-        ]
-        if len(labels) != len(record["text"].split()):
-            issues.append(
-                RecordIssue(
-                    i,
-                    "LabelError",
-                    f"{len(labels)} entity_labels for {len(record['text'].split())} tokens",
-                )
-            )
-            continue
-        if bad_tags:
-            pos, tag = bad_tags[0]
-            issues.append(RecordIssue(i, "LabelError", f"malformed tag {tag!r} at {pos}"))
-            continue
-        bio = validate_bio(labels)
-        if not bio.ok:
-            for v in bio.violations:
-                issues.append(RecordIssue(i, "LabelError", f"position {v.position}: {v.reason}"))
-            continue
-        try:
-            _build_sentence(record, i, order, types)
-        except (LabelError, SpanError, RelationIndexError) as exc:
-            issues.append(RecordIssue(i, type(exc).__name__, str(exc)))
-    return issues
 
 
 # ---------------------------------------------------------------------------

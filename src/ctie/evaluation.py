@@ -19,7 +19,7 @@ from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
 from .errors import SchemaError, UnknownRelation
 from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
 from .mslr import Vocabulary, make_entity_mask, relation_pairs
-from .train import TrainConfig, TrainResult, split, train_loop
+from .train import TrainConfig, TrainResult, train_loop
 
 
 @dataclass(frozen=True)
@@ -451,15 +451,11 @@ def run_ablation(
     with shared seeds and data; report NER and RE metrics per configuration."""
     base_kwargs = dict(model_kwargs or {})
     result = AblationResult()
+    train_s, val_s, test_s = train_config.split(sentences)
+    target = {"train": train_s, "val": val_s, "test": test_s}[eval_split]
     for name, use_mask, use_type in ABLATION_CONFIGS:
         kwargs = dict(base_kwargs, use_entity_mask=use_mask, use_entity_type=use_type)
         trained = train_loop(sentences, types, train_config, model_kwargs=kwargs)
-        train_s, val_s, test_s = split(
-            sentences,
-            (train_config.train_ratio, train_config.val_ratio, train_config.test_ratio),
-            seed=train_config.effective_split_seed,
-        )
-        target = {"train": train_s, "val": val_s, "test": test_s}[eval_split]
         result.train_results[name] = trained
         result.reports[name] = evaluate_model(
             trained.best_params, trained.config, trained.vocab, types, target,

@@ -21,6 +21,7 @@ from .model import (
     decode_constraint,
     forward,
     init_params,
+    load_embedding_file,
     save_checkpoint,
 )
 from .mslr import Vocabulary, build_vocab, encode_all, expand, make_batches
@@ -60,6 +61,13 @@ class TrainConfig:
     @property
     def effective_shuffle_seed(self) -> int:
         return self.seed if self.shuffle_seed is None else self.shuffle_seed
+
+    def split(self, sentences: Sequence[AnnotatedSentence]) -> tuple[list, list, list]:
+        """This configuration's train/val/test split of ``sentences``."""
+        return split(
+            sentences, (self.train_ratio, self.val_ratio, self.test_ratio),
+            seed=self.effective_split_seed,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -273,7 +281,7 @@ def train_loop(
     train_config: TrainConfig,
     model_kwargs: dict | None = None,
     out_dir: Path | str | None = None,
-    pretrained_embed: np.ndarray | None = None,
+    pretrained_embeddings: Path | str | None = None,
     checkpoint_extras: dict | None = None,
     log_fn=None,
 ) -> TrainResult:
@@ -281,16 +289,18 @@ def train_loop(
 
     The best checkpoint is the epoch with the lowest validation joint loss
     (training joint loss when the validation split is empty). Fully
-    deterministic for fixed seeds.
+    deterministic for fixed seeds. ``pretrained_embeddings`` is an embedding
+    file; its vocabulary hash must match the vocabulary built here.
     """
     train_config.validate()
-    train_sents, val_sents, _test_sents = split(
-        sentences,
-        (train_config.train_ratio, train_config.val_ratio, train_config.test_ratio),
-        seed=train_config.effective_split_seed,
-    )
+    train_sents, val_sents, _test_sents = train_config.split(sentences)
 
     vocab = build_vocab(train_sents, min_freq=train_config.min_freq)
+    pretrained_embed = None
+    if pretrained_embeddings is not None:
+        pretrained_embed = load_embedding_file(
+            pretrained_embeddings, expected_vocab_hash=vocab.content_hash()
+        )
     model_kwargs = dict(model_kwargs or {})
     config = ModelConfig(
         vocab_size=len(vocab),

@@ -42,6 +42,30 @@ class TestValidate:
         assert run("validate", "--dataset", "/nonexistent/corpus.json") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_reads_and_decodes_the_corpus_once(self, monkeypatch, tmp_path, capsys):
+        import ctie.corpus
+
+        reads = []
+        original = ctie.corpus._read_document
+        monkeypatch.setattr(ctie.corpus, "_read_document",
+                            lambda source: reads.append(source) or original(source))
+        assert run("validate", "--dataset", FIG_CORPUS) == 0
+        assert reads == [str(FIG_CORPUS)]
+
+        # a corpus with an ontology warning still takes the one pass
+        record = {
+            "text": "2014 saw Mimikatz",
+            "entities": [[0, 1, "Time"], [2, 3, "Tool"]],
+            "relations": [[0, "uses", 1]],
+            "entity_labels": ["B-Time", "O", "B-Tool"],
+        }
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([record]))
+        reads.clear()
+        assert run("validate", "--dataset", path) == 0
+        assert "warning: record 0" in capsys.readouterr().out
+        assert reads == [str(path)]
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exits_two(self):
@@ -57,6 +81,23 @@ class TestUsageErrors:
     def test_extract_requires_input_or_dataset(self):
         with pytest.raises(SystemExit) as err:
             run("extract", "--checkpoint", "whatever.ckpt")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--dataset", FIG_CORPUS, "--out", "unused"),
+        ("validate", "--dataset", FIG_CORPUS, "--seed", "1"),
+        ("export", "--extractions", "x.json", "--out", "unused", "--ontology", "o.json"),
+        ("ablate", "--dataset", FIG_CORPUS, "--out", "unused",
+         "--pretrained-embeddings", "vectors.emb"),
+    ], ids=["validate-out", "validate-seed", "export-ontology", "ablate-pretrained-embeddings"])
+    def test_removed_flags_exit_two(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
+
+    def test_export_requires_out(self):
+        with pytest.raises(SystemExit) as err:
+            run("export", "--extractions", "x.json")
         assert err.value.code == 2
 
 
@@ -167,6 +208,23 @@ class TestTrain:
                    "--epochs", "1", *TRAIN_FLAGS[2:],
                    "--pretrained-embeddings", bad) == 1
 
+    def test_one_log_line_per_skipped_sentence(self, tmp_path, capsys):
+        from ctie.corpus import OntologySchema, load_corpus
+        from ctie.train import TrainConfig
+
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
+                   "--epochs", "1", *TRAIN_FLAGS[2:-2], "--max-len", "12") == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("skipped overlong sentence")]
+        # sentences are numbered train split first, then validation split
+        train, val, _test = TrainConfig().split(
+            load_corpus(SMOKE_CORPUS, OntologySchema.default()).sentences)
+        expected = [
+            f"skipped overlong sentence {i} (length {len(s)}, {len(s.relations)} rows)"
+            for i, s in enumerate(train + val) if len(s) > 12 and s.relations
+        ]
+        assert expected and lines == expected
+
     def test_checkpoint_cadence(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"checkpoint_every": 1}))
@@ -223,6 +281,34 @@ class TestEval:
         table = (out / "metrics.txt").read_text().splitlines()
         assert table[0].split() == ["task", "P", "R", "F1", "Acc"]
         assert table[2].startswith("ner") and table[3].startswith("re")
+
+
+class TestEvalHonoursMaxLen:
+    def test_eval_uses_the_stored_max_len(self, tmp_path):
+        from ctie.corpus import TypeSystem, load_corpus
+        from ctie.evaluation import evaluate_model
+        from ctie.model import load_checkpoint
+        from ctie.mslr import Vocabulary
+
+        model = tmp_path / "model"
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", model,
+                   "--epochs", "1", *TRAIN_FLAGS[2:-2], "--max-len", "8") == 0
+        out = tmp_path / "eval"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", model / "best.ckpt",
+                   "--split", "all", "--out", out) == 0
+        got = json.loads((out / "metrics.json").read_text())
+
+        ckpt = load_checkpoint(model / "best.ckpt")
+        args = (ckpt.params, ckpt.config, Vocabulary(ckpt.extras["vocab"]),
+                TypeSystem.from_dict(ckpt.extras["types"]),
+                load_corpus(SMOKE_CORPUS).sentences)
+        reports = {
+            max_len: {task: json.loads(r.to_json())
+                      for task, r in evaluate_model(*args, max_len=max_len).items()}
+            for max_len in (8, 256)
+        }
+        assert reports[8] != reports[256]
+        assert got == reports[8]
 
 
 class TestExtractExport:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctie.corpus import (
     NO_RELATION,
@@ -13,12 +14,14 @@ from ctie.corpus import (
     dataset_stats,
     load_corpus,
     parse_dataset,
+    check_corpus,
     serialize_corpus,
     validate_bio,
     validate_ontology,
     validate_records,
 )
 from ctie.errors import (
+    DataError,
     LabelError,
     MalformedDocument,
     RelationIndexError,
@@ -335,3 +338,127 @@ class TestValidateRecords:
         issues = validate_records(as_bytes([FIG_RECORD, bad1, bad2]))
         assert [i.record_index for i in issues] == [1, 2]
         assert issues[1].kind == "RelationIndexError"
+
+    def test_bio_failure_is_one_issue_listing_every_position(self):
+        labels = ["I-HackOrg", "O", "B-Tool", "O", "O", "I-Org", "I-Org"]
+        issues = validate_records(as_bytes([dict(FIG_RECORD, entity_labels=labels)]))
+        assert len(issues) == 1
+        assert issues[0].kind == "LabelError"
+        assert "position 0" in issues[0].message and "position 5" in issues[0].message
+        assert str(issues[0]).count("record 0") == 1
+
+
+# Every kind of corruption the parser must report, with the error it maps to.
+CORRUPTIONS = {
+    "shape": SchemaError,
+    "relation_fields": SchemaError,
+    "label_count": LabelError,
+    "tag_form": LabelError,
+    "dangling_i": LabelError,
+    "span_range": SpanError,
+    "span_overlap": SpanError,
+    "span_disagreement": SpanError,
+    "relation_index": RelationIndexError,
+}
+
+
+def _corrupt(record: dict, kind: str, draw) -> dict | list:
+    """A copy of a well-formed ``random_record`` with one defect of ``kind``;
+    every choice below is guaranteed to break the record in exactly that way."""
+    r = json.loads(json.dumps(record))
+    entities, labels = r["entities"], r["entity_labels"]
+    n = len(labels)
+    if kind == "shape":
+        variant = draw(st.integers(0, 7))
+        if variant == 0:
+            return ["not", "an", "object"]
+        if variant == 1:
+            del r[draw(st.sampled_from(sorted(r)))]
+        elif variant == 2:
+            r["text"] = 5
+        elif variant == 3:
+            r[draw(st.sampled_from(["entities", "relations", "entity_labels"]))] = {}
+        elif variant == 4:
+            entities.append([0, 1])
+        elif variant == 5:
+            entities.append([0, "1", "Tool"])
+        elif variant == 6:
+            labels.append(7)
+        else:
+            r["relations"].append([0, "uses"])
+    elif kind == "relation_fields":
+        r["relations"].append(draw(st.sampled_from([["0", "uses", 1], [0, 5, 1], [0, "uses", 1.0]])))
+    elif kind == "label_count":
+        if draw(st.booleans()):
+            labels.append("O")
+        else:
+            labels.pop()
+    elif kind == "tag_form":
+        labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["X-Tool", "B-", "b-Tool", "OO"]))
+    elif kind == "dangling_i":
+        # no record uses the type Zzz, so no tag before it can continue it
+        labels[draw(st.integers(0, n - 1))] = "I-Zzz"
+    elif kind == "span_range":
+        entities.append(draw(st.sampled_from([[0, n + 1, "Tool"], [-1, 1, "Tool"], [2, 2, "Tool"]])))
+    elif kind == "span_overlap":
+        entities.extend([[0, 2, "Tool"], [1, 3, "Org"]])
+    elif kind == "span_disagreement":
+        if entities:
+            entities[0][2] = "Zzz"
+        else:
+            labels[0] = "B-Tool"
+    elif kind == "relation_index":
+        bad = [len(entities), "uses", 0]
+        if entities and draw(st.booleans()):
+            bad = [0, "uses", 0]
+        r["relations"].append(bad)
+    return r
+
+
+@st.composite
+def corrupted_documents(draw):
+    """(document bytes, kind per record or None): random records, some
+    corrupted, under the default or a declared relation field order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kinds = draw(st.lists(st.one_of(st.none(), st.sampled_from(sorted(CORRUPTIONS))),
+                          max_size=8))
+    records = [random_record(rng) for _ in kinds]
+    records = [r if k is None else _corrupt(r, k, draw) for r, k in zip(records, kinds)]
+    order = draw(st.permutations(["head", "relation", "tail"]))
+    for r in records:
+        if isinstance(r, dict) and isinstance(r.get("relations"), list):
+            r["relations"] = [
+                [dict(zip(("head", "relation", "tail"), rel))[k] for k in order]
+                if len(rel) == 3 else rel
+                for rel in r["relations"]
+            ]
+    doc = {"relation_order": order, "records": records}
+    if order == ["head", "relation", "tail"] and draw(st.booleans()):
+        doc = records
+    return as_bytes(doc), kinds
+
+
+class TestOneParser:
+    @settings(max_examples=300)
+    @given(corrupted_documents())
+    def test_validate_records_and_load_corpus_agree(self, case):
+        doc, kinds = case
+        issues = validate_records(doc)
+        assert [(i.record_index, i.kind) for i in issues] == [
+            (index, CORRUPTIONS[kind].__name__) for index, kind in enumerate(kinds) if kind
+        ]
+        assert all(not i.message.startswith("record") for i in issues)
+        if not issues:
+            assert len(load_corpus(doc).sentences) == len(kinds)
+            return
+        with pytest.raises(DataError) as err:
+            load_corpus(doc)
+        first = issues[0]
+        assert type(err.value).__name__ == first.kind
+        assert str(err.value) == f"record {first.record_index}: {first.message}"
+
+    def test_check_corpus_keeps_sound_records(self):
+        bad = dict(FIG_RECORD, relations=[[9, "uses", 1]])
+        corpus, issues = check_corpus(as_bytes([FIG_RECORD, bad, FIG_RECORD]))
+        assert [i.record_index for i in issues] == [1]
+        assert corpus.sentences == tuple(parse_dataset(as_bytes([FIG_RECORD, FIG_RECORD])))

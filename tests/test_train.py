@@ -49,6 +49,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._corpus(5), (0.5, 0.2, 0.2), seed=0)
 
+    def test_config_split_uses_its_ratios_and_split_seed(self):
+        sentences = self._corpus(30)
+        config = TrainConfig(train_ratio=0.6, val_ratio=0.2, test_ratio=0.2, seed=1, split_seed=8)
+        assert config.split(sentences) == split(sentences, (0.6, 0.2, 0.2), seed=8)
+        assert TrainConfig(seed=8).split(sentences) == split(sentences, seed=8)
+
 
 class TestAdamW:
     def _cfg(self, lr=0.1, wd=0.0):
