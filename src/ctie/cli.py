@@ -20,8 +20,8 @@ from pathlib import Path
 from . import evaluation, extract as extract_mod
 from .corpus import OntologySchema, check_corpus, dataset_stats, load_corpus, validate_ontology
 from .errors import DataError
-from .model import ModelConfig
-from .mslr import build_vocab, dump_jsonl, encode_all, expand
+from .model import ModelConfig, checkpoint_tables, load_checkpoint
+from .mslr import build_vocab, dump_jsonl, expand_and_encode
 from .train import TrainConfig, train_loop
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
@@ -123,7 +123,7 @@ def cmd_stats(args) -> int:
     print(stats.to_table())
     if args.out:
         out = Path(args.out)
-        _write_run_config(out, "stats", {"dataset": str(args.dataset), "seed": args.seed})
+        _write_run_config(out, "stats", {"dataset": str(args.dataset)})
         (out / "stats.json").write_text(
             json.dumps(stats.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -134,16 +134,15 @@ def cmd_stats(args) -> int:
 def cmd_mslr(args) -> int:
     corpus = load_corpus(args.dataset, _ontology(args))
     vocab = build_vocab(corpus.sentences, min_freq=args.min_freq or 1)
-    examples = []
-    for i, sentence in enumerate(corpus.sentences):
-        examples.extend(expand(sentence, corpus.types, sentence_index=i))
-    instances, skipped = encode_all(examples, vocab, max_len=args.max_len or 256)
+    instances, skipped = expand_and_encode(
+        enumerate(corpus.sentences), corpus.types, vocab, max_len=args.max_len or 256
+    )
     _log_skipped(skipped)
     out = Path(args.out)
     _write_run_config(
         out, "mslr",
         {
-            "dataset": str(args.dataset), "seed": args.seed,
+            "dataset": str(args.dataset),
             "max_len": args.max_len or 256, "min_freq": args.min_freq or 1,
         },
     )
@@ -185,13 +184,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import load_checkpoint
-    from .mslr import Vocabulary
-    from .corpus import TypeSystem
-
     ckpt = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary(ckpt.extras["vocab"])
-    types = TypeSystem.from_dict(ckpt.extras["types"])
+    vocab, types = checkpoint_tables(ckpt, args.checkpoint)
     corpus = load_corpus(args.dataset, _ontology(args))
     stored = ckpt.extras.get("train_config")
     cfg = TrainConfig() if stored is None else TrainConfig.from_dict(stored)
@@ -220,7 +214,7 @@ def cmd_eval(args) -> int:
             out, "eval",
             {
                 "dataset": str(args.dataset), "checkpoint": str(args.checkpoint),
-                "seed": args.seed, "split": args.split, "re_mode": args.re_mode,
+                "split": args.split, "re_mode": args.re_mode,
                 "ontology_filter": args.ontology_filter,
                 "confidence_floor": args.confidence_floor,
             },
@@ -301,7 +295,7 @@ def cmd_extract(args) -> int:
         _write_run_config(
             out, "extract",
             {
-                "checkpoint": str(args.checkpoint), "seed": args.seed,
+                "checkpoint": str(args.checkpoint),
                 "input": str(args.input or args.dataset),
                 "gold_spans": bool(args.gold_spans),
                 "ontology_filter": args.ontology_filter,
@@ -339,7 +333,7 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     _write_run_config(
         out, "export",
-        {"extractions": str(args.extractions), "format": args.format, "seed": args.seed},
+        {"extractions": str(args.extractions), "format": args.format},
     )
     name = "graph.json" if args.format == "json" else "edges.csv"
     (out / name).write_bytes(blob)
@@ -359,17 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, ontology=True, seed_and_out=True, out_required=False):
+    def common(p, dataset=True, ontology=True, out=True, out_required=False):
         if dataset:
             p.add_argument("--dataset", required=True, help="corpus JSON file")
         if ontology:
             p.add_argument("--ontology", help="ontology JSON (default: bundled schema)")
-        if seed_and_out:
-            p.add_argument("--seed", type=int, default=42)
+        if out:
             p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("validate", help="structural + ontology validation")
-    common(p, seed_and_out=False)
+    common(p, out=False)
     p.add_argument("--strict", action="store_true",
                    help="treat domain/range violations as errors")
     p.set_defaults(func=cmd_validate)
@@ -385,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mslr)
 
     def train_flags(p):
+        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--batch-size", type=int, default=None)

@@ -39,9 +39,6 @@ from .errors import (
 
 NO_RELATION = "noRelation"
 
-# Sentinel relation id for inference-time instances that carry no gold label.
-UNLABELED_RELATION_ID = -1
-
 _BIO_TAG = re.compile(r"^(O|[BI]-\S+)$")
 
 

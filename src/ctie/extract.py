@@ -26,6 +26,7 @@ from .evaluation import SpanPrediction, decode_spans, encode_sentences
 from .model import (
     ModelConfig,
     Params,
+    checkpoint_tables,
     decode_constraint,
     load_checkpoint,
     ner_predict,
@@ -96,14 +97,12 @@ class Extractor:
     @classmethod
     def from_checkpoint(cls, path, ontology: OntologySchema | None = None) -> "Extractor":
         ckpt = load_checkpoint(path)
-        extras = ckpt.extras
-        if "vocab" not in extras or "types" not in extras:
-            raise ModelNotLoaded(f"{path}: checkpoint lacks vocab/type tables")
+        vocab, types = checkpoint_tables(ckpt, path)
         return cls(
             params=ckpt.params,
             config=ckpt.config,
-            vocab=Vocabulary(extras["vocab"]),
-            types=TypeSystem.from_dict(extras["types"]),
+            vocab=vocab,
+            types=types,
             ontology=ontology or OntologySchema.default(),
         )
 

@@ -30,9 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import TypeSystem
 from .crf import bio_allowed_transitions, crf_decode, crf_nll, crf_nll_grad
 from .errors import EmptyMask, IdOutOfRange, SchemaError
-from .mslr import Batch
+from .mslr import Batch, Vocabulary
 
 Params = dict[str, np.ndarray]
 
@@ -401,8 +402,8 @@ class ForwardTrace:
     drop_h: np.ndarray | None
     h_d: np.ndarray
     logits_ner: np.ndarray
-    d_logits_ner: np.ndarray | None   # d sum-of-row-NLLs / d logits_ner
-    d_crf_trans: np.ndarray | None    # d sum-of-row-NLLs / d crf_trans
+    d_logits_ner: np.ndarray   # d sum-of-row-NLLs / d logits_ner
+    d_crf_trans: np.ndarray    # d sum-of-row-NLLs / d crf_trans
     pool_mask: np.ndarray
     features: np.ndarray
     logits_re: np.ndarray
@@ -411,12 +412,10 @@ class ForwardTrace:
 
 @dataclass
 class ForwardResult:
-    ner_nll: float | None
-    re_ce: float | None
-    joint: float | None
-    decoded: list[list[int]]
+    ner_nll: float
+    re_ce: float
+    joint: float
     re_probs: np.ndarray
-    re_logits: np.ndarray
     ner_scores: np.ndarray
     trace: ForwardTrace | None
 
@@ -432,17 +431,16 @@ def forward(
     config: ModelConfig,
     mode: str = "train",
     rng: np.random.Generator | None = None,
-    allowed: np.ndarray | None = None,
 ) -> ForwardResult:
-    """Run the whole network on one batch of MSLR rows.
+    """Run the whole network on one batch of MSLR rows and compute the
+    joint loss.
 
     Dropout is active only in train mode (after the embedding and after the
-    BiGRU); eval mode is fully deterministic. Losses are computed only for
-    labeled batches: a train-mode forward gets the CRF NLL and its gradients
-    from one batched forward-backward pass (kept in the trace for
-    ``backward``), an eval-mode forward runs the forward recursion only. The
-    batch is also Viterbi-decoded under ``allowed`` (see
-    ``decode_constraint``) for the training log's token accuracy.
+    BiGRU); eval mode is fully deterministic. A train-mode forward gets the
+    CRF NLL and its gradients from one batched forward-backward pass (kept
+    in the trace for ``backward``); an eval-mode forward runs the forward
+    recursion only. Neither decodes: ``ner_scores`` are the emissions a
+    caller can hand to ``crf_decode``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -468,26 +466,21 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    decoded = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
     pool_mask, features, logits_re, probs_re = relation_head(
         h_d, batch.entity_mask, batch.head_type, batch.tail_type, params, config,
         attention_mask=mask,
     )
 
-    ner_nll_mean = re_ce_mean = joint = None
-    d_logits = d_trans = None
-    if batch.labeled:
-        if train:
-            nlls, d_logits, d_trans = crf_nll_grad(
-                logits, batch.ner_labels, params["crf_trans"], mask
-            )
-        else:
-            nlls = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
-        ner_nll_mean = float(np.mean(nlls))
-        gold = batch.relation_label
-        picked = probs_re[np.arange(batch.size), gold]
-        re_ce_mean = float(np.mean(-np.log(picked)))
-        joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
+    if train:
+        nlls, d_logits, d_trans = crf_nll_grad(
+            logits, batch.ner_labels, params["crf_trans"], mask
+        )
+    else:
+        nlls = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
+    ner_nll_mean = float(np.mean(nlls))
+    picked = probs_re[np.arange(batch.size), batch.relation_label]
+    re_ce_mean = float(np.mean(-np.log(picked)))
+    joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = None
     if train:
@@ -498,8 +491,8 @@ def forward(
             pool_mask=pool_mask, features=features, logits_re=logits_re, probs_re=probs_re,
         )
     return ForwardResult(
-        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, decoded=decoded,
-        re_probs=probs_re, re_logits=logits_re, ner_scores=logits, trace=trace,
+        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint,
+        re_probs=probs_re, ner_scores=logits, trace=trace,
     )
 
 
@@ -512,8 +505,6 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
     """
     config = trace.config
     batch = trace.batch
-    if not batch.labeled:
-        raise ValueError("backward needs a labeled train-mode trace")
     n_batch = batch.size
     n_hidden = config.hidden_dim
     grads = zeros_like_params(params)
@@ -665,6 +656,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise SchemaError(f"{path}: malformed checkpoint manifest ({exc})") from None
     validate_params(params, config)
     return Checkpoint(config=config, params=params, extras=header.get("extras", {}))
+
+
+def checkpoint_tables(ckpt: Checkpoint, path) -> tuple[Vocabulary, TypeSystem]:
+    """The vocabulary and type system saved with a checkpoint; SchemaError
+    when they are missing, malformed or sized unlike its ModelConfig."""
+    try:
+        vocab = Vocabulary(ckpt.extras["vocab"])
+        types = TypeSystem.from_dict(ckpt.extras["types"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: checkpoint vocab/type tables missing or malformed "
+                          f"({type(exc).__name__}: {exc})") from None
+    sizes = (len(vocab), types.num_bio_labels, types.num_relations, types.num_entity_types)
+    c = ckpt.config
+    stored = (c.vocab_size, c.num_ner_labels, c.num_relations, c.num_entity_types)
+    if sizes != stored:
+        raise SchemaError(f"{path}: checkpoint vocab/BIO/relation/entity-type table sizes "
+                          f"{sizes} disagree with its model config {stored}")
+    return vocab, types
 
 
 def save_embedding_file(path, vectors: np.ndarray, vocab_hash: str) -> None:

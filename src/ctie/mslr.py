@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TypeSystem, UNLABELED_RELATION_ID
+from .corpus import AnnotatedSentence, TypeSystem
 from .errors import DuplicatePairError, LengthError, OverlapError
 
 PAD_TOKEN = "<pad>"
@@ -239,6 +239,20 @@ def encode_all(
     return instances, skipped
 
 
+def expand_and_encode(
+    numbered: Iterable[tuple[int, AnnotatedSentence]],
+    types: TypeSystem,
+    vocab: Vocabulary,
+    max_len: int = 256,
+) -> tuple[list[MslrInstance], list[tuple[tuple[int, int], int]]]:
+    """``encode_all`` over the rows of every (sentence index, sentence)
+    pair; each row's origin carries the given index."""
+    examples = []
+    for index, sentence in numbered:
+        examples.extend(expand(sentence, types, sentence_index=index))
+    return encode_all(examples, vocab, max_len=max_len)
+
+
 @dataclass
 class Batch:
     """Stacked instance fields padded to the batch max length."""
@@ -260,10 +274,6 @@ class Batch:
     @property
     def max_len(self) -> int:
         return self.token_ids.shape[1]
-
-    @property
-    def labeled(self) -> bool:
-        return bool(np.all(self.relation_label != UNLABELED_RELATION_ID))
 
 
 def collate(instances: Sequence[MslrInstance]) -> Batch:

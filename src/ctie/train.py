@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
+from .crf import crf_decode
 from .errors import NonFiniteLoss
 from .model import (
     ModelConfig,
@@ -24,7 +25,7 @@ from .model import (
     load_embedding_file,
     save_checkpoint,
 )
-from .mslr import Vocabulary, build_vocab, encode_all, expand, make_batches
+from .mslr import Vocabulary, build_vocab, expand_and_encode, make_batches
 
 
 @dataclass
@@ -171,7 +172,6 @@ class EpochStats:
     train_ner_loss: float
     train_re_loss: float
     train_joint_loss: float
-    train_ner_acc: float
     train_re_acc: float
     val_ner_loss: float | None
     val_re_loss: float | None
@@ -185,10 +185,7 @@ class EpochStats:
 class TrainingLog:
     entries: list[EpochStats] = field(default_factory=list)
 
-    _METRICS = (
-        ("ner_loss", "ner_loss"), ("re_loss", "re_loss"),
-        ("joint_loss", "joint_loss"), ("ner_acc", "ner_acc"), ("re_acc", "re_acc"),
-    )
+    _METRICS = ("ner_loss", "re_loss", "joint_loss", "ner_acc", "re_acc")
 
     def rows(self) -> list[tuple[int, str, str, float]]:
         # Wall-clock stays out of the emitted rows so reports are
@@ -196,10 +193,11 @@ class TrainingLog:
         out = []
         for e in self.entries:
             for split_name in ("train", "val"):
-                for label, attr in self._METRICS:
-                    value = getattr(e, f"{split_name}_{attr}")
+                for metric in self._METRICS:
+                    # training rows have no ner_acc: training batches are not decoded
+                    value = getattr(e, f"{split_name}_{metric}", None)
                     if value is not None:
-                        out.append((e.epoch, split_name, label, float(value)))
+                        out.append((e.epoch, split_name, metric, float(value)))
         return out
 
     def to_csv(self) -> str:
@@ -231,48 +229,44 @@ class TrainResult:
     skipped_instances: list
 
 
-def _token_accuracy(decoded: list[list[int]], batch) -> tuple[int, int]:
-    correct = total = 0
-    for b, path in enumerate(decoded):
-        n = int(batch.lengths[b])
-        gold = batch.ner_labels[b, :n]
-        correct += int(np.sum(np.asarray(path) == gold))
-        total += n
-    return correct, total
+@dataclass
+class _Sums:
+    """Row-weighted loss sums and relation hits over a run of batches."""
 
+    ner: float = 0.0
+    re: float = 0.0
+    joint: float = 0.0
+    rows: int = 0
+    re_hits: int = 0
 
-def _prepare_instances(sentences, types, vocab, max_len, offset=0):
-    examples = []
-    for i, sentence in enumerate(sentences):
-        examples.extend(expand(sentence, types, sentence_index=offset + i))
-    return encode_all(examples, vocab, max_len=max_len)
+    def add(self, result, batch) -> None:
+        self.ner += result.ner_nll * batch.size
+        self.re += result.re_ce * batch.size
+        self.joint += result.joint * batch.size
+        self.rows += batch.size
+        self.re_hits += int(np.sum(np.argmax(result.re_probs, axis=1) == batch.relation_label))
+
+    def means(self) -> dict:
+        """Per-row means (None when no row was added)."""
+        sums = {"ner_loss": self.ner, "re_loss": self.re, "joint_loss": self.joint,
+                "re_acc": self.re_hits}
+        return {k: v / self.rows if self.rows else None for k, v in sums.items()}
 
 
 def evaluate_split(params, config, batches, allowed=None) -> dict:
-    """Mean losses and accuracies over labeled batches (eval mode); token
-    accuracy decodes under the ``allowed`` transition mask."""
-    totals = {"ner_loss": 0.0, "re_loss": 0.0, "joint_loss": 0.0}
-    rows = 0
-    tok_correct = tok_total = rel_correct = 0
+    """Mean losses and accuracies over batches (eval mode); token accuracy
+    decodes each batch's emissions under the ``allowed`` transition mask."""
+    sums = _Sums()
+    tok_correct = tok_total = 0
     for batch in batches:
-        result = forward(batch, params, config, mode="eval", allowed=allowed)
-        totals["ner_loss"] += result.ner_nll * batch.size
-        totals["re_loss"] += result.re_ce * batch.size
-        totals["joint_loss"] += result.joint * batch.size
-        rows += batch.size
-        c, t = _token_accuracy(result.decoded, batch)
-        tok_correct += c
-        tok_total += t
-        rel_correct += int(np.sum(np.argmax(result.re_probs, axis=1) == batch.relation_label))
-    if rows == 0:
-        return {k: None for k in ("ner_loss", "re_loss", "joint_loss", "ner_acc", "re_acc")}
-    return {
-        "ner_loss": totals["ner_loss"] / rows,
-        "re_loss": totals["re_loss"] / rows,
-        "joint_loss": totals["joint_loss"] / rows,
-        "ner_acc": tok_correct / tok_total if tok_total else 0.0,
-        "re_acc": rel_correct / rows,
-    }
+        result = forward(batch, params, config, mode="eval")
+        sums.add(result, batch)
+        paths = crf_decode(result.ner_scores, params["crf_trans"], batch.attention_mask,
+                           allowed=allowed)
+        for path, n, gold in zip(paths, batch.lengths, batch.ner_labels):
+            tok_correct += int(np.sum(np.asarray(path) == gold[:n]))
+            tok_total += int(n)
+    return dict(sums.means(), ner_acc=tok_correct / tok_total if tok_total else None)
 
 
 def train_loop(
@@ -293,7 +287,9 @@ def train_loop(
     file; its vocabulary hash must match the vocabulary built here.
     """
     train_config.validate()
-    train_sents, val_sents, _test_sents = train_config.split(sentences)
+    # split record indices, so every row's origin names its corpus record
+    train_idx, val_idx, _test_idx = train_config.split(range(len(sentences)))
+    train_sents = [sentences[i] for i in train_idx]
 
     vocab = build_vocab(train_sents, min_freq=train_config.min_freq)
     pretrained_embed = None
@@ -314,11 +310,11 @@ def train_loop(
     state = init_adamw(params)
     skip = frozenset(["embed"]) if config.freeze_embeddings else frozenset()
 
-    train_instances, skipped = _prepare_instances(
-        train_sents, types, vocab, train_config.max_len
+    train_instances, skipped = expand_and_encode(
+        zip(train_idx, train_sents), types, vocab, train_config.max_len
     )
-    val_instances, val_skipped = _prepare_instances(
-        val_sents, types, vocab, train_config.max_len, offset=len(train_sents)
+    val_instances, val_skipped = expand_and_encode(
+        ((i, sentences[i]) for i in val_idx), types, vocab, train_config.max_len
     )
     skipped = skipped + val_skipped
     if not train_instances:
@@ -347,13 +343,9 @@ def train_loop(
             train_config.batch_size,
             shuffle_seed=train_config.effective_shuffle_seed + epoch,
         )
-        totals = {"ner": 0.0, "re": 0.0, "joint": 0.0}
-        rows = 0
-        tok_correct = tok_total = rel_correct = 0
+        sums = _Sums()
         for batch in batches:
-            result = forward(
-                batch, params, config, mode="train", rng=dropout_rng, allowed=allowed
-            )
+            result = forward(batch, params, config, mode="train", rng=dropout_rng)
             if not np.isfinite(result.joint):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}", origins=batch.origins
@@ -362,30 +354,13 @@ def train_loop(
             if train_config.grad_clip_norm:
                 clip_gradients(grads, train_config.grad_clip_norm)
             adamw_step(params, grads, state, train_config, skip=skip)
-            totals["ner"] += result.ner_nll * batch.size
-            totals["re"] += result.re_ce * batch.size
-            totals["joint"] += result.joint * batch.size
-            rows += batch.size
-            c, t = _token_accuracy(result.decoded, batch)
-            tok_correct += c
-            tok_total += t
-            rel_correct += int(
-                np.sum(np.argmax(result.re_probs, axis=1) == batch.relation_label)
-            )
+            sums.add(result, batch)
 
         val = evaluate_split(params, config, val_batches, allowed)
         stats = EpochStats(
             epoch=epoch,
-            train_ner_loss=totals["ner"] / rows,
-            train_re_loss=totals["re"] / rows,
-            train_joint_loss=totals["joint"] / rows,
-            train_ner_acc=tok_correct / tok_total if tok_total else 0.0,
-            train_re_acc=rel_correct / rows,
-            val_ner_loss=val["ner_loss"],
-            val_re_loss=val["re_loss"],
-            val_joint_loss=val["joint_loss"],
-            val_ner_acc=val["ner_acc"],
-            val_re_acc=val["re_acc"],
+            **{f"train_{k}": v for k, v in sums.means().items()},
+            **{f"val_{k}": v for k, v in val.items()},
             wall_clock_s=time.perf_counter() - started,
         )
         log.entries.append(stats)

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ctie.corpus import OntologySchema, load_corpus
 
@@ -75,6 +76,25 @@ def random_record(rng: np.random.Generator, type_names=("HackOrg", "Tool", "Org"
 def random_corpus(rng: np.random.Generator, n_sentences: int):
     records = [random_record(rng) for _ in range(n_sentences)]
     return load_corpus(json.dumps(records).encode("utf-8"))
+
+
+# entity-type and relation names: no whitespace, "-" and "." included
+NAMES = st.text(st.sampled_from("ABCabc-_.0"), min_size=1, max_size=4)
+
+
+@st.composite
+def span_layouts(draw, max_spans: int = 6):
+    """(spans, length): non-overlapping (start, end, type) spans in start
+    order inside ``length`` tokens; a zero gap makes two spans adjacent, and
+    adjacent spans may share a type."""
+    types = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    spans, pos = [], 0
+    for _ in range(draw(st.integers(0, max_spans))):
+        pos += draw(st.integers(0, 2))
+        width = draw(st.integers(1, 3))
+        spans.append((pos, pos + width, draw(st.sampled_from(types))))
+        pos += width
+    return spans, pos + draw(st.integers(0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,13 @@ class TestUsageErrors:
         ("export", "--extractions", "x.json", "--out", "unused", "--ontology", "o.json"),
         ("ablate", "--dataset", FIG_CORPUS, "--out", "unused",
          "--pretrained-embeddings", "vectors.emb"),
-    ], ids=["validate-out", "validate-seed", "export-ontology", "ablate-pretrained-embeddings"])
+        ("stats", "--dataset", FIG_CORPUS, "--seed", "1"),
+        ("mslr", "--dataset", FIG_CORPUS, "--out", "unused", "--seed", "1"),
+        ("eval", "--dataset", FIG_CORPUS, "--checkpoint", "m.ckpt", "--seed", "1"),
+        ("extract", "--checkpoint", "m.ckpt", "--input", "s.txt", "--seed", "1"),
+        ("export", "--extractions", "x.json", "--out", "unused", "--seed", "1"),
+    ], ids=["validate-out", "validate-seed", "export-ontology", "ablate-pretrained-embeddings",
+            "stats-seed", "mslr-seed", "eval-seed", "extract-seed", "export-seed"])
     def test_removed_flags_exit_two(self, argv):
         with pytest.raises(SystemExit) as err:
             run(*argv)
@@ -209,21 +215,16 @@ class TestTrain:
                    "--pretrained-embeddings", bad) == 1
 
     def test_one_log_line_per_skipped_sentence(self, tmp_path, capsys):
-        from ctie.corpus import OntologySchema, load_corpus
-        from ctie.train import TrainConfig
-
         assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
                    "--epochs", "1", *TRAIN_FLAGS[2:-2], "--max-len", "12") == 0
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("skipped overlong sentence")]
-        # sentences are numbered train split first, then validation split
-        train, val, _test = TrainConfig().split(
-            load_corpus(SMOKE_CORPUS, OntologySchema.default()).sentences)
-        expected = [
-            f"skipped overlong sentence {i} (length {len(s)}, {len(s.relations)} rows)"
-            for i, s in enumerate(train + val) if len(s) > 12 and s.relations
+        # numbered by corpus record: records 6 and 46 are the 13-token ones
+        # (both in the training split, which lists them as its 3rd and 33rd)
+        assert lines == [
+            "skipped overlong sentence 6 (length 13, 4 rows)",
+            "skipped overlong sentence 46 (length 13, 4 rows)",
         ]
-        assert expected and lines == expected
 
     def test_checkpoint_cadence(self, tmp_path):
         config = tmp_path / "config.json"
@@ -379,19 +380,45 @@ class TestCustomOntology:
         assert run("validate", "--dataset", FIG_CORPUS, "--ontology", ontology) == 1
 
 
-class TestRuntimeErrorExit:
-    def test_checkpoint_without_tables_exits_three(self, tmp_path, capsys):
-        import numpy as np
-        from ctie.model import save_checkpoint, init_params
-        from helpers import tiny_config
+class TestCheckpointTables:
+    """The vocab/type tables saved with a checkpoint: missing, malformed or
+    sized unlike the stored ModelConfig is a data error on eval and extract."""
 
-        config = tiny_config()
-        path = tmp_path / "bare.ckpt"
-        save_checkpoint(path, init_params(config, seed=0), config)  # no vocab/types
+    TABLES = {
+        "no-tables": {},
+        "no-vocab": {"types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
+        "vocab-not-a-list": {"vocab": 5,
+                             "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
+        "types-not-an-object": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
+                                "types": ["Org", "Tool"]},
+        "vocab-size": {"vocab": ["<pad>", "<unk>", "w0"],
+                       "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
+        "type-count": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
+                       "types": {"entity_types": ["Org", "Tool", "Area"], "relations": ["uses"]}},
+        "relation-count": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
+                           "types": {"entity_types": ["Org", "Tool"],
+                                     "relations": ["uses", "targets"]}},
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "extract"])
+    @pytest.mark.parametrize("tables", sorted(TABLES))
+    def test_bad_tables_exit_one(self, command, tables, tmp_path, capsys):
+        from ctie.model import ModelConfig, init_params, save_checkpoint
+
+        # 9 tokens, 2 entity types (5 BIO labels), uses + noRelation
+        config = ModelConfig(vocab_size=9, num_ner_labels=5, num_relations=2,
+                             num_entity_types=2, embed_dim=4, hidden_dim=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config, extras=self.TABLES[tables])
         text = tmp_path / "s.txt"
         text.write_text("hello world\n")
-        assert run("extract", "--checkpoint", path, "--input", text) == 3
-        assert "runtime error" in capsys.readouterr().err
+        argv = {
+            "eval": ("eval", "--dataset", FIG_CORPUS, "--checkpoint", path),
+            "extract": ("extract", "--checkpoint", path, "--input", text),
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checkpoint ") and "table" in err
 
 
 class TestFeatureToggleFlags:

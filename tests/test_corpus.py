@@ -30,7 +30,14 @@ from ctie.errors import (
     UnknownRelation,
 )
 
-from helpers import FIG_CORPUS, bio_for_spans, random_corpus, random_record
+from helpers import (
+    FIG_CORPUS,
+    NAMES,
+    bio_for_spans,
+    random_corpus,
+    random_record,
+    span_layouts,
+)
 
 
 def as_bytes(records) -> bytes:
@@ -133,6 +140,29 @@ class TestParseDataset:
         text = serialize_corpus(corpus.sentences)
         again = parse_dataset(text.encode("utf-8"))
         assert list(corpus.sentences) == again
+
+    @given(st.data())
+    def test_round_trip_random_corpora(self, data):
+        # tokens are any non-space text; relations join distinct entities
+        token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1,
+                        max_size=5).filter(lambda t: t.split() == [t])
+        records = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            spans, length = data.draw(span_layouts(max_spans=4))
+            length = max(length, 1)
+            pairs = [(h, t) for h in range(len(spans)) for t in range(len(spans)) if h != t]
+            chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+            records.append({
+                "text": " ".join(data.draw(st.lists(token, min_size=length, max_size=length))),
+                "entities": [list(s) for s in spans],
+                "relations": [[h, data.draw(NAMES | st.just(NO_RELATION)), t] for h, t in chosen],
+                "entity_labels": bio_for_spans(length, spans),
+            })
+        ontology = data.draw(st.sampled_from([None, OntologySchema.default()]))
+        corpus = list(load_corpus(as_bytes(records), ontology).sentences)
+        assert len(corpus) == len(records)
+        text = serialize_corpus(corpus)
+        assert parse_dataset(text.encode("utf-8"), ontology) == corpus
 
     def test_labels_rebuild_from_spans(self):
         rng = np.random.default_rng(12)

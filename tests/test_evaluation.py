@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctie.corpus import load_corpus
 from ctie.evaluation import (
@@ -22,7 +23,7 @@ from ctie.evaluation import (
 from ctie.model import init_params
 from ctie.train import TrainConfig
 
-from helpers import SMOKE_CORPUS, random_corpus
+from helpers import SMOKE_CORPUS, random_corpus, span_layouts
 
 
 def span(i, s, e, t):
@@ -63,6 +64,12 @@ class TestDecodeSpans:
                 spans_to_bio(expected, len(sentence.tokens)), sentence_index=i
             )
             assert rebuilt == expected
+
+    @given(span_layouts(), st.integers(0, 50))
+    def test_decode_inverts_span_encoding(self, layout, index):
+        spans, length = layout
+        expected = [span(index, s, e, t) for s, e, t in spans]
+        assert decode_spans(spans_to_bio(expected, length), sentence_index=index) == expected
 
 
 class TestNerMetrics:

@@ -248,7 +248,6 @@ class TestBatches:
                 instances.append(encode(e, vocab))
         batch = collate(instances)
         assert batch.max_len == 7
-        assert batch.labeled
         # padded region: attention 0, label 0, token PAD
         row = list(batch.lengths).index(6)
         assert batch.attention_mask[row, 6] == 0.0

@@ -236,3 +236,82 @@ class TestTrainLoop:
             train_mod.init_params = original
         np.testing.assert_array_equal(result.params["embed"], captured["embed"])
         assert np.any(result.params["ner_w"] != 0.0)
+
+
+class TestValidationDecode:
+    """Only the validation pass decodes; training batches run no Viterbi."""
+
+    def _config(self, epochs=1):
+        return smoke_train_config(
+            epochs=epochs, train_ratio=0.7, val_ratio=0.15, test_ratio=0.15
+        )
+
+    def test_one_decode_per_validation_batch_and_none_per_training_batch(self, monkeypatch):
+        import ctie.crf as crf_module
+        import ctie.model as model_module
+        import ctie.train as train_mod
+
+        events = []
+        real_forward, real_decode = train_mod.forward, crf_module.crf_decode
+
+        def forward_spy(*args, **kwargs):
+            events.append(kwargs.get("mode", "train"))
+            return real_forward(*args, **kwargs)
+
+        def decode_spy(*args, **kwargs):
+            events.append("decode")
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", forward_spy)
+        for module in (crf_module, model_module, train_mod):
+            monkeypatch.setattr(module, "crf_decode", decode_spy)
+        corpus = load_corpus(SMOKE_CORPUS)
+        train_loop(corpus.sentences, corpus.types, self._config(),
+                   model_kwargs=dict(embed_dim=8, hidden_dim=4, dropout=0.3))
+        n_train, n_val = events.count("train"), events.count("eval")
+        assert n_train > 0 and n_val > 1
+        assert events == ["train"] * n_train + ["eval", "decode"] * n_val
+
+    def test_val_ner_acc_is_constrained_token_accuracy_of_validation_rows(self, monkeypatch):
+        import ctie.train as train_mod
+        from ctie.crf import bio_allowed_transitions
+        from ctie.model import encode, ner_predict
+
+        real_init = train_mod.init_params
+
+        def perturbed(config, seed=42, pretrained_embed=None):
+            # large random emissions and transitions, so that the BIO
+            # constraint changes the decoded tags
+            params = real_init(config, seed=seed, pretrained_embed=pretrained_embed)
+            rng = np.random.default_rng(seed)
+            params["ner_w"] = rng.normal(scale=5.0, size=params["ner_w"].shape)
+            params["crf_trans"] = rng.normal(size=params["crf_trans"].shape)
+            return params
+
+        monkeypatch.setattr(train_mod, "init_params", perturbed)
+        corpus = load_corpus(SMOKE_CORPUS)
+        config = self._config()
+        config.learning_rate = 1e-5
+        result = train_loop(
+            corpus.sentences, corpus.types, config,
+            model_kwargs=dict(embed_dim=8, hidden_dim=4, dropout=0.0,
+                              bio_constrained_decode=True),
+        )
+        _train, val, _test = config.split(corpus.sentences)
+
+        def accuracy(allowed):
+            correct = total = 0
+            for sentence in val:
+                ids = [[result.vocab.id(t) for t in sentence.tokens]]
+                mask = np.ones((1, len(sentence)))
+                h = encode(ids, mask, result.params)
+                path = ner_predict(h, mask, result.params, allowed)[0]
+                gold = [corpus.types.bio_id(tag) for tag in sentence.labels]
+                # one validation row per relation of the sentence
+                correct += len(sentence.relations) * sum(p == g for p, g in zip(path, gold))
+                total += len(sentence.relations) * len(sentence)
+            return correct / total
+
+        constrained = accuracy(bio_allowed_transitions(corpus.types.bio_labels))
+        assert constrained != accuracy(None)
+        assert result.log.entries[-1].val_ner_acc == constrained

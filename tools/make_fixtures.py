@@ -190,17 +190,22 @@ def smoke_corpus(n_sentences: int = 50, seed: int = 7) -> list[dict]:
     return records
 
 
+def fixture_files() -> dict[str, str]:
+    """File name under tests/data/ -> its exact text."""
+    return {
+        name: json.dumps(records, indent=1) + "\n"
+        for name, records in (
+            ("use_case_corpus.json", use_case_corpus()),
+            ("smoke_corpus.json", smoke_corpus()),
+        )
+    }
+
+
 def main() -> int:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    use_cases = use_case_corpus()
-    (DATA_DIR / "use_case_corpus.json").write_text(
-        json.dumps(use_cases, indent=1) + "\n", encoding="utf-8"
-    )
-    smoke = smoke_corpus()
-    (DATA_DIR / "smoke_corpus.json").write_text(
-        json.dumps(smoke, indent=1) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {len(use_cases)} use-case records and {len(smoke)} smoke records")
+    for name, text in fixture_files().items():
+        (DATA_DIR / name).write_text(text, encoding="utf-8")
+        print(f"wrote {DATA_DIR / name}")
     return 0
 
 
