@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import evaluation, extract as extract_mod
 from .corpus import OntologySchema, check_corpus, dataset_stats, load_corpus, validate_ontology
-from .errors import DataError
+from .errors import DataError, SchemaError
 from .model import ModelConfig, checkpoint_tables, load_checkpoint
 from .mslr import build_vocab, dump_jsonl, expand_and_encode
 from .train import TrainConfig, train_loop
@@ -186,10 +186,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab, types = checkpoint_tables(ckpt, args.checkpoint)
-    corpus = load_corpus(args.dataset, _ontology(args))
     stored = ckpt.extras.get("train_config")
+    if stored is None and args.split != "all":
+        raise SchemaError(
+            f"{args.checkpoint}: checkpoint stores no train_config, so the "
+            f"{args.split!r} split cannot be rebuilt; pass --split all"
+        )
+    corpus = load_corpus(args.dataset, _ontology(args))
     cfg = TrainConfig() if stored is None else TrainConfig.from_dict(stored)
-    if args.split == "all" or stored is None:
+    if args.split == "all":
         target = list(corpus.sentences)
     else:
         train_s, val_s, test_s = cfg.split(corpus.sentences)

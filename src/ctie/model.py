@@ -20,6 +20,7 @@ in the test suite).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -36,8 +37,6 @@ from .errors import EmptyMask, IdOutOfRange, SchemaError
 from .mslr import Batch, Vocabulary
 
 Params = dict[str, np.ndarray]
-
-_GRU_KEYS = ("w_z", "w_r", "w_c", "u_z", "u_r", "u_c", "b_z", "b_r", "b_c")
 
 
 @dataclass
@@ -93,15 +92,10 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, h = config.embed_dim, config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {"embed": (config.vocab_size, d)}
     for direction in ("gru_fwd", "gru_bwd"):
-        shapes[f"{direction}.w_z"] = (d, h)
-        shapes[f"{direction}.w_r"] = (d, h)
-        shapes[f"{direction}.w_c"] = (d, h)
-        shapes[f"{direction}.u_z"] = (h, h)
-        shapes[f"{direction}.u_r"] = (h, h)
-        shapes[f"{direction}.u_c"] = (h, h)
-        shapes[f"{direction}.b_z"] = (h,)
-        shapes[f"{direction}.b_r"] = (h,)
-        shapes[f"{direction}.b_c"] = (h,)
+        # gate-concatenated columns, in gate order [z | r | c]
+        shapes[f"{direction}.w"] = (d, 3 * h)
+        shapes[f"{direction}.u"] = (h, 3 * h)
+        shapes[f"{direction}.b"] = (3 * h,)
     shapes["type_embed"] = (config.num_entity_types, config.entity_type_dim)
     shapes["ner_w"] = (2 * h, config.num_ner_labels)
     shapes["ner_b"] = (config.num_ner_labels,)
@@ -118,10 +112,11 @@ def init_params(
 ) -> Params:
     """Seeded initialization in a fixed draw order.
 
-    Embedding tables are uniform(-0.1, 0.1); dense/GRU matrices use
-    Xavier-scaled uniform; biases and CRF transitions start at zero. The
-    relation head is drawn last so that NER-side parameters are identical
-    across feature-toggle configurations sharing a seed.
+    Embedding tables are uniform(-0.1, 0.1); dense matrices and each GRU
+    gate's block use Xavier-scaled uniform; biases and CRF transitions
+    start at zero. The GRU blocks are drawn z, r, c for ``w`` then for
+    ``u``. The relation head is drawn last so that NER-side parameters are
+    identical across feature-toggle configurations sharing a seed.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -134,13 +129,15 @@ def init_params(
         limit = np.sqrt(6.0 / (shape[0] + shape[1]))
         return rng.uniform(-limit, limit, size=shape)
 
+    d, h = config.embed_dim, config.hidden_dim
     shapes = param_shapes(config)
     params["embed"] = embedding(shapes["embed"])
     for direction in ("gru_fwd", "gru_bwd"):
-        for key in _GRU_KEYS:
-            name = f"{direction}.{key}"
-            shape = shapes[name]
-            params[name] = np.zeros(shape) if key.startswith("b_") else xavier(shape)
+        for key, rows in (("w", d), ("u", h)):
+            blocks = params[f"{direction}.{key}"] = np.empty((rows, 3 * h))
+            for gate in range(3):
+                blocks[:, gate * h:(gate + 1) * h] = xavier((rows, h))
+        params[f"{direction}.b"] = np.zeros(3 * h)
     params["type_embed"] = embedding(shapes["type_embed"])
     params["ner_w"] = xavier(shapes["ner_w"])
     params["ner_b"] = np.zeros(shapes["ner_b"])
@@ -193,83 +190,90 @@ def embed(token_ids, table: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot
+    overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
+    """Column slices of the z, r and c gates, and of z|r, in a
+    gate-concatenated (..., 3h) array."""
+    z, r, c = (slice(k * n_hidden, (k + 1) * n_hidden) for k in range(3))
+    return z, r, c, slice(0, 2 * n_hidden)
 
 
 @dataclass
 class GruTrace:
-    x: np.ndarray        # (B, T, d) inputs in processing order
+    x: np.ndarray        # (B*T, d) inputs in processing order, row b*T + t
     mask: np.ndarray     # (B, T) in processing order
-    z: np.ndarray        # (B, T, h)
-    r: np.ndarray
-    c: np.ndarray
-    h: np.ndarray        # state after each step
+    gates: np.ndarray    # (B, T, 3h) activations z | r | c
+    h: np.ndarray        # (B, T+1, h) zero start state, then the state after each step
 
 
 def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str) -> tuple[np.ndarray, GruTrace]:
-    """One direction. Masked steps leave the recurrent state untouched and
-    emit zeros."""
-    p = {k: params[f"{prefix}.{k}"] for k in _GRU_KEYS}
-    n_batch, n_steps, _ = x.shape
-    n_hidden = p["u_z"].shape[0]
-    z = np.empty((n_batch, n_steps, n_hidden))
-    r = np.empty_like(z)
-    c = np.empty_like(z)
-    h = np.empty_like(z)
-    out = np.empty_like(z)
-    h_prev = np.zeros((n_batch, n_hidden))
+    """One direction. Every step's input projection is one GEMM before the
+    recurrence; a step then makes one recurrent GEMM for z|r and one for c.
+    Masked steps leave the recurrent state untouched and emit zeros."""
+    w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
+    n_batch, n_steps, n_in = x.shape
+    n_hidden = u.shape[0]
+    z, r, c, zr = _gate_slices(n_hidden)
+    x = x.reshape(-1, n_in)
+    # input pre-activations; step t overwrites its own with the activations
+    gates = x @ w
+    gates += b
+    gates = gates.reshape(n_batch, n_steps, 3 * n_hidden)
+    h = np.zeros((n_batch, n_steps + 1, n_hidden))
+    out = np.empty((n_batch, n_steps, n_hidden))
     for t in range(n_steps):
-        xt = x[:, t]
         m = mask[:, t][:, None]
-        zt = _sigmoid(xt @ p["w_z"] + h_prev @ p["u_z"] + p["b_z"])
-        rt = _sigmoid(xt @ p["w_r"] + h_prev @ p["u_r"] + p["b_r"])
-        ct = np.tanh(xt @ p["w_c"] + (rt * h_prev) @ p["u_c"] + p["b_c"])
-        h_new = (1.0 - zt) * ct + zt * h_prev
-        ht = m * h_new + (1.0 - m) * h_prev
-        z[:, t], r[:, t], c[:, t], h[:, t] = zt, rt, ct, ht
+        h_prev = h[:, t]
+        gates[:, t, zr] = _sigmoid(gates[:, t, zr] + h_prev @ u[:, zr])
+        zt, rt = gates[:, t, z], gates[:, t, r]
+        ct = np.tanh(gates[:, t, c] + (rt * h_prev) @ u[:, c])
+        gates[:, t, c] = ct
+        ht = m * ((1.0 - zt) * ct + zt * h_prev) + (1.0 - m) * h_prev
+        h[:, t + 1] = ht
         out[:, t] = m * ht
-        h_prev = ht
-    return out, GruTrace(x=x, mask=mask, z=z, r=r, c=c, h=h)
+    return out, GruTrace(x=x, mask=mask, gates=gates, h=h)
 
 
 def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
                   grads: Params) -> np.ndarray:
-    p = {k: params[f"{prefix}.{k}"] for k in _GRU_KEYS}
-    n_batch, n_steps, _ = trace.x.shape
-    n_hidden = p["u_z"].shape[0]
-    dx = np.zeros_like(trace.x)
+    """Backpropagation through time for one direction: writes the
+    direction's ``w``, ``u`` and ``b`` gradients into ``grads`` and returns
+    the input gradient. A step makes only the recurrent products and stores
+    its gate pre-activation gradients in one (B, T, 3h) buffer; after the
+    loop each weight gradient and the input gradient is one GEMM on it."""
+    w, u = params[f"{prefix}.w"], params[f"{prefix}.u"]
+    n_batch, n_steps = trace.mask.shape
+    n_hidden = u.shape[0]
+    z, r, c, zr = _gate_slices(n_hidden)
+    gates = trace.gates
+    d_a = np.empty_like(gates)
     dh = np.zeros((n_batch, n_hidden))
     for t in range(n_steps - 1, -1, -1):
         m = trace.mask[:, t][:, None]
-        h_prev = trace.h[:, t - 1] if t > 0 else np.zeros((n_batch, n_hidden))
-        zt, rt, ct = trace.z[:, t], trace.r[:, t], trace.c[:, t]
+        h_prev = trace.h[:, t]
+        zt, rt, ct = gates[:, t, z], gates[:, t, r], gates[:, t, c]
         dht = dh + d_out[:, t] * m
         dh_new = dht * m
-        dc = dh_new * (1.0 - zt)
-        dz = dh_new * (h_prev - ct)
-        da_c = dc * (1.0 - ct * ct)
-        da_z = dz * zt * (1.0 - zt)
-        drh = da_c @ p["u_c"].T
-        dr = drh * h_prev
-        da_r = dr * rt * (1.0 - rt)
-        xt = trace.x[:, t]
-        grads[f"{prefix}.w_z"] += xt.T @ da_z
-        grads[f"{prefix}.w_r"] += xt.T @ da_r
-        grads[f"{prefix}.w_c"] += xt.T @ da_c
-        grads[f"{prefix}.u_z"] += h_prev.T @ da_z
-        grads[f"{prefix}.u_r"] += h_prev.T @ da_r
-        grads[f"{prefix}.u_c"] += (rt * h_prev).T @ da_c
-        grads[f"{prefix}.b_z"] += da_z.sum(axis=0)
-        grads[f"{prefix}.b_r"] += da_r.sum(axis=0)
-        grads[f"{prefix}.b_c"] += da_c.sum(axis=0)
-        dx[:, t] = da_z @ p["w_z"].T + da_r @ p["w_r"].T + da_c @ p["w_c"].T
-        dh = dht * (1.0 - m) + dh_new * zt + drh * rt + da_z @ p["u_z"].T + da_r @ p["u_r"].T
-    return dx
+        da_c = dh_new * (1.0 - zt) * (1.0 - ct * ct)
+        drh = da_c @ u[:, c].T
+        d_a[:, t, z] = dh_new * (h_prev - ct) * zt * (1.0 - zt)
+        d_a[:, t, r] = drh * h_prev * rt * (1.0 - rt)
+        d_a[:, t, c] = da_c
+        dh = dht * (1.0 - m) + dh_new * zt + drh * rt + d_a[:, t, zr] @ u[:, zr].T
+    d_a = d_a.reshape(-1, 3 * n_hidden)
+    h_prev = trace.h[:, :-1]
+    r_h_prev = (gates[..., r] * h_prev).reshape(-1, n_hidden)
+    g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
+    np.matmul(trace.x.T, d_a, out=g_w)
+    np.matmul(h_prev.reshape(-1, n_hidden).T, d_a[:, zr], out=g_u[:, zr])
+    np.matmul(r_h_prev.T, d_a[:, c], out=g_u[:, c])
+    d_a.sum(axis=0, out=g_b)
+    return (d_a @ w.T).reshape(n_batch, n_steps, -1)
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False):
@@ -556,12 +560,19 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
 
 _CKPT_MAGIC = b"CTIECKPT"
 _EMB_MAGIC = b"CTIEEMBD"
-_FORMAT_VERSION = 1
+# Version 2: gate-concatenated GRU arrays and a payload SHA-256 in the header.
+_FORMAT_VERSION = 2
 
 
 def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
     """Write to a temporary file beside ``path``, then rename it into place:
-    a write that fails midway leaves any previous file at ``path`` intact."""
+    a write that fails midway leaves any previous file at ``path`` intact.
+    The header records the SHA-256 of the payload (the arrays' bytes)."""
+    arrays = [np.ascontiguousarray(arr) for arr in arrays]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
+    header = {**header, "payload_sha256": digest.hexdigest()}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -571,7 +582,7 @@ def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.nda
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             for arr in arrays:
-                fh.write(np.ascontiguousarray(arr).tobytes())
+                fh.write(arr.tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -582,7 +593,8 @@ def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.nda
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
     """(JSON header, payload bytes). A file cut inside the fixed or the
-    JSON header, or a header that does not decode, raises SchemaError."""
+    JSON header, a header that does not decode, an older format version or
+    a payload whose SHA-256 differs from the header's raises SchemaError."""
     raw = Path(path).read_bytes()
     fixed = len(magic) + 12
     if len(raw) < fixed:
@@ -590,6 +602,12 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
     if raw[: len(magic)] != magic:
         raise SchemaError(f"{path}: bad magic, not a {magic.decode()} file")
     version, header_len = struct.unpack_from("<IQ", raw, len(magic))
+    if version == 1:
+        raise SchemaError(
+            f"{path}: container format version 1 predates version {_FORMAT_VERSION} "
+            "(gate-concatenated GRU arrays, payload SHA-256), the only one this build "
+            "reads; retrain the model, or rebuild the embedding file"
+        )
     if version != _FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported container version {version}")
     end = fixed + header_len
@@ -601,7 +619,13 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
         raise SchemaError(f"{path}: JSON header does not decode ({exc})") from None
     if not isinstance(header, dict):
         raise SchemaError(f"{path}: JSON header is not an object")
-    return header, raw[end:]
+    payload = raw[end:]
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        raise SchemaError(
+            f"{path}: payload SHA-256 does not match its header "
+            "(the file is cut, padded or corrupted)"
+        )
+    return header, payload
 
 
 def _check_payload(path, payload: bytes, nbytes: int) -> None:

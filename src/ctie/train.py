@@ -135,6 +135,9 @@ def adamw_step(
     """One in-place decoupled-weight-decay update.
 
     param <- param - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * param
+
+    The moments update in place; each array's update holds at most two
+    temporaries of its size at once.
     """
     state.step += 1
     t = state.step
@@ -143,12 +146,18 @@ def adamw_step(
     for name, param in params.items():
         if name in skip:
             continue
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        param -= lr * (m_hat / (np.sqrt(v_hat) + eps))
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update = m / (1.0 - b1**t)
+        update /= denom
+        update *= lr
+        param -= update
         param -= lr * wd * param
 
 

@@ -602,6 +602,50 @@ class TestCorruptCheckpoint:
             blob = checkpoint[:20] + bad + checkpoint[21:]
             assert self._eval(tmp_path, blob, capsys) == 1, bad
 
+    def test_flipped_payload_byte_exits_one(self, checkpoint, tmp_path, capsys):
+        import struct
+
+        (header_len,) = struct.unpack_from("<Q", checkpoint, 12)
+        payload_start = 20 + header_len
+        for pos in (payload_start, (payload_start + len(checkpoint)) // 2, len(checkpoint) - 1):
+            blob = bytearray(checkpoint)
+            blob[pos] ^= 0x01
+            assert self._eval(tmp_path, bytes(blob), capsys) == 1, pos
+
+    def test_version_one_file_exits_one_naming_the_version(self, checkpoint, tmp_path, capsys):
+        import struct
+
+        (header_len,) = struct.unpack_from("<Q", checkpoint, 12)
+        header = json.loads(checkpoint[20:20 + header_len])
+        del header["payload_sha256"]
+        blob = json.dumps(header).encode()
+        v1 = (checkpoint[:8] + struct.pack("<IQ", 1, len(blob)) + blob
+              + checkpoint[20 + header_len:])
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(v1)
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", "all") == 1
+        err = capsys.readouterr().err
+        assert "version 1" in err and "retrain" in err
+
+
+class TestEvalSplitNeedsTrainConfig:
+    """Without a stored train_config, eval cannot rebuild the train/val/test
+    split; it refuses every split but ``all``."""
+
+    def test_table_only_checkpoint(self, tmp_path, capsys):
+        from ctie.corpus import OntologySchema, load_corpus
+
+        corpus = load_corpus(SMOKE_CORPUS, OntologySchema.default())
+        path = tmp_path / "model.ckpt"
+        _perturbed_checkpoint(path, corpus.types, corpus.sentences, seed=61)
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", "test") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train_config" in err and "'test'" in err
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", "all") == 0
+
 
 class TestEvalUsesCheckpointTypes:
     """``ctie eval`` reads head/tail type ids from the checkpoint's type

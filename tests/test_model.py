@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctie.crf import crf_decode
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
     ModelConfig,
+    _sigmoid,
     backward,
     bigru,
     embed,
@@ -47,11 +49,14 @@ class TestEmbed:
 
 
 def manual_gru_states(x, p, prefix):
-    """Independent straight-line GRU oracle (no masking, single row)."""
-    w_z, w_r, w_c = p[f"{prefix}.w_z"], p[f"{prefix}.w_r"], p[f"{prefix}.w_c"]
-    u_z, u_r, u_c = p[f"{prefix}.u_z"], p[f"{prefix}.u_r"], p[f"{prefix}.u_c"]
-    b_z, b_r, b_c = p[f"{prefix}.b_z"], p[f"{prefix}.b_r"], p[f"{prefix}.b_c"]
-    h = np.zeros(u_z.shape[0])
+    """Independent straight-line GRU oracle (no masking, single row): one
+    matrix-vector product per gate and step, gates sliced [z | r | c]."""
+    w, u, b = p[f"{prefix}.w"], p[f"{prefix}.u"], p[f"{prefix}.b"]
+    n = u.shape[0]
+    w_z, w_r, w_c = w[:, :n], w[:, n:2 * n], w[:, 2 * n:]
+    u_z, u_r, u_c = u[:, :n], u[:, n:2 * n], u[:, 2 * n:]
+    b_z, b_r, b_c = b[:n], b[n:2 * n], b[2 * n:]
+    h = np.zeros(n)
     states = []
     for t in range(x.shape[0]):
         z = 1.0 / (1.0 + np.exp(-(x[t] @ w_z + h @ u_z + b_z)))
@@ -109,6 +114,50 @@ class TestBiGru:
         padded = bigru(x, [1, 1, 1, 1, 0, 0], params)
         np.testing.assert_allclose(padded[:4], full, atol=1e-12)
         assert np.all(padded[4:] == 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12), st.data())
+    def test_ragged_batch_rows_match_unpadded_rows(self, seed, n_rows, width, data):
+        params = self._params(seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for name in ("gru_fwd.b", "gru_bwd.b"):
+            params[name] = rng.normal(size=params[name].shape)
+        lengths = data.draw(st.lists(st.integers(1, width), min_size=n_rows, max_size=n_rows))
+        x = rng.normal(size=(n_rows, width, 4))
+        mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
+        out = bigru(x, mask.astype(int), params)
+        for row, n in enumerate(lengths):
+            np.testing.assert_allclose(out[row, :n], bigru(x[row, :n], [1] * n, params),
+                                       rtol=1e-12)
+            assert np.all(out[row, n:] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_init_blocks_match_per_gate_draws(self, seed):
+        # the draw order of the per-gate layout: embed, then for each
+        # direction w_z, w_r, w_c, u_z, u_r, u_c (biases draw nothing)
+        d, h = 4, 3
+        params = self._params(d=d, h=h, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.uniform(-0.1, 0.1, size=(5, d))
+        for direction in ("gru_fwd", "gru_bwd"):
+            for key, rows in (("w", d), ("u", h)):
+                limit = np.sqrt(6.0 / (rows + h))
+                for gate in range(3):
+                    block = rng.uniform(-limit, limit, size=(rows, h))
+                    got = params[f"{direction}.{key}"][:, gate * h:(gate + 1) * h]
+                    assert np.array_equal(got, block), (direction, key, gate)
+            assert np.all(params[f"{direction}.b"] == 0.0)
+
+
+def test_sigmoid_bit_identical_to_two_branch_form():
+    x = np.array([-800.0, -1e-300, -0.0, 0.0, 1e-300, 800.0])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _sigmoid(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestNerLogits:
@@ -470,7 +519,7 @@ class TestEmbeddingFile:
 def test_param_shapes_cover_all_arrays():
     config = tiny_config()
     shapes = param_shapes(config)
-    assert len(shapes) == 25
+    assert len(shapes) == 13
     assert set(init_params(config, seed=21)) == set(shapes)
 
 
