@@ -261,38 +261,23 @@ def cmd_ablate(args) -> int:
 
 def cmd_extract(args) -> int:
     extractor = extract_mod.Extractor.from_checkpoint(args.checkpoint, _ontology(args))
-    results: list[extract_mod.ExtractionResult] = []
+    spans = None
     if args.input:
-        lines = [
-            line.strip()
-            for line in Path(args.input).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        results = [
-            extractor.extract_text(
-                line, sentence_index=index,
-                ontology_filter=args.ontology_filter,
-                confidence_floor=args.confidence_floor,
-            )
-            for index, line in enumerate(lines)
-        ]
+        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+        token_seqs = [tuple(line.split()) for line in lines if line.strip()]
     else:
-        corpus = load_corpus(args.dataset, _ontology(args))
-        for i, sentence in enumerate(corpus.sentences):
-            spans = None
-            if args.gold_spans:
-                spans = [
-                    evaluation.SpanPrediction(i, e.start, e.end, e.entity_type.name)
-                    for e in sentence.entities
-                ]
-            results.append(
-                extractor.extract_tokens(
-                    sentence.tokens, sentence_index=i,
-                    ontology_filter=args.ontology_filter,
-                    confidence_floor=args.confidence_floor,
-                    spans=spans,
-                )
-            )
+        sentences = load_corpus(args.dataset, _ontology(args)).sentences
+        token_seqs = [sentence.tokens for sentence in sentences]
+        if args.gold_spans:
+            spans = [
+                [evaluation.SpanPrediction(i, e.start, e.end, e.entity_type.name)
+                 for e in sentence.entities]
+                for i, sentence in enumerate(sentences)
+            ]
+    results = extractor.extract_many(
+        token_seqs, ontology_filter=args.ontology_filter,
+        confidence_floor=args.confidence_floor, spans=spans,
+    )
     total = sum(len(r.triples) for r in results)
     print(f"extracted {total} triples from {len(results)} sentences")
     if args.out:
@@ -433,9 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="end-to-end triple extraction")
     common(p, dataset=False)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", help="plain text file, one sentence per line")
-    p.add_argument("--dataset", help="corpus JSON (use --gold-spans for gold entities)")
-    p.add_argument("--gold-spans", action="store_true", dest="gold_spans")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="plain text file, one sentence per line")
+    source.add_argument("--dataset", help="corpus JSON (use --gold-spans for gold entities)")
+    p.add_argument("--gold-spans", action="store_true", dest="gold_spans",
+                   help="classify pairs over the --dataset gold entities")
     p.add_argument("--ontology-filter", action="store_true", dest="ontology_filter")
     p.add_argument("--confidence-floor", type=float, default=0.0,
                    dest="confidence_floor")
@@ -453,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "extract" and not (args.input or args.dataset):
-        parser.error("extract needs --input or --dataset")
+    if args.command == "extract" and args.gold_spans and args.input:
+        parser.error("--gold-spans needs --dataset, not --input")
     try:
         return args.func(args)
     except (DataError, FileNotFoundError) as exc:

@@ -542,26 +542,23 @@ def validate_ontology(
 
 
 def candidate_pairs(
-    sentence: AnnotatedSentence,
+    entity_types: Sequence[str],
     schema: OntologySchema | None = None,
     ontology_filter: bool = False,
 ) -> list[tuple[int, int]]:
-    """All ordered entity pairs (i, j), i != j, i then j ascending.
+    """All ordered pairs (i, j), i != j, i then j ascending, of entities
+    whose type names are ``entity_types`` in span order.
 
     With ``ontology_filter`` the pairs whose type combination matches no
     relation's (domain, range) are dropped.
     """
-    n = len(sentence.entities)
+    n = len(entity_types)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if ontology_filter:
         if schema is None:
             raise ValueError("ontology_filter requires a schema")
         pairs = [
-            (i, j)
-            for i, j in pairs
-            if schema.pair_admissible(
-                sentence.entities[i].entity_type.name, sentence.entities[j].entity_type.name
-            )
+            (i, j) for i, j in pairs if schema.pair_admissible(entity_types[i], entity_types[j])
         ]
     return pairs
 

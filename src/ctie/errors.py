@@ -61,10 +61,6 @@ class UnknownFormat(DataError):
     """An unsupported export format name."""
 
 
-class ModelNotLoaded(RuntimeError):
-    """An inference call was made before model parameters were loaded."""
-
-
 class NonFiniteLoss(RuntimeError):
     """Training produced a NaN/Inf loss; carries the offending batch origins."""
 

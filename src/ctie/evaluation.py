@@ -260,17 +260,6 @@ def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Seque
         yield encode(ids, mask, params), mask
 
 
-def _unpad(h: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    return [row[: int(n)] for row, n in zip(h, mask.sum(axis=1))]
-
-
-def encode_sentences(
-    params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]]
-) -> list[np.ndarray]:
-    """Each sentence's (length, 2h) encoding."""
-    return [e for h, mask in encode_batches(params, vocab, token_seqs) for e in _unpad(h, mask)]
-
-
 def predict_ner_labels(
     params: Params,
     types: TypeSystem,
@@ -362,7 +351,7 @@ def evaluate_model(
     predicted_labels: list[list[str]] = []
     for h, mask in encode_batches(params, vocab, [s.tokens for s in sentences]):
         predicted_labels.extend(predict_ner_labels(params, types, h, mask, allowed))
-        encodings.extend(_unpad(h, mask))
+        encodings.extend(row[: int(n)] for row, n in zip(h, mask.sum(axis=1)))
     sentence_spans = [decode_spans(t, sentence_index=i) for i, t in enumerate(predicted_labels)]
     gold_label_seqs = [list(s.labels) for s in sentences]
     ner = ner_metrics(
@@ -384,13 +373,8 @@ def evaluate_model(
         predicted_pairs = [
             PairPrediction(i, triple.head_span, triple.tail_span, triple.relation)
             for i, (sentence, h, spans) in enumerate(zip(sentences, encodings, sentence_spans))
-            for triple in extractor.extract_tokens(
-                sentence.tokens,
-                sentence_index=i,
-                ontology_filter=ontology_filter,
-                confidence_floor=confidence_floor,
-                spans=spans,
-                h=h,
+            for triple in extractor.score_pairs(
+                sentence.tokens, h, spans, i, ontology_filter, confidence_floor
             ).triples
         ]
     else:

@@ -1,6 +1,12 @@
 """End-to-end inference: sentence text -> decoded spans -> classified
 entity pairs -> relation triples -> graph-ready export.
 
+``Extractor.extract_many`` is the one inference path: each padded batch
+of ``ENCODE_BATCH`` sentences takes one encoder call and one batched
+Viterbi call, and each sentence's pairs are then scored from its row of
+that encoding. ``extract_tokens`` and ``extract_text`` run it on a batch
+of one.
+
 Every ordered pair of decoded entities is classified; a pair survives as
 a triple when its argmax relation is not noRelation and its probability
 clears the confidence floor. With the ontology filter on, pairs whose
@@ -20,16 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import OntologySchema, TypeSystem
-from .errors import EmptyInput, ModelNotLoaded, SchemaError, UnknownFormat
-from .evaluation import SpanPrediction, decode_spans, encode_sentences
+from .corpus import OntologySchema, TypeSystem, candidate_pairs
+from .errors import EmptyInput, SchemaError, UnknownFormat
+from .evaluation import SpanPrediction, decode_spans, encode_batches, predict_ner_labels
 from .model import (
     ModelConfig,
     Params,
     checkpoint_tables,
     decode_constraint,
     load_checkpoint,
-    ner_predict,
     relation_head,
 )
 from .mslr import Vocabulary, make_entity_mask
@@ -88,10 +93,10 @@ class ExtractionResult:
 
 @dataclass
 class Extractor:
-    params: Params | None
-    config: ModelConfig | None
-    vocab: Vocabulary | None
-    types: TypeSystem | None
+    params: Params
+    config: ModelConfig
+    vocab: Vocabulary
+    types: TypeSystem
     ontology: OntologySchema
 
     @classmethod
@@ -106,24 +111,67 @@ class Extractor:
             ontology=ontology or OntologySchema.default(),
         )
 
-    def _require_loaded(self) -> None:
-        if self.params is None or self.config is None or self.vocab is None or self.types is None:
-            raise ModelNotLoaded("extractor has no loaded checkpoint")
-
     @cached_property
     def _allowed(self) -> np.ndarray | None:
         return decode_constraint(self.config, self.types.bio_labels)
 
+    @cached_property
+    def _admissible(self) -> np.ndarray:
+        """(head type id, tail type id, relation id) -> the ontology admits
+        that relation for the pair; noRelation is always admitted."""
+        entity_types, relations = self.types.entity_types, self.types.relations
+        table = np.zeros((len(entity_types), len(entity_types), len(relations)), dtype=bool)
+        for head in entity_types:
+            for tail in entity_types:
+                names = set(self.ontology.admissible_relations(head.name, tail.name))
+                table[head.id, tail.id] = [r.name in names for r in relations]
+        table[..., self.types.no_relation.id] = True
+        return table
+
     def decode_entities(
-        self, tokens: Sequence[str], sentence_index: int = 0, h: np.ndarray | None = None
-    ) -> list[SpanPrediction]:
-        """Tag one sentence; ``h`` is its encoding if the caller has it."""
-        self._require_loaded()
-        if h is None:
-            h = encode_sentences(self.params, self.vocab, [tokens])[0]
-        path = ner_predict(h[None], np.ones((1, len(h))), self.params, self._allowed)[0]
-        tags = [self.types.bio_tag(i) for i in path]
-        return decode_spans(tags, sentence_index=sentence_index)
+        self, h: np.ndarray, mask: np.ndarray, first_index: int = 0
+    ) -> list[list[SpanPrediction]]:
+        """Spans of each row of one padded encoder batch, in one batched
+        Viterbi call; row b is sentence ``first_index + b``."""
+        tags = predict_ner_labels(self.params, self.types, h, mask, self._allowed)
+        return [decode_spans(t, sentence_index=first_index + b) for b, t in enumerate(tags)]
+
+    def extract_many(
+        self,
+        token_seqs: Sequence[Sequence[str]],
+        first_index: int = 0,
+        ontology_filter: bool = False,
+        confidence_floor: float = 0.0,
+        spans: Sequence[Sequence[SpanPrediction]] | None = None,
+    ) -> list[ExtractionResult]:
+        """Run the pipeline on tokenized sentences, numbered from
+        ``first_index``: one encoder pass per ``ENCODE_BATCH`` sentences,
+        then NER and every candidate pair scored from that encoding.
+
+        Pass ``spans`` (one span list per sentence) to skip NER and
+        classify known entity sets (gold spans, or spans from an external
+        tagger).
+        """
+        token_seqs = [tuple(tokens) for tokens in token_seqs]
+        for k, tokens in enumerate(token_seqs):
+            if not tokens:
+                raise EmptyInput(f"sentence {first_index + k} has no tokens")
+        if spans is not None and len(spans) != len(token_seqs):
+            raise ValueError(f"{len(spans)} span lists for {len(token_seqs)} sentences")
+        results: list[ExtractionResult] = []
+        for h, mask in encode_batches(self.params, self.vocab, token_seqs):
+            lo = len(results)
+            batch_spans = (
+                self.decode_entities(h, mask, first_index + lo) if spans is None
+                else spans[lo : lo + len(h)]
+            )
+            for b, sentence_spans in enumerate(batch_spans):
+                tokens = token_seqs[lo + b]
+                results.append(self.score_pairs(
+                    tokens, h[b, : len(tokens)], sentence_spans, first_index + lo + b,
+                    ontology_filter, confidence_floor,
+                ))
+        return results
 
     def extract_text(
         self,
@@ -147,43 +195,29 @@ class Extractor:
         ontology_filter: bool = False,
         confidence_floor: float = 0.0,
         spans: Sequence[SpanPrediction] | None = None,
-        h: np.ndarray | None = None,
     ) -> ExtractionResult:
-        """Run the pipeline on one tokenized sentence: one encoder pass, then
-        NER and every candidate pair scored from that encoding ``h``
-        (pass it if the caller already has it).
+        """``extract_many`` on one sentence."""
+        return self.extract_many(
+            [tokens], first_index=sentence_index, ontology_filter=ontology_filter,
+            confidence_floor=confidence_floor, spans=None if spans is None else [spans],
+        )[0]
 
-        Pass ``spans`` to skip NER and classify a known entity set (gold
-        spans, or spans from an external tagger).
-        """
-        self._require_loaded()
-        tokens = tuple(tokens)
-        if not tokens:
-            raise EmptyInput("sentence has no tokens")
-        if h is None:
-            h = encode_sentences(self.params, self.vocab, [tokens])[0]
-        if spans is None:
-            spans = self.decode_entities(tokens, sentence_index, h=h)
+    def score_pairs(
+        self,
+        tokens: tuple[str, ...],
+        h: np.ndarray,
+        spans: Sequence[SpanPrediction],
+        sentence_index: int,
+        ontology_filter: bool,
+        confidence_floor: float,
+    ) -> ExtractionResult:
+        """Classify every candidate pair of ``spans`` from the sentence's
+        (length, 2h) encoding ``h``."""
         spans = list(spans)
-
         result = ExtractionResult(
-            sentence_index=sentence_index, tokens=tokens, spans=spans, triples=[]
+            sentence_index=sentence_index, tokens=tuple(tokens), spans=spans, triples=[]
         )
-        if len(spans) < 2:
-            return result
-
-        pairs = [
-            (i, j)
-            for i in range(len(spans))
-            for j in range(len(spans))
-            if i != j
-        ]
-        if ontology_filter:
-            pairs = [
-                (i, j)
-                for i, j in pairs
-                if self.ontology.pair_admissible(spans[i].entity_type, spans[j].entity_type)
-            ]
+        pairs = candidate_pairs([s.entity_type for s in spans], self.ontology, ontology_filter)
         if not pairs:
             return result
 
@@ -193,35 +227,28 @@ class Extractor:
                     f"span [{s.start}, {s.end}) has entity type {s.entity_type!r} "
                     "unknown to this checkpoint's type system"
                 )
-        type_id = [self.types.entity_type(s.entity_type).id for s in spans]
+        type_id = np.array([self.types.entity_type(s.entity_type).id for s in spans])
+        head_ids, tail_ids = type_id[np.array(pairs).T]
         *_, probs = relation_head(
             h,
             [make_entity_mask(len(tokens), spans[i], spans[j]) for i, j in pairs],
-            [type_id[i] for i, _ in pairs],
-            [type_id[j] for _, j in pairs],
+            head_ids,
+            tail_ids,
             self.params,
             self.config,
         )
+        scores = probs
+        if ontology_filter:
+            # argmax takes the first maximal index, as a max over the admissible ids would
+            scores = np.where(self._admissible[head_ids, tail_ids], probs, -np.inf)
+        best = np.argmax(scores, axis=1)
 
         rel_names = [r.name for r in self.types.relations]
         no_rel_idx = self.types.no_relation.id
-        for k, (i, j) in enumerate(pairs):
+        for (i, j), row, k in zip(pairs, probs, best):
             head, tail = spans[i], spans[j]
-            row = probs[k]
-            if ontology_filter:
-                admissible = set(
-                    self.ontology.admissible_relations(head.entity_type, tail.entity_type)
-                )
-                candidates = [
-                    idx
-                    for idx, name in enumerate(rel_names)
-                    if name in admissible or idx == no_rel_idx
-                ]
-            else:
-                candidates = list(range(len(rel_names)))
-            best = max(candidates, key=lambda idx: (row[idx], -idx))
-            confidence = float(row[best])
-            if best == no_rel_idx or confidence < confidence_floor:
+            confidence = float(row[k])
+            if k == no_rel_idx or confidence < confidence_floor:
                 result.dropped.append(
                     {
                         "head_span": [head.start, head.end],
@@ -234,7 +261,7 @@ class Extractor:
                 Triple(
                     head=" ".join(tokens[head.start : head.end]),
                     head_type=head.entity_type,
-                    relation=rel_names[best],
+                    relation=rel_names[k],
                     tail=" ".join(tokens[tail.start : tail.end]),
                     tail_type=tail.entity_type,
                     confidence=confidence,

@@ -205,16 +205,19 @@ def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
 
 @dataclass
 class GruTrace:
-    x: np.ndarray        # (B*T, d) inputs in processing order, row b*T + t
-    mask: np.ndarray     # (B, T) in processing order
+    x: np.ndarray        # (B*T, d) inputs, row b*T + t
+    mask: np.ndarray     # (B, T)
     gates: np.ndarray    # (B, T, 3h) activations z | r | c
     h: np.ndarray        # (B, T+1, h) zero start state, then the state after each step
+    reverse: bool        # walked from t = T-1 down: start state at T, step t's at t
 
 
-def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str) -> tuple[np.ndarray, GruTrace]:
-    """One direction. Every step's input projection is one GEMM before the
-    recurrence; a step then makes one recurrent GEMM for z|r and one for c.
-    Masked steps leave the recurrent state untouched and emit zeros."""
+def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str,
+             reverse: bool = False) -> tuple[np.ndarray, GruTrace]:
+    """One direction, walking time backwards when ``reverse``. Every step's
+    input projection is one GEMM before the recurrence; a step then makes
+    one recurrent GEMM for z|r and one for c. Masked steps leave the
+    recurrent state untouched and emit zeros."""
     w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
     n_batch, n_steps, n_in = x.shape
     n_hidden = u.shape[0]
@@ -226,17 +229,18 @@ def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str) -> tu
     gates = gates.reshape(n_batch, n_steps, 3 * n_hidden)
     h = np.zeros((n_batch, n_steps + 1, n_hidden))
     out = np.empty((n_batch, n_steps, n_hidden))
-    for t in range(n_steps):
+    back = int(reverse)
+    for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
         m = mask[:, t][:, None]
-        h_prev = h[:, t]
+        h_prev = h[:, t + back]
         gates[:, t, zr] = _sigmoid(gates[:, t, zr] + h_prev @ u[:, zr])
         zt, rt = gates[:, t, z], gates[:, t, r]
         ct = np.tanh(gates[:, t, c] + (rt * h_prev) @ u[:, c])
         gates[:, t, c] = ct
         ht = m * ((1.0 - zt) * ct + zt * h_prev) + (1.0 - m) * h_prev
-        h[:, t + 1] = ht
+        h[:, t + 1 - back] = ht
         out[:, t] = m * ht
-    return out, GruTrace(x=x, mask=mask, gates=gates, h=h)
+    return out, GruTrace(x=x, mask=mask, gates=gates, h=h, reverse=reverse)
 
 
 def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
@@ -253,9 +257,10 @@ def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: st
     gates = trace.gates
     d_a = np.empty_like(gates)
     dh = np.zeros((n_batch, n_hidden))
-    for t in range(n_steps - 1, -1, -1):
+    back = int(trace.reverse)
+    for t in range(n_steps) if trace.reverse else range(n_steps - 1, -1, -1):
         m = trace.mask[:, t][:, None]
-        h_prev = trace.h[:, t]
+        h_prev = trace.h[:, t + back]
         zt, rt, ct = gates[:, t, z], gates[:, t, r], gates[:, t, c]
         dht = dh + d_out[:, t] * m
         dh_new = dht * m
@@ -266,7 +271,7 @@ def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: st
         d_a[:, t, c] = da_c
         dh = dht * (1.0 - m) + dh_new * zt + drh * rt + d_a[:, t, zr] @ u[:, zr].T
     d_a = d_a.reshape(-1, 3 * n_hidden)
-    h_prev = trace.h[:, :-1]
+    h_prev = trace.h[:, back : n_steps + back]
     r_h_prev = (gates[..., r] * h_prev).reshape(-1, n_hidden)
     g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
     np.matmul(trace.x.T, d_a, out=g_w)
@@ -283,8 +288,8 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     mask = np.asarray(attention_mask, dtype=np.float64)
     mask = mask[None] if mask.ndim == 1 else mask
     out_f, trace_f = _gru_run(x, mask, params, "gru_fwd")
-    out_b_rev, trace_b = _gru_run(x[:, ::-1], mask[:, ::-1], params, "gru_bwd")
-    out = np.concatenate([out_f, out_b_rev[:, ::-1]], axis=2)
+    out_b, trace_b = _gru_run(x, mask, params, "gru_bwd", reverse=True)
+    out = np.concatenate([out_f, out_b], axis=2)
     if squeeze:
         out = out[0]
     if with_trace:
@@ -543,10 +548,8 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
 
     trace_f, trace_b = trace.gru_traces
     d_x_f = _gru_backprop(trace_f, d_h_bigru[:, :, :n_hidden], params, "gru_fwd", grads)
-    d_x_b_rev = _gru_backprop(
-        trace_b, d_h_bigru[:, ::-1, n_hidden:], params, "gru_bwd", grads
-    )
-    d_emb_d = d_x_f + d_x_b_rev[:, ::-1]
+    d_x_b = _gru_backprop(trace_b, d_h_bigru[:, :, n_hidden:], params, "gru_bwd", grads)
+    d_emb_d = d_x_f + d_x_b
 
     d_emb = d_emb_d if trace.drop_emb is None else d_emb_d * trace.drop_emb
     flat_ids = batch.token_ids.reshape(-1)

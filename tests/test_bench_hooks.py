@@ -65,3 +65,19 @@ def test_hook_arguments_are_in_the_signatures():
             assert not missing, f"{module_name}.{attr} has no argument {sorted(missing)}"
             seen |= recorder.read
     assert {"batch", "mode", "trace", "attention_mask"} <= seen
+
+
+def test_benchmark_calls_bind_to_the_signatures():
+    """perfbench/run.py calls these by keyword; each call must still bind."""
+    import ctie
+
+    calls = [
+        (ctie.Extractor, (), dict(params=0, config=0, vocab=0, types=0, ontology=0)),
+        (ctie.Extractor.extract_text, (None, "text"),
+         dict(sentence_index=0, ontology_filter=True, confidence_floor=0.5)),
+        (ctie.evaluate_model, (0, 0, 0, 0, []), dict(re_mode="gold")),
+        (ctie.train_loop, ([], 0, 0), dict(model_kwargs={})),
+        (ctie.TrainConfig, (), dict(epochs=1, learning_rate=0.01)),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

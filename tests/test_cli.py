@@ -84,6 +84,15 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ("--input", "s.txt", "--dataset", FIG_CORPUS),
+        ("--input", "s.txt", "--gold-spans"),
+    ], ids=["input-and-dataset", "gold-spans-with-input"])
+    def test_extract_source_conflicts_exit_two(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run("extract", "--checkpoint", "whatever.ckpt", *argv)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
         ("validate", "--dataset", FIG_CORPUS, "--out", "unused"),
         ("validate", "--dataset", FIG_CORPUS, "--seed", "1"),
         ("export", "--extractions", "x.json", "--out", "unused", "--ontology", "o.json"),

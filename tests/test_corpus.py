@@ -274,10 +274,14 @@ class TestOntology:
             validate_ontology(corpus.sentences[0], schema)
 
 
+def type_names(sentence):
+    return [e.entity_type.name for e in sentence.entities]
+
+
 class TestCandidatePairs:
     def test_three_entities_unfiltered(self):
         corpus = load_corpus(as_bytes([FIG_RECORD]))
-        pairs = candidate_pairs(corpus.sentences[0])
+        pairs = candidate_pairs(type_names(corpus.sentences[0]))
         assert pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
     def test_time_org_filtered_to_zero(self):
@@ -289,8 +293,8 @@ class TestCandidatePairs:
             "entity_labels": ["B-Time", "O", "B-Org"],
         }
         corpus = load_corpus(as_bytes([record]), schema)
-        assert candidate_pairs(corpus.sentences[0], schema, ontology_filter=True) == []
-        assert len(candidate_pairs(corpus.sentences[0])) == 2
+        assert candidate_pairs(type_names(corpus.sentences[0]), schema, ontology_filter=True) == []
+        assert len(candidate_pairs(type_names(corpus.sentences[0]))) == 2
 
     def test_single_entity(self):
         record = {
@@ -300,7 +304,7 @@ class TestCandidatePairs:
             "entity_labels": ["O", "B-Tool", "O"],
         }
         corpus = load_corpus(as_bytes([record]))
-        assert candidate_pairs(corpus.sentences[0]) == []
+        assert candidate_pairs(type_names(corpus.sentences[0])) == []
 
     def test_filtered_pairs_labeled_by_schema_pass_validation(self):
         # any sentence whose relations come from candidate_pairs + schema
@@ -312,7 +316,7 @@ class TestCandidatePairs:
             corpus = load_corpus(as_bytes([dict(record, relations=[])]), schema)
             sentence = corpus.sentences[0]
             relations = []
-            for i, j in candidate_pairs(sentence, schema, ontology_filter=True):
+            for i, j in candidate_pairs(type_names(sentence), schema, ontology_filter=True):
                 name = schema.admissible_relations(
                     sentence.entities[i].entity_type.name,
                     sentence.entities[j].entity_type.name,

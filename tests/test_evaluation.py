@@ -234,7 +234,8 @@ class TestEvaluateModel:
         )
         params = init_params(config, seed=4)
         params["ner_w"] = np.random.default_rng(4).normal(scale=3.0, size=params["ner_w"].shape)
-        encodings = evaluation.encode_sentences(params, vocab, [s.tokens for s in sentences])
+        encodings = [next(evaluation.encode_batches(params, vocab, [s.tokens]))[0][0]
+                     for s in sentences]
         assert len({len(h) for h in encodings}) > 1
 
         decoded = []

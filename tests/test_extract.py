@@ -1,9 +1,14 @@
 """End-to-end extraction mechanics and graph export."""
 
-import pytest
+from dataclasses import replace
 
-from ctie.corpus import NO_RELATION, OntologySchema, load_corpus
-from ctie.errors import EmptyInput, ModelNotLoaded, UnknownFormat
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ctie.evaluation as evaluation
+from ctie.corpus import NO_RELATION, OntologySchema, candidate_pairs, load_corpus
+from ctie.errors import EmptyInput, UnknownFormat
 from ctie.evaluation import SpanPrediction
 from ctie.extract import (
     ExtractionResult,
@@ -96,6 +101,39 @@ class TestExtract:
         for t in result.triples:
             assert schema.admits(t.relation, t.head_type, t.tail_type)
 
+    def test_ontology_argmax_matches_candidate_loop(self, extractor, monkeypatch):
+        # tied probabilities; the reference is a per-pair max over the
+        # admissible relations plus noRelation, the lowest id winning ties
+        rng = np.random.default_rng(0)
+        blocks = []
+
+        def tied_head(h, masks, *rest):
+            n_relations = len(extractor.types.relations)
+            blocks.append(rng.integers(1, 4, size=(len(masks), n_relations)) / 10)
+            return None, None, None, blocks[-1]
+
+        monkeypatch.setattr("ctie.extract.relation_head", tied_head)
+        tokens = tuple("APT28 used Mimikatz against banks in 2014 says FireEye".split())
+        spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "Tool"),
+                 g_span(0, 4, 5, "Org"), g_span(0, 6, 7, "Time"),
+                 g_span(0, 8, 9, "SecTeam")]
+        result = extractor.extract_tokens(tokens, spans=spans, ontology_filter=True)
+        names = [r.name for r in extractor.types.relations]
+        no_rel = extractor.types.no_relation.id
+        expected = []
+        pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, True)
+        for (i, j), row in zip(pairs, blocks[0]):
+            admissible = set(extractor.ontology.admissible_relations(
+                spans[i].entity_type, spans[j].entity_type))
+            best = max((k for k, name in enumerate(names) if name in admissible or k == no_rel),
+                       key=lambda k: (row[k], -k))
+            if best != no_rel:
+                expected.append(((spans[i].start, spans[i].end), (spans[j].start, spans[j].end),
+                                 names[best], row[best]))
+        assert [(t.head_span, t.tail_span, t.relation, t.confidence)
+                for t in result.triples] == expected
+        assert len(result.dropped) == len(pairs) - len(expected) > 0
+
     def test_decoded_spans_used_when_none_supplied(self, extractor):
         result = extractor.extract_text("APT28 used Mimikatz against banks")
         assert isinstance(result, ExtractionResult)
@@ -111,11 +149,13 @@ class TestExtract:
         if surfaces:
             assert surfaces <= {"Cozy Bear", "Cobalt Strike"}
 
-    def test_model_not_loaded(self):
-        bare = Extractor(params=None, config=None, vocab=None, types=None,
-                         ontology=OntologySchema.default())
-        with pytest.raises(ModelNotLoaded):
-            bare.extract_text("anything")
+    def test_empty_sequence_rejected_before_encoding(self, extractor, monkeypatch):
+        def no_encoding(*args):
+            raise AssertionError("encoded a batch holding an empty sentence")
+
+        monkeypatch.setattr("ctie.extract.encode_batches", no_encoding)
+        with pytest.raises(EmptyInput, match="sentence 6 "):
+            extractor.extract_many([("a", "b"), ()], first_index=5)
 
     def test_unknown_span_type_rejected(self, extractor):
         from ctie.errors import SchemaError
@@ -137,6 +177,75 @@ class TestExtract:
         a = extractor.extract_text("APT28 used Mimikatz against banks")
         b = loaded.extract_text("APT28 used Mimikatz against banks")
         assert [t.key for t in a.triples] == [t.key for t in b.triples]
+
+
+def _tagging_extractor(extractor, constrained):
+    """The fixture model with emissions large enough that its Viterbi paths
+    hold several entities."""
+    params = dict(extractor.params)
+    params["ner_w"] = np.random.default_rng(4).normal(scale=3.0, size=params["ner_w"].shape)
+    return replace(extractor, params=params,
+                   config=replace(extractor.config, bio_constrained_decode=constrained))
+
+
+_WORDS = ("APT28", "used", "Mimikatz", "against", "banks", "in", "2014", "Cozy", "Bear",
+          "FireEye", "unseenword", ".")
+
+
+@st.composite
+def _sentence_and_spans(draw, entity_types):
+    tokens = tuple(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=11)))
+    cuts = sorted(draw(st.sets(st.integers(0, len(tokens)), max_size=8)))
+    spans = [
+        SpanPrediction(0, start, end, draw(st.sampled_from(entity_types)))
+        for start, end in zip(cuts[::2], cuts[1::2]) if start < end
+    ]
+    return tokens, spans
+
+
+def _same_result(a, b):
+    assert (a.sentence_index, a.tokens, a.spans) == (b.sentence_index, b.tokens, b.spans)
+    assert [(t.key, t.head_span, t.tail_span, t.sentence_index) for t in a.triples] == [
+        (t.key, t.head_span, t.tail_span, t.sentence_index) for t in b.triples]
+    for x, y in zip(a.triples, b.triples):
+        assert abs(x.confidence - y.confidence) <= 1e-12
+    assert [(d["head_span"], d["tail_span"]) for d in a.dropped] == [
+        (d["head_span"], d["tail_span"]) for d in b.dropped]
+    for x, y in zip(a.dropped, b.dropped):
+        assert abs(x["no_relation_confidence"] - y["no_relation_confidence"]) <= 1e-12
+
+
+@pytest.mark.parametrize("constrained", [False, True], ids=["free", "bio-constrained"])
+@pytest.mark.parametrize("with_spans", [False, True], ids=["decoded", "given-spans"])
+def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_spans):
+    tagger = _tagging_extractor(extractor, constrained)
+    entity_types = [e.name for e in tagger.types.entity_types]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        items=st.lists(_sentence_and_spans(entity_types), min_size=1, max_size=9),
+        first_index=st.integers(0, 3),
+        ontology_filter=st.booleans(),
+    )
+    def check(batch, items, first_index, ontology_filter):
+        seqs = [tokens for tokens, _ in items]
+        spans = [s for _, s in items] if with_spans else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "ENCODE_BATCH", batch)
+            many = tagger.extract_many(seqs, first_index=first_index,
+                                       ontology_filter=ontology_filter, spans=spans)
+        one_by_one = [
+            tagger.extract_tokens(tokens, sentence_index=first_index + i,
+                                  ontology_filter=ontology_filter,
+                                  spans=None if spans is None else spans[i])
+            for i, tokens in enumerate(seqs)
+        ]
+        assert len(many) == len(one_by_one)
+        for a, b in zip(many, one_by_one):
+            _same_result(a, b)
+
+    check()
 
 
 def make_triple(head, head_type, rel, tail, tail_type, conf=0.9, sent=0):
