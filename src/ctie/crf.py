@@ -27,21 +27,42 @@ a row past the end of its chain carries its state through unchanged. A
 row with no unmasked step has logZ 0, NLL 0, zero gradients and an empty
 path.
 
+Recursions as GEMMs. Each step of the forward and the backward recursion
+is one (B, L) x (L, L) product on max-shifted exponentials:
+
+    alpha_t = log(exp(alpha_{t-1} - max alpha_{t-1}) @ exp(inner - i_max))
+              + max alpha_{t-1} + i_max + e_t
+
+with i_max the largest finite inner transition; the backward step mirrors
+it with ``inner.T`` on ``e_{t+1} + beta_{t+1}``. A row whose max is -inf
+stays -inf, and a label no allowed step reaches gets log(0) = -inf. The
+step into STOP that closes the forward recursion is the same product
+with the (L, 1) column of STOP scores.
+Viterbi is max-plus and keeps its (B, L, L) maximum per step.
+
+Exactness. With every transition finite and of span S, each product entry
+is at least exp(-S), whatever the emissions, so the recursions are exact
+to rounding for S below about 700 nats; training's transitions are always
+finite. With -inf entries (a folded BIO mask) a label's allowed
+predecessors need not hold the row's maximum, and the limit is the
+per-step gap in alpha (in emission + beta for the backward pass): an
+entry whose every allowed term sits more than about 700 nats below that
+maximum underflows to -inf.
+
 Single-pass gradient. ``crf_nll_grad`` runs the forward and the backward
 recursion once and returns the per-row NLL, d NLL / d emissions (node
 marginals minus the gold one-hot, in the original positions) and
 d NLL / d transitions summed over the batch (expected minus gold counts,
 including the START and STOP blocks). The expected inner counts of every
 row and step are summed by one GEMM in probability space,
-``exp(inner) * (P.T @ Q)``, with P and Q the alpha and the
+``exp(inner - i_max) * (P.T @ Q)``, with P and Q the alpha and the
 emission-plus-beta factors max-shifted per step; no (B, T, L, L) tensor is
 built. The factors are exact to rounding while no step's shift
-``max alpha + max(emission + beta) + max finite transition - logZ``
-overflows, about 700 nats. With every transition finite that shift is at
-most the span of the transition scores, since logZ covers the path through
-the two maxima; training's transitions are always finite. With -inf
-entries (a folded BIO mask) it is bounded only by the per-step gaps in
-alpha and in emission + beta, and a step past 700 nats gives inf or NaN.
+``max alpha + max(emission + beta) + i_max - logZ`` overflows, under the
+same rule as the recursions: with every transition finite the shift is at
+most S, since logZ covers the path through the two maxima; with -inf
+entries it is bounded only by the per-step gaps, and a step past 700 nats
+gives inf or NaN.
 """
 
 from __future__ import annotations
@@ -51,11 +72,23 @@ from functools import cached_property
 import numpy as np
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
+def _exp_shifted(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(scores - top), top), top the largest finite score (0 if none);
+    -inf scores become 0."""
+    finite = scores[np.isfinite(scores)]
+    top = float(finite.max()) if finite.size else 0.0
+    return np.exp(scores - top), top
+
+
+def _log_matmul(x: np.ndarray, weights: np.ndarray, shift: float) -> np.ndarray:
+    """log(exp(x) @ (weights * exp(shift))) for rows x (B, L), as one GEMM on
+    the row-max-shifted exponentials; ``weights, shift`` is ``_exp_shifted``'s
+    pair, its weights transposed for the backward recursion. A row whose
+    max is -inf gives -inf, not NaN."""
+    x_max = np.max(x, axis=1, keepdims=True)
+    x_max = np.where(np.isfinite(x_max), x_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - x_max) @ weights) + (x_max + shift)
 
 
 def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -131,15 +164,16 @@ def _alpha_pass(chains: _Chains, inner, start, stop, keep_all: bool = False):
     if width == 0:
         return alphas, np.zeros(n_batch)
     shortest = int(lengths.min())
-    into = np.ascontiguousarray(inner.T)  # into[j, i] scores i -> j
+    step, i_max = _exp_shifted(inner)
     alpha = start + em[:, 0]
     for t in range(width):
         if t:
-            nxt = _logsumexp(alpha[:, None, :] + into, axis=2) + em[:, t]
+            nxt = _log_matmul(alpha, step, i_max) + em[:, t]
             alpha = nxt if t < shortest else np.where((t < lengths)[:, None], nxt, alpha)
         if keep_all:
             alphas[:, t] = alpha
-    log_z = np.where(lengths > 0, _logsumexp(alpha + stop, axis=1), 0.0)
+    into_stop = _log_matmul(alpha, *_exp_shifted(stop[:, None]))[:, 0]  # the step into STOP
+    log_z = np.where(lengths > 0, into_stop, 0.0)
     return alphas, log_z
 
 
@@ -148,10 +182,11 @@ def _beta_pass(chains: _Chains, inner, stop) -> np.ndarray:
     em, lengths = chains.em, chains.lengths
     width = em.shape[1]
     betas = np.empty(em.shape)
+    step, i_max = _exp_shifted(inner)
     beta = np.broadcast_to(stop, (len(em), len(stop)))
     for t in range(width - 1, -1, -1):
         if t < width - 1:
-            nxt = _logsumexp(inner + (em[:, t + 1] + beta)[:, None, :], axis=2)
+            nxt = _log_matmul(em[:, t + 1] + beta, step.T, i_max)
             beta = np.where((t + 1 < lengths)[:, None], nxt, stop)
         betas[:, t] = beta
     return betas
@@ -256,13 +291,12 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
         r = chains.em[:, 1:] + betas[:, 1:]
         a_max = np.max(a, axis=2, keepdims=True)
         r_max = np.max(r, axis=2, keepdims=True)
-        finite = inner[np.isfinite(inner)]
-        i_max = finite.max() if finite.size else 0.0
+        step, i_max = _exp_shifted(inner)
         shift = a_max + r_max + i_max - log_z[:, None, None]
         scale = np.exp(np.where(valid[:, 1:, None], shift, -np.inf))
         p = np.exp(a - a_max).reshape(-1, num_labels)
         q = (np.exp(r - r_max) * scale).reshape(-1, num_labels)
-        d_transitions[:num_labels, :num_labels] = np.exp(inner - i_max) * (p.T @ q)
+        d_transitions[:num_labels, :num_labels] = step * (p.T @ q)
         edges = valid[:, 1:]
         np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -1.0)
 

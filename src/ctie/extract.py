@@ -150,14 +150,23 @@ class Extractor:
 
         Pass ``spans`` (one span list per sentence) to skip NER and
         classify known entity sets (gold spans, or spans from an external
-        tagger).
+        tagger); a span whose entity type the checkpoint does not know is a
+        ``SchemaError``, raised before anything is encoded.
         """
         token_seqs = [tuple(tokens) for tokens in token_seqs]
         for k, tokens in enumerate(token_seqs):
             if not tokens:
                 raise EmptyInput(f"sentence {first_index + k} has no tokens")
-        if spans is not None and len(spans) != len(token_seqs):
-            raise ValueError(f"{len(spans)} span lists for {len(token_seqs)} sentences")
+        if spans is not None:
+            if len(spans) != len(token_seqs):
+                raise ValueError(f"{len(spans)} span lists for {len(token_seqs)} sentences")
+            for k, row in enumerate(spans):
+                for s in row:
+                    if not self.types.has_entity_type(s.entity_type):
+                        raise SchemaError(
+                            f"sentence {first_index + k}: span [{s.start}, {s.end}) has "
+                            f"entity type {s.entity_type!r} unknown to this checkpoint"
+                        )
         results: list[ExtractionResult] = []
         for h, mask in encode_batches(self.params, self.vocab, token_seqs):
             lo = len(results)
@@ -212,7 +221,9 @@ class Extractor:
         confidence_floor: float,
     ) -> ExtractionResult:
         """Classify every candidate pair of ``spans`` from the sentence's
-        (length, 2h) encoding ``h``."""
+        (length, 2h) encoding ``h``. The spans' entity types are the
+        checkpoint's: decoded spans always are, and ``extract_many`` checks
+        given ones before it encodes."""
         spans = list(spans)
         result = ExtractionResult(
             sentence_index=sentence_index, tokens=tuple(tokens), spans=spans, triples=[]
@@ -221,12 +232,6 @@ class Extractor:
         if not pairs:
             return result
 
-        for s in spans:
-            if not self.types.has_entity_type(s.entity_type):
-                raise SchemaError(
-                    f"span [{s.start}, {s.end}) has entity type {s.entity_type!r} "
-                    "unknown to this checkpoint's type system"
-                )
         type_id = np.array([self.types.entity_type(s.entity_type).id for s in spans])
         head_ids, tail_ids = type_id[np.array(pairs).T]
         *_, probs = relation_head(

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctie.crf import (
+    _exp_shifted,
+    _log_matmul,
     bio_allowed_transitions,
     crf_decode,
     crf_log_partition,
@@ -265,3 +267,129 @@ class TestBatchInvariance:
             assert paths[b] == crf_decode(emissions[b][keep], transitions, allowed=allowed)
             assert len(paths[b]) == len(keep)
         np.testing.assert_allclose(summed, d_trans, rtol=1e-9, atol=1e-9)
+
+
+def _reference_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    return np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+
+
+def _reference_crf(emissions, labels, transitions, mask):
+    """(logZ, NLL, d emissions, d transitions, node marginals) of a batch by
+    the log-space recursion, one (L, L) logsumexp per step, on each row's
+    compacted chain; node marginals are (B, N, L) on the chains, as
+    ``crf_marginals`` returns them."""
+    n_batch, n_steps, n_labels = emissions.shape
+    inner = transitions[:n_labels, :n_labels]
+    start, stop = transitions[n_labels, :n_labels], transitions[:n_labels, n_labels + 1]
+    log_z, nll = np.zeros(n_batch), np.zeros(n_batch)
+    node = np.zeros((n_batch, int(mask.sum(axis=1).max()), n_labels))
+    d_em = np.zeros(emissions.shape)
+    d_trans = np.zeros(transitions.shape)
+    for b in range(n_batch):
+        keep = np.flatnonzero(mask[b])
+        n = len(keep)
+        if n == 0:
+            continue
+        em, y = emissions[b, keep], labels[b, keep]
+        alpha, beta = np.empty((n, n_labels)), np.empty((n, n_labels))
+        alpha[0] = start + em[0]
+        beta[-1] = stop
+        with np.errstate(divide="ignore"):
+            for t in range(1, n):
+                alpha[t] = _reference_logsumexp(alpha[t - 1][:, None] + inner, axis=0) + em[t]
+            for t in range(n - 2, -1, -1):
+                beta[t] = _reference_logsumexp(inner + (em[t + 1] + beta[t + 1])[None], axis=1)
+        log_z[b] = _reference_logsumexp(alpha[-1] + stop, axis=0)
+        gold = (start[y[0]] + em[np.arange(n), y].sum()
+                + inner[y[:-1], y[1:]].sum() + stop[y[-1]])
+        nll[b] = log_z[b] - gold
+        node[b, :n] = np.exp(alpha + beta - log_z[b])
+        d_em[b, keep] = node[b, :n]
+        d_em[b, keep, y] -= 1.0
+        edge = np.exp(alpha[:-1, :, None] + inner + (em[1:] + beta[1:])[:, None, :] - log_z[b])
+        d_trans[:n_labels, :n_labels] += edge.sum(axis=0)
+        np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
+        d_trans[n_labels, :n_labels] += node[b, 0]
+        d_trans[n_labels, y[0]] -= 1.0
+        d_trans[:n_labels, n_labels + 1] += node[b, n - 1]
+        d_trans[y[-1], n_labels + 1] -= 1.0
+    return log_z, nll, d_em, d_trans, node
+
+
+@st.composite
+def extreme_batches(draw):
+    """Ragged batches (interior holes and all-masked rows included) at the
+    edge of the recursions' exactness rule. Half are finite transitions of
+    span up to 600 nats with emissions up to +-1e3, some labels forbidden
+    (-inf emission) off the gold path: exact whatever the emissions. The
+    other half fold the BIO -inf matrix into the transitions, with emissions
+    and span up to 100 so that every per-step gap stays far below 700 nats."""
+    n_batch = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 7))
+    bio = None
+    if draw(st.booleans()):
+        bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 2))) for p in "BI")
+    n_labels = len(bio) if bio else draw(st.integers(1, 5))
+    mask = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=n_steps, max_size=n_steps),
+        min_size=n_batch, max_size=n_batch,
+    )), dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.sampled_from([1.0, 100.0] if bio else [1.0, 10.0, 1e3]))
+    span = draw(st.sampled_from([1.0, 100.0] if bio else [1.0, 60.0, 600.0]))
+    emissions = rng.uniform(-bound, bound, size=(n_batch, n_steps, n_labels))
+    transitions = rng.uniform(-span / 2, span / 2, size=(n_labels + 2, n_labels + 2))
+    labels = rng.integers(0, n_labels, size=(n_batch, n_steps))
+    if bio:
+        transitions = transitions + np.where(bio_allowed_transitions(bio), 0.0, -np.inf)
+        for b in range(n_batch):
+            prev = "O"
+            for t in np.flatnonzero(mask[b]):
+                tag = bio[labels[b, t]]
+                if tag.startswith("I-") and prev[2:] != tag[2:]:
+                    labels[b, t] -= 1  # the matching B- tag
+                prev = bio[labels[b, t]]
+    elif draw(st.booleans()):
+        forbid = (rng.random(emissions.shape) < 0.4) & (mask[:, :, None] != 0)
+        np.put_along_axis(forbid, labels[:, :, None], False, axis=2)
+        emissions[forbid] = -np.inf
+    return emissions, transitions, labels, mask
+
+
+class TestGemmRecursions:
+    """The GEMM recursions against the log-space logsumexp recursion they
+    replaced, inside the exactness rule of the module docstring."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_batches())
+    def test_match_logsumexp_recursion(self, case):
+        emissions, transitions, labels, mask = case
+        ref_log_z, ref_nll, ref_d_em, ref_d_trans, ref_node = _reference_crf(
+            emissions, labels, transitions, mask)
+        log_z = crf_log_partition(emissions, transitions, mask)
+        nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask)
+        node = crf_marginals(emissions, transitions, mask)[0]
+        for out in (log_z, nll, d_em, d_trans, node):
+            assert not np.any(np.isnan(out))
+        # logZ reaches ~1e4 nats, so compare it and the NLL relative to that size
+        size = 1.0 + np.abs(ref_log_z).max()
+        np.testing.assert_allclose(log_z, ref_log_z, rtol=0, atol=1e-13 * size)
+        np.testing.assert_allclose(nll, ref_nll, rtol=0, atol=1e-13 * size)
+        np.testing.assert_allclose(crf_nll(emissions, labels, transitions, mask), ref_nll,
+                                   rtol=0, atol=1e-13 * size)
+        np.testing.assert_allclose(d_em, ref_d_em, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(d_trans, ref_d_trans, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(node, ref_node, rtol=0, atol=1e-9)
+
+    def test_row_with_no_finite_score_stays_minus_inf(self):
+        step, i_max = _exp_shifted(np.array([[0.0, -np.inf], [2.0, 1.0]]))
+        rows = np.array([[-np.inf, -np.inf], [-np.inf, 3.0], [0.5, -np.inf]])
+        out = _log_matmul(rows, step, i_max)
+        expected = np.array([
+            [-np.inf, -np.inf],
+            [5.0, 4.0],
+            [0.5, -np.inf],
+        ])
+        np.testing.assert_allclose(out, expected, rtol=1e-15)

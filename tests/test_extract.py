@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ctie.evaluation as evaluation
 from ctie.corpus import NO_RELATION, OntologySchema, candidate_pairs, load_corpus
-from ctie.errors import EmptyInput, UnknownFormat
+from ctie.errors import EmptyInput, SchemaError, UnknownFormat
 from ctie.evaluation import SpanPrediction
 from ctie.extract import (
     ExtractionResult,
@@ -158,11 +158,29 @@ class TestExtract:
             extractor.extract_many([("a", "b"), ()], first_index=5)
 
     def test_unknown_span_type_rejected(self, extractor):
-        from ctie.errors import SchemaError
-
         spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "NotAType")]
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="'NotAType'"):
             extractor.extract_tokens(("a", "b", "c"), spans=spans)
+
+    @pytest.mark.parametrize("spans, ontology_filter", [
+        # no admissible pair, so no pair is enumerated
+        ([g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "NotAType")], True),
+        # one span, so no pair at all
+        ([g_span(0, 2, 3, "NotAType")], False),
+    ], ids=["ontology-filter", "single-span"])
+    def test_unknown_span_type_rejected_without_pairs(self, extractor, spans, ontology_filter):
+        with pytest.raises(SchemaError, match="'NotAType'"):
+            extractor.extract_tokens(("a", "b", "c"), spans=spans,
+                                     ontology_filter=ontology_filter)
+
+    def test_unknown_span_type_rejected_before_encoding(self, extractor, monkeypatch):
+        def no_encoding(*args):
+            raise AssertionError("encoded a batch whose spans hold an unknown type")
+
+        monkeypatch.setattr("ctie.extract.encode_batches", no_encoding)
+        spans = [[g_span(0, 0, 1, "Tool")], [g_span(1, 0, 1, "NotAType")]]
+        with pytest.raises(SchemaError, match="sentence 6: "):
+            extractor.extract_many([("a", "b"), ("c",)], first_index=5, spans=spans)
 
     def test_checkpoint_round_trip(self, extractor, tmp_path):
         path = tmp_path / "model.ckpt"

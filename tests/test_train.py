@@ -6,6 +6,7 @@ import pytest
 from ctie.corpus import load_corpus
 from ctie.errors import NonFiniteLoss
 from ctie.train import (
+    ADAMW_CHUNK,
     TrainConfig,
     adamw_step,
     clip_gradients,
@@ -96,6 +97,42 @@ class TestAdamW:
         adamw_step(params, grads, state, self._cfg(), skip=frozenset(["embed"]))
         np.testing.assert_array_equal(params["embed"], np.ones(3))
         assert np.all(params["w"] != 1.0)
+
+    def test_blocked_step_is_bit_identical_to_the_formula(self):
+        # arrays on both sides of every block edge; "frozen" is skipped
+        shapes = {
+            "one": (1,),
+            "short": (ADAMW_CHUNK - 1,),
+            "exact": (ADAMW_CHUNK,),
+            "over": (ADAMW_CHUNK + 1,),
+            "matrix": (5, ADAMW_CHUNK // 2),
+            "frozen": (ADAMW_CHUNK + 3,),
+        }
+        rng = np.random.default_rng(3)
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        frozen = params["frozen"].copy()
+        expected = {name: p.copy() for name, p in params.items() if name != "frozen"}
+        exp_m = {name: np.zeros_like(p) for name, p in expected.items()}
+        exp_v = {name: np.zeros_like(p) for name, p in expected.items()}
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01)
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+        state = init_adamw(params)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            adamw_step(params, grads, state, cfg, skip=frozenset(["frozen"]))
+            for name, p in expected.items():
+                g = grads[name]
+                exp_m[name] = b1 * exp_m[name] + (1.0 - b1) * g
+                exp_v[name] = b2 * exp_v[name] + (1.0 - b2) * (g * g)
+                denom = np.sqrt(exp_v[name] / (1.0 - b2**t)) + cfg.epsilon
+                p -= exp_m[name] / (1.0 - b1**t) / denom * lr
+                p -= lr * cfg.weight_decay * p
+            for name in expected:
+                assert np.array_equal(params[name], expected[name]), name
+                assert np.array_equal(state.m[name], exp_m[name]), name
+                assert np.array_equal(state.v[name], exp_v[name]), name
+        assert np.array_equal(params["frozen"], frozen)
+        assert not state.m["frozen"].any() and not state.v["frozen"].any()
 
     def test_clip(self):
         grads = {"a": np.array([3.0, 4.0])}
