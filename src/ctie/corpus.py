@@ -231,12 +231,6 @@ class OntologySchema:
             for rule in self.rules.values()
         )
 
-    def to_mapping(self) -> dict:
-        return {
-            name: {"domain": sorted(rule.domain), "range": sorted(rule.range)}
-            for name, rule in sorted(self.rules.items())
-        }
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -321,6 +315,20 @@ def _labels_for_spans(n_tokens: int, spans: Sequence[tuple[int, int, str]]) -> l
     return labels
 
 
+def check_spans(bounds: Sequence[tuple[int, int]], n_tokens: int) -> None:
+    """``SpanError`` unless every span [start, end) is non-empty, lies in the
+    sentence's ``n_tokens`` and intersects no other span."""
+    for j, (start, end) in enumerate(bounds):
+        if not (0 <= start < end <= n_tokens):
+            raise SpanError(
+                f"entities[{j}] span [{start}, {end}) out of range for {n_tokens} tokens"
+            )
+    occupied = sorted(bounds)
+    for (_s1, e1), (s2, _e2) in zip(occupied, occupied[1:]):
+        if s2 < e1:
+            raise SpanError(f"overlapping entity spans at tokens {s2} < {e1}")
+
+
 def _build_sentence(
     record: dict, relations: list[tuple[int, str, int]], types: TypeSystem
 ) -> AnnotatedSentence:
@@ -338,15 +346,7 @@ def _build_sentence(
         raise LabelError("; ".join(f"position {v.position}: {v.reason}" for v in bio.violations))
 
     raw_spans = [tuple(ent) for ent in record["entities"]]
-    for j, (start, end, _name) in enumerate(raw_spans):
-        if not (0 <= start < end <= len(tokens)):
-            raise SpanError(
-                f"entities[{j}] span [{start}, {end}) out of range for {len(tokens)} tokens"
-            )
-    occupied = sorted(raw_spans)
-    for (s1, e1, _), (s2, _e2, _) in zip(occupied, occupied[1:]):
-        if s2 < e1:
-            raise SpanError(f"overlapping entity spans at tokens {s2} < {e1}")
+    check_spans([(start, end) for start, end, _name in raw_spans], len(tokens))
     reconstructed = _labels_for_spans(len(tokens), raw_spans)
     if list(labels) != reconstructed:
         diff = next(i for i, (a, b) in enumerate(zip(labels, reconstructed)) if a != b)

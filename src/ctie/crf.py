@@ -19,13 +19,14 @@ A path y over a sequence of emissions e scores
 and the NLL of a gold path is logZ - score(gold), with logZ computed by
 the forward recursion.
 
-Mask rule. Positions where the mask is 0 are excluded: each row's chain is
-the compacted subsequence of its unmasked steps, so a hole joins its two
-neighbours by one transition. Every row's unmasked steps are gathered
-left-aligned once; each recursion then runs once over the batch axis, and
-a row past the end of its chain carries its state through unchanged. A
-row with no unmasked step has logZ 0, NLL 0, zero gradients and an empty
-path.
+Mask rule. The mask marks padding only: each row is ones then zeros,
+and any other mask is a ``ValueError``. A row's chain is its first
+``length`` steps. The batch is cut to its longest row and the emissions
+past each row's length are zeroed, so a padded step's emission and label
+are never read, whatever they hold. Each recursion runs once over the
+batch axis, and a row past the end of its chain carries its state
+through unchanged. A row of padding only has logZ 0, NLL 0, zero
+gradients and an empty path.
 
 Recursions as GEMMs. Each step of the forward and the backward recursion
 is one (B, L) x (L, L) product on max-shifted exponentials:
@@ -67,8 +68,6 @@ gives inf or NaN.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 
@@ -104,9 +103,8 @@ def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 class _Chains:
-    """A batch gathered to its chains: ``em`` (B, N, L) holds each row's
-    unmasked steps left-aligned, N the longest chain; ``pos`` (B, N) their
-    original positions, or None when every mask is a prefix."""
+    """A padded batch cut to its chains: ``em`` (B, N, L) holds each row's
+    steps, N the longest row, with zeros past each row's length."""
 
     def __init__(self, emissions, mask):
         em = np.asarray(emissions, dtype=np.float64)
@@ -117,39 +115,26 @@ class _Chains:
             raise ValueError(f"emissions must be (B, T, L) or (T, L), got {em.shape}")
         n_batch, n_steps, _ = em.shape
         self.shape = em.shape
-        self.em, self.pos = em, None
-        keep = None if mask is None else (np.asarray(mask) != 0).reshape(n_batch, n_steps)
-        if keep is None or keep.all():
-            self.lengths = np.full(n_batch, n_steps)
-            return
+        if mask is None:
+            keep = np.ones((n_batch, n_steps), dtype=bool)
+        else:
+            keep = (np.asarray(mask) != 0).reshape(n_batch, n_steps)
+        if (keep[:, 1:] > keep[:, :-1]).any():  # a 0 -> 1 step: a hole, not padding
+            raise ValueError("attention mask must be ones then zeros in every row (padding only)")
         self.lengths = keep.sum(axis=1)
         width = int(self.lengths.max(initial=0))
-        if np.array_equal(keep, np.arange(n_steps) < self.lengths[:, None]):
-            self.em = em[:, :width]
-        else:
-            self.pos = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-            self.em = np.take_along_axis(em, self.pos[:, :, None], axis=1)
-
-    @cached_property
-    def valid(self) -> np.ndarray:
-        """(B, N) True on the steps of each chain."""
-        return np.arange(self.em.shape[1]) < self.lengths[:, None]
+        self.valid = keep[:, :width]  # (B, N) True on the steps of each chain
+        self.em = np.where(self.valid[:, :, None], em[:, :width], 0.0)
 
     def gather(self, values) -> np.ndarray:
         """Per-step values (B, T) on the chains, 0 past each chain's end."""
         values = np.asarray(values).reshape(self.shape[:2])
-        width = self.em.shape[1]
-        out = values[:, :width] if self.pos is None else np.take_along_axis(values, self.pos, 1)
-        return np.where(self.valid, out, 0)
+        return np.where(self.valid, values[:, : self.em.shape[1]], 0)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
-        """(B, N, L) chain values back to (B, T, L), zeros on masked steps."""
+        """(B, N, L) chain values back to (B, T, L), zeros on padded steps."""
         out = np.zeros(self.shape)
-        values = np.where(self.valid[:, :, None], values, 0.0)
-        if self.pos is None:
-            out[:, : values.shape[1]] = values
-        else:
-            np.put_along_axis(out, self.pos[:, :, None], values, axis=1)
+        out[:, : values.shape[1]] = np.where(self.valid[:, :, None], values, 0.0)
         return out
 
     def result(self, per_row: np.ndarray):
@@ -210,7 +195,7 @@ def _gold_score(chains: _Chains, y: np.ndarray, inner, start, stop) -> np.ndarra
         return np.zeros(n_batch)
     rows = np.arange(n_batch)
     last = y[rows, np.maximum(lengths - 1, 0)]
-    total = np.where(valid, np.take_along_axis(chains.em, y[:, :, None], 2)[:, :, 0], 0.0)
+    total = chains.em[rows[:, None], np.arange(width), y]  # emissions are 0 past a chain's end
     steps = np.where(valid[:, 1:], inner[y[:, :-1], y[:, 1:]], 0.0)
     ends = np.where(lengths > 0, start[y[:, 0]] + stop[last], 0.0)
     return total.sum(axis=1) + steps.sum(axis=1) + ends
@@ -233,7 +218,7 @@ def crf_nll(emissions: np.ndarray, labels, transitions: np.ndarray, attention_ma
 
 
 def crf_marginals(emissions: np.ndarray, transitions: np.ndarray, attention_mask=None):
-    """Forward-backward node and edge marginals on the compacted chains.
+    """Forward-backward node and edge marginals on the chains.
 
     Returns (node (B, N, L), edge (B, N-1, L, L), logZ (B,)), zero past each
     chain's end; for a (T, L) input (node (n, L), edge (n-1, L, L), logZ)
@@ -280,9 +265,7 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
     y = chains.gather(labels).astype(np.intp)
     nll = log_z - _gold_score(chains, y, inner, start, stop)
     valid, lengths = chains.valid, chains.lengths
-    gold = np.zeros(node.shape)
-    np.put_along_axis(gold, y[:, :, None], 1.0, axis=2)
-    d_emissions = chains.scatter(node - gold)
+    d_emissions = chains.scatter(node - np.eye(num_labels)[y])
 
     # Expected inner counts: sum over rows and steps t -> t+1 of
     # exp(alpha_t[i] + inner[i, j] + em_{t+1}[j] + beta_{t+1}[j] - logZ).

@@ -133,14 +133,11 @@ def _micro(gold_keys: set, pred_keys: set, class_of, accuracy=None) -> MetricRep
         per_class.setdefault(class_of(key), ClassStats()).predicted += 1
     for key in correct:
         per_class[class_of(key)].correct += 1
-    n_gold, n_pred, n_ok = len(gold_keys), len(pred_keys), len(correct)
-    precision = n_ok / n_pred if n_pred else 0.0
-    recall = n_ok / n_gold if n_gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
+    total = ClassStats(len(gold_keys), len(pred_keys), len(correct))
     return MetricReport(
-        precision=precision, recall=recall, f1=f1, accuracy=accuracy,
-        per_class=per_class, gold_total=n_gold, predicted_total=n_pred,
-        correct_total=n_ok,
+        precision=total.precision, recall=total.recall, f1=total.f1, accuracy=accuracy,
+        per_class=per_class, gold_total=total.gold, predicted_total=total.predicted,
+        correct_total=total.correct,
     )
 
 

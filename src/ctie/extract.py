@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import OntologySchema, TypeSystem, candidate_pairs
-from .errors import EmptyInput, SchemaError, UnknownFormat
+from .corpus import OntologySchema, TypeSystem, candidate_pairs, check_spans
+from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from .evaluation import SpanPrediction, decode_spans, encode_batches, predict_ner_labels
 from .model import (
     ModelConfig,
@@ -150,8 +150,9 @@ class Extractor:
 
         Pass ``spans`` (one span list per sentence) to skip NER and
         classify known entity sets (gold spans, or spans from an external
-        tagger); a span whose entity type the checkpoint does not know is a
-        ``SchemaError``, raised before anything is encoded.
+        tagger). Before anything is encoded, a span whose entity type the
+        checkpoint does not know is a ``SchemaError``, and a span out of its
+        sentence's range, empty or overlapping another is a ``SpanError``.
         """
         token_seqs = [tuple(tokens) for tokens in token_seqs]
         for k, tokens in enumerate(token_seqs):
@@ -167,6 +168,10 @@ class Extractor:
                             f"sentence {first_index + k}: span [{s.start}, {s.end}) has "
                             f"entity type {s.entity_type!r} unknown to this checkpoint"
                         )
+                try:
+                    check_spans([(s.start, s.end) for s in row], len(token_seqs[k]))
+                except SpanError as exc:
+                    raise SpanError(f"sentence {first_index + k}: {exc}") from None
         results: list[ExtractionResult] = []
         for h, mask in encode_batches(self.params, self.vocab, token_seqs):
             lo = len(results)

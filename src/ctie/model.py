@@ -403,11 +403,9 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 class ForwardTrace:
     config: ModelConfig
     batch: Batch
-    emb: np.ndarray
     drop_emb: np.ndarray | None
     emb_d: np.ndarray
     gru_traces: tuple[GruTrace, GruTrace]
-    h_bigru: np.ndarray
     drop_h: np.ndarray | None
     h_d: np.ndarray
     logits_ner: np.ndarray
@@ -415,7 +413,6 @@ class ForwardTrace:
     d_crf_trans: np.ndarray    # d sum-of-row-NLLs / d crf_trans
     pool_mask: np.ndarray
     features: np.ndarray
-    logits_re: np.ndarray
     probs_re: np.ndarray
 
 
@@ -475,7 +472,7 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    pool_mask, features, logits_re, probs_re = relation_head(
+    pool_mask, features, _logits_re, probs_re = relation_head(
         h_d, batch.entity_mask, batch.head_type, batch.tail_type, params, config,
         attention_mask=mask,
     )
@@ -494,10 +491,10 @@ def forward(
     trace = None
     if train:
         trace = ForwardTrace(
-            config=config, batch=batch, emb=emb, drop_emb=drop_emb, emb_d=emb_d,
-            gru_traces=gru_traces, h_bigru=h_bigru, drop_h=drop_h, h_d=h_d,
+            config=config, batch=batch, drop_emb=drop_emb, emb_d=emb_d,
+            gru_traces=gru_traces, drop_h=drop_h, h_d=h_d,
             logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
-            pool_mask=pool_mask, features=features, logits_re=logits_re, probs_re=probs_re,
+            pool_mask=pool_mask, features=features, probs_re=probs_re,
         )
     return ForwardResult(
         ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint,

@@ -44,10 +44,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     def id(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 

@@ -308,7 +308,6 @@ def train_loop(
     model_kwargs: dict | None = None,
     out_dir: Path | str | None = None,
     pretrained_embeddings: Path | str | None = None,
-    checkpoint_extras: dict | None = None,
     log_fn=None,
 ) -> TrainResult:
     """Split, expand to MSLR rows, and optimize the joint loss.
@@ -353,10 +352,11 @@ def train_loop(
         raise ValueError("no trainable instances (every sentence has zero relations?)")
     val_batches = make_batches(val_instances, train_config.batch_size) if val_instances else []
 
-    extras = dict(checkpoint_extras or {})
-    extras.setdefault("vocab", vocab.to_list())
-    extras.setdefault("types", types.to_dict())
-    extras.setdefault("train_config", train_config.to_dict())
+    extras = {
+        "vocab": vocab.to_list(),
+        "types": types.to_dict(),
+        "train_config": train_config.to_dict(),
+    }
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

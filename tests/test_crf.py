@@ -107,16 +107,37 @@ class TestMasking:
             emissions[:4], transitions
         )
 
-    def test_interior_mask_compacts_chain(self):
+    def test_interior_hole_is_rejected(self):
         rng = np.random.default_rng(3)
-        emissions = rng.normal(size=(5, 3))
+        emissions = rng.normal(size=(2, 5, 3))
         transitions = rng.normal(size=(5, 5))
-        labels = rng.integers(0, 3, size=5)
-        mask = [1, 0, 1, 1, 0]
-        keep = [0, 2, 3]
-        assert crf_nll(emissions, labels, transitions, mask) == pytest.approx(
-            crf_nll(emissions[keep], labels[keep], transitions), abs=1e-12
+        labels = rng.integers(0, 3, size=(2, 5))
+        calls = (
+            lambda em, y, mask: crf_log_partition(em, transitions, mask),
+            lambda em, y, mask: crf_nll(em, y, transitions, mask),
+            lambda em, y, mask: crf_nll_grad(em, y, transitions, mask),
+            lambda em, y, mask: crf_marginals(em, transitions, mask),
+            lambda em, y, mask: crf_decode(em, transitions, mask),
         )
+        for call in calls:
+            for mask in ([[1, 1, 1, 0, 0], [1, 0, 1, 1, 0]], [[0, 1, 1, 1, 1], [1] * 5]):
+                with pytest.raises(ValueError, match="ones then zeros"):
+                    call(emissions, labels, np.array(mask))
+            with pytest.raises(ValueError, match="ones then zeros"):
+                call(emissions[0], labels[0], [1, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("junk", [1e300, -np.inf, np.inf, np.nan])
+    def test_padding_is_never_read(self, junk):
+        rng = np.random.default_rng(9)
+        emissions = rng.normal(size=(2, 4, 3))
+        transitions = rng.normal(size=(5, 5))
+        labels = rng.integers(0, 3, size=(2, 4))
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
+        clean = crf_nll_grad(emissions, labels, transitions, mask)
+        emissions[1, 2:], labels[1, 2:] = junk, -1
+        for got, want in zip(crf_nll_grad(emissions, labels, transitions, mask), clean):
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, want)
 
     def test_all_masked_is_zero(self):
         emissions = np.ones((3, 2))
@@ -168,9 +189,9 @@ class TestGradient:
         emissions = rng.normal(size=(5, 3))
         transitions = rng.normal(size=(5, 5))
         labels = rng.integers(0, 3, size=5)
-        mask = [1, 1, 0, 1, 0]
+        mask = [1, 1, 1, 0, 0]
         _nll, d_em, _ = crf_nll_grad(emissions, labels, transitions, mask)
-        assert np.all(d_em[2] == 0.0)
+        assert np.all(d_em[3] == 0.0)
         assert np.all(d_em[4] == 0.0)
         assert np.any(d_em[0] != 0.0)
 
@@ -193,26 +214,34 @@ class TestBioConstraints:
 
 
 @st.composite
+def padding_masks(draw, n_batch, n_steps):
+    """A (B, T) padding mask: one length per row, all-masked rows included."""
+    lengths = draw(st.lists(st.integers(0, n_steps), min_size=n_batch, max_size=n_batch))
+    return (np.arange(n_steps) < np.array(lengths)[:, None]).astype(np.float64)
+
+
+@st.composite
 def ragged_batches(draw):
-    """A random batch with ragged masks (interior holes and all-masked rows
-    included) and, half the time, a BIO label set whose -inf forbidden
-    transitions are folded into the transition scores and used to decode;
-    gold paths then follow the BIO rules along each row's chain."""
+    """A random padded batch (ragged lengths, all-masked rows included)
+    whose padded steps hold junk: one emission drawn from {0, 1e300, -inf,
+    +inf, nan} and out-of-range labels. Half the time, a BIO label set's
+    -inf forbidden transitions are folded into the transition scores and
+    used to decode; gold paths then follow the BIO rules along each row."""
     n_batch = draw(st.integers(1, 4))
     n_steps = draw(st.integers(1, 6))
     bio = None
     if draw(st.booleans()):
         bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 2))) for p in "BI")
     n_labels = len(bio) if bio else draw(st.integers(1, 4))
-    mask = np.array(draw(st.lists(
-        st.lists(st.booleans(), min_size=n_steps, max_size=n_steps),
-        min_size=n_batch, max_size=n_batch,
-    )), dtype=np.float64)
+    mask = draw(padding_masks(n_batch, n_steps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
     emissions = rng.normal(scale=scale, size=(n_batch, n_steps, n_labels))
     transitions = rng.normal(size=(n_labels + 2, n_labels + 2))
     labels = rng.integers(0, n_labels, size=(n_batch, n_steps))
+    padded = mask == 0
+    emissions[padded] = draw(st.sampled_from([0.0, 1e300, -np.inf, np.inf, np.nan]))
+    labels[padded] = draw(st.sampled_from([-1, n_labels, 2**40]))
     allowed = None
     if bio:
         allowed = bio_allowed_transitions(bio)
@@ -228,12 +257,12 @@ def ragged_batches(draw):
 
 
 class TestBatchInvariance:
-    """Each row of a batch gets what it gets alone and what its compacted
-    chain gets: the result depends neither on the mask layout nor on the
-    other rows."""
+    """Each row of a batch gets what it gets alone and what it gets cut to
+    its length: the result depends neither on the padding, whatever it
+    holds, nor on the other rows."""
 
     @given(ragged_batches())
-    def test_rows_match_alone_and_compacted(self, case):
+    def test_rows_match_alone_and_cut_to_length(self, case):
         emissions, transitions, labels, mask, allowed = case
         nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask)
         log_z = crf_log_partition(emissions, transitions, mask)
@@ -246,26 +275,26 @@ class TestBatchInvariance:
 
         summed = np.zeros_like(d_trans)
         for b in range(len(emissions)):
-            keep = np.flatnonzero(mask[b])
+            n = int(mask[b].sum())
             alone = crf_nll_grad(emissions[b], labels[b], transitions, mask[b])
-            chain = crf_nll_grad(emissions[b][keep], labels[b][keep], transitions)
-            for row_nll, row_d_em, row_d_trans in (alone, chain):
+            cut = crf_nll_grad(emissions[b, :n], labels[b, :n], transitions)
+            for row_nll, row_d_em, row_d_trans in (alone, cut):
                 assert row_nll == pytest.approx(nll[b], rel=1e-9, abs=1e-9)
                 np.testing.assert_allclose(row_d_trans, alone[2], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(alone[1], d_em[b], rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(chain[1], d_em[b][keep], rtol=1e-9, atol=1e-9)
-            assert np.all(np.delete(d_em[b], keep, axis=0) == 0.0)
+            np.testing.assert_allclose(cut[1], d_em[b, :n], rtol=1e-9, atol=1e-9)
+            assert np.all(d_em[b, n:] == 0.0)
             summed += alone[2]
 
-            assert crf_log_partition(emissions[b][keep], transitions) == pytest.approx(
+            assert crf_log_partition(emissions[b, :n], transitions) == pytest.approx(
                 log_z[b], rel=1e-9, abs=1e-9)
             np.testing.assert_allclose(
-                crf_marginals(emissions[b][keep], transitions)[0], node[b, : len(keep)],
+                crf_marginals(emissions[b, :n], transitions)[0], node[b, :n],
                 rtol=1e-9, atol=1e-9,
             )
             assert paths[b] == crf_decode(emissions[b], transitions, mask[b], allowed=allowed)
-            assert paths[b] == crf_decode(emissions[b][keep], transitions, allowed=allowed)
-            assert len(paths[b]) == len(keep)
+            assert paths[b] == crf_decode(emissions[b, :n], transitions, allowed=allowed)
+            assert len(paths[b]) == n
         np.testing.assert_allclose(summed, d_trans, rtol=1e-9, atol=1e-9)
 
 
@@ -320,7 +349,7 @@ def _reference_crf(emissions, labels, transitions, mask):
 
 @st.composite
 def extreme_batches(draw):
-    """Ragged batches (interior holes and all-masked rows included) at the
+    """Padded batches (ragged lengths, all-masked rows included) at the
     edge of the recursions' exactness rule. Half are finite transitions of
     span up to 600 nats with emissions up to +-1e3, some labels forbidden
     (-inf emission) off the gold path: exact whatever the emissions. The
@@ -332,10 +361,7 @@ def extreme_batches(draw):
     if draw(st.booleans()):
         bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 2))) for p in "BI")
     n_labels = len(bio) if bio else draw(st.integers(1, 5))
-    mask = np.array(draw(st.lists(
-        st.lists(st.booleans(), min_size=n_steps, max_size=n_steps),
-        min_size=n_batch, max_size=n_batch,
-    )), dtype=np.float64)
+    mask = draw(padding_masks(n_batch, n_steps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bound = draw(st.sampled_from([1.0, 100.0] if bio else [1.0, 10.0, 1e3]))
     span = draw(st.sampled_from([1.0, 100.0] if bio else [1.0, 60.0, 600.0]))

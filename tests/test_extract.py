@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ctie.evaluation as evaluation
 from ctie.corpus import NO_RELATION, OntologySchema, candidate_pairs, load_corpus
-from ctie.errors import EmptyInput, SchemaError, UnknownFormat
+from ctie.errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from ctie.evaluation import SpanPrediction
 from ctie.extract import (
     ExtractionResult,
@@ -181,6 +181,31 @@ class TestExtract:
         spans = [[g_span(0, 0, 1, "Tool")], [g_span(1, 0, 1, "NotAType")]]
         with pytest.raises(SchemaError, match="sentence 6: "):
             extractor.extract_many([("a", "b"), ("c",)], first_index=5, spans=spans)
+
+    _BAD_SPANS = {
+        "out-of-range": ([g_span(0, 0, 1, "HackOrg"), g_span(0, 5, 9, "Tool")], "out of range"),
+        "reversed": ([g_span(0, 0, 1, "HackOrg"), g_span(0, 3, 2, "Tool")], "out of range"),
+        "overlapping": ([g_span(0, 0, 2, "HackOrg"), g_span(0, 1, 3, "Tool")], "overlapping"),
+        "single-out-of-range": ([g_span(0, 5, 9, "Tool")], "out of range"),
+    }
+
+    @pytest.mark.parametrize("ontology_filter", [False, True], ids=["all-pairs", "ontology-filter"])
+    @pytest.mark.parametrize("case", sorted(_BAD_SPANS))
+    def test_bad_span_rejected(self, extractor, case, ontology_filter):
+        spans, match = self._BAD_SPANS[case]
+        with pytest.raises(SpanError, match=f"sentence 0: .*{match}"):
+            extractor.extract_tokens(("a", "b", "c"), spans=spans,
+                                     ontology_filter=ontology_filter)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_SPANS))
+    def test_bad_span_rejected_before_encoding(self, extractor, monkeypatch, case):
+        def no_encoding(*args):
+            raise AssertionError("encoded a batch whose spans are invalid")
+
+        monkeypatch.setattr("ctie.extract.encode_batches", no_encoding)
+        spans = [[g_span(0, 0, 1, "Tool")], self._BAD_SPANS[case][0]]
+        with pytest.raises(SpanError, match="sentence 6: "):
+            extractor.extract_many([("a", "b"), ("a", "b", "c")], first_index=5, spans=spans)
 
     def test_checkpoint_round_trip(self, extractor, tmp_path):
         path = tmp_path / "model.ckpt"
