@@ -102,6 +102,13 @@ def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return inner, start, stop, num_labels
 
 
+def check_padding_mask(keep: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row of the boolean (B, T) ``keep``
+    is ones then zeros: the mask rule of the CRF and the BiGRU."""
+    if (keep[:, 1:] > keep[:, :-1]).any():  # a 0 -> 1 step: a hole, not padding
+        raise ValueError("attention mask must be ones then zeros in every row (padding only)")
+
+
 class _Chains:
     """A padded batch cut to its chains: ``em`` (B, N, L) holds each row's
     steps, N the longest row, with zeros past each row's length."""
@@ -119,8 +126,7 @@ class _Chains:
             keep = np.ones((n_batch, n_steps), dtype=bool)
         else:
             keep = (np.asarray(mask) != 0).reshape(n_batch, n_steps)
-        if (keep[:, 1:] > keep[:, :-1]).any():  # a 0 -> 1 step: a hole, not padding
-            raise ValueError("attention mask must be ones then zeros in every row (padding only)")
+        check_padding_mask(keep)
         self.lengths = keep.sum(axis=1)
         width = int(self.lengths.max(initial=0))
         self.valid = keep[:, :width]  # (B, N) True on the steps of each chain

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
 from .errors import SchemaError, UnknownRelation
 from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
-from .mslr import Vocabulary, make_entity_mask, relation_pairs
+from .mslr import Vocabulary, entity_masks, relation_pairs
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -310,8 +310,9 @@ def predict_relations_gold_pairs(
         n = len(sentence.tokens)
         if not pairs or n > max_len:
             continue
+        bounds = np.array([[(e.start, e.end) for e in pair] for pair in pairs])
         *_, probs = relation_head(
-            h, [make_entity_mask(n, head, tail) for head, tail in pairs],
+            h, entity_masks(n, bounds[:, 0], bounds[:, 1]),
             [types.entity_type(head.entity_type.name).id for head, _ in pairs],
             [types.entity_type(tail.entity_type.name).id for _, tail in pairs],
             params, config,

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import OntologySchema, TypeSystem, candidate_pairs, check_spans
+from .corpus import OntologySchema, TypeSystem, check_spans
 from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from .evaluation import SpanPrediction, decode_spans, encode_batches, predict_ner_labels
 from .model import (
@@ -37,7 +37,7 @@ from .model import (
     load_checkpoint,
     relation_head,
 )
-from .mslr import Vocabulary, make_entity_mask
+from .mslr import Vocabulary, entity_masks
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,14 @@ class Extractor:
                 table[head.id, tail.id] = [r.name in names for r in relations]
         table[..., self.types.no_relation.id] = True
         return table
+
+    @cached_property
+    def _relatable(self) -> np.ndarray:
+        """(head type id, tail type id) -> the ontology admits a relation
+        other than noRelation for the pair."""
+        table = self._admissible.copy()
+        table[..., self.types.no_relation.id] = False
+        return table.any(axis=-1)
 
     def decode_entities(
         self, h: np.ndarray, mask: np.ndarray, first_index: int = 0
@@ -226,22 +234,29 @@ class Extractor:
         confidence_floor: float,
     ) -> ExtractionResult:
         """Classify every candidate pair of ``spans`` from the sentence's
-        (length, 2h) encoding ``h``. The spans' entity types are the
-        checkpoint's: decoded spans always are, and ``extract_many`` checks
-        given ones before it encodes."""
+        (length, 2h) encoding ``h``: every ordered pair of distinct spans,
+        head index ascending then tail index, and with ``ontology_filter``
+        only pairs whose type ids the ontology relates. The spans' entity
+        types are the checkpoint's, and the spans are disjoint and in
+        range: decoded spans always are, and ``extract_many`` checks given
+        ones before it encodes."""
         spans = list(spans)
         result = ExtractionResult(
             sentence_index=sentence_index, tokens=tuple(tokens), spans=spans, triples=[]
         )
-        pairs = candidate_pairs([s.entity_type for s in spans], self.ontology, ontology_filter)
-        if not pairs:
+        type_id = np.array([self.types.entity_type(s.entity_type).id for s in spans], dtype=np.intp)
+        heads, tails = np.nonzero(~np.eye(len(spans), dtype=bool))
+        if ontology_filter:
+            keep = self._relatable[type_id[heads], type_id[tails]]
+            heads, tails = heads[keep], tails[keep]
+        if not heads.size:
             return result
 
-        type_id = np.array([self.types.entity_type(s.entity_type).id for s in spans])
-        head_ids, tail_ids = type_id[np.array(pairs).T]
+        bounds = np.array([(s.start, s.end) for s in spans])
+        head_ids, tail_ids = type_id[heads], type_id[tails]
         *_, probs = relation_head(
             h,
-            [make_entity_mask(len(tokens), spans[i], spans[j]) for i, j in pairs],
+            entity_masks(len(tokens), bounds[heads], bounds[tails]),
             head_ids,
             tail_ids,
             self.params,
@@ -255,7 +270,7 @@ class Extractor:
 
         rel_names = [r.name for r in self.types.relations]
         no_rel_idx = self.types.no_relation.id
-        for (i, j), row, k in zip(pairs, probs, best):
+        for i, j, row, k in zip(heads.tolist(), tails.tolist(), probs, best):
             head, tail = spans[i], spans[j]
             confidence = float(row[k])
             if k == no_rel_idx or confidence < confidence_floor:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TypeSystem
-from .crf import bio_allowed_transitions, crf_decode, crf_nll, crf_nll_grad
+from .crf import bio_allowed_transitions, check_padding_mask, crf_decode, crf_nll, crf_nll_grad
 from .errors import EmptyMask, IdOutOfRange, SchemaError
 from .mslr import Batch, Vocabulary
 
@@ -190,10 +190,15 @@ def embed(token_ids, table: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot
-    overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function, written over ``x`` and returned; ``exp`` only ever
+    sees ``-|x|``, so it cannot overflow. Per element this is 1 / (1 + e)
+    for x >= 0 and e / (1 + e) below, with e = exp(-|x|)."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=x)
 
 
 def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
@@ -205,91 +210,109 @@ def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
 
 @dataclass
 class GruTrace:
-    x: np.ndarray        # (B*T, d) inputs, row b*T + t
-    mask: np.ndarray     # (B, T)
-    gates: np.ndarray    # (B, T, 3h) activations z | r | c
-    h: np.ndarray        # (B, T+1, h) zero start state, then the state after each step
+    x: np.ndarray        # (T*B, d) inputs, time-major: row t*B + b
+    mask: np.ndarray     # (T, B, 1) 0/1 floats
+    gates: np.ndarray    # (T, B, 3h) activations z | r | c
+    h: np.ndarray        # (T+1, B, h) zero start state, then the state after each step
     reverse: bool        # walked from t = T-1 down: start state at T, step t's at t
 
 
 def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str,
              reverse: bool = False) -> tuple[np.ndarray, GruTrace]:
-    """One direction, walking time backwards when ``reverse``. Every step's
-    input projection is one GEMM before the recurrence; a step then makes
-    one recurrent GEMM for z|r and one for c. Masked steps leave the
-    recurrent state untouched and emit zeros."""
+    """One direction over time-major inputs ``x`` (T, B, d) and a padding
+    mask (T, B, 1), walking time backwards when ``reverse``; returns the
+    (T, B, h) states, a view of the trace's state buffer. Every step's input
+    projection is one GEMM before the recurrence; a step then makes one
+    recurrent GEMM for z|r and one for c, on contiguous (B, .) blocks. A
+    masked step stores a zero state: padding is a suffix of each row, so
+    the forward walk has passed the row's last token and the backward walk
+    has not reached its first."""
     w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
-    n_batch, n_steps, n_in = x.shape
+    n_steps, n_batch, n_in = x.shape
     n_hidden = u.shape[0]
     z, r, c, zr = _gate_slices(n_hidden)
     x = x.reshape(-1, n_in)
     # input pre-activations; step t overwrites its own with the activations
     gates = x @ w
     gates += b
-    gates = gates.reshape(n_batch, n_steps, 3 * n_hidden)
-    h = np.zeros((n_batch, n_steps + 1, n_hidden))
-    out = np.empty((n_batch, n_steps, n_hidden))
+    gates = gates.reshape(n_steps, n_batch, 3 * n_hidden)
+    g_z, g_r, g_c, g_zr = (gates[..., s] for s in (z, r, c, zr))
+    u_zr, u_c = u[:, zr], u[:, c]
+    h = np.zeros((n_steps + 1, n_batch, n_hidden))
     back = int(reverse)
     for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
-        m = mask[:, t][:, None]
-        h_prev = h[:, t + back]
-        gates[:, t, zr] = _sigmoid(gates[:, t, zr] + h_prev @ u[:, zr])
-        zt, rt = gates[:, t, z], gates[:, t, r]
-        ct = np.tanh(gates[:, t, c] + (rt * h_prev) @ u[:, c])
-        gates[:, t, c] = ct
-        ht = m * ((1.0 - zt) * ct + zt * h_prev) + (1.0 - m) * h_prev
-        h[:, t + 1 - back] = ht
-        out[:, t] = m * ht
+        h_prev, h_t = h[t + back], h[t + 1 - back]
+        zt, rt, ct = g_z[t], g_r[t], g_c[t]
+        a_zr = g_zr[t]
+        a_zr += h_prev @ u_zr
+        _sigmoid(a_zr)
+        ct += (rt * h_prev) @ u_c
+        np.tanh(ct, out=ct)
+        np.subtract(1.0, zt, out=h_t)
+        h_t *= ct
+        h_t += zt * h_prev
+        h_t *= mask[t]
+    out = h[:n_steps] if reverse else h[1:]
     return out, GruTrace(x=x, mask=mask, gates=gates, h=h, reverse=reverse)
 
 
 def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
                   grads: Params) -> np.ndarray:
-    """Backpropagation through time for one direction: writes the
-    direction's ``w``, ``u`` and ``b`` gradients into ``grads`` and returns
-    the input gradient. A step makes only the recurrent products and stores
-    its gate pre-activation gradients in one (B, T, 3h) buffer; after the
-    loop each weight gradient and the input gradient is one GEMM on it."""
+    """Backpropagation through time for one direction, ``d_out`` (T, B, h)
+    the gradient of its states: writes the direction's ``w``, ``u`` and
+    ``b`` gradients into ``grads`` and returns the (T, B, d) input
+    gradient. A step makes only the recurrent products and stores its gate
+    pre-activation gradients in one (T, B, 3h) buffer; after the loop each
+    weight gradient and the input gradient is one GEMM on it."""
     w, u = params[f"{prefix}.w"], params[f"{prefix}.u"]
-    n_batch, n_steps = trace.mask.shape
+    n_steps, n_batch, _ = trace.mask.shape
     n_hidden = u.shape[0]
     z, r, c, zr = _gate_slices(n_hidden)
     gates = trace.gates
+    g_z, g_r, g_c = (gates[..., s] for s in (z, r, c))
+    u_zr_t, u_c_t = u[:, zr].T, u[:, c].T
     d_a = np.empty_like(gates)
+    d_z, d_r, d_c, d_zr = (d_a[..., s] for s in (z, r, c, zr))
     dh = np.zeros((n_batch, n_hidden))
     back = int(trace.reverse)
     for t in range(n_steps) if trace.reverse else range(n_steps - 1, -1, -1):
-        m = trace.mask[:, t][:, None]
-        h_prev = trace.h[:, t + back]
-        zt, rt, ct = gates[:, t, z], gates[:, t, r], gates[:, t, c]
-        dht = dh + d_out[:, t] * m
-        dh_new = dht * m
-        da_c = dh_new * (1.0 - zt) * (1.0 - ct * ct)
-        drh = da_c @ u[:, c].T
-        d_a[:, t, z] = dh_new * (h_prev - ct) * zt * (1.0 - zt)
-        d_a[:, t, r] = drh * h_prev * rt * (1.0 - rt)
-        d_a[:, t, c] = da_c
-        dh = dht * (1.0 - m) + dh_new * zt + drh * rt + d_a[:, t, zr] @ u[:, zr].T
+        h_prev = trace.h[t + back]
+        zt, rt, ct = g_z[t], g_r[t], g_c[t]
+        dh += d_out[t]
+        dh *= trace.mask[t]  # the gradient of the step's new state
+        da_c = d_c[t]
+        np.multiply(dh * (1.0 - zt), 1.0 - ct * ct, out=da_c)
+        drh = da_c @ u_c_t
+        d_z[t] = dh * (h_prev - ct) * zt * (1.0 - zt)
+        d_r[t] = drh * h_prev * rt * (1.0 - rt)
+        dh = dh * zt + drh * rt + d_zr[t] @ u_zr_t
     d_a = d_a.reshape(-1, 3 * n_hidden)
-    h_prev = trace.h[:, back : n_steps + back]
-    r_h_prev = (gates[..., r] * h_prev).reshape(-1, n_hidden)
+    h_prev = trace.h[back : n_steps + back]
+    r_h_prev = (g_r * h_prev).reshape(-1, n_hidden)
     g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
     np.matmul(trace.x.T, d_a, out=g_w)
     np.matmul(h_prev.reshape(-1, n_hidden).T, d_a[:, zr], out=g_u[:, zr])
     np.matmul(r_h_prev.T, d_a[:, c], out=g_u[:, c])
     d_a.sum(axis=0, out=g_b)
-    return (d_a @ w.T).reshape(n_batch, n_steps, -1)
+    return (d_a @ w.T).reshape(n_steps, n_batch, -1)
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False):
-    """Bidirectional GRU encoding: row t is [forward state t ; backward state t]."""
+    """Bidirectional GRU encoding: row t is [forward state t ; backward state t].
+
+    The mask marks padding only: each row is ones then zeros, and any other
+    mask is a ``ValueError``. Both directions read one time-major copy of
+    the input."""
     squeeze = h_in.ndim == 2
     x = h_in[None] if squeeze else h_in
-    mask = np.asarray(attention_mask, dtype=np.float64)
-    mask = mask[None] if mask.ndim == 1 else mask
+    keep = np.asarray(attention_mask) != 0
+    keep = keep[None] if keep.ndim == 1 else keep
+    check_padding_mask(keep)
+    mask = keep.T[:, :, None].astype(np.float64)
+    x = np.ascontiguousarray(x.transpose(1, 0, 2))
     out_f, trace_f = _gru_run(x, mask, params, "gru_fwd")
     out_b, trace_b = _gru_run(x, mask, params, "gru_bwd", reverse=True)
-    out = np.concatenate([out_f, out_b], axis=2)
+    out = np.concatenate([out_f.transpose(1, 0, 2), out_b.transpose(1, 0, 2)], axis=2)
     if squeeze:
         out = out[0]
     if with_trace:
@@ -544,9 +567,10 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
     d_h_bigru = d_h_d if trace.drop_h is None else d_h_d * trace.drop_h
 
     trace_f, trace_b = trace.gru_traces
-    d_x_f = _gru_backprop(trace_f, d_h_bigru[:, :, :n_hidden], params, "gru_fwd", grads)
-    d_x_b = _gru_backprop(trace_b, d_h_bigru[:, :, n_hidden:], params, "gru_bwd", grads)
-    d_emb_d = d_x_f + d_x_b
+    d_states = np.ascontiguousarray(d_h_bigru.transpose(1, 0, 2))  # time-major
+    d_x = _gru_backprop(trace_f, d_states[..., :n_hidden], params, "gru_fwd", grads)
+    d_x += _gru_backprop(trace_b, d_states[..., n_hidden:], params, "gru_bwd", grads)
+    d_emb_d = d_x.transpose(1, 0, 2)
 
     d_emb = d_emb_d if trace.drop_emb is None else d_emb_d * trace.drop_emb
     flat_ids = batch.token_ids.reshape(-1)

@@ -93,6 +93,19 @@ def make_entity_mask(sentence_length: int, head, tail) -> tuple[int, ...]:
     return tuple(mask)
 
 
+def entity_masks(sentence_length: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """(P, T) float masks of P pairs, row p 1 on every token of the spans
+    ``heads[p]`` and ``tails[p]``, given as (P, 2) arrays of [start, end)
+    bounds. Unlike ``make_entity_mask`` it checks nothing: callers pass
+    spans already known to lie in range and not to overlap."""
+    pos = np.arange(sentence_length)
+
+    def covers(bounds: np.ndarray) -> np.ndarray:
+        return (bounds[:, :1] <= pos) & (pos < bounds[:, 1:])
+
+    return (covers(heads) | covers(tails)).astype(np.float64)
+
+
 @dataclass(frozen=True)
 class MslrExample:
     """One per-relation row before token-id encoding."""

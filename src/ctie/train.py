@@ -146,10 +146,11 @@ def adamw_step(
 
     param <- param - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * param
 
-    Each array is walked in blocks of ``ADAMW_CHUNK`` elements, so a
-    block's passes run from cache; two scratch blocks hold every
-    temporary. The per-element order of operations is that of the
-    unblocked formula, so the result is bit-identical to it.
+    An array larger than ``ADAMW_CHUNK`` elements is walked in blocks of
+    that many through its flat view, so a block's passes run from cache;
+    a smaller array is one block, updated in its own shape. Two scratch
+    blocks hold every temporary. The per-element order of operations is
+    that of the unblocked formula, so the result is bit-identical to it.
     """
     state.step += 1
     t = state.step
@@ -159,29 +160,37 @@ def adamw_step(
     names = [name for name in params if name not in skip]
     size = min(ADAMW_CHUNK, max((params[name].size for name in names), default=0))
     scratch_a, scratch_b = np.empty(size), np.empty(size)
+
+    def update(p, g, m, v, a, b):
+        m *= b1
+        np.multiply(g, c1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, g, out=a)
+        a *= c2
+        v += a
+        np.divide(v, bias2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, bias1, out=b)
+        b /= a
+        b *= lr
+        p -= b
+        np.multiply(p, decay, out=a)
+        p -= a
+
     for name in names:
-        p, m, v = _flat(params[name]), _flat(state.m[name]), _flat(state.v[name])
-        g = np.ascontiguousarray(grads[name]).reshape(-1)
+        p, g, m, v = params[name], grads[name], state.m[name], state.v[name]
+        if p.size <= ADAMW_CHUNK:
+            n = p.size
+            update(p, g, m, v, scratch_a[:n].reshape(p.shape), scratch_b[:n].reshape(p.shape))
+            continue
+        p, m, v = _flat(p), _flat(m), _flat(v)
+        g = np.ascontiguousarray(g).reshape(-1)
         for lo in range(0, p.size, ADAMW_CHUNK):
-            hi = min(lo + ADAMW_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
-            mc *= b1
-            np.multiply(gc, c1, out=a)
-            mc += a
-            vc *= b2
-            np.multiply(gc, gc, out=a)
-            a *= c2
-            vc += a
-            np.divide(vc, bias2, out=a)
-            np.sqrt(a, out=a)
-            a += eps
-            np.divide(mc, bias1, out=b)
-            b /= a
-            b *= lr
-            pc -= b
-            np.multiply(pc, decay, out=a)
-            pc -= a
+            block = slice(lo, lo + ADAMW_CHUNK)
+            n = p[block].size
+            update(p[block], g[block], m[block], v[block], scratch_a[:n], scratch_b[:n])
 
 
 def clip_gradients(grads: Params, max_norm: float) -> float:

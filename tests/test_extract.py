@@ -17,8 +17,8 @@ from ctie.extract import (
     export_graph,
     import_graph,
 )
-from ctie.model import ModelConfig, init_params, save_checkpoint
-from ctie.mslr import build_vocab
+from ctie.model import ModelConfig, init_params, relation_head, save_checkpoint
+from ctie.mslr import build_vocab, make_entity_mask
 
 from helpers import SMOKE_CORPUS
 
@@ -287,6 +287,44 @@ def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_sp
         assert len(many) == len(one_by_one)
         for a, b in zip(many, one_by_one):
             _same_result(a, b)
+
+    check()
+
+
+@pytest.mark.parametrize("ontology_filter", [False, True], ids=["all-pairs", "ontology-filter"])
+def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
+    # the reference is the per-pair path: corpus.candidate_pairs on the type
+    # names, one make_entity_mask per pair, type ids looked up by name
+    entity_types = [e.name for e in extractor.types.entity_types]
+
+    @settings(max_examples=60, deadline=None)
+    @given(item=_sentence_and_spans(entity_types))
+    def check(item):
+        tokens, spans = item
+        calls = []
+
+        def spy(h, masks, head_ids, tail_ids, *rest):
+            calls.append((masks, head_ids, tail_ids))
+            return relation_head(h, masks, head_ids, tail_ids, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ctie.extract.relation_head", spy)
+            result = extractor.extract_tokens(tokens, spans=spans, ontology_filter=ontology_filter)
+        pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, ontology_filter)
+        bounds = [((spans[i].start, spans[i].end), (spans[j].start, spans[j].end))
+                  for i, j in pairs]
+        classified = [(t.head_span, t.tail_span) for t in result.triples] + [
+            (tuple(d["head_span"]), tuple(d["tail_span"])) for d in result.dropped]
+        assert sorted(classified) == sorted(bounds)
+        if not pairs:
+            assert calls == []
+            return
+        [(masks, head_ids, tail_ids)] = calls
+        assert np.array_equal(
+            masks, [make_entity_mask(len(tokens), spans[i], spans[j]) for i, j in pairs])
+        type_id = {name: extractor.types.entity_type(name).id for name in entity_types}
+        assert list(head_ids) == [type_id[spans[i].entity_type] for i, _ in pairs]
+        assert list(tail_ids) == [type_id[spans[j].entity_type] for _, j in pairs]
 
     check()
 

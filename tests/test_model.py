@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctie.crf import crf_decode
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
@@ -26,6 +26,7 @@ from ctie.model import (
     save_embedding_file,
     validate_params,
 )
+from ctie.mslr import Batch
 
 from helpers import tiny_batch, tiny_config
 
@@ -129,6 +130,69 @@ class TestBiGru:
             np.testing.assert_allclose(out[row, :n], bigru(x[row, :n], [1] * n, params),
                                        rtol=1e-12)
             assert np.all(out[row, n:] == 0.0)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 7), min_size=1, max_size=4),
+           st.integers(0, 2))
+    def test_ragged_batch_gradients_sum_unpadded_rows(self, seed, lengths, extra):
+        # the batch loss is the mean of its rows' losses, so B times the
+        # batch gradient is the sum of each row's gradient, the row run
+        # unpadded alone; padding (here also past the longest row) adds nothing
+        config = tiny_config()
+        params = init_params(config, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        width = max(lengths) + extra
+        rows = []
+        for n in lengths:
+            head, tail = rng.choice(n, size=2, replace=False)
+            entity = np.zeros(n)
+            entity[[head, tail]] = 1.0
+            rows.append(dict(
+                token_ids=rng.integers(1, config.vocab_size, n),
+                ner_labels=rng.integers(0, config.num_ner_labels, n), entity_mask=entity,
+                head_type=rng.integers(config.num_entity_types),
+                tail_type=rng.integers(config.num_entity_types),
+                relation_label=rng.integers(config.num_relations),
+            ))
+
+        def gradients(rows, width):
+            def padded(key, dtype):
+                out = np.zeros((len(rows), width), dtype=dtype)
+                for b, row in enumerate(rows):
+                    out[b, : len(row[key])] = row[key]
+                return out
+
+            lengths = np.array([len(row["token_ids"]) for row in rows])
+            batch = Batch(
+                token_ids=padded("token_ids", np.int64),
+                attention_mask=(np.arange(width) < lengths[:, None]).astype(np.float64),
+                entity_mask=padded("entity_mask", np.float64),
+                head_type=np.array([row["head_type"] for row in rows]),
+                tail_type=np.array([row["tail_type"] for row in rows]),
+                ner_labels=padded("ner_labels", np.int64),
+                relation_label=np.array([row["relation_label"] for row in rows]),
+                lengths=lengths, origins=tuple((b, 0) for b in range(len(rows))),
+            )
+            return backward(forward(batch, params, config, mode="train").trace, params)
+
+        batch_grads = gradients(rows, width)
+        row_grads = [gradients([row], len(row["token_ids"])) for row in rows]
+        for name in ("embed", *(n for n in params if n.startswith("gru_"))):
+            np.testing.assert_allclose(
+                len(rows) * batch_grads[name], sum(g[name] for g in row_grads),
+                rtol=1e-12, atol=1e-12, err_msg=name,
+            )
+
+    @pytest.mark.parametrize("mask", [[1, 0, 1, 1], [0, 1, 1, 1], [[1, 1, 0, 0], [1, 0, 1, 0]]],
+                             ids=["interior-hole", "leading-zero", "batched"])
+    def test_mask_with_a_hole_is_rejected(self, mask):
+        # a masked step holds a zero state, so a hole would reset the
+        # recurrence mid-sentence: the mask marks padding only
+        params = self._params()
+        mask = np.array(mask)
+        x = np.random.default_rng(6).normal(size=mask.shape + (4,))
+        with pytest.raises(ValueError, match="padding only"):
+            bigru(x, mask, params)
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_init_blocks_match_per_gate_draws(self, seed):

@@ -17,6 +17,7 @@ from ctie.mslr import (
     dump_jsonl,
     encode,
     encode_all,
+    entity_masks,
     expand,
     make_batches,
     make_entity_mask,
@@ -148,6 +149,23 @@ class TestEntityMask:
     def test_overlap_raises(self):
         with pytest.raises(OverlapError):
             make_entity_mask(5, (0, 3), (2, 4))
+
+    def test_array_builder_matches_per_pair_masks(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            n = int(rng.integers(2, 20))
+            pairs = []
+            for _ in range(int(rng.integers(1, 6))):
+                s1, e1, s2, e2 = np.sort(rng.choice(n + 1, size=4, replace=n < 3))
+                if s1 < e1 <= s2 < e2:
+                    pair = [(s1, e1), (s2, e2)]
+                    pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+            if not pairs:
+                continue
+            bounds = np.array(pairs)
+            masks = entity_masks(n, bounds[:, 0], bounds[:, 1])
+            assert masks.dtype == np.float64
+            assert np.array_equal(masks, [make_entity_mask(n, head, tail) for head, tail in pairs])
 
 
 class TestEncode:

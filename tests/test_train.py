@@ -106,6 +106,7 @@ class TestAdamW:
             "exact": (ADAMW_CHUNK,),
             "over": (ADAMW_CHUNK + 1,),
             "matrix": (5, ADAMW_CHUNK // 2),
+            "grid": (3, 7),
             "frozen": (ADAMW_CHUNK + 3,),
         }
         rng = np.random.default_rng(3)
