@@ -39,7 +39,8 @@ it with ``inner.T`` on ``e_{t+1} + beta_{t+1}``. A row whose max is -inf
 stays -inf, and a label no allowed step reaches gets log(0) = -inf. The
 step into STOP that closes the forward recursion is the same product
 with the (L, 1) column of STOP scores.
-Viterbi is max-plus and keeps its (B, L, L) maximum per step.
+Viterbi is max-plus: each step takes one argmax over its (B, L, L) grid
+and reads the maxima back at those indices.
 
 Exactness. With every transition finite and of span S, each product entry
 is at least exp(-S), whatever the emissions, so the recursions are exact
@@ -329,11 +330,13 @@ def crf_decode(
     shortest = int(lengths.min())
     into = np.ascontiguousarray(inner.T)  # into[j, i] scores i -> j
     back = np.empty((n_batch, width, num_labels), dtype=np.intp)
+    # flat offset of grid[b, j, 0]: one argmax per step, its maxima read back by take
+    offsets = np.arange(n_batch * num_labels).reshape(n_batch, num_labels) * num_labels
     score = start + em[:, 0]
     for t in range(1, width):
         grid = score[:, None, :] + into
-        back[:, t] = grid.argmax(axis=2)
-        best = grid.max(axis=2) + em[:, t]
+        idx = back[:, t] = grid.argmax(axis=2)
+        best = grid.take(idx + offsets) + em[:, t]
         score = best if t < shortest else np.where((t < lengths)[:, None], best, score)
     last = np.argmax(score + stop, axis=1)
 

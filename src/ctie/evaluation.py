@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
-from .errors import SchemaError, UnknownRelation
 from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
-from .mslr import Vocabulary, entity_masks, relation_pairs
+from .mslr import Vocabulary, pair_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -271,26 +270,6 @@ def predict_ner_labels(
     ]
 
 
-def _checkpoint_pairs(sentence: AnnotatedSentence, types: TypeSystem, index: int) -> list[tuple]:
-    """(head, tail) entities per annotated relation, each of whose entity
-    types and relation the checkpoint's ``types`` must know."""
-    pairs = []
-    for rel, head, tail in relation_pairs(sentence, index):
-        for entity in (head, tail):
-            if not types.has_entity_type(entity.entity_type.name):
-                raise SchemaError(
-                    f"sentence {index}: entity type {entity.entity_type.name!r} is not "
-                    "in the checkpoint's type system"
-                )
-        if not types.has_relation(rel.relation.name):
-            raise UnknownRelation(
-                f"sentence {index}: relation {rel.relation.name!r} is not in the "
-                "checkpoint's type system"
-            )
-        pairs.append((head, tail))
-    return pairs
-
-
 def predict_relations_gold_pairs(
     params: Params,
     config: ModelConfig,
@@ -306,21 +285,16 @@ def predict_relations_gold_pairs(
     types it does not know raises a ``DataError``."""
     preds: list[PairPrediction] = []
     for i, (sentence, h) in enumerate(zip(sentences, encodings)):
-        pairs = _checkpoint_pairs(sentence, types, i)
+        rows = pair_rows(sentence, types, i)
         n = len(sentence.tokens)
-        if not pairs or n > max_len:
+        if not len(rows) or n > max_len:
             continue
-        bounds = np.array([[(e.start, e.end) for e in pair] for pair in pairs])
-        *_, probs = relation_head(
-            h, entity_masks(n, bounds[:, 0], bounds[:, 1]),
-            [types.entity_type(head.entity_type.name).id for head, _ in pairs],
-            [types.entity_type(tail.entity_type.name).id for _, tail in pairs],
-            params, config,
-        )
+        *_, probs = relation_head(h, rows.masks(n), rows.head_type, rows.tail_type,
+                                  params, config)
         preds.extend(
-            PairPrediction(i, (head.start, head.end), (tail.start, tail.end),
-                           types.relations[k].name)
-            for (head, tail), k in zip(pairs, np.argmax(probs, axis=1))
+            PairPrediction(i, tuple(head), tuple(tail), types.relations[k].name)
+            for head, tail, k in zip(rows.heads.tolist(), rows.tails.tolist(),
+                                     np.argmax(probs, axis=1))
         )
     return preds
 

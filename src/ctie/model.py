@@ -5,10 +5,11 @@
     relation head:  H -> masked sum over the pair's entity tokens -> pool
                     [pool ; type_emb(head) ; type_emb(tail)] -> dense -> softmax
 
-Inference encodes a sentence once and scores all its candidate pairs from
-that H: pairs differ only in entity mask and type ids, which the encoder
-never reads. Training (``forward``) keeps one MSLR row per annotated pair,
-with dropout after the embedding and after the BiGRU. Viterbi takes an
+Inference and validation encode a sentence once (``encode``) and score all
+its pairs, candidate or annotated, from that H: pairs differ only in entity
+mask and type ids, which the encoder never reads. Training (``forward``,
+which has no eval mode) keeps one MSLR row per annotated pair, with dropout
+after the embedding and after the BiGRU. Viterbi takes an
 optional BIO transition mask as an argument; callers build it once from
 their ``TypeSystem`` with ``decode_constraint``.
 
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TypeSystem
-from .crf import bio_allowed_transitions, check_padding_mask, crf_decode, crf_nll, crf_nll_grad
+from .crf import bio_allowed_transitions, check_padding_mask, crf_decode, crf_nll_grad
 from .errors import EmptyMask, IdOutOfRange, SchemaError
 from .mslr import Batch, Vocabulary
 
@@ -445,8 +446,7 @@ class ForwardResult:
     re_ce: float
     joint: float
     re_probs: np.ndarray
-    ner_scores: np.ndarray
-    trace: ForwardTrace | None
+    trace: ForwardTrace
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -461,28 +461,26 @@ def forward(
     mode: str = "train",
     rng: np.random.Generator | None = None,
 ) -> ForwardResult:
-    """Run the whole network on one batch of MSLR rows and compute the
-    joint loss.
+    """One training forward pass over a batch of MSLR rows: the joint loss
+    and the trace ``backward`` needs.
 
-    Dropout is active only in train mode (after the embedding and after the
-    BiGRU); eval mode is fully deterministic. A train-mode forward gets the
-    CRF NLL and its gradients from one batched forward-backward pass (kept
-    in the trace for ``backward``); an eval-mode forward runs the forward
-    recursion only. Neither decodes: ``ner_scores`` are the emissions a
-    caller can hand to ``crf_decode``.
+    Dropout follows the embedding and the BiGRU. The CRF NLL and its
+    gradients come from one batched forward-backward pass, kept in the
+    trace; nothing is decoded. ``mode`` must be ``"train"``: there is no
+    eval mode, since inference and validation encode each sentence once
+    (``encode``) and score its pairs with ``relation_head``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    if train and config.dropout > 0.0 and rng is None:
-        raise ValueError("train-mode forward with dropout > 0 needs an rng")
+    if mode != "train":
+        raise ValueError(f"mode must be 'train', got {mode!r}")
+    if config.dropout > 0.0 and rng is None:
+        raise ValueError("forward with dropout > 0 needs an rng")
 
     mask = batch.attention_mask
     emb = embed(batch.token_ids, params["embed"])
 
     drop_emb = None
     emb_d = emb
-    if train and config.dropout > 0.0:
+    if config.dropout > 0.0:
         drop_emb = _dropout_mask(emb.shape, config.dropout, rng)
         emb_d = emb * drop_emb
 
@@ -490,7 +488,7 @@ def forward(
 
     drop_h = None
     h_d = h_bigru
-    if train and config.dropout > 0.0:
+    if config.dropout > 0.0:
         drop_h = _dropout_mask(h_bigru.shape, config.dropout, rng)
         h_d = h_bigru * drop_h
 
@@ -500,28 +498,20 @@ def forward(
         attention_mask=mask,
     )
 
-    if train:
-        nlls, d_logits, d_trans = crf_nll_grad(
-            logits, batch.ner_labels, params["crf_trans"], mask
-        )
-    else:
-        nlls = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
+    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels, params["crf_trans"], mask)
     ner_nll_mean = float(np.mean(nlls))
     picked = probs_re[np.arange(batch.size), batch.relation_label]
     re_ce_mean = float(np.mean(-np.log(picked)))
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
-    trace = None
-    if train:
-        trace = ForwardTrace(
-            config=config, batch=batch, drop_emb=drop_emb, emb_d=emb_d,
-            gru_traces=gru_traces, drop_h=drop_h, h_d=h_d,
-            logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
-            pool_mask=pool_mask, features=features, probs_re=probs_re,
-        )
+    trace = ForwardTrace(
+        config=config, batch=batch, drop_emb=drop_emb, emb_d=emb_d,
+        gru_traces=gru_traces, drop_h=drop_h, h_d=h_d,
+        logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
+        pool_mask=pool_mask, features=features, probs_re=probs_re,
+    )
     return ForwardResult(
-        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint,
-        re_probs=probs_re, ner_scores=logits, trace=trace,
+        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, re_probs=probs_re, trace=trace,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
-from .errors import DuplicatePairError, LengthError, OverlapError
+from .errors import DuplicatePairError, LengthError, OverlapError, SchemaError, UnknownRelation
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -107,6 +107,26 @@ def entity_masks(sentence_length: int, heads: np.ndarray, tails: np.ndarray) -> 
 
 
 @dataclass(frozen=True)
+class PairRows:
+    """One sentence's MSLR rows as arrays, one entry per annotated pair in
+    relation order: the head and tail span bounds, (P, 2) arrays of
+    [start, end), and the head type, tail type and relation ids, (P,)."""
+
+    heads: np.ndarray
+    tails: np.ndarray
+    head_type: np.ndarray
+    tail_type: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def masks(self, sentence_length: int) -> np.ndarray:
+        """(P, T) entity masks of the rows."""
+        return entity_masks(sentence_length, self.heads, self.tails)
+
+
+@dataclass(frozen=True)
 class MslrExample:
     """One per-relation row before token-id encoding."""
 
@@ -170,6 +190,31 @@ def relation_pairs(sentence: AnnotatedSentence, sentence_index: int = 0) -> list
         seen.add(pair)
         pairs.append((rel, sentence.entities[rel.head_index], sentence.entities[rel.tail_index]))
     return pairs
+
+
+def pair_rows(sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0) -> PairRows:
+    """The gold-pair rows of ``sentence``, with type and relation ids looked
+    up by name in ``types``, the type system a checkpoint stores. An entity
+    type or relation that ``types`` does not know raises a ``DataError``."""
+    rows = []
+    for rel, head, tail in relation_pairs(sentence, sentence_index):
+        for entity in (head, tail):
+            if not types.has_entity_type(entity.entity_type.name):
+                raise SchemaError(
+                    f"sentence {sentence_index}: entity type {entity.entity_type.name!r} is not "
+                    "in the checkpoint's type system"
+                )
+        if not types.has_relation(rel.relation.name):
+            raise UnknownRelation(
+                f"sentence {sentence_index}: relation {rel.relation.name!r} is not in the "
+                "checkpoint's type system"
+            )
+        rows.append((head.start, head.end, tail.start, tail.end,
+                     types.entity_type(head.entity_type.name).id,
+                     types.entity_type(tail.entity_type.name).id,
+                     types.relation(rel.relation.name).id))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 7)
+    return PairRows(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], table[:, 6])
 
 
 def expand(

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
-from .crf import crf_decode
+from .crf import crf_decode, crf_nll
 from .errors import NonFiniteLoss
 from .model import (
     ModelConfig,
@@ -23,9 +23,11 @@ from .model import (
     forward,
     init_params,
     load_embedding_file,
+    ner_logits,
+    relation_head,
     save_checkpoint,
 )
-from .mslr import Vocabulary, build_vocab, expand_and_encode, make_batches
+from .mslr import Vocabulary, build_vocab, expand_and_encode, make_batches, pair_rows
 
 
 @dataclass
@@ -49,11 +51,11 @@ class TrainConfig:
     min_freq: int = 1
 
     def validate(self) -> None:
-        total = self.train_ratio + self.val_ratio + self.test_ratio
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split ratios must sum to 1, got {total}")
+        check_split_ratios((self.train_ratio, self.val_ratio, self.test_ratio))
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("learning rate, batch size, and epochs must be positive")
+        if self.max_len < 1 or self.min_freq < 1:
+            raise ValueError("max_len and min_freq must be at least 1")
 
     @property
     def effective_split_seed(self) -> int:
@@ -78,6 +80,14 @@ class TrainConfig:
         return cls(**payload)
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Raise ``ValueError`` unless each ratio lies in [0, 1] and they sum to 1."""
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"split ratios must each lie in [0, 1], got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
+
+
 def split(
     sentences: Sequence[AnnotatedSentence],
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -89,8 +99,7 @@ def split(
     """
     if not sentences:
         raise ValueError("cannot split an empty corpus")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_split_ratios(ratios)
     n = len(sentences)
     order = np.random.default_rng(seed).permutation(n)
     n_val = int(n * ratios[1])
@@ -280,12 +289,13 @@ class _Sums:
     rows: int = 0
     re_hits: int = 0
 
-    def add(self, result, batch) -> None:
-        self.ner += result.ner_nll * batch.size
-        self.re += result.re_ce * batch.size
-        self.joint += result.joint * batch.size
-        self.rows += batch.size
-        self.re_hits += int(np.sum(np.argmax(result.re_probs, axis=1) == batch.relation_label))
+    def add(self, ner: float, re: float, joint: float, re_probs, labels) -> None:
+        """Add the loss sums and the relation probabilities of some rows."""
+        self.ner += ner
+        self.re += re
+        self.joint += joint
+        self.rows += len(labels)
+        self.re_hits += int(np.sum(np.argmax(re_probs, axis=1) == labels))
 
     def means(self) -> dict:
         """Per-row means (None when no row was added)."""
@@ -294,19 +304,37 @@ class _Sums:
         return {k: v / self.rows if self.rows else None for k, v in sums.items()}
 
 
-def evaluate_split(params, config, batches, allowed=None) -> dict:
-    """Mean losses and accuracies over batches (eval mode); token accuracy
-    decodes each batch's emissions under the ``allowed`` transition mask."""
+def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dict:
+    """Mean losses and accuracies over the MSLR rows of ``sentences``, a
+    list of (sentence, ``PairRows``) pairs, each with at least one row.
+
+    A sentence's rows share one encoding (``encode_batches``). Its CRF NLL
+    and its Viterbi token hits (under the ``allowed`` transition mask) are
+    computed once and weighted by its row count, and the relation head
+    scores its rows on that encoding: the means are those of a dropout-free
+    forward over every row, to rounding.
+    """
+    from .evaluation import encode_batches  # evaluation imports this module
+
     sums = _Sums()
-    tok_correct = tok_total = 0
-    for batch in batches:
-        result = forward(batch, params, config, mode="eval")
-        sums.add(result, batch)
-        paths = crf_decode(result.ner_scores, params["crf_trans"], batch.attention_mask,
-                           allowed=allowed)
-        for path, n, gold in zip(paths, batch.lengths, batch.ner_labels):
-            tok_correct += int(np.sum(np.asarray(path) == gold[:n]))
-            tok_total += int(n)
+    tok_correct = tok_total = done = 0
+    for h, mask in encode_batches(params, vocab, [s.tokens for s, _ in sentences]):
+        chunk = sentences[done : done + len(h)]
+        done += len(h)
+        gold = np.zeros(mask.shape, dtype=np.int64)
+        for b, (sentence, _) in enumerate(chunk):
+            gold[b, : len(sentence)] = [types.bio_id(tag) for tag in sentence.labels]
+        logits = ner_logits(h, params["ner_w"], params["ner_b"])
+        nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
+        paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
+        for (sentence, rows), h_s, y, path, nll in zip(chunk, h, gold, paths, nlls):
+            n, w = len(sentence), len(rows)
+            *_, probs = relation_head(h_s[:n], rows.masks(n), rows.head_type, rows.tail_type,
+                                      params, config)
+            ce = -float(np.sum(np.log(probs[np.arange(w), rows.label])))
+            sums.add(w * nll, ce, config.alpha * w * nll + config.beta * ce, probs, rows.label)
+            tok_correct += w * int(np.sum(np.asarray(path) == y[:n]))
+            tok_total += w * n
     return dict(sums.means(), ner_acc=tok_correct / tok_total if tok_total else None)
 
 
@@ -353,13 +381,18 @@ def train_loop(
     train_instances, skipped = expand_and_encode(
         zip(train_idx, train_sents), types, vocab, train_config.max_len
     )
-    val_instances, val_skipped = expand_and_encode(
-        ((i, sentences[i]) for i in val_idx), types, vocab, train_config.max_len
-    )
-    skipped = skipped + val_skipped
     if not train_instances:
         raise ValueError("no trainable instances (every sentence has zero relations?)")
-    val_batches = make_batches(val_instances, train_config.batch_size) if val_instances else []
+    # validation keeps a sentence's rows together; an overlong sentence is
+    # skipped and listed once per row, as expand_and_encode lists them
+    val_sents = []
+    for i in val_idx:
+        rows = pair_rows(sentences[i], types, i)
+        n = len(sentences[i])
+        if n > train_config.max_len:
+            skipped.extend(((i, j), n) for j in range(len(rows)))
+        elif len(rows):
+            val_sents.append((sentences[i], rows))
 
     extras = {
         "vocab": vocab.to_list(),
@@ -395,9 +428,10 @@ def train_loop(
             if train_config.grad_clip_norm:
                 clip_gradients(grads, train_config.grad_clip_norm)
             adamw_step(params, grads, state, train_config, skip=skip)
-            sums.add(result, batch)
+            sums.add(result.ner_nll * batch.size, result.re_ce * batch.size,
+                     result.joint * batch.size, result.re_probs, batch.relation_label)
 
-        val = evaluate_split(params, config, val_batches, allowed)
+        val = evaluate_split(params, config, vocab, types, val_sents, allowed)
         stats = EpochStats(
             epoch=epoch,
             **{f"train_{k}": v for k, v in sums.means().items()},

@@ -419,3 +419,63 @@ class TestGemmRecursions:
             [0.5, -np.inf],
         ])
         np.testing.assert_allclose(out, expected, rtol=1e-15)
+
+
+def _two_reduction_viterbi(emissions, transitions, mask, allowed):
+    """Viterbi one row at a time, each step reducing its (L, L) grid twice,
+    by argmax for the back-pointers and by max for the scores."""
+    n_labels = emissions.shape[-1]
+    if allowed is not None:
+        transitions = transitions + np.where(allowed, 0.0, -np.inf)
+    inner = transitions[:n_labels, :n_labels]
+    start, stop = transitions[n_labels, :n_labels], transitions[:n_labels, n_labels + 1]
+    paths = []
+    for em, keep in zip(emissions, mask):
+        em = em[keep != 0]
+        if not len(em):
+            paths.append([])
+            continue
+        score, back = start + em[0], []
+        for step in em[1:]:
+            grid = score[None, :] + inner.T  # grid[j, i] scores i -> j
+            back.append(grid.argmax(axis=1))
+            score = grid.max(axis=1) + step
+        path = [int(np.argmax(score + stop))]
+        for pointers in reversed(back):
+            path.append(int(pointers[path[-1]]))
+        paths.append(path[::-1])
+    return paths
+
+
+@st.composite
+def tied_batches(draw):
+    """Padded batches over a BIO label set whose emissions and transitions
+    are small integers, so that steps often tie; half fold the BIO -inf
+    matrix into the transitions."""
+    n_batch = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 7))
+    bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 3))) for p in "BI")
+    n_labels = len(bio)
+    mask = draw(padding_masks(n_batch, n_steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emissions = rng.integers(-2, 3, size=(n_batch, n_steps, n_labels)).astype(np.float64)
+    transitions = rng.integers(-2, 3, size=(n_labels + 2, n_labels + 2)).astype(np.float64)
+    if draw(st.booleans()):
+        transitions += np.where(bio_allowed_transitions(bio), 0.0, -np.inf)
+    return emissions, transitions, mask, bio
+
+
+class TestViterbiOneReduction:
+    """One argmax per step, its maxima read back by index, decodes exactly
+    the paths of the argmax-and-max step, ties and -inf entries included."""
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "allowed"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_batches())
+    def test_matches_two_reduction_reference(self, constrained, case):
+        emissions, transitions, mask, bio = case
+        allowed = bio_allowed_transitions(bio) if constrained else None
+        paths = crf_decode(emissions, transitions, mask, allowed=allowed)
+        assert paths == _two_reduction_viterbi(emissions, transitions, mask, allowed)
+        for b in range(len(emissions)):
+            assert crf_decode(emissions[b], transitions, mask[b], allowed=allowed) == paths[b]

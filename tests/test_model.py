@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctie.crf import crf_decode
+from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
     ModelConfig,
@@ -12,6 +12,7 @@ from ctie.model import (
     backward,
     bigru,
     embed,
+    encode,
     entity_pool,
     forward,
     init_params,
@@ -21,6 +22,7 @@ from ctie.model import (
     ner_logits,
     param_shapes,
     relation_features,
+    relation_head,
     relation_logits_and_probs,
     save_checkpoint,
     save_embedding_file,
@@ -339,35 +341,51 @@ class TestJointLoss:
 
 def decoded(result, params, batch, allowed=None):
     """Viterbi paths of a forward result's emissions."""
-    return crf_decode(result.ner_scores, params["crf_trans"], batch.attention_mask,
+    return crf_decode(result.trace.logits_ner, params["crf_trans"], batch.attention_mask,
                       allowed=allowed)
+
+
+def encoder_path(batch, params, config):
+    """The batch's rows on the deterministic path of inference and
+    validation: (emissions, per-row CRF NLL, relation probabilities)."""
+    mask = batch.attention_mask
+    h = encode(batch.token_ids, mask, params)
+    logits = ner_logits(h, params["ner_w"], params["ner_b"])
+    nll = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
+    *_, probs = relation_head(h, batch.entity_mask, batch.head_type, batch.tail_type,
+                              params, config, attention_mask=mask)
+    return logits, nll, probs
 
 
 class TestForward:
     def test_eval_deterministic(self):
+        # the encoder path ignores the configured dropout
         config = tiny_config(dropout=0.3)
         params = init_params(config, seed=5)
         batch = tiny_batch()
-        a = forward(batch, params, config, mode="eval")
-        b = forward(batch, params, config, mode="eval")
-        assert a.ner_nll == b.ner_nll
-        assert a.re_ce == b.re_ce
-        assert np.array_equal(a.re_probs, b.re_probs)
-        assert decoded(a, params, batch) == decoded(b, params, batch)
+        a = encoder_path(batch, params, config)
+        b = encoder_path(batch, params, config)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        mask = batch.attention_mask
+        assert crf_decode(a[0], params["crf_trans"], mask) == crf_decode(
+            b[0], params["crf_trans"], mask)
 
     def test_train_with_zero_dropout_equals_eval(self):
         config = tiny_config(dropout=0.0)
         params = init_params(config, seed=6)
         batch = tiny_batch()
         t = forward(batch, params, config, mode="train")
-        e = forward(batch, params, config, mode="eval")
-        assert t.joint == e.joint
-        assert np.array_equal(t.re_probs, e.re_probs)
+        logits, nll, probs = encoder_path(batch, params, config)
+        assert np.array_equal(t.trace.logits_ner, logits)
+        assert np.array_equal(t.re_probs, probs)
+        re_ce = float(np.mean(-np.log(probs[np.arange(batch.size), batch.relation_label])))
+        assert t.joint == joint_loss(float(np.mean(nll)), re_ce)
 
     def test_joint_is_weighted_sum(self):
         config = tiny_config()
         params = init_params(config, seed=7)
-        result = forward(tiny_batch(), params, config, mode="eval")
+        result = forward(tiny_batch(), params, config, mode="train")
         assert result.joint == pytest.approx(result.ner_nll + result.re_ce, abs=1e-12)
 
     def test_type_toggle_leaves_ner_branch_identical(self):
@@ -376,9 +394,9 @@ class TestForward:
         for use_type in (True, False):
             config = tiny_config(use_type=use_type)
             params = init_params(config, seed=8)
-            outputs[use_type] = forward(batch, params, config, mode="eval")
+            outputs[use_type] = forward(batch, params, config, mode="train")
             paths[use_type] = decoded(outputs[use_type], params, batch)
-        assert np.array_equal(outputs[True].ner_scores, outputs[False].ner_scores)
+        assert np.array_equal(outputs[True].trace.logits_ner, outputs[False].trace.logits_ner)
         assert paths[True] == paths[False]
         assert outputs[True].ner_nll == outputs[False].ner_nll
 
@@ -388,7 +406,7 @@ class TestForward:
         batch = tiny_batch()
         batch.entity_mask = np.zeros_like(batch.entity_mask)
         with pytest.raises(EmptyMask):
-            forward(batch, params, config, mode="eval")
+            forward(batch, params, config, mode="train")
 
     def test_dropout_needs_rng(self):
         config = tiny_config(dropout=0.5)
@@ -397,9 +415,8 @@ class TestForward:
             forward(tiny_batch(), params, config, mode="train")
 
     def test_training_step_computes_log_partition_once(self, monkeypatch):
-        # a train-mode forward makes one batched forward-backward pass and
-        # no decode; backward reuses the pass and calls no CRF; an eval-mode
-        # forward runs the forward recursion only
+        # a forward makes one batched forward-backward pass and no decode;
+        # backward reuses the pass and calls no CRF; there is no eval mode
         import ctie.crf as crf_module
         import ctie.model as model_module
 
@@ -420,8 +437,9 @@ class TestForward:
         calls.clear()
         backward(result.trace, params)
         assert calls == []
-        forward(tiny_batch(), params, config, mode="eval")
-        assert calls == ["crf_nll"]
+        with pytest.raises(ValueError, match="mode"):
+            forward(tiny_batch(), params, config, mode="eval")
+        assert calls == []
 
     def test_trace_replay_reproduces_outputs_bit_identically(self):
         # re-running the forward with the same dropout stream is the trace
@@ -436,7 +454,6 @@ class TestForward:
         assert np.array_equal(a.trace.h_d, b.trace.h_d)
         assert np.array_equal(a.trace.logits_ner, b.trace.logits_ner)
         assert np.array_equal(a.re_probs, b.re_probs)
-        assert np.array_equal(a.ner_scores, b.ner_scores)
         assert decoded(a, params, batch) == decoded(b, params, batch)
 
 
@@ -619,7 +636,7 @@ def test_bio_constrained_decode_wired_through_forward():
         batch.token_ids = rng.integers(2, config.vocab_size, size=batch.token_ids.shape)
         h = encode(batch.token_ids, batch.attention_mask, params)
         paths = ner_predict(h, batch.attention_mask, params, allowed)
-        result = forward(batch, params, config, mode="eval")
+        result = forward(batch, params, config, mode="train")
         assert decoded(result, params, batch, allowed) == paths
         assert not any(_has_dangling_i(path, bio) for path in paths)
         unconstrained_dangling += sum(

@@ -1,10 +1,17 @@
 """Splitting, the AdamW step, and the training loop."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctie.corpus import load_corpus
+from ctie.crf import crf_decode, crf_nll
 from ctie.errors import NonFiniteLoss
+from ctie.model import decode_constraint, forward
+from ctie.mslr import expand_and_encode, make_batches
 from ctie.train import (
     ADAMW_CHUNK,
     TrainConfig,
@@ -16,6 +23,10 @@ from ctie.train import (
 )
 
 from helpers import SMOKE_CORPUS, random_corpus
+
+
+# split ratios in and around [0, 1], its ends included
+SPLIT_RATIOS = st.one_of(st.sampled_from([0.0, 0.15, 0.5, 1.0]), st.floats(-0.5, 1.5))
 
 
 class TestSplit:
@@ -49,6 +60,36 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             split(self._corpus(5), (0.5, 0.2, 0.2), seed=0)
+
+    def test_ratio_outside_unit_interval_is_rejected(self):
+        # these sum to 1, but a negative train share would put sentences in
+        # both the train and the test split
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            split(self._corpus(10), (-0.2, 0.6, 0.6), seed=0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TrainConfig(train_ratio=-0.2, val_ratio=0.6, test_ratio=0.6).validate()
+
+    @pytest.mark.parametrize("field", ["max_len", "min_freq"])
+    def test_config_rejects_max_len_and_min_freq_below_one(self, field):
+        TrainConfig(**{field: 1}).validate()
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: 0}).validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(SPLIT_RATIOS, SPLIT_RATIOS, st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_accepted_ratios_partition_the_corpus(self, val, test, n, seed):
+        ratios = (1.0 - val - test, val, test)
+        config = TrainConfig(train_ratio=ratios[0], val_ratio=val, test_ratio=test,
+                             split_seed=seed)
+        try:
+            config.validate()
+        except ValueError:
+            with pytest.raises(ValueError):
+                split(range(n), ratios, seed=seed)
+            return
+        parts = [set(part) for part in config.split(range(n))]
+        assert sum(map(len, parts)) == n
+        assert set().union(*parts) == set(range(n))
 
     def test_config_split_uses_its_ratios_and_split_seed(self):
         sentences = self._corpus(30)
@@ -285,30 +326,38 @@ class TestValidationDecode:
         )
 
     def test_one_decode_per_validation_batch_and_none_per_training_batch(self, monkeypatch):
+        # training forwards decode nothing; validation encodes each sentence
+        # once, one bigru and one crf_decode call per ENCODE_BATCH sentences
         import ctie.crf as crf_module
+        import ctie.evaluation as evaluation
         import ctie.model as model_module
         import ctie.train as train_mod
 
         events = []
-        real_forward, real_decode = train_mod.forward, crf_module.crf_decode
+        real_forward, real_decode, real_bigru = (
+            train_mod.forward, crf_module.crf_decode, model_module.bigru)
 
-        def forward_spy(*args, **kwargs):
-            events.append(kwargs.get("mode", "train"))
-            return real_forward(*args, **kwargs)
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def decode_spy(*args, **kwargs):
-            events.append("decode")
-            return real_decode(*args, **kwargs)
-
-        monkeypatch.setattr(train_mod, "forward", forward_spy)
+        monkeypatch.setattr(evaluation, "ENCODE_BATCH", 3)
+        monkeypatch.setattr(train_mod, "forward", spy("forward", real_forward))
+        monkeypatch.setattr(model_module, "bigru", spy("bigru", real_bigru))
         for module in (crf_module, model_module, train_mod):
-            monkeypatch.setattr(module, "crf_decode", decode_spy)
+            monkeypatch.setattr(module, "crf_decode", spy("decode", real_decode))
         corpus = load_corpus(SMOKE_CORPUS)
-        train_loop(corpus.sentences, corpus.types, self._config(),
+        config = self._config()
+        train_loop(corpus.sentences, corpus.types, config,
                    model_kwargs=dict(embed_dim=8, hidden_dim=4, dropout=0.3))
-        n_train, n_val = events.count("train"), events.count("eval")
-        assert n_train > 0 and n_val > 1
-        assert events == ["train"] * n_train + ["eval", "decode"] * n_val
+        n_val = len(config.split(corpus.sentences)[1])
+        assert n_val > 3  # more than one validation batch
+        n_train = events.count("forward")
+        assert n_train > 0
+        assert events == (["forward", "bigru"] * n_train
+                          + ["bigru", "decode"] * math.ceil(n_val / 3))
 
     def test_val_ner_acc_is_constrained_token_accuracy_of_validation_rows(self, monkeypatch):
         import ctie.train as train_mod
@@ -353,3 +402,122 @@ class TestValidationDecode:
         constrained = accuracy(bio_allowed_transitions(corpus.types.bio_labels))
         assert constrained != accuracy(None)
         assert result.log.entries[-1].val_ner_acc == constrained
+
+
+def row_batch_validation(result, sentences, val_idx, max_len, batch_size=8):
+    """The validation values of ``result.params`` as a row-batch pass computes
+    them, and the overlong rows it skips: every MSLR row of the validation
+    sentences through a dropout-free training forward, its emissions scored
+    by ``crf_nll`` and Viterbi-decoded by ``crf_decode``."""
+    params = result.params
+    config = dataclasses.replace(result.config, dropout=0.0)
+    allowed = decode_constraint(config, result.types.bio_labels)
+    instances, skipped = expand_and_encode(
+        ((i, sentences[i]) for i in val_idx), result.types, result.vocab, max_len)
+    ner = re = 0.0
+    rows = re_hits = tok_correct = tok_total = 0
+    for batch in make_batches(instances, batch_size):
+        out = forward(batch, params, config, mode="train")
+        logits, mask = out.trace.logits_ner, batch.attention_mask
+        ner += float(np.sum(crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)))
+        picked = out.re_probs[np.arange(batch.size), batch.relation_label]
+        re += float(np.sum(-np.log(picked)))
+        re_hits += int(np.sum(np.argmax(out.re_probs, axis=1) == batch.relation_label))
+        paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
+        for path, n, gold in zip(paths, batch.lengths, batch.ner_labels):
+            tok_correct += int(np.sum(np.asarray(path) == gold[:n]))
+            tok_total += int(n)
+        rows += batch.size
+    values = {
+        "ner_loss": ner / rows,
+        "re_loss": re / rows,
+        "joint_loss": config.alpha * ner / rows + config.beta * re / rows,
+        "re_acc": re_hits / rows,
+        "ner_acc": tok_correct / tok_total,
+    }
+    return values, skipped
+
+
+class TestValidationValues:
+    """Validation encodes each sentence once and weights it by its row
+    count; its values are those of the row-batch pass to rounding."""
+
+    MODEL = dict(embed_dim=8, hidden_dim=4, dropout=0.3)
+
+    def _run(self, sentences, types, monkeypatch, model_kwargs=None, **overrides):
+        import ctie.evaluation as evaluation
+
+        # several encoder batches, padded to different lengths
+        monkeypatch.setattr(evaluation, "ENCODE_BATCH", 3)
+        config = smoke_train_config(epochs=1, train_ratio=0.6, val_ratio=0.25,
+                                    test_ratio=0.15, **overrides)
+        result = train_loop(sentences, types, config,
+                            model_kwargs=dict(self.MODEL, **(model_kwargs or {})))
+        train_idx, val_idx, _ = config.split(range(len(sentences)))
+        return result, config, train_idx, val_idx
+
+    def _assert_matches(self, entry, expected):
+        assert entry.val_ner_acc == expected["ner_acc"]
+        for key in ("ner_loss", "re_loss", "joint_loss", "re_acc"):
+            assert getattr(entry, f"val_{key}") == pytest.approx(expected[key], rel=1e-12)
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["viterbi", "bio-constrained"])
+    @pytest.mark.parametrize("use_mask,use_type", [(True, True), (True, False),
+                                                   (False, True), (False, False)],
+                             ids=["mask-type", "mask", "type", "neither"])
+    def test_values_match_row_batch_reference(self, monkeypatch, use_mask, use_type,
+                                              constrained):
+        corpus = load_corpus(SMOKE_CORPUS)
+        result, config, _, val_idx = self._run(
+            corpus.sentences, corpus.types, monkeypatch,
+            dict(use_entity_mask=use_mask, use_entity_type=use_type,
+                 bio_constrained_decode=constrained, alpha=0.7, beta=1.3),
+        )
+        expected, _ = row_batch_validation(result, corpus.sentences, val_idx, config.max_len)
+        self._assert_matches(result.log.entries[0], expected)
+
+    def test_empty_validation_split_logs_no_values(self):
+        corpus = load_corpus(SMOKE_CORPUS)
+        result = train_loop(corpus.sentences[:10], corpus.types, smoke_train_config(epochs=1),
+                            model_kwargs=self.MODEL)
+        entry = result.log.entries[0]
+        for key in ("ner_loss", "re_loss", "joint_loss", "ner_acc", "re_acc"):
+            assert getattr(entry, f"val_{key}") is None
+        assert all(split_name == "train" for _, split_name, _, _ in result.log.rows())
+
+    def test_sentence_without_relations_adds_nothing(self, monkeypatch):
+        import ctie.evaluation as evaluation
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = list(corpus.sentences)
+        _, val_idx, _ = smoke_train_config(
+            train_ratio=0.6, val_ratio=0.25, test_ratio=0.15).split(range(len(sentences)))
+        bare = val_idx[1]
+        sentences[bare] = dataclasses.replace(sentences[bare], relations=())
+        encoded = []
+        real_encode_batches = evaluation.encode_batches
+
+        def encode_spy(params, vocab, token_seqs):
+            encoded.extend(token_seqs)
+            return real_encode_batches(params, vocab, token_seqs)
+
+        monkeypatch.setattr(evaluation, "encode_batches", encode_spy)
+        result, config, _, val_idx = self._run(sentences, corpus.types, monkeypatch)
+        assert sentences[bare].tokens not in encoded
+        assert len(encoded) == len(val_idx) - 1
+        others = [i for i in val_idx if i != bare]
+        expected, _ = row_batch_validation(result, sentences, others, config.max_len)
+        self._assert_matches(result.log.entries[0], expected)
+
+    def test_overlong_sentence_is_skipped_and_listed_per_row(self, monkeypatch):
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences
+        result, config, train_idx, val_idx = self._run(
+            sentences, corpus.types, monkeypatch, max_len=10)
+        train_skipped = expand_and_encode(
+            ((i, sentences[i]) for i in train_idx), corpus.types, result.vocab, 10)[1]
+        expected, val_skipped = row_batch_validation(result, sentences, val_idx, 10)
+        assert val_skipped  # some validation sentences are overlong
+        assert len(val_skipped) > len({origin[0] for origin, _ in val_skipped})
+        assert result.skipped_instances == train_skipped + val_skipped
+        self._assert_matches(result.log.entries[0], expected)
