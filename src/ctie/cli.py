@@ -42,8 +42,13 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
+class UsageError(Exception):
+    """A flag or config-file value that the configuration rejects (exit 2)."""
+
+
 def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
-    """defaults < config file < flags."""
+    """defaults < config file < flags, validated: a rejected value is a
+    ``UsageError``, raised before anything is written."""
     train_kwargs = {k: v for k, v in file_config.items() if k in _TRAIN_KEYS}
     model_kwargs = {k: v for k, v in file_config.items() if k in _MODEL_KEYS}
     flag_map = {
@@ -60,7 +65,15 @@ def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
         value = getattr(args, key, None)
         if value is not None:
             model_kwargs[key] = value
-    return TrainConfig(**train_kwargs), model_kwargs
+    train_config = TrainConfig(**train_kwargs)
+    try:
+        train_config.validate()
+        # the vocabulary and label counts come from the data: 1 stands in for them
+        ModelConfig(vocab_size=1, num_ner_labels=1, num_relations=1, num_entity_types=1,
+                    **model_kwargs).validate()
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    return train_config, model_kwargs
 
 
 def _write_run_config(out_dir: Path, command: str, payload: dict) -> None:
@@ -444,6 +457,8 @@ def main(argv=None) -> int:
         parser.error("--gold-spans needs --dataset, not --input")
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,10 +171,6 @@ def validate_params(params: Params, config: ModelConfig) -> None:
             raise SchemaError(f"parameter {name!r} contains non-finite values")
 
 
-def zeros_like_params(params: Params) -> Params:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # Layer operations
 # ---------------------------------------------------------------------------
@@ -210,110 +206,177 @@ def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
 
 
 @dataclass
+class Packing:
+    """The valid (step, row) cells of a padded (B, T) batch in the layout of
+    PyTorch's ``PackedSequence``: rows in stable longest-first order, cells
+    time-major, so the n active rows of a step are the first n sorted rows.
+    Cell i is step ``steps[i]`` of sorted row ``rows[i]``, which is the
+    caller's row ``callers[i]``. ``segments`` are the runs of steps with one
+    active count n, as (first step, end step, n, packed offset of the first
+    step). A batch without padding packs as its time-major transpose:
+    ``order`` is then None (identity) and there is one segment."""
+
+    n_batch: int
+    n_steps: int
+    segments: list[tuple[int, int, int, int]]
+    order: np.ndarray | None = None    # (B,) caller's row of each sorted row
+    steps: np.ndarray | None = None    # (P,)
+    rows: np.ndarray | None = None     # (P,)
+    callers: np.ndarray | None = None  # (P,)
+
+    @classmethod
+    def from_mask(cls, keep: np.ndarray) -> "Packing":
+        """The packing of a boolean (B, T) padding mask."""
+        n_batch, n_steps = keep.shape
+        if keep.all():
+            return cls(n_batch, n_steps, [(0, n_steps, n_batch, 0)])
+        order = np.argsort(-keep.sum(axis=1), kind="stable")
+        steps, rows = np.nonzero(keep[order].T)
+        counts = keep.sum(axis=0).tolist()
+        segments, first, offset = [], 0, 0
+        for t in range(1, n_steps + 1):
+            if t == n_steps or counts[t] != counts[first]:
+                if counts[first]:
+                    segments.append((first, t, counts[first], offset))
+                offset += (t - first) * counts[first]
+                first = t
+        return cls(n_batch, n_steps, segments, order, steps, rows, order[rows])
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """The valid cells of a (B, T, ...) array, as a (P, ...) array."""
+        if self.order is None:
+            return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(-1, *a.shape[2:])
+        return a[self.callers, self.steps]
+
+    def states(self, h: np.ndarray, back: int) -> np.ndarray:
+        """(P, h) from a (T+1, B, h) state buffer in sorted row order: cell
+        (t, row) reads ``h[t + back, row]``."""
+        if self.order is None:
+            return h[back : back + self.n_steps].reshape(-1, h.shape[-1])
+        return h[self.steps + back, self.rows]
+
+    def walk(self, reverse: bool):
+        """The segments in walk order, each as (first step, the steps'
+        indices within it in walk order, n, its slice of packed cells)."""
+        for first, end, n, offset in reversed(self.segments) if reverse else self.segments:
+            ks = range(end - first - 1, -1, -1) if reverse else range(end - first)
+            yield first, ks, n, slice(offset, offset + (end - first) * n)
+
+
+@dataclass
 class GruTrace:
-    x: np.ndarray        # (T*B, d) inputs, time-major: row t*B + b
-    mask: np.ndarray     # (T, B, 1) 0/1 floats
-    gates: np.ndarray    # (T, B, 3h) activations z | r | c
-    h: np.ndarray        # (T+1, B, h) zero start state, then the state after each step
+    x: np.ndarray        # (P, d) packed inputs
+    packing: Packing
+    gates: np.ndarray    # (P, 3h) activations z | r | c
+    h: np.ndarray        # (T+1, B, h) in sorted row order: zero start state, then the
+                         # state after each step; an inactive (step, row) stays zero
     reverse: bool        # walked from t = T-1 down: start state at T, step t's at t
 
 
-def _gru_run(x: np.ndarray, mask: np.ndarray, params: Params, prefix: str,
-             reverse: bool = False) -> tuple[np.ndarray, GruTrace]:
-    """One direction over time-major inputs ``x`` (T, B, d) and a padding
-    mask (T, B, 1), walking time backwards when ``reverse``; returns the
-    (T, B, h) states, a view of the trace's state buffer. Every step's input
-    projection is one GEMM before the recurrence; a step then makes one
-    recurrent GEMM for z|r and one for c, on contiguous (B, .) blocks. A
-    masked step stores a zero state: padding is a suffix of each row, so
-    the forward walk has passed the row's last token and the backward walk
-    has not reached its first."""
+def _gru_run(x: np.ndarray, packing: Packing, params: Params, prefix: str,
+             reverse: bool = False) -> GruTrace:
+    """One direction over packed inputs ``x`` (P, d), walking time backwards
+    when ``reverse``. Every step's input projection is one GEMM before the
+    recurrence; a step then makes one recurrent GEMM for z|r and one for c
+    on the n rows active at it, contiguous (n, .) blocks. Inactive rows are
+    never written: padding is a suffix of each row, so the forward walk has
+    passed the row's last token and the backward walk has not reached its
+    first, and both read the zero state there."""
     w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
-    n_steps, n_batch, n_in = x.shape
     n_hidden = u.shape[0]
     z, r, c, zr = _gate_slices(n_hidden)
-    x = x.reshape(-1, n_in)
     # input pre-activations; step t overwrites its own with the activations
     gates = x @ w
     gates += b
-    gates = gates.reshape(n_steps, n_batch, 3 * n_hidden)
-    g_z, g_r, g_c, g_zr = (gates[..., s] for s in (z, r, c, zr))
     u_zr, u_c = u[:, zr], u[:, c]
-    h = np.zeros((n_steps + 1, n_batch, n_hidden))
+    h = np.zeros((packing.n_steps + 1, packing.n_batch, n_hidden))
     back = int(reverse)
-    for t in range(n_steps - 1, -1, -1) if reverse else range(n_steps):
-        h_prev, h_t = h[t + back], h[t + 1 - back]
-        zt, rt, ct = g_z[t], g_r[t], g_c[t]
-        a_zr = g_zr[t]
-        a_zr += h_prev @ u_zr
-        _sigmoid(a_zr)
-        ct += (rt * h_prev) @ u_c
-        np.tanh(ct, out=ct)
-        np.subtract(1.0, zt, out=h_t)
-        h_t *= ct
-        h_t += zt * h_prev
-        h_t *= mask[t]
-    out = h[:n_steps] if reverse else h[1:]
-    return out, GruTrace(x=x, mask=mask, gates=gates, h=h, reverse=reverse)
+    for first, ks, n, cells in packing.walk(reverse):
+        seg = gates[cells].reshape(len(ks), n, -1)
+        g_z, g_r, g_c, g_zr = (seg[..., s] for s in (z, r, c, zr))
+        hs = h[first:, :n]
+        for k in ks:
+            h_prev, h_t = hs[k + back], hs[k + 1 - back]
+            zt, rt, ct = g_z[k], g_r[k], g_c[k]
+            a_zr = g_zr[k]
+            a_zr += h_prev @ u_zr
+            _sigmoid(a_zr)
+            ct += (rt * h_prev) @ u_c
+            np.tanh(ct, out=ct)
+            np.subtract(1.0, zt, out=h_t)
+            h_t *= ct
+            h_t += zt * h_prev
+    return GruTrace(x=x, packing=packing, gates=gates, h=h, reverse=reverse)
 
 
 def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
                   grads: Params) -> np.ndarray:
-    """Backpropagation through time for one direction, ``d_out`` (T, B, h)
-    the gradient of its states: writes the direction's ``w``, ``u`` and
-    ``b`` gradients into ``grads`` and returns the (T, B, d) input
-    gradient. A step makes only the recurrent products and stores its gate
-    pre-activation gradients in one (T, B, 3h) buffer; after the loop each
-    weight gradient and the input gradient is one GEMM on it."""
+    """Backpropagation through time for one direction, ``d_out`` (P, h) the
+    packed gradient of its states: writes the direction's ``w``, ``u`` and
+    ``b`` gradients into ``grads`` and returns the (P, d) packed input
+    gradient. A step makes only the recurrent products on its active rows
+    and stores its gate pre-activation gradients in one (P, 3h) buffer;
+    after the loop each weight gradient and the input gradient is one GEMM
+    on it. The state gradient of a row not yet active is zero, and a row
+    no longer active is never read again."""
     w, u = params[f"{prefix}.w"], params[f"{prefix}.u"]
-    n_steps, n_batch, _ = trace.mask.shape
+    packing = trace.packing
     n_hidden = u.shape[0]
     z, r, c, zr = _gate_slices(n_hidden)
     gates = trace.gates
-    g_z, g_r, g_c = (gates[..., s] for s in (z, r, c))
     u_zr_t, u_c_t = u[:, zr].T, u[:, c].T
     d_a = np.empty_like(gates)
-    d_z, d_r, d_c, d_zr = (d_a[..., s] for s in (z, r, c, zr))
-    dh = np.zeros((n_batch, n_hidden))
+    dh = np.zeros((packing.n_batch, n_hidden))
     back = int(trace.reverse)
-    for t in range(n_steps) if trace.reverse else range(n_steps - 1, -1, -1):
-        h_prev = trace.h[t + back]
-        zt, rt, ct = g_z[t], g_r[t], g_c[t]
-        dh += d_out[t]
-        dh *= trace.mask[t]  # the gradient of the step's new state
-        da_c = d_c[t]
-        np.multiply(dh * (1.0 - zt), 1.0 - ct * ct, out=da_c)
-        drh = da_c @ u_c_t
-        d_z[t] = dh * (h_prev - ct) * zt * (1.0 - zt)
-        d_r[t] = drh * h_prev * rt * (1.0 - rt)
-        dh = dh * zt + drh * rt + d_zr[t] @ u_zr_t
-    d_a = d_a.reshape(-1, 3 * n_hidden)
-    h_prev = trace.h[back : n_steps + back]
-    r_h_prev = (g_r * h_prev).reshape(-1, n_hidden)
+    for first, ks, n, cells in packing.walk(not trace.reverse):
+        shape = (len(ks), n, -1)
+        seg, d_seg, d_out_seg = (a[cells].reshape(shape) for a in (gates, d_a, d_out))
+        g_z, g_r, g_c = (seg[..., s] for s in (z, r, c))
+        d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
+        hs, dh_n = trace.h[first:, :n], dh[:n]
+        for k in ks:
+            h_prev = hs[k + back]
+            zt, rt, ct = g_z[k], g_r[k], g_c[k]
+            dh_n += d_out_seg[k]  # now the gradient of the step's new state
+            da_c = d_c[k]
+            np.multiply(dh_n * (1.0 - zt), 1.0 - ct * ct, out=da_c)
+            drh = da_c @ u_c_t
+            d_z[k] = dh_n * (h_prev - ct) * zt * (1.0 - zt)
+            d_r[k] = drh * h_prev * rt * (1.0 - rt)
+            dh_n *= zt
+            dh_n += drh * rt
+            dh_n += d_zr[k] @ u_zr_t
+    h_prev = packing.states(trace.h, back)
+    r_h_prev = gates[:, r] * h_prev
     g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
     np.matmul(trace.x.T, d_a, out=g_w)
-    np.matmul(h_prev.reshape(-1, n_hidden).T, d_a[:, zr], out=g_u[:, zr])
+    np.matmul(h_prev.T, d_a[:, zr], out=g_u[:, zr])
     np.matmul(r_h_prev.T, d_a[:, c], out=g_u[:, c])
     d_a.sum(axis=0, out=g_b)
-    return (d_a @ w.T).reshape(n_steps, n_batch, -1)
+    return d_a @ w.T
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False):
     """Bidirectional GRU encoding: row t is [forward state t ; backward state t].
 
     The mask marks padding only: each row is ones then zeros, and any other
-    mask is a ``ValueError``. Both directions read one time-major copy of
-    the input."""
+    mask is a ``ValueError``. Both directions read one packed copy of the
+    valid tokens (``Packing``) and run on the active rows only; the output
+    is (B, T, 2h) in the caller's row order, zero at padding."""
     squeeze = h_in.ndim == 2
     x = h_in[None] if squeeze else h_in
     keep = np.asarray(attention_mask) != 0
     keep = keep[None] if keep.ndim == 1 else keep
     check_padding_mask(keep)
-    mask = keep.T[:, :, None].astype(np.float64)
-    x = np.ascontiguousarray(x.transpose(1, 0, 2))
-    out_f, trace_f = _gru_run(x, mask, params, "gru_fwd")
-    out_b, trace_b = _gru_run(x, mask, params, "gru_bwd", reverse=True)
-    out = np.concatenate([out_f.transpose(1, 0, 2), out_b.transpose(1, 0, 2)], axis=2)
+    packing = Packing.from_mask(keep)
+    x = packing.pack(x)
+    trace_f = _gru_run(x, packing, params, "gru_fwd")
+    trace_b = _gru_run(x, packing, params, "gru_bwd", reverse=True)
+    n_hidden = trace_f.h.shape[-1]
+    out = np.empty(keep.shape + (2 * n_hidden,))
+    rows = slice(None) if packing.order is None else packing.order
+    out[rows, :, :n_hidden] = trace_f.h[1:].swapaxes(0, 1)
+    out[rows, :, n_hidden:] = trace_b.h[:-1].swapaxes(0, 1)
     if squeeze:
         out = out[0]
     if with_trace:
@@ -356,7 +419,7 @@ def entity_pool(h_bigru: np.ndarray, entity_mask) -> np.ndarray:
         return (h_bigru * mask[:, None]).sum(axis=0)
     if np.any(mask.sum(axis=1) == 0):
         raise EmptyMask("entity mask selects no tokens in at least one row")
-    return np.einsum("btk,bt->bk", h_bigru, mask)
+    return np.matmul(mask[:, None, :], h_bigru)[:, 0]
 
 
 def relation_features(
@@ -515,25 +578,31 @@ def forward(
     )
 
 
-def backward(trace: ForwardTrace, params: Params) -> Params:
+def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -> Params:
     """Analytic gradients of the joint loss for every parameter array.
 
     The joint loss is the batch mean of alpha * NER-NLL + beta * RE-CE, so
     every per-row contribution is scaled by 1/B. Shared-encoder arrays
-    accumulate contributions from both heads.
+    accumulate contributions from both heads. The gradients are written
+    into ``grads`` when given (a dict shaped like ``params``, whose values
+    are overwritten: a training loop passes one buffer on every step), and
+    into new arrays otherwise; the dict is returned.
     """
     config = trace.config
     batch = trace.batch
     n_batch = batch.size
     n_hidden = config.hidden_dim
-    grads = zeros_like_params(params)
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+    for name in ("embed", "type_embed"):  # the two arrays rows are added into
+        grads[name].fill(0.0)
 
     # Relation head.
     d_logits_re = trace.probs_re.copy()
     d_logits_re[np.arange(n_batch), batch.relation_label] -= 1.0
     d_logits_re *= config.beta / n_batch
-    grads["re_w"] += trace.features.T @ d_logits_re
-    grads["re_b"] += d_logits_re.sum(axis=0)
+    np.matmul(trace.features.T, d_logits_re, out=grads["re_w"])
+    d_logits_re.sum(axis=0, out=grads["re_b"])
     d_features = d_logits_re @ params["re_w"].T
 
     d_pool = d_features[:, : 2 * n_hidden]
@@ -549,22 +618,24 @@ def backward(trace: ForwardTrace, params: Params) -> Params:
     # NER head through the CRF, whose gradients the forward pass computed.
     scale = config.alpha / n_batch
     d_logits_ner = trace.d_logits_ner * scale
-    grads["crf_trans"] += trace.d_crf_trans * scale
-    grads["ner_w"] += np.einsum("btk,btl->kl", trace.h_d, d_logits_ner)
-    grads["ner_b"] += d_logits_ner.sum(axis=(0, 1))
-    d_h_d = d_h_d + d_logits_ner @ params["ner_w"].T
+    np.multiply(trace.d_crf_trans, scale, out=grads["crf_trans"])
+    n_labels = d_logits_ner.shape[-1]
+    np.matmul(trace.h_d.reshape(-1, 2 * n_hidden).T, d_logits_ner.reshape(-1, n_labels),
+              out=grads["ner_w"])
+    d_logits_ner.sum(axis=(0, 1), out=grads["ner_b"])
+    d_h_d += d_logits_ner @ params["ner_w"].T
 
     d_h_bigru = d_h_d if trace.drop_h is None else d_h_d * trace.drop_h
 
+    # BPTT on the valid tokens only, in the packed layout of the forward pass
     trace_f, trace_b = trace.gru_traces
-    d_states = np.ascontiguousarray(d_h_bigru.transpose(1, 0, 2))  # time-major
-    d_x = _gru_backprop(trace_f, d_states[..., :n_hidden], params, "gru_fwd", grads)
-    d_x += _gru_backprop(trace_b, d_states[..., n_hidden:], params, "gru_bwd", grads)
-    d_emb_d = d_x.transpose(1, 0, 2)
-
-    d_emb = d_emb_d if trace.drop_emb is None else d_emb_d * trace.drop_emb
-    flat_ids = batch.token_ids.reshape(-1)
-    np.add.at(grads["embed"], flat_ids, d_emb.reshape(len(flat_ids), -1))
+    packing = trace_f.packing
+    d_states = packing.pack(d_h_bigru)
+    d_x = _gru_backprop(trace_f, d_states[:, :n_hidden], params, "gru_fwd", grads)
+    d_x += _gru_backprop(trace_b, d_states[:, n_hidden:], params, "gru_bwd", grads)
+    if trace.drop_emb is not None:
+        d_x *= packing.pack(trace.drop_emb)
+    np.add.at(grads["embed"], packing.pack(batch.token_ids), d_x)
     return grads
 
 

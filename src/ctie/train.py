@@ -409,6 +409,7 @@ def train_loop(
     best_epoch = -1
     best_score = np.inf
     best_params = {k: v.copy() for k, v in params.items()}
+    grads = {k: np.empty_like(v) for k, v in params.items()}  # backward overwrites it
 
     for epoch in range(1, train_config.epochs + 1):
         started = time.perf_counter()
@@ -424,7 +425,7 @@ def train_loop(
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}", origins=batch.origins
                 )
-            grads = backward(result.trace, params)
+            backward(result.trace, params, grads)
             if train_config.grad_clip_norm:
                 clip_gradients(grads, train_config.grad_clip_norm)
             adamw_step(params, grads, state, train_config, skip=skip)

@@ -115,6 +115,25 @@ class TestUsageErrors:
             run("export", "--extractions", "x.json")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("argv, file_config, message", [
+        (("--max-len", "0"), None, "max_len"),
+        (("--dropout", "1.0"), None, "dropout"),
+        ((), {"train_ratio": -0.2, "val_ratio": 0.6, "test_ratio": 0.6}, "split ratios"),
+    ], ids=["max-len-zero", "dropout-one", "negative-split-ratio"])
+    def test_rejected_config_values_exit_two_before_writing(
+            self, tmp_path, capsys, command, argv, file_config, message):
+        if file_config is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(file_config))
+            argv = (*argv, "--config", config)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run(command, "--dataset", FIG_CORPUS, "--out", out, *argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_table_and_files(self, tmp_path, capsys):

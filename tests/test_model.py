@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
@@ -70,6 +70,44 @@ def manual_gru_states(x, p, prefix):
     return states
 
 
+def _random_rows(rng, config, lengths):
+    """One random MSLR row per length: token ids, labels, a one- or
+    two-token entity mask, types and a relation label."""
+    rows = []
+    for n in lengths:
+        entity = np.zeros(n)
+        entity[rng.choice(n, size=min(2, n), replace=False)] = 1.0
+        rows.append(dict(
+            token_ids=rng.integers(1, config.vocab_size, n),
+            ner_labels=rng.integers(0, config.num_ner_labels, n), entity_mask=entity,
+            head_type=rng.integers(config.num_entity_types),
+            tail_type=rng.integers(config.num_entity_types),
+            relation_label=rng.integers(config.num_relations),
+        ))
+    return rows
+
+
+def _row_batch(rows, width) -> Batch:
+    """The rows of ``_random_rows`` padded to ``width``, in the given order."""
+    def padded(key, dtype):
+        out = np.zeros((len(rows), width), dtype=dtype)
+        for b, row in enumerate(rows):
+            out[b, : len(row[key])] = row[key]
+        return out
+
+    lengths = np.array([len(row["token_ids"]) for row in rows])
+    return Batch(
+        token_ids=padded("token_ids", np.int64),
+        attention_mask=(np.arange(width) < lengths[:, None]).astype(np.float64),
+        entity_mask=padded("entity_mask", np.float64),
+        head_type=np.array([row["head_type"] for row in rows]),
+        tail_type=np.array([row["tail_type"] for row in rows]),
+        ner_labels=padded("ner_labels", np.int64),
+        relation_label=np.array([row["relation_label"] for row in rows]),
+        lengths=lengths, origins=tuple((b, 0) for b in range(len(rows))),
+    )
+
+
 class TestBiGru:
     def _params(self, d=4, h=3, seed=1):
         config = ModelConfig(
@@ -134,52 +172,33 @@ class TestBiGru:
             assert np.all(out[row, n:] == 0.0)
 
     @settings(max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=1, max_size=5),
            st.integers(0, 2))
-    def test_ragged_batch_gradients_sum_unpadded_rows(self, seed, lengths, extra):
-        # the batch loss is the mean of its rows' losses, so B times the
-        # batch gradient is the sum of each row's gradient, the row run
-        # unpadded alone; padding (here also past the longest row) adds nothing
+    @example(0, [4], 0)                 # B=1
+    @example(1, [5, 5, 5], 0)           # no padding
+    @example(2, [1, 6, 1, 3], 1)        # length-1 rows
+    @example(3, [2, 5, 2, 5, 3], 0)     # repeated lengths, unsorted
+    def test_packed_batch_equals_rows_run_alone(self, seed, lengths, extra):
+        # bigru packs the valid tokens of rows sorted longest-first and runs
+        # each step on its active rows, so every row's encoding must be the
+        # row's run unpadded alone; the batch loss is the mean of its rows'
+        # losses, so B times every batch gradient must be the sum of those
+        # runs' gradients: padding (also past the longest row) adds nothing
         config = tiny_config()
         params = init_params(config, seed=seed % 1000)
-        rng = np.random.default_rng(seed)
-        width = max(lengths) + extra
-        rows = []
-        for n in lengths:
-            head, tail = rng.choice(n, size=2, replace=False)
-            entity = np.zeros(n)
-            entity[[head, tail]] = 1.0
-            rows.append(dict(
-                token_ids=rng.integers(1, config.vocab_size, n),
-                ner_labels=rng.integers(0, config.num_ner_labels, n), entity_mask=entity,
-                head_type=rng.integers(config.num_entity_types),
-                tail_type=rng.integers(config.num_entity_types),
-                relation_label=rng.integers(config.num_relations),
-            ))
-
-        def gradients(rows, width):
-            def padded(key, dtype):
-                out = np.zeros((len(rows), width), dtype=dtype)
-                for b, row in enumerate(rows):
-                    out[b, : len(row[key])] = row[key]
-                return out
-
-            lengths = np.array([len(row["token_ids"]) for row in rows])
-            batch = Batch(
-                token_ids=padded("token_ids", np.int64),
-                attention_mask=(np.arange(width) < lengths[:, None]).astype(np.float64),
-                entity_mask=padded("entity_mask", np.float64),
-                head_type=np.array([row["head_type"] for row in rows]),
-                tail_type=np.array([row["tail_type"] for row in rows]),
-                ner_labels=padded("ner_labels", np.int64),
-                relation_label=np.array([row["relation_label"] for row in rows]),
-                lengths=lengths, origins=tuple((b, 0) for b in range(len(rows))),
-            )
-            return backward(forward(batch, params, config, mode="train").trace, params)
-
-        batch_grads = gradients(rows, width)
-        row_grads = [gradients([row], len(row["token_ids"])) for row in rows]
-        for name in ("embed", *(n for n in params if n.startswith("gru_"))):
+        for name in ("gru_fwd.b", "gru_bwd.b"):
+            params[name] = np.random.default_rng(seed + 1).normal(size=params[name].shape)
+        rows = _random_rows(np.random.default_rng(seed), config, lengths)
+        batch = forward(_row_batch(rows, max(lengths) + extra), params, config)
+        alone = [forward(_row_batch([row], n), params, config)
+                 for row, n in zip(rows, lengths)]
+        for b, (n, one) in enumerate(zip(lengths, alone)):
+            np.testing.assert_allclose(batch.trace.h_d[b, :n], one.trace.h_d[0],
+                                       rtol=1e-12, atol=1e-12)
+            assert np.all(batch.trace.h_d[b, n:] == 0.0)
+        batch_grads = backward(batch.trace, params)
+        row_grads = [backward(one.trace, params) for one in alone]
+        for name in params:
             np.testing.assert_allclose(
                 len(rows) * batch_grads[name], sum(g[name] for g in row_grads),
                 rtol=1e-12, atol=1e-12, err_msg=name,
@@ -456,6 +475,38 @@ class TestForward:
         assert np.array_equal(a.re_probs, b.re_probs)
         assert decoded(a, params, batch) == decoded(b, params, batch)
 
+
+
+class TestBackwardBuffer:
+    def test_reused_buffer_gives_fresh_gradients(self):
+        # the second batch shares no token or type id with the first, so a
+        # row left over from the first step would show in embed or type_embed
+        config = tiny_config(dropout=0.3)
+        params = init_params(config, seed=32)
+        rng = np.random.default_rng(33)
+        first = _row_batch(_random_rows(rng, config, [5, 2, 4]), 5)
+        second = _row_batch(_random_rows(rng, config, [3, 3]), 4)
+        second.token_ids = np.where(second.attention_mask > 0, 8, 0)
+        first.token_ids = np.where(first.token_ids == 8, 7, first.token_ids)
+        first.head_type[:] = first.tail_type[:] = 0
+        second.head_type[:] = second.tail_type[:] = 1
+        buffer = {k: np.full_like(v, np.nan) for k, v in params.items()}
+        for batch in (first, second):
+            trace = forward(batch, params, config, rng=np.random.default_rng(34)).trace
+            fresh = backward(trace, params)
+            assert backward(trace, params, buffer) is buffer
+            for name in params:
+                assert np.array_equal(buffer[name], fresh[name]), name
+
+    def test_without_a_buffer_each_call_returns_new_arrays(self):
+        config = tiny_config()
+        params = init_params(config, seed=35)
+        trace = forward(tiny_batch(), params, config).trace
+        a, b = backward(trace, params), backward(trace, params)
+        for name in params:
+            assert not np.shares_memory(a[name], b[name]), name
+            assert not np.shares_memory(a[name], params[name]), name
+            assert np.array_equal(a[name], b[name]), name
 
 class TestInit:
     def test_shapes_and_finiteness(self):
