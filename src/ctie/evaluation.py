@@ -16,7 +16,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
-from .model import ModelConfig, Params, decode_constraint, encode, ner_predict, relation_head
+from .model import (
+    InputProjection,
+    ModelConfig,
+    Params,
+    decode_constraint,
+    encode,
+    ner_predict,
+    relation_head,
+)
 from .mslr import Vocabulary, pair_rows
 from .train import TrainConfig, TrainResult, train_loop
 
@@ -242,10 +250,15 @@ def gold_pairs(sentences: Sequence[AnnotatedSentence]) -> list[PairPrediction]:
 ENCODE_BATCH = 32  # sentences per padded encoder batch
 
 
-def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]]):
+def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]],
+                   projection: InputProjection | None = None):
     """Yield (h (B, T, 2h), mask (B, T)) for each ``ENCODE_BATCH`` sentences:
     one deterministic encoder pass per sentence, padded to the chunk's
-    longest."""
+    longest. Every chunk reads one ``projection`` of ``params`` (a new one
+    when none is given), so a token id repeated across the sentences has
+    its input pre-activations computed once."""
+    if projection is None:
+        projection = InputProjection(params)
     for lo in range(0, len(token_seqs), ENCODE_BATCH):
         chunk = token_seqs[lo : lo + ENCODE_BATCH]
         ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
@@ -253,7 +266,7 @@ def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Seque
         for b, tokens in enumerate(chunk):
             ids[b, : len(tokens)] = [vocab.id(t) for t in tokens]
             mask[b, : len(tokens)] = 1.0
-        yield encode(ids, mask, params), mask
+        yield encode(ids, mask, params, projection), mask
 
 
 def predict_ner_labels(

@@ -5,7 +5,9 @@ entity pairs -> relation triples -> graph-ready export.
 of ``ENCODE_BATCH`` sentences takes one encoder call and one batched
 Viterbi call, and each sentence's pairs are then scored from its row of
 that encoding. ``extract_tokens`` and ``extract_text`` run it on a batch
-of one.
+of one. An ``Extractor`` keeps one ``InputProjection`` of its ``params``
+over all its calls, so a token id's GRU input pre-activations are
+computed once per extractor, not once per sentence.
 
 Every ordered pair of decoded entities is classified; a pair survives as
 a triple when its argmax relation is not noRelation and its probability
@@ -30,6 +32,7 @@ from .corpus import OntologySchema, TypeSystem, check_spans
 from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from .evaluation import SpanPrediction, decode_spans, encode_batches, predict_ner_labels
 from .model import (
+    InputProjection,
     ModelConfig,
     Params,
     checkpoint_tables,
@@ -98,6 +101,9 @@ class Extractor:
     vocab: Vocabulary
     types: TypeSystem
     ontology: OntologySchema
+    _projection: InputProjection | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_checkpoint(cls, path, ontology: OntologySchema | None = None) -> "Extractor":
@@ -135,6 +141,15 @@ class Extractor:
         table = self._admissible.copy()
         table[..., self.types.no_relation.id] = False
         return table.any(axis=-1)
+
+    def projection(self) -> InputProjection:
+        """The encoder's ``InputProjection`` of ``params``, kept across
+        calls; a new one once ``params`` is another dict. Change the
+        weights by assigning a new dict: the projection does not see
+        arrays changed in place."""
+        if self._projection is None or self._projection.params is not self.params:
+            self._projection = InputProjection(self.params)
+        return self._projection
 
     def decode_entities(
         self, h: np.ndarray, mask: np.ndarray, first_index: int = 0
@@ -181,7 +196,7 @@ class Extractor:
                 except SpanError as exc:
                     raise SpanError(f"sentence {first_index + k}: {exc}") from None
         results: list[ExtractionResult] = []
-        for h, mask in encode_batches(self.params, self.vocab, token_seqs):
+        for h, mask in encode_batches(self.params, self.vocab, token_seqs, self.projection()):
             lo = len(results)
             batch_spans = (
                 self.decode_entities(h, mask, first_index + lo) if spans is None

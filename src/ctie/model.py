@@ -7,7 +7,10 @@
 
 Inference and validation encode a sentence once (``encode``) and score all
 its pairs, candidate or annotated, from that H: pairs differ only in entity
-mask and type ids, which the encoder never reads. Training (``forward``,
+mask and type ids, which the encoder never reads. Without dropout and with
+fixed weights a token's GRU input pre-activations depend on its id only, so
+``encode`` gathers them from an ``InputProjection``, which computes each
+id's once, and runs only the recurrence. Training (``forward``,
 which has no eval mode) keeps one MSLR row per annotated pair, with dropout
 after the embedding and after the BiGRU. Viterbi takes an
 optional BIO transition mask as an argument; callers build it once from
@@ -176,13 +179,16 @@ def validate_params(params: Params, config: ModelConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_ids(ids: np.ndarray, n_ids: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+        raise IdOutOfRange(
+            f"token id out of range [0, {n_ids}): min={ids.min()}, max={ids.max()}"
+        )
+
+
 def embed(token_ids, table: np.ndarray) -> np.ndarray:
     ids = np.asarray(token_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IdOutOfRange(
-            f"token id out of range [0, {table.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
+    _check_ids(ids, table.shape[0])
     return table[ids]
 
 
@@ -273,21 +279,25 @@ class GruTrace:
     reverse: bool        # walked from t = T-1 down: start state at T, step t's at t
 
 
-def _gru_run(x: np.ndarray, packing: Packing, params: Params, prefix: str,
-             reverse: bool = False) -> GruTrace:
-    """One direction over packed inputs ``x`` (P, d), walking time backwards
-    when ``reverse``. Every step's input projection is one GEMM before the
-    recurrence; a step then makes one recurrent GEMM for z|r and one for c
-    on the n rows active at it, contiguous (n, .) blocks. Inactive rows are
-    never written: padding is a suffix of each row, so the forward walk has
-    passed the row's last token and the backward walk has not reached its
-    first, and both read the zero state there."""
-    w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
+def _input_preactivations(x: np.ndarray, params: Params, prefix: str) -> np.ndarray:
+    """One direction's input pre-activations ``x @ w + b``, (..., 3h)."""
+    pre = x @ params[f"{prefix}.w"]
+    pre += params[f"{prefix}.b"]
+    return pre
+
+
+def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray,
+             reverse: bool = False) -> np.ndarray:
+    """One direction's recurrence over the packed input pre-activations
+    ``gates`` (P, 3h), walking time backwards when ``reverse``; returns the
+    (T+1, B, h) states (``GruTrace.h``). Step t overwrites its cells of
+    ``gates`` with their activations, after one recurrent GEMM for z|r and
+    one for c on the n rows active at it, contiguous (n, .) blocks. Inactive
+    rows are never written: padding is a suffix of each row, so the forward
+    walk has passed the row's last token and the backward walk has not
+    reached its first, and both read the zero state there."""
     n_hidden = u.shape[0]
     z, r, c, zr = _gate_slices(n_hidden)
-    # input pre-activations; step t overwrites its own with the activations
-    gates = x @ w
-    gates += b
     u_zr, u_c = u[:, zr], u[:, c]
     h = np.zeros((packing.n_steps + 1, packing.n_batch, n_hidden))
     back = int(reverse)
@@ -306,7 +316,7 @@ def _gru_run(x: np.ndarray, packing: Packing, params: Params, prefix: str,
             np.subtract(1.0, zt, out=h_t)
             h_t *= ct
             h_t += zt * h_prev
-    return GruTrace(x=x, packing=packing, gates=gates, h=h, reverse=reverse)
+    return h
 
 
 def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
@@ -356,37 +366,96 @@ def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: st
     return d_a @ w.T
 
 
-def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False):
+class InputProjection:
+    """Both GRU directions' input pre-activations ``embed[id] @ w + b`` per
+    token id of one fixed ``params``, as (V, 6h) rows [forward | backward].
+
+    At inference there is no dropout and the weights are fixed, so a
+    token's pre-activations depend on its id only. A row is computed the
+    first time its id is looked up, in one GEMM per direction over the new
+    ids only; a lookup of ids all seen before is one gather. The rows hold
+    the values of ``params`` when they were computed: once ``params``
+    change, build a new projection."""
+
+    def __init__(self, params: Params):
+        self.params = params
+        n_vocab, width = params["embed"].shape[0], params["gru_fwd.b"].shape[0]
+        self.rows = np.empty((n_vocab, 2 * width))  # an unfilled row is never read
+        self.filled = np.zeros(n_vocab, dtype=bool)
+
+    def __call__(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The forward and the backward pre-activations of ``token_ids``,
+        each (..., 3h), as views of one gathered copy of their rows;
+        ``IdOutOfRange`` for an id outside the vocabulary, before anything
+        is filled."""
+        ids = np.asarray(token_ids)
+        _check_ids(ids, len(self.filled))
+        width = self.rows.shape[1] // 2
+        new = ~self.filled[ids]
+        if new.any():
+            # np.unique would sort too, and it imports numpy.ma on first use
+            mark = np.zeros(len(self.filled), dtype=bool)
+            mark[ids[new]] = True
+            new_ids = np.flatnonzero(mark)
+            x = self.params["embed"][new_ids]
+            for k, prefix in enumerate(("gru_fwd", "gru_bwd")):
+                pre = _input_preactivations(x, self.params, prefix)
+                self.rows[new_ids, k * width : (k + 1) * width] = pre
+            self.filled[new_ids] = True
+        rows = self.rows[ids]
+        return rows[..., :width], rows[..., width:]
+
+
+def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False,
+          projection: InputProjection | None = None):
     """Bidirectional GRU encoding: row t is [forward state t ; backward state t].
 
-    The mask marks padding only: each row is ones then zeros, and any other
-    mask is a ``ValueError``. Both directions read one packed copy of the
-    valid tokens (``Packing``) and run on the active rows only; the output
-    is (B, T, 2h) in the caller's row order, zero at padding."""
-    squeeze = h_in.ndim == 2
-    x = h_in[None] if squeeze else h_in
+    ``h_in`` is the (B, T, d) input, whose pre-activations ``x @ w + b``
+    each direction computes; or, with ``projection`` (an
+    ``InputProjection`` of ``params``), the (B, T) token ids, whose
+    pre-activations are gathered from it; ``with_trace`` serves the first
+    form only, since ``backward`` reads the inputs from the trace. A 1-D
+    mask takes one unbatched row. The mask marks padding only: each row is
+    ones then zeros, and any other mask is a ``ValueError``. Both
+    directions read one packed copy of the valid cells (``Packing``) and
+    run on the active rows only; the output is (B, T, 2h) in the caller's
+    row order, zero at padding."""
     keep = np.asarray(attention_mask) != 0
-    keep = keep[None] if keep.ndim == 1 else keep
+    squeeze = keep.ndim == 1
+    if squeeze:
+        keep, h_in = keep[None], h_in[None]
     check_padding_mask(keep)
     packing = Packing.from_mask(keep)
-    x = packing.pack(x)
-    trace_f = _gru_run(x, packing, params, "gru_fwd")
-    trace_b = _gru_run(x, packing, params, "gru_bwd", reverse=True)
-    n_hidden = trace_f.h.shape[-1]
+    x = packing.pack(h_in)
+    if projection is None:
+        pre = [_input_preactivations(x, params, prefix) for prefix in ("gru_fwd", "gru_bwd")]
+    elif projection.params is not params:
+        raise ValueError("the projection was built from other params")
+    else:
+        pre = projection(x)
+    h_f = _gru_run(pre[0], packing, params["gru_fwd.u"])
+    h_b = _gru_run(pre[1], packing, params["gru_bwd.u"], reverse=True)
+    n_hidden = h_f.shape[-1]
     out = np.empty(keep.shape + (2 * n_hidden,))
     rows = slice(None) if packing.order is None else packing.order
-    out[rows, :, :n_hidden] = trace_f.h[1:].swapaxes(0, 1)
-    out[rows, :, n_hidden:] = trace_b.h[:-1].swapaxes(0, 1)
+    out[rows, :, :n_hidden] = h_f[1:].swapaxes(0, 1)
+    out[rows, :, n_hidden:] = h_b[:-1].swapaxes(0, 1)
     if squeeze:
         out = out[0]
     if with_trace:
-        return out, (trace_f, trace_b)
+        return out, (GruTrace(x, packing, pre[0], h_f, False),
+                     GruTrace(x, packing, pre[1], h_b, True))
     return out
 
 
-def encode(token_ids, attention_mask, params: Params) -> np.ndarray:
-    """Deterministic encoder pass: embedding then BiGRU, (B, T, 2h)."""
-    return bigru(embed(token_ids, params["embed"]), attention_mask, params)
+def encode(token_ids, attention_mask, params: Params,
+           projection: InputProjection | None = None) -> np.ndarray:
+    """Deterministic encoder pass, (B, T, 2h): the BiGRU over the token
+    ids' input pre-activations from ``projection`` (a new
+    ``InputProjection`` of ``params`` when none is given)."""
+    if projection is None:
+        projection = InputProjection(params)
+    return bigru(np.asarray(token_ids), attention_mask, params, projection=projection)
 
 
 def ner_logits(h_bigru: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -202,11 +202,16 @@ def adamw_step(
             update(p[block], g[block], m[block], v[block], scratch_a[:n], scratch_b[:n])
 
 
-def clip_gradients(grads: Params, max_norm: float) -> float:
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def clip_gradients(grads: Params, max_norm: float, skip: frozenset[str] = frozenset()) -> float:
+    """Scale the gradients of the arrays not in ``skip`` (the ones
+    ``adamw_step`` updates under the same ``skip``) in place, so that their
+    joint L2 norm is at most ``max_norm``; return that norm before scaling.
+    A frozen array's gradient neither counts nor changes."""
+    trained = [g for name, g in grads.items() if name not in skip]
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in trained)))
     if total > max_norm > 0:
         scale = max_norm / total
-        for g in grads.values():
+        for g in trained:
             g *= scale
     return total
 
@@ -427,7 +432,7 @@ def train_loop(
                 )
             backward(result.trace, params, grads)
             if train_config.grad_clip_norm:
-                clip_gradients(grads, train_config.grad_clip_norm)
+                clip_gradients(grads, train_config.grad_clip_norm, skip=skip)
             adamw_step(params, grads, state, train_config, skip=skip)
             sums.add(result.ner_nll * batch.size, result.re_ce * batch.size,
                      result.joint * batch.size, result.re_probs, batch.relation_label)

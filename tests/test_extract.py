@@ -1,11 +1,17 @@
 """End-to-end extraction mechanics and graph export."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctie
 import ctie.evaluation as evaluation
 from ctie.corpus import NO_RELATION, OntologySchema, candidate_pairs, load_corpus
 from ctie.errors import EmptyInput, SchemaError, SpanError, UnknownFormat
@@ -289,6 +295,62 @@ def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_sp
             _same_result(a, b)
 
     check()
+
+
+def test_one_extractor_matches_a_fresh_one_per_call(extractor):
+    # an Extractor keeps one InputProjection over all its calls; a fresh
+    # extractor computes every id's input pre-activations anew
+    kept = _tagging_extractor(extractor, constrained=False)
+    rng = np.random.default_rng(8)
+    texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(1, 12)))) for _ in range(40)]
+    for i, text in enumerate(texts):
+        _same_result(kept.extract_text(text, sentence_index=i),
+                     replace(kept).extract_text(text, sentence_index=i))
+    assert sum(len(kept.extract_text(t).triples) for t in texts) > 0
+
+
+def test_reassigned_params_get_a_fresh_projection(extractor):
+    first = _tagging_extractor(extractor, constrained=False)
+    second = _tagging_extractor(replace(extractor, params=init_params(extractor.config, seed=5)),
+                                constrained=False)
+    text = "APT28 used Mimikatz against banks in 2014 ."
+    warm = replace(first)
+    warm.extract_text(text)
+    projection = warm.projection()
+    warm.params = second.params
+    assert warm.projection() is not projection
+    _same_result(warm.extract_text(text), second.extract_text(text))
+
+
+def test_evaluation_and_extraction_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma is imported lazily by some numpy functions (np.unique among
+    # them) and adds about 1.6 MB of resident memory to every run
+    script = tmp_path / "run.py"
+    script.write_text(textwrap.dedent(f"""
+        import sys
+        from ctie.corpus import OntologySchema, load_corpus
+        from ctie.evaluation import evaluate_model
+        from ctie.extract import Extractor
+        from ctie.model import ModelConfig, init_params
+        from ctie.mslr import build_vocab
+
+        corpus = load_corpus({str(SMOKE_CORPUS)!r}, OntologySchema.default())
+        types, vocab = corpus.types, build_vocab(corpus.sentences)
+        config = ModelConfig(vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+                             num_relations=types.num_relations,
+                             num_entity_types=types.num_entity_types,
+                             embed_dim=8, hidden_dim=4, dropout=0.0)
+        params = init_params(config, seed=3)
+        evaluate_model(params, config, vocab, types, corpus.sentences[:6])
+        extractor = Extractor(params, config, vocab, types, OntologySchema.default())
+        extractor.extract_text(" ".join(corpus.sentences[0].tokens))
+        print("numpy.ma" in sys.modules)
+    """))
+    src = Path(ctie.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("ontology_filter", [False, True], ids=["all-pairs", "ontology-filter"])

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
+    InputProjection,
     ModelConfig,
     _sigmoid,
     backward,
@@ -231,6 +232,63 @@ class TestBiGru:
                     got = params[f"{direction}.{key}"][:, gate * h:(gate + 1) * h]
                     assert np.array_equal(got, block), (direction, key, gate)
             assert np.all(params[f"{direction}.b"] == 0.0)
+
+
+class TestInputProjection:
+    """Inference encodes from cached per-id input pre-activations; the
+    reference is the BiGRU over the embedded ids, as training runs it."""
+
+    def _params(self, seed):
+        config = ModelConfig(
+            vocab_size=9, num_ner_labels=3, num_relations=2, num_entity_types=2,
+            embed_dim=5, hidden_dim=3, dropout=0.0,
+        )
+        params = init_params(config, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name in ("gru_fwd.b", "gru_bwd.b"):
+            params[name] = rng.normal(size=params[name].shape)
+        return params
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=7),
+                             min_size=1, max_size=4), min_size=1, max_size=4),
+           st.integers(0, 2))
+    @example(0, [[[3, 1, 4, 1, 5]]], 0)                  # B=1, a repeated id
+    @example(1, [[[2], [7, 7, 7], [6]]], 1)              # length-1 rows, ragged
+    @example(2, [[[0, 1]], [[1, 2, 8]], [[8, 3, 3]]], 0)  # ids first seen in a later batch
+    def test_encode_equals_bigru_of_the_embedding(self, seed, batches, extra):
+        # one projection serves every batch, as an Extractor's serves every call
+        params = self._params(seed % 1000)
+        projection = InputProjection(params)
+        seen = np.zeros(9, dtype=bool)
+        for rows in batches:
+            ids = np.zeros((len(rows), max(map(len, rows)) + extra), dtype=np.int64)
+            mask = np.zeros(ids.shape)
+            for b, row in enumerate(rows):
+                ids[b, : len(row)] = row
+                mask[b, : len(row)] = 1.0
+            expected = bigru(embed(ids, params["embed"]), mask, params)
+            np.testing.assert_allclose(encode(ids, mask, params, projection), expected,
+                                       rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            seen[[i for row in rows for i in row]] = True
+            assert np.array_equal(projection.filled, seen)
+
+    @pytest.mark.parametrize("bad", [-1, 9], ids=["negative", "vocab-size"])
+    def test_id_out_of_range_fills_nothing(self, bad):
+        # a negative id would wrap silently in the rows and the filled set
+        params = self._params(0)
+        projection = InputProjection(params)
+        encode([[1, 2]], np.ones((1, 2)), params, projection)
+        filled = projection.filled.copy()
+        with pytest.raises(IdOutOfRange):
+            encode([[3, bad]], np.ones((1, 2)), params, projection)
+        assert np.array_equal(projection.filled, filled)
+
+    def test_projection_of_other_params_is_rejected(self):
+        params = self._params(0)
+        with pytest.raises(ValueError, match="other params"):
+            encode([[1, 2]], np.ones((1, 2)), params, InputProjection(dict(params)))
 
 
 def test_sigmoid_bit_identical_to_two_branch_form():

@@ -182,6 +182,13 @@ class TestAdamW:
         assert total == pytest.approx(5.0)
         np.testing.assert_allclose(grads["a"], [0.6, 0.8])
 
+    def test_clip_leaves_skipped_arrays_out(self):
+        grads = {"frozen": np.array([12.0]), "a": np.array([3.0, 4.0])}
+        total = clip_gradients(grads, 1.0, skip=frozenset(["frozen"]))
+        assert total == pytest.approx(5.0)
+        np.testing.assert_allclose(grads["a"], [0.6, 0.8])
+        assert grads["frozen"][0] == 12.0
+
 
 def smoke_train_config(**overrides):
     base = dict(
@@ -315,6 +322,34 @@ class TestTrainLoop:
             train_mod.init_params = original
         np.testing.assert_array_equal(result.params["embed"], captured["embed"])
         assert np.any(result.params["ner_w"] != 0.0)
+
+    def test_frozen_embeddings_stay_out_of_the_clip_norm(self, monkeypatch):
+        # the reference zeroes the frozen embedding gradient before the clip,
+        # so it clips by the norm of the trained arrays only; the embedding
+        # gradient backward fills must not change the trained arrays' steps
+        import ctie.train as train_mod
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        kwargs = dict(embed_dim=8, hidden_dim=4, dropout=0.0, freeze_embeddings=True)
+
+        def run():
+            return train_loop(corpus.sentences[:8], corpus.types,
+                              smoke_train_config(epochs=2, grad_clip_norm=0.05),
+                              model_kwargs=kwargs).params
+
+        trained = run()
+        real_backward = train_mod.backward
+
+        def without_embed_grad(trace, params, grads=None):
+            grads = real_backward(trace, params, grads)
+            assert np.any(grads["embed"] != 0.0)
+            grads["embed"].fill(0.0)
+            return grads
+
+        monkeypatch.setattr(train_mod, "backward", without_embed_grad)
+        reference = run()
+        for name in reference:
+            np.testing.assert_array_equal(trained[name], reference[name], err_msg=name)
 
 
 class TestValidationDecode:
