@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import evaluation, extract as extract_mod
-from .corpus import OntologySchema, check_corpus, dataset_stats, load_corpus, validate_ontology
+from .corpus import (
+    OntologySchema, check_corpus, dataset_stats, load_corpus, read_utf8, validate_ontology,
+)
 from .errors import DataError, SchemaError
 from .model import ModelConfig, checkpoint_tables, load_checkpoint
 from .mslr import build_vocab, dump_jsonl, expand_and_encode
@@ -32,8 +35,10 @@ _MODEL_KEYS = {f.name for f in fields(ModelConfig) if f.default is not MISSING}
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads(read_utf8(path, "config file"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config file {path} is not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     unknown = set(payload) - _TRAIN_KEYS - _MODEL_KEYS
@@ -44,6 +49,18 @@ def _load_config_file(path: str | None) -> dict:
 
 class UsageError(Exception):
     """A flag or config-file value that the configuration rejects (exit 2)."""
+
+
+def _probability(text: str) -> float:
+    """An argparse type: a number in [0, 1]; NaN, which every comparison
+    would let through, is rejected too."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
 
 
 def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
@@ -276,7 +293,7 @@ def cmd_extract(args) -> int:
     extractor = extract_mod.Extractor.from_checkpoint(args.checkpoint, _ontology(args))
     spans = None
     if args.input:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(args.input, "input file").splitlines()
         token_seqs = [tuple(line.split()) for line in lines if line.strip()]
     else:
         sentences = load_corpus(args.dataset, _ontology(args)).sentences
@@ -419,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="re_mode")
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p.add_argument("--ontology-filter", action="store_true", dest="ontology_filter")
-    p.add_argument("--confidence-floor", type=float, default=0.0,
+    p.add_argument("--confidence-floor", type=_probability, default=0.0,
                    dest="confidence_floor")
     p.set_defaults(func=cmd_eval)
 
@@ -437,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold-spans", action="store_true", dest="gold_spans",
                    help="classify pairs over the --dataset gold entities")
     p.add_argument("--ontology-filter", action="store_true", dest="ontology_filter")
-    p.add_argument("--confidence-floor", type=float, default=0.0,
+    p.add_argument("--confidence-floor", type=_probability, default=0.0,
                    dest="confidence_floor")
     p.set_defaults(func=cmd_extract)
 

@@ -179,20 +179,27 @@ class OntologySchema:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "OntologySchema":
+        """Rules from ``{relation: {"domain": [type, ...], "range": [type, ...]}}``;
+        ``SchemaError`` naming the relation for a rule of any other shape."""
         rules = {}
         for name, spec in mapping.items():
             if name == NO_RELATION:
                 continue
-            rules[name] = OntologyRule(frozenset(spec["domain"]), frozenset(spec["range"]))
+            sides = [spec.get(side) if isinstance(spec, dict) else None
+                     for side in ("domain", "range")]
+            if not all(isinstance(types, list) and all(isinstance(t, str) for t in types)
+                       for types in sides):
+                raise SchemaError(f"ontology rule for {name!r} must be an object whose "
+                                  f"'domain' and 'range' are lists of type names, got {spec!r}")
+            rules[name] = OntologyRule(frozenset(sides[0]), frozenset(sides[1]))
         return cls(rules)
 
     @classmethod
     def load(cls, path: str | Path) -> "OntologySchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedDocument(f"ontology file {path}: {exc}") from exc
+        try:
+            mapping = json.loads(read_utf8(path, "ontology file"))
+        except json.JSONDecodeError as exc:
+            raise MalformedDocument(f"ontology file {path}: {exc}") from exc
         if not isinstance(mapping, dict):
             raise SchemaError(f"ontology file {path}: expected a JSON object")
         return cls.from_mapping(mapping)
@@ -239,15 +246,28 @@ class OntologySchema:
 _DEFAULT_RELATION_ORDER = ("head", "relation", "tail")
 
 
+def read_utf8(path: str | Path, what: str) -> str:
+    """The text of the file ``path``; ``MalformedDocument`` naming it (as
+    ``what``, e.g. "config file") when its bytes are not UTF-8."""
+    return _decode(Path(path).read_bytes(), f"{what} {path}")
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{what} is not UTF-8 text ({exc})") from None
+
+
 def _read_document(source) -> dict | list:
     if hasattr(source, "read"):
         raw = source.read()
     elif isinstance(source, bytes):
         raw = source
     else:
-        raw = Path(source).read_bytes()
+        raw = read_utf8(source, "corpus file")
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        raw = _decode(raw, "document")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -211,6 +211,27 @@ def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
     return z, r, c, slice(0, 2 * n_hidden)
 
 
+DIRECTIONS = ("gru_fwd", "gru_bwd")
+# above half of one core's 2 MiB L2, both u arrays of a lockstep step evict each other
+LOCKSTEP_MAX_BYTES = 1 << 20
+
+
+def _direction_groups(params: Params) -> tuple[slice, ...]:
+    """The groups of ``DIRECTIONS`` whose recurrences walk in lockstep: both
+    directions together when their ``u`` arrays fit ``LOCKSTEP_MAX_BYTES``
+    (32/16 dims), else one walk each (768/256)."""
+    if sum(params[f"{prefix}.u"].nbytes for prefix in DIRECTIONS) <= LOCKSTEP_MAX_BYTES:
+        return (slice(0, 2),)
+    return (slice(0, 1), slice(1, 2))
+
+
+def _stacked_u(params: Params, prefixes: tuple[str, ...]) -> np.ndarray:
+    """The ``u`` arrays of the directions ``prefixes`` as one (D, h, 3h) array."""
+    if len(prefixes) == 1:
+        return params[f"{prefixes[0]}.u"][None]
+    return np.stack([params[f"{prefix}.u"] for prefix in prefixes])
+
+
 @dataclass
 class Packing:
     """The valid (step, row) cells of a padded (B, T) batch in the layout of
@@ -218,13 +239,18 @@ class Packing:
     time-major, so the n active rows of a step are the first n sorted rows.
     Cell i is step ``steps[i]`` of sorted row ``rows[i]``, which is the
     caller's row ``callers[i]``. ``segments`` are the runs of steps with one
-    active count n, as (first step, end step, n, packed offset of the first
-    step). A batch without padding packs as its time-major transpose:
-    ``order`` is then None (identity) and there is one segment."""
+    active count n, as (first step, number of steps, n, slice of packed
+    cells). The backward GRU direction walks each row from its last token:
+    its step k of a length-l row reads token l-1-k, so at every step both
+    directions have the same active rows. ``rev`` is that cell permutation,
+    (k, row) <-> (l-1-k, row), its own inverse. A batch without padding
+    packs as its time-major transpose: ``order`` is then None (identity),
+    there is one segment, and ``rev`` reverses time."""
 
     n_batch: int
     n_steps: int
-    segments: list[tuple[int, int, int, int]]
+    segments: list[tuple[int, int, int, slice]]
+    rev: np.ndarray                    # (P,)
     order: np.ndarray | None = None    # (B,) caller's row of each sorted row
     steps: np.ndarray | None = None    # (P,)
     rows: np.ndarray | None = None     # (P,)
@@ -235,18 +261,24 @@ class Packing:
         """The packing of a boolean (B, T) padding mask."""
         n_batch, n_steps = keep.shape
         if keep.all():
-            return cls(n_batch, n_steps, [(0, n_steps, n_batch, 0)])
-        order = np.argsort(-keep.sum(axis=1), kind="stable")
+            rev = np.arange(n_batch * n_steps).reshape(n_steps, n_batch)[::-1].ravel()
+            return cls(n_batch, n_steps, [(0, n_steps, n_batch, slice(0, rev.size))], rev)
+        lengths = keep.sum(axis=1)
+        order = np.argsort(-lengths, kind="stable")
         steps, rows = np.nonzero(keep[order].T)
-        counts = keep.sum(axis=0).tolist()
-        segments, first, offset = [], 0, 0
+        counts = keep.sum(axis=0)
+        offsets = np.cumsum(counts) - counts  # packed offset of each step
+        callers = order[rows]
+        rev = offsets[lengths[callers] - 1 - steps] + rows
+        counts = counts.tolist()
+        segments, first = [], 0
         for t in range(1, n_steps + 1):
             if t == n_steps or counts[t] != counts[first]:
                 if counts[first]:
-                    segments.append((first, t, counts[first], offset))
-                offset += (t - first) * counts[first]
+                    n, offset = counts[first], int(offsets[first])
+                    segments.append((first, t - first, n, slice(offset, offset + (t - first) * n)))
                 first = t
-        return cls(n_batch, n_steps, segments, order, steps, rows, order[rows])
+        return cls(n_batch, n_steps, segments, rev, order, steps, rows, callers)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """The valid cells of a (B, T, ...) array, as a (P, ...) array."""
@@ -254,59 +286,66 @@ class Packing:
             return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(-1, *a.shape[2:])
         return a[self.callers, self.steps]
 
-    def states(self, h: np.ndarray, back: int) -> np.ndarray:
-        """(P, h) from a (T+1, B, h) state buffer in sorted row order: cell
-        (t, row) reads ``h[t + back, row]``."""
+    def pack_walks(self, a: np.ndarray, split: bool = False) -> np.ndarray:
+        """The valid cells of a (B, T, ...) array in each direction's walk
+        order, as one (2, P, ...) array: the packed cells, then their
+        permutation through ``rev``. With ``split``, ``a`` is (B, T, 2, ...)
+        and walk i reads ``a[:, :, i]`` only."""
         if self.order is None:
-            return h[back : back + self.n_steps].reshape(-1, h.shape[-1])
-        return h[self.steps + back, self.rows]
+            a = a.swapaxes(0, 1)
+            walks = np.empty((2,) + a.shape[:2] + a.shape[2 + split:], a.dtype)
+            walks[0], walks[1] = (a[:, :, 0], a[::-1, :, 1]) if split else (a, a[::-1])
+            return walks.reshape(2, -1, *walks.shape[3:])
+        index = (self.callers, np.stack((self.steps, self.steps[self.rev])))
+        return a[index + (([[0], [1]],) if split else ())]
 
-    def walk(self, reverse: bool):
-        """The segments in walk order, each as (first step, the steps'
-        indices within it in walk order, n, its slice of packed cells)."""
-        for first, end, n, offset in reversed(self.segments) if reverse else self.segments:
-            ks = range(end - first - 1, -1, -1) if reverse else range(end - first)
-            yield first, ks, n, slice(offset, offset + (end - first) * n)
+    def prev_states(self, h: np.ndarray) -> np.ndarray:
+        """(D, P, h) from a (D, T+1, B, h) state buffer in sorted row order:
+        cell (t, row) reads its step's previous state ``h[:, t, row]``."""
+        if self.order is None:
+            return h[:, : self.n_steps].reshape(len(h), -1, h.shape[-1])
+        return h[:, self.steps, self.rows]
 
 
 @dataclass
 class GruTrace:
-    x: np.ndarray        # (P, d) packed inputs
+    """Both directions' BiGRU activations, direction-major in ``DIRECTIONS``
+    order, each direction's cells in its walk order (``Packing``)."""
+
+    x: np.ndarray        # (2, P, d) packed inputs
     packing: Packing
-    gates: np.ndarray    # (P, 3h) activations z | r | c
-    h: np.ndarray        # (T+1, B, h) in sorted row order: zero start state, then the
+    gates: np.ndarray    # (2, P, 3h) activations z | r | c
+    h: np.ndarray        # (2, T+1, B, h) in sorted row order: zero start state, then the
                          # state after each step; an inactive (step, row) stays zero
-    reverse: bool        # walked from t = T-1 down: start state at T, step t's at t
+    groups: tuple[slice, ...]  # the directions walked in lockstep (``_direction_groups``)
 
 
-def _input_preactivations(x: np.ndarray, params: Params, prefix: str) -> np.ndarray:
+def _input_preactivations(x: np.ndarray, params: Params, prefix: str,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """One direction's input pre-activations ``x @ w + b``, (..., 3h)."""
-    pre = x @ params[f"{prefix}.w"]
+    pre = np.matmul(x, params[f"{prefix}.w"], out=out)
     pre += params[f"{prefix}.b"]
     return pre
 
 
-def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray,
-             reverse: bool = False) -> np.ndarray:
-    """One direction's recurrence over the packed input pre-activations
-    ``gates`` (P, 3h), walking time backwards when ``reverse``; returns the
-    (T+1, B, h) states (``GruTrace.h``). Step t overwrites its cells of
-    ``gates`` with their activations, after one recurrent GEMM for z|r and
-    one for c on the n rows active at it, contiguous (n, .) blocks. Inactive
-    rows are never written: padding is a suffix of each row, so the forward
-    walk has passed the row's last token and the backward walk has not
-    reached its first, and both read the zero state there."""
-    n_hidden = u.shape[0]
+def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray, h: np.ndarray) -> None:
+    """The recurrences of D directions in lockstep, over their packed input
+    pre-activations ``gates`` (D, P, 3h) with recurrent weights ``u``
+    (D, h, 3h); writes the states into ``h`` (D, T+1, B, h), zero on entry
+    (``GruTrace.h``). Step k overwrites its cells of ``gates`` with their
+    activations, after one batched recurrent GEMM for z|r and one for c on
+    the n rows active at it, (D, n, .) blocks; each elementwise op runs
+    once for all D. Inactive rows are never written: padding is a suffix
+    of each row's walk, so the walk has passed the row's last token."""
+    n_hidden = u.shape[1]
     z, r, c, zr = _gate_slices(n_hidden)
-    u_zr, u_c = u[:, zr], u[:, c]
-    h = np.zeros((packing.n_steps + 1, packing.n_batch, n_hidden))
-    back = int(reverse)
-    for first, ks, n, cells in packing.walk(reverse):
-        seg = gates[cells].reshape(len(ks), n, -1)
+    u_zr, u_c = u[..., zr], u[..., c]
+    for first, n_k, n, cells in packing.segments:
+        seg = gates[:, cells].reshape(len(gates), n_k, n, -1).swapaxes(0, 1)
         g_z, g_r, g_c, g_zr = (seg[..., s] for s in (z, r, c, zr))
-        hs = h[first:, :n]
-        for k in ks:
-            h_prev, h_t = hs[k + back], hs[k + 1 - back]
+        hs = h[:, first:, :n].swapaxes(0, 1)
+        for k in range(n_k):
+            h_prev, h_t = hs[k], hs[k + 1]
             zt, rt, ct = g_z[k], g_r[k], g_c[k]
             a_zr = g_zr[k]
             a_zr += h_prev @ u_zr
@@ -316,36 +355,36 @@ def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray,
             np.subtract(1.0, zt, out=h_t)
             h_t *= ct
             h_t += zt * h_prev
-    return h
 
 
-def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: str,
-                  grads: Params) -> np.ndarray:
-    """Backpropagation through time for one direction, ``d_out`` (P, h) the
-    packed gradient of its states: writes the direction's ``w``, ``u`` and
-    ``b`` gradients into ``grads`` and returns the (P, d) packed input
-    gradient. A step makes only the recurrent products on its active rows
-    and stores its gate pre-activation gradients in one (P, 3h) buffer;
-    after the loop each weight gradient and the input gradient is one GEMM
-    on it. The state gradient of a row not yet active is zero, and a row
-    no longer active is never read again."""
-    w, u = params[f"{prefix}.w"], params[f"{prefix}.u"]
-    packing = trace.packing
-    n_hidden = u.shape[0]
+def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Params,
+                  grads: Params, d_x: np.ndarray) -> None:
+    """Backpropagation through time for the directions ``group`` of
+    ``trace``, in lockstep; ``d_out`` (D, P, h) is the packed gradient of
+    their states. Writes each direction's ``w``, ``u`` and ``b`` gradients
+    into ``grads`` and its packed input gradient into ``d_x`` (D, P, d). A
+    step makes only the recurrent products on its active rows, batched
+    over D, and stores its gate pre-activation gradients in one (D, P, 3h)
+    buffer; after the loop each weight gradient and the input gradient is
+    one GEMM on it per direction. The state gradient of a row not yet
+    active is zero, and a row no longer active is never read again."""
+    prefixes = DIRECTIONS[group]
+    packing, gates, h = trace.packing, trace.gates[group], trace.h[group]
+    u = _stacked_u(params, prefixes)
+    n_hidden = u.shape[1]
     z, r, c, zr = _gate_slices(n_hidden)
-    gates = trace.gates
-    u_zr_t, u_c_t = u[:, zr].T, u[:, c].T
+    u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
     d_a = np.empty_like(gates)
-    dh = np.zeros((packing.n_batch, n_hidden))
-    back = int(trace.reverse)
-    for first, ks, n, cells in packing.walk(not trace.reverse):
-        shape = (len(ks), n, -1)
-        seg, d_seg, d_out_seg = (a[cells].reshape(shape) for a in (gates, d_a, d_out))
+    dh = np.zeros((len(prefixes), packing.n_batch, n_hidden))
+    for first, n_k, n, cells in reversed(packing.segments):
+        shape = (len(prefixes), n_k, n, -1)
+        seg, d_seg, d_out_seg = (a[:, cells].reshape(shape).swapaxes(0, 1)
+                                 for a in (gates, d_a, d_out))
         g_z, g_r, g_c = (seg[..., s] for s in (z, r, c))
         d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
-        hs, dh_n = trace.h[first:, :n], dh[:n]
-        for k in ks:
-            h_prev = hs[k + back]
+        hs, dh_n = h[:, first:, :n].swapaxes(0, 1), dh[:, :n]
+        for k in range(n_k - 1, -1, -1):
+            h_prev = hs[k]
             zt, rt, ct = g_z[k], g_r[k], g_c[k]
             dh_n += d_out_seg[k]  # now the gradient of the step's new state
             da_c = d_c[k]
@@ -356,19 +395,21 @@ def _gru_backprop(trace: GruTrace, d_out: np.ndarray, params: Params, prefix: st
             dh_n *= zt
             dh_n += drh * rt
             dh_n += d_zr[k] @ u_zr_t
-    h_prev = packing.states(trace.h, back)
-    r_h_prev = gates[:, r] * h_prev
-    g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
-    np.matmul(trace.x.T, d_a, out=g_w)
-    np.matmul(h_prev.T, d_a[:, zr], out=g_u[:, zr])
-    np.matmul(r_h_prev.T, d_a[:, c], out=g_u[:, c])
-    d_a.sum(axis=0, out=g_b)
-    return d_a @ w.T
+    h_prev = packing.prev_states(h)
+    r_h_prev = gates[..., r] * h_prev
+    for i, prefix in enumerate(prefixes):
+        g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
+        np.matmul(trace.x[group][i].T, d_a[i], out=g_w)
+        np.matmul(h_prev[i].T, d_a[i, :, zr], out=g_u[:, zr])
+        np.matmul(r_h_prev[i].T, d_a[i, :, c], out=g_u[:, c])
+        d_a[i].sum(axis=0, out=g_b)
+        np.matmul(d_a[i], params[f"{prefix}.w"].T, out=d_x[i])
 
 
 class InputProjection:
     """Both GRU directions' input pre-activations ``embed[id] @ w + b`` per
-    token id of one fixed ``params``, as (V, 6h) rows [forward | backward].
+    token id of one fixed ``params``, as (V, 2, 3h) rows in ``DIRECTIONS``
+    order.
 
     At inference there is no dropout and the weights are fixed, so a
     token's pre-activations depend on its id only. A row is computed the
@@ -380,17 +421,16 @@ class InputProjection:
     def __init__(self, params: Params):
         self.params = params
         n_vocab, width = params["embed"].shape[0], params["gru_fwd.b"].shape[0]
-        self.rows = np.empty((n_vocab, 2 * width))  # an unfilled row is never read
+        self.rows = np.empty((n_vocab, 2, width))  # an unfilled row is never read
         self.filled = np.zeros(n_vocab, dtype=bool)
 
-    def __call__(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
-        """The forward and the backward pre-activations of ``token_ids``,
-        each (..., 3h), as views of one gathered copy of their rows;
-        ``IdOutOfRange`` for an id outside the vocabulary, before anything
-        is filled."""
+    def __call__(self, token_ids) -> np.ndarray:
+        """The (2, P, 3h) pre-activations of ``token_ids`` (2, P): the
+        forward direction's of ``token_ids[0]``, the backward's of
+        ``token_ids[1]``, in one gather; ``IdOutOfRange`` for an id outside
+        the vocabulary, before anything is filled."""
         ids = np.asarray(token_ids)
         _check_ids(ids, len(self.filled))
-        width = self.rows.shape[1] // 2
         new = ~self.filled[ids]
         if new.any():
             # np.unique would sort too, and it imports numpy.ma on first use
@@ -398,12 +438,10 @@ class InputProjection:
             mark[ids[new]] = True
             new_ids = np.flatnonzero(mark)
             x = self.params["embed"][new_ids]
-            for k, prefix in enumerate(("gru_fwd", "gru_bwd")):
-                pre = _input_preactivations(x, self.params, prefix)
-                self.rows[new_ids, k * width : (k + 1) * width] = pre
+            for k, prefix in enumerate(DIRECTIONS):
+                self.rows[new_ids, k] = _input_preactivations(x, self.params, prefix)
             self.filled[new_ids] = True
-        rows = self.rows[ids]
-        return rows[..., :width], rows[..., width:]
+        return self.rows[ids, [[0], [1]]]
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False,
@@ -416,35 +454,44 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     pre-activations are gathered from it; ``with_trace`` serves the first
     form only, since ``backward`` reads the inputs from the trace. A 1-D
     mask takes one unbatched row. The mask marks padding only: each row is
-    ones then zeros, and any other mask is a ``ValueError``. Both
-    directions read one packed copy of the valid cells (``Packing``) and
-    run on the active rows only; the output is (B, T, 2h) in the caller's
-    row order, zero at padding."""
+    ones then zeros, and any other mask is a ``ValueError``. Each
+    direction reads a packed copy of the valid cells in its walk order
+    (``Packing``), the backward's row-aligned, so both run on the same
+    active rows at every step: in lockstep while their ``u`` arrays fit in
+    cache together (``_direction_groups``), else one after the other. The
+    output is (B, T, 2h) in the caller's row order, zero at padding."""
     keep = np.asarray(attention_mask) != 0
     squeeze = keep.ndim == 1
     if squeeze:
         keep, h_in = keep[None], h_in[None]
     check_padding_mask(keep)
     packing = Packing.from_mask(keep)
-    x = packing.pack(h_in)
+    x = packing.pack_walks(h_in)
     if projection is None:
-        pre = [_input_preactivations(x, params, prefix) for prefix in ("gru_fwd", "gru_bwd")]
+        gates = np.empty(x.shape[:2] + params["gru_fwd.b"].shape)
+        for i, prefix in enumerate(DIRECTIONS):
+            _input_preactivations(x[i], params, prefix, out=gates[i])
     elif projection.params is not params:
         raise ValueError("the projection was built from other params")
     else:
-        pre = projection(x)
-    h_f = _gru_run(pre[0], packing, params["gru_fwd.u"])
-    h_b = _gru_run(pre[1], packing, params["gru_bwd.u"], reverse=True)
-    n_hidden = h_f.shape[-1]
-    out = np.empty(keep.shape + (2 * n_hidden,))
-    rows = slice(None) if packing.order is None else packing.order
-    out[rows, :, :n_hidden] = h_f[1:].swapaxes(0, 1)
-    out[rows, :, n_hidden:] = h_b[:-1].swapaxes(0, 1)
+        gates = projection(x)
+    n_hidden = params["gru_fwd.u"].shape[0]
+    h = np.zeros((2, packing.n_steps + 1, packing.n_batch, n_hidden))
+    groups = _direction_groups(params)
+    for group in groups:
+        _gru_run(gates[group], packing, _stacked_u(params, DIRECTIONS[group]), h[group])
+    out = np.zeros(keep.shape + (2 * n_hidden,))
+    if packing.order is None:  # rev reverses time
+        out[:, :, :n_hidden] = h[0, 1:].swapaxes(0, 1)
+        out[:, :, n_hidden:] = h[1, :0:-1].swapaxes(0, 1)
+    else:
+        out[packing.order, :, :n_hidden] = h[0, 1:].swapaxes(0, 1)
+        out[packing.callers, packing.steps, n_hidden:] = h[1, packing.steps[packing.rev] + 1,
+                                                           packing.rows]
     if squeeze:
         out = out[0]
     if with_trace:
-        return out, (GruTrace(x, packing, pre[0], h_f, False),
-                     GruTrace(x, packing, pre[1], h_b, True))
+        return out, GruTrace(x, packing, gates, h, groups)
     return out
 
 
@@ -561,7 +608,7 @@ class ForwardTrace:
     batch: Batch
     drop_emb: np.ndarray | None
     emb_d: np.ndarray
-    gru_traces: tuple[GruTrace, GruTrace]
+    gru: GruTrace
     drop_h: np.ndarray | None
     h_d: np.ndarray
     logits_ner: np.ndarray
@@ -616,7 +663,7 @@ def forward(
         drop_emb = _dropout_mask(emb.shape, config.dropout, rng)
         emb_d = emb * drop_emb
 
-    h_bigru, gru_traces = bigru(emb_d, mask, params, with_trace=True)
+    h_bigru, gru = bigru(emb_d, mask, params, with_trace=True)
 
     drop_h = None
     h_d = h_bigru
@@ -638,7 +685,7 @@ def forward(
 
     trace = ForwardTrace(
         config=config, batch=batch, drop_emb=drop_emb, emb_d=emb_d,
-        gru_traces=gru_traces, drop_h=drop_h, h_d=h_d,
+        gru=gru, drop_h=drop_h, h_d=h_d,
         logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
         pool_mask=pool_mask, features=features, probs_re=probs_re,
     )
@@ -696,12 +743,15 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
 
     d_h_bigru = d_h_d if trace.drop_h is None else d_h_d * trace.drop_h
 
-    # BPTT on the valid tokens only, in the packed layout of the forward pass
-    trace_f, trace_b = trace.gru_traces
-    packing = trace_f.packing
-    d_states = packing.pack(d_h_bigru)
-    d_x = _gru_backprop(trace_f, d_states[:, :n_hidden], params, "gru_fwd", grads)
-    d_x += _gru_backprop(trace_b, d_states[:, n_hidden:], params, "gru_bwd", grads)
+    # BPTT on the valid tokens only, each direction in its walk order
+    gru = trace.gru
+    packing = gru.packing
+    d_out = packing.pack_walks(d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True)
+    d_xs = np.empty(gru.x.shape)
+    for group in gru.groups:
+        _gru_backprop(gru, group, d_out[group], params, grads, d_xs[group])
+    d_x = d_xs[0]
+    d_x += d_xs[1, packing.rev]
     if trace.drop_emb is not None:
         d_x *= packing.pack(trace.drop_emb)
     np.add.at(grads["embed"], packing.pack(batch.token_ids), d_x)

@@ -408,6 +408,63 @@ class TestCustomOntology:
         assert run("validate", "--dataset", FIG_CORPUS, "--ontology", ontology) == 1
 
 
+class TestUnreadableInputFiles:
+    """Undecodable bytes or JSON in any input file exit 1 naming the file,
+    never 3 with a raw decoding error."""
+
+    NOT_UTF8 = b'[{"text": "caf\xe9"}]\n'
+
+    @pytest.mark.parametrize("kind", ["corpus", "ontology", "config", "input"])
+    def test_non_utf8_file_exits_one_naming_it(self, kind, tmp_path, capsys, request):
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_bytes(self.NOT_UTF8)
+        argv = {
+            "corpus": ("validate", "--dataset", bad),
+            "ontology": ("validate", "--dataset", FIG_CORPUS, "--ontology", bad),
+            "config": ("train", "--dataset", FIG_CORPUS, "--out", tmp_path / "out",
+                       "--config", bad),
+            "input": ("extract", "--input", bad, "--checkpoint",
+                      request.getfixturevalue("trained_run") / "best.ckpt"),
+        }[kind]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+
+    def test_malformed_config_json_exits_one_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{not json")
+        assert run("train", "--dataset", FIG_CORPUS, "--out", tmp_path / "out",
+                   "--config", config) == 1
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rule", [
+        {"domain": ["Tool"]},
+        ["Tool", "Tool"],
+        {"domain": "Tool", "range": ["Tool"]},
+    ], ids=["no-range", "list-rule", "string-domain"])
+    def test_malformed_ontology_rule_exits_one(self, rule, tmp_path, capsys):
+        ontology = tmp_path / "ontology.json"
+        ontology.write_text(json.dumps({"uses": rule}))
+        assert run("validate", "--dataset", FIG_CORPUS, "--ontology", ontology) == 1
+        assert "'uses'" in capsys.readouterr().err
+
+
+class TestConfidenceFloorRange:
+    @pytest.mark.parametrize("value", ["nan", "7"])
+    @pytest.mark.parametrize("command", ["eval", "extract"])
+    def test_out_of_range_floor_is_a_usage_error(self, command, value, tmp_path, capsys):
+        # with NaN every `confidence < floor` is False: the floor would be ignored
+        source = ("--dataset", FIG_CORPUS) if command == "eval" else ("--input", "s.txt")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run(command, *source, "--checkpoint", "m.ckpt", "--confidence-floor", value,
+                "--out", out)
+        assert err.value.code == 2
+        assert "[0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCheckpointTables:
     """The vocab/type tables saved with a checkpoint: missing, malformed or
     sized unlike the stored ModelConfig is a data error on eval and extract."""

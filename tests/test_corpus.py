@@ -274,6 +274,17 @@ class TestOntology:
             validate_ontology(corpus.sentences[0], schema)
 
 
+    @pytest.mark.parametrize("rule", [
+        {"domain": ["Tool"]},
+        ["Tool", "Tool"],
+        {"domain": "Tool", "range": ["Tool"]},
+    ], ids=["no-range", "list-rule", "string-domain"])
+    def test_malformed_rule_names_the_relation(self, rule):
+        # a string domain would otherwise read as the set of its characters
+        with pytest.raises(SchemaError, match="'uses'"):
+            OntologySchema.from_mapping({"uses": rule})
+
+
 def type_names(sentence):
     return [e.entity_type.name for e in sentence.entities]
 

@@ -7,9 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
+    DIRECTIONS,
+    GruTrace,
     InputProjection,
     ModelConfig,
+    Packing,
+    _direction_groups,
+    _gru_backprop,
+    _gru_run,
+    _input_preactivations,
     _sigmoid,
+    _stacked_u,
     backward,
     bigru,
     embed,
@@ -289,6 +297,87 @@ class TestInputProjection:
         params = self._params(0)
         with pytest.raises(ValueError, match="other params"):
             encode([[1, 2]], np.ones((1, 2)), params, InputProjection(dict(params)))
+
+
+LOCKSTEP = (slice(0, 2),)
+ONE_WALK_EACH = (slice(0, 1), slice(1, 2))
+
+
+class TestLockstep:
+    """Both directions in one lockstep walk against one walk each, through
+    the recurrence and backpropagation functions themselves."""
+
+    @staticmethod
+    def _walk(params, packing, x, pre, d_out, groups):
+        gates = pre.copy()
+        h = np.zeros((2, packing.n_steps + 1, packing.n_batch, pre.shape[-1] // 3))
+        for group in groups:
+            _gru_run(gates[group], packing, _stacked_u(params, DIRECTIONS[group]), h[group])
+        trace = GruTrace(x, packing, gates, h, groups)
+        grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru_")}
+        d_x = np.empty(x.shape)
+        for group in groups:
+            _gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
+        return h, gates, grads, d_x
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           st.integers(0, 2))
+    @example(0, [4], 0)                 # B=1
+    @example(1, [5, 5, 5], 0)           # no padding
+    @example(2, [1, 6, 1, 3], 1)        # length-1 rows
+    @example(3, [2, 5, 2, 5, 3], 0)     # repeated lengths, unsorted
+    @example(4, [1], 0)                 # one token
+    def test_lockstep_equals_one_walk_per_direction(self, seed, lengths, extra):
+        rng = np.random.default_rng(seed)
+        config = tiny_config()
+        params = init_params(config, seed=seed % 1000)
+        for name in ("gru_fwd.b", "gru_bwd.b"):
+            params[name] = rng.normal(size=params[name].shape)
+        keep = np.arange(max(lengths) + extra) < np.array(lengths)[:, None]
+        ids = np.where(keep, rng.integers(1, config.vocab_size, keep.shape), 0)
+        packing = Packing.from_mask(keep)
+        x = packing.pack_walks(params["embed"][ids])
+        pre = np.stack([_input_preactivations(x[i], params, prefix)
+                        for i, prefix in enumerate(DIRECTIONS)])
+        d_out = rng.normal(size=(2, len(packing.rev), config.hidden_dim))
+        lockstep, alone = (self._walk(params, packing, x, pre, d_out, groups)
+                           for groups in (LOCKSTEP, ONE_WALK_EACH))
+        for name, a, b in zip(("states", "gates", "gradients", "input gradient"), lockstep, alone):
+            for key in sorted(a) if isinstance(a, dict) else [None]:
+                got, expected = (a, b) if key is None else (a[key], b[key])
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{name} {key or ''}")
+        # the embedding gradient adds both directions' input gradients into
+        # their tokens' rows, the backward's through the cell permutation
+        d_embed = []
+        for d_x in (lockstep[3], alone[3]):
+            d_embed.append(np.zeros_like(params["embed"]))
+            np.add.at(d_embed[-1], packing.pack(ids), d_x[0] + d_x[1, packing.rev])
+        np.testing.assert_allclose(d_embed[0], d_embed[1], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, groups", [((32, 16), LOCKSTEP), ((768, 256), ONE_WALK_EACH)],
+                             ids=["32-16-lockstep", "768-256-one-walk-each"])
+    def test_direction_groups_by_size(self, dims, groups):
+        # shapes only: nothing runs at 768/256
+        d, h = dims
+        params = {f"{prefix}.{key}": np.empty(shape) for prefix in DIRECTIONS
+                  for key, shape in (("w", (d, 3 * h)), ("u", (h, 3 * h)), ("b", (3 * h,)))}
+        assert _direction_groups(params) == groups
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [4, 1, 2, 4], [2, 0, 1]],
+                             ids=["no-padding", "ragged", "empty-row"])
+    def test_rev_is_the_row_aligned_reversal(self, lengths):
+        keep = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        packing = Packing.from_mask(keep)
+        if packing.order is None:  # cells time-major in the caller's row order
+            steps, callers = np.nonzero(keep.T)
+        else:
+            steps, callers = packing.steps, packing.callers
+        # cell (k, row) <-> (length - 1 - k, row), its own inverse
+        assert np.array_equal(steps[packing.rev], keep.sum(axis=1)[callers] - 1 - steps)
+        assert np.array_equal(callers[packing.rev], callers)
+        assert np.array_equal(packing.rev[packing.rev], np.arange(keep.sum()))
 
 
 def test_sigmoid_bit_identical_to_two_branch_form():
