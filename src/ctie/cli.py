@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from dataclasses import MISSING, fields
@@ -52,15 +51,11 @@ class UsageError(Exception):
 
 
 def _probability(text: str) -> float:
-    """An argparse type: a number in [0, 1]; NaN, which every comparison
-    would let through, is rejected too."""
+    """An argparse type: a confidence floor (``evaluation.check_confidence_floor``)."""
     try:
-        value = float(text)
+        return evaluation.check_confidence_floor(float(text))
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}") from None
 
 
 def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
@@ -162,10 +157,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_mslr(args) -> int:
+    try:  # the rule train applies to the same two settings
+        TrainConfig(max_len=args.max_len, min_freq=args.min_freq).validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     corpus = load_corpus(args.dataset, _ontology(args))
-    vocab = build_vocab(corpus.sentences, min_freq=args.min_freq or 1)
+    vocab = build_vocab(corpus.sentences, min_freq=args.min_freq)
     instances, skipped = expand_and_encode(
-        enumerate(corpus.sentences), corpus.types, vocab, max_len=args.max_len or 256
+        enumerate(corpus.sentences), corpus.types, vocab, max_len=args.max_len
     )
     _log_skipped(skipped)
     out = Path(args.out)
@@ -173,7 +172,7 @@ def cmd_mslr(args) -> int:
         out, "mslr",
         {
             "dataset": str(args.dataset),
-            "max_len": args.max_len or 256, "min_freq": args.min_freq or 1,
+            "max_len": args.max_len, "min_freq": args.min_freq,
         },
     )
     (out / "instances.jsonl").write_text(dump_jsonl(instances), encoding="utf-8")
@@ -330,25 +329,29 @@ def cmd_extract(args) -> int:
 
 
 def cmd_export(args) -> int:
-    payload = json.loads(Path(args.extractions).read_text(encoding="utf-8"))
+    text = read_utf8(args.extractions, "extractions file")
     results = []
-    for item in payload:
-        triples = [
-            extract_mod.Triple(
-                head=t["head"], head_type=t["head_type"], relation=t["relation"],
-                tail=t["tail"], tail_type=t["tail_type"],
-                confidence=t["confidence"], sentence_index=t["sentence_index"],
-                head_span=tuple(t["head_span"]), tail_span=tuple(t["tail_span"]),
+    try:
+        for item in json.loads(text):
+            triples = [
+                extract_mod.Triple(
+                    head=t["head"], head_type=t["head_type"], relation=t["relation"],
+                    tail=t["tail"], tail_type=t["tail_type"],
+                    confidence=t["confidence"], sentence_index=t["sentence_index"],
+                    head_span=tuple(t["head_span"]), tail_span=tuple(t["tail_span"]),
+                )
+                for t in item["triples"]
+            ]
+            results.append(
+                extract_mod.ExtractionResult(
+                    sentence_index=item["sentence_index"],
+                    tokens=tuple(item["tokens"]),
+                    spans=[], triples=triples,
+                )
             )
-            for t in item["triples"]
-        ]
-        results.append(
-            extract_mod.ExtractionResult(
-                sentence_index=item["sentence_index"],
-                tokens=tuple(item["tokens"]),
-                spans=[], triples=triples,
-            )
-        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"extractions file {args.extractions} does not hold extract's "
+                        f"output ({type(exc).__name__}: {exc})") from None
     blob = extract_mod.export_graph(results, args.format)
     out = Path(args.out)
     _write_run_config(
@@ -393,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mslr", help="dump the multisequence labeling instances")
     common(p, out_required=True)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--min-freq", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=TrainConfig.max_len)
+    p.add_argument("--min-freq", type=int, default=TrainConfig.min_freq)
     p.set_defaults(func=cmd_mslr)
 
     def train_flags(p):

@@ -209,9 +209,6 @@ class OntologySchema:
         text = resources.files("ctie.data").joinpath("ontology.json").read_text("utf-8")
         return cls.from_mapping(json.loads(text))
 
-    def relation_names(self) -> list[str]:
-        return sorted(self.rules) + [NO_RELATION]
-
     def entity_type_names(self) -> set[str]:
         names: set[str] = set()
         for rule in self.rules.values():

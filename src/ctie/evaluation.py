@@ -312,6 +312,15 @@ def predict_relations_gold_pairs(
     return preds
 
 
+def check_confidence_floor(value: float) -> float:
+    """``value``, if it is a number in [0, 1]; else ``ValueError``. NaN is
+    rejected too: ``confidence < nan`` is always False, so it would keep
+    every pair."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"confidence floor must be a number in [0, 1], got {value!r}")
+    return value
+
+
 def evaluate_model(
     params: Params,
     config: ModelConfig,
@@ -330,7 +339,9 @@ def evaluate_model(
     ``re_mode="gold"`` scores relation classification on the annotated
     pairs; ``re_mode="pipeline"`` runs the end-to-end extractor (decoded
     spans, enumerated pairs) and scores its positive triples.
+    ``confidence_floor`` must lie in [0, 1] (``check_confidence_floor``).
     """
+    check_confidence_floor(confidence_floor)
     allowed = decode_constraint(config, types.bio_labels)
     encodings: list[np.ndarray] = []
     predicted_labels: list[list[str]] = []

@@ -30,7 +30,9 @@ import numpy as np
 
 from .corpus import OntologySchema, TypeSystem, check_spans
 from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
-from .evaluation import SpanPrediction, decode_spans, encode_batches, predict_ner_labels
+from .evaluation import (
+    SpanPrediction, check_confidence_floor, decode_spans, encode_batches, predict_ner_labels,
+)
 from .model import (
     InputProjection,
     ModelConfig,
@@ -175,8 +177,10 @@ class Extractor:
         classify known entity sets (gold spans, or spans from an external
         tagger). Before anything is encoded, a span whose entity type the
         checkpoint does not know is a ``SchemaError``, and a span out of its
-        sentence's range, empty or overlapping another is a ``SpanError``.
+        sentence's range, empty or overlapping another is a ``SpanError``,
+        and a ``confidence_floor`` outside [0, 1] is a ``ValueError``.
         """
+        check_confidence_floor(confidence_floor)
         token_seqs = [tuple(tokens) for tokens in token_seqs]
         for k, tokens in enumerate(token_seqs):
             if not tokens:

@@ -94,19 +94,19 @@ class ModelConfig:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, h = config.embed_dim, config.hidden_dim
-    shapes: dict[str, tuple[int, ...]] = {"embed": (config.vocab_size, d)}
-    for direction in ("gru_fwd", "gru_bwd"):
-        # gate-concatenated columns, in gate order [z | r | c]
-        shapes[f"{direction}.w"] = (d, 3 * h)
-        shapes[f"{direction}.u"] = (h, 3 * h)
-        shapes[f"{direction}.b"] = (3 * h,)
-    shapes["type_embed"] = (config.num_entity_types, config.entity_type_dim)
-    shapes["ner_w"] = (2 * h, config.num_ner_labels)
-    shapes["ner_b"] = (config.num_ner_labels,)
-    shapes["crf_trans"] = (config.crf_size, config.crf_size)
-    shapes["re_w"] = (config.concat_dim, config.num_relations)
-    shapes["re_b"] = (config.num_relations,)
-    return shapes
+    return {
+        "embed": (config.vocab_size, d),
+        # both GRU directions, forward then backward; columns in gate order [z | r | c]
+        "gru.w": (2, d, 3 * h),
+        "gru.u": (2, h, 3 * h),
+        "gru.b": (2, 3 * h),
+        "type_embed": (config.num_entity_types, config.entity_type_dim),
+        "ner_w": (2 * h, config.num_ner_labels),
+        "ner_b": (config.num_ner_labels,),
+        "crf_trans": (config.crf_size, config.crf_size),
+        "re_w": (config.concat_dim, config.num_relations),
+        "re_b": (config.num_relations,),
+    }
 
 
 def init_params(
@@ -119,8 +119,9 @@ def init_params(
     Embedding tables are uniform(-0.1, 0.1); dense matrices and each GRU
     gate's block use Xavier-scaled uniform; biases and CRF transitions
     start at zero. The GRU blocks are drawn z, r, c for ``w`` then for
-    ``u``. The relation head is drawn last so that NER-side parameters are
-    identical across feature-toggle configurations sharing a seed.
+    ``u``, the forward direction's first. The relation head is drawn last
+    so that NER-side parameters are identical across feature-toggle
+    configurations sharing a seed.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -133,15 +134,15 @@ def init_params(
         limit = np.sqrt(6.0 / (shape[0] + shape[1]))
         return rng.uniform(-limit, limit, size=shape)
 
-    d, h = config.embed_dim, config.hidden_dim
+    h = config.hidden_dim
     shapes = param_shapes(config)
     params["embed"] = embedding(shapes["embed"])
-    for direction in ("gru_fwd", "gru_bwd"):
-        for key, rows in (("w", d), ("u", h)):
-            blocks = params[f"{direction}.{key}"] = np.empty((rows, 3 * h))
-            for gate in range(3):
-                blocks[:, gate * h:(gate + 1) * h] = xavier((rows, h))
-        params[f"{direction}.b"] = np.zeros(3 * h)
+    params["gru.w"] = w = np.empty(shapes["gru.w"])
+    params["gru.u"] = u = np.empty(shapes["gru.u"])
+    for blocks in (w[0], u[0], w[1], u[1]):  # the draw order
+        for gate in range(3):
+            blocks[:, gate * h:(gate + 1) * h] = xavier((len(blocks), h))
+    params["gru.b"] = np.zeros(shapes["gru.b"])
     params["type_embed"] = embedding(shapes["type_embed"])
     params["ner_w"] = xavier(shapes["ner_w"])
     params["ner_b"] = np.zeros(shapes["ner_b"])
@@ -211,25 +212,18 @@ def _gate_slices(n_hidden: int) -> tuple[slice, slice, slice, slice]:
     return z, r, c, slice(0, 2 * n_hidden)
 
 
-DIRECTIONS = ("gru_fwd", "gru_bwd")
 # above half of one core's 2 MiB L2, both u arrays of a lockstep step evict each other
 LOCKSTEP_MAX_BYTES = 1 << 20
 
 
 def _direction_groups(params: Params) -> tuple[slice, ...]:
-    """The groups of ``DIRECTIONS`` whose recurrences walk in lockstep: both
-    directions together when their ``u`` arrays fit ``LOCKSTEP_MAX_BYTES``
-    (32/16 dims), else one walk each (768/256)."""
-    if sum(params[f"{prefix}.u"].nbytes for prefix in DIRECTIONS) <= LOCKSTEP_MAX_BYTES:
+    """The groups of GRU directions whose recurrences walk in lockstep, as
+    slices of the stacked ``gru.*`` arrays: both directions together when
+    their ``u`` arrays fit ``LOCKSTEP_MAX_BYTES`` (32/16 dims), else one
+    walk each (768/256)."""
+    if params["gru.u"].nbytes <= LOCKSTEP_MAX_BYTES:
         return (slice(0, 2),)
     return (slice(0, 1), slice(1, 2))
-
-
-def _stacked_u(params: Params, prefixes: tuple[str, ...]) -> np.ndarray:
-    """The ``u`` arrays of the directions ``prefixes`` as one (D, h, 3h) array."""
-    if len(prefixes) == 1:
-        return params[f"{prefixes[0]}.u"][None]
-    return np.stack([params[f"{prefix}.u"] for prefix in prefixes])
 
 
 @dataclass
@@ -309,8 +303,8 @@ class Packing:
 
 @dataclass
 class GruTrace:
-    """Both directions' BiGRU activations, direction-major in ``DIRECTIONS``
-    order, each direction's cells in its walk order (``Packing``)."""
+    """Both directions' BiGRU activations, direction-major (forward, then
+    backward), each direction's cells in its walk order (``Packing``)."""
 
     x: np.ndarray        # (2, P, d) packed inputs
     packing: Packing
@@ -320,11 +314,11 @@ class GruTrace:
     groups: tuple[slice, ...]  # the directions walked in lockstep (``_direction_groups``)
 
 
-def _input_preactivations(x: np.ndarray, params: Params, prefix: str,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """One direction's input pre-activations ``x @ w + b``, (..., 3h)."""
-    pre = np.matmul(x, params[f"{prefix}.w"], out=out)
-    pre += params[f"{prefix}.b"]
+def _input_preactivations(x: np.ndarray, params: Params) -> np.ndarray:
+    """Both directions' input pre-activations ``x @ w + b``, (2, P, 3h),
+    from their own inputs ``x`` (2, P, d) or from inputs (P, d) they share."""
+    pre = np.matmul(x, params["gru.w"])
+    pre += params["gru.b"][:, None]
     return pre
 
 
@@ -366,18 +360,17 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
     step makes only the recurrent products on its active rows, batched
     over D, and stores its gate pre-activation gradients in one (D, P, 3h)
     buffer; after the loop each weight gradient and the input gradient is
-    one GEMM on it per direction. The state gradient of a row not yet
+    one GEMM on it, batched over D. The state gradient of a row not yet
     active is zero, and a row no longer active is never read again."""
-    prefixes = DIRECTIONS[group]
     packing, gates, h = trace.packing, trace.gates[group], trace.h[group]
-    u = _stacked_u(params, prefixes)
+    u = params["gru.u"][group]
     n_hidden = u.shape[1]
     z, r, c, zr = _gate_slices(n_hidden)
     u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
     d_a = np.empty_like(gates)
-    dh = np.zeros((len(prefixes), packing.n_batch, n_hidden))
+    dh = np.zeros((len(u), packing.n_batch, n_hidden))
     for first, n_k, n, cells in reversed(packing.segments):
-        shape = (len(prefixes), n_k, n, -1)
+        shape = (len(u), n_k, n, -1)
         seg, d_seg, d_out_seg = (a[:, cells].reshape(shape).swapaxes(0, 1)
                                  for a in (gates, d_a, d_out))
         g_z, g_r, g_c = (seg[..., s] for s in (z, r, c))
@@ -397,31 +390,30 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
             dh_n += d_zr[k] @ u_zr_t
     h_prev = packing.prev_states(h)
     r_h_prev = gates[..., r] * h_prev
-    for i, prefix in enumerate(prefixes):
-        g_w, g_u, g_b = (grads[f"{prefix}.{k}"] for k in "wub")
-        np.matmul(trace.x[group][i].T, d_a[i], out=g_w)
-        np.matmul(h_prev[i].T, d_a[i, :, zr], out=g_u[:, zr])
-        np.matmul(r_h_prev[i].T, d_a[i, :, c], out=g_u[:, c])
-        d_a[i].sum(axis=0, out=g_b)
-        np.matmul(d_a[i], params[f"{prefix}.w"].T, out=d_x[i])
+    g_u = grads["gru.u"][group]
+    np.matmul(trace.x[group].swapaxes(1, 2), d_a, out=grads["gru.w"][group])
+    np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
+    np.matmul(r_h_prev.swapaxes(1, 2), d_a[..., c], out=g_u[..., c])
+    d_a.sum(axis=1, out=grads["gru.b"][group])
+    np.matmul(d_a, params["gru.w"][group].swapaxes(1, 2), out=d_x)
 
 
 class InputProjection:
     """Both GRU directions' input pre-activations ``embed[id] @ w + b`` per
-    token id of one fixed ``params``, as (V, 2, 3h) rows in ``DIRECTIONS``
-    order.
+    token id of one fixed ``params``, as (2, V, 3h) rows, forward then
+    backward.
 
     At inference there is no dropout and the weights are fixed, so a
     token's pre-activations depend on its id only. A row is computed the
-    first time its id is looked up, in one GEMM per direction over the new
-    ids only; a lookup of ids all seen before is one gather. The rows hold
-    the values of ``params`` when they were computed: once ``params``
-    change, build a new projection."""
+    first time its id is looked up, in one GEMM over the new ids only; a
+    lookup of ids all seen before is one gather. The rows hold the values
+    of ``params`` when they were computed: once ``params`` change, build a
+    new projection."""
 
     def __init__(self, params: Params):
         self.params = params
-        n_vocab, width = params["embed"].shape[0], params["gru_fwd.b"].shape[0]
-        self.rows = np.empty((n_vocab, 2, width))  # an unfilled row is never read
+        n_vocab, width = params["embed"].shape[0], params["gru.b"].shape[1]
+        self.rows = np.empty((2, n_vocab, width))  # an unfilled row is never read
         self.filled = np.zeros(n_vocab, dtype=bool)
 
     def __call__(self, token_ids) -> np.ndarray:
@@ -437,11 +429,10 @@ class InputProjection:
             mark = np.zeros(len(self.filled), dtype=bool)
             mark[ids[new]] = True
             new_ids = np.flatnonzero(mark)
-            x = self.params["embed"][new_ids]
-            for k, prefix in enumerate(DIRECTIONS):
-                self.rows[new_ids, k] = _input_preactivations(x, self.params, prefix)
+            self.rows[:, new_ids] = _input_preactivations(self.params["embed"][new_ids],
+                                                          self.params)
             self.filled[new_ids] = True
-        return self.rows[ids, [[0], [1]]]
+        return self.rows[[[0], [1]], ids]
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False,
@@ -468,18 +459,16 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     packing = Packing.from_mask(keep)
     x = packing.pack_walks(h_in)
     if projection is None:
-        gates = np.empty(x.shape[:2] + params["gru_fwd.b"].shape)
-        for i, prefix in enumerate(DIRECTIONS):
-            _input_preactivations(x[i], params, prefix, out=gates[i])
+        gates = _input_preactivations(x, params)
     elif projection.params is not params:
         raise ValueError("the projection was built from other params")
     else:
         gates = projection(x)
-    n_hidden = params["gru_fwd.u"].shape[0]
+    n_hidden = params["gru.u"].shape[1]
     h = np.zeros((2, packing.n_steps + 1, packing.n_batch, n_hidden))
     groups = _direction_groups(params)
     for group in groups:
-        _gru_run(gates[group], packing, _stacked_u(params, DIRECTIONS[group]), h[group])
+        _gru_run(gates[group], packing, params["gru.u"][group], h[group])
     out = np.zeros(keep.shape + (2 * n_hidden,))
     if packing.order is None:  # rev reverses time
         out[:, :, :n_hidden] = h[0, 1:].swapaxes(0, 1)
@@ -880,6 +869,10 @@ def load_checkpoint(path) -> Checkpoint:
             ).reshape(shape).copy()
             for name, shape, offset in manifest
         }
+        for key in "wub":  # checkpoints before the stacked layout: one array per direction
+            legacy = (f"gru_fwd.{key}", f"gru_bwd.{key}")
+            if any(name in params for name in legacy):
+                params[f"gru.{key}"] = np.stack([params.pop(name) for name in legacy])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint manifest ({exc})") from None
     validate_params(params, config)

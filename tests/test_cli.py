@@ -161,6 +161,18 @@ class TestMslr:
         }
         assert (out / "vocab.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-len", "0"), ("--min-freq", "0"), ("--max-len", "-3"), ("--min-freq", "-1"),
+    ], ids=["max-len-zero", "min-freq-zero", "max-len-negative", "min-freq-negative"])
+    def test_value_below_one_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        # was read as the default (0), wrote no instances (-3) or exit 3 (-1)
+        out = tmp_path / "mslr"
+        with pytest.raises(SystemExit) as err:
+            run("mslr", "--dataset", FIG_CORPUS, "--out", out, flag, value)
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 TRAIN_FLAGS = [
     "--epochs", "2", "--batch-size", "8", "--lr", "0.005",
@@ -379,6 +391,19 @@ class TestExtractExport:
         assert code == 0
         extractions = json.loads((out / "extractions.json").read_text())
         assert len(extractions) == 2
+
+
+class TestMalformedExtractions:
+    @pytest.mark.parametrize("blob", [
+        b'[{"tokens": ["caf\xe9"]}]', b"{not json", b'[{"sentence_index": 0}]', b'{"a": 1}',
+    ], ids=["not-utf8", "not-json", "no-triples", "not-a-list"])
+    def test_export_exits_one_naming_the_file(self, blob, tmp_path, capsys):
+        extractions = tmp_path / "extractions.json"
+        extractions.write_bytes(blob)
+        out = tmp_path / "graph"
+        assert run("export", "--extractions", extractions, "--out", out) == 1
+        assert str(extractions) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCustomOntology:

@@ -216,6 +216,28 @@ class TestEvaluateModel:
         assert 0.0 <= reports["re"].f1 <= 1.0
         assert reports["re"].accuracy is not None
 
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
+    def test_floor_outside_unit_interval_rejected_before_encoding(self, monkeypatch, floor):
+        from ctie.model import ModelConfig
+        from ctie.mslr import build_vocab
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences[:4]
+        vocab = build_vocab(sentences)
+        config = ModelConfig(
+            vocab_size=len(vocab), num_ner_labels=corpus.types.num_bio_labels,
+            num_relations=corpus.types.num_relations,
+            num_entity_types=corpus.types.num_entity_types,
+            embed_dim=8, hidden_dim=4, dropout=0.0,
+        )
+
+        def no_encoding(*args):
+            raise AssertionError("encoded under a confidence floor outside [0, 1]")
+
+        monkeypatch.setattr("ctie.evaluation.encode_batches", no_encoding)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            evaluate_model(init_params(config, seed=3), config, vocab, corpus.types, sentences,
+                           re_mode="pipeline", confidence_floor=floor)
 
     @pytest.mark.parametrize("chunk", [4, 32])
     def test_batched_ner_decode_matches_per_sentence(self, monkeypatch, chunk):

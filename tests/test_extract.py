@@ -26,7 +26,7 @@ from ctie.extract import (
 from ctie.model import ModelConfig, init_params, relation_head, save_checkpoint
 from ctie.mslr import build_vocab, make_entity_mask
 
-from helpers import SMOKE_CORPUS
+from helpers import SMOKE_CORPUS, per_direction_params
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +63,10 @@ class TestExtract:
         assert result.triples == []
         assert len(result.spans) == 1
 
-    def test_confidence_floor_above_one_drops_everything(self, extractor):
+    def test_confidence_floor_of_one_drops_everything(self, extractor):
         spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "Tool")]
         result = extractor.extract_tokens(
-            ("APT28", "uses", "Mimikatz"), spans=spans, confidence_floor=1.0 + 1e-9
+            ("APT28", "uses", "Mimikatz"), spans=spans, confidence_floor=1.0
         )
         assert result.triples == []
         assert len(result.dropped) == 2
@@ -163,6 +163,17 @@ class TestExtract:
         with pytest.raises(EmptyInput, match="sentence 6 "):
             extractor.extract_many([("a", "b"), ()], first_index=5)
 
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
+    def test_floor_outside_unit_interval_rejected_before_encoding(self, extractor, monkeypatch,
+                                                                   floor):
+        # with NaN every `confidence < floor` is False: the floor would be ignored
+        def no_encoding(*args):
+            raise AssertionError("encoded under a confidence floor outside [0, 1]")
+
+        monkeypatch.setattr("ctie.extract.encode_batches", no_encoding)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            extractor.extract_tokens(("APT28", "used", "Mimikatz"), confidence_floor=floor)
+
     def test_unknown_span_type_rejected(self, extractor):
         spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "NotAType")]
         with pytest.raises(SchemaError, match="'NotAType'"):
@@ -226,6 +237,20 @@ class TestExtract:
         a = extractor.extract_text("APT28 used Mimikatz against banks")
         b = loaded.extract_text("APT28 used Mimikatz against banks")
         assert [t.key for t in a.triples] == [t.key for t in b.triples]
+
+    def test_per_direction_checkpoint_extracts_alike(self, extractor, tmp_path):
+        # a checkpoint in the layout before the GRU directions were stacked
+        # loads to the same arrays, so it extracts exactly the same triples
+        tagger = _tagging_extractor(extractor, constrained=False)
+        extras = {"vocab": tagger.vocab.to_list(), "types": tagger.types.to_dict()}
+        loaded = []
+        for name, params in (("new", tagger.params), ("old", per_direction_params(tagger.params))):
+            save_checkpoint(tmp_path / f"{name}.ckpt", params, tagger.config, extras=extras)
+            loaded.append(Extractor.from_checkpoint(tmp_path / f"{name}.ckpt"))
+        tokens = "APT28 used Mimikatz against banks in 2014 .".split()
+        new, old = (x.extract_tokens(tokens) for x in loaded)
+        assert new.triples
+        assert old == new
 
 
 def _tagging_extractor(extractor, constrained):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
 from ctie.model import (
-    DIRECTIONS,
     GruTrace,
     InputProjection,
     ModelConfig,
@@ -17,7 +16,6 @@ from ctie.model import (
     _gru_run,
     _input_preactivations,
     _sigmoid,
-    _stacked_u,
     backward,
     bigru,
     embed,
@@ -39,7 +37,7 @@ from ctie.model import (
 )
 from ctie.mslr import Batch
 
-from helpers import tiny_batch, tiny_config
+from helpers import per_direction_params, tiny_batch, tiny_config
 
 
 class TestEmbed:
@@ -60,10 +58,11 @@ class TestEmbed:
             embed([-1], np.zeros((5, 4)))
 
 
-def manual_gru_states(x, p, prefix):
-    """Independent straight-line GRU oracle (no masking, single row): one
-    matrix-vector product per gate and step, gates sliced [z | r | c]."""
-    w, u, b = p[f"{prefix}.w"], p[f"{prefix}.u"], p[f"{prefix}.b"]
+def manual_gru_states(x, p, direction):
+    """Independent straight-line GRU oracle (no masking, single row) for
+    ``direction`` (0 forward, 1 backward) of the stacked ``gru.*`` arrays:
+    one matrix-vector product per gate and step, gates sliced [z | r | c]."""
+    w, u, b = (p[f"gru.{key}"][direction] for key in "wub")
     n = u.shape[0]
     w_z, w_r, w_c = w[:, :n], w[:, n:2 * n], w[:, 2 * n:]
     u_z, u_r, u_c = u[:, :n], u[:, n:2 * n], u[:, 2 * n:]
@@ -128,7 +127,7 @@ class TestBiGru:
     def test_zero_weights_zero_output(self):
         params = self._params()
         for name in params:
-            if name.startswith("gru_"):
+            if name.startswith("gru."):
                 params[name] = np.zeros_like(params[name])
         x = np.random.default_rng(2).normal(size=(4, 4))
         out = bigru(x, [1, 1, 1, 1], params)
@@ -138,16 +137,16 @@ class TestBiGru:
         params = self._params()
         x = np.random.default_rng(3).normal(size=(1, 4))
         out = bigru(x, [1], params)
-        fwd = manual_gru_states(x, params, "gru_fwd")[0]
-        bwd = manual_gru_states(x, params, "gru_bwd")[0]
+        fwd = manual_gru_states(x, params, 0)[0]
+        bwd = manual_gru_states(x, params, 1)[0]
         np.testing.assert_allclose(out[0], np.concatenate([fwd, bwd]), atol=1e-12)
 
     def test_matches_straight_line_oracle(self):
         params = self._params(seed=7)
         x = np.random.default_rng(4).normal(size=(2, 4))
         out = bigru(x, [1, 1], params)
-        fwd = manual_gru_states(x, params, "gru_fwd")
-        bwd_rev = manual_gru_states(x[::-1], params, "gru_bwd")
+        fwd = manual_gru_states(x, params, 0)
+        bwd_rev = manual_gru_states(x[::-1], params, 1)
         expected = np.stack(
             [
                 np.concatenate([fwd[0], bwd_rev[1]]),
@@ -169,8 +168,7 @@ class TestBiGru:
     def test_ragged_batch_rows_match_unpadded_rows(self, seed, n_rows, width, data):
         params = self._params(seed=seed % 1000)
         rng = np.random.default_rng(seed)
-        for name in ("gru_fwd.b", "gru_bwd.b"):
-            params[name] = rng.normal(size=params[name].shape)
+        params["gru.b"] = rng.normal(size=params["gru.b"].shape)
         lengths = data.draw(st.lists(st.integers(1, width), min_size=n_rows, max_size=n_rows))
         x = rng.normal(size=(n_rows, width, 4))
         mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
@@ -195,8 +193,7 @@ class TestBiGru:
         # runs' gradients: padding (also past the longest row) adds nothing
         config = tiny_config()
         params = init_params(config, seed=seed % 1000)
-        for name in ("gru_fwd.b", "gru_bwd.b"):
-            params[name] = np.random.default_rng(seed + 1).normal(size=params[name].shape)
+        params["gru.b"] = np.random.default_rng(seed + 1).normal(size=params["gru.b"].shape)
         rows = _random_rows(np.random.default_rng(seed), config, lengths)
         batch = forward(_row_batch(rows, max(lengths) + extra), params, config)
         alone = [forward(_row_batch([row], n), params, config)
@@ -232,14 +229,14 @@ class TestBiGru:
         params = self._params(d=d, h=h, seed=seed)
         rng = np.random.default_rng(seed)
         rng.uniform(-0.1, 0.1, size=(5, d))
-        for direction in ("gru_fwd", "gru_bwd"):
+        for direction in (0, 1):
             for key, rows in (("w", d), ("u", h)):
                 limit = np.sqrt(6.0 / (rows + h))
                 for gate in range(3):
                     block = rng.uniform(-limit, limit, size=(rows, h))
-                    got = params[f"{direction}.{key}"][:, gate * h:(gate + 1) * h]
+                    got = params[f"gru.{key}"][direction, :, gate * h:(gate + 1) * h]
                     assert np.array_equal(got, block), (direction, key, gate)
-            assert np.all(params[f"{direction}.b"] == 0.0)
+        assert np.all(params["gru.b"] == 0.0)
 
 
 class TestInputProjection:
@@ -253,8 +250,7 @@ class TestInputProjection:
         )
         params = init_params(config, seed=seed)
         rng = np.random.default_rng(seed)
-        for name in ("gru_fwd.b", "gru_bwd.b"):
-            params[name] = rng.normal(size=params[name].shape)
+        params["gru.b"] = rng.normal(size=params["gru.b"].shape)
         return params
 
     @settings(max_examples=40)
@@ -312,9 +308,9 @@ class TestLockstep:
         gates = pre.copy()
         h = np.zeros((2, packing.n_steps + 1, packing.n_batch, pre.shape[-1] // 3))
         for group in groups:
-            _gru_run(gates[group], packing, _stacked_u(params, DIRECTIONS[group]), h[group])
+            _gru_run(gates[group], packing, params["gru.u"][group], h[group])
         trace = GruTrace(x, packing, gates, h, groups)
-        grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru_")}
+        grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru.")}
         d_x = np.empty(x.shape)
         for group in groups:
             _gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
@@ -332,14 +328,12 @@ class TestLockstep:
         rng = np.random.default_rng(seed)
         config = tiny_config()
         params = init_params(config, seed=seed % 1000)
-        for name in ("gru_fwd.b", "gru_bwd.b"):
-            params[name] = rng.normal(size=params[name].shape)
+        params["gru.b"] = rng.normal(size=params["gru.b"].shape)
         keep = np.arange(max(lengths) + extra) < np.array(lengths)[:, None]
         ids = np.where(keep, rng.integers(1, config.vocab_size, keep.shape), 0)
         packing = Packing.from_mask(keep)
         x = packing.pack_walks(params["embed"][ids])
-        pre = np.stack([_input_preactivations(x[i], params, prefix)
-                        for i, prefix in enumerate(DIRECTIONS)])
+        pre = _input_preactivations(x, params)
         d_out = rng.normal(size=(2, len(packing.rev), config.hidden_dim))
         lockstep, alone = (self._walk(params, packing, x, pre, d_out, groups)
                            for groups in (LOCKSTEP, ONE_WALK_EACH))
@@ -361,8 +355,8 @@ class TestLockstep:
     def test_direction_groups_by_size(self, dims, groups):
         # shapes only: nothing runs at 768/256
         d, h = dims
-        params = {f"{prefix}.{key}": np.empty(shape) for prefix in DIRECTIONS
-                  for key, shape in (("w", (d, 3 * h)), ("u", (h, 3 * h)), ("b", (3 * h,)))}
+        params = {f"gru.{key}": np.empty(shape)
+                  for key, shape in (("w", (2, d, 3 * h)), ("u", (2, h, 3 * h)), ("b", (2, 3 * h)))}
         assert _direction_groups(params) == groups
 
     @pytest.mark.parametrize("lengths", [[3, 3], [4, 1, 2, 4], [2, 0, 1]],
@@ -712,6 +706,30 @@ class TestCheckpoint:
         with pytest.raises(SchemaError):
             load_checkpoint(path)
 
+    def test_per_direction_checkpoint_loads_stacked(self, tmp_path):
+        # checkpoints written before the stacked layout still load
+        config = tiny_config()
+        params = init_params(config, seed=15)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, per_direction_params(params), config)
+        loaded = load_checkpoint(path).params
+        assert set(loaded) == set(params)
+        for name in params:
+            assert np.array_equal(loaded[name], params[name]), name
+
+    @pytest.mark.parametrize("partner", ["missing", "mis-shaped"])
+    def test_per_direction_checkpoint_without_partner_rejected(self, tmp_path, partner):
+        config = tiny_config()
+        params = per_direction_params(init_params(config, seed=15))
+        if partner == "missing":
+            del params["gru_bwd.u"]
+        else:
+            params["gru_bwd.u"] = params["gru_bwd.u"][:, :-1]
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, params, config)
+        with pytest.raises(SchemaError, match="gru_bwd.u|shape"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPTxxxxxxxxxxxx")
@@ -798,7 +816,7 @@ class TestEmbeddingFile:
 def test_param_shapes_cover_all_arrays():
     config = tiny_config()
     shapes = param_shapes(config)
-    assert len(shapes) == 13
+    assert len(shapes) == 10
     assert set(init_params(config, seed=21)) == set(shapes)
 
 
