@@ -22,7 +22,7 @@ from .corpus import (
     OntologySchema, check_corpus, dataset_stats, load_corpus, read_utf8, validate_ontology,
 )
 from .errors import DataError, SchemaError
-from .model import ModelConfig, checkpoint_tables, load_checkpoint
+from .model import ModelConfig, checkpoint_tables, load_checkpoint, write_atomic
 from .mslr import build_vocab, dump_jsonl, expand_and_encode
 from .train import TrainConfig, train_loop
 
@@ -91,9 +91,7 @@ def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
 def _write_run_config(out_dir: Path, command: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"command": command, **payload}
-    (out_dir / "run_config.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / "run_config.json", json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _ontology(args) -> OntologySchema:
@@ -149,10 +147,9 @@ def cmd_stats(args) -> int:
     if args.out:
         out = Path(args.out)
         _write_run_config(out, "stats", {"dataset": str(args.dataset)})
-        (out / "stats.json").write_text(
-            json.dumps(stats.to_dict(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out / "stats.txt").write_text(stats.to_table() + "\n", encoding="utf-8")
+        write_atomic(out / "stats.json",
+                     json.dumps(stats.to_dict(), indent=1, sort_keys=True) + "\n")
+        write_atomic(out / "stats.txt", stats.to_table() + "\n")
     return 0
 
 
@@ -175,10 +172,8 @@ def cmd_mslr(args) -> int:
             "max_len": args.max_len, "min_freq": args.min_freq,
         },
     )
-    (out / "instances.jsonl").write_text(dump_jsonl(instances), encoding="utf-8")
-    (out / "vocab.json").write_text(
-        json.dumps(vocab.to_list(), indent=1) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "instances.jsonl", dump_jsonl(instances))
+    write_atomic(out / "vocab.json", json.dumps(vocab.to_list(), indent=1) + "\n")
     print(f"wrote {len(instances)} instances ({len(skipped)} skipped) to {out}")
     return 0
 
@@ -202,11 +197,9 @@ def cmd_train(args) -> int:
         model_kwargs=model_kwargs, out_dir=out, log_fn=_log,
         pretrained_embeddings=args.pretrained_embeddings,
     )
-    (out / "training_log.csv").write_text(result.log.to_csv(), encoding="utf-8")
-    (out / "training_log.json").write_text(result.log.to_json() + "\n", encoding="utf-8")
-    (out / "vocab.json").write_text(
-        json.dumps(result.vocab.to_list(), indent=1) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "training_log.csv", result.log.to_csv())
+    write_atomic(out / "training_log.json", result.log.to_json() + "\n")
+    write_atomic(out / "vocab.json", json.dumps(result.vocab.to_list(), indent=1) + "\n")
     _log_skipped(result.skipped_instances)
     print(f"best epoch {result.best_epoch}; checkpoint {result.best_checkpoint}")
     return 0
@@ -253,12 +246,8 @@ def cmd_eval(args) -> int:
                 "confidence_floor": args.confidence_floor,
             },
         )
-        (out / "metrics.json").write_text(
-            json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out / "metrics.txt").write_text(
-            evaluation.metrics_table(reports) + "\n", encoding="utf-8"
-        )
+        write_atomic(out / "metrics.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
+        write_atomic(out / "metrics.txt", evaluation.metrics_table(reports) + "\n")
     return 0
 
 
@@ -282,8 +271,8 @@ def cmd_ablate(args) -> int:
         mask, typ = flags[name]
         payload = {task: report.to_dict() for task, report in tasks.items()}
         path = out / f"ablation_mask-{str(mask).lower()}_type-{str(typ).lower()}.json"
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    (out / "ablation.txt").write_text(result.to_table() + "\n", encoding="utf-8")
+        write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_atomic(out / "ablation.txt", result.to_table() + "\n")
     print(result.to_table())
     return 0
 
@@ -321,11 +310,36 @@ def cmd_extract(args) -> int:
                 "confidence_floor": args.confidence_floor,
             },
         )
-        (out / "extractions.json").write_text(
-            json.dumps([r.to_dict() for r in results], indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_atomic(out / "extractions.json",
+                     json.dumps([r.to_dict() for r in results], indent=1, sort_keys=True) + "\n")
     return 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_triple(t: dict) -> extract_mod.Triple:
+    """One triple of an extractions file, every field checked for its type:
+    a ``ValueError`` names the fields that do not match."""
+    bad = [k for k in ("head", "head_type", "relation", "tail", "tail_type")
+           if not isinstance(t[k], str)]
+    confidence = t["confidence"]
+    if not (isinstance(confidence, (int, float)) and not isinstance(confidence, bool)
+            and 0.0 <= confidence <= 1.0):  # NaN fails the comparison
+        bad.append("confidence")
+    if not _is_int(t["sentence_index"]):
+        bad.append("sentence_index")
+    bad += [k for k in ("head_span", "tail_span")
+            if not (isinstance(t[k], list) and len(t[k]) == 2 and all(map(_is_int, t[k])))]
+    if bad:
+        raise ValueError(f"triple fields of the wrong type: {', '.join(bad)}")
+    return extract_mod.Triple(
+        head=t["head"], head_type=t["head_type"], relation=t["relation"],
+        tail=t["tail"], tail_type=t["tail_type"],
+        confidence=confidence, sentence_index=t["sentence_index"],
+        head_span=tuple(t["head_span"]), tail_span=tuple(t["tail_span"]),
+    )
 
 
 def cmd_export(args) -> int:
@@ -333,20 +347,13 @@ def cmd_export(args) -> int:
     results = []
     try:
         for item in json.loads(text):
-            triples = [
-                extract_mod.Triple(
-                    head=t["head"], head_type=t["head_type"], relation=t["relation"],
-                    tail=t["tail"], tail_type=t["tail_type"],
-                    confidence=t["confidence"], sentence_index=t["sentence_index"],
-                    head_span=tuple(t["head_span"]), tail_span=tuple(t["tail_span"]),
-                )
-                for t in item["triples"]
-            ]
+            if not _is_int(item["sentence_index"]):
+                raise ValueError("sentence_index is not an int")
             results.append(
                 extract_mod.ExtractionResult(
                     sentence_index=item["sentence_index"],
-                    tokens=tuple(item["tokens"]),
-                    spans=[], triples=triples,
+                    tokens=tuple(item["tokens"]), spans=[],
+                    triples=[_read_triple(t) for t in item["triples"]],
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -359,7 +366,7 @@ def cmd_export(args) -> int:
         {"extractions": str(args.extractions), "format": args.format},
     )
     name = "graph.json" if args.format == "json" else "edges.csv"
-    (out / name).write_bytes(blob)
+    write_atomic(out / name, blob)
     print(f"wrote {out / name}")
     return 0
 

@@ -28,67 +28,91 @@ batch axis, and a row past the end of its chain carries its state
 through unchanged. A row of padding only has logZ 0, NLL 0, zero
 gradients and an empty path.
 
-Recursions as GEMMs. Each step of the forward and the backward recursion
-is one (B, L) x (L, L) product on max-shifted exponentials:
+Recursions as GEMMs. The forward and the backward recursion run in
+scaled probability space (Rabiner 1989, "A tutorial on hidden Markov
+models", section V.A). Every score is exponentiated once, before the
+loop: the emissions less their max over the labels at each step of each
+row, ``emit_t = exp(e_t - max e_t)`` (a step with no finite score is
+shifted by 0), and each transition block (inner, START, STOP) less its
+smallest finite entry, ``step = exp(inner - i_min)``. A forward step is
+then one (B, L) x (L, L) product, a product with the emission factors and
+one division by the row sum:
 
-    alpha_t = log(exp(alpha_{t-1} - max alpha_{t-1}) @ exp(inner - i_max))
-              + max alpha_{t-1} + i_max + e_t
+    a_t = (a_{t-1} @ step) * emit_t,    c_t = sum_j a_t[j],    a_t /= c_t
 
-with i_max the largest finite inner transition; the backward step mirrors
-it with ``inner.T`` on ``e_{t+1} + beta_{t+1}``. A row whose max is -inf
-stays -inf, and a label no allowed step reaches gets log(0) = -inf. The
-step into STOP that closes the forward recursion is the same product
-with the (L, 1) column of STOP scores.
+so the loop runs no exp and no log. logZ is the sum of the log c_t and of
+the shifts, with the step into STOP a product with the STOP factors. The
+backward recursion is the same recursion on the row-reversed chains, with
+``step.T`` and START and STOP swapped, carrying its own normalisers: both
+run in one loop, one (2, B, L) x (2, L, L) product per step. A row with
+no reachable label at some step sums to 0; it is divided as the smallest
+subnormal, stays zero, and its logZ is log 0 = -inf.
 Viterbi is max-plus: each step takes one argmax over its (B, L, L) grid
 and reads the maxima back at those indices.
 
-Exactness. With every transition finite and of span S, each product entry
-is at least exp(-S), whatever the emissions, so the recursions are exact
-to rounding for S below about 700 nats; training's transitions are always
-finite. With -inf entries (a folded BIO mask) a label's allowed
-predecessors need not hold the row's maximum, and the limit is the
-per-step gap in alpha (in emission + beta for the backward pass): an
-entry whose every allowed term sits more than about 700 nats below that
-maximum underflows to -inf.
+Exactness. A transition block's factors lie in [1, e^S] for a span S up
+to 700 nats (a wider block is shifted 700 below its largest entry). With
+every transition finite, a step's product therefore never falls below
+its largest emission factor 1, whatever the emissions, and its entries
+keep about 745 nats of range below that before they underflow to 0:
+logZ and the NLL are exact to rounding for S below about 700 nats, as the
+log-space recursion was; training's transitions are always finite. With
+-inf entries (a folded BIO mask) a label's allowed predecessors need not
+hold the row's mass, and the limit is the per-step gap: an entry whose
+every allowed term sits more than about 745 nats below its step's
+largest underflows to 0. Node marginals are alpha * beta normalised per
+step, with beta taken before its step's emission, so nothing is divided
+by an emission factor (which underflows to 0 more than 745 nats below
+its step's maximum). A marginal below about e^-745 of its step's maximum
+reads 0.
 
-Single-pass gradient. ``crf_nll_grad`` runs the forward and the backward
-recursion once and returns the per-row NLL, d NLL / d emissions (node
-marginals minus the gold one-hot, in the original positions) and
-d NLL / d transitions summed over the batch (expected minus gold counts,
-including the START and STOP blocks). The expected inner counts of every
-row and step are summed by one GEMM in probability space,
-``exp(inner - i_max) * (P.T @ Q)``, with P and Q the alpha and the
-emission-plus-beta factors max-shifted per step; no (B, T, L, L) tensor is
-built. The factors are exact to rounding while no step's shift
-``max alpha + max(emission + beta) + i_max - logZ`` overflows, under the
-same rule as the recursions: with every transition finite the shift is at
-most S, since logZ covers the path through the two maxima; with -inf
-entries it is bounded only by the per-step gaps, and a step past 700 nats
-gives inf or NaN.
+Single-pass gradient. ``crf_nll_grad`` runs the lockstep loop once and
+returns the per-row NLL, d NLL / d emissions (node marginals minus the
+gold one-hot, in the original positions) and d NLL / d transitions summed
+over the batch (expected minus gold counts, including the START and STOP
+blocks). The expected inner counts of every row and step are summed by
+one GEMM, ``step * (P.T @ Q)``, with P the scaled alphas divided by their
+step's alpha-beta total and Q the scaled backward factors of the next
+step; each step's edge marginals then sum to 1, and no (B, T, L, L)
+tensor is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_TINY = np.finfo(np.float64).smallest_subnormal
+# A block of transition factors spans at most e^_MAX_SPAN, so a sum of
+# factors over up to 10,000 labels stays below the float64 maximum e^709.8.
+_MAX_SPAN = 700.0
 
-def _exp_shifted(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """(exp(scores - top), top), top the largest finite score (0 if none);
-    -inf scores become 0."""
+
+def _exp_transitions(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(scores - shift), shift) for a block of transition scores: the
+    shift is the smallest finite score, or _MAX_SPAN below the largest, so
+    every allowed factor is at least 1 within a span of _MAX_SPAN. A step's
+    product then never falls below its largest emission factor 1, however
+    low that label's best transition. -inf scores become 0."""
     finite = scores[np.isfinite(scores)]
-    top = float(finite.max()) if finite.size else 0.0
-    return np.exp(scores - top), top
+    shift = max(finite.min(), finite.max() - _MAX_SPAN) if finite.size else 0.0
+    return np.exp(scores - shift), float(shift)
 
 
-def _log_matmul(x: np.ndarray, weights: np.ndarray, shift: float) -> np.ndarray:
-    """log(exp(x) @ (weights * exp(shift))) for rows x (B, L), as one GEMM on
-    the row-max-shifted exponentials; ``weights, shift`` is ``_exp_shifted``'s
-    pair, its weights transposed for the backward recursion. A row whose
-    max is -inf gives -inf, not NaN."""
-    x_max = np.max(x, axis=1, keepdims=True)
-    x_max = np.where(np.isfinite(x_max), x_max, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - x_max) @ weights) + (x_max + shift)
+def _scaled_recursion(factors: np.ndarray, steps: np.ndarray, first: np.ndarray):
+    """Rabiner's scaled forward recursion over time-major factors (N, ..., L):
+    x_0 = first * f_0 and x_t = (x_{t-1} @ steps) * f_t, each x_t divided by
+    its sum over the labels. Returns (x, the sums (N, ..., 1)). A zero sum
+    (no label reachable) is divided as the smallest subnormal, so its row
+    stays zero and is never 0 / 0."""
+    xs = np.empty(factors.shape)
+    sums = np.empty(factors.shape[:-1] + (1,))
+    x = np.multiply(first, factors[0], out=xs[0])
+    for t in range(len(factors)):
+        if t:
+            x = np.matmul(x, steps, out=xs[t])
+            x *= factors[t]
+        x /= np.maximum(np.add.reduce(x, axis=-1, keepdims=True, out=sums[t]), _TINY)
+    return xs, sums
 
 
 def _split_transitions(transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -148,50 +172,69 @@ class _Chains:
         return float(per_row[0]) if self.squeeze else per_row
 
 
-def _alpha_pass(chains: _Chains, inner, start, stop, keep_all: bool = False):
-    """(alphas (B, N, L) or None, logZ (B,)) by the forward recursion."""
-    em, lengths = chains.em, chains.lengths
-    n_batch, width, _ = em.shape
-    alphas = np.empty(em.shape) if keep_all else None
-    if width == 0:
-        return alphas, np.zeros(n_batch)
-    shortest = int(lengths.min())
-    step, i_max = _exp_shifted(inner)
-    alpha = start + em[:, 0]
-    for t in range(width):
-        if t:
-            nxt = _log_matmul(alpha, step, i_max) + em[:, t]
-            alpha = nxt if t < shortest else np.where((t < lengths)[:, None], nxt, alpha)
-        if keep_all:
-            alphas[:, t] = alpha
-    into_stop = _log_matmul(alpha, *_exp_shifted(stop[:, None]))[:, 0]  # the step into STOP
-    log_z = np.where(lengths > 0, into_stop, 0.0)
-    return alphas, log_z
+def _scaled_passes(chains: _Chains, inner, start, stop, backward: bool = False):
+    """The forward recursion in scaled probability space, time-major; with
+    ``backward`` also the backward one, on the row-reversed chains in the
+    same loop.
 
-
-def _beta_pass(chains: _Chains, inner, stop) -> np.ndarray:
-    """betas (B, N, L): log-score of finishing the chain from each step."""
-    em, lengths = chains.em, chains.lengths
-    width = em.shape[1]
-    betas = np.empty(em.shape)
-    step, i_max = _exp_shifted(inner)
-    beta = np.broadcast_to(stop, (len(em), len(stop)))
-    for t in range(width - 1, -1, -1):
-        if t < width - 1:
-            nxt = _log_matmul(em[:, t + 1] + beta, step.T, i_max)
-            beta = np.where((t + 1 < lengths)[:, None], nxt, stop)
-        betas[:, t] = beta
-    return betas
+    Returns (alphas, betas or None, logZ (B,), step, into_stop). alphas[t]
+    and betas[t] (N, B, L) are exp(alpha_t) and exp(e_t + beta_t) of the
+    log-space recursions, each scaled to sum to 1 over the labels (all 0
+    where no label is reachable); past a chain's end they hold finite
+    garbage. ``step`` and ``into_stop`` are the inner and STOP factors of
+    ``_exp_transitions``. Chains of no steps get logZ 0 and nothing else.
+    """
+    em = chains.em.transpose(1, 0, 2)
+    lengths = chains.lengths
+    if not len(em):
+        return None, None, np.zeros(len(lengths)), None, None
+    rows = np.arange(em.shape[1])
+    em_shift = np.max(em, axis=2, keepdims=True)
+    em_shift = np.where(np.isfinite(em_shift), em_shift, 0.0)  # no finite score: 0, not NaN
+    emit = np.exp(em - em_shift)
+    step, i_shift = _exp_transitions(inner)
+    from_start, s_shift = _exp_transitions(start)
+    into_stop, t_shift = _exp_transitions(stop)
+    betas = None
+    if backward:
+        # step k of a length-n row's reversed chain is its step n-1-k; padding maps to itself
+        k = np.arange(len(em))[:, None]
+        rev = (np.where(k < lengths, lengths - 1 - k, k), rows)
+        both = np.stack([emit, emit[rev]], axis=1)
+        xs, sums = _scaled_recursion(
+            both, np.stack([step, step.T]), np.stack([from_start, into_stop])[:, None])
+        alphas, betas, sums = xs[:, 0], xs[:, 1][rev], sums[:, 0]
+    else:
+        alphas, sums = _scaled_recursion(emit, step, from_start)
+    ends = alphas[np.maximum(lengths - 1, 0), rows] @ into_stop
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a chain that no path completes
+        log_z = (
+            np.where(chains.valid.T[:, :, None], np.log(sums) + em_shift, 0.0).sum(axis=(0, 2))
+            + np.log(ends) + (lengths - 1) * i_shift + s_shift + t_shift
+        )
+    return alphas, betas, np.where(lengths > 0, log_z, 0.0), step, into_stop
 
 
 def _forward_backward(chains: _Chains, inner, start, stop):
-    """(alphas, betas, node marginals (B, N, L), logZ (B,)) on the chains;
-    node marginals are zero past each chain's end."""
-    alphas, log_z = _alpha_pass(chains, inner, start, stop, keep_all=True)
-    betas = _beta_pass(chains, inner, stop)
-    valid = chains.valid[:, :, None]
-    node = np.exp(np.where(valid, alphas + betas - log_z[:, None, None], -np.inf))
-    return alphas, betas, node, log_z
+    """(node marginals (N, B, L), edge factors p and q (N-1, B, L), step,
+    logZ (B,)), time-major on the chains and zero past each chain's end.
+    The edge marginal of the step t -> t+1 is p[t, :, :, None] * step *
+    q[t, :, None, :]."""
+    alphas, betas, log_z, step, into_stop = _scaled_passes(chains, inner, start, stop, True)
+    lengths = chains.lengths
+    # exp(beta_t) scaled: the backward factor without step t's own emission
+    # (never betas[t] / emit[t], which underflows to 0); STOP ends each chain
+    ahead = np.empty(alphas.shape)
+    ahead[:-1] = betas[1:] @ step.T
+    ahead[-1] = into_stop
+    ahead[np.maximum(lengths - 1, 0), np.arange(len(lengths))] = into_stop
+    node = alphas * ahead
+    total = node.sum(axis=2, keepdims=True)
+    total = np.where(total > 0, total, 1.0)
+    valid = chains.valid.T[:, :, None]
+    node = np.where(valid, node / total, 0.0)
+    p = np.where(valid[1:], alphas[:-1] / total[:-1], 0.0)
+    return node, p, betas[1:], step, log_z
 
 
 def _gold_score(chains: _Chains, y: np.ndarray, inner, start, stop) -> np.ndarray:
@@ -212,14 +255,14 @@ def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray, attention_
     """log sum over all label paths of each row, by the forward recursion."""
     inner, start, stop, _ = _split_transitions(transitions)
     chains = _Chains(emissions, attention_mask)
-    return chains.result(_alpha_pass(chains, inner, start, stop)[1])
+    return chains.result(_scaled_passes(chains, inner, start, stop)[2])
 
 
 def crf_nll(emissions: np.ndarray, labels, transitions: np.ndarray, attention_mask=None):
     """Negative log-likelihood of each row's gold path; >= 0 by construction."""
     inner, start, stop, _ = _split_transitions(transitions)
     chains = _Chains(emissions, attention_mask)
-    log_z = _alpha_pass(chains, inner, start, stop)[1]
+    log_z = _scaled_passes(chains, inner, start, stop)[2]
     y = chains.gather(labels).astype(np.intp)
     return chains.result(log_z - _gold_score(chains, y, inner, start, stop))
 
@@ -234,16 +277,13 @@ def crf_marginals(emissions: np.ndarray, transitions: np.ndarray, attention_mask
     """
     inner, start, stop, num_labels = _split_transitions(transitions)
     chains = _Chains(emissions, attention_mask)
-    alphas, betas, node, log_z = _forward_backward(chains, inner, start, stop)
-    width = node.shape[1]
-    edge = np.zeros((len(node), max(width - 1, 0), num_labels, num_labels))
-    if width > 1:
-        log_edge = (
-            alphas[:, :-1, :, None] + inner
-            + (chains.em[:, 1:] + betas[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-        edge = np.exp(np.where(chains.valid[:, 1:, None, None], log_edge, -np.inf))
+    n_batch, width, _ = chains.em.shape
+    node, log_z = np.zeros((n_batch, 0, num_labels)), np.zeros(n_batch)
+    edge = np.zeros((n_batch, 0, num_labels, num_labels))
+    if width:
+        node, p, q, step, log_z = _forward_backward(chains, inner, start, stop)
+        node = node.transpose(1, 0, 2)
+        edge = p.transpose(1, 0, 2)[..., None] * step * q.transpose(1, 0, 2)[:, :, None]
     if chains.squeeze:
         n = int(chains.lengths[0])
         return node[0, :n], edge[0, : max(n - 1, 0)], float(log_z[0])
@@ -268,35 +308,25 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
         zero = np.zeros(chains.shape[0])
         return chains.result(zero), empty[0] if chains.squeeze else empty, d_transitions
 
-    alphas, betas, node, log_z = _forward_backward(chains, inner, start, stop)
+    node, p, q, step, log_z = _forward_backward(chains, inner, start, stop)
     y = chains.gather(labels).astype(np.intp)
     nll = log_z - _gold_score(chains, y, inner, start, stop)
     valid, lengths = chains.valid, chains.lengths
-    d_emissions = chains.scatter(node - np.eye(num_labels)[y])
+    d_emissions = chains.scatter(node.transpose(1, 0, 2) - np.eye(num_labels)[y])
 
-    # Expected inner counts: sum over rows and steps t -> t+1 of
-    # exp(alpha_t[i] + inner[i, j] + em_{t+1}[j] + beta_{t+1}[j] - logZ).
-    if node.shape[1] > 1:
-        a = alphas[:, :-1]
-        r = chains.em[:, 1:] + betas[:, 1:]
-        a_max = np.max(a, axis=2, keepdims=True)
-        r_max = np.max(r, axis=2, keepdims=True)
-        step, i_max = _exp_shifted(inner)
-        shift = a_max + r_max + i_max - log_z[:, None, None]
-        scale = np.exp(np.where(valid[:, 1:, None], shift, -np.inf))
-        p = np.exp(a - a_max).reshape(-1, num_labels)
-        q = (np.exp(r - r_max) * scale).reshape(-1, num_labels)
-        d_transitions[:num_labels, :num_labels] = step * (p.T @ q)
-        edges = valid[:, 1:]
-        np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -1.0)
+    # expected inner counts of every row and step t -> t+1, summed by one GEMM
+    p, q = p.reshape(-1, num_labels), q.reshape(-1, num_labels)
+    d_transitions[:num_labels, :num_labels] = step * (p.T @ q)
+    edges = valid[:, 1:]
+    np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -1.0)
 
     # node marginals are zero on empty chains; their gold labels must not count
     has = lengths > 0
-    last = (np.arange(len(lengths)), np.maximum(lengths - 1, 0))
-    d_transitions[start_idx, :num_labels] = node[:, 0].sum(axis=0)
+    rows, ends = np.arange(len(lengths)), np.maximum(lengths - 1, 0)
+    d_transitions[start_idx, :num_labels] = node[0].sum(axis=0)
     np.add.at(d_transitions[start_idx], y[has, 0], -1.0)
-    d_transitions[:num_labels, stop_idx] = node[last].sum(axis=0)
-    np.add.at(d_transitions[:, stop_idx], y[last][has], -1.0)
+    d_transitions[:num_labels, stop_idx] = node[ends, rows].sum(axis=0)
+    np.add.at(d_transitions[:, stop_idx], y[rows, ends][has], -1.0)
     if chains.squeeze:
         return float(nll[0]), d_emissions[0], d_transitions
     return nll, d_emissions, d_transitions

@@ -352,11 +352,12 @@ def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray, h: np.ndarray) 
 
 
 def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Params,
-                  grads: Params, d_x: np.ndarray) -> None:
+                  grads: Params, d_x: np.ndarray | None) -> None:
     """Backpropagation through time for the directions ``group`` of
     ``trace``, in lockstep; ``d_out`` (D, P, h) is the packed gradient of
     their states. Writes each direction's ``w``, ``u`` and ``b`` gradients
-    into ``grads`` and its packed input gradient into ``d_x`` (D, P, d). A
+    into ``grads`` and its packed input gradient into ``d_x`` (D, P, d),
+    unless ``d_x`` is None (a frozen embedding reads no input gradient). A
     step makes only the recurrent products on its active rows, batched
     over D, and stores its gate pre-activation gradients in one (D, P, 3h)
     buffer; after the loop each weight gradient and the input gradient is
@@ -395,7 +396,8 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
     np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
     np.matmul(r_h_prev.swapaxes(1, 2), d_a[..., c], out=g_u[..., c])
     d_a.sum(axis=1, out=grads["gru.b"][group])
-    np.matmul(d_a, params["gru.w"][group].swapaxes(1, 2), out=d_x)
+    if d_x is not None:
+        np.matmul(d_a, params["gru.w"][group].swapaxes(1, 2), out=d_x)
 
 
 class InputProjection:
@@ -736,9 +738,12 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     gru = trace.gru
     packing = gru.packing
     d_out = packing.pack_walks(d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True)
-    d_xs = np.empty(gru.x.shape)
+    frozen = config.freeze_embeddings
+    d_xs = None if frozen else np.empty(gru.x.shape)
     for group in gru.groups:
-        _gru_backprop(gru, group, d_out[group], params, grads, d_xs[group])
+        _gru_backprop(gru, group, d_out[group], params, grads, None if frozen else d_xs[group])
+    if frozen:  # AdamW and the clip norm skip the embedding: its gradient stays 0
+        return grads
     d_x = d_xs[0]
     d_x += d_xs[1, packing.rev]
     if trace.drop_emb is not None:
@@ -757,31 +762,37 @@ _EMB_MAGIC = b"CTIEEMBD"
 _FORMAT_VERSION = 2
 
 
-def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
-    """Write to a temporary file beside ``path``, then rename it into place:
-    a write that fails midway leaves any previous file at ``path`` intact.
-    The header records the SHA-256 of the payload (the arrays' bytes)."""
-    arrays = [np.ascontiguousarray(arr) for arr in arrays]
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(arr)
-    header = {**header, "payload_sha256": digest.hexdigest()}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Write ``chunks`` (bytes-like, or str written as UTF-8) to a temporary
+    file beside ``path``, then rename it into place: a write that fails
+    midway leaves any previous file at ``path`` intact and no temporary
+    file behind."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<I", _FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for arr in arrays:
-                fh.write(arr.tobytes())
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write atomically (``write_atomic``): a write that fails midway leaves
+    any previous file at ``path`` intact. The header records the SHA-256 of
+    the payload (the arrays' bytes)."""
+    arrays = [np.ascontiguousarray(arr) for arr in arrays]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
+    header = {**header, "payload_sha256": digest.hexdigest()}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_atomic(path, magic, struct.pack("<I", _FORMAT_VERSION), struct.pack("<Q", len(blob)),
+                 blob, *arrays)
 
 
 def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:

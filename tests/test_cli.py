@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, outputs, and reproducibility."""
 
 import json
+import os
 
 import pytest
 
@@ -404,6 +405,85 @@ class TestMalformedExtractions:
         assert run("export", "--extractions", extractions, "--out", out) == 1
         assert str(extractions) in capsys.readouterr().err
         assert not out.exists()
+
+
+def _triple(**fields) -> dict:
+    triple = {
+        "head": "APT28", "head_type": "HackOrg", "relation": "uses",
+        "tail": "Mimikatz", "tail_type": "Tool", "confidence": 0.75,
+        "sentence_index": 0, "head_span": [0, 1], "tail_span": [2, 3],
+    }
+    return {**triple, **fields}
+
+
+def _extractions(*triples) -> str:
+    return json.dumps([{"sentence_index": 0, "tokens": ["APT28", "used", "Mimikatz"],
+                        "triples": list(triples)}])
+
+
+class TestExportFieldTypes:
+    @pytest.mark.parametrize("fields", [
+        {"confidence": "high"}, {"confidence": 1.5}, {"confidence": -0.1},
+        {"confidence": float("nan")}, {"confidence": True}, {"head": 7},
+        {"relation": None}, {"tail_type": ["Tool"]}, {"sentence_index": "0"},
+        {"sentence_index": 0.0}, {"head_span": [0, "1"]}, {"tail_span": [2.0, 3]},
+        {"head_span": [0, True]},
+    ], ids=["confidence-str", "confidence-above-1", "confidence-negative",
+            "confidence-nan", "confidence-bool", "head-int", "relation-null",
+            "tail-type-list", "sentence-index-str", "sentence-index-float",
+            "head-span-str", "tail-span-float", "head-span-bool"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mistyped_field_exits_one_naming_the_file(self, fields, fmt, tmp_path, capsys):
+        extractions = tmp_path / "extractions.json"
+        extractions.write_text(_extractions(_triple(), _triple(**fields)))
+        out = tmp_path / "graph"
+        assert run("export", "--extractions", extractions, "--format", fmt, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(extractions) in err and next(iter(fields)) in err
+        assert not out.exists()
+
+    def test_well_typed_triples_export(self, tmp_path):
+        extractions = tmp_path / "extractions.json"
+        extractions.write_text(_extractions(_triple(), _triple(confidence=1)))
+        out = tmp_path / "graph"
+        assert run("export", "--extractions", extractions, "--format", "csv", "--out", out) == 0
+        assert (out / "edges.csv").read_text().splitlines()[1:] == [
+            "APT28,HackOrg,uses,Mimikatz,Tool,0.75,0", "APT28,HackOrg,uses,Mimikatz,Tool,1,0"]
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command, name", [
+        ("stats", "run_config.json"), ("stats", "stats.json"), ("stats", "stats.txt"),
+        ("mslr", "instances.jsonl"), ("mslr", "vocab.json"),
+        ("export-json", "graph.json"), ("export-csv", "edges.csv"),
+    ])
+    def test_failed_replace_keeps_the_previous_file(self, command, name, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+
+        def invoke(second: bool) -> int:
+            if command in ("stats", "mslr"):
+                return run(command, "--dataset", SMOKE_CORPUS if second else FIG_CORPUS,
+                           "--out", out)
+            extractions = tmp_path / "extractions.json"
+            triples = [_triple(), _triple(confidence=0.5)] if second else [_triple()]
+            extractions.write_text(_extractions(*triples))
+            return run("export", "--extractions", extractions, "--out", out,
+                       "--format", command.split("-")[1])
+
+        assert invoke(False) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert name in before
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        assert invoke(True) == 3
+        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+        assert (out / name).read_bytes() == before[name]
 
 
 class TestCustomOntology:

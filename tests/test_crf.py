@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctie.crf import (
-    _exp_shifted,
-    _log_matmul,
     bio_allowed_transitions,
     crf_decode,
     crf_log_partition,
@@ -410,15 +408,63 @@ class TestGemmRecursions:
         np.testing.assert_allclose(node, ref_node, rtol=0, atol=1e-9)
 
     def test_row_with_no_finite_score_stays_minus_inf(self):
-        step, i_max = _exp_shifted(np.array([[0.0, -np.inf], [2.0, 1.0]]))
-        rows = np.array([[-np.inf, -np.inf], [-np.inf, 3.0], [0.5, -np.inf]])
-        out = _log_matmul(rows, step, i_max)
-        expected = np.array([
-            [-np.inf, -np.inf],
-            [5.0, 4.0],
-            [0.5, -np.inf],
+        # a step whose labels all score -inf gets a shift of 0, not NaN, and
+        # its row's logZ is -inf; the other rows of the batch are unharmed
+        transitions = np.array([
+            [0.0, -np.inf, 0.3, -0.2],
+            [2.0, 1.0, 0.1, 0.4],
+            [0.5, -1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
         ])
-        np.testing.assert_allclose(out, expected, rtol=1e-15)
+        emissions = np.array([
+            [[-np.inf, -np.inf], [0.2, 1.0], [0.3, -0.4]],
+            [[0.5, 0.1], [-np.inf, -np.inf], [1.0, 2.0]],
+            [[0.5, -np.inf], [-np.inf, 3.0], [0.0, 0.0]],
+            [[-np.inf, 3.0], [0.5, -np.inf], [0.0, 0.0]],
+        ])
+        mask = np.array([[1, 1, 1], [1, 1, 1], [1, 1, 0], [1, 1, 0]])
+        log_z = crf_log_partition(emissions, transitions, mask)
+        assert log_z[0] == -np.inf and log_z[1] == -np.inf
+        # label 0 -> label 1 is forbidden: the only path of row 2 is [0, 1]
+        assert log_z[2] == -np.inf
+        assert log_z[3] == pytest.approx(
+            brute_force_log_partition(emissions[3, :2], transitions), abs=1e-12)
+        assert crf_log_partition(emissions[0], transitions) == -np.inf
+
+
+class TestScaledEdgeCases:
+    """Traps of the scaled forward-backward, through the public functions."""
+
+    def test_underflowing_emission_reads_zero_marginal(self):
+        # exp(-800) underflows to 0: a marginal must never divide by it
+        emissions = np.array([[0.0, -800.0, 1.0]])
+        transitions = np.zeros((5, 5))
+        node, edge, log_z = crf_marginals(emissions, transitions)
+        assert node[0, 1] == 0.0
+        assert np.all(np.isfinite(node)) and edge.shape == (0, 3, 3)
+        np.testing.assert_allclose(node[0], np.exp(emissions[0] - log_z), rtol=1e-13)
+        nll, d_em, d_trans = crf_nll_grad(emissions, [1], transitions)
+        assert nll == pytest.approx(800.0 + log_z, rel=1e-13)
+        assert d_em[0, 1] == -1.0
+        assert np.all(np.isfinite(d_em)) and np.all(np.isfinite(d_trans))
+
+    def test_all_padding_row_in_a_batch(self):
+        rng = np.random.default_rng(12)
+        emissions = rng.normal(size=(3, 4, 3))
+        transitions = rng.normal(size=(5, 5))
+        labels = rng.integers(0, 3, size=(3, 4))
+        mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]])
+        nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask)
+        assert nll[1] == 0.0 and np.all(d_em[1] == 0.0)
+        assert crf_log_partition(emissions, transitions, mask)[1] == 0.0
+        assert crf_nll(emissions, labels, transitions, mask)[1] == 0.0
+        node, edge, _ = crf_marginals(emissions, transitions, mask)
+        assert np.all(node[1] == 0.0) and np.all(edge[1] == 0.0)
+        keep = [0, 2]
+        rest = crf_nll_grad(emissions[keep], labels[keep], transitions, mask[keep])
+        np.testing.assert_allclose(nll[keep], rest[0], rtol=1e-14)
+        np.testing.assert_allclose(d_em[keep], rest[1], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d_trans, rest[2], rtol=1e-14, atol=1e-15)
 
 
 def _two_reduction_viterbi(emissions, transitions, mask, allowed):

@@ -324,30 +324,43 @@ class TestTrainLoop:
         assert np.any(result.params["ner_w"] != 0.0)
 
     def test_frozen_embeddings_stay_out_of_the_clip_norm(self, monkeypatch):
-        # the reference zeroes the frozen embedding gradient before the clip,
-        # so it clips by the norm of the trained arrays only; the embedding
-        # gradient backward fills must not change the trained arrays' steps
+        # backward computes no gradient for a frozen embedding: it stays zero,
+        # and every other gradient equals the unfrozen backward's on the same
+        # trace. So training matches a reference that zeroes the unfrozen
+        # embedding gradient before the clip, and clips by the norm of the
+        # trained arrays only
         import ctie.train as train_mod
 
         corpus = load_corpus(SMOKE_CORPUS)
         kwargs = dict(embed_dim=8, hidden_dim=4, dropout=0.0, freeze_embeddings=True)
+        real_backward = train_mod.backward
 
-        def run():
+        def run(backward):
+            monkeypatch.setattr(train_mod, "backward", backward)
             return train_loop(corpus.sentences[:8], corpus.types,
                               smoke_train_config(epochs=2, grad_clip_norm=0.05),
                               model_kwargs=kwargs).params
 
-        trained = run()
-        real_backward = train_mod.backward
+        def unfrozen(trace, params, grads=None):
+            config = dataclasses.replace(trace.config, freeze_embeddings=False)
+            return real_backward(dataclasses.replace(trace, config=config), params, grads)
 
-        def without_embed_grad(trace, params, grads=None):
+        def checked(trace, params, grads=None):
             grads = real_backward(trace, params, grads)
-            assert np.any(grads["embed"] != 0.0)
+            assert np.all(grads["embed"] == 0.0)
+            full = unfrozen(trace, params)
+            assert np.any(full["embed"] != 0.0)
+            for name in grads.keys() - {"embed"}:
+                assert np.array_equal(grads[name], full[name]), name
+            return grads
+
+        def zeroed(trace, params, grads=None):
+            grads = unfrozen(trace, params, grads)
             grads["embed"].fill(0.0)
             return grads
 
-        monkeypatch.setattr(train_mod, "backward", without_embed_grad)
-        reference = run()
+        trained = run(checked)
+        reference = run(zeroed)
         for name in reference:
             np.testing.assert_array_equal(trained[name], reference[name], err_msg=name)
 
