@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .errors import DataError, SchemaError
 from .model import ModelConfig, checkpoint_tables, load_checkpoint, write_atomic
-from .mslr import build_vocab, dump_jsonl, expand_and_encode
+from .mslr import build_vocab, dump_jsonl, encode_all, expand
 from .train import TrainConfig, train_loop
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
@@ -160,9 +160,9 @@ def cmd_mslr(args) -> int:
         raise UsageError(str(exc)) from None
     corpus = load_corpus(args.dataset, _ontology(args))
     vocab = build_vocab(corpus.sentences, min_freq=args.min_freq)
-    instances, skipped = expand_and_encode(
-        enumerate(corpus.sentences), corpus.types, vocab, max_len=args.max_len
-    )
+    examples = [example for i, sentence in enumerate(corpus.sentences)
+                for example in expand(sentence, corpus.types, sentence_index=i)]
+    instances, skipped = encode_all(examples, vocab, max_len=args.max_len)
     _log_skipped(skipped)
     out = Path(args.out)
     _write_run_config(

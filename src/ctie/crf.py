@@ -237,8 +237,10 @@ def _forward_backward(chains: _Chains, inner, start, stop):
     return node, p, betas[1:], step, log_z
 
 
-def _gold_score(chains: _Chains, y: np.ndarray, inner, start, stop) -> np.ndarray:
-    """(B,) score of each row's gold path ``y`` (gathered to the chains)."""
+def _gold_nll(chains: _Chains, y: np.ndarray, log_z, inner, start, stop) -> np.ndarray:
+    """(B,) ``log_z`` less the score of each row's gold path ``y`` (gathered
+    to the chains). A gold path that scores -inf has probability 0 and NLL
+    +inf, not the NaN of -inf - -inf."""
     valid, lengths = chains.valid, chains.lengths
     n_batch, width = y.shape
     if width == 0:
@@ -248,7 +250,8 @@ def _gold_score(chains: _Chains, y: np.ndarray, inner, start, stop) -> np.ndarra
     total = chains.em[rows[:, None], np.arange(width), y]  # emissions are 0 past a chain's end
     steps = np.where(valid[:, 1:], inner[y[:, :-1], y[:, 1:]], 0.0)
     ends = np.where(lengths > 0, start[y[:, 0]] + stop[last], 0.0)
-    return total.sum(axis=1) + steps.sum(axis=1) + ends
+    gold = total.sum(axis=1) + steps.sum(axis=1) + ends
+    return np.subtract(log_z, gold, out=np.full(n_batch, np.inf), where=gold > -np.inf)
 
 
 def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray, attention_mask=None):
@@ -264,7 +267,7 @@ def crf_nll(emissions: np.ndarray, labels, transitions: np.ndarray, attention_ma
     chains = _Chains(emissions, attention_mask)
     log_z = _scaled_passes(chains, inner, start, stop)[2]
     y = chains.gather(labels).astype(np.intp)
-    return chains.result(log_z - _gold_score(chains, y, inner, start, stop))
+    return chains.result(_gold_nll(chains, y, log_z, inner, start, stop))
 
 
 def crf_marginals(emissions: np.ndarray, transitions: np.ndarray, attention_mask=None):
@@ -310,7 +313,7 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
 
     node, p, q, step, log_z = _forward_backward(chains, inner, start, stop)
     y = chains.gather(labels).astype(np.intp)
-    nll = log_z - _gold_score(chains, y, inner, start, stop)
+    nll = _gold_nll(chains, y, log_z, inner, start, stop)
     valid, lengths = chains.valid, chains.lengths
     d_emissions = chains.scatter(node.transpose(1, 0, 2) - np.eye(num_labels)[y])
 

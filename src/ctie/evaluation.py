@@ -25,7 +25,7 @@ from .model import (
     ner_predict,
     relation_head,
 )
-from .mslr import Vocabulary, pair_rows
+from .mslr import Vocabulary, sentence_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -292,17 +292,14 @@ def predict_relations_gold_pairs(
     max_len: int = 256,
 ) -> list[PairPrediction]:
     """Classify each annotated entity pair using gold spans and gold types
-    as features (mirrors the training instances); like training, skip
-    sentences longer than ``max_len``. ``types`` is the checkpoint's: type
-    ids are looked up there by name, and a pair whose relation or entity
-    types it does not know raises a ``DataError``."""
+    as features, on the rows training reads (``mslr.sentence_rows``): like
+    training, skip sentences longer than ``max_len``. ``types`` is the
+    checkpoint's: type ids are looked up there by name, and a pair whose
+    relation or entity types it does not know raises a ``DataError``."""
     preds: list[PairPrediction] = []
-    for i, (sentence, h) in enumerate(zip(sentences, encodings)):
-        rows = pair_rows(sentence, types, i)
-        n = len(sentence.tokens)
-        if not len(rows) or n > max_len:
-            continue
-        *_, probs = relation_head(h, rows.masks(n), rows.head_type, rows.tail_type,
+    for i, sentence, rows in sentence_rows(sentences, range(len(sentences)), types, max_len)[0]:
+        n = len(sentence)
+        *_, probs = relation_head(encodings[i], rows.masks(n), rows.head_type, rows.tail_type,
                                   params, config)
         preds.extend(
             PairPrediction(i, tuple(head), tuple(tail), types.relations[k].name)

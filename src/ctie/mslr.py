@@ -7,6 +7,10 @@ tail type) id pair. A sentence with three relations therefore yields
 three rows that differ only in those pair features and the relation
 label, which is what lets one classifier head answer "which relation
 holds for *this* pair" without destroying the NER signal.
+
+Training (``make_batches``), validation and gold-pair evaluation read
+their rows from ``sentence_rows``: ``pair_rows`` arrays, with the one
+overlong rule. ``expand`` and ``encode`` build the ``ctie mslr`` dump.
 """
 
 from __future__ import annotations
@@ -293,20 +297,6 @@ def encode_all(
     return instances, skipped
 
 
-def expand_and_encode(
-    numbered: Iterable[tuple[int, AnnotatedSentence]],
-    types: TypeSystem,
-    vocab: Vocabulary,
-    max_len: int = 256,
-) -> tuple[list[MslrInstance], list[tuple[tuple[int, int], int]]]:
-    """``encode_all`` over the rows of every (sentence index, sentence)
-    pair; each row's origin carries the given index."""
-    examples = []
-    for index, sentence in numbered:
-        examples.extend(expand(sentence, types, sentence_index=index))
-    return encode_all(examples, vocab, max_len=max_len)
-
-
 @dataclass
 class Batch:
     """Stacked instance fields padded to the batch max length."""
@@ -330,44 +320,63 @@ class Batch:
         return self.token_ids.shape[1]
 
 
-def collate(instances: Sequence[MslrInstance]) -> Batch:
-    if not instances:
-        raise ValueError("cannot collate an empty instance list")
-    width = max(inst.length for inst in instances)
-
-    def stack(field: str) -> np.ndarray:
-        rows = []
-        for inst in instances:
-            seq = list(getattr(inst, field))[: inst.length]
-            rows.append(seq + [0] * (width - inst.length))
-        return np.asarray(rows, dtype=np.int64)
-
-    return Batch(
-        token_ids=stack("token_ids"),
-        attention_mask=stack("attention_mask").astype(np.float64),
-        entity_mask=stack("entity_mask").astype(np.float64),
-        head_type=np.asarray([i.head_type for i in instances], dtype=np.int64),
-        tail_type=np.asarray([i.tail_type for i in instances], dtype=np.int64),
-        ner_labels=stack("ner_labels"),
-        relation_label=np.asarray([i.relation_label for i in instances], dtype=np.int64),
-        lengths=np.asarray([i.length for i in instances], dtype=np.int64),
-        origins=tuple(i.origin for i in instances),
-    )
+def sentence_rows(
+    sentences: Sequence[AnnotatedSentence], indices: Iterable[int], types: TypeSystem,
+    max_len: int,
+) -> tuple[list[tuple[int, AnnotatedSentence, PairRows]], list[tuple[tuple[int, int], int]]]:
+    """(kept, skipped) over ``sentences[i]`` for each i of ``indices``.
+    ``kept`` holds (i, sentence, its ``pair_rows``) for each sentence with a
+    row and at most ``max_len`` tokens. An overlong sentence is never
+    truncated, which could drop entity tokens: it goes into ``skipped`` once
+    per row, as ((i, row), length)."""
+    kept, skipped = [], []
+    for i in indices:
+        rows, n = pair_rows(sentences[i], types, i), len(sentences[i])
+        if n > max_len:
+            skipped.extend(((i, j), n) for j in range(len(rows)))
+        elif len(rows):
+            kept.append((i, sentences[i], rows))
+    return kept, skipped
 
 
 def make_batches(
-    instances: Sequence[MslrInstance], batch_size: int, shuffle_seed: int | None = None
+    kept: Sequence[tuple[int, AnnotatedSentence, PairRows]], types: TypeSystem,
+    vocab: Vocabulary, batch_size: int, shuffle_seed: int | None = None,
 ) -> list[Batch]:
-    """Deterministically shuffled fixed-size batches; the last may be short."""
+    """The rows of ``kept`` (from ``sentence_rows``) in batches of
+    ``batch_size``, the last maybe short; with a ``shuffle_seed``, in the
+    order of ``default_rng(shuffle_seed).permutation``. Token and BIO label
+    ids fill one (S, T) table, and each batch gathers its rows from it."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = list(range(len(instances)))
+    if not kept:
+        return []
+    lengths = np.array([len(sentence) for _, sentence, _ in kept])
+    tokens, labels = np.zeros((2, len(kept), lengths.max()), dtype=np.int64)
+    for k, (_, sentence, _) in enumerate(kept):
+        tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
+        labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
+    sentence_of = np.repeat(np.arange(len(kept)), [len(rows) for *_, rows in kept])
+    heads, tails, head_type, tail_type, label = (
+        np.concatenate([getattr(rows, name) for *_, rows in kept])
+        for name in ("heads", "tails", "head_type", "tail_type", "label")
+    )
+    origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
+    order = np.arange(len(origins))
     if shuffle_seed is not None:
-        order = list(np.random.default_rng(shuffle_seed).permutation(len(instances)))
+        order = np.random.default_rng(shuffle_seed).permutation(len(origins))
     batches = []
     for lo in range(0, len(order), batch_size):
-        chunk = [instances[k] for k in order[lo : lo + batch_size]]
-        batches.append(collate(chunk))
+        idx = order[lo : lo + batch_size]
+        s, n = sentence_of[idx], lengths[sentence_of[idx]]
+        width = int(n.max())
+        batches.append(Batch(
+            token_ids=tokens[s, :width], ner_labels=labels[s, :width],
+            attention_mask=(np.arange(width) < n[:, None]).astype(np.float64),
+            entity_mask=entity_masks(width, heads[idx], tails[idx]),
+            head_type=head_type[idx], tail_type=tail_type[idx], relation_label=label[idx],
+            lengths=n, origins=tuple(origins[k] for k in idx),
+        ))
     return batches
 
 

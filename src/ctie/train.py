@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
 from .crf import crf_decode, crf_nll
-from .errors import NonFiniteLoss
+from .errors import DataError, NonFiniteLoss
 from .model import (
     ModelConfig,
     Params,
@@ -27,7 +27,7 @@ from .model import (
     relation_head,
     save_checkpoint,
 )
-from .mslr import Vocabulary, build_vocab, expand_and_encode, make_batches, pair_rows
+from .mslr import Vocabulary, build_vocab, make_batches, sentence_rows
 
 
 @dataclass
@@ -97,8 +97,6 @@ def split(
 
     Validation and test sizes are floored; the remainder goes to train.
     """
-    if not sentences:
-        raise ValueError("cannot split an empty corpus")
     check_split_ratios(ratios)
     n = len(sentences)
     order = np.random.default_rng(seed).permutation(n)
@@ -311,7 +309,7 @@ class _Sums:
 
 def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dict:
     """Mean losses and accuracies over the MSLR rows of ``sentences``, a
-    list of (sentence, ``PairRows``) pairs, each with at least one row.
+    list of (index, sentence, ``PairRows``) as ``sentence_rows`` keeps them.
 
     A sentence's rows share one encoding (``encode_batches``). Its CRF NLL
     and its Viterbi token hits (under the ``allowed`` transition mask) are
@@ -323,16 +321,16 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
 
     sums = _Sums()
     tok_correct = tok_total = done = 0
-    for h, mask in encode_batches(params, vocab, [s.tokens for s, _ in sentences]):
+    for h, mask in encode_batches(params, vocab, [s.tokens for _, s, _ in sentences]):
         chunk = sentences[done : done + len(h)]
         done += len(h)
         gold = np.zeros(mask.shape, dtype=np.int64)
-        for b, (sentence, _) in enumerate(chunk):
+        for b, (_, sentence, _) in enumerate(chunk):
             gold[b, : len(sentence)] = [types.bio_id(tag) for tag in sentence.labels]
         logits = ner_logits(h, params["ner_w"], params["ner_b"])
         nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        for (sentence, rows), h_s, y, path, nll in zip(chunk, h, gold, paths, nlls):
+        for (_, sentence, rows), h_s, y, path, nll in zip(chunk, h, gold, paths, nlls):
             n, w = len(sentence), len(rows)
             *_, probs = relation_head(h_s[:n], rows.masks(n), rows.head_type, rows.tail_type,
                                       params, config)
@@ -352,7 +350,10 @@ def train_loop(
     pretrained_embeddings: Path | str | None = None,
     log_fn=None,
 ) -> TrainResult:
-    """Split, expand to MSLR rows, and optimize the joint loss.
+    """Split, build the MSLR rows and optimize the joint loss. Training and
+    validation read ``mslr.sentence_rows``, ids looked up by name in
+    ``types`` (which the checkpoints store); overlong sentences go into
+    ``skipped_instances``. A training split with no row is a ``DataError``.
 
     The best checkpoint is the epoch with the lowest validation joint loss
     (training joint loss when the validation split is empty). Fully
@@ -362,9 +363,16 @@ def train_loop(
     train_config.validate()
     # split record indices, so every row's origin names its corpus record
     train_idx, val_idx, _test_idx = train_config.split(range(len(sentences)))
-    train_sents = [sentences[i] for i in train_idx]
+    train_rows, skipped = sentence_rows(sentences, train_idx, types, train_config.max_len)
+    if not train_rows:
+        overlong = len({origin[0] for origin, _ in skipped})
+        raise DataError(f"no trainable MSLR row: of {len(train_idx)} training sentences, "
+                        f"{len(train_idx) - overlong} have no relation and {overlong} are "
+                        f"longer than max_len {train_config.max_len}")
+    val_rows, val_skipped = sentence_rows(sentences, val_idx, types, train_config.max_len)
+    skipped.extend(val_skipped)
 
-    vocab = build_vocab(train_sents, min_freq=train_config.min_freq)
+    vocab = build_vocab([sentences[i] for i in train_idx], min_freq=train_config.min_freq)
     pretrained_embed = None
     if pretrained_embeddings is not None:
         pretrained_embed = load_embedding_file(
@@ -382,22 +390,6 @@ def train_loop(
     params = init_params(config, seed=train_config.seed, pretrained_embed=pretrained_embed)
     state = init_adamw(params)
     skip = frozenset(["embed"]) if config.freeze_embeddings else frozenset()
-
-    train_instances, skipped = expand_and_encode(
-        zip(train_idx, train_sents), types, vocab, train_config.max_len
-    )
-    if not train_instances:
-        raise ValueError("no trainable instances (every sentence has zero relations?)")
-    # validation keeps a sentence's rows together; an overlong sentence is
-    # skipped and listed once per row, as expand_and_encode lists them
-    val_sents = []
-    for i in val_idx:
-        rows = pair_rows(sentences[i], types, i)
-        n = len(sentences[i])
-        if n > train_config.max_len:
-            skipped.extend(((i, j), n) for j in range(len(rows)))
-        elif len(rows):
-            val_sents.append((sentences[i], rows))
 
     extras = {
         "vocab": vocab.to_list(),
@@ -419,8 +411,7 @@ def train_loop(
     for epoch in range(1, train_config.epochs + 1):
         started = time.perf_counter()
         batches = make_batches(
-            train_instances,
-            train_config.batch_size,
+            train_rows, types, vocab, train_config.batch_size,
             shuffle_seed=train_config.effective_shuffle_seed + epoch,
         )
         sums = _Sums()
@@ -437,7 +428,7 @@ def train_loop(
             sums.add(result.ner_nll * batch.size, result.re_ce * batch.size,
                      result.joint * batch.size, result.re_probs, batch.relation_label)
 
-        val = evaluate_split(params, config, vocab, types, val_sents, allowed)
+        val = evaluate_split(params, config, vocab, types, val_rows, allowed)
         stats = EpochStats(
             epoch=epoch,
             **{f"train_{k}": v for k, v in sums.means().items()},

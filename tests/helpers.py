@@ -244,6 +244,68 @@ def tiny_batch():
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference batch builder: one MslrInstance record per row, stacked in Python
+# ---------------------------------------------------------------------------
+
+
+def collate(instances):
+    """One ``Batch`` of encoded ``MslrInstance`` rows, each field stacked
+    row by row and padded with zeros to the longest row."""
+    from ctie.mslr import Batch
+
+    width = max(inst.length for inst in instances)
+
+    def stack(field: str) -> np.ndarray:
+        rows = []
+        for inst in instances:
+            seq = list(getattr(inst, field))[: inst.length]
+            rows.append(seq + [0] * (width - inst.length))
+        return np.asarray(rows, dtype=np.int64)
+
+    return Batch(
+        token_ids=stack("token_ids"),
+        attention_mask=stack("attention_mask").astype(np.float64),
+        entity_mask=stack("entity_mask").astype(np.float64),
+        head_type=np.asarray([i.head_type for i in instances], dtype=np.int64),
+        tail_type=np.asarray([i.tail_type for i in instances], dtype=np.int64),
+        ner_labels=stack("ner_labels"),
+        relation_label=np.asarray([i.relation_label for i in instances], dtype=np.int64),
+        lengths=np.asarray([i.length for i in instances], dtype=np.int64),
+        origins=tuple(i.origin for i in instances),
+    )
+
+
+def reference_batches(sentences, indices, types, vocab, max_len, batch_size,
+                      shuffle_seed=None):
+    """(batches, skipped) of the rows of ``sentences[i]`` for each i of
+    ``indices``, built record by record: ``expand`` (ids of each sentence's
+    own type system), ``encode_all`` (which skips and lists overlong rows),
+    the ``default_rng(shuffle_seed)`` permutation of the rows, ``collate``."""
+    from ctie.mslr import encode_all, expand
+
+    examples = [e for i in indices for e in expand(sentences[i], types, sentence_index=i)]
+    instances, skipped = encode_all(examples, vocab, max_len=max_len)
+    order = np.arange(len(instances))
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(len(instances))
+    batches = [collate([instances[k] for k in order[lo : lo + batch_size]])
+               for lo in range(0, len(order), batch_size)]
+    return batches, skipped
+
+
+def assert_batches_equal(actual, expected):
+    """Same batches in the same order, every field equal in value and dtype."""
+    import dataclasses
+
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        for field in dataclasses.fields(b):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.array_equal(x, y), field.name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
+
+
 def finite_difference_check(config, seed: int = 20, step: float = 1e-5,
                             dropout_seed: int = 777):
     """Compare analytic gradients with central finite differences on every

@@ -629,6 +629,28 @@ class TestFeatureToggleFlags:
         assert ckpt.params["re_w"].shape[0] == 2 * ckpt.config.hidden_dim
 
 
+class TestNoTrainableRow:
+    """A training split with no MSLR row left is a data error (exit 1) that
+    counts the training sentences, not a runtime error (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_empty_corpus(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        assert run(command, "--dataset", empty, "--out", tmp_path / "run", *TRAIN_FLAGS) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no trainable MSLR row: of 0 training sentences, 0 have no relation "
+            "and 0 are longer than max_len 64")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_every_sentence_longer_than_max_len(self, command, tmp_path, capsys):
+        assert run(command, "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
+                   *TRAIN_FLAGS[:-2], "--max-len", "2") == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no trainable MSLR row: of 36 training sentences, 0 have no relation "
+            "and 36 are longer than max_len 2")
+
+
 class TestAblate:
     def test_four_metric_files_named_by_flags(self, tmp_path):
         out = tmp_path / "ablation"

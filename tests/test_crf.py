@@ -431,6 +431,23 @@ class TestGemmRecursions:
             brute_force_log_partition(emissions[3, :2], transitions), abs=1e-12)
         assert crf_log_partition(emissions[0], transitions) == -np.inf
 
+    def test_impossible_gold_path_has_infinite_nll(self):
+        # logZ and the gold score are both -inf: the NLL of a path of
+        # probability 0 is +inf, not the NaN (and RuntimeWarning) of -inf - -inf
+        emissions = np.array([[0.5, 0.1], [-np.inf, -np.inf]])
+        transitions = np.zeros((4, 4))
+        assert crf_nll(emissions, [0, 1], transitions) == np.inf
+        nll, d_em, d_trans = crf_nll_grad(emissions, [0, 1], transitions)
+        assert nll == np.inf
+        assert np.all(np.isfinite(d_em)) and np.all(np.isfinite(d_trans))
+        # in a batch, the other rows keep their finite NLL
+        batch = np.stack([emissions, [[0.5, 0.1], [0.2, 0.3]]])
+        labels = np.array([[0, 1], [0, 1]])
+        nlls = crf_nll(batch, labels, transitions)
+        assert nlls[0] == np.inf
+        assert nlls[1] == pytest.approx(crf_nll(batch[1], labels[1], transitions), rel=1e-15)
+        np.testing.assert_array_equal(crf_nll_grad(batch, labels, transitions)[0], nlls)
+
 
 class TestScaledEdgeCases:
     """Traps of the scaled forward-backward, through the public functions."""

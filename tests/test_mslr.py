@@ -1,10 +1,10 @@
 """MSLR expansion, entity masks, encoding, and batching."""
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctie.corpus import load_corpus
 from ctie.errors import DuplicatePairError, LengthError, OverlapError
@@ -13,7 +13,6 @@ from ctie.mslr import (
     UNK_ID,
     Vocabulary,
     build_vocab,
-    collate,
     dump_jsonl,
     encode,
     encode_all,
@@ -21,9 +20,10 @@ from ctie.mslr import (
     expand,
     make_batches,
     make_entity_mask,
+    sentence_rows,
 )
 
-from helpers import load_fig_corpus, random_corpus
+from helpers import assert_batches_equal, load_fig_corpus, random_corpus, reference_batches
 
 
 def one_sentence(records):
@@ -228,48 +228,75 @@ class TestEncode:
 
 
 class TestBatches:
-    def _instances(self, n):
+    def _rows(self, copies):
+        """``copies`` copies of the fig corpus's first sentence (3 rows
+        each), under distinct indices so the batch order is observable."""
         corpus = load_fig_corpus()
+        kept, _ = sentence_rows(corpus.sentences, [0], corpus.types, max_len=256)
+        (_, sentence, rows), = kept
+        return [(k, sentence, rows) for k in range(copies)], corpus
+
+    def _batches(self, copies, batch_size, shuffle_seed):
+        kept, corpus = self._rows(copies)
         vocab = build_vocab(corpus.sentences)
-        example = expand(corpus.sentences[0], corpus.types)[0]
-        # distinct origins so the batch order is observable
-        return [
-            dataclasses.replace(encode(example, vocab), origin=(k, 0)) for k in range(n)
-        ]
+        return make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed=shuffle_seed)
 
     def test_batch_sizes(self):
-        instances = self._instances(33)
-        batches = make_batches(instances, 16, shuffle_seed=0)
+        batches = self._batches(11, 16, shuffle_seed=0)
         assert [b.size for b in batches] == [16, 16, 1]
 
     def test_same_seed_identical(self):
-        instances = self._instances(20)
-        a = make_batches(instances, 7, shuffle_seed=9)
-        b = make_batches(instances, 7, shuffle_seed=9)
+        a = self._batches(7, 7, shuffle_seed=9)
+        b = self._batches(7, 7, shuffle_seed=9)
         assert [x.origins for x in a] == [x.origins for x in b]
 
     def test_different_seed_permutes_same_multiset(self):
-        instances = self._instances(40)
-        a = make_batches(instances, 8, shuffle_seed=1)
-        b = make_batches(instances, 8, shuffle_seed=2)
+        a = self._batches(14, 8, shuffle_seed=1)
+        b = self._batches(14, 8, shuffle_seed=2)
         flat_a = [o for batch in a for o in batch.origins]
         flat_b = [o for batch in b for o in batch.origins]
         assert flat_a != flat_b
         assert sorted(flat_a) == sorted(flat_b)
 
-    def test_collate_pads_to_batch_max(self):
+    def test_batch_pads_to_its_longest_row(self):
         corpus = load_fig_corpus()
         vocab = build_vocab(corpus.sentences)
-        instances = []
-        for i, sentence in enumerate(corpus.sentences[:2]):
-            for e in expand(sentence, corpus.types, sentence_index=i):
-                instances.append(encode(e, vocab))
-        batch = collate(instances)
+        kept, _ = sentence_rows(corpus.sentences, [0, 1], corpus.types, max_len=256)
+        batch, = make_batches(kept, corpus.types, vocab, 16)
         assert batch.max_len == 7
         # padded region: attention 0, label 0, token PAD
         row = list(batch.lengths).index(6)
         assert batch.attention_mask[row, 6] == 0.0
+        assert batch.ner_labels[row, 6] == 0
         assert batch.token_ids[row, 6] == PAD_ID
+
+    def test_no_rows_no_batches(self):
+        corpus = load_fig_corpus()
+        assert make_batches([], corpus.types, build_vocab(corpus.sentences), 4) == []
+        with pytest.raises(ValueError):
+            make_batches([], corpus.types, build_vocab(corpus.sentences), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 12),
+           max_len=st.integers(3, 15), shuffle_seed=st.none() | st.integers(0, 2**16),
+           data=st.data())
+    def test_batches_match_the_record_by_record_reference(
+        self, seed, n_sentences, max_len, shuffle_seed, data
+    ):
+        """Random sentences, some with no relation and some longer than
+        ``max_len``, in batches of every size from 1 to the row count."""
+        corpus = random_corpus(np.random.default_rng(seed), n_sentences)
+        sentences = corpus.sentences
+        vocab = build_vocab(sentences[: n_sentences // 2])  # some tokens UNK
+        indices = sorted(data.draw(st.sets(st.integers(0, n_sentences - 1), min_size=1)))
+        kept, skipped = sentence_rows(sentences, indices, corpus.types, max_len)
+        rows = sum(len(r) for *_, r in kept)
+        batch_size = data.draw(st.integers(1, max(rows, 1)))
+        expected, expected_skipped = reference_batches(
+            sentences, indices, corpus.types, vocab, max_len, batch_size, shuffle_seed)
+        assert skipped == expected_skipped
+        assert_batches_equal(
+            make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed), expected)
 
 
 class TestDump:

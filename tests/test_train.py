@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctie.corpus import load_corpus
+from ctie.corpus import OntologySchema, load_corpus
 from ctie.crf import crf_decode, crf_nll
-from ctie.errors import NonFiniteLoss
+from ctie.errors import DataError, NonFiniteLoss
 from ctie.model import decode_constraint, forward
-from ctie.mslr import expand_and_encode, make_batches
+from ctie.mslr import expand, make_batches, pair_rows, sentence_rows
 from ctie.train import (
     ADAMW_CHUNK,
     TrainConfig,
@@ -22,7 +22,7 @@ from ctie.train import (
     train_loop,
 )
 
-from helpers import SMOKE_CORPUS, random_corpus
+from helpers import SMOKE_CORPUS, assert_batches_equal, random_corpus, reference_batches
 
 
 # split ratios in and around [0, 1], its ends included
@@ -365,6 +365,65 @@ class TestTrainLoop:
             np.testing.assert_array_equal(trained[name], reference[name], err_msg=name)
 
 
+class TestTrainingRows:
+    MODEL = dict(embed_dim=8, hidden_dim=4, dropout=0.3)
+
+    def test_ids_come_from_the_given_types(self, tmp_path):
+        # loaded without the ontology, the smoke corpus numbers its relations
+        # in its own order: the sentence's own ids are not the checkpoint's
+        full = load_corpus(SMOKE_CORPUS, OntologySchema.default())
+        plain = load_corpus(SMOKE_CORPUS)
+        first = plain.sentences[0]
+        assert (expand(first, full.types)[0].relation_label
+                != pair_rows(first, full.types).label[0])
+        config = smoke_train_config(epochs=2, train_ratio=0.7, val_ratio=0.15,
+                                    test_ratio=0.15)
+        runs = {}
+        for name, corpus in (("plain", plain), ("full", full)):
+            runs[name] = train_loop(corpus.sentences, full.types, config,
+                                    model_kwargs=self.MODEL, out_dir=tmp_path / name)
+        assert runs["plain"].log.to_json() == runs["full"].log.to_json()
+        assert runs["plain"].log.to_csv() == runs["full"].log.to_csv()
+        for ckpt in ("best.ckpt", "final.ckpt"):
+            assert ((tmp_path / "plain" / ckpt).read_bytes()
+                    == (tmp_path / "full" / ckpt).read_bytes())
+
+    def test_batches_are_the_record_by_record_reference(self, monkeypatch):
+        import ctie.train as train_mod
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        config = smoke_train_config(epochs=2, max_len=10, train_ratio=0.7,
+                                    val_ratio=0.15, test_ratio=0.15)
+        seen = []
+        real_forward = train_mod.forward
+
+        def spy(batch, *args, **kwargs):
+            seen.append(batch)
+            return real_forward(batch, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", spy)
+        result = train_loop(corpus.sentences, corpus.types, config, model_kwargs=self.MODEL)
+        train_idx, _, _ = config.split(range(len(corpus.sentences)))
+        expected = []
+        for epoch in (1, 2):
+            expected += reference_batches(
+                corpus.sentences, train_idx, corpus.types, result.vocab, config.max_len,
+                config.batch_size, shuffle_seed=config.effective_shuffle_seed + epoch)[0]
+        assert_batches_equal(seen, expected)
+
+    @pytest.mark.parametrize("pick,max_len,counts", [
+        (lambda sentences: [], 64, "0 training sentences, 0 have no relation and 0"),
+        (lambda sentences: sentences, 2, "50 training sentences, 0 have no relation and 50"),
+        (lambda sentences: [dataclasses.replace(s, relations=()) for s in sentences[:6]], 64,
+         "6 training sentences, 6 have no relation and 0"),
+    ], ids=["empty-corpus", "all-overlong", "no-relations"])
+    def test_no_trainable_row_is_a_data_error(self, pick, max_len, counts):
+        corpus = load_corpus(SMOKE_CORPUS)
+        with pytest.raises(DataError, match=f"of {counts} are longer than max_len {max_len}$"):
+            train_loop(pick(corpus.sentences), corpus.types,
+                       smoke_train_config(max_len=max_len), model_kwargs=self.MODEL)
+
+
 class TestValidationDecode:
     """Only the validation pass decodes; training batches run no Viterbi."""
 
@@ -460,11 +519,10 @@ def row_batch_validation(result, sentences, val_idx, max_len, batch_size=8):
     params = result.params
     config = dataclasses.replace(result.config, dropout=0.0)
     allowed = decode_constraint(config, result.types.bio_labels)
-    instances, skipped = expand_and_encode(
-        ((i, sentences[i]) for i in val_idx), result.types, result.vocab, max_len)
+    kept, skipped = sentence_rows(sentences, val_idx, result.types, max_len)
     ner = re = 0.0
     rows = re_hits = tok_correct = tok_total = 0
-    for batch in make_batches(instances, batch_size):
+    for batch in make_batches(kept, result.types, result.vocab, batch_size):
         out = forward(batch, params, config, mode="train")
         logits, mask = out.trace.logits_ner, batch.attention_mask
         ner += float(np.sum(crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)))
@@ -562,9 +620,13 @@ class TestValidationValues:
         sentences = corpus.sentences
         result, config, train_idx, val_idx = self._run(
             sentences, corpus.types, monkeypatch, max_len=10)
-        train_skipped = expand_and_encode(
-            ((i, sentences[i]) for i in train_idx), corpus.types, result.vocab, 10)[1]
-        expected, val_skipped = row_batch_validation(result, sentences, val_idx, 10)
+        # the record-by-record reference lists every overlong row: encode_all
+        # skips rows, not sentences
+        train_skipped, val_skipped = (
+            reference_batches(sentences, idx, corpus.types, result.vocab, 10, 8)[1]
+            for idx in (train_idx, val_idx))
+        expected, skipped = row_batch_validation(result, sentences, val_idx, 10)
+        assert skipped == val_skipped
         assert val_skipped  # some validation sentences are overlong
         assert len(val_skipped) > len({origin[0] for origin, _ in val_skipped})
         assert result.skipped_instances == train_skipped + val_skipped
