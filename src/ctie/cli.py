@@ -30,6 +30,20 @@ _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 # the fields without a default (vocabulary and label counts) come from the data
 _MODEL_KEYS = {f.name for f in fields(ModelConfig) if f.default is not MISSING}
 
+# The training flags: (flag, the TrainConfig or ModelConfig field it sets,
+# type), plus a --x/--no-x flag per boolean ModelConfig field. No flag has a
+# default, so an unset flag leaves the config file's value or the field's.
+_TRAIN_FLAGS = (
+    ("--seed", "seed", int), ("--epochs", "epochs", int),
+    ("--batch-size", "batch_size", int), ("--lr", "learning_rate", float),
+    ("--weight-decay", "weight_decay", float), ("--max-len", "max_len", int),
+    ("--min-freq", "min_freq", int), ("--grad-clip-norm", "grad_clip_norm", float),
+    ("--embed-dim", "embed_dim", int), ("--hidden-dim", "hidden_dim", int),
+    ("--dropout", "dropout", float), ("--alpha", "alpha", float), ("--beta", "beta", float),
+)
+_BOOL_FIELDS = [f.name for f in fields(ModelConfig) if isinstance(f.default, bool)]
+_FLAG_FIELDS = {name for _flag, name, _type in _TRAIN_FLAGS} | set(_BOOL_FIELDS)
+
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
@@ -61,23 +75,10 @@ def _probability(text: str) -> float:
 def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
     """defaults < config file < flags, validated: a rejected value is a
     ``UsageError``, raised before anything is written."""
-    train_kwargs = {k: v for k, v in file_config.items() if k in _TRAIN_KEYS}
-    model_kwargs = {k: v for k, v in file_config.items() if k in _MODEL_KEYS}
-    flag_map = {
-        "seed": "seed", "lr": "learning_rate", "epochs": "epochs",
-        "batch_size": "batch_size", "max_len": "max_len",
-        "weight_decay": "weight_decay", "min_freq": "min_freq",
-        "grad_clip_norm": "grad_clip_norm",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_kwargs[key] = value
-    for key in _MODEL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            model_kwargs[key] = value
-    train_config = TrainConfig(**train_kwargs)
+    given = {k: v for k, v in vars(args).items() if k in _FLAG_FIELDS and v is not None}
+    merged = {**file_config, **given}
+    train_config = TrainConfig(**{k: v for k, v in merged.items() if k in _TRAIN_KEYS})
+    model_kwargs = {k: v for k, v in merged.items() if k in _MODEL_KEYS}
     try:
         train_config.validate()
         # the vocabulary and label counts come from the data: 1 stands in for them
@@ -88,10 +89,13 @@ def _resolve(args, file_config: dict) -> tuple[TrainConfig, dict]:
     return train_config, model_kwargs
 
 
-def _write_run_config(out_dir: Path, command: str, payload: dict) -> None:
+def _write_run_config(out_dir: Path, args, **resolved) -> None:
+    """run_config.json: every parsed argument but the raw training flags,
+    then the settings resolved from them."""
+    doc = {k: v for k, v in vars(args).items() if k not in {"func", "out", *_FLAG_FIELDS}}
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"command": command, **payload}
-    write_atomic(out_dir / "run_config.json", json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_atomic(out_dir / "run_config.json",
+                 json.dumps({**doc, **resolved}, indent=1, sort_keys=True) + "\n")
 
 
 def _ontology(args) -> OntologySchema:
@@ -146,7 +150,7 @@ def cmd_stats(args) -> int:
     print(stats.to_table())
     if args.out:
         out = Path(args.out)
-        _write_run_config(out, "stats", {"dataset": str(args.dataset)})
+        _write_run_config(out, args)
         write_atomic(out / "stats.json",
                      json.dumps(stats.to_dict(), indent=1, sort_keys=True) + "\n")
         write_atomic(out / "stats.txt", stats.to_table() + "\n")
@@ -154,24 +158,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_mslr(args) -> int:
-    try:  # the rule train applies to the same two settings
-        TrainConfig(max_len=args.max_len, min_freq=args.min_freq).validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config, _ = _resolve(args, {})  # the rule train applies to the same two settings
     corpus = load_corpus(args.dataset, _ontology(args))
-    vocab = build_vocab(corpus.sentences, min_freq=args.min_freq)
+    vocab = build_vocab(corpus.sentences, min_freq=config.min_freq)
     examples = [example for i, sentence in enumerate(corpus.sentences)
                 for example in expand(sentence, corpus.types, sentence_index=i)]
-    instances, skipped = encode_all(examples, vocab, max_len=args.max_len)
+    instances, skipped = encode_all(examples, vocab, max_len=config.max_len)
     _log_skipped(skipped)
     out = Path(args.out)
-    _write_run_config(
-        out, "mslr",
-        {
-            "dataset": str(args.dataset),
-            "max_len": args.max_len, "min_freq": args.min_freq,
-        },
-    )
+    _write_run_config(out, args, max_len=config.max_len, min_freq=config.min_freq)
     write_atomic(out / "instances.jsonl", dump_jsonl(instances))
     write_atomic(out / "vocab.json", json.dumps(vocab.to_list(), indent=1) + "\n")
     print(f"wrote {len(instances)} instances ({len(skipped)} skipped) to {out}")
@@ -182,16 +177,8 @@ def cmd_train(args) -> int:
     train_config, model_kwargs = _resolve(args, _load_config_file(args.config))
     corpus = load_corpus(args.dataset, _ontology(args))
     out = Path(args.out)
-    _write_run_config(
-        out, "train",
-        {
-            "dataset": str(args.dataset),
-            "seed": train_config.seed,
-            "train_config": train_config.to_dict(),
-            "model_kwargs": dict(sorted(model_kwargs.items())),
-            "pretrained_embeddings": str(args.pretrained_embeddings or ""),
-        },
-    )
+    _write_run_config(out, args, seed=train_config.seed,
+                      train_config=train_config.to_dict(), model_kwargs=model_kwargs)
     result = train_loop(
         corpus.sentences, corpus.types, train_config,
         model_kwargs=model_kwargs, out_dir=out, log_fn=_log,
@@ -214,8 +201,13 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: checkpoint stores no train_config, so the "
             f"{args.split!r} split cannot be rebuilt; pass --split all"
         )
-    corpus = load_corpus(args.dataset, _ontology(args))
-    cfg = TrainConfig() if stored is None else TrainConfig.from_dict(stored)
+    try:
+        cfg = TrainConfig() if stored is None else TrainConfig.from_dict(stored)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{args.checkpoint}: checkpoint train_config is malformed "
+                          f"({type(exc).__name__}: {exc})") from None
+    ontology = _ontology(args)
+    corpus = load_corpus(args.dataset, ontology)
     if args.split == "all":
         target = list(corpus.sentences)
     else:
@@ -225,7 +217,7 @@ def cmd_eval(args) -> int:
         ckpt.params, ckpt.config, vocab, types, target,
         re_mode=args.re_mode,
         max_len=cfg.max_len,
-        ontology=_ontology(args),
+        ontology=ontology,
         ontology_filter=args.ontology_filter,
         confidence_floor=args.confidence_floor,
     )
@@ -237,15 +229,7 @@ def cmd_eval(args) -> int:
     )
     if args.out:
         out = Path(args.out)
-        _write_run_config(
-            out, "eval",
-            {
-                "dataset": str(args.dataset), "checkpoint": str(args.checkpoint),
-                "split": args.split, "re_mode": args.re_mode,
-                "ontology_filter": args.ontology_filter,
-                "confidence_floor": args.confidence_floor,
-            },
-        )
+        _write_run_config(out, args)
         write_atomic(out / "metrics.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
         write_atomic(out / "metrics.txt", evaluation.metrics_table(reports) + "\n")
     return 0
@@ -255,14 +239,8 @@ def cmd_ablate(args) -> int:
     train_config, model_kwargs = _resolve(args, _load_config_file(args.config))
     corpus = load_corpus(args.dataset, _ontology(args))
     out = Path(args.out)
-    _write_run_config(
-        out, "ablate",
-        {
-            "dataset": str(args.dataset), "seed": train_config.seed,
-            "train_config": train_config.to_dict(),
-            "model_kwargs": dict(sorted(model_kwargs.items())),
-        },
-    )
+    _write_run_config(out, args, seed=train_config.seed,
+                      train_config=train_config.to_dict(), model_kwargs=model_kwargs)
     result = evaluation.run_ablation(
         corpus.sentences, corpus.types, train_config, model_kwargs=model_kwargs
     )
@@ -278,13 +256,14 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    extractor = extract_mod.Extractor.from_checkpoint(args.checkpoint, _ontology(args))
+    ontology = _ontology(args)
+    extractor = extract_mod.Extractor.from_checkpoint(args.checkpoint, ontology)
     spans = None
     if args.input:
         lines = read_utf8(args.input, "input file").splitlines()
         token_seqs = [tuple(line.split()) for line in lines if line.strip()]
     else:
-        sentences = load_corpus(args.dataset, _ontology(args)).sentences
+        sentences = load_corpus(args.dataset, ontology).sentences
         token_seqs = [sentence.tokens for sentence in sentences]
         if args.gold_spans:
             spans = [
@@ -300,16 +279,7 @@ def cmd_extract(args) -> int:
     print(f"extracted {total} triples from {len(results)} sentences")
     if args.out:
         out = Path(args.out)
-        _write_run_config(
-            out, "extract",
-            {
-                "checkpoint": str(args.checkpoint),
-                "input": str(args.input or args.dataset),
-                "gold_spans": bool(args.gold_spans),
-                "ontology_filter": args.ontology_filter,
-                "confidence_floor": args.confidence_floor,
-            },
-        )
+        _write_run_config(out, args)
         write_atomic(out / "extractions.json",
                      json.dumps([r.to_dict() for r in results], indent=1, sort_keys=True) + "\n")
     return 0
@@ -361,10 +331,7 @@ def cmd_export(args) -> int:
                         f"output ({type(exc).__name__}: {exc})") from None
     blob = extract_mod.export_graph(results, args.format)
     out = Path(args.out)
-    _write_run_config(
-        out, "export",
-        {"extractions": str(args.extractions), "format": args.format},
-    )
+    _write_run_config(out, args)
     name = "graph.json" if args.format == "json" else "edges.csv"
     write_atomic(out / name, blob)
     print(f"wrote {out / name}")
@@ -382,6 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint entity and relation extraction for threat intelligence text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def field_flags(p, names):
+        """The training flags that set the fields ``names``."""
+        for flag, name, kind in _TRAIN_FLAGS:
+            if name in names:
+                p.add_argument(flag, type=kind, dest=name)
+        for name in _BOOL_FIELDS:
+            if name in names:
+                p.add_argument("--" + name.replace("_", "-"), dest=name,
+                               action=argparse.BooleanOptionalAction)
 
     def common(p, dataset=True, ontology=True, out=True, out_required=False):
         if dataset:
@@ -403,33 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mslr", help="dump the multisequence labeling instances")
     common(p, out_required=True)
-    p.add_argument("--max-len", type=int, default=TrainConfig.max_len)
-    p.add_argument("--min-freq", type=int, default=TrainConfig.min_freq)
+    field_flags(p, {"max_len", "min_freq"})
     p.set_defaults(func=cmd_mslr)
 
     def train_flags(p):
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--weight-decay", type=float, default=None)
-        p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--min-freq", type=int, default=None)
-        p.add_argument("--grad-clip-norm", type=float, default=None)
-        p.add_argument("--embed-dim", type=int, default=None, dest="embed_dim")
-        p.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim")
-        p.add_argument("--dropout", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--use-entity-mask", action=argparse.BooleanOptionalAction,
-                       default=None, dest="use_entity_mask")
-        p.add_argument("--use-entity-type", action=argparse.BooleanOptionalAction,
-                       default=None, dest="use_entity_type")
-        p.add_argument("--bio-constrained-decode", action=argparse.BooleanOptionalAction,
-                       default=None, dest="bio_constrained_decode")
-        p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
-                       default=None, dest="freeze_embeddings")
+        field_flags(p, _FLAG_FIELDS)
 
     p = sub.add_parser("train", help="train the joint model")
     common(p, out_required=True)
@@ -482,6 +438,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "extract" and args.gold_spans and args.input:
         parser.error("--gold-spans needs --dataset, not --input")
+    if args.command == "eval" and args.re_mode == "gold" and (
+            args.ontology_filter or args.confidence_floor):
+        parser.error("--ontology-filter and --confidence-floor need --re-mode pipeline")
     try:
         return args.func(args)
     except UsageError as exc:

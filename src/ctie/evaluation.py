@@ -422,20 +422,19 @@ def run_ablation(
     types: TypeSystem,
     train_config: TrainConfig,
     model_kwargs: dict | None = None,
-    eval_split: str = "test",
 ) -> AblationResult:
     """Train four models differing only in (use_entity_mask, use_entity_type)
-    with shared seeds and data; report NER and RE metrics per configuration."""
+    with shared seeds and data; report NER and RE metrics per configuration
+    on the test split."""
     base_kwargs = dict(model_kwargs or {})
     result = AblationResult()
-    train_s, val_s, test_s = train_config.split(sentences)
-    target = {"train": train_s, "val": val_s, "test": test_s}[eval_split]
+    test_s = train_config.split(sentences)[2]
     for name, use_mask, use_type in ABLATION_CONFIGS:
         kwargs = dict(base_kwargs, use_entity_mask=use_mask, use_entity_type=use_type)
         trained = train_loop(sentences, types, train_config, model_kwargs=kwargs)
         result.train_results[name] = trained
         result.reports[name] = evaluate_model(
-            trained.best_params, trained.config, trained.vocab, types, target,
+            trained.best_params, trained.config, trained.vocab, types, test_s,
             re_mode="gold", max_len=train_config.max_len,
         )
     return result

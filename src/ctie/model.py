@@ -598,7 +598,6 @@ class ForwardTrace:
     config: ModelConfig
     batch: Batch
     drop_emb: np.ndarray | None
-    emb_d: np.ndarray
     gru: GruTrace
     drop_h: np.ndarray | None
     h_d: np.ndarray
@@ -675,7 +674,7 @@ def forward(
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = ForwardTrace(
-        config=config, batch=batch, drop_emb=drop_emb, emb_d=emb_d,
+        config=config, batch=batch, drop_emb=drop_emb,
         gru=gru, drop_h=drop_h, h_d=h_d,
         logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
         pool_mask=pool_mask, features=features, probs_re=probs_re,

@@ -77,7 +77,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
+        """A validated configuration; ``TypeError`` or ``ValueError`` when
+        ``payload`` is not an object of known, well-formed fields."""
+        config = cls(**payload)
+        config.validate()
+        return config
 
 
 def check_split_ratios(ratios: tuple[float, float, float]) -> None:

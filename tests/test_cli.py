@@ -916,3 +916,217 @@ class TestEvalUsesCheckpointTypes:
         dataset.write_text(json.dumps(records))
         assert run("eval", "--dataset", dataset, "--checkpoint", ckpt, "--split", "all") == 1
         assert "'associatedWith'" in capsys.readouterr().err
+
+
+def _bundled_ontology(tmp_path):
+    """The bundled ontology, written to a file for ``--ontology``."""
+    from importlib import resources
+
+    path = tmp_path / "ontology.json"
+    path.write_text(resources.files("ctie.data").joinpath("ontology.json").read_text("utf-8"))
+    return path
+
+
+class TestOneSettingsPath:
+    """Every setting resolves defaults < --config file < flags, and
+    run_config.json records every parsed argument."""
+
+    def test_config_file_seed_trains_like_the_seed_flag(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        outs = {name: tmp_path / name for name in ("file", "flag", "both", "flag3")}
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", outs["file"],
+                   "--config", config, *TRAIN_FLAGS) == 0
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", outs["flag"],
+                   "--seed", "7", *TRAIN_FLAGS) == 0
+        # a --seed flag still beats the file
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", outs["both"],
+                   "--config", config, "--seed", "3", *TRAIN_FLAGS) == 0
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", outs["flag3"],
+                   "--seed", "3", *TRAIN_FLAGS) == 0
+        for a, b in (("file", "flag"), ("both", "flag3")):
+            for name in ("best.ckpt", "final.ckpt", "training_log.csv", "training_log.json"):
+                assert (outs[a] / name).read_bytes() == (outs[b] / name).read_bytes(), (a, name)
+        assert (outs["flag"] / "training_log.csv").read_bytes() != (
+            outs["flag3"] / "training_log.csv").read_bytes()
+        for name, seed in (("file", 7), ("both", 3)):
+            resolved = json.loads((outs[name] / "run_config.json").read_text())
+            assert resolved["seed"] == resolved["train_config"]["seed"] == seed
+
+    @pytest.mark.parametrize("flags", [
+        ("--ontology-filter",), ("--confidence-floor", "0.5"),
+        ("--ontology-filter", "--confidence-floor", "0.9"),
+    ], ids=["ontology-filter", "confidence-floor", "both"])
+    def test_filter_flags_need_pipeline_mode(self, flags, trained_run, tmp_path, capsys):
+        from ctie.corpus import OntologySchema, load_corpus
+        from ctie.evaluation import evaluate_model
+        from ctie.model import checkpoint_tables, load_checkpoint
+        from ctie.train import TrainConfig
+
+        checkpoint = trained_run / "best.ckpt"
+        for mode in (("--re-mode", "gold"), ()):  # gold is the default mode
+            out = tmp_path / "gold"
+            with pytest.raises(SystemExit) as err:
+                run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", checkpoint,
+                    *mode, *flags, "--out", out)
+            assert err.value.code == 2
+            assert "--re-mode pipeline" in capsys.readouterr().err
+            assert not out.exists()
+
+        out = tmp_path / "pipeline"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", checkpoint,
+                   "--re-mode", "pipeline", *flags, "--out", out) == 0
+        recorded = json.loads((out / "run_config.json").read_text())
+        ontology_filter = "--ontology-filter" in flags
+        floor = float(flags[-1]) if "--confidence-floor" in flags else 0.0
+        assert recorded["ontology_filter"] is ontology_filter
+        assert recorded["confidence_floor"] == floor
+        ckpt = load_checkpoint(checkpoint)
+        vocab, types = checkpoint_tables(ckpt, checkpoint)
+        ontology = OntologySchema.default()
+        test = TrainConfig.from_dict(ckpt.extras["train_config"]).split(
+            load_corpus(SMOKE_CORPUS, ontology).sentences)[2]
+        expected = evaluate_model(
+            ckpt.params, ckpt.config, vocab, types, test, re_mode="pipeline",
+            max_len=64, ontology=ontology, ontology_filter=ontology_filter,
+            confidence_floor=floor,
+        )
+        got = json.loads((out / "metrics.json").read_text())
+        assert got == {task: json.loads(r.to_json()) for task, r in expected.items()}
+
+    def test_run_config_records_ontology_config_input_and_dataset(self, trained_run, tmp_path):
+        ontology = _bundled_ontology(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"checkpoint_every": 0}))
+        out = tmp_path / "train"
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", out, "--ontology", ontology,
+                   "--config", config, *TRAIN_FLAGS) == 0
+        recorded = json.loads((out / "run_config.json").read_text())
+        assert recorded["ontology"] == str(ontology) and recorded["config"] == str(config)
+
+        checkpoint = trained_run / "best.ckpt"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", checkpoint,
+                   "--ontology", ontology, "--out", tmp_path / "eval") == 0
+        recorded = json.loads((tmp_path / "eval" / "run_config.json").read_text())
+        assert recorded["ontology"] == str(ontology)
+
+        text = tmp_path / "s.txt"
+        text.write_text("APT29 uses Mimikatz\n")
+        assert run("extract", "--checkpoint", checkpoint, "--input", text,
+                   "--out", tmp_path / "text") == 0
+        assert run("extract", "--checkpoint", checkpoint, "--dataset", SMOKE_CORPUS,
+                   "--ontology", ontology, "--out", tmp_path / "corpus") == 0
+        by_text = json.loads((tmp_path / "text" / "run_config.json").read_text())
+        by_corpus = json.loads((tmp_path / "corpus" / "run_config.json").read_text())
+        assert (by_text["input"], by_text["dataset"], by_text["ontology"]) == (
+            str(text), None, None)
+        assert (by_corpus["input"], by_corpus["dataset"], by_corpus["ontology"]) == (
+            None, str(SMOKE_CORPUS), str(ontology))
+
+    def test_identical_runs_write_identical_run_configs(self, tmp_path):
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            assert run("train", "--dataset", SMOKE_CORPUS, "--out", out, *TRAIN_FLAGS) == 0
+        blobs = [(out / "run_config.json").read_bytes() for out in outs]
+        assert blobs[0] == blobs[1]
+        # every parsed argument but --out and the raw training flags,
+        # which the resolved train_config and model_kwargs replace
+        assert set(json.loads(blobs[0])) == {
+            "command", "dataset", "ontology", "config", "pretrained_embeddings",
+            "seed", "train_config", "model_kwargs",
+        }
+
+
+class TestStoredTrainConfig:
+    """A checkpoint's stored train_config is parsed and validated in one
+    step; a malformed one is a data error naming the checkpoint."""
+
+    @pytest.mark.parametrize("stored", [
+        {"train_ratio": 0.7, "val_ratio": 0.15, "test_ratio": 0.15, "bogus": 1},
+        [0.7, 0.15, 0.15],
+        {"train_ratio": "x"},
+    ], ids=["unknown-key", "list", "mistyped-ratio"])
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_malformed_train_config_exits_one(self, stored, split, trained_run, tmp_path,
+                                              capsys):
+        from ctie.model import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(trained_run / "best.ckpt")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt.params, ckpt.config,
+                        extras={**ckpt.extras, "train_config": stored})
+        out = tmp_path / "eval"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", split, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: checkpoint train_config is malformed")
+        assert not out.exists()
+
+
+# every subcommand's option strings, as the CLI has accepted them since
+# the training flags were last added
+OPTION_STRINGS = {
+    "validate": {"--dataset", "--ontology", "--strict"},
+    "stats": {"--dataset", "--ontology", "--out"},
+    "mslr": {"--dataset", "--ontology", "--out", "--max-len", "--min-freq"},
+    "train": {
+        "--dataset", "--ontology", "--out", "--seed", "--config", "--epochs", "--batch-size",
+        "--lr", "--weight-decay", "--max-len", "--min-freq", "--grad-clip-norm",
+        "--embed-dim", "--hidden-dim", "--dropout", "--alpha", "--beta",
+        "--use-entity-mask", "--no-use-entity-mask", "--use-entity-type",
+        "--no-use-entity-type", "--bio-constrained-decode", "--no-bio-constrained-decode",
+        "--freeze-embeddings", "--no-freeze-embeddings", "--pretrained-embeddings",
+    },
+    "eval": {"--dataset", "--ontology", "--out", "--checkpoint", "--re-mode", "--split",
+             "--ontology-filter", "--confidence-floor"},
+    "extract": {"--ontology", "--out", "--checkpoint", "--input", "--dataset", "--gold-spans",
+                "--ontology-filter", "--confidence-floor"},
+    "export": {"--out", "--extractions", "--format"},
+}
+OPTION_STRINGS["ablate"] = OPTION_STRINGS["train"] - {"--pretrained-embeddings"}
+# the flags of train and ablate that set no TrainConfig or ModelConfig field
+NON_FIELD_DESTS = {"help", "dataset", "ontology", "out", "config", "pretrained_embeddings"}
+
+
+def _subcommands():
+    import argparse
+
+    from ctie.cli import build_parser
+
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestTrainingFlagTable:
+    """The training flags are declared once, from the config fields."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "mslr"])
+    def test_each_training_flag_sets_its_field_and_has_no_default(self, command):
+        from dataclasses import fields
+
+        from ctie.model import ModelConfig
+        from ctie.train import TrainConfig
+
+        names = {f.name for f in fields(TrainConfig)} | {f.name for f in fields(ModelConfig)}
+        actions = [a for a in _subcommands()[command]._actions
+                   if a.dest not in NON_FIELD_DESTS]
+        assert actions
+        for action in actions:
+            assert action.dest in names, action.option_strings
+            assert action.default is None, action.option_strings
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_every_model_config_default_has_a_flag(self, command):
+        from dataclasses import MISSING, fields
+
+        from ctie.model import ModelConfig
+
+        dests = {a.dest for a in _subcommands()[command]._actions}
+        defaults = {f.name for f in fields(ModelConfig) if f.default is not MISSING}
+        assert defaults <= dests
+
+    def test_option_strings_are_unchanged(self):
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in _subcommands().items()}
+        assert got == OPTION_STRINGS

@@ -610,7 +610,7 @@ class TestForward:
         a = forward(batch, params, config, mode="train", rng=np.random.default_rng(9))
         b = forward(batch, params, config, mode="train", rng=np.random.default_rng(9))
         assert a.joint == b.joint
-        assert np.array_equal(a.trace.emb_d, b.trace.emb_d)
+        assert np.array_equal(a.trace.drop_emb, b.trace.drop_emb)
         assert np.array_equal(a.trace.h_d, b.trace.h_d)
         assert np.array_equal(a.trace.logits_ner, b.trace.logits_ner)
         assert np.array_equal(a.re_probs, b.re_probs)
