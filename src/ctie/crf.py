@@ -293,7 +293,8 @@ def crf_marginals(emissions: np.ndarray, transitions: np.ndarray, attention_mask
     return node, edge, log_z
 
 
-def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attention_mask=None):
+def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attention_mask=None,
+                 weights=None):
     """(nll, d nll/d emissions, d nll/d transitions) in one forward-backward pass.
 
     ``nll`` is per row ((B,), or a float for a (T, L) input), the emission
@@ -301,6 +302,13 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
     over the rows. Emission gradients are node marginals minus the gold
     one-hot; transition gradients are expected edge counts minus gold
     counts, including the START and STOP blocks.
+
+    ``weights`` (B,), or one number for every row, weights each row's
+    gradients: its emission gradient is scaled by its weight and the
+    transition gradient is the weighted sum over the rows, so a row of
+    weight k counts as k copies of it. ``nll`` stays unweighted. Without
+    ``weights`` every row counts once, and the result equals that of unit
+    weights bit for bit.
     """
     inner, start, stop, num_labels = _split_transitions(transitions)
     start_idx, stop_idx = num_labels, num_labels + 1
@@ -315,21 +323,29 @@ def crf_nll_grad(emissions: np.ndarray, labels, transitions: np.ndarray, attenti
     y = chains.gather(labels).astype(np.intp)
     nll = _gold_nll(chains, y, log_z, inner, start, stop)
     valid, lengths = chains.valid, chains.lengths
-    d_emissions = chains.scatter(node.transpose(1, 0, 2) - np.eye(num_labels)[y])
+    d_emissions = node.transpose(1, 0, 2) - np.eye(num_labels)[y]
+    gold = np.ones(y.shape)  # each gold step's count: the row's weight
+    if weights is not None:
+        w = np.broadcast_to(np.asarray(weights, dtype=np.float64), lengths.shape)
+        d_emissions *= w[:, None, None]
+        node = node * w[:, None]
+        p = p * w[:, None]
+        gold *= w[:, None]
+    d_emissions = chains.scatter(d_emissions)
 
     # expected inner counts of every row and step t -> t+1, summed by one GEMM
     p, q = p.reshape(-1, num_labels), q.reshape(-1, num_labels)
     d_transitions[:num_labels, :num_labels] = step * (p.T @ q)
     edges = valid[:, 1:]
-    np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -1.0)
+    np.add.at(d_transitions, (y[:, :-1][edges], y[:, 1:][edges]), -gold[:, 1:][edges])
 
     # node marginals are zero on empty chains; their gold labels must not count
     has = lengths > 0
     rows, ends = np.arange(len(lengths)), np.maximum(lengths - 1, 0)
     d_transitions[start_idx, :num_labels] = node[0].sum(axis=0)
-    np.add.at(d_transitions[start_idx], y[has, 0], -1.0)
+    np.add.at(d_transitions[start_idx], y[has, 0], -gold[has, 0])
     d_transitions[:num_labels, stop_idx] = node[ends, rows].sum(axis=0)
-    np.add.at(d_transitions[:, stop_idx], y[rows, ends][has], -1.0)
+    np.add.at(d_transitions[:, stop_idx], y[rows, ends][has], -gold[rows, ends][has])
     if chains.squeeze:
         return float(nll[0]), d_emissions[0], d_transitions
     return nll, d_emissions, d_transitions

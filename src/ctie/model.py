@@ -12,7 +12,8 @@ fixed weights a token's GRU input pre-activations depend on its id only, so
 ``encode`` gathers them from an ``InputProjection``, which computes each
 id's once, and runs only the recurrence. Training (``forward``,
 which has no eval mode) keeps one MSLR row per annotated pair, with dropout
-after the embedding and after the BiGRU. Viterbi takes an
+after the embedding and after the BiGRU; at dropout 0 it encodes and
+CRF-scores each distinct sentence of a batch once. Viterbi takes an
 optional BIO transition mask as an argument; callers build it once from
 their ``TypeSystem`` with ``decode_constraint``.
 
@@ -362,35 +363,50 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
     over D, and stores its gate pre-activation gradients in one (D, P, 3h)
     buffer; after the loop each weight gradient and the input gradient is
     one GEMM on it, batched over D. The state gradient of a row not yet
-    active is zero, and a row no longer active is never read again."""
+    active is zero, and a row no longer active is never read again.
+
+    The gates' local derivatives depend on the forward values only, so they
+    are computed for all P cells before the loop, into ``d_a``: (1 - z)(1 -
+    c^2) for c, (h_prev - c) z (1 - z) for z and h_prev r (1 - r) for r. A
+    step then multiplies its cells by their state gradients in place."""
     packing, gates, h = trace.packing, trace.gates[group], trace.h[group]
     u = params["gru.u"][group]
     n_hidden = u.shape[1]
     z, r, c, zr = _gate_slices(n_hidden)
     u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
+    h_prev = packing.prev_states(h)
     d_a = np.empty_like(gates)
+    k_z, k_r, k_c = (d_a[..., s] for s in (z, r, c))
+    g_z, g_r, g_c = (gates[..., s] for s in (z, r, c))
+    one_minus_z = np.subtract(1.0, g_z)
+    np.multiply(g_c, g_c, out=k_c)
+    np.subtract(1.0, k_c, out=k_c)
+    k_c *= one_minus_z
+    np.subtract(h_prev, g_c, out=k_z)
+    k_z *= g_z
+    k_z *= one_minus_z
+    np.subtract(1.0, g_r, out=k_r)
+    k_r *= g_r
+    k_r *= h_prev
     dh = np.zeros((len(u), packing.n_batch, n_hidden))
     for first, n_k, n, cells in reversed(packing.segments):
         shape = (len(u), n_k, n, -1)
         seg, d_seg, d_out_seg = (a[:, cells].reshape(shape).swapaxes(0, 1)
                                  for a in (gates, d_a, d_out))
-        g_z, g_r, g_c = (seg[..., s] for s in (z, r, c))
+        seg_z, seg_r = seg[..., z], seg[..., r]
         d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
-        hs, dh_n = h[:, first:, :n].swapaxes(0, 1), dh[:, :n]
+        dh_n = dh[:, :n]
         for k in range(n_k - 1, -1, -1):
-            h_prev = hs[k]
-            zt, rt, ct = g_z[k], g_r[k], g_c[k]
             dh_n += d_out_seg[k]  # now the gradient of the step's new state
-            da_c = d_c[k]
-            np.multiply(dh_n * (1.0 - zt), 1.0 - ct * ct, out=da_c)
+            da_c = np.multiply(d_c[k], dh_n, out=d_c[k])
             drh = da_c @ u_c_t
-            d_z[k] = dh_n * (h_prev - ct) * zt * (1.0 - zt)
-            d_r[k] = drh * h_prev * rt * (1.0 - rt)
-            dh_n *= zt
-            dh_n += drh * rt
+            np.multiply(d_z[k], dh_n, out=d_z[k])
+            np.multiply(d_r[k], drh, out=d_r[k])
+            dh_n *= seg_z[k]
+            drh *= seg_r[k]
+            dh_n += drh
             dh_n += d_zr[k] @ u_zr_t
-    h_prev = packing.prev_states(h)
-    r_h_prev = gates[..., r] * h_prev
+    r_h_prev = g_r * h_prev
     g_u = grads["gru.u"][group]
     np.matmul(trace.x[group].swapaxes(1, 2), d_a, out=grads["gru.w"][group])
     np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
@@ -595,8 +611,16 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 
 @dataclass
 class ForwardTrace:
+    """What ``backward`` reads of a ``forward``. The encoder and NER arrays
+    (``token_ids`` to ``d_logits_ner``) hold one row per encoded sequence:
+    the batch's distinct sentences when ``sentence_of`` maps each batch row
+    to one of them, else the batch rows. The relation head's arrays hold
+    one row per batch row."""
+
     config: ModelConfig
     batch: Batch
+    sentence_of: np.ndarray | None  # (B,) each row's encoded sentence; None: the identity
+    token_ids: np.ndarray
     drop_emb: np.ndarray | None
     gru: GruTrace
     drop_h: np.ndarray | None
@@ -638,6 +662,12 @@ def forward(
     trace; nothing is decoded. ``mode`` must be ``"train"``: there is no
     eval mode, since inference and validation encode each sentence once
     (``encode``) and score its pairs with ``relation_head``.
+
+    At dropout 0 every copy of a sentence has the same encoding and NLL, so
+    the U distinct sentences of ``batch.sentence_of`` are embedded, encoded
+    and CRF-scored once each, the CRF gradients weighted by the sentence's
+    row count, and the relation head reads each row's sentence encoding.
+    With dropout every row draws its own masks and is encoded on its own.
     """
     if mode != "train":
         raise ValueError(f"mode must be 'train', got {mode!r}")
@@ -645,7 +675,14 @@ def forward(
         raise ValueError("forward with dropout > 0 needs an rng")
 
     mask = batch.attention_mask
-    emb = embed(batch.token_ids, params["embed"])
+    sentence_of = batch.sentence_of if config.dropout == 0.0 else None
+    token_ids, seq_mask, labels, weights = batch.token_ids, mask, batch.ner_labels, None
+    if sentence_of is not None:
+        # ids count up in order of first appearance: each sentence's first row stands for it
+        first = np.flatnonzero(np.diff(np.maximum.accumulate(sentence_of), prepend=-1))
+        token_ids, seq_mask, labels = token_ids[first], mask[first], labels[first]
+        weights = np.bincount(sentence_of, minlength=len(first))
+    emb = embed(token_ids, params["embed"])
 
     drop_emb = None
     emb_d = emb
@@ -653,7 +690,7 @@ def forward(
         drop_emb = _dropout_mask(emb.shape, config.dropout, rng)
         emb_d = emb * drop_emb
 
-    h_bigru, gru = bigru(emb_d, mask, params, with_trace=True)
+    h_bigru, gru = bigru(emb_d, seq_mask, params, with_trace=True)
 
     drop_h = None
     h_d = h_bigru
@@ -663,18 +700,22 @@ def forward(
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
     pool_mask, features, _logits_re, probs_re = relation_head(
-        h_d, batch.entity_mask, batch.head_type, batch.tail_type, params, config,
-        attention_mask=mask,
+        h_d if sentence_of is None else h_d[sentence_of], batch.entity_mask,
+        batch.head_type, batch.tail_type, params, config, attention_mask=mask,
     )
 
-    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels, params["crf_trans"], mask)
+    nlls, d_logits, d_trans = crf_nll_grad(logits, labels, params["crf_trans"], seq_mask,
+                                           weights=weights)
+    if sentence_of is not None:
+        nlls = nlls[sentence_of]
     ner_nll_mean = float(np.mean(nlls))
     picked = probs_re[np.arange(batch.size), batch.relation_label]
     re_ce_mean = float(np.mean(-np.log(picked)))
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = ForwardTrace(
-        config=config, batch=batch, drop_emb=drop_emb,
+        config=config, batch=batch, sentence_of=sentence_of, token_ids=token_ids,
+        drop_emb=drop_emb,
         gru=gru, drop_h=drop_h, h_d=h_d,
         logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
         pool_mask=pool_mask, features=features, probs_re=probs_re,
@@ -689,7 +730,11 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
 
     The joint loss is the batch mean of alpha * NER-NLL + beta * RE-CE, so
     every per-row contribution is scaled by 1/B. Shared-encoder arrays
-    accumulate contributions from both heads. The gradients are written
+    accumulate contributions from both heads. When rows share an encoded
+    sentence (``ForwardTrace.sentence_of``), the rows' pool gradients are
+    summed into it by one routing GEMM, the CRF's are already weighted by
+    the sentence's row count, and the NER head, BPTT and the embedding
+    scatter run once per sentence. The gradients are written
     into ``grads`` when given (a dict shaped like ``params``, whose values
     are overwritten: a training loop passes one buffer on every step), and
     into new arrays otherwise; the dict is returned.
@@ -719,7 +764,11 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
         np.add.at(grads["type_embed"], batch.head_type, d_head)
         np.add.at(grads["type_embed"], batch.tail_type, d_tail)
 
-    d_h_d = d_pool[:, None, :] * trace.pool_mask[:, :, None]
+    if trace.sentence_of is None:
+        d_h_d = d_pool[:, None, :] * trace.pool_mask[:, :, None]
+    else:  # (U, T, B) routing weights: row b's pool mask on its sentence's plane
+        sentences = np.arange(len(trace.h_d))[:, None, None]
+        d_h_d = ((trace.sentence_of == sentences) * trace.pool_mask.T) @ d_pool
 
     # NER head through the CRF, whose gradients the forward pass computed.
     scale = config.alpha / n_batch
@@ -747,7 +796,7 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     d_x += d_xs[1, packing.rev]
     if trace.drop_emb is not None:
         d_x *= packing.pack(trace.drop_emb)
-    np.add.at(grads["embed"], packing.pack(batch.token_ids), d_x)
+    np.add.at(grads["embed"], packing.pack(trace.token_ids), d_x)
     return grads
 
 

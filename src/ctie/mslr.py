@@ -299,7 +299,12 @@ def encode_all(
 
 @dataclass
 class Batch:
-    """Stacked instance fields padded to the batch max length."""
+    """Stacked instance fields padded to the batch max length.
+
+    ``sentence_of`` gives each row's batch-local sentence id, numbered in
+    order of first appearance: rows with one id are copies of one sentence
+    (same token ids, BIO labels and length) and differ only in their pair
+    fields. ``None`` means every row is its own sentence."""
 
     token_ids: np.ndarray       # (B, T) int64
     attention_mask: np.ndarray  # (B, T) float64
@@ -310,6 +315,7 @@ class Batch:
     relation_label: np.ndarray  # (B,) int64
     lengths: np.ndarray         # (B,) int64
     origins: tuple[tuple[int, int], ...]
+    sentence_of: np.ndarray | None = None  # (B,) int64
 
     @property
     def size(self) -> int:
@@ -346,7 +352,8 @@ def make_batches(
     """The rows of ``kept`` (from ``sentence_rows``) in batches of
     ``batch_size``, the last maybe short; with a ``shuffle_seed``, in the
     order of ``default_rng(shuffle_seed).permutation``. Token and BIO label
-    ids fill one (S, T) table, and each batch gathers its rows from it."""
+    ids fill one (S, T) table, and each batch gathers its rows from it and
+    records which of its rows share a sentence (``Batch.sentence_of``)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not kept:
@@ -370,12 +377,15 @@ def make_batches(
         idx = order[lo : lo + batch_size]
         s, n = sentence_of[idx], lengths[sentence_of[idx]]
         width = int(n.max())
+        local: dict[int, int] = {}
+        local_ids = [local.setdefault(k, len(local)) for k in s.tolist()]
         batches.append(Batch(
             token_ids=tokens[s, :width], ner_labels=labels[s, :width],
             attention_mask=(np.arange(width) < n[:, None]).astype(np.float64),
             entity_mask=entity_masks(width, heads[idx], tails[idx]),
             head_type=head_type[idx], tail_type=tail_type[idx], relation_label=label[idx],
             lengths=n, origins=tuple(origins[k] for k in idx),
+            sentence_of=np.array(local_ids, dtype=np.int64),
         ))
     return batches
 

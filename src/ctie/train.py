@@ -56,6 +56,12 @@ class TrainConfig:
             raise ValueError("learning rate, batch size, and epochs must be positive")
         if self.max_len < 1 or self.min_freq < 1:
             raise ValueError("max_len and min_freq must be at least 1")
+        for name in ("seed", "split_seed", "shuffle_seed"):
+            value = getattr(self, name)
+            if value is None and name != "seed":
+                continue
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
     @property
     def effective_split_seed(self) -> int:

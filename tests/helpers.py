@@ -244,6 +244,31 @@ def tiny_batch():
     )
 
 
+def repeated_sentence_batch():
+    """Five rows of two sentences, T=5: rows 0, 2 and 3 are one full-length
+    sentence and rows 1 and 4 one padded sentence, each row with its own
+    pair and relation; ``sentence_of`` records the sharing."""
+    from ctie.mslr import Batch
+
+    sentences = np.array([0, 1, 0, 0, 1])
+    tokens = np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]], dtype=np.int64)
+    labels = np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64)
+    lengths = np.array([5, 3], dtype=np.int64)[sentences]
+    return Batch(
+        token_ids=tokens[sentences],
+        attention_mask=(np.arange(5) < lengths[:, None]).astype(np.float64),
+        entity_mask=np.array([[1, 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, 1, 0, 0, 1],
+                              [1, 1, 1, 0, 0], [1, 0, 1, 0, 0]], dtype=np.float64),
+        head_type=np.array([1, 0, 2, 3, 1], dtype=np.int64),
+        tail_type=np.array([2, 3, 0, 1, 1], dtype=np.int64),
+        ner_labels=labels[sentences],
+        relation_label=np.array([1, 2, 0, 2, 1], dtype=np.int64),
+        lengths=lengths,
+        origins=((0, 0), (1, 0), (0, 1), (0, 2), (1, 1)),
+        sentence_of=sentences,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference batch builder: one MslrInstance record per row, stacked in Python
 # ---------------------------------------------------------------------------
@@ -251,10 +276,15 @@ def tiny_batch():
 
 def collate(instances):
     """One ``Batch`` of encoded ``MslrInstance`` rows, each field stacked
-    row by row and padded with zeros to the longest row."""
+    row by row and padded with zeros to the longest row; rows whose origins
+    name one sentence share a sentence id, numbered in order of first
+    appearance."""
     from ctie.mslr import Batch
 
     width = max(inst.length for inst in instances)
+    sentence_ids = {}
+    for inst in instances:
+        sentence_ids.setdefault(inst.origin[0], len(sentence_ids))
 
     def stack(field: str) -> np.ndarray:
         rows = []
@@ -273,6 +303,7 @@ def collate(instances):
         relation_label=np.asarray([i.relation_label for i in instances], dtype=np.int64),
         lengths=np.asarray([i.length for i in instances], dtype=np.int64),
         origins=tuple(i.origin for i in instances),
+        sentence_of=np.asarray([sentence_ids[i.origin[0]] for i in instances], dtype=np.int64),
     )
 
 
@@ -307,13 +338,15 @@ def assert_batches_equal(actual, expected):
 
 
 def finite_difference_check(config, seed: int = 20, step: float = 1e-5,
-                            dropout_seed: int = 777):
+                            dropout_seed: int = 777, batch=None):
     """Compare analytic gradients with central finite differences on every
-    parameter array. Returns {name: (analytic, numeric)}. The dropout rng is
-    re-seeded per evaluation so train-mode forwards see identical masks."""
+    parameter array, over ``batch`` (default ``tiny_batch()``). Returns
+    {name: (analytic, numeric)}. The dropout rng is re-seeded per evaluation
+    so train-mode forwards see identical masks."""
     from ctie.model import backward, forward, init_params
 
-    batch = tiny_batch()
+    if batch is None:
+        batch = tiny_batch()
     params = init_params(config, seed=seed)
 
     def loss(p):

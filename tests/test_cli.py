@@ -1063,6 +1063,57 @@ class TestStoredTrainConfig:
         assert not out.exists()
 
 
+BAD_SEEDS = [{"seed": "x"}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
+             {"shuffle_seed": "y"}, {"split_seed": -2}, {"shuffle_seed": False}]
+BAD_SEED_IDS = ["seed-str", "seed-negative", "seed-float", "seed-bool",
+                "shuffle-seed-str", "split-seed-negative", "shuffle-seed-bool"]
+
+
+class TestSeedValues:
+    """A seed that is not a non-negative int is rejected like any other bad
+    config value: a usage error (exit 2) before anything is written, and a
+    data error (exit 1) in a checkpoint's stored train_config."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("config", BAD_SEEDS, ids=BAD_SEED_IDS)
+    def test_config_file_seed_is_a_usage_error(self, command, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            run(command, "--dataset", SMOKE_CORPUS, "--out", out, "--config", path,
+                *TRAIN_FLAGS)
+        assert err.value.code == 2
+        assert f"{next(iter(config))} must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_seed_flag_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            run(command, "--dataset", SMOKE_CORPUS, "--out", out, "--seed", "-1", *TRAIN_FLAGS)
+        assert err.value.code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", BAD_SEEDS, ids=BAD_SEED_IDS)
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_stored_seed_is_a_data_error(self, config, split, trained_run, tmp_path, capsys):
+        from ctie.model import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(trained_run / "best.ckpt")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt.params, ckpt.config, extras={
+            **ckpt.extras, "train_config": {**ckpt.extras["train_config"], **config}})
+        out = tmp_path / "eval"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
+                   "--split", split, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checkpoint train_config is malformed")
+        assert "must be a non-negative integer" in err
+        assert not out.exists()
+
+
 # every subcommand's option strings, as the CLI has accepted them since
 # the training flags were last added
 OPTION_STRINGS = {

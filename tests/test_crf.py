@@ -296,6 +296,61 @@ class TestBatchInvariance:
         np.testing.assert_allclose(summed, d_trans, rtol=1e-9, atol=1e-9)
 
 
+class TestWeightedGradient:
+    """``crf_nll_grad(weights=)`` counts a row of weight k as k copies of it."""
+
+    @settings(deadline=None)
+    @given(ragged_batches(), st.data())
+    def test_integer_weights_match_repeated_rows(self, case, data):
+        emissions, transitions, labels, mask, _ = case
+        n_batch = len(emissions)
+        weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n_batch,
+                                              max_size=n_batch)))
+        nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask, weights=weights)
+        plain = crf_nll_grad(emissions, labels, transitions, mask)
+        np.testing.assert_array_equal(nll, plain[0])  # the NLL stays per row, unweighted
+        np.testing.assert_array_equal(d_em, plain[1] * weights[:, None, None])
+        assert np.all(d_em[weights == 0] == 0.0)
+
+        copies = np.repeat(np.arange(n_batch), weights)
+        repeated = crf_nll_grad(emissions[copies], labels[copies], transitions, mask[copies])
+        np.testing.assert_allclose(d_trans, repeated[2], rtol=1e-12, atol=1e-12)
+
+    def test_zero_weight_rows_contribute_nothing(self):
+        rng = np.random.default_rng(31)
+        emissions = rng.normal(size=(4, 5, 3))
+        transitions = rng.normal(size=(5, 5))
+        labels = rng.integers(0, 3, size=(4, 5))
+        mask = (np.arange(5) < np.array([[5], [3], [4], [1]])).astype(float)
+        weights = np.array([0.0, 2.0, 0.0, 1.0])
+        _, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, mask, weights=weights)
+        kept = [1, 3]
+        rest = crf_nll_grad(emissions[kept], labels[kept], transitions, mask[kept],
+                            weights=weights[kept])
+        assert np.all(d_em[[0, 2]] == 0.0)
+        np.testing.assert_array_equal(d_em[kept], rest[1])
+        np.testing.assert_allclose(d_trans, rest[2], rtol=1e-13, atol=1e-14)
+        zero = crf_nll_grad(emissions, labels, transitions, mask, weights=np.zeros(4))
+        assert np.all(zero[1] == 0.0) and np.all(zero[2] == 0.0)
+
+    @given(ragged_batches())
+    def test_no_weights_equal_unit_weights_bit_for_bit(self, case):
+        emissions, transitions, labels, mask, _ = case
+        plain = crf_nll_grad(emissions, labels, transitions, mask)
+        for weights in (np.ones(len(emissions)), 1.0):
+            weighted = crf_nll_grad(emissions, labels, transitions, mask, weights=weights)
+            for got, want in zip(weighted, plain):
+                assert np.array_equal(got, want)
+
+    def test_one_sequence_takes_one_weight(self):
+        emissions, transitions, labels = sample_crf_case(np.random.default_rng(32))
+        nll, d_em, d_trans = crf_nll_grad(emissions, labels, transitions, weights=3.0)
+        plain = crf_nll_grad(emissions, labels, transitions)
+        assert nll == plain[0]
+        np.testing.assert_array_equal(d_em, 3.0 * plain[1])
+        np.testing.assert_allclose(d_trans, 3.0 * plain[2], rtol=1e-14, atol=1e-14)
+
+
 def _reference_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from ctie.model import backward, forward, init_params
 
-from helpers import finite_difference_check, tiny_batch, tiny_config
+from helpers import finite_difference_check, repeated_sentence_batch, tiny_batch, tiny_config
 
 
 @pytest.mark.parametrize(
@@ -22,6 +22,26 @@ def test_all_parameter_arrays_match_finite_differences(use_mask, use_type):
             analytic, numeric, rtol=1e-4, atol=1e-7,
             err_msg=f"gradient mismatch in {name} "
                     f"(use_mask={use_mask}, use_type={use_type})",
+        )
+
+
+@pytest.mark.parametrize(
+    "use_mask,use_type",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["disabled", "mask_only", "type_only", "enabled"],
+)
+def test_shared_sentence_encoding_matches_finite_differences(use_mask, use_type):
+    # five rows of two sentences: each sentence is encoded and CRF-scored once
+    config = tiny_config(use_mask=use_mask, use_type=use_type, alpha=0.8, beta=1.7)
+    batch = repeated_sentence_batch()
+    params = init_params(config, seed=26)
+    assert len(forward(batch, params, config).trace.h_d) == 2
+    checked = finite_difference_check(config, seed=26, batch=batch)
+    assert len(checked) == 10
+    for name, (analytic, numeric) in checked.items():
+        np.testing.assert_allclose(
+            analytic, numeric, rtol=1e-4, atol=1e-7,
+            err_msg=f"shared encoding: {name} (use_mask={use_mask}, use_type={use_type})",
         )
 
 

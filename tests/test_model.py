@@ -1,8 +1,10 @@
 """Layer-level oracles and forward-pass contracts for the joint model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import EmptyMask, IdOutOfRange, SchemaError
@@ -35,9 +37,10 @@ from ctie.model import (
     save_embedding_file,
     validate_params,
 )
-from ctie.mslr import Batch
+from ctie.corpus import load_corpus
+from ctie.mslr import Batch, build_vocab, make_batches, sentence_rows
 
-from helpers import per_direction_params, tiny_batch, tiny_config
+from helpers import SMOKE_CORPUS, per_direction_params, random_corpus, tiny_batch, tiny_config
 
 
 class TestEmbed:
@@ -616,6 +619,92 @@ class TestForward:
         assert np.array_equal(a.re_probs, b.re_probs)
         assert decoded(a, params, batch) == decoded(b, params, batch)
 
+
+
+def _corpus_model(corpus, seed, **kwargs):
+    """(kept rows, vocabulary, ModelConfig, params) for a small model of ``corpus``."""
+    kept, _ = sentence_rows(corpus.sentences, range(len(corpus.sentences)), corpus.types, 64)
+    vocab = build_vocab(corpus.sentences)
+    types = corpus.types
+    config = ModelConfig(vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+                         num_relations=types.num_relations,
+                         num_entity_types=types.num_entity_types,
+                         embed_dim=4, hidden_dim=3, **kwargs)
+    return kept, vocab, config, init_params(config, seed=seed)
+
+
+def _assert_relatively_close(actual, expected, rel=1e-12):
+    """Every element within ``rel`` of the largest magnitude in ``expected``."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rel * np.max(np.abs(expected),
+                                                                           initial=0.0)
+
+
+def _assert_shared_matches_per_row(batch, params, config):
+    """The dropout-free step that encodes each distinct sentence once gives
+    the losses, probabilities and gradients of the step that encodes every
+    row (the same batch without sentence ids), to rounding."""
+    shared = forward(batch, params, config)
+    per_row = forward(dataclasses.replace(batch, sentence_of=None), params, config)
+    assert len(shared.trace.h_d) == batch.sentence_of.max() + 1
+    assert len(per_row.trace.h_d) == batch.size
+    for key in ("ner_nll", "re_ce", "joint"):
+        assert getattr(shared, key) == pytest.approx(getattr(per_row, key), rel=1e-12)
+    _assert_relatively_close(shared.re_probs, per_row.re_probs)
+    expected = backward(per_row.trace, params)
+    for name, grad in backward(shared.trace, params).items():
+        _assert_relatively_close(grad, expected[name])
+
+
+class TestSharedSentenceEncoding:
+    """At dropout 0 a training step encodes and CRF-scores each distinct
+    sentence of a batch once and scores every MSLR row from it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(2, 10),
+           batch_size=st.integers(1, 12), shuffle_seed=st.one_of(st.none(), st.integers(0, 99)),
+           use_mask=st.booleans(), use_type=st.booleans())
+    @example(seed=3, n_sentences=6, batch_size=1, shuffle_seed=None, use_mask=True,
+             use_type=True)
+    def test_shared_step_matches_the_per_row_step(self, seed, n_sentences, batch_size,
+                                                   shuffle_seed, use_mask, use_type):
+        corpus = random_corpus(np.random.default_rng(seed), n_sentences)
+        assume(any(sentence.relations for sentence in corpus.sentences))
+        kept, vocab, config, params = _corpus_model(
+            corpus, seed % 1000, dropout=0.0, use_entity_mask=use_mask,
+            use_entity_type=use_type, alpha=0.9, beta=1.2)
+        for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed):
+            _assert_shared_matches_per_row(batch, params, config)
+
+    def test_every_row_one_sentence(self):
+        corpus = load_corpus(SMOKE_CORPUS)
+        kept, vocab, config, params = _corpus_model(corpus, 4, dropout=0.0)
+        kept = [max(kept, key=lambda item: len(item[2]))]
+        (batch,) = make_batches(kept, corpus.types, vocab, 16)
+        assert batch.size >= 3 and batch.sentence_of.tolist() == [0] * batch.size
+        _assert_shared_matches_per_row(batch, params, config)
+
+    def test_dropout_encodes_every_row_with_its_own_masks(self):
+        corpus = load_corpus(SMOKE_CORPUS)
+        kept, vocab, config, params = _corpus_model(corpus, 5, dropout=0.3)
+        batch = make_batches(kept, corpus.types, vocab, 16, shuffle_seed=1)[0]
+        assert batch.sentence_of.max() + 1 < batch.size  # some rows share a sentence
+        a = forward(batch, params, config, rng=np.random.default_rng(6))
+        b = forward(dataclasses.replace(batch, sentence_of=None), params, config,
+                    rng=np.random.default_rng(6))
+        assert a.trace.drop_emb.shape == batch.token_ids.shape + (config.embed_dim,)
+        assert a.trace.sentence_of is None
+        assert a.joint == b.joint and np.array_equal(a.re_probs, b.re_probs)
+        for field in dataclasses.fields(a.trace):
+            if field.name not in ("config", "batch", "gru"):
+                x, y = getattr(a.trace, field.name), getattr(b.trace, field.name)
+                assert np.array_equal(x, y), field.name
+        for name in ("x", "gates", "h"):
+            assert np.array_equal(getattr(a.trace.gru, name), getattr(b.trace.gru, name))
+        grads = backward(b.trace, params)
+        for name, grad in backward(a.trace, params).items():
+            assert np.array_equal(grad, grads[name]), name
 
 
 class TestBackwardBuffer:

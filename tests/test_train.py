@@ -75,6 +75,19 @@ class TestSplit:
         with pytest.raises(ValueError):
             TrainConfig(**{field: 0}).validate()
 
+    @pytest.mark.parametrize("field", ["seed", "split_seed", "shuffle_seed"])
+    def test_config_seeds_are_non_negative_ints(self, field):
+        TrainConfig(**{field: 0}).validate()
+        TrainConfig(**{field: 2**40}).validate()
+        for bad in ("x", -1, 1.5, 3.0, True, False, [1]):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: bad}).validate()
+        if field == "seed":
+            with pytest.raises(ValueError, match="seed"):
+                TrainConfig(seed=None).validate()
+        else:  # None falls back to seed
+            TrainConfig(**{field: None}).validate()
+
     @settings(max_examples=200, deadline=None)
     @given(SPLIT_RATIOS, SPLIT_RATIOS, st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_accepted_ratios_partition_the_corpus(self, val, test, n, seed):
@@ -524,7 +537,8 @@ def row_batch_validation(result, sentences, val_idx, max_len, batch_size=8):
     rows = re_hits = tok_correct = tok_total = 0
     for batch in make_batches(kept, result.types, result.vocab, batch_size):
         out = forward(batch, params, config, mode="train")
-        logits, mask = out.trace.logits_ner, batch.attention_mask
+        # the dropout-free forward encodes each distinct sentence once
+        logits, mask = out.trace.logits_ner[batch.sentence_of], batch.attention_mask
         ner += float(np.sum(crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)))
         picked = out.re_probs[np.arange(batch.size), batch.relation_label]
         re += float(np.sum(-np.log(picked)))
