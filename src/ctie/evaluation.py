@@ -10,6 +10,7 @@ and never enters the positive sets, but it does count toward accuracy.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ from .model import (
     ner_predict,
     relation_head,
 )
-from .mslr import Vocabulary, sentence_rows
+from .mslr import PairRows, Vocabulary, sentence_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -221,6 +222,38 @@ def re_metrics(
     )
 
 
+def gold_pair_report(
+    types: TypeSystem, sentences: Sequence[AnnotatedSentence], gold: np.ndarray,
+    predicted: np.ndarray,
+) -> MetricReport:
+    """``re_metrics(gold_pairs(sentences), predictions)``, counted from
+    relation ids (``types.relations`` order) for predictions that classify
+    some annotated pairs of ``sentences``, those with ids ``gold``, as
+    ``predicted``. The other annotated pairs (those of skipped sentences)
+    count as gold misses. Every relation name must be in ``types``, and no
+    two annotated pairs of a sentence may share their spans (a loaded
+    corpus and ``mslr.pair_rows`` ensure both)."""
+    n = types.num_relations
+    annotated = Counter(r.relation.name for s in sentences for r in s.relations)
+    n_predicted = np.bincount(predicted, minlength=n)
+    n_correct = np.bincount(predicted[predicted == gold], minlength=n)
+    per_class = {
+        rel.name: ClassStats(annotated[rel.name], int(n_predicted[k]), int(n_correct[k]))
+        for k, rel in enumerate(types.relations)
+        if not rel.is_no_relation and (annotated[rel.name] or n_predicted[k])
+    }
+    total = ClassStats(sum(c.gold for c in per_class.values()),
+                       sum(c.predicted for c in per_class.values()),
+                       sum(c.correct for c in per_class.values()))
+    n_annotated = sum(annotated.values())
+    return MetricReport(
+        precision=total.precision, recall=total.recall, f1=total.f1,
+        accuracy=int(n_correct.sum()) / n_annotated if n_annotated else 0.0,
+        per_class=per_class, gold_total=total.gold, predicted_total=total.predicted,
+        correct_total=total.correct,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Model evaluation on annotated sentences
 # ---------------------------------------------------------------------------
@@ -283,30 +316,57 @@ def predict_ner_labels(
     ]
 
 
+def chunk_relation_probs(
+    params: Params, config: ModelConfig, h: np.ndarray, mask: np.ndarray,
+    chunk_rows: Sequence[tuple[int, PairRows]],
+) -> tuple[np.ndarray, PairRows]:
+    """(probs (R, K), rows) for the pair rows of some sentences of one
+    padded encoder chunk ``h`` (B, T, 2h) with ``mask`` (B, T), as
+    ``encode_batches`` yields it. ``chunk_rows`` lists (b, that sentence's
+    ``PairRows``), b its row of the chunk; ``rows`` holds their rows in that
+    order. One ``relation_head`` call scores them all, each row reading its
+    sentence's row of ``h`` through a ``sentence_of`` index, so no row
+    copies its sentence's encoding."""
+    sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
+    rows = PairRows.concat([r for _, r in chunk_rows])
+    *_, probs = relation_head(h, rows.masks(h.shape[1]), rows.head_type, rows.tail_type,
+                              params, config, attention_mask=mask[sentence_of],
+                              sentence_of=sentence_of)
+    return probs, rows
+
+
 def predict_relations_gold_pairs(
     params: Params,
     config: ModelConfig,
     types: TypeSystem,
     sentences: Sequence[AnnotatedSentence],
-    encodings: Sequence[np.ndarray],
+    chunks: Sequence[tuple[np.ndarray, np.ndarray]],
     max_len: int = 256,
-) -> list[PairPrediction]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classify each annotated entity pair using gold spans and gold types
     as features, on the rows training reads (``mslr.sentence_rows``): like
-    training, skip sentences longer than ``max_len``. ``types`` is the
+    training, skip sentences longer than ``max_len``. ``chunks`` are the
+    (h, mask) chunks ``encode_batches`` yields for ``sentences``; each is
+    scored in one ``chunk_relation_probs`` call. ``types`` is the
     checkpoint's: type ids are looked up there by name, and a pair whose
-    relation or entity types it does not know raises a ``DataError``."""
-    preds: list[PairPrediction] = []
-    for i, sentence, rows in sentence_rows(sentences, range(len(sentences)), types, max_len)[0]:
-        n = len(sentence)
-        *_, probs = relation_head(encodings[i], rows.masks(n), rows.head_type, rows.tail_type,
-                                  params, config)
-        preds.extend(
-            PairPrediction(i, tuple(head), tuple(tail), types.relations[k].name)
-            for head, tail, k in zip(rows.heads.tolist(), rows.tails.tolist(),
-                                     np.argmax(probs, axis=1))
-        )
-    return preds
+    relation or entity types it does not know raises a ``DataError``.
+
+    Returns the (gold, predicted) relation ids of the kept rows, in
+    sentence and relation order (``gold_pair_report`` counts them)."""
+    kept = sentence_rows(sentences, range(len(sentences)), types, max_len)[0]
+    gold, predicted = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    k = lo = 0
+    for h, mask in chunks:
+        chunk_rows = []
+        while k < len(kept) and kept[k][0] < lo + len(h):
+            chunk_rows.append((kept[k][0] - lo, kept[k][2]))
+            k += 1
+        lo += len(h)
+        if chunk_rows:
+            probs, rows = chunk_relation_probs(params, config, h, mask, chunk_rows)
+            gold.append(rows.label)
+            predicted.append(np.argmax(probs, axis=1))
+    return np.concatenate(gold), np.concatenate(predicted)
 
 
 def check_confidence_floor(value: float) -> float:
@@ -337,14 +397,19 @@ def evaluate_model(
     pairs; ``re_mode="pipeline"`` runs the end-to-end extractor (decoded
     spans, enumerated pairs) and scores its positive triples.
     ``confidence_floor`` must lie in [0, 1] (``check_confidence_floor``).
+    ``ontology_filter`` and ``confidence_floor`` act on the pipeline's
+    enumerated pairs only, so gold mode rejects them. Arguments are
+    checked before anything is encoded.
     """
+    if re_mode not in ("gold", "pipeline"):
+        raise ValueError(f"unknown re_mode {re_mode!r}")
     check_confidence_floor(confidence_floor)
+    if re_mode == "gold" and (ontology_filter or confidence_floor):
+        raise ValueError("ontology_filter and confidence_floor need re_mode='pipeline'")
     allowed = decode_constraint(config, types.bio_labels)
-    encodings: list[np.ndarray] = []
-    predicted_labels: list[list[str]] = []
-    for h, mask in encode_batches(params, vocab, [s.tokens for s in sentences]):
-        predicted_labels.extend(predict_ner_labels(params, types, h, mask, allowed))
-        encodings.extend(row[: int(n)] for row, n in zip(h, mask.sum(axis=1)))
+    chunks = list(encode_batches(params, vocab, [s.tokens for s in sentences]))
+    predicted_labels = [tags for h, mask in chunks
+                        for tags in predict_ner_labels(params, types, h, mask, allowed)]
     sentence_spans = [decode_spans(t, sentence_index=i) for i, t in enumerate(predicted_labels)]
     gold_label_seqs = [list(s.labels) for s in sentences]
     ner = ner_metrics(
@@ -353,16 +418,18 @@ def evaluate_model(
     )
 
     if re_mode == "gold":
-        predicted_pairs = predict_relations_gold_pairs(
-            params, config, types, sentences, encodings, max_len=max_len
+        gold, predicted = predict_relations_gold_pairs(
+            params, config, types, sentences, chunks, max_len=max_len
         )
-    elif re_mode == "pipeline":
+        re = gold_pair_report(types, sentences, gold, predicted)
+    else:
         from .extract import Extractor
 
         extractor = Extractor(
             params=params, config=config, vocab=vocab, types=types,
             ontology=ontology or OntologySchema.default(),
         )
+        encodings = [row[: int(n)] for h, mask in chunks for row, n in zip(h, mask.sum(axis=1))]
         predicted_pairs = [
             PairPrediction(i, triple.head_span, triple.tail_span, triple.relation)
             for i, (sentence, h, spans) in enumerate(zip(sentences, encodings, sentence_spans))
@@ -370,9 +437,7 @@ def evaluate_model(
                 sentence.tokens, h, spans, i, ontology_filter, confidence_floor
             ).triples
         ]
-    else:
-        raise ValueError(f"unknown re_mode {re_mode!r}")
-    re = re_metrics(gold_pairs(sentences), predicted_pairs)
+        re = re_metrics(gold_pairs(sentences), predicted_pairs)
     return {"ner": ner, "re": re}
 
 

@@ -533,8 +533,14 @@ def decode_constraint(config: ModelConfig, bio_labels: Sequence[str]) -> np.ndar
     return bio_allowed_transitions(bio_labels) if config.bio_constrained_decode else None
 
 
-def entity_pool(h_bigru: np.ndarray, entity_mask) -> np.ndarray:
-    """Masked sum of hidden states over the pair's tokens."""
+def entity_pool(h_bigru: np.ndarray, entity_mask, sentence_of=None) -> np.ndarray:
+    """Masked sum of hidden states over the pair's tokens. With
+    ``sentence_of`` (B,), ``h_bigru`` is (U, T, 2h), one encoding per
+    sentence, and row r pools ``h_bigru[sentence_of[r]]``: the masks are
+    laid out on a (U, slots, T) grid, each row in the next free slot of its
+    sentence, and every slot reads its sentence's encoding by broadcasting,
+    so no row copies it. Each row is the same (1, T) @ (T, 2h) product as
+    without ``sentence_of``."""
     mask = np.asarray(entity_mask, dtype=np.float64)
     if h_bigru.ndim == 2:
         if mask.sum() == 0:
@@ -542,7 +548,15 @@ def entity_pool(h_bigru: np.ndarray, entity_mask) -> np.ndarray:
         return (h_bigru * mask[:, None]).sum(axis=0)
     if np.any(mask.sum(axis=1) == 0):
         raise EmptyMask("entity mask selects no tokens in at least one row")
-    return np.matmul(mask[:, None, :], h_bigru)[:, 0]
+    if sentence_of is None:
+        return np.matmul(mask[:, None, :], h_bigru)[:, 0]
+    order = np.argsort(sentence_of, kind="stable")
+    counts = np.bincount(sentence_of, minlength=len(h_bigru))
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.zeros((len(h_bigru), counts.max(), 1, mask.shape[1]))
+    grid[sentence_of, slot, 0] = mask
+    return np.matmul(grid, h_bigru[:, None])[sentence_of, slot, 0]
 
 
 def relation_features(
@@ -585,16 +599,20 @@ def relation_head(
     params: Params,
     config: ModelConfig,
     attention_mask=None,
+    sentence_of=None,
 ) -> tuple[np.ndarray, ...]:
     """(pool mask, features, logits, probs) for B pair rows. ``h`` is
-    (B, T, 2h) or one sentence's encoding shared by every row; with entity
-    masks off the pool covers ``attention_mask`` (default: all of ``h``)."""
+    (B, T, 2h), one sentence's encoding shared by every row, or, with
+    ``sentence_of`` (B,), U sentence encodings (U, T, 2h) that row r reads
+    at ``sentence_of[r]`` (``entity_pool``); with entity masks off the pool
+    covers ``attention_mask`` (default: all of ``h``)."""
     entity_mask = np.asarray(entity_mask, dtype=np.float64)
-    h = np.broadcast_to(h, entity_mask.shape + h.shape[-1:])
+    if sentence_of is None:
+        h = np.broadcast_to(h, entity_mask.shape + h.shape[-1:])
     pool_mask = entity_mask
     if not config.use_entity_mask:
         pool_mask = np.ones(entity_mask.shape) if attention_mask is None else attention_mask
-    features = relation_features(entity_pool(h, pool_mask), head_type, tail_type,
+    features = relation_features(entity_pool(h, pool_mask, sentence_of), head_type, tail_type,
                                  params["type_embed"], config.use_entity_type)
     logits, probs = relation_logits_and_probs(features, params["re_w"], params["re_b"])
     return pool_mask, features, logits, probs
@@ -699,6 +717,8 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
+    # a batch is a few rows: copying h_d per row costs fewer numpy calls than
+    # relation_head(sentence_of=)'s slot grid
     pool_mask, features, _logits_re, probs_re = relation_head(
         h_d if sentence_of is None else h_d[sentence_of], batch.entity_mask,
         batch.head_type, batch.tail_type, params, config, attention_mask=mask,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,6 +125,11 @@ class PairRows:
     def __len__(self) -> int:
         return len(self.label)
 
+    @classmethod
+    def concat(cls, parts: Sequence["PairRows"]) -> "PairRows":
+        """The rows of ``parts``, in order, as one ``PairRows``."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
     def masks(self, sentence_length: int) -> np.ndarray:
         """(P, T) entity masks of the rows."""
         return entity_masks(sentence_length, self.heads, self.tails)
@@ -199,11 +204,17 @@ def relation_pairs(sentence: AnnotatedSentence, sentence_index: int = 0) -> list
 def pair_rows(sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0) -> PairRows:
     """The gold-pair rows of ``sentence``, with type and relation ids looked
     up by name in ``types``, the type system a checkpoint stores. An entity
-    type or relation that ``types`` does not know raises a ``DataError``."""
+    type or relation that ``types`` does not know raises a ``DataError``;
+    each pair checks its head type, tail type and relation in that order,
+    and the first pair that fails names the error."""
+    pairs = relation_pairs(sentence, sentence_index)
+    type_ids = [types.entity_type(e.entity_type.name).id
+                if types.has_entity_type(e.entity_type.name) else None
+                for e in sentence.entities]
     rows = []
-    for rel, head, tail in relation_pairs(sentence, sentence_index):
-        for entity in (head, tail):
-            if not types.has_entity_type(entity.entity_type.name):
+    for rel, head, tail in pairs:
+        for index, entity in ((rel.head_index, head), (rel.tail_index, tail)):
+            if type_ids[index] is None:
                 raise SchemaError(
                     f"sentence {sentence_index}: entity type {entity.entity_type.name!r} is not "
                     "in the checkpoint's type system"
@@ -213,10 +224,8 @@ def pair_rows(sentence: AnnotatedSentence, types: TypeSystem, sentence_index: in
                 f"sentence {sentence_index}: relation {rel.relation.name!r} is not in the "
                 "checkpoint's type system"
             )
-        rows.append((head.start, head.end, tail.start, tail.end,
-                     types.entity_type(head.entity_type.name).id,
-                     types.entity_type(tail.entity_type.name).id,
-                     types.relation(rel.relation.name).id))
+        rows.append((head.start, head.end, tail.start, tail.end, type_ids[rel.head_index],
+                     type_ids[rel.tail_index], types.relation(rel.relation.name).id))
     table = np.array(rows, dtype=np.int64).reshape(-1, 7)
     return PairRows(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], table[:, 6])
 
@@ -364,10 +373,7 @@ def make_batches(
         tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
         labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
     sentence_of = np.repeat(np.arange(len(kept)), [len(rows) for *_, rows in kept])
-    heads, tails, head_type, tail_type, label = (
-        np.concatenate([getattr(rows, name) for *_, rows in kept])
-        for name in ("heads", "tails", "head_type", "tail_type", "label")
-    )
+    pairs = PairRows.concat([rows for *_, rows in kept])
     origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
     order = np.arange(len(origins))
     if shuffle_seed is not None:
@@ -382,8 +388,9 @@ def make_batches(
         batches.append(Batch(
             token_ids=tokens[s, :width], ner_labels=labels[s, :width],
             attention_mask=(np.arange(width) < n[:, None]).astype(np.float64),
-            entity_mask=entity_masks(width, heads[idx], tails[idx]),
-            head_type=head_type[idx], tail_type=tail_type[idx], relation_label=label[idx],
+            entity_mask=entity_masks(width, pairs.heads[idx], pairs.tails[idx]),
+            head_type=pairs.head_type[idx], tail_type=pairs.tail_type[idx],
+            relation_label=pairs.label[idx],
             lengths=n, origins=tuple(origins[k] for k in idx),
             sentence_of=np.array(local_ids, dtype=np.int64),
         ))

@@ -24,7 +24,6 @@ from .model import (
     init_params,
     load_embedding_file,
     ner_logits,
-    relation_head,
     save_checkpoint,
 )
 from .mslr import Vocabulary, build_vocab, make_batches, sentence_rows
@@ -324,10 +323,11 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
     A sentence's rows share one encoding (``encode_batches``). Its CRF NLL
     and its Viterbi token hits (under the ``allowed`` transition mask) are
     computed once and weighted by its row count, and the relation head
-    scores its rows on that encoding: the means are those of a dropout-free
-    forward over every row, to rounding.
+    scores the rows of each encoder chunk in one call
+    (``evaluation.chunk_relation_probs``, as gold-pair evaluation does): the
+    means are those of a dropout-free forward over every row, to rounding.
     """
-    from .evaluation import encode_batches  # evaluation imports this module
+    from .evaluation import chunk_relation_probs, encode_batches  # evaluation imports this
 
     sums = _Sums()
     tok_correct = tok_total = done = 0
@@ -340,12 +340,16 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
         logits = ner_logits(h, params["ner_w"], params["ner_b"])
         nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        for (_, sentence, rows), h_s, y, path, nll in zip(chunk, h, gold, paths, nlls):
-            n, w = len(sentence), len(rows)
-            *_, probs = relation_head(h_s[:n], rows.masks(n), rows.head_type, rows.tail_type,
-                                      params, config)
-            ce = -float(np.sum(np.log(probs[np.arange(w), rows.label])))
-            sums.add(w * nll, ce, config.alpha * w * nll + config.beta * ce, probs, rows.label)
+        probs, rows = chunk_relation_probs(params, config, h, mask,
+                                           [(b, own) for b, (*_, own) in enumerate(chunk)])
+        ce = -np.log(probs[np.arange(len(rows)), rows.label])
+        lo = 0
+        for (_, sentence, own), y, path, nll in zip(chunk, gold, paths, nlls):
+            n, w = len(sentence), len(own)
+            re = float(np.sum(ce[lo : lo + w]))
+            sums.add(w * nll, re, config.alpha * w * nll + config.beta * re,
+                     probs[lo : lo + w], own.label)
+            lo += w
             tok_correct += w * int(np.sum(np.asarray(path) == y[:n]))
             tok_total += w * n
     return dict(sums.means(), ner_acc=tok_correct / tok_total if tok_total else None)

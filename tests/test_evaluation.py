@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ctie.corpus import load_corpus
+import ctie.evaluation as evaluation
+from ctie.corpus import TypeSystem, load_corpus
 from ctie.evaluation import (
     ABLATION_CONFIGS,
     PairPrediction,
     SpanPrediction,
     decode_spans,
     evaluate_model,
+    gold_pair_report,
     gold_pairs,
     gold_spans,
     ner_metrics,
@@ -20,7 +22,8 @@ from ctie.evaluation import (
     run_ablation,
     spans_to_bio,
 )
-from ctie.model import init_params
+from ctie.model import ModelConfig, init_params, relation_head
+from ctie.mslr import build_vocab, sentence_rows
 from ctie.train import TrainConfig
 
 from helpers import SMOKE_CORPUS, random_corpus, span_layouts
@@ -32,6 +35,21 @@ def span(i, s, e, t):
 
 def pair(i, hs, ts, rel):
     return PairPrediction(i, tuple(hs), tuple(ts), rel)
+
+
+def tiny_model(sentences, types, seed=3, **kwargs):
+    """(params, config, vocab) of an untrained 8/4 model for ``sentences``."""
+    vocab = build_vocab(sentences)
+    config = ModelConfig(
+        vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+        num_relations=types.num_relations, num_entity_types=types.num_entity_types,
+        embed_dim=8, hidden_dim=4, dropout=0.0, **kwargs,
+    )
+    return init_params(config, seed=seed), config, vocab
+
+
+def no_encoding(*args):
+    raise AssertionError("encoded before the arguments were checked")
 
 
 class TestDecodeSpans:
@@ -239,6 +257,23 @@ class TestEvaluateModel:
             evaluate_model(init_params(config, seed=3), config, vocab, corpus.types, sentences,
                            re_mode="pipeline", confidence_floor=floor)
 
+    def test_unknown_re_mode_rejected_before_encoding(self, monkeypatch):
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences[:4]
+        model = tiny_model(sentences, corpus.types)
+        monkeypatch.setattr("ctie.evaluation.encode_batches", no_encoding)
+        with pytest.raises(ValueError, match="unknown re_mode 'oracle'"):
+            evaluate_model(*model, corpus.types, sentences, re_mode="oracle")
+
+    @pytest.mark.parametrize("option", [dict(ontology_filter=True), dict(confidence_floor=0.3)])
+    def test_pipeline_options_rejected_in_gold_mode(self, monkeypatch, option):
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences[:4]
+        model = tiny_model(sentences, corpus.types)
+        monkeypatch.setattr("ctie.evaluation.encode_batches", no_encoding)
+        with pytest.raises(ValueError, match="need re_mode='pipeline'"):
+            evaluate_model(*model, corpus.types, sentences, re_mode="gold", **option)
+
     @pytest.mark.parametrize("chunk", [4, 32])
     def test_batched_ner_decode_matches_per_sentence(self, monkeypatch, chunk):
         import ctie.evaluation as evaluation
@@ -283,6 +318,91 @@ class TestEvaluateModel:
             )
             assert [len(d) for d in decoded] == [min(chunk, 41 - lo) for lo in range(0, 41, chunk)]
             assert [tags for d in decoded for tags in d] == one_by_one
+
+
+class TestGoldPairScoring:
+    """Gold-pair evaluation scores each encoder chunk's rows in one relation
+    head call and counts its RE report from relation ids; the references are
+    per-sentence ``relation_head`` calls and ``re_metrics`` over
+    ``PairPrediction`` objects."""
+
+    @pytest.mark.parametrize("use_mask, use_type",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_chunk_scorer_matches_per_sentence_relation_head(self, monkeypatch, chunk,
+                                                             use_mask, use_type):
+        corpus = load_corpus(SMOKE_CORPUS)
+        types, sentences = corpus.types, corpus.sentences[:41]
+        params, config, vocab = tiny_model(sentences, types, seed=4, use_entity_mask=use_mask,
+                                           use_entity_type=use_type)
+        rng = np.random.default_rng(4)
+        for name in ("re_w", "type_embed"):
+            params[name] = rng.normal(scale=3.0, size=params[name].shape)
+        max_len = 12
+        kept, skipped = sentence_rows(sentences, range(len(sentences)), types, max_len)
+        assert skipped and len({len(s) for _, s, _ in kept}) > 1
+        expected, predictions = [], []
+        for i, sentence, rows in kept:
+            h = next(evaluation.encode_batches(params, vocab, [sentence.tokens]))[0][0]
+            *_, probs = relation_head(h, rows.masks(len(sentence)), rows.head_type,
+                                      rows.tail_type, params, config)
+            expected.append(probs)
+            predictions.extend(
+                pair(i, head, tail, types.relations[k].name)
+                for head, tail, k in zip(rows.heads, rows.tails, np.argmax(probs, axis=1)))
+        expected = np.concatenate(expected)
+
+        monkeypatch.setattr(evaluation, "ENCODE_BATCH", chunk)
+        chunks = list(evaluation.encode_batches(params, vocab, [s.tokens for s in sentences]))
+        scored, lo = [], 0
+        for h, mask in chunks:
+            chunk_rows = [(i - lo, rows) for i, _, rows in kept if lo <= i < lo + len(h)]
+            probs, rows = evaluation.chunk_relation_probs(params, config, h, mask, chunk_rows)
+            assert np.array_equal(rows.label, np.concatenate([r.label for _, r in chunk_rows]))
+            scored.append(probs)
+            lo += len(h)
+        scored = np.concatenate(scored)
+        np.testing.assert_allclose(scored, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(np.argmax(scored, axis=1), np.argmax(expected, axis=1))
+
+        gold, predicted = evaluation.predict_relations_gold_pairs(
+            params, config, types, sentences, chunks, max_len=max_len)
+        assert np.array_equal(gold, np.concatenate([rows.label for *_, rows in kept]))
+        assert np.array_equal(predicted, np.argmax(expected, axis=1))
+        report = evaluate_model(params, config, vocab, types, sentences, max_len=max_len)["re"]
+        assert report == re_metrics(gold_pairs(sentences), predictions)
+
+    def test_every_sentence_overlong(self):
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences[:6]
+        report = evaluate_model(*tiny_model(sentences, corpus.types), corpus.types, sentences,
+                                max_len=2)["re"]
+        assert report == re_metrics(gold_pairs(sentences), [])
+        assert report.predicted_total == 0 and report.gold_total > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 10),
+           max_len=st.integers(2, 16), data=st.data())
+    def test_report_from_ids_matches_re_metrics(self, seed, n_sentences, max_len, data):
+        sentences = random_corpus(np.random.default_rng(seed), n_sentences).sentences
+        # two relations no sentence is annotated with: only predictions name them
+        types = TypeSystem(["HackOrg", "Tool", "Org", "Time"],
+                           ["uses", "targets", "aaPredictedOnly", "zzPredictedOnly"])
+        kept, _ = sentence_rows(sentences, range(len(sentences)), types, max_len)
+        gold = np.array([k for *_, rows in kept for k in rows.label], dtype=np.int64)
+        ids = st.integers(0, types.num_relations - 1)
+        predicted = np.array(data.draw(st.one_of(
+            st.lists(ids, min_size=len(gold), max_size=len(gold)),
+            st.just([types.no_relation.id] * len(gold)),
+            st.just(gold.tolist()),
+        )), dtype=np.int64)
+        rows = [(i, head, tail) for i, _, r in kept for head, tail in zip(r.heads, r.tails)]
+        predictions = [pair(i, head, tail, types.relations[k].name)
+                       for (i, head, tail), k in zip(rows, predicted)]
+        expected = re_metrics(gold_pairs(sentences), predictions)
+        report = gold_pair_report(types, sentences, gold, predicted)
+        assert report == expected
+        assert report.to_dict() == expected.to_dict()
 
 
 class TestAblationHarness:

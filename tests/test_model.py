@@ -491,6 +491,35 @@ class TestRelationHead:
             assert np.argmax(probs) == np.argmax(logits)
 
 
+class TestRowsReadSentenceEncodings:
+    """``relation_head(h, ..., sentence_of=)`` pools each row from its
+    sentence's encoding without a per-row copy, with the same per-row
+    product as on the gathered ``h[sentence_of]``: equal bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 6),
+           n_rows=st.integers(1, 12), use_mask=st.booleans(), use_type=st.booleans())
+    def test_equals_the_gathered_encoding(self, seed, n_sentences, n_rows, use_mask, use_type):
+        rng = np.random.default_rng(seed)
+        config = tiny_config(use_mask=use_mask, use_type=use_type)
+        params = init_params(config, seed=2)
+        width = int(rng.integers(1, 9))
+        h = rng.normal(size=(n_sentences, width, 2 * config.hidden_dim))
+        # rows in any order; some sentences may have none
+        sentence_of = rng.integers(0, n_sentences, size=n_rows)
+        entity_mask = (rng.random((n_rows, width)) < 0.5).astype(float)
+        entity_mask[np.arange(n_rows), rng.integers(0, width, size=n_rows)] = 1.0
+        lengths = rng.integers(1, width + 1, size=(n_rows, 1))
+        attention_mask = (np.arange(width) < lengths).astype(float)
+        types = rng.integers(0, config.num_entity_types, size=(2, n_rows))
+        gathered = relation_head(h[sentence_of], entity_mask, *types, params, config,
+                                 attention_mask=attention_mask)
+        shared = relation_head(h, entity_mask, *types, params, config,
+                               attention_mask=attention_mask, sentence_of=sentence_of)
+        for a, b in zip(gathered, shared):
+            assert np.array_equal(a, b)
+
+
 class TestJointLoss:
     def test_weighted_sum(self):
         assert joint_loss(2.0, 0.5, 1.0, 1.0) == 2.5

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctie.corpus import load_corpus
-from ctie.errors import DuplicatePairError, LengthError, OverlapError
+from ctie.corpus import TypeSystem, load_corpus
+from ctie.errors import (
+    DuplicatePairError,
+    LengthError,
+    OverlapError,
+    SchemaError,
+    UnknownRelation,
+)
 from ctie.mslr import (
     PAD_ID,
     UNK_ID,
@@ -20,6 +26,7 @@ from ctie.mslr import (
     expand,
     make_batches,
     make_entity_mask,
+    pair_rows,
     sentence_rows,
 )
 
@@ -166,6 +173,46 @@ class TestEntityMask:
             masks = entity_masks(n, bounds[:, 0], bounds[:, 1])
             assert masks.dtype == np.float64
             assert np.array_equal(masks, [make_entity_mask(n, head, tail) for head, tail in pairs])
+
+
+class TestPairRows:
+    """``pair_rows`` looks up each entity's type once per sentence, yet each
+    pair still checks its head type, tail type and relation in that order,
+    and the first pair that fails names the error."""
+
+    KNOWN = TypeSystem(["HackOrg", "Tool"], ["uses"])
+
+    @staticmethod
+    def sentence(relations, types=("HackOrg", "Tool", "Odd", "Rare")):
+        """One sentence whose entity k is token 2k, of type ``types[k]``."""
+        return one_sentence([{
+            "text": "a b c d e f g h",
+            "entities": [[2 * k, 2 * k + 1, name] for k, name in enumerate(types)],
+            "relations": relations,
+            "entity_labels": [tag for name in types for tag in (f"B-{name}", "O")],
+        }])[0]
+
+    @pytest.mark.parametrize("relations, error, message", [
+        # an unknown relation in the first pair beats an unknown type in a later one
+        ([[0, "mystery", 1], [0, "uses", 2]], UnknownRelation, "relation 'mystery'"),
+        ([[0, "uses", 2], [0, "mystery", 1]], SchemaError, "entity type 'Odd'"),
+        # within a pair: head type, then tail type, then relation
+        ([[2, "mystery", 3]], SchemaError, "entity type 'Odd'"),
+        ([[3, "mystery", 2]], SchemaError, "entity type 'Rare'"),
+        ([[0, "mystery", 3]], SchemaError, "entity type 'Rare'"),
+    ])
+    def test_first_failing_pair_names_the_error(self, relations, error, message):
+        with pytest.raises(error) as info:
+            pair_rows(self.sentence(relations), self.KNOWN, sentence_index=5)
+        assert str(info.value) == (f"sentence 5: {message} is not in the checkpoint's "
+                                   "type system")
+
+    def test_unknown_type_of_an_unpaired_entity_is_never_read(self):
+        rows = pair_rows(self.sentence([[1, "uses", 0]]), self.KNOWN)
+        assert rows.heads.tolist() == [[2, 3]] and rows.tails.tolist() == [[0, 1]]
+        assert rows.head_type.tolist() == [self.KNOWN.entity_type("Tool").id]
+        assert rows.tail_type.tolist() == [self.KNOWN.entity_type("HackOrg").id]
+        assert rows.label.tolist() == [self.KNOWN.relation("uses").id]
 
 
 class TestEncode:
