@@ -26,11 +26,12 @@ in the test suite).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -76,6 +77,7 @@ class ModelConfig:
         return self.num_ner_labels + 2
 
     def validate(self) -> None:
+        check_field_types(self)
         for name in ("vocab_size", "num_ner_labels", "num_relations",
                      "num_entity_types", "embed_dim", "hidden_dim"):
             if getattr(self, name) <= 0:
@@ -91,6 +93,26 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         return cls(**payload)
+
+
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "bool": ((bool,), "true or false")}
+
+
+def check_field_types(config) -> None:
+    """ValueError naming the first field of the dataclass ``config`` whose
+    value is not of its annotated type: an int field takes ints, a float
+    field ints and floats, a bool field only bools, and no other field a
+    bool; a field annotated ``X | None`` also takes None."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        accepted, described = _FIELD_TYPES[kind]
+        if value is None and optional:
+            continue
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
+            raise ValueError(f"{f.name} must be {described}"
+                             f"{' or null' if optional else ''}, got {value!r}")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -826,8 +848,10 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
 
 _CKPT_MAGIC = b"CTIECKPT"
 _EMB_MAGIC = b"CTIEEMBD"
-# Version 2: gate-concatenated GRU arrays and a payload SHA-256 in the header.
-_FORMAT_VERSION = 2
+# Version 3: float64 arrays back to back after the JSON header, and a
+# SHA-256 of every byte before it as the trailer.
+_FORMAT_VERSION = 3
+_DIGEST_BYTES = 32
 
 
 def write_atomic(path: str | Path, *chunks) -> None:
@@ -849,62 +873,62 @@ def write_atomic(path: str | Path, *chunks) -> None:
         raise
 
 
-def _write_container(path: Path, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
-    """Write atomically (``write_atomic``): a write that fails midway leaves
-    any previous file at ``path`` intact. The header records the SHA-256 of
-    the payload (the arrays' bytes)."""
-    arrays = [np.ascontiguousarray(arr) for arr in arrays]
+def _write_container(path: Path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``magic``, the ``<IQ`` format version and header length, the
+    JSON ``header`` with an ``arrays`` manifest (name and shape, in order),
+    the arrays as float64, back to back, and last the SHA-256 of every byte
+    before it. Atomic (``write_atomic``)."""
+    arrays = {name: np.ascontiguousarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+    manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
+    blob = json.dumps({**header, "arrays": manifest}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    chunks = [magic, struct.pack("<IQ", _FORMAT_VERSION, len(blob)), blob, *arrays.values()]
     digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(arr)
-    header = {**header, "payload_sha256": digest.hexdigest()}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomic(path, magic, struct.pack("<I", _FORMAT_VERSION), struct.pack("<Q", len(blob)),
-                 blob, *arrays)
+    for chunk in chunks:
+        digest.update(chunk)
+    write_atomic(path, *chunks, digest.digest())
 
 
-def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
-    """(JSON header, payload bytes). A file cut inside the fixed or the
-    JSON header, a header that does not decode, an older format version or
-    a payload whose SHA-256 differs from the header's raises SchemaError."""
+def _read_container(path: Path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """(JSON header, arrays by name) of a file ``_write_container`` wrote.
+    SchemaError naming the file, checked in this order: a file too short
+    for the fixed header and the trailer, a bad magic, a format version
+    other than 3, a trailer that is not the SHA-256 of the bytes before it,
+    a header that does not decode, and a manifest whose arrays do not tile
+    the bytes from the header's end to the trailer."""
     raw = Path(path).read_bytes()
-    fixed = len(magic) + 12
-    if len(raw) < fixed:
-        raise SchemaError(f"{path}: {len(raw)} bytes, shorter than a container header")
+    start = len(magic) + 12
+    if len(raw) < start + _DIGEST_BYTES:
+        raise SchemaError(f"{path}: {len(raw)} bytes, too short for a container")
     if raw[: len(magic)] != magic:
         raise SchemaError(f"{path}: bad magic, not a {magic.decode()} file")
     version, header_len = struct.unpack_from("<IQ", raw, len(magic))
-    if version == 1:
-        raise SchemaError(
-            f"{path}: container format version 1 predates version {_FORMAT_VERSION} "
-            "(gate-concatenated GRU arrays, payload SHA-256), the only one this build "
-            "reads; retrain the model, or rebuild the embedding file"
-        )
-    if version != _FORMAT_VERSION:
+    if version < _FORMAT_VERSION:
+        raise SchemaError(f"{path}: container format version {version} predates version "
+                          f"{_FORMAT_VERSION}, the only one this build reads; retrain the "
+                          "model, or rebuild the embedding file")
+    if version > _FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported container version {version}")
-    end = fixed + header_len
-    if len(raw) < end:
-        raise SchemaError(f"{path}: file ends inside its {header_len}-byte JSON header")
+    body = len(raw) - _DIGEST_BYTES
+    if hashlib.sha256(memoryview(raw)[:body]).digest() != raw[body:]:
+        raise SchemaError(f"{path}: SHA-256 trailer does not match the file "
+                          "(it is cut, padded or corrupted)")
+    end = start + header_len
     try:
-        header = json.loads(raw[fixed:end].decode("utf-8"))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: JSON header does not decode ({exc})") from None
-    if not isinstance(header, dict):
-        raise SchemaError(f"{path}: JSON header is not an object")
-    payload = raw[end:]
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
-        raise SchemaError(
-            f"{path}: payload SHA-256 does not match its header "
-            "(the file is cut, padded or corrupted)"
-        )
-    return header, payload
-
-
-def _check_payload(path, payload: bytes, nbytes: int) -> None:
-    if len(payload) != nbytes:
-        raise SchemaError(
-            f"{path}: payload holds {len(payload)} bytes, the header declares {nbytes}"
-        )
+        header = json.loads(raw[start:end].decode("utf-8"))
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        if not all(isinstance(name, str) and all(type(n) is int and n >= 0 for n in shape)
+                   for name, shape in manifest):
+            raise ValueError("array names must be strings and shapes non-negative ints")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed container header ({exc})") from None
+    bounds = list(itertools.accumulate((math.prod(shape) for _, shape in manifest), initial=0))
+    if end + 8 * bounds[-1] != body or len({name for name, _ in manifest}) != len(manifest):
+        raise SchemaError(f"{path}: the header's arrays do not tile the bytes before the trailer")
+    flat = np.frombuffer(memoryview(raw)[end:body], dtype=np.float64)
+    arrays = {name: flat[bounds[i]:bounds[i + 1]].reshape(shape).copy()
+              for i, (name, shape) in enumerate(manifest)}
+    return header, arrays
 
 
 @dataclass
@@ -915,47 +939,21 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params: Params, config: ModelConfig, extras: dict | None = None) -> None:
-    names = sorted(params)
-    manifest = []
-    offset = 0
-    for name in names:
-        arr = params[name]
-        nbytes = arr.size * 8
-        manifest.append(
-            {"name": name, "dtype": "float64", "shape": list(arr.shape), "offset": offset}
-        )
-        offset += nbytes
-    header = {
-        "kind": "checkpoint",
-        "config": config.to_dict(),
-        "extras": extras or {},
-        "arrays": manifest,
-    }
-    _write_container(Path(path), _CKPT_MAGIC, header, [
-        np.asarray(params[n], dtype=np.float64) for n in names
-    ])
+    header = {"config": config.to_dict(), "extras": extras or {}}
+    _write_container(Path(path), _CKPT_MAGIC, header, {n: params[n] for n in sorted(params)})
 
 
 def load_checkpoint(path) -> Checkpoint:
-    header, payload = _read_container(Path(path), _CKPT_MAGIC)
+    header, params = _read_container(Path(path), _CKPT_MAGIC)
     try:
         config = ModelConfig.from_dict(header["config"])
-        manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
-        _check_payload(path, payload, sum(8 * math.prod(shape) for _, shape, _ in manifest))
-        params: Params = {
-            name: np.frombuffer(
-                payload, dtype=np.float64, count=math.prod(shape), offset=offset
-            ).reshape(shape).copy()
-            for name, shape, offset in manifest
-        }
-        for key in "wub":  # checkpoints before the stacked layout: one array per direction
-            legacy = (f"gru_fwd.{key}", f"gru_bwd.{key}")
-            if any(name in params for name in legacy):
-                params[f"gru.{key}"] = np.stack([params.pop(name) for name in legacy])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed checkpoint manifest ({exc})") from None
-    validate_params(params, config)
-    return Checkpoint(config=config, params=params, extras=header.get("extras", {}))
+        config.validate()
+        if not isinstance(header["extras"], dict):
+            raise TypeError("extras is not an object")
+        validate_params(params, config)
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise SchemaError(f"{path}: malformed checkpoint ({exc})") from None
+    return Checkpoint(config=config, params=params, extras=header["extras"])
 
 
 def checkpoint_tables(ckpt: Checkpoint, path) -> tuple[Vocabulary, TypeSystem]:
@@ -977,27 +975,16 @@ def checkpoint_tables(ckpt: Checkpoint, path) -> tuple[Vocabulary, TypeSystem]:
 
 
 def save_embedding_file(path, vectors: np.ndarray, vocab_hash: str) -> None:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    header = {
-        "kind": "token-embeddings",
-        "vocab_hash": vocab_hash,
-        "count": int(vectors.shape[0]),
-        "dim": int(vectors.shape[1]),
-    }
-    _write_container(Path(path), _EMB_MAGIC, header, [vectors])
+    _write_container(Path(path), _EMB_MAGIC, {"vocab_hash": vocab_hash}, {"embed": vectors})
 
 
 def load_embedding_file(path, expected_vocab_hash: str | None = None) -> np.ndarray:
-    header, payload = _read_container(Path(path), _EMB_MAGIC)
-    try:
-        vocab_hash = str(header["vocab_hash"])
-        if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-            raise SchemaError(
-                "embedding file was built for a different vocabulary "
-                f"(hash {vocab_hash[:12]}... != {expected_vocab_hash[:12]}...)"
-            )
-        count, dim = int(header["count"]), int(header["dim"])
-        _check_payload(path, payload, 8 * count * dim)
-        return np.frombuffer(payload, dtype=np.float64).reshape(count, dim).copy()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed embedding header ({exc})") from None
+    header, arrays = _read_container(Path(path), _EMB_MAGIC)
+    vocab_hash, vectors = header.get("vocab_hash"), arrays.get("embed")
+    if not isinstance(vocab_hash, str) or set(arrays) != {"embed"} or vectors.ndim != 2:
+        raise SchemaError(f"{path}: malformed embedding file (it must hold a vocab_hash "
+                          "and one 2-D array, embed)")
+    if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
+        raise SchemaError(f"{path}: embedding file was built for a different vocabulary "
+                          f"(hash {vocab_hash[:12]}... != {expected_vocab_hash[:12]}...)")
+    return vectors

@@ -19,6 +19,7 @@ from .model import (
     ModelConfig,
     Params,
     backward,
+    check_field_types,
     decode_constraint,
     forward,
     init_params,
@@ -50,17 +51,18 @@ class TrainConfig:
     min_freq: int = 1
 
     def validate(self) -> None:
-        check_split_ratios((self.train_ratio, self.val_ratio, self.test_ratio))
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning rate, batch size, and epochs must be positive")
-        if self.max_len < 1 or self.min_freq < 1:
-            raise ValueError("max_len and min_freq must be at least 1")
         for name in ("seed", "split_seed", "shuffle_seed"):
             value = getattr(self, name)
             if value is None and name != "seed":
                 continue
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        check_field_types(self)
+        check_split_ratios((self.train_ratio, self.val_ratio, self.test_ratio))
+        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("learning rate, batch size, and epochs must be positive")
+        if self.max_len < 1 or self.min_freq < 1:
+            raise ValueError("max_len and min_freq must be at least 1")
 
     @property
     def effective_split_seed(self) -> int:

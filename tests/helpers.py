@@ -217,16 +217,6 @@ def tiny_config(use_mask: bool = True, use_type: bool = True, dropout: float = 0
     )
 
 
-def per_direction_params(params):
-    """``params`` in the layout of checkpoints written before the GRU
-    directions were stacked: ``gru_fwd.*`` and ``gru_bwd.*`` arrays in
-    place of each stacked ``gru.*`` array."""
-    out = {name: arr for name, arr in params.items() if not name.startswith("gru.")}
-    for key in "wub":
-        out[f"gru_fwd.{key}"], out[f"gru_bwd.{key}"] = params[f"gru.{key}"]
-    return out
-
-
 def tiny_batch():
     """Two rows, T=5, with one padded row so masking is exercised."""
     from ctie.mslr import Batch

@@ -121,7 +121,13 @@ class TestUsageErrors:
         (("--max-len", "0"), None, "max_len"),
         (("--dropout", "1.0"), None, "dropout"),
         ((), {"train_ratio": -0.2, "val_ratio": 0.6, "test_ratio": 0.6}, "split ratios"),
-    ], ids=["max-len-zero", "dropout-one", "negative-split-ratio"])
+        ((), {"epochs": 1.5}, "epochs must be an integer"),
+        ((), {"grad_clip_norm": "1"}, "grad_clip_norm must be a number"),
+        ((), {"use_entity_mask": "no"}, "use_entity_mask must be true or false"),
+        ((), {"batch_size": True}, "batch_size must be an integer"),
+        ((), {"max_len": 2.5}, "max_len must be an integer"),
+    ], ids=["max-len-zero", "dropout-one", "negative-split-ratio", "epochs-float",
+            "grad-clip-norm-str", "use-entity-mask-str", "batch-size-bool", "max-len-float"])
     def test_rejected_config_values_exit_two_before_writing(
             self, tmp_path, capsys, command, argv, file_config, message):
         if file_config is not None:
@@ -254,6 +260,15 @@ class TestTrain:
         assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "third",
                    "--epochs", "1", *TRAIN_FLAGS[2:],
                    "--pretrained-embeddings", bad) == 1
+
+        # so is one flipped bit in the header
+        blob = bytearray(emb_path.read_bytes())
+        blob[blob.index(b'"embed"') + 1] ^= 0x01
+        flipped = tmp_path / "flipped.emb"
+        flipped.write_bytes(bytes(blob))
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "flipped",
+                   "--epochs", "1", *TRAIN_FLAGS[2:],
+                   "--pretrained-embeddings", flipped) == 1
 
     def test_one_log_line_per_skipped_sentence(self, tmp_path, capsys):
         assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
@@ -824,21 +839,33 @@ class TestCorruptCheckpoint:
             blob[pos] ^= 0x01
             assert self._eval(tmp_path, bytes(blob), capsys) == 1, pos
 
-    def test_version_one_file_exits_one_naming_the_version(self, checkpoint, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_one_file_exits_one_naming_the_version(self, version, checkpoint, tmp_path,
+                                                           capsys):
         import struct
 
-        (header_len,) = struct.unpack_from("<Q", checkpoint, 12)
-        header = json.loads(checkpoint[20:20 + header_len])
-        del header["payload_sha256"]
-        blob = json.dumps(header).encode()
-        v1 = (checkpoint[:8] + struct.pack("<IQ", 1, len(blob)) + blob
-              + checkpoint[20 + header_len:])
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(v1)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(checkpoint[:8] + struct.pack("<I", version) + checkpoint[12:])
         assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path,
                    "--split", "all") == 1
         err = capsys.readouterr().err
-        assert "version 1" in err and "retrain" in err
+        assert f"version {version}" in err and "retrain" in err
+
+    def test_flipped_header_bit_exits_one_in_eval_and_extract(self, checkpoint, tmp_path,
+                                                              capsys):
+        # "APT28" -> "@PT28" in the stored vocabulary: a reader that trusts
+        # the header loads it and reads the word as unknown
+        blob = bytearray(checkpoint)
+        blob[blob.index(b'"APT28"') + 1] ^= 0x01
+        path = tmp_path / "flipped.ckpt"
+        path.write_bytes(bytes(blob))
+        text = tmp_path / "sentences.txt"
+        text.write_text("APT28 used Mimikatz to target banking networks in Europe .\n")
+        for argv in (("eval", "--dataset", SMOKE_CORPUS, "--split", "all"),
+                     ("extract", "--input", text)):
+            assert run(*argv, "--checkpoint", path, "--out", tmp_path / argv[0]) == 1, argv
+            assert f"error: {path}: SHA-256" in capsys.readouterr().err
+            assert not (tmp_path / argv[0]).exists()
 
 
 class TestEvalSplitNeedsTrainConfig:

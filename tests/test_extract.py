@@ -26,7 +26,7 @@ from ctie.extract import (
 from ctie.model import ModelConfig, init_params, relation_head, save_checkpoint
 from ctie.mslr import build_vocab, make_entity_mask
 
-from helpers import SMOKE_CORPUS, per_direction_params
+from helpers import SMOKE_CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -237,20 +237,6 @@ class TestExtract:
         a = extractor.extract_text("APT28 used Mimikatz against banks")
         b = loaded.extract_text("APT28 used Mimikatz against banks")
         assert [t.key for t in a.triples] == [t.key for t in b.triples]
-
-    def test_per_direction_checkpoint_extracts_alike(self, extractor, tmp_path):
-        # a checkpoint in the layout before the GRU directions were stacked
-        # loads to the same arrays, so it extracts exactly the same triples
-        tagger = _tagging_extractor(extractor, constrained=False)
-        extras = {"vocab": tagger.vocab.to_list(), "types": tagger.types.to_dict()}
-        loaded = []
-        for name, params in (("new", tagger.params), ("old", per_direction_params(tagger.params))):
-            save_checkpoint(tmp_path / f"{name}.ckpt", params, tagger.config, extras=extras)
-            loaded.append(Extractor.from_checkpoint(tmp_path / f"{name}.ckpt"))
-        tokens = "APT28 used Mimikatz against banks in 2014 .".split()
-        new, old = (x.extract_tokens(tokens) for x in loaded)
-        assert new.triples
-        assert old == new
 
 
 def _tagging_extractor(extractor, constrained):

@@ -1,6 +1,10 @@
 """Layer-level oracles and forward-pass contracts for the joint model."""
 
 import dataclasses
+import hashlib
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ from ctie.model import (
 from ctie.corpus import load_corpus
 from ctie.mslr import Batch, build_vocab, make_batches, sentence_rows
 
-from helpers import SMOKE_CORPUS, per_direction_params, random_corpus, tiny_batch, tiny_config
+from helpers import SMOKE_CORPUS, random_corpus, tiny_batch, tiny_config
 
 
 class TestEmbed:
@@ -824,28 +828,15 @@ class TestCheckpoint:
         with pytest.raises(SchemaError):
             load_checkpoint(path)
 
-    def test_per_direction_checkpoint_loads_stacked(self, tmp_path):
-        # checkpoints written before the stacked layout still load
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_dim", 3.0), ("use_entity_mask", "no"), ("dropout", True),
+    ])
+    def test_mistyped_stored_config_rejected(self, tmp_path, field, value):
         config = tiny_config()
-        params = init_params(config, seed=15)
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, per_direction_params(params), config)
-        loaded = load_checkpoint(path).params
-        assert set(loaded) == set(params)
-        for name in params:
-            assert np.array_equal(loaded[name], params[name]), name
-
-    @pytest.mark.parametrize("partner", ["missing", "mis-shaped"])
-    def test_per_direction_checkpoint_without_partner_rejected(self, tmp_path, partner):
-        config = tiny_config()
-        params = per_direction_params(init_params(config, seed=15))
-        if partner == "missing":
-            del params["gru_bwd.u"]
-        else:
-            params["gru_bwd.u"] = params["gru_bwd.u"][:, :-1]
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, params, config)
-        with pytest.raises(SchemaError, match="gru_bwd.u|shape"):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=15),
+                        dataclasses.replace(config, **{field: value}))
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: .*{field}"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -913,7 +904,7 @@ class TestEmbeddingFile:
     def test_hash_mismatch(self, tmp_path):
         path = tmp_path / "emb.bin"
         save_embedding_file(path, np.zeros((3, 2)), vocab_hash="aaaa")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
             load_embedding_file(path, expected_vocab_hash="bbbb")
 
     def test_cut_or_padded_file_rejected(self, tmp_path):
@@ -929,6 +920,93 @@ class TestEmbeddingFile:
         config = tiny_config()
         with pytest.raises(SchemaError):
             init_params(config, seed=20, pretrained_embed=np.zeros((2, 2)))
+
+
+def _save_checkpoint(path):
+    config = tiny_config()
+    save_checkpoint(path, init_params(config, seed=22), config,
+                    extras={"vocab": ["<pad>", "<unk>", "x"]})
+
+
+def _save_embeddings(path):
+    save_embedding_file(path, np.arange(12.0).reshape(4, 3), vocab_hash="abc123")
+
+
+CONTAINERS = {"checkpoint": (_save_checkpoint, load_checkpoint),
+              "embeddings": (_save_embeddings, load_embedding_file)}
+
+
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit`` applied to its JSON header and its SHA-256
+    trailer recomputed, as a writer that meant it would."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + header_len])
+    edit(header)
+    text = json.dumps(header).encode()
+    body = blob[:8] + struct.pack("<IQ", 3, len(text)) + text + blob[20 + header_len:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _set(index, key, value):
+    """A header edit: manifest entry ``index``'s ``key`` set to ``value``."""
+    def edit(header):
+        header["arrays"][index][key] = value
+    return edit
+
+
+class TestContainerIntegrity:
+    """The trailer's SHA-256 covers every byte of a checkpoint or embedding
+    file, and the manifest's arrays must tile the bytes before it."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = {}
+        for kind, (save, load) in CONTAINERS.items():
+            path = tmp_path_factory.mktemp(kind) / "intact.bin"
+            save(path)
+            out[kind] = (path.read_bytes(), load, path.with_name("corrupt.bin"))
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_flip_cut_or_padding_is_rejected(self, saved, kind, data):
+        blob, load, path = saved[kind]
+        how = data.draw(st.sampled_from(["flip", "cut", "pad"]))
+        if how == "flip":
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            bad = bytearray(blob)
+            bad[bit // 8] ^= 1 << (bit % 8)
+        elif how == "cut":
+            bad = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            bad = blob + data.draw(st.binary(min_size=1, max_size=64))
+        path.write_bytes(bytes(bad))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("embeddings", _set(0, "shape", [3, 3])),
+        ("embeddings", _set(0, "shape", [5, 3])),
+        ("embeddings", _set(0, "shape", [-4, -3])),
+        ("embeddings", _set(0, "shape", [4.0, 3])),
+        ("embeddings", lambda header: header.update(arrays=[{"name": "embed",
+                                                             "shape": [2, 3]}] * 2)),
+        ("checkpoint", lambda header: header["arrays"].pop()),
+    ], ids=["row-short", "row-over", "negative-dims", "float-dim", "repeated-name",
+            "array-unlisted"])
+    def test_valid_digest_over_an_untiled_manifest_is_rejected(self, saved, kind, edit):
+        blob, load, path = saved[kind]
+        path.write_bytes(_rewrite_header(blob, edit))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_other_versions_are_rejected_by_number(self, saved, version):
+        blob, load, path = saved["embeddings"]
+        path.write_bytes(blob[:8] + struct.pack("<I", version) + blob[12:])
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: .*version {version}"):
+            load(path)
 
 
 def test_param_shapes_cover_all_arrays():
