@@ -993,9 +993,10 @@ class TestContainerIntegrity:
         ("embeddings", lambda header: header.update(arrays=[{"name": "embed",
                                                              "shape": [2, 3]}] * 2)),
         ("checkpoint", lambda header: header["arrays"].pop()),
+        ("checkpoint", lambda header: header.update(extras=[])),
     ], ids=["row-short", "row-over", "negative-dims", "float-dim", "repeated-name",
-            "array-unlisted"])
-    def test_valid_digest_over_an_untiled_manifest_is_rejected(self, saved, kind, edit):
+            "array-unlisted", "extras-not-object"])
+    def test_valid_digest_over_a_malformed_header_is_rejected(self, saved, kind, edit):
         blob, load, path = saved[kind]
         path.write_bytes(_rewrite_header(blob, edit))
         with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
