@@ -280,26 +280,39 @@ def gold_pairs(sentences: Sequence[AnnotatedSentence]) -> list[PairPrediction]:
     ]
 
 
-ENCODE_BATCH = 32  # sentences per padded encoder batch
+ENCODE_CELLS = 2048  # padded (sentence, step) cells per encoder chunk
 
 
 def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]],
                    projection: InputProjection | None = None):
-    """Yield (h (B, T, 2h), mask (B, T)) for each ``ENCODE_BATCH`` sentences:
-    one deterministic encoder pass per sentence, padded to the chunk's
-    longest. Every chunk reads one ``projection`` of ``params`` (a new one
-    when none is given), so a token id repeated across the sentences has
-    its input pre-activations computed once."""
+    """Yield (h (B, T, 2h), mask (B, T)) for consecutive chunks of
+    ``token_seqs``, in order: one deterministic encoder pass per sentence,
+    padded to the chunk's longest. A chunk takes sentences while B * T
+    stays within ``ENCODE_CELLS``, and always takes at least one, so a
+    sentence longer than the budget is a chunk of its own. Few, full chunks
+    mean few walks of the recurrence, each on many rows; the budget also
+    bounds a chunk's arrays. At 768/256, 32 sentences of 256 tokens in one
+    chunk gather (2, 8192, 768) float64 gate pre-activations, 100 MB; under
+    2048 cells they are at most (2, 2048, 768), 25 MB. Every chunk reads
+    one ``projection`` of ``params`` (a new one when none is given), so a
+    token id repeated across the sentences has its input pre-activations
+    computed once."""
     if projection is None:
         projection = InputProjection(params)
-    for lo in range(0, len(token_seqs), ENCODE_BATCH):
-        chunk = token_seqs[lo : lo + ENCODE_BATCH]
-        ids = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
+    lo = 0
+    while lo < len(token_seqs):
+        hi, longest = lo + 1, len(token_seqs[lo])
+        while hi < len(token_seqs) and (
+                (hi + 1 - lo) * max(longest, len(token_seqs[hi])) <= ENCODE_CELLS):
+            longest = max(longest, len(token_seqs[hi]))
+            hi += 1
+        ids = np.zeros((hi - lo, longest), dtype=np.int64)
         mask = np.zeros(ids.shape)
-        for b, tokens in enumerate(chunk):
+        for b, tokens in enumerate(token_seqs[lo:hi]):
             ids[b, : len(tokens)] = [vocab.id(t) for t in tokens]
             mask[b, : len(tokens)] = 1.0
         yield encode(ids, mask, params, projection), mask
+        lo = hi
 
 
 def predict_ner_labels(

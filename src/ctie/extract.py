@@ -1,13 +1,14 @@
 """End-to-end inference: sentence text -> decoded spans -> classified
 entity pairs -> relation triples -> graph-ready export.
 
-``Extractor.extract_many`` is the one inference path: each padded batch
-of ``ENCODE_BATCH`` sentences takes one encoder call and one batched
-Viterbi call, and each sentence's pairs are then scored from its row of
-that encoding. ``extract_tokens`` and ``extract_text`` run it on a batch
-of one. An ``Extractor`` keeps one ``InputProjection`` of its ``params``
-over all its calls, so a token id's GRU input pre-activations are
-computed once per extractor, not once per sentence.
+``Extractor.extract_many`` is the one inference path: each padded chunk
+of consecutive sentences (as many as fit ``evaluation.ENCODE_CELLS``
+padded cells) takes one encoder call and one batched Viterbi call, and
+each sentence's pairs are then scored from its row of that encoding.
+``extract_tokens`` and ``extract_text`` run it on a batch of one. An
+``Extractor`` keeps one ``InputProjection`` of its ``params`` over all
+its calls, so a token id's GRU input pre-activations are computed once
+per extractor, not once per sentence.
 
 Every ordered pair of decoded entities is classified; a pair survives as
 a triple when its argmax relation is not noRelation and its probability
@@ -170,7 +171,7 @@ class Extractor:
         spans: Sequence[Sequence[SpanPrediction]] | None = None,
     ) -> list[ExtractionResult]:
         """Run the pipeline on tokenized sentences, numbered from
-        ``first_index``: one encoder pass per ``ENCODE_BATCH`` sentences,
+        ``first_index``: one encoder pass per chunk of ``encode_batches``,
         then NER and every candidate pair scored from that encoding.
 
         Pass ``spans`` (one span list per sentence) to skip NER and

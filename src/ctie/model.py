@@ -219,11 +219,12 @@ def embed(token_ids, table: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, written over ``x`` and returned; ``exp`` only ever
     sees ``-|x|``, so it cannot overflow. Per element this is 1 / (1 + e)
-    for x >= 0 and e / (1 + e) below, with e = exp(-|x|)."""
-    e = np.abs(x)
-    np.negative(e, out=e)
+    for x >= 0 and e / (1 + e) below, with e = exp(-|x|). The numerator is
+    ``max(e, x >= 0)``, that is 1 or e since e <= 1, with no per-element
+    branch to mispredict on random signs."""
+    e = np.copysign(x, -1.0)
     np.exp(e, out=e)
-    numerator = np.where(x >= 0, 1.0, e)
+    numerator = np.maximum(e, x >= 0)
     e += 1.0
     return np.divide(numerator, e, out=x)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
 from .crf import crf_decode, crf_nll
-from .errors import DataError, NonFiniteLoss
+from .errors import DataError, NonFiniteLoss, SchemaError
 from .model import (
     ModelConfig,
     Params,
@@ -402,6 +402,10 @@ def train_loop(
         num_entity_types=types.num_entity_types,
         **model_kwargs,
     )
+    if pretrained_embed is not None and pretrained_embed.shape[1] != config.embed_dim:
+        raise SchemaError(f"{pretrained_embeddings}: embedding file holds "
+                          f"{pretrained_embed.shape[1]}-dim vectors, but embed_dim is "
+                          f"{config.embed_dim}")
     allowed = decode_constraint(config, types.bio_labels)
     params = init_params(config, seed=train_config.seed, pretrained_embed=pretrained_embed)
     state = init_adamw(params)

@@ -270,6 +270,24 @@ class TestTrain:
                    "--epochs", "1", *TRAIN_FLAGS[2:],
                    "--pretrained-embeddings", flipped) == 1
 
+    def test_embedding_dim_mismatch_names_the_file(self, tmp_path, capsys):
+        import numpy as np
+        from ctie.model import save_embedding_file
+        from ctie.mslr import Vocabulary
+
+        first = tmp_path / "first"
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", first,
+                   "--epochs", "1", *TRAIN_FLAGS[2:]) == 0
+        vocab = Vocabulary(json.loads((first / "vocab.json").read_text()))
+        emb_path = tmp_path / "vectors.emb"
+        save_embedding_file(emb_path, np.zeros((len(vocab), 8)), vocab.content_hash())
+        capsys.readouterr()
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "second",
+                   "--epochs", "1", *TRAIN_FLAGS[2:], "--embed-dim", "16",
+                   "--pretrained-embeddings", emb_path) == 1
+        err = capsys.readouterr().err
+        assert f"{emb_path}: embedding file holds 8-dim vectors, but embed_dim is 16" in err
+
     def test_one_log_line_per_skipped_sentence(self, tmp_path, capsys):
         assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
                    "--epochs", "1", *TRAIN_FLAGS[2:-2], "--max-len", "12") == 0

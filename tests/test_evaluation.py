@@ -213,6 +213,53 @@ class TestGoldViews:
         assert report.f1 == 1.0
 
 
+class TestEncodeBatches:
+    """``encode_batches`` cuts its input into consecutive chunks, each as
+    many sentences as fit ``ENCODE_CELLS`` padded cells (at least one), and
+    encodes each sentence as it would be encoded alone."""
+
+    def test_empty_input_yields_nothing(self):
+        corpus = load_corpus(SMOKE_CORPUS)
+        params, _, vocab = tiny_model(corpus.sentences, corpus.types)
+        assert list(evaluation.encode_batches(params, vocab, [])) == []
+
+    def test_chunks_are_maximal_within_the_budget_and_rows_match_lone_encodings(self):
+        from ctie.model import encode
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        params, _, vocab = tiny_model(corpus.sentences, corpus.types, seed=5)
+        rng = np.random.default_rng(5)
+        params["gru.u"] = rng.normal(scale=1.0, size=params["gru.u"].shape)
+        words = sorted({t for s in corpus.sentences for t in s.tokens}) + ["never-seen"]
+
+        @settings(max_examples=40, deadline=None)
+        @given(cells=st.integers(1, 60),
+               seqs=st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=14),
+                             max_size=12))
+        def check(cells, seqs):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "ENCODE_CELLS", cells)
+                chunks = list(evaluation.encode_batches(params, vocab, seqs))
+            lengths = [len(tokens) for tokens in seqs]
+            lo = 0
+            for h, mask in chunks:
+                b, t = mask.shape
+                assert b >= 1 and h.shape[:2] == (b, t) and t == max(lengths[lo : lo + b])
+                assert b * t <= cells or b == 1
+                if lo + b < len(seqs):  # the next sentence would break the budget
+                    assert (b + 1) * max(t, lengths[lo + b]) > cells
+                assert np.array_equal(mask, np.arange(t) < np.array(lengths[lo : lo + b])[:, None])
+                for row, tokens in zip(h, seqs[lo : lo + b]):
+                    ids = np.array([[vocab.id(token) for token in tokens]])
+                    alone = encode(ids, np.ones(ids.shape), params)[0]
+                    np.testing.assert_allclose(row[: len(tokens)], alone, rtol=1e-12, atol=1e-12)
+                    assert not row[len(tokens) :].any()
+                lo += b
+            assert lo == len(seqs)
+
+        check()
+
+
 class TestEvaluateModel:
     def test_untrained_model_produces_reports(self):
         corpus = load_corpus(SMOKE_CORPUS)
@@ -302,7 +349,11 @@ class TestEvaluateModel:
             decoded.append(real(*args))
             return decoded[-1]
 
-        monkeypatch.setattr(evaluation, "ENCODE_BATCH", chunk)
+        # chunks of at least ``chunk`` sentences, padded to different lengths
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS", chunk * max(map(len, encodings)))
+        sizes = [len(h) for h, _ in
+                 evaluation.encode_batches(params, vocab, [s.tokens for s in sentences])]
+        assert len(sizes) >= 2
         monkeypatch.setattr(evaluation, "predict_ner_labels", spy)
         for constrained in (False, True):
             allowed = bio_allowed_transitions(types.bio_labels) if constrained else None
@@ -316,7 +367,7 @@ class TestEvaluateModel:
                 params, replace(config, bio_constrained_decode=constrained), vocab, types,
                 sentences,
             )
-            assert [len(d) for d in decoded] == [min(chunk, 41 - lo) for lo in range(0, 41, chunk)]
+            assert [len(d) for d in decoded] == sizes
             assert [tags for d in decoded for tags in d] == one_by_one
 
 
@@ -352,8 +403,10 @@ class TestGoldPairScoring:
                 for head, tail, k in zip(rows.heads, rows.tails, np.argmax(probs, axis=1)))
         expected = np.concatenate(expected)
 
-        monkeypatch.setattr(evaluation, "ENCODE_BATCH", chunk)
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS",
+                            chunk * max(len(s.tokens) for s in sentences))
         chunks = list(evaluation.encode_batches(params, vocab, [s.tokens for s in sentences]))
+        assert len(chunks) >= 2
         scored, lo = [], 0
         for h, mask in chunks:
             chunk_rows = [(i - lo, rows) for i, _, rows in kept if lo <= i < lo + len(h)]

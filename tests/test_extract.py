@@ -283,16 +283,16 @@ def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_sp
 
     @settings(max_examples=25, deadline=None)
     @given(
-        batch=st.integers(1, 4),
+        cells=st.integers(1, 44),
         items=st.lists(_sentence_and_spans(entity_types), min_size=1, max_size=9),
         first_index=st.integers(0, 3),
         ontology_filter=st.booleans(),
     )
-    def check(batch, items, first_index, ontology_filter):
+    def check(cells, items, first_index, ontology_filter):
         seqs = [tokens for tokens, _ in items]
         spans = [s for _, s in items] if with_spans else None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "ENCODE_BATCH", batch)
+            mp.setattr(evaluation, "ENCODE_CELLS", cells)
             many = tagger.extract_many(seqs, first_index=first_index,
                                        ontology_filter=ontology_filter, spans=spans)
         one_by_one = [

@@ -393,6 +393,55 @@ def test_sigmoid_bit_identical_to_two_branch_form():
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+_SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0,
+                     -746.0, 1e-320, -1e-320, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def _two_branch_sigmoid(x):
+    """The reference: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+    below (NaN included)."""
+    expected = np.empty(x.shape)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    return expected
+
+
+@st.composite
+def _gate_blocks(draw):
+    """(gates (n_k, D, n, 3h), k, h): packed gate pre-activations as
+    ``_gru_run`` views them, and the step whose z|r slice is squashed."""
+    n_k, d, n, h = (draw(st.integers(1, hi)) for hi in (3, 2, 4, 4))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_SIGMOID_SPECIALS),
+                  st.floats(width=64, allow_nan=True, allow_infinity=True,
+                            allow_subnormal=True),
+                  st.floats(-40.0, 40.0)),
+        min_size=n_k * d * n * 3 * h, max_size=n_k * d * n * 3 * h))
+    gates = np.array(values).reshape(d, n_k, n, 3 * h).swapaxes(0, 1)
+    return gates, draw(st.integers(0, n_k - 1)), h
+
+
+@settings(max_examples=200)
+@given(block=_gate_blocks())
+@example(block=(np.array(_SIGMOID_SPECIALS).reshape(1, 2, 1, 8), 0, 4))
+def test_sigmoid_matches_two_branch_form_on_strided_gate_slices(block):
+    gates, k, h = block
+    before = gates.copy()
+    view = gates[k][..., : 2 * h]  # a g_zr[k] slice: strided, not contiguous
+    expected = _two_branch_sigmoid(before[k][..., : 2 * h])
+    got = _sigmoid(view)
+    assert got is view
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+    # written in place: the step's slice holds the result, every other cell is untouched
+    after = before.copy()
+    after[k][..., : 2 * h] = got
+    assert np.array_equal(gates, after, equal_nan=True)
+
+
 class TestNerLogits:
     def test_zero_weights_bias_rows(self):
         h = np.random.default_rng(6).normal(size=(3, 4))

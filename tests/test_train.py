@@ -1,7 +1,6 @@
 """Splitting, the AdamW step, and the training loop."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -447,7 +446,7 @@ class TestValidationDecode:
 
     def test_one_decode_per_validation_batch_and_none_per_training_batch(self, monkeypatch):
         # training forwards decode nothing; validation encodes each sentence
-        # once, one bigru and one crf_decode call per ENCODE_BATCH sentences
+        # once, one bigru and one crf_decode call per encoder chunk
         import ctie.crf as crf_module
         import ctie.evaluation as evaluation
         import ctie.model as model_module
@@ -463,7 +462,16 @@ class TestValidationDecode:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(evaluation, "ENCODE_BATCH", 3)
+        chunks = []
+        real_encode_batches = evaluation.encode_batches
+
+        def encode_spy(*args):
+            for h, mask in real_encode_batches(*args):
+                chunks.append(len(h))
+                yield h, mask
+
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS", 40)
+        monkeypatch.setattr(evaluation, "encode_batches", encode_spy)
         monkeypatch.setattr(train_mod, "forward", spy("forward", real_forward))
         monkeypatch.setattr(model_module, "bigru", spy("bigru", real_bigru))
         for module in (crf_module, model_module, train_mod):
@@ -473,11 +481,10 @@ class TestValidationDecode:
         train_loop(corpus.sentences, corpus.types, config,
                    model_kwargs=dict(embed_dim=8, hidden_dim=4, dropout=0.3))
         n_val = len(config.split(corpus.sentences)[1])
-        assert n_val > 3  # more than one validation batch
+        assert len(chunks) >= 2 and sum(chunks) == n_val
         n_train = events.count("forward")
         assert n_train > 0
-        assert events == (["forward", "bigru"] * n_train
-                          + ["bigru", "decode"] * math.ceil(n_val / 3))
+        assert events == ["forward", "bigru"] * n_train + ["bigru", "decode"] * len(chunks)
 
     def test_val_ner_acc_is_constrained_token_accuracy_of_validation_rows(self, monkeypatch):
         import ctie.train as train_mod
@@ -567,8 +574,8 @@ class TestValidationValues:
     def _run(self, sentences, types, monkeypatch, model_kwargs=None, **overrides):
         import ctie.evaluation as evaluation
 
-        # several encoder batches, padded to different lengths
-        monkeypatch.setattr(evaluation, "ENCODE_BATCH", 3)
+        # several encoder chunks, padded to different lengths
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS", 40)
         config = smoke_train_config(epochs=1, train_ratio=0.6, val_ratio=0.25,
                                     test_ratio=0.15, **overrides)
         result = train_loop(sentences, types, config,
