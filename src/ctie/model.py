@@ -263,7 +263,14 @@ class Packing:
     directions have the same active rows. ``rev`` is that cell permutation,
     (k, row) <-> (l-1-k, row), its own inverse. A batch without padding
     packs as its time-major transpose: ``order`` is then None (identity),
-    there is one segment, and ``rev`` reverses time."""
+    there is one segment, and ``rev`` reverses time.
+
+    The recurrence's buffers are step-major (``blocks``): for a group of D
+    directions walked in lockstep, each step's cells, gate by gate, then
+    direction by direction, then row by row, are one contiguous block, so
+    a step's numpy calls run on contiguous memory. ``to_blocks`` and
+    ``from_blocks`` lay packed cells out so and back, once per call, with
+    one copy per segment."""
 
     n_batch: int
     n_steps: int
@@ -317,25 +324,100 @@ class Packing:
         index = (self.callers, np.stack((self.steps, self.steps[self.rev])))
         return a[index + (([[0], [1]],) if split else ())]
 
-    def prev_states(self, h: np.ndarray) -> np.ndarray:
-        """(D, P, h) from a (D, T+1, B, h) state buffer in sorted row order:
-        cell (t, row) reads its step's previous state ``h[:, t, row]``."""
-        if self.order is None:
-            return h[:, : self.n_steps].reshape(len(h), -1, h.shape[-1])
-        return h[:, self.steps, self.rows]
+    def blocks(self, buf: np.ndarray, n_dirs: int, n_gates: int | None = None) -> list:
+        """Per segment, the (..., n_k, [n_gates,] D, n, w) view of
+        step-major buffers ``buf`` (..., R, w), R = ``n_gates`` · D · P:
+        step by step, each step's (``n_gates``,) D directions and n active
+        rows as one contiguous block."""
+        lead, gates = buf.shape[:-2], () if n_gates is None else (n_gates,)
+        per_cell = n_dirs * (n_gates or 1)
+        return [buf[..., per_cell * cells.start:per_cell * cells.stop, :].reshape(
+                    *lead, n_k, *gates, n_dirs, n, -1)
+                for _, n_k, n, cells in self.segments]
+
+    def walk_blocks(self, walks: np.ndarray, n_gates: int | None = None) -> list:
+        """Per segment, the view of packed cells ``walks`` (G, D, P,
+        [n_gates ·] w) in the order of ``blocks``: (G, n_k, [n_gates,] D,
+        n, w), strided."""
+        n_groups, n_dirs = walks.shape[:2]
+        if n_gates is None:  # (G, D, n_k, n, w) -> (G, n_k, D, n, w)
+            gates, axes = (), (0, 2, 1, 3, 4)
+        else:  # (G, D, n_k, n, g, w) -> (G, n_k, g, D, n, w)
+            gates, axes = (n_gates,), (0, 2, 4, 1, 3, 5)
+        return [walks[:, :, cells].reshape(n_groups, n_dirs, n_k, n, *gates, -1).transpose(axes)
+                for _, n_k, n, cells in self.segments]
+
+    def _walk_order(self, n_dirs: int, n_gates: int | None) -> bool:
+        """Whether step-major buffers hold their cells in the packed walk
+        order already: one direction per group, and no gate axis or one row
+        per step."""
+        return n_dirs == 1 and (n_gates is None or self.n_batch == 1)
+
+    def to_blocks(self, walks: np.ndarray, n_dirs: int, n_gates: int | None = None) -> np.ndarray:
+        """The step-major buffers (G, R, w) (``blocks``) of G walk groups of
+        ``n_dirs`` directions, from their packed cells (G · D, P,
+        [n_gates ·] w): one copy per segment, or a view of ``walks`` where
+        the orders agree (``_walk_order``)."""
+        if self._walk_order(n_dirs, n_gates):
+            return walks.reshape(len(walks), -1, walks.shape[-1] // (n_gates or 1))
+        grouped = walks.reshape(len(walks) // n_dirs, n_dirs, *walks.shape[1:])
+        n_rows = (n_gates or 1) * n_dirs * walks.shape[1]
+        buf = np.empty((len(grouped), n_rows, walks.shape[-1] // (n_gates or 1)), walks.dtype)
+        for dst, src in zip(self.blocks(buf, n_dirs, n_gates), self.walk_blocks(grouped, n_gates)):
+            dst[...] = src
+        return buf
+
+    def from_blocks(self, buf: np.ndarray, n_dirs: int, n_gates: int | None = None) -> np.ndarray:
+        """The packed cells (G · D, P, [n_gates ·] w) of G step-major
+        buffers ``buf`` (G, R, w): the inverse of ``to_blocks``, a view of
+        ``buf`` where the orders agree."""
+        if self._walk_order(n_dirs, n_gates):
+            return buf.reshape(len(buf), len(self.rev), -1)
+        walks = np.empty((len(buf), n_dirs, len(self.rev), buf.shape[-1] * (n_gates or 1)))
+        for dst, src in zip(self.walk_blocks(walks, n_gates), self.blocks(buf, n_dirs, n_gates)):
+            dst[...] = src
+        return walks.reshape(len(buf) * n_dirs, *walks.shape[2:])
+
+    def prev_states(self, states: np.ndarray, n_dirs: int) -> np.ndarray:
+        """(D, P, h) from one walk group's step-major states (D · P, h): the
+        state each packed cell's step reads, the previous step's (its first
+        n rows at a segment's first step), zero at step 0."""
+        prev = np.empty((1, n_dirs, len(self.rev), states.shape[-1]))
+        last = np.zeros((n_dirs, self.n_batch, states.shape[-1]))  # the start state
+        for dst, hs in zip(self.walk_blocks(prev), self.blocks(states, n_dirs)):
+            dst[0, 0] = last[:, :hs.shape[-2]]
+            dst[0, 1:] = hs[:-1]
+            last = hs[-1]
+        return prev[0]
+
+    def unpack(self, states: np.ndarray, n_dirs: int) -> np.ndarray:
+        """The (B, T, 2, h) states of both walks, forward then backward, in
+        the caller's row and token order and zero at padding, from their
+        step-major buffers (G, D · P, h)."""
+        out = np.zeros((self.n_batch, self.n_steps, 2, states.shape[-1]))
+        if self.order is None:  # (G, T, D, B, h): the first walk is the forward one
+            steps = states.reshape(len(states), self.n_steps, n_dirs, self.n_batch, -1)
+            out[:, :, 0] = steps[0, :, 0].swapaxes(0, 1)
+            out[:, :, 1] = steps[-1, ::-1, -1].swapaxes(0, 1)
+        else:
+            index = (self.callers, np.stack((self.steps, self.steps[self.rev])), [[0], [1]])
+            out[index] = self.from_blocks(states, n_dirs)
+        return out
 
 
 @dataclass
 class GruTrace:
-    """Both directions' BiGRU activations, direction-major (forward, then
-    backward), each direction's cells in its walk order (``Packing``)."""
+    """Both directions' BiGRU activations. ``x`` holds each direction's
+    packed cells in its walk order (``Packing``), as the ``w`` gradient
+    GEMM reads them; ``gates`` and ``h`` hold one step-major buffer
+    (``Packing.blocks``) per walk group, as the walk wrote them, so that a
+    BPTT step reads its gates as contiguous blocks too."""
 
     x: np.ndarray        # (2, P, d) packed inputs
     packing: Packing
-    gates: np.ndarray    # (2, P, 3h) activations z | r | c
-    h: np.ndarray        # (2, T+1, B, h) in sorted row order: zero start state, then the
-                         # state after each step; an inactive (step, row) stays zero
-    groups: tuple[slice, ...]  # the directions walked in lockstep (``_direction_groups``)
+    gates: np.ndarray    # (G, 3·D·P, h) activations z, r, c: per step a (3, D, n, h) block
+    h: np.ndarray        # (G, D·P, h) the state after each step: per step a (D, n, h) block
+    groups: tuple[slice, ...]  # the G groups of D directions walked in lockstep
 
 
 def _input_preactivations(x: np.ndarray, params: Params) -> np.ndarray:
@@ -346,90 +428,117 @@ def _input_preactivations(x: np.ndarray, params: Params) -> np.ndarray:
     return pre
 
 
-def _gru_run(gates: np.ndarray, packing: Packing, u: np.ndarray, h: np.ndarray) -> None:
-    """The recurrences of D directions in lockstep, over their packed input
-    pre-activations ``gates`` (D, P, 3h) with recurrent weights ``u``
-    (D, h, 3h); writes the states into ``h`` (D, T+1, B, h), zero on entry
-    (``GruTrace.h``). Step k overwrites its cells of ``gates`` with their
-    activations, after one batched recurrent GEMM for z|r and one for c on
-    the n rows active at it, (D, n, .) blocks; each elementwise op runs
-    once for all D. Inactive rows are never written: padding is a suffix
-    of each row's walk, so the walk has passed the row's last token."""
-    n_hidden = u.shape[1]
-    z, r, c, zr = _gate_slices(n_hidden)
-    u_zr, u_c = u[..., zr], u[..., c]
-    for first, n_k, n, cells in packing.segments:
-        seg = gates[:, cells].reshape(len(gates), n_k, n, -1).swapaxes(0, 1)
-        g_z, g_r, g_c, g_zr = (seg[..., s] for s in (z, r, c, zr))
-        hs = h[:, first:, :n].swapaxes(0, 1)
-        for k in range(n_k):
-            h_prev, h_t = hs[k], hs[k + 1]
-            zt, rt, ct = g_z[k], g_r[k], g_c[k]
-            a_zr = g_zr[k]
-            a_zr += h_prev @ u_zr
+def _gru_run(gates: np.ndarray, h: np.ndarray, packing: Packing, u: np.ndarray) -> None:
+    """The recurrences of D directions in lockstep, over the step-major
+    blocks (``Packing.blocks``) of their input pre-activations ``gates``
+    (3 · D · P, h), with recurrent weights ``u`` (D, h, 3h); writes the
+    states into ``h`` (D · P, h). Step k overwrites its (3, D, n, h) block
+    of ``gates`` with its activations, after one batched recurrent GEMM for
+    z|r, added through a (2, D, n, h) view of its (D, n, 2h) result, and
+    one for c, on the n rows active at it. Its previous state is the
+    previous step's (D, n, h) block, the first n rows of it at a segment's
+    first step (padding is a suffix of each row's walk), zero at step 0.
+    So every elementwise operand of a step is one contiguous block. At
+    32/16 a step costs calls, not arithmetic, and a call on a strided gate
+    view costs more: a ``tanh`` on a (2, 1, 16) view took 3.8 µs against
+    2.0 µs on the same 32 contiguous floats, ``_sigmoid`` on the z|r view
+    13.5 against 8.4 µs; a one-sentence encode got ×1.2–1.6 faster."""
+    n_dirs, n_hidden = len(u), u.shape[1]
+    u_zr, u_c = u[..., :2 * n_hidden], u[..., 2 * n_hidden:]
+    h_prev = np.zeros((n_dirs, packing.n_batch, n_hidden))
+    for seg, hs in zip(packing.blocks(gates, n_dirs, 3), packing.blocks(h, n_dirs)):
+        n = hs.shape[-2]
+        h_prev = h_prev[:, :n]
+        zr = np.empty((n_dirs, n, 2 * n_hidden))
+        zr_gates = zr.reshape(n_dirs, n, 2, n_hidden).transpose(2, 0, 1, 3)
+        for blk, h_t in zip(seg, hs):
+            a_zr, zt, rt, ct = blk[:2], blk[0], blk[1], blk[2]
+            np.matmul(h_prev, u_zr, out=zr)
+            a_zr += zr_gates
             _sigmoid(a_zr)
             ct += (rt * h_prev) @ u_c
             np.tanh(ct, out=ct)
             np.subtract(1.0, zt, out=h_t)
             h_t *= ct
             h_t += zt * h_prev
+            h_prev = h_t
 
 
 def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Params,
                   grads: Params, d_x: np.ndarray | None) -> None:
     """Backpropagation through time for the directions ``group`` of
-    ``trace``, in lockstep; ``d_out`` (D, P, h) is the packed gradient of
-    their states. Writes each direction's ``w``, ``u`` and ``b`` gradients
-    into ``grads`` and its packed input gradient into ``d_x`` (D, P, d),
-    unless ``d_x`` is None (a frozen embedding reads no input gradient). A
-    step makes only the recurrent products on its active rows, batched
-    over D, and stores its gate pre-activation gradients in one (D, P, 3h)
-    buffer; after the loop each weight gradient and the input gradient is
-    one GEMM on it, batched over D. The state gradient of a row not yet
-    active is zero, and a row no longer active is never read again.
+    ``trace``, in lockstep; ``d_out`` (D · P, h) is the gradient of their
+    states, in the step-major blocks of ``GruTrace.h``. Writes each
+    direction's ``w``, ``u`` and ``b`` gradients into ``grads`` and its
+    packed input gradient into ``d_x`` (D, P, d), unless ``d_x`` is None
+    (a frozen embedding reads no input gradient). A step makes only the
+    recurrent products on its active rows, batched over D. Its gate
+    pre-activation gradients are computed in its (3, D, n, h) block of a
+    step-major buffer shaped like ``GruTrace.gates``, and the state
+    gradient is one contiguous (D, n, h) array per segment, so every
+    elementwise operand of a step is one contiguous block (``_gru_run``).
+    The step then copies its block into the packed (D, P, 3h) layout,
+    whose z|r columns of its cells are its second recurrent GEMM's
+    operand; after the loop each weight gradient and the input gradient is
+    one GEMM on that layout, batched over D. The state gradient of a row
+    not yet active is zero, and a row no longer active is never read
+    again.
 
     The gates' local derivatives depend on the forward values only, so they
-    are computed for all P cells before the loop, into ``d_a``: (1 - z)(1 -
+    are computed for all P cells before the loop, in the packed layout in
+    place of the activations, and laid out step-major once: (1 - z)(1 -
     c^2) for c, (h_prev - c) z (1 - z) for z and h_prev r (1 - r) for r. A
     step then multiplies its cells by their state gradients in place."""
-    packing, gates, h = trace.packing, trace.gates[group], trace.h[group]
+    packing = trace.packing
     u = params["gru.u"][group]
-    n_hidden = u.shape[1]
+    n_dirs, n_hidden = len(u), u.shape[1]
+    walks = trace.groups.index(group)  # the group's step-major buffers in the trace
+    blocks = trace.gates[walks]
     z, r, c, zr = _gate_slices(n_hidden)
+    # views: a contiguous copy of u would make BLAS pick another kernel
     u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
-    h_prev = packing.prev_states(h)
-    d_a = np.empty_like(gates)
-    k_z, k_r, k_c = (d_a[..., s] for s in (z, r, c))
-    g_z, g_r, g_c = (gates[..., s] for s in (z, r, c))
+    h_prev = packing.prev_states(trace.h[walks], n_dirs)
+    # the activations in the packed layout, overwritten below with their local derivatives
+    d_a = packing.from_blocks(blocks[None], n_dirs, 3)
+    if np.may_share_memory(d_a, blocks):  # one row per step: the trace's own buffer
+        d_a = d_a.copy()
+    g_z, g_r, g_c = (d_a[..., s] for s in (z, r, c))
     one_minus_z = np.subtract(1.0, g_z)
-    np.multiply(g_c, g_c, out=k_c)
-    np.subtract(1.0, k_c, out=k_c)
-    k_c *= one_minus_z
-    np.subtract(h_prev, g_c, out=k_z)
-    k_z *= g_z
-    k_z *= one_minus_z
-    np.subtract(1.0, g_r, out=k_r)
-    k_r *= g_r
-    k_r *= h_prev
-    dh = np.zeros((len(u), packing.n_batch, n_hidden))
-    for first, n_k, n, cells in reversed(packing.segments):
-        shape = (len(u), n_k, n, -1)
-        seg, d_seg, d_out_seg = (a[:, cells].reshape(shape).swapaxes(0, 1)
-                                 for a in (gates, d_a, d_out))
-        seg_z, seg_r = seg[..., z], seg[..., r]
-        d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
-        dh_n = dh[:, :n]
-        for k in range(n_k - 1, -1, -1):
-            dh_n += d_out_seg[k]  # now the gradient of the step's new state
-            da_c = np.multiply(d_c[k], dh_n, out=d_c[k])
-            drh = da_c @ u_c_t
-            np.multiply(d_z[k], dh_n, out=d_z[k])
-            np.multiply(d_r[k], drh, out=d_r[k])
-            dh_n *= seg_z[k]
-            drh *= seg_r[k]
-            dh_n += drh
-            dh_n += d_zr[k] @ u_zr_t
     r_h_prev = g_r * h_prev
+    tmp = np.subtract(h_prev, g_c)
+    tmp *= g_z
+    np.multiply(tmp, one_minus_z, out=g_z)
+    np.multiply(g_c, g_c, out=g_c)
+    np.subtract(1.0, g_c, out=g_c)
+    g_c *= one_minus_z
+    np.subtract(1.0, g_r, out=tmp)
+    tmp *= g_r
+    np.multiply(tmp, h_prev, out=g_r)
+    # freed first: one more gate-sized temporary made glibc trim and regrow the
+    # heap, with its page faults, on every training step
+    del tmp, one_minus_z
+    d_blocks = packing.to_blocks(d_a, n_dirs, 3)[0]
+    segments = list(zip(packing.segments, packing.blocks(blocks, n_dirs, 3),
+                        packing.blocks(d_blocks, n_dirs, 3), packing.blocks(d_out, n_dirs),
+                        packing.walk_blocks(d_a[None], 3)))
+    dh = np.zeros((n_dirs, 0, n_hidden))
+    for (_, n_k, n, cells), seg, d_seg, d_out_seg, d_walk in reversed(segments):
+        dh = np.concatenate((dh, np.zeros((n_dirs, n - dh.shape[1], n_hidden))), axis=1)
+        # each step's gradients go back to the packed layout, whose z|r
+        # columns of the step's cells are the recurrent GEMM's operand
+        d_zr = d_a[:, cells].reshape(n_dirs, n_k, n, -1)[..., zr]
+        for k in range(n_k - 1, -1, -1):
+            dh += d_out_seg[k]  # now the gradient of the step's new state
+            blk, d_blk = seg[k], d_seg[k]
+            d_c = np.multiply(d_blk[2], dh, out=d_blk[2])
+            drh = d_c @ u_c_t
+            np.multiply(d_blk[0], dh, out=d_blk[0])
+            np.multiply(d_blk[1], drh, out=d_blk[1])
+            dh *= blk[0]
+            drh *= blk[1]
+            dh += drh
+            d_walk[0, k] = d_blk
+            dh += d_zr[:, k] @ u_zr_t
     g_u = grads["gru.u"][group]
     np.matmul(trace.x[group].swapaxes(1, 2), d_a, out=grads["gru.w"][group])
     np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
@@ -456,24 +565,33 @@ class InputProjection:
         n_vocab, width = params["embed"].shape[0], params["gru.b"].shape[1]
         self.rows = np.empty((2, n_vocab, width))  # an unfilled row is never read
         self.filled = np.zeros(n_vocab, dtype=bool)
+        # gate g of id i for walk k is row 3 i + (3 V k + g) of rows as (2 * V * 3, h)
+        self.gate_rows = np.arange(2)[:, None, None] * 3 * n_vocab + np.arange(3)
 
-    def __call__(self, token_ids) -> np.ndarray:
-        """The (2, P, 3h) pre-activations of ``token_ids`` (2, P): the
-        forward direction's of ``token_ids[0]``, the backward's of
-        ``token_ids[1]``, in one gather; ``IdOutOfRange`` for an id outside
+    def __call__(self, token_ids, packing: Packing, n_dirs: int) -> np.ndarray:
+        """The pre-activations of the walks' token ids ``token_ids`` (2, P),
+        the forward direction's of ``token_ids[0]`` and the backward's of
+        ``token_ids[1]``, gathered straight into the step-major gate buffers
+        (G, 3 · D · P, h) of ``packing`` (``Packing.to_blocks``) for walk
+        groups of ``n_dirs`` directions; ``IdOutOfRange`` for an id outside
         the vocabulary, before anything is filled."""
         ids = np.asarray(token_ids)
-        _check_ids(ids, len(self.filled))
+        n_vocab = len(self.filled)
+        _check_ids(ids, n_vocab)
         new = ~self.filled[ids]
         if new.any():
             # np.unique would sort too, and it imports numpy.ma on first use
-            mark = np.zeros(len(self.filled), dtype=bool)
+            mark = np.zeros(n_vocab, dtype=bool)
             mark[ids[new]] = True
             new_ids = np.flatnonzero(mark)
             self.rows[:, new_ids] = _input_preactivations(self.params["embed"][new_ids],
                                                           self.params)
             self.filled[new_ids] = True
-        return self.rows[[[0], [1]], ids]
+        if packing._walk_order(n_dirs, 3):  # the gate buffers are the rows as gathered
+            gates = self.rows[[[0], [1]], ids]
+            return gates.reshape(2, -1, gates.shape[-1] // 3)
+        rows = packing.to_blocks(ids[..., None] * 3 + self.gate_rows, n_dirs, 3)[..., 0]
+        return np.take(self.rows.reshape(-1, self.rows.shape[-1] // 3), rows, axis=0)
 
 
 def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool = False,
@@ -483,41 +601,39 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     ``h_in`` is the (B, T, d) input, whose pre-activations ``x @ w + b``
     each direction computes; or, with ``projection`` (an
     ``InputProjection`` of ``params``), the (B, T) token ids, whose
-    pre-activations are gathered from it; ``with_trace`` serves the first
-    form only, since ``backward`` reads the inputs from the trace. A 1-D
-    mask takes one unbatched row. The mask marks padding only: each row is
-    ones then zeros, and any other mask is a ``ValueError``. Each
-    direction reads a packed copy of the valid cells in its walk order
-    (``Packing``), the backward's row-aligned, so both run on the same
-    active rows at every step: in lockstep while their ``u`` arrays fit in
-    cache together (``_direction_groups``), else one after the other. The
-    output is (B, T, 2h) in the caller's row order, zero at padding."""
+    pre-activations are gathered from it. ``with_trace`` serves the first
+    form only, since ``backward`` reads the inputs from the trace; with a
+    projection it is a ``ValueError``. A 1-D mask takes one unbatched row.
+    The mask marks padding only: each row is ones then zeros, and any other
+    mask is a ``ValueError``. Each direction reads the valid cells in its
+    walk order (``Packing``), the backward's row-aligned, so both run on
+    the same active rows at every step: in lockstep while their ``u``
+    arrays fit in cache together (``_direction_groups``), else one after
+    the other. The pre-activations are laid out once in each walk group's
+    step-major buffer (``Packing.to_blocks``), which the walk overwrites
+    with its activations. The output is (B, T, 2h) in the caller's row
+    order, zero at padding."""
+    if with_trace and projection is not None:
+        raise ValueError("with_trace needs the inputs, not token ids through a projection")
     keep = np.asarray(attention_mask) != 0
     squeeze = keep.ndim == 1
     if squeeze:
         keep, h_in = keep[None], h_in[None]
     check_padding_mask(keep)
     packing = Packing.from_mask(keep)
+    groups = _direction_groups(params)
+    n_dirs = 2 // len(groups)
     x = packing.pack_walks(h_in)
     if projection is None:
-        gates = _input_preactivations(x, params)
+        gates = packing.to_blocks(_input_preactivations(x, params), n_dirs, 3)
     elif projection.params is not params:
         raise ValueError("the projection was built from other params")
     else:
-        gates = projection(x)
-    n_hidden = params["gru.u"].shape[1]
-    h = np.zeros((2, packing.n_steps + 1, packing.n_batch, n_hidden))
-    groups = _direction_groups(params)
-    for group in groups:
-        _gru_run(gates[group], packing, params["gru.u"][group], h[group])
-    out = np.zeros(keep.shape + (2 * n_hidden,))
-    if packing.order is None:  # rev reverses time
-        out[:, :, :n_hidden] = h[0, 1:].swapaxes(0, 1)
-        out[:, :, n_hidden:] = h[1, :0:-1].swapaxes(0, 1)
-    else:
-        out[packing.order, :, :n_hidden] = h[0, 1:].swapaxes(0, 1)
-        out[packing.callers, packing.steps, n_hidden:] = h[1, packing.steps[packing.rev] + 1,
-                                                           packing.rows]
+        gates = projection(x, packing, n_dirs)
+    h = np.empty((len(groups), n_dirs * len(packing.rev), params["gru.u"].shape[1]))
+    for i, group in enumerate(groups):
+        _gru_run(gates[i], h[i], packing, params["gru.u"][group])
+    out = packing.unpack(h, n_dirs).reshape(*keep.shape, -1)
     if squeeze:
         out = out[0]
     if with_trace:
@@ -828,11 +944,13 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     # BPTT on the valid tokens only, each direction in its walk order
     gru = trace.gru
     packing = gru.packing
-    d_out = packing.pack_walks(d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True)
+    n_dirs = 2 // len(gru.groups)
+    d_out = packing.to_blocks(packing.pack_walks(
+        d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True), n_dirs)
     frozen = config.freeze_embeddings
     d_xs = None if frozen else np.empty(gru.x.shape)
-    for group in gru.groups:
-        _gru_backprop(gru, group, d_out[group], params, grads, None if frozen else d_xs[group])
+    for i, group in enumerate(gru.groups):
+        _gru_backprop(gru, group, d_out[i], params, grads, None if frozen else d_xs[group])
     if frozen:  # AdamW and the clip norm skip the embedding: its gradient stays 0
         return grads
     d_x = d_xs[0]

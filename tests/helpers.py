@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -362,3 +363,124 @@ def finite_difference_check(config, seed: int = 20, step: float = 1e-5,
             numeric_flat[k] = (up - down) / (2 * step)
         out[name] = (analytic[name], numeric)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference BiGRU recurrence: the walk and BPTT on packed (D, P, 3h) gate
+# buffers, each step on strided (D, n, .) views, kept as the bit-level
+# oracle of the step-major buffers in ctie.model
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ReferenceGruTrace:
+    x: np.ndarray        # (2, P, d) packed inputs, each direction's in its walk order
+    packing: object      # ctie.model.Packing
+    gates: np.ndarray    # (2, P, 3h) activations z | r | c
+    h: np.ndarray        # (2, T+1, B, h) in sorted row order: zero start state, then the
+                         # state after each step; an inactive (step, row) stays zero
+    groups: tuple
+
+
+def reference_prev_states(packing, h: np.ndarray) -> np.ndarray:
+    """(D, P, h) from a (D, T+1, B, h) state buffer in sorted row order:
+    cell (t, row) reads its step's previous state ``h[:, t, row]``."""
+    if packing.order is None:
+        return h[:, : packing.n_steps].reshape(len(h), -1, h.shape[-1])
+    return h[:, packing.steps, packing.rows]
+
+
+def reference_gru_run(gates: np.ndarray, packing, u: np.ndarray, h: np.ndarray) -> None:
+    """The recurrences of D directions in lockstep over their packed input
+    pre-activations ``gates`` (D, P, 3h), overwritten with their
+    activations; writes the states into ``h`` (D, T+1, B, h), zero on
+    entry."""
+    from ctie.model import _gate_slices, _sigmoid
+
+    z, r, c, zr = _gate_slices(u.shape[1])
+    u_zr, u_c = u[..., zr], u[..., c]
+    for first, n_k, n, cells in packing.segments:
+        seg = gates[:, cells].reshape(len(gates), n_k, n, -1).swapaxes(0, 1)
+        g_z, g_r, g_c, g_zr = (seg[..., s] for s in (z, r, c, zr))
+        hs = h[:, first:, :n].swapaxes(0, 1)
+        for k in range(n_k):
+            h_prev, h_t = hs[k], hs[k + 1]
+            zt, rt, ct = g_z[k], g_r[k], g_c[k]
+            a_zr = g_zr[k]
+            a_zr += h_prev @ u_zr
+            _sigmoid(a_zr)
+            ct += (rt * h_prev) @ u_c
+            np.tanh(ct, out=ct)
+            np.subtract(1.0, zt, out=h_t)
+            h_t *= ct
+            h_t += zt * h_prev
+
+
+def reference_gru_backprop(trace: ReferenceGruTrace, group: slice, d_out: np.ndarray, params,
+                           grads, d_x: np.ndarray) -> None:
+    """BPTT for the directions ``group`` of ``trace`` in lockstep, from the
+    packed state gradient ``d_out`` (D, P, h): the ``gru.*`` gradients into
+    ``grads`` and the packed input gradient into ``d_x`` (D, P, d)."""
+    from ctie.model import _gate_slices
+
+    packing, gates, h = trace.packing, trace.gates[group], trace.h[group]
+    u = params["gru.u"][group]
+    n_hidden = u.shape[1]
+    z, r, c, zr = _gate_slices(n_hidden)
+    u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
+    h_prev = reference_prev_states(packing, h)
+    d_a = np.empty_like(gates)
+    k_z, k_r, k_c = (d_a[..., s] for s in (z, r, c))
+    g_z, g_r, g_c = (gates[..., s] for s in (z, r, c))
+    one_minus_z = np.subtract(1.0, g_z)
+    np.multiply(g_c, g_c, out=k_c)
+    np.subtract(1.0, k_c, out=k_c)
+    k_c *= one_minus_z
+    np.subtract(h_prev, g_c, out=k_z)
+    k_z *= g_z
+    k_z *= one_minus_z
+    np.subtract(1.0, g_r, out=k_r)
+    k_r *= g_r
+    k_r *= h_prev
+    dh = np.zeros((len(u), packing.n_batch, n_hidden))
+    for first, n_k, n, cells in reversed(packing.segments):
+        shape = (len(u), n_k, n, -1)
+        seg, d_seg, d_out_seg = (a[:, cells].reshape(shape).swapaxes(0, 1)
+                                 for a in (gates, d_a, d_out))
+        seg_z, seg_r = seg[..., z], seg[..., r]
+        d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
+        dh_n = dh[:, :n]
+        for k in range(n_k - 1, -1, -1):
+            dh_n += d_out_seg[k]
+            da_c = np.multiply(d_c[k], dh_n, out=d_c[k])
+            drh = da_c @ u_c_t
+            np.multiply(d_z[k], dh_n, out=d_z[k])
+            np.multiply(d_r[k], drh, out=d_r[k])
+            dh_n *= seg_z[k]
+            drh *= seg_r[k]
+            dh_n += drh
+            dh_n += d_zr[k] @ u_zr_t
+    r_h_prev = g_r * h_prev
+    g_u = grads["gru.u"][group]
+    np.matmul(trace.x[group].swapaxes(1, 2), d_a, out=grads["gru.w"][group])
+    np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
+    np.matmul(r_h_prev.swapaxes(1, 2), d_a[..., c], out=g_u[..., c])
+    d_a.sum(axis=1, out=grads["gru.b"][group])
+    np.matmul(d_a, params["gru.w"][group].swapaxes(1, 2), out=d_x)
+
+
+def reference_gru(params, packing, x, pre, d_out, groups):
+    """(states (2, T+1, B, h), activations (2, P, 3h), ``gru.*`` gradients,
+    input gradient (2, P, d)) of the reference walk and BPTT over packed
+    inputs ``x`` with pre-activations ``pre`` and state gradient ``d_out``
+    (2, P, h), for the direction groups ``groups``."""
+    gates = pre.copy()
+    h = np.zeros((2, packing.n_steps + 1, packing.n_batch, pre.shape[-1] // 3))
+    for group in groups:
+        reference_gru_run(gates[group], packing, params["gru.u"][group], h[group])
+    trace = ReferenceGruTrace(x, packing, gates, h, groups)
+    grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru.")}
+    d_x = np.empty(x.shape)
+    for group in groups:
+        reference_gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
+    return h, gates, grads, d_x

@@ -41,10 +41,11 @@ from ctie.model import (
     save_embedding_file,
     validate_params,
 )
+from ctie import model
 from ctie.corpus import load_corpus
 from ctie.mslr import Batch, build_vocab, make_batches, sentence_rows
 
-from helpers import SMOKE_CORPUS, random_corpus, tiny_batch, tiny_config
+from helpers import SMOKE_CORPUS, random_corpus, reference_gru, tiny_batch, tiny_config
 
 
 class TestEmbed:
@@ -301,9 +302,35 @@ class TestInputProjection:
         with pytest.raises(ValueError, match="other params"):
             encode([[1, 2]], np.ones((1, 2)), params, InputProjection(dict(params)))
 
+    def test_trace_over_projected_ids_is_refused(self):
+        # backward reads the trace's inputs; through a projection they are token ids
+        params = self._params(0)
+        with pytest.raises(ValueError, match="with_trace"):
+            bigru(np.array([[1, 2]]), np.ones((1, 2)), params, with_trace=True,
+                  projection=InputProjection(params))
+
 
 LOCKSTEP = (slice(0, 2),)
 ONE_WALK_EACH = (slice(0, 1), slice(1, 2))
+
+
+def _step_major_walk(params, packing, x, pre, d_out, groups):
+    """(gates, states, ``gru.*`` gradients, input gradient) of the walk and
+    BPTT over packed inputs ``x`` (2, P, d) with pre-activations ``pre``
+    (2, P, 3h) and state gradient ``d_out`` (2, P, h), for the direction
+    groups ``groups``: gates and states in their step-major buffers."""
+    n_dirs = 2 // len(groups)
+    gates = packing.to_blocks(pre, n_dirs, 3)
+    h = np.empty((len(groups), n_dirs * len(packing.rev), pre.shape[-1] // 3))
+    for i, group in enumerate(groups):
+        _gru_run(gates[i], h[i], packing, params["gru.u"][group])
+    trace = GruTrace(x, packing, gates, h, groups)
+    grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru.")}
+    d_x = np.empty(x.shape)
+    d_blocks = packing.to_blocks(d_out, n_dirs)
+    for i, group in enumerate(groups):
+        _gru_backprop(trace, group, d_blocks[i], params, grads, d_x[group])
+    return gates, h, grads, d_x
 
 
 class TestLockstep:
@@ -312,16 +339,10 @@ class TestLockstep:
 
     @staticmethod
     def _walk(params, packing, x, pre, d_out, groups):
-        gates = pre.copy()
-        h = np.zeros((2, packing.n_steps + 1, packing.n_batch, pre.shape[-1] // 3))
-        for group in groups:
-            _gru_run(gates[group], packing, params["gru.u"][group], h[group])
-        trace = GruTrace(x, packing, gates, h, groups)
-        grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru.")}
-        d_x = np.empty(x.shape)
-        for group in groups:
-            _gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
-        return h, gates, grads, d_x
+        # states and activations in the packed walk order, which both groupings share
+        gates, h, grads, d_x = _step_major_walk(params, packing, x, pre, d_out, groups)
+        n_dirs = 2 // len(groups)
+        return packing.from_blocks(h, n_dirs), packing.from_blocks(gates, n_dirs, 3), grads, d_x
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=1, max_size=5),
@@ -347,15 +368,39 @@ class TestLockstep:
         for name, a, b in zip(("states", "gates", "gradients", "input gradient"), lockstep, alone):
             for key in sorted(a) if isinstance(a, dict) else [None]:
                 got, expected = (a, b) if key is None else (a[key], b[key])
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12,
-                                           err_msg=f"{name} {key or ''}")
+                assert np.array_equal(got, expected), f"{name} {key or ''}"
         # the embedding gradient adds both directions' input gradients into
         # their tokens' rows, the backward's through the cell permutation
         d_embed = []
         for d_x in (lockstep[3], alone[3]):
             d_embed.append(np.zeros_like(params["embed"]))
             np.add.at(d_embed[-1], packing.pack(ids), d_x[0] + d_x[1, packing.rev])
-        np.testing.assert_allclose(d_embed[0], d_embed[1], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(d_embed[0], d_embed[1])
+
+    @pytest.mark.parametrize("lengths", [[6], [4, 6, 1, 4]], ids=["B=1", "ragged"])
+    def test_one_walk_each_equals_lockstep(self, lengths, monkeypatch):
+        # through bigru, encode and backward: 768/256 walks each direction alone
+        # (_direction_groups), in its own buffer layout; forced at small dims,
+        # every output is the same
+        config = tiny_config()
+        params = init_params(config, seed=5)
+        params["gru.b"] = np.random.default_rng(5).normal(size=params["gru.b"].shape)
+        rows = _random_rows(np.random.default_rng(6), config, lengths)
+        batch = _row_batch(rows, max(lengths))
+
+        def run():
+            result = forward(batch, params, config)
+            return (encode(batch.token_ids, batch.attention_mask, params), result.trace.h_d,
+                    backward(result.trace, params))
+
+        lockstep = run()
+        monkeypatch.setattr(model, "LOCKSTEP_MAX_BYTES", 0)
+        assert _direction_groups(params) == ONE_WALK_EACH
+        alone = run()
+        assert np.array_equal(alone[0], lockstep[0])
+        assert np.array_equal(alone[1], lockstep[1])
+        for name in params:
+            assert np.array_equal(alone[2][name], lockstep[2][name]), name
 
     @pytest.mark.parametrize("dims, groups", [((32, 16), LOCKSTEP), ((768, 256), ONE_WALK_EACH)],
                              ids=["32-16-lockstep", "768-256-one-walk-each"])
@@ -379,6 +424,65 @@ class TestLockstep:
         assert np.array_equal(steps[packing.rev], keep.sum(axis=1)[callers] - 1 - steps)
         assert np.array_equal(callers[packing.rev], callers)
         assert np.array_equal(packing.rev[packing.rev], np.arange(keep.sum()))
+
+
+def _step_major(keep, walks, n_dirs):
+    """The step-major buffers (G, g * D * P, w) of the packed walk cells
+    ``walks`` (2, P, g, w) of the padding mask ``keep``, built cell by cell
+    without ``Packing``: cells are time-major over rows sorted longest
+    first, step t's block starts at row g * D * (cells before step t), and
+    gate k of walk d's j-th active row is row (k * D + d % D) * n_t + j of
+    it, n_t the rows active at step t."""
+    n_gates, width = walks.shape[2:]
+    out = np.full((2 // n_dirs, n_gates * n_dirs * walks.shape[1], width), np.nan)
+    first = 0
+    for n in keep.sum(axis=0):
+        for d, j, k in np.ndindex(2, n, n_gates):
+            row = n_gates * n_dirs * first + (k * n_dirs + d % n_dirs) * n + j
+            out[d // n_dirs, row] = walks[d, first + j, k]
+        first += n
+    return out
+
+
+class TestStepMajorBuffers:
+    """The walk and BPTT on step-major buffers against the packed-layout
+    reference they replaced (``helpers.reference_gru``), bit for bit."""
+
+    @pytest.mark.parametrize("groups", [LOCKSTEP, ONE_WALK_EACH], ids=["lockstep", "one-walk-each"])
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           st.integers(0, 2))
+    @example(0, [4], 0)                 # B=1
+    @example(1, [5, 5, 5], 0)           # no padding
+    @example(2, [1, 6, 1, 3], 1)        # length-1 rows
+    @example(3, [2, 5, 2, 5, 3], 0)     # repeated lengths, unsorted
+    @example(4, [1], 0)                 # one token
+    def test_bit_identical_to_the_packed_reference(self, groups, seed, lengths, extra):
+        rng = np.random.default_rng(seed)
+        config = tiny_config()
+        params = init_params(config, seed=seed % 1000)
+        params["gru.b"] = rng.normal(size=params["gru.b"].shape)
+        keep = np.arange(max(lengths) + extra) < np.array(lengths)[:, None]
+        ids = np.where(keep, rng.integers(1, config.vocab_size, keep.shape), 0)
+        packing = Packing.from_mask(keep)
+        x = packing.pack_walks(params["embed"][ids])
+        pre = _input_preactivations(x, params)
+        d_out = rng.normal(size=(2, len(packing.rev), config.hidden_dim))
+        h_ref, gates_ref, grads_ref, d_x_ref = reference_gru(params, packing, x, pre, d_out,
+                                                             groups)
+        gates, h, grads, d_x = _step_major_walk(params, packing, x, pre, d_out, groups)
+        n_dirs = 2 // len(groups)
+        # each walk cell's state: sorted row j at step t is h_ref[:, t + 1, j]
+        counts = keep.sum(axis=0)
+        steps = np.repeat(np.arange(len(counts)), counts)
+        rows = np.concatenate([np.arange(n) for n in counts])
+        states_ref = h_ref[:, steps + 1, rows]
+        assert np.array_equal(h, _step_major(keep, states_ref[:, :, None], n_dirs))
+        assert np.array_equal(gates, _step_major(keep, gates_ref.reshape(*x.shape[:2], 3, -1),
+                                                 n_dirs))
+        for name in sorted(grads_ref):
+            assert np.array_equal(grads[name], grads_ref[name]), name
+        assert np.array_equal(d_x, d_x_ref)
 
 
 def test_sigmoid_bit_identical_to_two_branch_form():
@@ -410,8 +514,9 @@ def _two_branch_sigmoid(x):
 
 @st.composite
 def _gate_blocks(draw):
-    """(gates (n_k, D, n, 3h), k, h): packed gate pre-activations as
-    ``_gru_run`` views them, and the step whose z|r slice is squashed."""
+    """(gates (n_k, D, n, 3h), k, h): packed gate pre-activations viewed
+    per step, as the walk viewed them before its buffers went step-major,
+    and the step whose strided z|r slice is squashed."""
     n_k, d, n, h = (draw(st.integers(1, hi)) for hi in (3, 2, 4, 4))
     values = draw(st.lists(
         st.one_of(st.sampled_from(_SIGMOID_SPECIALS),
