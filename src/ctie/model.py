@@ -410,8 +410,9 @@ class GruTrace:
     """Both directions' BiGRU activations. ``x`` holds each direction's
     packed cells in its walk order (``Packing``), as the ``w`` gradient
     GEMM reads them; ``gates`` and ``h`` hold one step-major buffer
-    (``Packing.blocks``) per walk group, as the walk wrote them, so that a
-    BPTT step reads its gates as contiguous blocks too."""
+    (``Packing.blocks``) per walk group, as the walk wrote them. BPTT
+    reads them into the packed layout once per call, and each of its steps
+    reads its z and r activations as contiguous blocks."""
 
     x: np.ndarray        # (2, P, d) packed inputs
     packing: Packing
@@ -467,28 +468,26 @@ def _gru_run(gates: np.ndarray, h: np.ndarray, packing: Packing, u: np.ndarray) 
 def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Params,
                   grads: Params, d_x: np.ndarray | None) -> None:
     """Backpropagation through time for the directions ``group`` of
-    ``trace``, in lockstep; ``d_out`` (D · P, h) is the gradient of their
-    states, in the step-major blocks of ``GruTrace.h``. Writes each
-    direction's ``w``, ``u`` and ``b`` gradients into ``grads`` and its
-    packed input gradient into ``d_x`` (D, P, d), unless ``d_x`` is None
-    (a frozen embedding reads no input gradient). A step makes only the
-    recurrent products on its active rows, batched over D. Its gate
-    pre-activation gradients are computed in its (3, D, n, h) block of a
-    step-major buffer shaped like ``GruTrace.gates``, and the state
-    gradient is one contiguous (D, n, h) array per segment, so every
-    elementwise operand of a step is one contiguous block (``_gru_run``).
-    The step then copies its block into the packed (D, P, 3h) layout,
-    whose z|r columns of its cells are its second recurrent GEMM's
-    operand; after the loop each weight gradient and the input gradient is
-    one GEMM on that layout, batched over D. The state gradient of a row
-    not yet active is zero, and a row no longer active is never read
-    again.
+    ``trace``, in lockstep; ``d_out`` (D, P, h) is the packed gradient of
+    their states. Writes each direction's ``w``, ``u`` and ``b`` gradients
+    into ``grads`` and its packed input gradient into ``d_x`` (D, P, d),
+    unless ``d_x`` is None (a frozen embedding reads no input gradient). A
+    step makes only the recurrent products on its active rows, batched
+    over D, and stores its gate pre-activation gradients in one packed
+    (D, P, 3h) buffer; after the loop each weight gradient and the input
+    gradient is one GEMM on it, batched over D. The state gradient of a
+    row not yet active is zero, and a row no longer active is never read
+    again. The step-major trace is read once into the packed layout
+    (``Packing.from_blocks``, ``Packing.prev_states``); a step reads its
+    z and r activations from its contiguous trace block. The loop itself
+    stays on the packed layout: step-major BPTT blocks ran at ×0.92–1.00
+    per call at 768/256 and needed one more gate-sized buffer.
 
     The gates' local derivatives depend on the forward values only, so they
-    are computed for all P cells before the loop, in the packed layout in
-    place of the activations, and laid out step-major once: (1 - z)(1 -
-    c^2) for c, (h_prev - c) z (1 - z) for z and h_prev r (1 - r) for r. A
-    step then multiplies its cells by their state gradients in place."""
+    are computed for all P cells before the loop, in place of a packed copy
+    of the activations: (1 - z)(1 - c^2) for c, (h_prev - c) z (1 - z) for
+    z and h_prev r (1 - r) for r. A step then multiplies its cells by their
+    state gradients in place."""
     packing = trace.packing
     u = params["gru.u"][group]
     n_dirs, n_hidden = len(u), u.shape[1]
@@ -498,7 +497,6 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
     # views: a contiguous copy of u would make BLAS pick another kernel
     u_zr_t, u_c_t = u[..., zr].swapaxes(1, 2), u[..., c].swapaxes(1, 2)
     h_prev = packing.prev_states(trace.h[walks], n_dirs)
-    # the activations in the packed layout, overwritten below with their local derivatives
     d_a = packing.from_blocks(blocks[None], n_dirs, 3)
     if np.may_share_memory(d_a, blocks):  # one row per step: the trace's own buffer
         d_a = d_a.copy()
@@ -517,28 +515,23 @@ def _gru_backprop(trace: GruTrace, group: slice, d_out: np.ndarray, params: Para
     # freed first: one more gate-sized temporary made glibc trim and regrow the
     # heap, with its page faults, on every training step
     del tmp, one_minus_z
-    d_blocks = packing.to_blocks(d_a, n_dirs, 3)[0]
-    segments = list(zip(packing.segments, packing.blocks(blocks, n_dirs, 3),
-                        packing.blocks(d_blocks, n_dirs, 3), packing.blocks(d_out, n_dirs),
-                        packing.walk_blocks(d_a[None], 3)))
-    dh = np.zeros((n_dirs, 0, n_hidden))
-    for (_, n_k, n, cells), seg, d_seg, d_out_seg, d_walk in reversed(segments):
-        dh = np.concatenate((dh, np.zeros((n_dirs, n - dh.shape[1], n_hidden))), axis=1)
-        # each step's gradients go back to the packed layout, whose z|r
-        # columns of the step's cells are the recurrent GEMM's operand
-        d_zr = d_a[:, cells].reshape(n_dirs, n_k, n, -1)[..., zr]
+    dh = np.zeros((n_dirs, packing.n_batch, n_hidden))
+    for (_, n_k, n, cells), seg in zip(reversed(packing.segments),
+                                       reversed(packing.blocks(blocks, n_dirs, 3))):
+        d_seg, d_out_seg = (a[:, cells].reshape(n_dirs, n_k, n, -1).swapaxes(0, 1)
+                            for a in (d_a, d_out))
+        d_z, d_r, d_c, d_zr = (d_seg[..., s] for s in (z, r, c, zr))
+        dh_n = dh[:, :n]
         for k in range(n_k - 1, -1, -1):
-            dh += d_out_seg[k]  # now the gradient of the step's new state
-            blk, d_blk = seg[k], d_seg[k]
-            d_c = np.multiply(d_blk[2], dh, out=d_blk[2])
-            drh = d_c @ u_c_t
-            np.multiply(d_blk[0], dh, out=d_blk[0])
-            np.multiply(d_blk[1], drh, out=d_blk[1])
-            dh *= blk[0]
-            drh *= blk[1]
-            dh += drh
-            d_walk[0, k] = d_blk
-            dh += d_zr[:, k] @ u_zr_t
+            dh_n += d_out_seg[k]  # now the gradient of the step's new state
+            da_c = np.multiply(d_c[k], dh_n, out=d_c[k])
+            drh = da_c @ u_c_t
+            np.multiply(d_z[k], dh_n, out=d_z[k])
+            np.multiply(d_r[k], drh, out=d_r[k])
+            dh_n *= seg[k, 0]
+            drh *= seg[k, 1]
+            dh_n += drh
+            dh_n += d_zr[k] @ u_zr_t
     g_u = grads["gru.u"][group]
     np.matmul(trace.x[group].swapaxes(1, 2), d_a, out=grads["gru.w"][group])
     np.matmul(h_prev.swapaxes(1, 2), d_a[..., zr], out=g_u[..., zr])
@@ -587,9 +580,6 @@ class InputProjection:
             self.rows[:, new_ids] = _input_preactivations(self.params["embed"][new_ids],
                                                           self.params)
             self.filled[new_ids] = True
-        if packing._walk_order(n_dirs, 3):  # the gate buffers are the rows as gathered
-            gates = self.rows[[[0], [1]], ids]
-            return gates.reshape(2, -1, gates.shape[-1] // 3)
         rows = packing.to_blocks(ids[..., None] * 3 + self.gate_rows, n_dirs, 3)[..., 0]
         return np.take(self.rows.reshape(-1, self.rows.shape[-1] // 3), rows, axis=0)
 
@@ -611,8 +601,13 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     arrays fit in cache together (``_direction_groups``), else one after
     the other. The pre-activations are laid out once in each walk group's
     step-major buffer (``Packing.to_blocks``), which the walk overwrites
-    with its activations. The output is (B, T, 2h) in the caller's row
-    order, zero at padding."""
+    with its activations. From inputs, the packed pre-activations and
+    their step-major copy are both held while it is made, a transient
+    peak of two (2, P, 3h) buffers (one where each direction walks alone
+    over one row, and the copy is a view); through a projection the
+    gather writes the step-major buffers directly, so an encoder chunk
+    (``evaluation.ENCODE_CELLS``) holds one.
+    The output is (B, T, 2h) in the caller's row order, zero at padding."""
     if with_trace and projection is not None:
         raise ValueError("with_trace needs the inputs, not token ids through a projection")
     keep = np.asarray(attention_mask) != 0
@@ -944,13 +939,11 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     # BPTT on the valid tokens only, each direction in its walk order
     gru = trace.gru
     packing = gru.packing
-    n_dirs = 2 // len(gru.groups)
-    d_out = packing.to_blocks(packing.pack_walks(
-        d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True), n_dirs)
+    d_out = packing.pack_walks(d_h_bigru.reshape(*d_h_bigru.shape[:2], 2, n_hidden), split=True)
     frozen = config.freeze_embeddings
     d_xs = None if frozen else np.empty(gru.x.shape)
-    for i, group in enumerate(gru.groups):
-        _gru_backprop(gru, group, d_out[i], params, grads, None if frozen else d_xs[group])
+    for group in gru.groups:
+        _gru_backprop(gru, group, d_out[group], params, grads, None if frozen else d_xs[group])
     if frozen:  # AdamW and the clip norm skip the embedding: its gradient stays 0
         return grads
     d_x = d_xs[0]

@@ -327,9 +327,8 @@ def _step_major_walk(params, packing, x, pre, d_out, groups):
     trace = GruTrace(x, packing, gates, h, groups)
     grads = {k: np.full_like(v, np.nan) for k, v in params.items() if k.startswith("gru.")}
     d_x = np.empty(x.shape)
-    d_blocks = packing.to_blocks(d_out, n_dirs)
-    for i, group in enumerate(groups):
-        _gru_backprop(trace, group, d_blocks[i], params, grads, d_x[group])
+    for group in groups:
+        _gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
     return gates, h, grads, d_x
 
 
