@@ -26,7 +26,7 @@ from .model import (
     ner_predict,
     relation_head,
 )
-from .mslr import PairRows, Vocabulary, sentence_rows
+from .mslr import PairRows, Vocabulary, entity_masks, sentence_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -331,21 +331,21 @@ def predict_ner_labels(
 
 def chunk_relation_probs(
     params: Params, config: ModelConfig, h: np.ndarray, mask: np.ndarray,
-    chunk_rows: Sequence[tuple[int, PairRows]],
-) -> tuple[np.ndarray, PairRows]:
-    """(probs (R, K), rows) for the pair rows of some sentences of one
-    padded encoder chunk ``h`` (B, T, 2h) with ``mask`` (B, T), as
-    ``encode_batches`` yields it. ``chunk_rows`` lists (b, that sentence's
-    ``PairRows``), b its row of the chunk; ``rows`` holds their rows in that
-    order. One ``relation_head`` call scores them all, each row reading its
-    sentence's row of ``h`` through a ``sentence_of`` index, so no row
+    sentence_of: np.ndarray, heads: np.ndarray, tails: np.ndarray, head_type: np.ndarray,
+    tail_type: np.ndarray,
+) -> np.ndarray:
+    """(R, K) relation probabilities of R pair rows of one padded encoder
+    chunk ``h`` (B, T, 2h) with ``mask`` (B, T), as ``encode_batches``
+    yields it. Row r is a pair of sentence ``sentence_of[r]`` of the chunk,
+    with head and tail span bounds ``heads[r]`` and ``tails[r]`` ((R, 2)
+    arrays of [start, end)) and type ids ``head_type[r]`` and
+    ``tail_type[r]``. One ``relation_head`` call scores them all, each row
+    reading its sentence's row of ``h`` through ``sentence_of``, so no row
     copies its sentence's encoding."""
-    sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
-    rows = PairRows.concat([r for _, r in chunk_rows])
-    *_, probs = relation_head(h, rows.masks(h.shape[1]), rows.head_type, rows.tail_type,
+    *_, probs = relation_head(h, entity_masks(h.shape[1], heads, tails), head_type, tail_type,
                               params, config, attention_mask=mask[sentence_of],
                               sentence_of=sentence_of)
-    return probs, rows
+    return probs
 
 
 def predict_relations_gold_pairs(
@@ -376,7 +376,10 @@ def predict_relations_gold_pairs(
             k += 1
         lo += len(h)
         if chunk_rows:
-            probs, rows = chunk_relation_probs(params, config, h, mask, chunk_rows)
+            sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
+            rows = PairRows.concat([r for _, r in chunk_rows])
+            probs = chunk_relation_probs(params, config, h, mask, sentence_of, rows.heads,
+                                         rows.tails, rows.head_type, rows.tail_type)
             gold.append(rows.label)
             predicted.append(np.argmax(probs, axis=1))
     return np.concatenate(gold), np.concatenate(predicted)
@@ -386,7 +389,7 @@ def check_confidence_floor(value: float) -> float:
     """``value``, if it is a number in [0, 1]; else ``ValueError``. NaN is
     rejected too: ``confidence < nan`` is always False, so it would keep
     every pair."""
-    if not 0.0 <= value <= 1.0:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
         raise ValueError(f"confidence floor must be a number in [0, 1], got {value!r}")
     return value
 
@@ -442,14 +445,17 @@ def evaluate_model(
             params=params, config=config, vocab=vocab, types=types,
             ontology=ontology or OntologySchema.default(),
         )
-        encodings = [row[: int(n)] for h, mask in chunks for row, n in zip(h, mask.sum(axis=1))]
-        predicted_pairs = [
-            PairPrediction(i, triple.head_span, triple.tail_span, triple.relation)
-            for i, (sentence, h, spans) in enumerate(zip(sentences, encodings, sentence_spans))
-            for triple in extractor.score_pairs(
-                sentence.tokens, h, spans, i, ontology_filter, confidence_floor
-            ).triples
-        ]
+        predicted_pairs, lo = [], 0
+        for h, mask in chunks:
+            hi = lo + len(h)
+            predicted_pairs.extend(
+                PairPrediction(t.sentence_index, t.head_span, t.tail_span, t.relation)
+                for result in extractor.score_chunk(
+                    h, mask, [s.tokens for s in sentences[lo:hi]], sentence_spans[lo:hi], lo,
+                    ontology_filter, confidence_floor)
+                for t in result.triples
+            )
+            lo = hi
         re = re_metrics(gold_pairs(sentences), predicted_pairs)
     return {"ner": ner, "re": re}
 

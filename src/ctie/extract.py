@@ -3,8 +3,9 @@ entity pairs -> relation triples -> graph-ready export.
 
 ``Extractor.extract_many`` is the one inference path: each padded chunk
 of consecutive sentences (as many as fit ``evaluation.ENCODE_CELLS``
-padded cells) takes one encoder call and one batched Viterbi call, and
-each sentence's pairs are then scored from its row of that encoding.
+padded cells) takes one encoder call, one batched Viterbi call and one
+relation-head call that scores the chunk's candidate pairs, each from
+its sentence's row of that encoding (``Extractor.score_chunk``).
 ``extract_tokens`` and ``extract_text`` run it on a batch of one. An
 ``Extractor`` keeps one ``InputProjection`` of its ``params`` over all
 its calls, so a token id's GRU input pre-activations are computed once
@@ -32,7 +33,8 @@ import numpy as np
 from .corpus import OntologySchema, TypeSystem, check_spans
 from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from .evaluation import (
-    SpanPrediction, check_confidence_floor, decode_spans, encode_batches, predict_ner_labels,
+    SpanPrediction, check_confidence_floor, chunk_relation_probs, decode_spans, encode_batches,
+    predict_ner_labels,
 )
 from .model import (
     InputProjection,
@@ -41,9 +43,8 @@ from .model import (
     checkpoint_tables,
     decode_constraint,
     load_checkpoint,
-    relation_head,
 )
-from .mslr import Vocabulary, entity_masks
+from .mslr import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,12 @@ class Extractor:
         return table
 
     @cached_property
-    def _relatable(self) -> np.ndarray:
-        """(head type id, tail type id) -> the ontology admits a relation
-        other than noRelation for the pair."""
+    def _relatable(self) -> list[list[bool]]:
+        """[head type id][tail type id] -> the ontology admits a relation
+        other than noRelation for the pair; nested lists, read per pair."""
         table = self._admissible.copy()
         table[..., self.types.no_relation.id] = False
-        return table.any(axis=-1)
+        return table.any(axis=-1).tolist()
 
     def projection(self) -> InputProjection:
         """The encoder's ``InputProjection`` of ``params``, kept across
@@ -202,17 +203,14 @@ class Extractor:
                     raise SpanError(f"sentence {first_index + k}: {exc}") from None
         results: list[ExtractionResult] = []
         for h, mask in encode_batches(self.params, self.vocab, token_seqs, self.projection()):
-            lo = len(results)
+            lo, hi = len(results), len(results) + len(h)
             batch_spans = (
                 self.decode_entities(h, mask, first_index + lo) if spans is None
-                else spans[lo : lo + len(h)]
+                else spans[lo:hi]
             )
-            for b, sentence_spans in enumerate(batch_spans):
-                tokens = token_seqs[lo + b]
-                results.append(self.score_pairs(
-                    tokens, h[b, : len(tokens)], sentence_spans, first_index + lo + b,
-                    ontology_filter, confidence_floor,
-                ))
+            results.extend(self.score_chunk(h, mask, token_seqs[lo:hi], batch_spans,
+                                            first_index + lo, ontology_filter,
+                                            confidence_floor))
         return results
 
     def extract_text(
@@ -244,44 +242,45 @@ class Extractor:
             confidence_floor=confidence_floor, spans=None if spans is None else [spans],
         )[0]
 
-    def score_pairs(
-        self,
-        tokens: tuple[str, ...],
-        h: np.ndarray,
-        spans: Sequence[SpanPrediction],
-        sentence_index: int,
-        ontology_filter: bool,
+    def score_chunk(
+        self, h: np.ndarray, mask: np.ndarray, token_seqs: Sequence[tuple[str, ...]],
+        spans: Sequence[Sequence[SpanPrediction]], first_index: int, ontology_filter: bool,
         confidence_floor: float,
-    ) -> ExtractionResult:
-        """Classify every candidate pair of ``spans`` from the sentence's
-        (length, 2h) encoding ``h``: every ordered pair of distinct spans,
-        head index ascending then tail index, and with ``ontology_filter``
-        only pairs whose type ids the ontology relates. The spans' entity
-        types are the checkpoint's, and the spans are disjoint and in
+    ) -> list[ExtractionResult]:
+        """The results of the sentences of one padded encoder chunk ``h``
+        (B, T, 2h) with ``mask`` (B, T), as ``encode_batches`` yields it: row
+        b is sentence ``first_index + b``, with ``token_seqs[b]`` and
+        ``spans[b]``. A sentence's candidate pairs are the ordered pairs of
+        its distinct spans, head index ascending then tail index, and with
+        ``ontology_filter`` only pairs whose type ids the ontology relates;
+        one ``chunk_relation_probs`` call scores the chunk's pairs. The spans'
+        entity types are the checkpoint's, and the spans are disjoint and in
         range: decoded spans always are, and ``extract_many`` checks given
         ones before it encodes."""
-        spans = list(spans)
-        result = ExtractionResult(
-            sentence_index=sentence_index, tokens=tuple(tokens), spans=spans, triples=[]
-        )
-        type_id = np.array([self.types.entity_type(s.entity_type).id for s in spans], dtype=np.intp)
-        heads, tails = np.nonzero(~np.eye(len(spans), dtype=bool))
-        if ontology_filter:
-            keep = self._relatable[type_id[heads], type_id[tails]]
-            heads, tails = heads[keep], tails[keep]
-        if not heads.size:
-            return result
+        results = [
+            ExtractionResult(sentence_index=first_index + b, tokens=tokens, spans=list(row),
+                             triples=[])
+            for b, (tokens, row) in enumerate(zip(token_seqs, spans))
+        ]
+        flat = [s for row in spans for s in row]
+        type_id = [self.types.entity_type(s.entity_type).id for s in flat]
+        relatable = self._relatable
+        # per-sentence comprehensions: on a one-sentence chunk they cost less
+        # than the numpy calls of index arithmetic over the chunk
+        pairs, first = [], 0
+        for b, row in enumerate(spans):
+            ids = range(first, first + len(row))
+            pairs += [(b, i, j) for i in ids for j in ids
+                      if i != j and (not ontology_filter or relatable[type_id[i]][type_id[j]])]
+            first += len(row)
+        if not pairs:
+            return results
 
-        bounds = np.array([(s.start, s.end) for s in spans])
+        sentence_of, heads, tails = np.array(pairs).T
+        bounds, type_id = np.array([(s.start, s.end) for s in flat]), np.array(type_id)
         head_ids, tail_ids = type_id[heads], type_id[tails]
-        *_, probs = relation_head(
-            h,
-            entity_masks(len(tokens), bounds[heads], bounds[tails]),
-            head_ids,
-            tail_ids,
-            self.params,
-            self.config,
-        )
+        probs = chunk_relation_probs(self.params, self.config, h, mask, sentence_of,
+                                     bounds[heads], bounds[tails], head_ids, tail_ids)
         scores = probs
         if ontology_filter:
             # argmax takes the first maximal index, as a max over the admissible ids would
@@ -290,8 +289,9 @@ class Extractor:
 
         rel_names = [r.name for r in self.types.relations]
         no_rel_idx = self.types.no_relation.id
-        for i, j, row, k in zip(heads.tolist(), tails.tolist(), probs, best):
-            head, tail = spans[i], spans[j]
+        for b, i, j, row, k in zip(sentence_of.tolist(), heads.tolist(), tails.tolist(), probs,
+                                   best):
+            result, head, tail = results[b], flat[i], flat[j]
             confidence = float(row[k])
             if k == no_rel_idx or confidence < confidence_floor:
                 result.dropped.append(
@@ -304,18 +304,18 @@ class Extractor:
                 continue
             result.triples.append(
                 Triple(
-                    head=" ".join(tokens[head.start : head.end]),
+                    head=" ".join(result.tokens[head.start : head.end]),
                     head_type=head.entity_type,
                     relation=rel_names[k],
-                    tail=" ".join(tokens[tail.start : tail.end]),
+                    tail=" ".join(result.tokens[tail.start : tail.end]),
                     tail_type=tail.entity_type,
                     confidence=confidence,
-                    sentence_index=sentence_index,
+                    sentence_index=result.sentence_index,
                     head_span=(head.start, head.end),
                     tail_span=(tail.start, tail.end),
                 )
             )
-        return result
+        return results
 
 
 # ---------------------------------------------------------------------------

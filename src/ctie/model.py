@@ -668,7 +668,8 @@ def decode_constraint(config: ModelConfig, bio_labels: Sequence[str]) -> np.ndar
 
 
 def entity_pool(h_bigru: np.ndarray, entity_mask, sentence_of=None) -> np.ndarray:
-    """Masked sum of hidden states over the pair's tokens. With
+    """Masked sum of hidden states over each pair row's tokens: row r of
+    the (B, T) ``entity_mask`` pools ``h_bigru[r]`` of (B, T, 2h). With
     ``sentence_of`` (B,), ``h_bigru`` is (U, T, 2h), one encoding per
     sentence, and row r pools ``h_bigru[sentence_of[r]]``: the masks are
     laid out on a (U, slots, T) grid, each row in the next free slot of its
@@ -676,10 +677,6 @@ def entity_pool(h_bigru: np.ndarray, entity_mask, sentence_of=None) -> np.ndarra
     so no row copies it. Each row is the same (1, T) @ (T, 2h) product as
     without ``sentence_of``."""
     mask = np.asarray(entity_mask, dtype=np.float64)
-    if h_bigru.ndim == 2:
-        if mask.sum() == 0:
-            raise EmptyMask("entity mask selects no tokens")
-        return (h_bigru * mask[:, None]).sum(axis=0)
     if np.any(mask.sum(axis=1) == 0):
         raise EmptyMask("entity mask selects no tokens in at least one row")
     if sentence_of is None:
@@ -732,20 +729,16 @@ def relation_head(
     tail_type,
     params: Params,
     config: ModelConfig,
-    attention_mask=None,
+    attention_mask: np.ndarray,
     sentence_of=None,
 ) -> tuple[np.ndarray, ...]:
     """(pool mask, features, logits, probs) for B pair rows. ``h`` is
-    (B, T, 2h), one sentence's encoding shared by every row, or, with
+    (B, T, 2h), row r's encoding at ``h[r]``, or, with
     ``sentence_of`` (B,), U sentence encodings (U, T, 2h) that row r reads
-    at ``sentence_of[r]`` (``entity_pool``); with entity masks off the pool
-    covers ``attention_mask`` (default: all of ``h``)."""
-    entity_mask = np.asarray(entity_mask, dtype=np.float64)
-    if sentence_of is None:
-        h = np.broadcast_to(h, entity_mask.shape + h.shape[-1:])
-    pool_mask = entity_mask
-    if not config.use_entity_mask:
-        pool_mask = np.ones(entity_mask.shape) if attention_mask is None else attention_mask
+    at ``sentence_of[r]`` (``entity_pool``); with entity masks off row r
+    pools the tokens of ``attention_mask[r]``."""
+    pool_mask = np.asarray(entity_mask if config.use_entity_mask else attention_mask,
+                           dtype=np.float64)
     features = relation_features(entity_pool(h, pool_mask, sentence_of), head_type, tail_type,
                                  params["type_embed"], config.use_entity_type)
     logits, probs = relation_logits_and_probs(features, params["re_w"], params["re_b"])

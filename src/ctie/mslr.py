@@ -130,10 +130,6 @@ class PairRows:
         """The rows of ``parts``, in order, as one ``PairRows``."""
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
-    def masks(self, sentence_length: int) -> np.ndarray:
-        """(P, T) entity masks of the rows."""
-        return entity_masks(sentence_length, self.heads, self.tails)
-
 
 @dataclass(frozen=True)
 class MslrExample:

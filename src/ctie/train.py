@@ -27,7 +27,7 @@ from .model import (
     ner_logits,
     save_checkpoint,
 )
-from .mslr import Vocabulary, build_vocab, make_batches, sentence_rows
+from .mslr import PairRows, Vocabulary, build_vocab, make_batches, sentence_rows
 
 
 @dataclass
@@ -342,8 +342,10 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
         logits = ner_logits(h, params["ner_w"], params["ner_b"])
         nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        probs, rows = chunk_relation_probs(params, config, h, mask,
-                                           [(b, own) for b, (*_, own) in enumerate(chunk)])
+        rows = PairRows.concat([own for *_, own in chunk])
+        sentence_of = np.repeat(np.arange(len(chunk)), [len(own) for *_, own in chunk])
+        probs = chunk_relation_probs(params, config, h, mask, sentence_of, rows.heads,
+                                     rows.tails, rows.head_type, rows.tail_type)
         ce = -np.log(probs[np.arange(len(rows)), rows.label])
         lo = 0
         for (_, sentence, own), y, path, nll in zip(chunk, gold, paths, nlls):

@@ -484,3 +484,104 @@ def reference_gru(params, packing, x, pre, d_out, groups):
     for group in groups:
         reference_gru_backprop(trace, group, d_out[group], params, grads, d_x[group])
     return h, gates, grads, d_x
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction: one relation-head call per sentence
+# ---------------------------------------------------------------------------
+
+
+def reference_score_pairs(extractor, tokens, h, spans, sentence_index, ontology_filter,
+                          confidence_floor):
+    """The ``ExtractionResult`` of one sentence whose (length, 2h) encoding
+    is ``h``: every ordered pair of distinct spans, head index ascending
+    then tail index, and with ``ontology_filter`` only pairs whose type ids
+    the ontology relates, scored in one ``relation_head`` call that reads
+    ``h`` through a per-row broadcast."""
+    from ctie.extract import ExtractionResult, Triple
+    from ctie.model import relation_head
+    from ctie.mslr import entity_masks
+
+    spans = list(spans)
+    result = ExtractionResult(
+        sentence_index=sentence_index, tokens=tuple(tokens), spans=spans, triples=[]
+    )
+    types = extractor.types
+    type_id = np.array([types.entity_type(s.entity_type).id for s in spans], dtype=np.intp)
+    heads, tails = np.nonzero(~np.eye(len(spans), dtype=bool))
+    if ontology_filter:
+        keep = np.array(extractor._relatable)[type_id[heads], type_id[tails]]
+        heads, tails = heads[keep], tails[keep]
+    if not heads.size:
+        return result
+
+    bounds = np.array([(s.start, s.end) for s in spans])
+    head_ids, tail_ids = type_id[heads], type_id[tails]
+    masks = entity_masks(len(tokens), bounds[heads], bounds[tails])
+    *_, probs = relation_head(
+        np.broadcast_to(h, masks.shape + h.shape[-1:]),
+        masks,
+        head_ids,
+        tail_ids,
+        extractor.params,
+        extractor.config,
+        attention_mask=np.ones(masks.shape),
+    )
+    scores = probs
+    if ontology_filter:
+        scores = np.where(extractor._admissible[head_ids, tail_ids], probs, -np.inf)
+    best = np.argmax(scores, axis=1)
+
+    rel_names = [r.name for r in types.relations]
+    no_rel_idx = types.no_relation.id
+    for i, j, row, k in zip(heads.tolist(), tails.tolist(), probs, best):
+        head, tail = spans[i], spans[j]
+        confidence = float(row[k])
+        if k == no_rel_idx or confidence < confidence_floor:
+            result.dropped.append(
+                {
+                    "head_span": [head.start, head.end],
+                    "tail_span": [tail.start, tail.end],
+                    "no_relation_confidence": float(row[no_rel_idx]),
+                }
+            )
+            continue
+        result.triples.append(
+            Triple(
+                head=" ".join(tokens[head.start : head.end]),
+                head_type=head.entity_type,
+                relation=rel_names[k],
+                tail=" ".join(tokens[tail.start : tail.end]),
+                tail_type=tail.entity_type,
+                confidence=confidence,
+                sentence_index=sentence_index,
+                head_span=(head.start, head.end),
+                tail_span=(tail.start, tail.end),
+            )
+        )
+    return result
+
+
+def reference_extract_many(extractor, token_seqs, first_index=0, ontology_filter=False,
+                           confidence_floor=0.0, spans=None):
+    """``Extractor.extract_many`` on valid input, with each sentence's pairs
+    scored by ``reference_score_pairs`` on its row of the chunk encoding,
+    trimmed to its length."""
+    from ctie.evaluation import encode_batches
+
+    token_seqs = [tuple(tokens) for tokens in token_seqs]
+    results = []
+    for h, mask in encode_batches(extractor.params, extractor.vocab, token_seqs,
+                                  extractor.projection()):
+        lo = len(results)
+        batch_spans = (
+            extractor.decode_entities(h, mask, first_index + lo) if spans is None
+            else spans[lo : lo + len(h)]
+        )
+        for b, sentence_spans in enumerate(batch_spans):
+            tokens = token_seqs[lo + b]
+            results.append(reference_score_pairs(
+                extractor, tokens, h[b, : len(tokens)], sentence_spans, first_index + lo + b,
+                ontology_filter, confidence_floor,
+            ))
+    return results

@@ -23,7 +23,7 @@ from ctie.evaluation import (
     spans_to_bio,
 )
 from ctie.model import ModelConfig, init_params, relation_head
-from ctie.mslr import build_vocab, sentence_rows
+from ctie.mslr import PairRows, build_vocab, entity_masks, sentence_rows
 from ctie.train import TrainConfig
 
 from helpers import SMOKE_CORPUS, random_corpus, span_layouts
@@ -281,7 +281,7 @@ class TestEvaluateModel:
         assert 0.0 <= reports["re"].f1 <= 1.0
         assert reports["re"].accuracy is not None
 
-    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5, "0.5", None, True])
     def test_floor_outside_unit_interval_rejected_before_encoding(self, monkeypatch, floor):
         from ctie.model import ModelConfig
         from ctie.mslr import build_vocab
@@ -395,8 +395,10 @@ class TestGoldPairScoring:
         expected, predictions = [], []
         for i, sentence, rows in kept:
             h = next(evaluation.encode_batches(params, vocab, [sentence.tokens]))[0][0]
-            *_, probs = relation_head(h, rows.masks(len(sentence)), rows.head_type,
-                                      rows.tail_type, params, config)
+            masks = entity_masks(len(sentence), rows.heads, rows.tails)
+            *_, probs = relation_head(np.broadcast_to(h, masks.shape + h.shape[-1:]), masks,
+                                      rows.head_type, rows.tail_type, params, config,
+                                      attention_mask=np.ones(masks.shape))
             expected.append(probs)
             predictions.extend(
                 pair(i, head, tail, types.relations[k].name)
@@ -410,8 +412,12 @@ class TestGoldPairScoring:
         scored, lo = [], 0
         for h, mask in chunks:
             chunk_rows = [(i - lo, rows) for i, _, rows in kept if lo <= i < lo + len(h)]
-            probs, rows = evaluation.chunk_relation_probs(params, config, h, mask, chunk_rows)
-            assert np.array_equal(rows.label, np.concatenate([r.label for _, r in chunk_rows]))
+            sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
+            rows = PairRows.concat([r for _, r in chunk_rows])
+            probs = evaluation.chunk_relation_probs(params, config, h, mask, sentence_of,
+                                                    rows.heads, rows.tails, rows.head_type,
+                                                    rows.tail_type)
+            assert probs.shape == (len(rows), types.num_relations)
             scored.append(probs)
             lo += len(h)
         scored = np.concatenate(scored)

@@ -26,7 +26,7 @@ from ctie.extract import (
 from ctie.model import ModelConfig, init_params, relation_head, save_checkpoint
 from ctie.mslr import build_vocab, make_entity_mask
 
-from helpers import SMOKE_CORPUS
+from helpers import SMOKE_CORPUS, reference_extract_many
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +113,12 @@ class TestExtract:
         rng = np.random.default_rng(0)
         blocks = []
 
-        def tied_head(h, masks, *rest):
+        def tied_head(h, masks, *rest, **kwargs):
             n_relations = len(extractor.types.relations)
             blocks.append(rng.integers(1, 4, size=(len(masks), n_relations)) / 10)
             return None, None, None, blocks[-1]
 
-        monkeypatch.setattr("ctie.extract.relation_head", tied_head)
+        monkeypatch.setattr("ctie.evaluation.relation_head", tied_head)
         tokens = tuple("APT28 used Mimikatz against banks in 2014 says FireEye".split())
         spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "Tool"),
                  g_span(0, 4, 5, "Org"), g_span(0, 6, 7, "Time"),
@@ -163,7 +163,7 @@ class TestExtract:
         with pytest.raises(EmptyInput, match="sentence 6 "):
             extractor.extract_many([("a", "b"), ()], first_index=5)
 
-    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5, "0.5", None, True])
     def test_floor_outside_unit_interval_rejected_before_encoding(self, extractor, monkeypatch,
                                                                    floor):
         # with NaN every `confidence < floor` is False: the floor would be ignored
@@ -308,6 +308,67 @@ def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_sp
     check()
 
 
+@pytest.mark.parametrize("use_mask, use_type",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_chunk_scorer_matches_per_sentence_reference(extractor, use_mask, use_type):
+    # the reference scores each sentence's pairs in a relation-head call of
+    # its own, on its row of the chunk encoding trimmed to its length; a
+    # one-sentence chunk gives the same products, so the same bits
+    config = replace(extractor.config, use_entity_mask=use_mask, use_entity_type=use_type)
+    params = init_params(config, seed=12)
+    rng = np.random.default_rng(12)
+    for name in ("ner_w", "re_w", "type_embed"):
+        params[name] = rng.normal(scale=3.0, size=params[name].shape)
+    model = replace(extractor, params=params, config=config)
+    entity_types = [e.name for e in model.types.entity_types]
+    seen = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.sampled_from([1, 30, 2048]),
+        items=st.lists(_sentence_and_spans(entity_types), min_size=1, max_size=7),
+        first_index=st.integers(0, 3),
+        ontology_filter=st.booleans(),
+        floor=st.sampled_from([0.0, 0.5, 1.0]),
+        decoded=st.booleans(),
+    )
+    def check(cells, items, first_index, ontology_filter, floor, decoded):
+        seqs = [tokens for tokens, _ in items]
+        spans = None if decoded else [s for _, s in items]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "ENCODE_CELLS", cells)
+            got = model.extract_many(seqs, first_index=first_index,
+                                     ontology_filter=ontology_filter, confidence_floor=floor,
+                                     spans=spans)
+            want = reference_extract_many(model, seqs, first_index, ontology_filter, floor,
+                                          spans)
+        assert len(got) == len(want)
+        if cells > 1 and len(seqs) > 1:
+            seen.add("multi-sentence chunk")
+        for a, b in zip(got, want):
+            seen.add(min(len(b.spans), 2))
+            if b.triples:
+                seen.add("triples")
+            if b.dropped:
+                seen.add("dropped")
+            if cells == 1:
+                assert a.to_dict() == b.to_dict()
+                continue
+            assert (a.sentence_index, a.tokens, a.spans) == (b.sentence_index, b.tokens, b.spans)
+            assert [(t.key, t.head_span, t.tail_span, t.sentence_index) for t in a.triples] == [
+                (t.key, t.head_span, t.tail_span, t.sentence_index) for t in b.triples]
+            np.testing.assert_allclose([t.confidence for t in a.triples],
+                                       [t.confidence for t in b.triples], rtol=1e-12, atol=0)
+            assert [(d["head_span"], d["tail_span"]) for d in a.dropped] == [
+                (d["head_span"], d["tail_span"]) for d in b.dropped]
+            np.testing.assert_allclose([d["no_relation_confidence"] for d in a.dropped],
+                                       [d["no_relation_confidence"] for d in b.dropped],
+                                       rtol=1e-12, atol=0)
+
+    check()
+    assert seen == {0, 1, 2, "triples", "dropped", "multi-sentence chunk"}
+
+
 def test_one_extractor_matches_a_fresh_one_per_call(extractor):
     # an Extractor keeps one InputProjection over all its calls; a fresh
     # extractor computes every id's input pre-activations anew
@@ -376,12 +437,12 @@ def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
         tokens, spans = item
         calls = []
 
-        def spy(h, masks, head_ids, tail_ids, *rest):
+        def spy(h, masks, head_ids, tail_ids, *rest, **kwargs):
             calls.append((masks, head_ids, tail_ids))
-            return relation_head(h, masks, head_ids, tail_ids, *rest)
+            return relation_head(h, masks, head_ids, tail_ids, *rest, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ctie.extract.relation_head", spy)
+            mp.setattr("ctie.evaluation.relation_head", spy)
             result = extractor.extract_tokens(tokens, spans=spans, ontology_filter=ontology_filter)
         pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, ontology_filter)
         bounds = [((spans[i].start, spans[i].end), (spans[j].start, spans[j].end))

@@ -571,35 +571,37 @@ class TestNerLogits:
 
 
 class TestEntityPool:
+    """One pair row pooled from a (1, T, 2h) encoding."""
+
     def test_direct_sum(self):
-        h = np.array([[1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
-        np.testing.assert_array_equal(entity_pool(h, [1, 0, 1]), [4.0, 1.0])
+        h = np.array([[[1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]])
+        np.testing.assert_array_equal(entity_pool(h, [[1, 0, 1]]), [[4.0, 1.0]])
 
     def test_all_ones_column_sums(self):
-        h = np.random.default_rng(9).normal(size=(6, 3))
-        np.testing.assert_allclose(entity_pool(h, [1] * 6), h.sum(axis=0))
+        h = np.random.default_rng(9).normal(size=(1, 6, 3))
+        np.testing.assert_allclose(entity_pool(h, [[1] * 6]), h.sum(axis=1))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
-        h = rng.normal(size=(5, 4))
-        mask = np.array([1, 0, 1, 1, 0], dtype=float)
+        h = rng.normal(size=(1, 5, 4))
+        mask = np.array([[1, 0, 1, 1, 0]], dtype=float)
         perm = rng.permutation(5)
         np.testing.assert_allclose(
-            entity_pool(h, mask), entity_pool(h[perm], mask[perm]), atol=1e-12
+            entity_pool(h, mask), entity_pool(h[:, perm], mask[:, perm]), atol=1e-12
         )
 
     def test_linear_in_disjoint_masks(self):
         rng = np.random.default_rng(11)
-        h = rng.normal(size=(8, 3))
-        m1 = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=float)
-        m2 = np.array([0, 0, 0, 1, 0, 1, 0, 0], dtype=float)
+        h = rng.normal(size=(1, 8, 3))
+        m1 = np.array([[1, 1, 0, 0, 0, 0, 0, 0]], dtype=float)
+        m2 = np.array([[0, 0, 0, 1, 0, 1, 0, 0]], dtype=float)
         np.testing.assert_allclose(
             entity_pool(h, m1 + m2), entity_pool(h, m1) + entity_pool(h, m2), atol=1e-12
         )
 
     def test_empty_mask_raises(self):
         with pytest.raises(EmptyMask):
-            entity_pool(np.ones((3, 2)), [0, 0, 0])
+            entity_pool(np.ones((1, 3, 2)), [[0, 0, 0]])
 
 
 class TestRelationFeatures:
