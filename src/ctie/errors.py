@@ -50,7 +50,7 @@ class IdOutOfRange(DataError):
 
 
 class EmptyMask(DataError):
-    """An entity mask selects no tokens while entity pooling requires one."""
+    """An entity span selects no tokens while entity pooling requires one."""
 
 
 class EmptyInput(DataError):

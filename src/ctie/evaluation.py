@@ -24,9 +24,9 @@ from .model import (
     decode_constraint,
     encode,
     ner_predict,
-    relation_head,
+    score_pairs,
 )
-from .mslr import PairRows, Vocabulary, entity_masks, sentence_rows
+from .mslr import Vocabulary, pair_spans, sentence_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -329,25 +329,6 @@ def predict_ner_labels(
     ]
 
 
-def chunk_relation_probs(
-    params: Params, config: ModelConfig, h: np.ndarray, mask: np.ndarray,
-    sentence_of: np.ndarray, heads: np.ndarray, tails: np.ndarray, head_type: np.ndarray,
-    tail_type: np.ndarray,
-) -> np.ndarray:
-    """(R, K) relation probabilities of R pair rows of one padded encoder
-    chunk ``h`` (B, T, 2h) with ``mask`` (B, T), as ``encode_batches``
-    yields it. Row r is a pair of sentence ``sentence_of[r]`` of the chunk,
-    with head and tail span bounds ``heads[r]`` and ``tails[r]`` ((R, 2)
-    arrays of [start, end)) and type ids ``head_type[r]`` and
-    ``tail_type[r]``. One ``relation_head`` call scores them all, each row
-    reading its sentence's row of ``h`` through ``sentence_of``, so no row
-    copies its sentence's encoding."""
-    *_, probs = relation_head(h, entity_masks(h.shape[1], heads, tails), head_type, tail_type,
-                              params, config, attention_mask=mask[sentence_of],
-                              sentence_of=sentence_of)
-    return probs
-
-
 def predict_relations_gold_pairs(
     params: Params,
     config: ModelConfig,
@@ -360,7 +341,7 @@ def predict_relations_gold_pairs(
     as features, on the rows training reads (``mslr.sentence_rows``): like
     training, skip sentences longer than ``max_len``. ``chunks`` are the
     (h, mask) chunks ``encode_batches`` yields for ``sentences``; each is
-    scored in one ``chunk_relation_probs`` call. ``types`` is the
+    scored in one ``model.score_pairs`` call. ``types`` is the
     checkpoint's: type ids are looked up there by name, and a pair whose
     relation or entity types it does not know raises a ``DataError``.
 
@@ -370,18 +351,17 @@ def predict_relations_gold_pairs(
     gold, predicted = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     k = lo = 0
     for h, mask in chunks:
-        chunk_rows = []
+        first = k
         while k < len(kept) and kept[k][0] < lo + len(h):
-            chunk_rows.append((kept[k][0] - lo, kept[k][2]))
             k += 1
-        lo += len(h)
-        if chunk_rows:
-            sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
-            rows = PairRows.concat([r for _, r in chunk_rows])
-            probs = chunk_relation_probs(params, config, h, mask, sentence_of, rows.heads,
-                                         rows.tails, rows.head_type, rows.tail_type)
+        if k > first:
+            span_of, spans, rows = pair_spans(kept[first:k])
+            chunk_row = np.array([i - lo for i, *_ in kept[first:k]])
+            probs = score_pairs(h, mask, chunk_row[span_of], spans, rows.head, rows.tail,
+                                rows.head_type, rows.tail_type, params, config).probs
             gold.append(rows.label)
             predicted.append(np.argmax(probs, axis=1))
+        lo += len(h)
     return np.concatenate(gold), np.concatenate(predicted)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .corpus import OntologySchema, TypeSystem, check_spans
 from .errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from .evaluation import (
-    SpanPrediction, check_confidence_floor, chunk_relation_probs, decode_spans, encode_batches,
+    SpanPrediction, check_confidence_floor, decode_spans, encode_batches,
     predict_ner_labels,
 )
 from .model import (
@@ -43,6 +43,7 @@ from .model import (
     checkpoint_tables,
     decode_constraint,
     load_checkpoint,
+    score_pairs,
 )
 from .mslr import Vocabulary
 
@@ -253,10 +254,10 @@ class Extractor:
         ``spans[b]``. A sentence's candidate pairs are the ordered pairs of
         its distinct spans, head index ascending then tail index, and with
         ``ontology_filter`` only pairs whose type ids the ontology relates;
-        one ``chunk_relation_probs`` call scores the chunk's pairs. The spans'
-        entity types are the checkpoint's, and the spans are disjoint and in
-        range: decoded spans always are, and ``extract_many`` checks given
-        ones before it encodes."""
+        one ``model.score_pairs`` call scores the chunk's pairs, given each
+        span once. The spans' entity types are the checkpoint's, and the
+        spans are disjoint and in range: decoded spans always are, and
+        ``extract_many`` checks given ones before it encodes."""
         results = [
             ExtractionResult(sentence_index=first_index + b, tokens=tokens, spans=list(row),
                              triples=[])
@@ -267,20 +268,20 @@ class Extractor:
         relatable = self._relatable
         # per-sentence comprehensions: on a one-sentence chunk they cost less
         # than the numpy calls of index arithmetic over the chunk
-        pairs, first = [], 0
+        pairs, span_rows = [], []
         for b, row in enumerate(spans):
-            ids = range(first, first + len(row))
+            ids = range(len(span_rows), len(span_rows) + len(row))
             pairs += [(b, i, j) for i in ids for j in ids
                       if i != j and (not ontology_filter or relatable[type_id[i]][type_id[j]])]
-            first += len(row)
+            span_rows += [b] * len(row)
         if not pairs:
             return results
 
         sentence_of, heads, tails = np.array(pairs).T
         bounds, type_id = np.array([(s.start, s.end) for s in flat]), np.array(type_id)
         head_ids, tail_ids = type_id[heads], type_id[tails]
-        probs = chunk_relation_probs(self.params, self.config, h, mask, sentence_of,
-                                     bounds[heads], bounds[tails], head_ids, tail_ids)
+        probs = score_pairs(h, mask, np.array(span_rows), bounds, heads, tails, head_ids,
+                            tail_ids, self.params, self.config).probs
         scores = probs
         if ontology_filter:
             # argmax takes the first maximal index, as a max over the admissible ids would

@@ -2,12 +2,14 @@
 
     encode:         token ids -> embedding -> BiGRU -> H
     NER head:       H -> dense -> CRF, decoded by Viterbi (``ner_predict``)
-    relation head:  H -> masked sum over the pair's entity tokens -> pool
-                    [pool ; type_emb(head) ; type_emb(tail)] -> dense -> softmax
+    relation head:  H -> sum over each entity span's tokens -> span pool
+                    [pool(head) + pool(tail) ; type_emb(head) ; type_emb(tail)]
+                    -> dense -> softmax, split into per-span and per-type terms
 
 Inference and validation encode a sentence once (``encode``) and score all
 its pairs, candidate or annotated, from that H: pairs differ only in entity
-mask and type ids, which the encoder never reads. Without dropout and with
+spans and type ids, which the encoder never reads; every path scores them
+with ``score_pairs``, which pools each span once. Without dropout and with
 fixed weights a token's GRU input pre-activations depend on its id only, so
 ``encode`` gathers them from an ``InputProjection``, which computes each
 id's once, and runs only the recurrence. Training (``forward``,
@@ -577,8 +579,11 @@ class InputProjection:
             mark = np.zeros(n_vocab, dtype=bool)
             mark[ids[new]] = True
             new_ids = np.flatnonzero(mark)
-            self.rows[:, new_ids] = _input_preactivations(self.params["embed"][new_ids],
-                                                          self.params)
+            # a one-row product runs as a GEMV, whose bits differ from a GEMM row's, so a
+            # row would depend on the ids new with it: with one new id, compute two rows
+            computed = np.resize(new_ids, max(2, len(new_ids)))
+            self.rows[:, new_ids] = _input_preactivations(
+                self.params["embed"][computed], self.params)[:, : len(new_ids)]
             self.filled[new_ids] = True
         rows = packing.to_blocks(ids[..., None] * 3 + self.gate_rows, n_dirs, 3)[..., 0]
         return np.take(self.rows.reshape(-1, self.rows.shape[-1] // 3), rows, axis=0)
@@ -667,46 +672,24 @@ def decode_constraint(config: ModelConfig, bio_labels: Sequence[str]) -> np.ndar
     return bio_allowed_transitions(bio_labels) if config.bio_constrained_decode else None
 
 
-def entity_pool(h_bigru: np.ndarray, entity_mask, sentence_of=None) -> np.ndarray:
-    """Masked sum of hidden states over each pair row's tokens: row r of
-    the (B, T) ``entity_mask`` pools ``h_bigru[r]`` of (B, T, 2h). With
-    ``sentence_of`` (B,), ``h_bigru`` is (U, T, 2h), one encoding per
-    sentence, and row r pools ``h_bigru[sentence_of[r]]``: the masks are
-    laid out on a (U, slots, T) grid, each row in the next free slot of its
-    sentence, and every slot reads its sentence's encoding by broadcasting,
-    so no row copies it. Each row is the same (1, T) @ (T, 2h) product as
-    without ``sentence_of``."""
-    mask = np.asarray(entity_mask, dtype=np.float64)
-    if np.any(mask.sum(axis=1) == 0):
-        raise EmptyMask("entity mask selects no tokens in at least one row")
-    if sentence_of is None:
-        return np.matmul(mask[:, None, :], h_bigru)[:, 0]
-    order = np.argsort(sentence_of, kind="stable")
-    counts = np.bincount(sentence_of, minlength=len(h_bigru))
-    slot = np.empty(len(order), dtype=np.int64)
-    slot[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    grid = np.zeros((len(h_bigru), counts.max(), 1, mask.shape[1]))
-    grid[sentence_of, slot, 0] = mask
-    return np.matmul(grid, h_bigru[:, None])[sentence_of, slot, 0]
-
-
-def relation_features(
-    e_pool: np.ndarray,
-    head_type,
-    tail_type,
-    type_embed: np.ndarray,
-    use_entity_type: bool = True,
-) -> np.ndarray:
-    """[pool ; type(head) ; type(tail)], or just the pool when types are off.
-
-    The type embedding is a static lookup: the same type id always maps to
-    the same vector, independent of sentence context.
-    """
-    if not use_entity_type:
-        return e_pool
-    head_vec = embed(head_type, type_embed)
-    tail_vec = embed(tail_type, type_embed)
-    return np.concatenate([e_pool, head_vec, tail_vec], axis=-1)
+def span_pool(h: np.ndarray, rows, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pools (S, w), cells (N,), owner (N,)): span s of the padded
+    encodings ``h`` (B, T, w) sums the tokens ``bounds[s]`` = [start, end)
+    of row ``rows[s]``. ``cells`` are the flat (row, token) cells of all
+    pooled tokens, span by span, and ``owner`` their spans. The tokens are
+    added in order in a zero-padded (S, longest span, w) block, so a span's
+    pool depends neither on how wide ``h`` is padded nor on the other
+    spans. An empty span is an ``EmptyMask``, raised before any sum."""
+    rows, bounds = np.asarray(rows), np.asarray(bounds)
+    sizes = bounds[:, 1] - bounds[:, 0]
+    if (sizes <= 0).any():
+        raise EmptyMask("an entity span selects no tokens")
+    inside = np.arange(sizes.max()) < sizes[:, None]
+    owner, step = inside.nonzero()
+    cells = (rows * h.shape[1] + bounds[:, 0])[owner] + step
+    tokens = np.zeros(inside.shape + h.shape[-1:])
+    tokens[inside] = h.reshape(-1, h.shape[-1])[cells]
+    return tokens.sum(axis=1), cells, owner
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -715,34 +698,48 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def relation_logits_and_probs(
-    features: np.ndarray, w: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    logits = features @ w + b
-    return logits, softmax(logits)
+@dataclass
+class PairScores:
+    """The relation head on R pairs (``score_pairs``), as ``backward`` reads it."""
+
+    pools: np.ndarray        # (S, 2h) span pools
+    cells: np.ndarray        # (N,) flat (row, token) cells of the pooled tokens, span by span
+    owner: np.ndarray        # (N,) each cell's span
+    heads: np.ndarray        # (R,) the pool of each pair's head span, or of its sentence
+    tails: np.ndarray | None  # (R,) the pool of each pair's tail span; None: one pool per pair
+    head_type: np.ndarray    # (R,)
+    tail_type: np.ndarray    # (R,)
+    probs: np.ndarray        # (R, K)
 
 
-def relation_head(
-    h: np.ndarray,
-    entity_mask,
-    head_type,
-    tail_type,
-    params: Params,
-    config: ModelConfig,
-    attention_mask: np.ndarray,
-    sentence_of=None,
-) -> tuple[np.ndarray, ...]:
-    """(pool mask, features, logits, probs) for B pair rows. ``h`` is
-    (B, T, 2h), row r's encoding at ``h[r]``, or, with
-    ``sentence_of`` (B,), U sentence encodings (U, T, 2h) that row r reads
-    at ``sentence_of[r]`` (``entity_pool``); with entity masks off row r
-    pools the tokens of ``attention_mask[r]``."""
-    pool_mask = np.asarray(entity_mask if config.use_entity_mask else attention_mask,
-                           dtype=np.float64)
-    features = relation_features(entity_pool(h, pool_mask, sentence_of), head_type, tail_type,
-                                 params["type_embed"], config.use_entity_type)
-    logits, probs = relation_logits_and_probs(features, params["re_w"], params["re_b"])
-    return pool_mask, features, logits, probs
+def score_pairs(h: np.ndarray, mask: np.ndarray, span_rows, span_bounds, heads, tails,
+                head_type, tail_type, params: Params, config: ModelConfig) -> PairScores:
+    """Relation probabilities of R pairs over S entity spans of the padded
+    encodings ``h`` (B, T, 2h) with padding ``mask`` (B, T): span s is
+    ``span_bounds[s]`` of row ``span_rows[s]``; pair r joins spans
+    ``heads[r]`` and ``tails[r]``, of type ids ``head_type[r]`` and
+    ``tail_type[r]``. Its features [pool ; type(head) ; type(tail)] pool
+    two disjoint spans, so its logits split into per-span and per-type
+    terms, A[heads] + A[tails] + TH[head_type] + TT[tail_type] + re_b, with
+    A = span pools @ ``re_w[:2h]`` and TH, TT = ``type_embed`` @ the type
+    blocks of ``re_w``: each span is pooled and projected once. With
+    ``use_entity_mask`` off a pair pools its head span's sentence, [0,
+    length); with ``use_entity_type`` off the type terms go."""
+    if not config.use_entity_mask:
+        heads, tails = np.asarray(span_rows)[heads], None
+        span_rows = np.arange(len(h))
+        lengths = mask.sum(axis=1).astype(np.int64)
+        span_bounds = np.stack((np.zeros_like(lengths), lengths), axis=1)
+    pools, cells, owner = span_pool(h, span_rows, span_bounds)
+    re_w, n_pool = params["re_w"], pools.shape[1]
+    per_span = pools @ re_w[:n_pool]
+    logits = per_span[heads] if tails is None else per_span[heads] + per_span[tails]
+    if config.use_entity_type:  # TH and TT, (n_types, K) each, looked up with an id check
+        tables = params["type_embed"] @ re_w[n_pool:].reshape(2, -1, re_w.shape[1])
+        logits += embed(head_type, tables[0])
+        logits += embed(tail_type, tables[1])
+    logits += params["re_b"]
+    return PairScores(pools, cells, owner, heads, tails, head_type, tail_type, softmax(logits))
 
 
 def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1.0) -> float:
@@ -758,13 +755,12 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 class ForwardTrace:
     """What ``backward`` reads of a ``forward``. The encoder and NER arrays
     (``token_ids`` to ``d_logits_ner``) hold one row per encoded sequence:
-    the batch's distinct sentences when ``sentence_of`` maps each batch row
-    to one of them, else the batch rows. The relation head's arrays hold
-    one row per batch row."""
+    the batch's distinct sentences at dropout 0, else the batch rows. The
+    relation head scores one pair per batch row, over its head and tail
+    spans in the rows of ``h_d``."""
 
     config: ModelConfig
     batch: Batch
-    sentence_of: np.ndarray | None  # (B,) each row's encoded sentence; None: the identity
     token_ids: np.ndarray
     drop_emb: np.ndarray | None
     gru: GruTrace
@@ -773,9 +769,7 @@ class ForwardTrace:
     logits_ner: np.ndarray
     d_logits_ner: np.ndarray   # d sum-of-row-NLLs / d logits_ner
     d_crf_trans: np.ndarray    # d sum-of-row-NLLs / d crf_trans
-    pool_mask: np.ndarray
-    features: np.ndarray
-    probs_re: np.ndarray
+    relation: PairScores       # the rows' pairs over the spans of h_d
 
 
 @dataclass
@@ -806,13 +800,14 @@ def forward(
     gradients come from one batched forward-backward pass, kept in the
     trace; nothing is decoded. ``mode`` must be ``"train"``: there is no
     eval mode, since inference and validation encode each sentence once
-    (``encode``) and score its pairs with ``relation_head``.
+    (``encode``) and score its pairs with ``score_pairs``, as here.
 
     At dropout 0 every copy of a sentence has the same encoding and NLL, so
     the U distinct sentences of ``batch.sentence_of`` are embedded, encoded
     and CRF-scored once each, the CRF gradients weighted by the sentence's
-    row count, and the relation head reads each row's sentence encoding.
-    With dropout every row draws its own masks and is encoded on its own.
+    row count, and each row's head and tail spans are pooled from its
+    sentence's encoding. With dropout every row draws its own masks and is
+    encoded on its own.
     """
     if mode != "train":
         raise ValueError(f"mode must be 'train', got {mode!r}")
@@ -844,31 +839,31 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    # a batch is a few rows: copying h_d per row costs fewer numpy calls than
-    # relation_head(sentence_of=)'s slot grid
-    pool_mask, features, _logits_re, probs_re = relation_head(
-        h_d if sentence_of is None else h_d[sentence_of], batch.entity_mask,
-        batch.head_type, batch.tail_type, params, config, attention_mask=mask,
-    )
+    # spans 0..B-1 are the rows' heads, B..2B-1 their tails, in their encoded sequences
+    rows = np.arange(batch.size) if sentence_of is None else sentence_of
+    relation = score_pairs(h_d, seq_mask, np.concatenate((rows, rows)),
+                           np.concatenate((batch.head_span, batch.tail_span)),
+                           np.arange(batch.size), np.arange(batch.size, 2 * batch.size),
+                           batch.head_type, batch.tail_type, params, config)
 
     nlls, d_logits, d_trans = crf_nll_grad(logits, labels, params["crf_trans"], seq_mask,
                                            weights=weights)
     if sentence_of is not None:
         nlls = nlls[sentence_of]
     ner_nll_mean = float(np.mean(nlls))
-    picked = probs_re[np.arange(batch.size), batch.relation_label]
+    picked = relation.probs[np.arange(batch.size), batch.relation_label]
     re_ce_mean = float(np.mean(-np.log(picked)))
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = ForwardTrace(
-        config=config, batch=batch, sentence_of=sentence_of, token_ids=token_ids,
+        config=config, batch=batch, token_ids=token_ids,
         drop_emb=drop_emb,
         gru=gru, drop_h=drop_h, h_d=h_d,
-        logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans,
-        pool_mask=pool_mask, features=features, probs_re=probs_re,
+        logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation,
     )
     return ForwardResult(
-        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, re_probs=probs_re, trace=trace,
+        ner_nll=ner_nll_mean, re_ce=re_ce_mean, joint=joint, re_probs=relation.probs,
+        trace=trace,
     )
 
 
@@ -877,11 +872,12 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
 
     The joint loss is the batch mean of alpha * NER-NLL + beta * RE-CE, so
     every per-row contribution is scaled by 1/B. Shared-encoder arrays
-    accumulate contributions from both heads. When rows share an encoded
-    sentence (``ForwardTrace.sentence_of``), the rows' pool gradients are
-    summed into it by one routing GEMM, the CRF's are already weighted by
-    the sentence's row count, and the NER head, BPTT and the embedding
-    scatter run once per sentence. The gradients are written
+    accumulate contributions from both heads. The relation head's logit
+    gradients are summed per span and per type id (``score_pairs``), and
+    each span's pool gradient is scattered onto its own tokens. When rows
+    share an encoded sentence, the CRF's gradients are already weighted by
+    its row count, and the NER head, BPTT and the embedding scatter run
+    once per sentence. The gradients are written
     into ``grads`` when given (a dict shaped like ``params``, whose values
     are overwritten: a training loop passes one buffer on every step), and
     into new arrays otherwise; the dict is returned.
@@ -892,30 +888,8 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     n_hidden = config.hidden_dim
     if grads is None:
         grads = {k: np.empty_like(v) for k, v in params.items()}
-    for name in ("embed", "type_embed"):  # the two arrays rows are added into
+    for name in ("embed", "type_embed"):  # added into, or left zero
         grads[name].fill(0.0)
-
-    # Relation head.
-    d_logits_re = trace.probs_re.copy()
-    d_logits_re[np.arange(n_batch), batch.relation_label] -= 1.0
-    d_logits_re *= config.beta / n_batch
-    np.matmul(trace.features.T, d_logits_re, out=grads["re_w"])
-    d_logits_re.sum(axis=0, out=grads["re_b"])
-    d_features = d_logits_re @ params["re_w"].T
-
-    d_pool = d_features[:, : 2 * n_hidden]
-    if config.use_entity_type:
-        dt = config.entity_type_dim
-        d_head = d_features[:, 2 * n_hidden : 2 * n_hidden + dt]
-        d_tail = d_features[:, 2 * n_hidden + dt :]
-        np.add.at(grads["type_embed"], batch.head_type, d_head)
-        np.add.at(grads["type_embed"], batch.tail_type, d_tail)
-
-    if trace.sentence_of is None:
-        d_h_d = d_pool[:, None, :] * trace.pool_mask[:, :, None]
-    else:  # (U, T, B) routing weights: row b's pool mask on its sentence's plane
-        sentences = np.arange(len(trace.h_d))[:, None, None]
-        d_h_d = ((trace.sentence_of == sentences) * trace.pool_mask.T) @ d_pool
 
     # NER head through the CRF, whose gradients the forward pass computed.
     scale = config.alpha / n_batch
@@ -925,7 +899,33 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     np.matmul(trace.h_d.reshape(-1, 2 * n_hidden).T, d_logits_ner.reshape(-1, n_labels),
               out=grads["ner_w"])
     d_logits_ner.sum(axis=(0, 1), out=grads["ner_b"])
-    d_h_d += d_logits_ner @ params["ner_w"].T
+    d_h_d = d_logits_ner @ params["ner_w"].T
+
+    # Relation head: per-span terms, then per-type terms.
+    rel, n_pool = trace.relation, 2 * n_hidden
+    d_logits = rel.probs.copy()
+    d_logits[np.arange(n_batch), batch.relation_label] -= 1.0
+    d_logits *= config.beta / n_batch
+    d_logits.sum(axis=0, out=grads["re_b"])
+    n_relations = d_logits.shape[1]
+    d_per_span = np.zeros((len(rel.pools), n_relations))
+    for spans in (rel.heads, rel.tails):
+        if spans is not None:
+            np.add.at(d_per_span, spans, d_logits)
+    np.matmul(rel.pools.T, d_per_span, out=grads["re_w"][:n_pool])
+    d_pools = (d_per_span @ params["re_w"][:n_pool].T)[rel.owner]
+    # onto the raveled encoding: numpy's add.at runs 1-D indices on its fast path
+    cells = (rel.cells[:, None] * n_pool + np.arange(n_pool)).ravel()
+    np.add.at(d_h_d.reshape(-1), cells, d_pools.ravel())
+    if config.use_entity_type:  # through the (2, n_types, K) tables TH and TT
+        type_embed = params["type_embed"]
+        d_tables = np.zeros((2, len(type_embed), n_relations))
+        np.add.at(d_tables[0], rel.head_type, d_logits)
+        np.add.at(d_tables[1], rel.tail_type, d_logits)
+        g_types, w_types = (w[n_pool:].reshape(2, -1, n_relations)
+                            for w in (grads["re_w"], params["re_w"]))
+        np.matmul(type_embed.T, d_tables, out=g_types)
+        np.sum(d_tables @ w_types.swapaxes(1, 2), axis=0, out=grads["type_embed"])
 
     d_h_bigru = d_h_d if trace.drop_h is None else d_h_d * trace.drop_h
 

@@ -97,27 +97,14 @@ def make_entity_mask(sentence_length: int, head, tail) -> tuple[int, ...]:
     return tuple(mask)
 
 
-def entity_masks(sentence_length: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """(P, T) float masks of P pairs, row p 1 on every token of the spans
-    ``heads[p]`` and ``tails[p]``, given as (P, 2) arrays of [start, end)
-    bounds. Unlike ``make_entity_mask`` it checks nothing: callers pass
-    spans already known to lie in range and not to overlap."""
-    pos = np.arange(sentence_length)
-
-    def covers(bounds: np.ndarray) -> np.ndarray:
-        return (bounds[:, :1] <= pos) & (pos < bounds[:, 1:])
-
-    return (covers(heads) | covers(tails)).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class PairRows:
     """One sentence's MSLR rows as arrays, one entry per annotated pair in
-    relation order: the head and tail span bounds, (P, 2) arrays of
-    [start, end), and the head type, tail type and relation ids, (P,)."""
+    relation order: the head and tail entity indices into the sentence's
+    entities, and the head type, tail type and relation ids, (P,)."""
 
-    heads: np.ndarray
-    tails: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
     head_type: np.ndarray
     tail_type: np.ndarray
     label: np.ndarray
@@ -220,10 +207,9 @@ def pair_rows(sentence: AnnotatedSentence, types: TypeSystem, sentence_index: in
                 f"sentence {sentence_index}: relation {rel.relation.name!r} is not in the "
                 "checkpoint's type system"
             )
-        rows.append((head.start, head.end, tail.start, tail.end, type_ids[rel.head_index],
+        rows.append((rel.head_index, rel.tail_index, type_ids[rel.head_index],
                      type_ids[rel.tail_index], types.relation(rel.relation.name).id))
-    table = np.array(rows, dtype=np.int64).reshape(-1, 7)
-    return PairRows(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], table[:, 6])
+    return PairRows(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
 
 def expand(
@@ -313,7 +299,8 @@ class Batch:
 
     token_ids: np.ndarray       # (B, T) int64
     attention_mask: np.ndarray  # (B, T) float64
-    entity_mask: np.ndarray     # (B, T) float64
+    head_span: np.ndarray       # (B, 2) int64 [start, end) of the head entity
+    tail_span: np.ndarray       # (B, 2) int64 [start, end) of the tail entity
     head_type: np.ndarray       # (B,) int64
     tail_type: np.ndarray       # (B,) int64
     ner_labels: np.ndarray      # (B, T) int64
@@ -350,6 +337,22 @@ def sentence_rows(
     return kept, skipped
 
 
+def pair_spans(
+    kept: Sequence[tuple[int, AnnotatedSentence, PairRows]],
+) -> tuple[np.ndarray, np.ndarray, PairRows]:
+    """(sentence (S,), spans (S, 2), pairs) of ``kept`` (``sentence_rows``):
+    each entity span of its sentences once, as its sentence's position in
+    ``kept`` and its [start, end); the rows as one ``PairRows`` over them."""
+    n_spans = [len(sentence.entities) for _, sentence, _ in kept]
+    spans = np.array([(e.start, e.end) for _, sentence, _ in kept for e in sentence.entities],
+                     dtype=np.int64).reshape(-1, 2)
+    pairs = PairRows.concat([rows for *_, rows in kept])
+    shift = np.repeat(np.cumsum(n_spans) - n_spans, [len(rows) for *_, rows in kept])
+    for index in (pairs.head, pairs.tail):  # concat's own arrays
+        index += shift
+    return np.repeat(np.arange(len(kept)), n_spans), spans, pairs
+
+
 def make_batches(
     kept: Sequence[tuple[int, AnnotatedSentence, PairRows]], types: TypeSystem,
     vocab: Vocabulary, batch_size: int, shuffle_seed: int | None = None,
@@ -369,7 +372,8 @@ def make_batches(
         tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
         labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
     sentence_of = np.repeat(np.arange(len(kept)), [len(rows) for *_, rows in kept])
-    pairs = PairRows.concat([rows for *_, rows in kept])
+    _, spans, pairs = pair_spans(kept)
+    heads, tails = spans[pairs.head], spans[pairs.tail]
     origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
     order = np.arange(len(origins))
     if shuffle_seed is not None:
@@ -384,7 +388,7 @@ def make_batches(
         batches.append(Batch(
             token_ids=tokens[s, :width], ner_labels=labels[s, :width],
             attention_mask=(np.arange(width) < n[:, None]).astype(np.float64),
-            entity_mask=entity_masks(width, pairs.heads[idx], pairs.tails[idx]),
+            head_span=heads[idx], tail_span=tails[idx],
             head_type=pairs.head_type[idx], tail_type=pairs.tail_type[idx],
             relation_label=pairs.label[idx],
             lengths=n, origins=tuple(origins[k] for k in idx),

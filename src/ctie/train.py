@@ -26,8 +26,9 @@ from .model import (
     load_embedding_file,
     ner_logits,
     save_checkpoint,
+    score_pairs,
 )
-from .mslr import PairRows, Vocabulary, build_vocab, make_batches, sentence_rows
+from .mslr import Vocabulary, build_vocab, make_batches, pair_spans, sentence_rows
 
 
 @dataclass
@@ -326,10 +327,10 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
     and its Viterbi token hits (under the ``allowed`` transition mask) are
     computed once and weighted by its row count, and the relation head
     scores the rows of each encoder chunk in one call
-    (``evaluation.chunk_relation_probs``, as gold-pair evaluation does): the
+    (``model.score_pairs``, as gold-pair evaluation does): the
     means are those of a dropout-free forward over every row, to rounding.
     """
-    from .evaluation import chunk_relation_probs, encode_batches  # evaluation imports this
+    from .evaluation import encode_batches  # evaluation imports this
 
     sums = _Sums()
     tok_correct = tok_total = done = 0
@@ -342,10 +343,9 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
         logits = ner_logits(h, params["ner_w"], params["ner_b"])
         nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        rows = PairRows.concat([own for *_, own in chunk])
-        sentence_of = np.repeat(np.arange(len(chunk)), [len(own) for *_, own in chunk])
-        probs = chunk_relation_probs(params, config, h, mask, sentence_of, rows.heads,
-                                     rows.tails, rows.head_type, rows.tail_type)
+        span_rows, spans, rows = pair_spans(chunk)
+        probs = score_pairs(h, mask, span_rows, spans, rows.head, rows.tail, rows.head_type,
+                            rows.tail_type, params, config).probs
         ce = -np.log(probs[np.arange(len(rows)), rows.label])
         lo = 0
         for (_, sentence, own), y, path, nll in zip(chunk, gold, paths, nlls):

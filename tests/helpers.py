@@ -225,7 +225,9 @@ def tiny_batch():
     return Batch(
         token_ids=np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]], dtype=np.int64),
         attention_mask=np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64),
-        entity_mask=np.array([[1, 0, 0, 1, 0], [0, 1, 1, 0, 0]], dtype=np.float64),
+        # pools tokens {0, 3} and {1, 2}
+        head_span=np.array([[0, 1], [1, 2]], dtype=np.int64),
+        tail_span=np.array([[3, 4], [2, 3]], dtype=np.int64),
         head_type=np.array([1, 0], dtype=np.int64),
         tail_type=np.array([2, 3], dtype=np.int64),
         ner_labels=np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64),
@@ -248,8 +250,9 @@ def repeated_sentence_batch():
     return Batch(
         token_ids=tokens[sentences],
         attention_mask=(np.arange(5) < lengths[:, None]).astype(np.float64),
-        entity_mask=np.array([[1, 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, 1, 0, 0, 1],
-                              [1, 1, 1, 0, 0], [1, 0, 1, 0, 0]], dtype=np.float64),
+        # pools tokens {0, 3}, {1, 2}, {1, 4}, {0, 1, 2} and {0, 2}
+        head_span=np.array([[0, 1], [1, 2], [1, 2], [0, 1], [0, 1]], dtype=np.int64),
+        tail_span=np.array([[3, 4], [2, 3], [4, 5], [1, 3], [2, 3]], dtype=np.int64),
         head_type=np.array([1, 0, 2, 3, 1], dtype=np.int64),
         tail_type=np.array([2, 3, 0, 1, 1], dtype=np.int64),
         ner_labels=labels[sentences],
@@ -287,7 +290,8 @@ def collate(instances):
     return Batch(
         token_ids=stack("token_ids"),
         attention_mask=stack("attention_mask").astype(np.float64),
-        entity_mask=stack("entity_mask").astype(np.float64),
+        head_span=np.asarray([i.head_span for i in instances], dtype=np.int64).reshape(-1, 2),
+        tail_span=np.asarray([i.tail_span for i in instances], dtype=np.int64).reshape(-1, 2),
         head_type=np.asarray([i.head_type for i in instances], dtype=np.int64),
         tail_type=np.asarray([i.tail_type for i in instances], dtype=np.int64),
         ner_labels=stack("ner_labels"),
@@ -487,7 +491,45 @@ def reference_gru(params, packing, x, pre, d_out, groups):
 
 
 # ---------------------------------------------------------------------------
-# Reference extraction: one relation-head call per sentence
+# Reference relation head: one (T,) 0/1 mask per pair over both its spans,
+# the pool a mask product, the features concatenated per pair
+# ---------------------------------------------------------------------------
+
+
+def entity_masks(sentence_length: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """(P, T) float masks of P pairs, row p 1 on every token of the spans
+    ``heads[p]`` and ``tails[p]``, given as (P, 2) arrays of [start, end)
+    bounds."""
+    pos = np.arange(sentence_length)
+
+    def covers(bounds: np.ndarray) -> np.ndarray:
+        return (bounds[:, :1] <= pos) & (pos < bounds[:, 1:])
+
+    return (covers(heads) | covers(tails)).astype(np.float64)
+
+
+def relation_head(h, entity_mask, head_type, tail_type, params, config, attention_mask):
+    """(R, K) relation probabilities of R pair rows, row r pooling ``h[r]``
+    of (R, T, 2h) under row r of the (R, T) ``entity_mask`` (or of
+    ``attention_mask`` with entity masks off) by one mask product, its
+    features ``[pool ; type_embed[head] ; type_embed[tail]]`` (the pool
+    alone with entity types off) meeting ``re_w`` in one product."""
+    from ctie.errors import EmptyMask
+    from ctie.model import softmax
+
+    mask = np.asarray(entity_mask if config.use_entity_mask else attention_mask,
+                      dtype=np.float64)
+    if np.any(mask.sum(axis=1) == 0):
+        raise EmptyMask("entity mask selects no tokens in at least one row")
+    features = np.matmul(mask[:, None, :], h)[:, 0]
+    if config.use_entity_type:
+        table = params["type_embed"]
+        features = np.concatenate([features, table[head_type], table[tail_type]], axis=-1)
+    return softmax(features @ params["re_w"] + params["re_b"])
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction: one mask-based relation-head call per sentence
 # ---------------------------------------------------------------------------
 
 
@@ -499,8 +541,6 @@ def reference_score_pairs(extractor, tokens, h, spans, sentence_index, ontology_
     the ontology relates, scored in one ``relation_head`` call that reads
     ``h`` through a per-row broadcast."""
     from ctie.extract import ExtractionResult, Triple
-    from ctie.model import relation_head
-    from ctie.mslr import entity_masks
 
     spans = list(spans)
     result = ExtractionResult(
@@ -518,7 +558,7 @@ def reference_score_pairs(extractor, tokens, h, spans, sentence_index, ontology_
     bounds = np.array([(s.start, s.end) for s in spans])
     head_ids, tail_ids = type_id[heads], type_id[tails]
     masks = entity_masks(len(tokens), bounds[heads], bounds[tails])
-    *_, probs = relation_head(
+    probs = relation_head(
         np.broadcast_to(h, masks.shape + h.shape[-1:]),
         masks,
         head_ids,

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ctie.evaluation as evaluation
 from ctie.corpus import TypeSystem, load_corpus
@@ -22,11 +22,11 @@ from ctie.evaluation import (
     run_ablation,
     spans_to_bio,
 )
-from ctie.model import ModelConfig, init_params, relation_head
-from ctie.mslr import PairRows, build_vocab, entity_masks, sentence_rows
+from ctie.model import ModelConfig, init_params, score_pairs
+from ctie.mslr import build_vocab, pair_spans, sentence_rows
 from ctie.train import TrainConfig
 
-from helpers import SMOKE_CORPUS, random_corpus, span_layouts
+from helpers import SMOKE_CORPUS, entity_masks, random_corpus, relation_head, span_layouts
 
 
 def span(i, s, e, t):
@@ -371,11 +371,56 @@ class TestEvaluateModel:
             assert [tags for d in decoded for tags in d] == one_by_one
 
 
+@pytest.mark.parametrize("use_mask, use_type",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_span_scorer_matches_the_mask_reference(use_mask, use_type):
+    # random multi-sentence chunks, every ordered pair of each sentence's
+    # spans: the span pools and split logits of score_pairs against
+    # one mask product and one concatenated-feature product per pair
+    config = ModelConfig(vocab_size=5, num_ner_labels=3, num_relations=4, num_entity_types=3,
+                         embed_dim=4, hidden_dim=3, use_entity_mask=use_mask,
+                         use_entity_type=use_type)
+    params = init_params(config, seed=9)
+    rng = np.random.default_rng(9)
+    for name in ("re_w", "type_embed"):
+        params[name] = rng.normal(scale=3.0, size=params[name].shape)
+
+    @settings(max_examples=30, deadline=None)
+    @given(layouts=st.lists(span_layouts(), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1), pad=st.integers(0, 2))
+    def check(layouts, seed, pad):
+        rng = np.random.default_rng(seed)
+        lengths = np.array([max(n, 1) for _, n in layouts])
+        width = int(lengths.max()) + pad
+        mask = (np.arange(width) < lengths[:, None]).astype(float)
+        h = rng.normal(size=(len(layouts), width, 2 * config.hidden_dim)) * mask[..., None]
+        span_rows, bounds, heads, tails = [], [], [], []
+        for b, (spans, _) in enumerate(layouts):
+            ids = range(len(bounds), len(bounds) + len(spans))
+            heads += [i for i in ids for j in ids if i != j]
+            tails += [j for i in ids for j in ids if i != j]
+            bounds += [(start, end) for start, end, _ in spans]
+            span_rows += [b] * len(spans)
+        assume(heads)
+        span_rows, bounds, heads, tails = map(np.array, (span_rows, bounds, heads, tails))
+        types = rng.integers(0, config.num_entity_types, size=len(bounds))
+        probs = score_pairs(h, mask, span_rows, bounds, heads, tails, types[heads], types[tails],
+                            params, config).probs
+        rows = span_rows[heads]
+        expected = relation_head(h[rows], entity_masks(width, bounds[heads], bounds[tails]),
+                                 types[heads], types[tails], params, config,
+                                 attention_mask=mask[rows])
+        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
+
+    check()
+
+
 class TestGoldPairScoring:
-    """Gold-pair evaluation scores each encoder chunk's rows in one relation
-    head call and counts its RE report from relation ids; the references are
-    per-sentence ``relation_head`` calls and ``re_metrics`` over
-    ``PairPrediction`` objects."""
+    """Gold-pair evaluation scores each encoder chunk's rows in one
+    ``score_pairs`` call and counts its RE report from relation
+    ids; the references are per-sentence calls of the mask-based
+    ``helpers.relation_head`` and ``re_metrics`` over ``PairPrediction``
+    objects."""
 
     @pytest.mark.parametrize("use_mask, use_type",
                              [(False, False), (True, False), (False, True), (True, True)])
@@ -395,14 +440,16 @@ class TestGoldPairScoring:
         expected, predictions = [], []
         for i, sentence, rows in kept:
             h = next(evaluation.encode_batches(params, vocab, [sentence.tokens]))[0][0]
-            masks = entity_masks(len(sentence), rows.heads, rows.tails)
-            *_, probs = relation_head(np.broadcast_to(h, masks.shape + h.shape[-1:]), masks,
-                                      rows.head_type, rows.tail_type, params, config,
-                                      attention_mask=np.ones(masks.shape))
+            _, spans, _ = pair_spans([(i, sentence, rows)])
+            heads, tails = spans[rows.head], spans[rows.tail]
+            masks = entity_masks(len(sentence), heads, tails)
+            probs = relation_head(np.broadcast_to(h, masks.shape + h.shape[-1:]), masks,
+                                  rows.head_type, rows.tail_type, params, config,
+                                  attention_mask=np.ones(masks.shape))
             expected.append(probs)
             predictions.extend(
                 pair(i, head, tail, types.relations[k].name)
-                for head, tail, k in zip(rows.heads, rows.tails, np.argmax(probs, axis=1)))
+                for head, tail, k in zip(heads, tails, np.argmax(probs, axis=1)))
         expected = np.concatenate(expected)
 
         monkeypatch.setattr(evaluation, "ENCODE_CELLS",
@@ -411,12 +458,11 @@ class TestGoldPairScoring:
         assert len(chunks) >= 2
         scored, lo = [], 0
         for h, mask in chunks:
-            chunk_rows = [(i - lo, rows) for i, _, rows in kept if lo <= i < lo + len(h)]
-            sentence_of = np.repeat([b for b, _ in chunk_rows], [len(r) for _, r in chunk_rows])
-            rows = PairRows.concat([r for _, r in chunk_rows])
-            probs = evaluation.chunk_relation_probs(params, config, h, mask, sentence_of,
-                                                    rows.heads, rows.tails, rows.head_type,
-                                                    rows.tail_type)
+            chunk = [(i - lo, s, rows) for i, s, rows in kept if lo <= i < lo + len(h)]
+            span_of, spans, rows = pair_spans(chunk)
+            span_rows = np.array([b for b, *_ in chunk])[span_of]
+            probs = score_pairs(h, mask, span_rows, spans, rows.head, rows.tail,
+                                rows.head_type, rows.tail_type, params, config).probs
             assert probs.shape == (len(rows), types.num_relations)
             scored.append(probs)
             lo += len(h)
@@ -455,7 +501,11 @@ class TestGoldPairScoring:
             st.just([types.no_relation.id] * len(gold)),
             st.just(gold.tolist()),
         )), dtype=np.int64)
-        rows = [(i, head, tail) for i, _, r in kept for head, tail in zip(r.heads, r.tails)]
+        rows = []
+        if kept:
+            _, spans, pairs = pair_spans(kept)
+            rows = zip([i for i, _, r in kept for _ in range(len(r))], spans[pairs.head],
+                       spans[pairs.tail])
         predictions = [pair(i, head, tail, types.relations[k].name)
                        for (i, head, tail), k in zip(rows, predicted)]
         expected = re_metrics(gold_pairs(sentences), predictions)

@@ -23,10 +23,10 @@ from ctie.extract import (
     export_graph,
     import_graph,
 )
-from ctie.model import ModelConfig, init_params, relation_head, save_checkpoint
+from ctie.model import ModelConfig, PairScores, init_params, save_checkpoint, score_pairs
 from ctie.mslr import build_vocab, make_entity_mask
 
-from helpers import SMOKE_CORPUS, reference_extract_many
+from helpers import SMOKE_CORPUS, entity_masks, reference_extract_many
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +113,12 @@ class TestExtract:
         rng = np.random.default_rng(0)
         blocks = []
 
-        def tied_head(h, masks, *rest, **kwargs):
+        def tied_head(h, mask, span_rows, span_bounds, heads, *rest):
             n_relations = len(extractor.types.relations)
-            blocks.append(rng.integers(1, 4, size=(len(masks), n_relations)) / 10)
-            return None, None, None, blocks[-1]
+            blocks.append(rng.integers(1, 4, size=(len(heads), n_relations)) / 10)
+            return PairScores(*[None] * 7, probs=blocks[-1])
 
-        monkeypatch.setattr("ctie.evaluation.relation_head", tied_head)
+        monkeypatch.setattr("ctie.extract.score_pairs", tied_head)
         tokens = tuple("APT28 used Mimikatz against banks in 2014 says FireEye".split())
         spans = [g_span(0, 0, 1, "HackOrg"), g_span(0, 2, 3, "Tool"),
                  g_span(0, 4, 5, "Org"), g_span(0, 6, 7, "Time"),
@@ -311,9 +311,10 @@ def test_extract_many_matches_one_sentence_calls(extractor, constrained, with_sp
 @pytest.mark.parametrize("use_mask, use_type",
                          [(False, False), (True, False), (False, True), (True, True)])
 def test_chunk_scorer_matches_per_sentence_reference(extractor, use_mask, use_type):
-    # the reference scores each sentence's pairs in a relation-head call of
-    # its own, on its row of the chunk encoding trimmed to its length; a
-    # one-sentence chunk gives the same products, so the same bits
+    # the reference scores each sentence's pairs in a mask-based
+    # relation-head call of its own, on its row of the chunk encoding trimmed
+    # to its length: one mask product and one concatenated-feature product per
+    # pair, where the scorer pools each span once and splits the logits
     config = replace(extractor.config, use_entity_mask=use_mask, use_entity_type=use_type)
     params = init_params(config, seed=12)
     rng = np.random.default_rng(12)
@@ -351,9 +352,6 @@ def test_chunk_scorer_matches_per_sentence_reference(extractor, use_mask, use_ty
                 seen.add("triples")
             if b.dropped:
                 seen.add("dropped")
-            if cells == 1:
-                assert a.to_dict() == b.to_dict()
-                continue
             assert (a.sentence_index, a.tokens, a.spans) == (b.sentence_index, b.tokens, b.spans)
             assert [(t.key, t.head_span, t.tail_span, t.sentence_index) for t in a.triples] == [
                 (t.key, t.head_span, t.tail_span, t.sentence_index) for t in b.triples]
@@ -379,6 +377,25 @@ def test_one_extractor_matches_a_fresh_one_per_call(extractor):
         _same_result(kept.extract_text(text, sentence_index=i),
                      replace(kept).extract_text(text, sentence_index=i))
     assert sum(len(kept.extract_text(t).triples) for t in texts) > 0
+
+
+def test_extraction_depends_only_on_the_checkpoint_and_the_sentence(extractor):
+    # an Extractor's InputProjection computes an id's row the first time the
+    # id is seen, among whichever ids are new with it; the result for a
+    # sentence must be the same bits after any history of earlier calls
+    tagger = _tagging_extractor(extractor, constrained=False)
+    words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=11).map(" ".join)
+
+    @settings(max_examples=30, deadline=None)
+    # a one-word call sees at most one new id
+    @given(history=st.lists(st.one_of(st.sampled_from(_WORDS), words), max_size=4), text=words)
+    def check(history, text):
+        warm = replace(tagger)
+        for earlier in history:
+            warm.extract_text(earlier)
+        assert warm.extract_text(text).to_dict() == replace(tagger).extract_text(text).to_dict()
+
+    check()
 
 
 def test_reassigned_params_get_a_fresh_projection(extractor):
@@ -428,7 +445,8 @@ def test_evaluation_and_extraction_leave_numpy_ma_unimported(tmp_path):
 @pytest.mark.parametrize("ontology_filter", [False, True], ids=["all-pairs", "ontology-filter"])
 def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
     # the reference is the per-pair path: corpus.candidate_pairs on the type
-    # names, one make_entity_mask per pair, type ids looked up by name
+    # names, one make_entity_mask per pair, type ids looked up by name; the
+    # scorer gets each span once and the pairs as indices into the spans
     entity_types = [e.name for e in extractor.types.entity_types]
 
     @settings(max_examples=60, deadline=None)
@@ -437,12 +455,13 @@ def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
         tokens, spans = item
         calls = []
 
-        def spy(h, masks, head_ids, tail_ids, *rest, **kwargs):
-            calls.append((masks, head_ids, tail_ids))
-            return relation_head(h, masks, head_ids, tail_ids, *rest, **kwargs)
+        def spy(h, mask, span_rows, span_bounds, heads, tails, head_ids, tail_ids, *rest):
+            calls.append((span_rows, span_bounds, heads, tails, head_ids, tail_ids))
+            return score_pairs(h, mask, span_rows, span_bounds, heads, tails, head_ids,
+                               tail_ids, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ctie.evaluation.relation_head", spy)
+            mp.setattr("ctie.extract.score_pairs", spy)
             result = extractor.extract_tokens(tokens, spans=spans, ontology_filter=ontology_filter)
         pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, ontology_filter)
         bounds = [((spans[i].start, spans[i].end), (spans[j].start, spans[j].end))
@@ -453,7 +472,11 @@ def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
         if not pairs:
             assert calls == []
             return
-        [(masks, head_ids, tail_ids)] = calls
+        [(span_rows, span_bounds, heads, tails, head_ids, tail_ids)] = calls
+        assert span_rows.tolist() == [0] * len(spans)
+        assert span_bounds.tolist() == [[s.start, s.end] for s in spans]
+        assert list(zip(heads.tolist(), tails.tolist())) == pairs
+        masks = entity_masks(len(tokens), span_bounds[heads], span_bounds[tails])
         assert np.array_equal(
             masks, [make_entity_mask(len(tokens), spans[i], spans[j]) for i, j in pairs])
         type_id = {name: extractor.types.entity_type(name).id for name in entity_types}

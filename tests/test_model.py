@@ -26,7 +26,6 @@ from ctie.model import (
     bigru,
     embed,
     encode,
-    entity_pool,
     forward,
     init_params,
     joint_loss,
@@ -34,18 +33,25 @@ from ctie.model import (
     load_embedding_file,
     ner_logits,
     param_shapes,
-    relation_features,
-    relation_head,
-    relation_logits_and_probs,
     save_checkpoint,
     save_embedding_file,
+    score_pairs,
+    softmax,
+    span_pool,
     validate_params,
 )
 from ctie import model
 from ctie.corpus import load_corpus
 from ctie.mslr import Batch, build_vocab, make_batches, sentence_rows
 
-from helpers import SMOKE_CORPUS, random_corpus, reference_gru, tiny_batch, tiny_config
+from helpers import (
+    SMOKE_CORPUS,
+    random_corpus,
+    reference_gru,
+    relation_head,
+    tiny_batch,
+    tiny_config,
+)
 
 
 class TestEmbed:
@@ -87,15 +93,16 @@ def manual_gru_states(x, p, direction):
 
 
 def _random_rows(rng, config, lengths):
-    """One random MSLR row per length: token ids, labels, a one- or
-    two-token entity mask, types and a relation label."""
+    """One random MSLR row per length: token ids, labels, one-token head and
+    tail spans on distinct tokens (both on the token of a one-token row),
+    types and a relation label."""
     rows = []
     for n in lengths:
-        entity = np.zeros(n)
-        entity[rng.choice(n, size=min(2, n), replace=False)] = 1.0
+        head, tail = rng.choice(n, size=2, replace=n < 2)
         rows.append(dict(
             token_ids=rng.integers(1, config.vocab_size, n),
-            ner_labels=rng.integers(0, config.num_ner_labels, n), entity_mask=entity,
+            ner_labels=rng.integers(0, config.num_ner_labels, n),
+            head_span=(head, head + 1), tail_span=(tail, tail + 1),
             head_type=rng.integers(config.num_entity_types),
             tail_type=rng.integers(config.num_entity_types),
             relation_label=rng.integers(config.num_relations),
@@ -115,7 +122,8 @@ def _row_batch(rows, width) -> Batch:
     return Batch(
         token_ids=padded("token_ids", np.int64),
         attention_mask=(np.arange(width) < lengths[:, None]).astype(np.float64),
-        entity_mask=padded("entity_mask", np.float64),
+        head_span=np.array([row["head_span"] for row in rows], dtype=np.int64),
+        tail_span=np.array([row["tail_span"] for row in rows], dtype=np.int64),
         head_type=np.array([row["head_type"] for row in rows]),
         tail_type=np.array([row["tail_type"] for row in rows]),
         ner_labels=padded("ner_labels", np.int64),
@@ -570,113 +578,165 @@ class TestNerLogits:
                 assert out[t, l] == pytest.approx(expected, abs=1e-12)
 
 
+def _span_case(config, rng, n_rows=3, width=6):
+    """Random encodings (n_rows, width, 2h) and two disjoint spans per row,
+    as ``score_pairs`` takes them: spans 2b and 2b + 1 are row b's head and
+    tail, pair b joins them; and the pairs' random type ids."""
+    h = rng.normal(size=(n_rows, width, 2 * config.hidden_dim))
+    bounds = np.array([sorted(rng.choice(width + 1, size=4, replace=False))
+                       for _ in range(n_rows)]).reshape(-1, 2, 2)
+    bounds[::2] = bounds[::2, ::-1]  # some heads after their tails
+    types = rng.integers(0, config.num_entity_types, size=(2, n_rows))
+    return h, np.repeat(np.arange(n_rows), 2), bounds.reshape(-1, 2), types
+
+
+def _scored(h, span_rows, bounds, types, params, config):
+    """``score_pairs`` on the pairs of ``_span_case``."""
+    pairs = np.arange(0, len(bounds), 2)
+    return score_pairs(h, np.ones(h.shape[:2]), span_rows, bounds, pairs, pairs + 1, *types,
+                       params, config).probs
+
+
 class TestEntityPool:
-    """One pair row pooled from a (1, T, 2h) encoding."""
+    """The span pool (``span_pool``): each span summed over its own tokens."""
 
     def test_direct_sum(self):
         h = np.array([[[1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]])
-        np.testing.assert_array_equal(entity_pool(h, [[1, 0, 1]]), [[4.0, 1.0]])
+        pools = span_pool(h, [0, 0], [[0, 1], [2, 3]])[0]
+        np.testing.assert_array_equal(pools, [[1.0, 0.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(pools.sum(axis=0), [4.0, 1.0])
 
     def test_all_ones_column_sums(self):
         h = np.random.default_rng(9).normal(size=(1, 6, 3))
-        np.testing.assert_allclose(entity_pool(h, [[1] * 6]), h.sum(axis=1))
+        np.testing.assert_allclose(span_pool(h, [0], [[0, 6]])[0], h.sum(axis=1))
 
     def test_permutation_invariance(self):
+        # a span's pool is its tokens' sum in any order, and each span's pool
+        # is the same bits whatever spans are pooled with it, in any order
         rng = np.random.default_rng(10)
-        h = rng.normal(size=(1, 5, 4))
-        mask = np.array([[1, 0, 1, 1, 0]], dtype=float)
-        perm = rng.permutation(5)
-        np.testing.assert_allclose(
-            entity_pool(h, mask), entity_pool(h[:, perm], mask[:, perm]), atol=1e-12
-        )
+        h = rng.normal(size=(2, 5, 4))
+        rows, bounds = np.array([0, 0, 1, 1]), np.array([[0, 3], [4, 5], [1, 5], [0, 1]])
+        pools = span_pool(h, rows, bounds)[0]
+        perm = rng.permutation(3)
+        np.testing.assert_allclose(pools[0], span_pool(h[:, perm], [0], [[0, 3]])[0][0],
+                                   atol=1e-12)
+        order = rng.permutation(4)
+        assert np.array_equal(span_pool(h, rows[order], bounds[order])[0], pools[order])
+        for s in range(4):
+            assert np.array_equal(span_pool(h, rows[s:s + 1], bounds[s:s + 1])[0][0], pools[s])
 
     def test_linear_in_disjoint_masks(self):
+        # pool(head) + pool(tail) is the pool under the mask of both spans
         rng = np.random.default_rng(11)
         h = rng.normal(size=(1, 8, 3))
-        m1 = np.array([[1, 1, 0, 0, 0, 0, 0, 0]], dtype=float)
-        m2 = np.array([[0, 0, 0, 1, 0, 1, 0, 0]], dtype=float)
-        np.testing.assert_allclose(
-            entity_pool(h, m1 + m2), entity_pool(h, m1) + entity_pool(h, m2), atol=1e-12
-        )
+        pools = span_pool(h, [0, 0, 0], [[0, 2], [3, 4], [5, 6]])[0]
+        mask = np.array([1, 1, 0, 1, 0, 1, 0, 0], dtype=float)
+        np.testing.assert_allclose(pools.sum(axis=0), mask @ h[0], atol=1e-12)
+        np.testing.assert_allclose(span_pool(h, [0], [[0, 4]])[0][0],
+                                   span_pool(h, [0, 0], [[0, 1], [1, 4]])[0].sum(axis=0),
+                                   atol=1e-12)
 
     def test_empty_mask_raises(self):
-        with pytest.raises(EmptyMask):
-            entity_pool(np.ones((1, 3, 2)), [[0, 0, 0]])
+        # empty, reversed, or empty after a good span; raised before any
+        # token is read: h is never touched
+        for bounds in ([[1, 1]], [[2, 1]], [[0, 2], [3, 3]]):
+            with pytest.raises(EmptyMask):
+                span_pool(None, np.zeros(len(bounds), dtype=np.int64), bounds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pad=st.integers(1, 9), extra_rows=st.integers(0, 3))
+    def test_pool_independent_of_padding(self, seed, pad, extra_rows):
+        # the sentence's encoding padded with zero columns to a wider chunk,
+        # among other sentences: every span's pool is the same bits
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 12))
+        h = rng.normal(size=(1, length, 4))
+        cuts = np.sort(rng.choice(length + 1, size=2, replace=False))
+        wide = np.zeros((1 + extra_rows, length + pad, 4))
+        wide[1:] = rng.normal(size=wide[1:].shape)
+        row = int(rng.integers(0, 1 + extra_rows))
+        wide[[row, 0]] = wide[[0, row]]
+        wide[row, :length] = h[0]
+        alone = span_pool(h, [0], [cuts])[0]
+        assert np.array_equal(span_pool(wide, [row], [cuts])[0], alone)
 
 
 class TestRelationFeatures:
+    """The split logits' type terms (``score_pairs``)."""
+
     def test_disabled_types_returns_pool(self):
-        pool = np.arange(4.0)
-        table = np.random.default_rng(12).normal(size=(3, 4))
-        out = relation_features(pool, 1, 2, table, use_entity_type=False)
-        np.testing.assert_array_equal(out, pool)
+        # types off: the logits are the pair's pool through re_w, whatever the type ids
+        config = tiny_config(use_type=False)
+        params = init_params(config, seed=12)
+        rng = np.random.default_rng(12)
+        h, span_rows, bounds, types = _span_case(config, rng)
+        probs = _scored(h, span_rows, bounds, types, params, config)
+        pools = span_pool(h, span_rows, bounds)[0]
+        logits = (pools[::2] + pools[1::2]) @ params["re_w"] + params["re_b"]
+        np.testing.assert_allclose(probs, softmax(logits), rtol=1e-12)
+        assert np.array_equal(probs, _scored(h, span_rows, bounds, types[::-1], params, config))
 
     def test_static_lookup_same_across_contexts(self):
-        table = np.random.default_rng(13).normal(size=(3, 4))
-        a = relation_features(np.zeros(4), 1, 2, table)
-        b = relation_features(np.ones(4) * 9, 1, 2, table)
-        np.testing.assert_array_equal(a[4:], b[4:])
+        # a type's logit term is a static lookup: changing the type ids moves
+        # the log-odds against class 0 equally whatever the encoding
+        config = tiny_config()
+        params = init_params(config, seed=13)
+        rng = np.random.default_rng(13)
+        h, span_rows, bounds, types = _span_case(config, rng)
+        other = (types + 1) % config.num_entity_types
+        shifts = []
+        for enc in (h, rng.normal(size=h.shape) * 9):
+            log_odds = [np.log(p) - np.log(p[:, :1])
+                        for p in (_scored(enc, span_rows, bounds, t, params, config)
+                                  for t in (types, other))]
+            shifts.append(log_odds[0] - log_odds[1])
+        np.testing.assert_allclose(shifts[0], shifts[1], atol=1e-9)
 
     def test_output_length(self):
+        # re_w's rows are the pool block and two type blocks of entity_type_dim
         config = tiny_config()
-        table = np.zeros((config.num_entity_types, config.entity_type_dim))
-        pool = np.zeros(2 * config.hidden_dim)
-        out = relation_features(pool, 0, 1, table)
-        assert out.shape == (config.concat_dim,)
         assert config.concat_dim == 2 * config.hidden_dim + 2 * config.entity_type_dim
+        assert init_params(config)["re_w"].shape[0] == config.concat_dim
 
 
 class TestRelationHead:
+    """``score_pairs`` against the reference head, which concatenates
+    [pool ; type(head) ; type(tail)] per pair and pools under one mask."""
+
     def test_equal_logits_uniform(self):
-        logits, probs = relation_logits_and_probs(np.zeros(2), np.eye(2), np.zeros(2))
-        np.testing.assert_allclose(probs, [0.5, 0.5])
+        config = tiny_config()
+        params = {name: np.zeros_like(a) for name, a in init_params(config).items()}
+        h, span_rows, bounds, types = _span_case(config, np.random.default_rng(14))
+        np.testing.assert_array_equal(_scored(h, span_rows, bounds, types, params, config),
+                                      1.0 / config.num_relations)
 
     def test_shift_invariance(self):
-        rng = np.random.default_rng(14)
-        feats = rng.normal(size=5)
-        w = rng.normal(size=(5, 4))
-        _, p1 = relation_logits_and_probs(feats, w, np.zeros(4))
-        _, p2 = relation_logits_and_probs(feats, w, np.full(4, 7.5))
-        np.testing.assert_allclose(p1, p2, atol=1e-9)
+        config = tiny_config()
+        params = init_params(config, seed=14)
+        h, span_rows, bounds, types = _span_case(config, np.random.default_rng(14))
+        p1 = _scored(h, span_rows, bounds, types, params, config)
+        params["re_b"] = params["re_b"] + 7.5
+        np.testing.assert_allclose(_scored(h, span_rows, bounds, types, params, config), p1,
+                                   atol=1e-9)
 
     def test_probability_vector(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            logits, probs = relation_logits_and_probs(
-                rng.normal(size=6), rng.normal(size=(6, 5)), rng.normal(size=5)
-            )
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(probs >= 0)
-            assert np.argmax(probs) == np.argmax(logits)
-
-
-class TestRowsReadSentenceEncodings:
-    """``relation_head(h, ..., sentence_of=)`` pools each row from its
-    sentence's encoding without a per-row copy, with the same per-row
-    product as on the gathered ``h[sentence_of]``: equal bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 6),
-           n_rows=st.integers(1, 12), use_mask=st.booleans(), use_type=st.booleans())
-    def test_equals_the_gathered_encoding(self, seed, n_sentences, n_rows, use_mask, use_type):
-        rng = np.random.default_rng(seed)
-        config = tiny_config(use_mask=use_mask, use_type=use_type)
-        params = init_params(config, seed=2)
-        width = int(rng.integers(1, 9))
-        h = rng.normal(size=(n_sentences, width, 2 * config.hidden_dim))
-        # rows in any order; some sentences may have none
-        sentence_of = rng.integers(0, n_sentences, size=n_rows)
-        entity_mask = (rng.random((n_rows, width)) < 0.5).astype(float)
-        entity_mask[np.arange(n_rows), rng.integers(0, width, size=n_rows)] = 1.0
-        lengths = rng.integers(1, width + 1, size=(n_rows, 1))
-        attention_mask = (np.arange(width) < lengths).astype(float)
-        types = rng.integers(0, config.num_entity_types, size=(2, n_rows))
-        gathered = relation_head(h[sentence_of], entity_mask, *types, params, config,
-                                 attention_mask=attention_mask)
-        shared = relation_head(h, entity_mask, *types, params, config,
-                               attention_mask=attention_mask, sentence_of=sentence_of)
-        for a, b in zip(gathered, shared):
-            assert np.array_equal(a, b)
+        for seed in range(20):
+            config = tiny_config(use_mask=seed % 2 == 0, use_type=seed % 4 < 2)
+            params = init_params(config, seed=seed)
+            h, span_rows, bounds, types = _span_case(config, rng)
+            lengths = rng.integers(1, h.shape[1] + 1, size=len(h))
+            mask = (np.arange(h.shape[1]) < lengths[:, None]).astype(float)
+            h = h * mask[..., None]  # an encoding is zero at padding
+            pairs = np.arange(0, len(bounds), 2)
+            probs = score_pairs(h, mask, span_rows, bounds, pairs, pairs + 1, *types, params,
+                                config).probs
+            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9) and np.all(probs >= 0)
+            masks = np.zeros(h.shape[:2])
+            for b, ((s1, e1), (s2, e2)) in enumerate(bounds.reshape(-1, 2, 2)):
+                masks[b, s1:e1] = masks[b, s2:e2] = 1.0
+            expected = relation_head(h, masks, *types, params, config, attention_mask=mask)
+            np.testing.assert_allclose(probs, expected, rtol=1e-12)
 
 
 class TestJointLoss:
@@ -703,8 +763,11 @@ def encoder_path(batch, params, config):
     h = encode(batch.token_ids, mask, params)
     logits = ner_logits(h, params["ner_w"], params["ner_b"])
     nll = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
-    *_, probs = relation_head(h, batch.entity_mask, batch.head_type, batch.tail_type,
-                              params, config, attention_mask=mask)
+    rows = np.arange(batch.size)
+    probs = score_pairs(h, mask, np.concatenate((rows, rows)),
+                        np.concatenate((batch.head_span, batch.tail_span)), rows,
+                        rows + batch.size, batch.head_type, batch.tail_type, params,
+                        config).probs
     return logits, nll, probs
 
 
@@ -755,8 +818,19 @@ class TestForward:
         config = tiny_config(use_mask=True)
         params = init_params(config, seed=10)
         batch = tiny_batch()
-        batch.entity_mask = np.zeros_like(batch.entity_mask)
+        batch.tail_span = batch.tail_span.copy()
+        batch.tail_span[1, 1] = batch.tail_span[1, 0]  # the second row's tail selects no token
         with pytest.raises(EmptyMask):
+            forward(batch, params, config, mode="train")
+
+    @pytest.mark.parametrize("type_id", [-1, 4])
+    def test_type_id_out_of_range_raises(self, type_id):
+        # a negative id would otherwise wrap into the type tables silently
+        config = tiny_config()
+        params = init_params(config, seed=10)
+        batch = tiny_batch()
+        batch.tail_type = np.array([0, type_id])
+        with pytest.raises(IdOutOfRange):
             forward(batch, params, config, mode="train")
 
     def test_dropout_needs_rng(self):
@@ -882,14 +956,17 @@ class TestSharedSentenceEncoding:
         b = forward(dataclasses.replace(batch, sentence_of=None), params, config,
                     rng=np.random.default_rng(6))
         assert a.trace.drop_emb.shape == batch.token_ids.shape + (config.embed_dim,)
-        assert a.trace.sentence_of is None
+        assert len(a.trace.h_d) == batch.size  # one encoding per row
         assert a.joint == b.joint and np.array_equal(a.re_probs, b.re_probs)
         for field in dataclasses.fields(a.trace):
-            if field.name not in ("config", "batch", "gru"):
+            if field.name not in ("config", "batch", "gru", "relation"):
                 x, y = getattr(a.trace, field.name), getattr(b.trace, field.name)
                 assert np.array_equal(x, y), field.name
         for name in ("x", "gates", "h"):
             assert np.array_equal(getattr(a.trace.gru, name), getattr(b.trace.gru, name))
+        for field in dataclasses.fields(a.trace.relation):
+            x, y = (getattr(t.relation, field.name) for t in (a.trace, b.trace))
+            assert np.array_equal(x, y), field.name
         grads = backward(b.trace, params)
         for name, grad in backward(a.trace, params).items():
             assert np.array_equal(grad, grads[name]), name

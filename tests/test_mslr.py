@@ -22,15 +22,21 @@ from ctie.mslr import (
     dump_jsonl,
     encode,
     encode_all,
-    entity_masks,
     expand,
     make_batches,
     make_entity_mask,
     pair_rows,
+    pair_spans,
     sentence_rows,
 )
 
-from helpers import assert_batches_equal, load_fig_corpus, random_corpus, reference_batches
+from helpers import (
+    assert_batches_equal,
+    entity_masks,
+    load_fig_corpus,
+    random_corpus,
+    reference_batches,
+)
 
 
 def one_sentence(records):
@@ -209,10 +215,23 @@ class TestPairRows:
 
     def test_unknown_type_of_an_unpaired_entity_is_never_read(self):
         rows = pair_rows(self.sentence([[1, "uses", 0]]), self.KNOWN)
-        assert rows.heads.tolist() == [[2, 3]] and rows.tails.tolist() == [[0, 1]]
+        assert rows.head.tolist() == [1] and rows.tail.tolist() == [0]
         assert rows.head_type.tolist() == [self.KNOWN.entity_type("Tool").id]
         assert rows.tail_type.tolist() == [self.KNOWN.entity_type("HackOrg").id]
         assert rows.label.tolist() == [self.KNOWN.relation("uses").id]
+
+    def test_pair_spans_give_each_span_once(self):
+        # every entity span of the sentences once, the pairs as indices into them
+        first = self.sentence([[1, "uses", 0], [0, "uses", 1]])
+        second = self.sentence([[0, "uses", 1]])
+        kept = [(i, s, pair_rows(s, self.KNOWN)) for i, s in ((3, first), (5, second))]
+        sentence, spans, pairs = pair_spans(kept)
+        assert sentence.tolist() == [0] * 4 + [1] * 4
+        assert spans.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]] * 2
+        assert (pairs.head.tolist(), pairs.tail.tolist()) == ([1, 0, 4], [0, 1, 5])
+        assert pairs.label.tolist() == [self.KNOWN.relation("uses").id] * 3
+        # the sentences' own rows are left as they were
+        assert kept[1][2].head.tolist() == [0]
 
 
 class TestEncode:
