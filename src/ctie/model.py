@@ -14,8 +14,8 @@ fixed weights a token's GRU input pre-activations depend on its id only, so
 ``encode`` gathers them from an ``InputProjection``, which computes each
 id's once, and runs only the recurrence. Training (``forward``,
 which has no eval mode) keeps one MSLR row per annotated pair, with dropout
-after the embedding and after the BiGRU; at dropout 0 it encodes and
-CRF-scores each distinct sentence of a batch once. Viterbi takes an
+after the embedding and after the BiGRU; it encodes and CRF-scores each
+distinct sentence of a batch once, under masks its rows share. Viterbi takes an
 optional BIO transition mask as an argument; callers build it once from
 their ``TypeSystem`` with ``decode_constraint``.
 
@@ -754,10 +754,10 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 @dataclass
 class ForwardTrace:
     """What ``backward`` reads of a ``forward``. The encoder and NER arrays
-    (``token_ids`` to ``d_logits_ner``) hold one row per encoded sequence:
-    the batch's distinct sentences at dropout 0, else the batch rows. The
+    (``token_ids`` to ``d_logits_ner``), the dropout masks included, hold
+    one row per distinct sentence of the batch (``batch.sentence_of``). The
     relation head scores one pair per batch row, over its head and tail
-    spans in the rows of ``h_d``."""
+    spans in its sentence's row of ``h_d``."""
 
     config: ModelConfig
     batch: Batch
@@ -802,26 +802,22 @@ def forward(
     eval mode, since inference and validation encode each sentence once
     (``encode``) and score its pairs with ``score_pairs``, as here.
 
-    At dropout 0 every copy of a sentence has the same encoding and NLL, so
-    the U distinct sentences of ``batch.sentence_of`` are embedded, encoded
-    and CRF-scored once each, the CRF gradients weighted by the sentence's
-    row count, and each row's head and tail spans are pooled from its
-    sentence's encoding. With dropout every row draws its own masks and is
-    encoded on its own.
+    The U distinct sentences of ``batch.sentence_of`` are embedded, encoded
+    and CRF-scored once each, under dropout masks of shape (U, T, d) and
+    (U, T, 2h) that the copies of a sentence share, as variational dropout
+    shares one mask across a sequence's steps (Gal & Ghahramani, 2016). The
+    CRF gradients are weighted by the sentence's row count, and each row's
+    head and tail spans are pooled from its sentence's encoding.
     """
     if mode != "train":
         raise ValueError(f"mode must be 'train', got {mode!r}")
     if config.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout > 0 needs an rng")
 
-    mask = batch.attention_mask
-    sentence_of = batch.sentence_of if config.dropout == 0.0 else None
-    token_ids, seq_mask, labels, weights = batch.token_ids, mask, batch.ner_labels, None
-    if sentence_of is not None:
-        # ids count up in order of first appearance: each sentence's first row stands for it
-        first = np.flatnonzero(np.diff(np.maximum.accumulate(sentence_of), prepend=-1))
-        token_ids, seq_mask, labels = token_ids[first], mask[first], labels[first]
-        weights = np.bincount(sentence_of, minlength=len(first))
+    sentence_of = batch.sentence_of
+    # ids count up in order of first appearance: each sentence's first row stands for it
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(sentence_of), prepend=-1))
+    token_ids, mask = batch.token_ids[first], batch.attention_mask[first]
     emb = embed(token_ids, params["embed"])
 
     drop_emb = None
@@ -830,7 +826,7 @@ def forward(
         drop_emb = _dropout_mask(emb.shape, config.dropout, rng)
         emb_d = emb * drop_emb
 
-    h_bigru, gru = bigru(emb_d, seq_mask, params, with_trace=True)
+    h_bigru, gru = bigru(emb_d, mask, params, with_trace=True)
 
     drop_h = None
     h_d = h_bigru
@@ -839,18 +835,15 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    # spans 0..B-1 are the rows' heads, B..2B-1 their tails, in their encoded sequences
-    rows = np.arange(batch.size) if sentence_of is None else sentence_of
-    relation = score_pairs(h_d, seq_mask, np.concatenate((rows, rows)),
+    # spans 0..B-1 are the rows' heads, B..2B-1 their tails, in their sentences' encodings
+    relation = score_pairs(h_d, mask, np.concatenate((sentence_of, sentence_of)),
                            np.concatenate((batch.head_span, batch.tail_span)),
                            np.arange(batch.size), np.arange(batch.size, 2 * batch.size),
                            batch.head_type, batch.tail_type, params, config)
 
-    nlls, d_logits, d_trans = crf_nll_grad(logits, labels, params["crf_trans"], seq_mask,
-                                           weights=weights)
-    if sentence_of is not None:
-        nlls = nlls[sentence_of]
-    ner_nll_mean = float(np.mean(nlls))
+    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels[first], params["crf_trans"],
+                                           mask, weights=np.bincount(sentence_of))
+    ner_nll_mean = float(np.mean(nlls[sentence_of]))
     picked = relation.probs[np.arange(batch.size), batch.relation_label]
     re_ce_mean = float(np.mean(-np.log(picked)))
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
@@ -874,13 +867,14 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     every per-row contribution is scaled by 1/B. Shared-encoder arrays
     accumulate contributions from both heads. The relation head's logit
     gradients are summed per span and per type id (``score_pairs``), and
-    each span's pool gradient is scattered onto its own tokens. When rows
-    share an encoded sentence, the CRF's gradients are already weighted by
-    its row count, and the NER head, BPTT and the embedding scatter run
-    once per sentence. The gradients are written
-    into ``grads`` when given (a dict shaped like ``params``, whose values
-    are overwritten: a training loop passes one buffer on every step), and
-    into new arrays otherwise; the dict is returned.
+    each span's pool gradient is scattered onto its own tokens. The
+    encoder runs once per distinct sentence of the batch: the CRF's
+    gradients are already weighted by its row count, its dropout masks are
+    shared by its rows, and the NER head, BPTT and the embedding scatter
+    run once per sentence. The gradients are written into ``grads`` when
+    given (a dict of C-contiguous arrays shaped like ``params``, whose
+    values are overwritten: a training loop passes one buffer on every
+    step), and into new arrays otherwise; the dict is returned.
     """
     config = trace.config
     batch = trace.batch
@@ -943,7 +937,9 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     d_x += d_xs[1, packing.rev]
     if trace.drop_emb is not None:
         d_x *= packing.pack(trace.drop_emb)
-    np.add.at(grads["embed"], packing.pack(trace.token_ids), d_x)
+    n_embed = d_x.shape[1]  # as for the span scatter: 1-D indices onto the raveled rows
+    cells = (packing.pack(trace.token_ids)[:, None] * n_embed + np.arange(n_embed)).ravel()
+    np.add.at(grads["embed"].reshape(-1), cells, d_x.ravel())
     return grads
 
 

@@ -295,7 +295,7 @@ class Batch:
     ``sentence_of`` gives each row's batch-local sentence id, numbered in
     order of first appearance: rows with one id are copies of one sentence
     (same token ids, BIO labels and length) and differ only in their pair
-    fields. ``None`` means every row is its own sentence."""
+    fields. With every row its own sentence it is ``arange(B)``."""
 
     token_ids: np.ndarray       # (B, T) int64
     attention_mask: np.ndarray  # (B, T) float64
@@ -307,7 +307,7 @@ class Batch:
     relation_label: np.ndarray  # (B,) int64
     lengths: np.ndarray         # (B,) int64
     origins: tuple[tuple[int, int], ...]
-    sentence_of: np.ndarray | None = None  # (B,) int64
+    sentence_of: np.ndarray     # (B,) int64
 
     @property
     def size(self) -> int:

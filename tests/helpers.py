@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,7 @@ def tiny_batch():
         relation_label=np.array([1, 2], dtype=np.int64),
         lengths=np.array([5, 3], dtype=np.int64),
         origins=((0, 0), (1, 0)),
+        sentence_of=np.arange(2),
     )
 
 
@@ -366,6 +367,59 @@ def finite_difference_check(config, seed: int = 20, step: float = 1e-5,
             flat[k] = orig
             numeric_flat[k] = (up - down) / (2 * step)
         out[name] = (analytic[name], numeric)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference training step: every MSLR row embedded, encoded and CRF-scored
+# on its own, and the embedding gradient scattered by a 2-D np.add.at
+# ---------------------------------------------------------------------------
+
+
+def per_row_forward(batch, params, config, drop_emb=None, drop_h=None):
+    """``forward`` with every row of ``batch`` encoded as its own sentence,
+    under the given dropout masks, (B, T, d) and (B, T, 2h), or none: a
+    ``ForwardResult`` whose trace ``backward`` reads. Fed
+    ``mask[batch.sentence_of]`` of a step's per-sentence masks, it is that
+    step's per-row reference."""
+    from ctie.crf import crf_nll_grad
+    from ctie.model import (ForwardResult, ForwardTrace, bigru, embed, joint_loss, ner_logits,
+                            score_pairs)
+
+    rows, mask = np.arange(batch.size), batch.attention_mask
+    emb = embed(batch.token_ids, params["embed"])
+    h, gru = bigru(emb if drop_emb is None else emb * drop_emb, mask, params, with_trace=True)
+    if drop_h is not None:
+        h = h * drop_h
+    logits = ner_logits(h, params["ner_w"], params["ner_b"])
+    relation = score_pairs(h, mask, np.concatenate((rows, rows)),
+                           np.concatenate((batch.head_span, batch.tail_span)), rows,
+                           rows + batch.size, batch.head_type, batch.tail_type, params, config)
+    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels, params["crf_trans"], mask)
+    ner_nll = float(np.mean(nlls))
+    re_ce = float(np.mean(-np.log(relation.probs[rows, batch.relation_label])))
+    trace = ForwardTrace(config=config, batch=batch, token_ids=batch.token_ids,
+                         drop_emb=drop_emb, gru=gru, drop_h=drop_h, h_d=h, logits_ner=logits,
+                         d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation)
+    return ForwardResult(ner_nll=ner_nll, re_ce=re_ce,
+                         joint=joint_loss(ner_nll, re_ce, config.alpha, config.beta),
+                         re_probs=relation.probs, trace=trace)
+
+
+def embedding_grad_2d(trace, params):
+    """``backward``'s embedding gradient of ``trace``, scattered by one 2-D
+    ``np.add.at`` of the packed cells' input gradients onto their token
+    ids' rows, in packed order. The cells' gradients come from a
+    ``backward`` of the same trace with an id of its own for every cell,
+    whose scatter adds each of them once to a zero row."""
+    from ctie.model import backward
+
+    packing = trace.gru.packing
+    own = np.arange(trace.token_ids.size).reshape(trace.token_ids.shape)
+    by_cell = dict(params, embed=np.zeros((own.size, params["embed"].shape[1])))
+    d_cells = backward(replace(trace, token_ids=own), by_cell)["embed"]
+    out = np.zeros_like(params["embed"])
+    np.add.at(out, packing.pack(trace.token_ids), d_cells[packing.pack(own)])
     return out
 
 

@@ -56,6 +56,28 @@ def test_gradcheck_with_active_dropout():
         )
 
 
+@pytest.mark.parametrize(
+    "use_mask,use_type",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["disabled", "mask_only", "type_only", "enabled"],
+)
+def test_active_dropout_on_shared_sentences_matches_finite_differences(use_mask, use_type):
+    # the copies of a sentence share its dropout masks, drawn once per sentence
+    config = tiny_config(use_mask=use_mask, use_type=use_type, dropout=0.4, alpha=0.8, beta=1.7)
+    batch = repeated_sentence_batch()
+    params = init_params(config, seed=29)
+    trace = forward(batch, params, config, rng=np.random.default_rng(124)).trace
+    assert len(trace.drop_emb) == len(trace.drop_h) == 2
+    checked = finite_difference_check(config, seed=29, dropout_seed=124, batch=batch)
+    assert len(checked) == 10
+    for name, (analytic, numeric) in checked.items():
+        np.testing.assert_allclose(
+            analytic, numeric, rtol=1e-4, atol=1e-7,
+            err_msg=f"dropout on shared sentences: {name} "
+                    f"(use_mask={use_mask}, use_type={use_type})",
+        )
+
+
 def test_gradcheck_with_loss_weights():
     config = tiny_config(alpha=0.7, beta=2.5)
     checked = finite_difference_check(config, seed=22)

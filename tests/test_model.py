@@ -46,6 +46,8 @@ from ctie.mslr import Batch, build_vocab, make_batches, sentence_rows
 
 from helpers import (
     SMOKE_CORPUS,
+    embedding_grad_2d,
+    per_row_forward,
     random_corpus,
     reference_gru,
     relation_head,
@@ -129,6 +131,7 @@ def _row_batch(rows, width) -> Batch:
         ner_labels=padded("ner_labels", np.int64),
         relation_label=np.array([row["relation_label"] for row in rows]),
         lengths=lengths, origins=tuple((b, 0) for b in range(len(rows))),
+        sentence_of=np.arange(len(rows)),
     )
 
 
@@ -903,14 +906,21 @@ def _assert_relatively_close(actual, expected, rel=1e-12):
                                                                            initial=0.0)
 
 
+def _sentence_step(batch, params, config, seed=6):
+    """(the training step on ``batch``, its per-row reference): every row
+    encoded on its own under its sentence's dropout masks."""
+    shared = forward(batch, params, config, rng=np.random.default_rng(seed))
+    masks = (None if m is None else m[batch.sentence_of]
+             for m in (shared.trace.drop_emb, shared.trace.drop_h))
+    return shared, per_row_forward(batch, params, config, *masks)
+
+
 def _assert_shared_matches_per_row(batch, params, config):
-    """The dropout-free step that encodes each distinct sentence once gives
-    the losses, probabilities and gradients of the step that encodes every
-    row (the same batch without sentence ids), to rounding."""
-    shared = forward(batch, params, config)
-    per_row = forward(dataclasses.replace(batch, sentence_of=None), params, config)
+    """The step that encodes each distinct sentence once gives the losses,
+    probabilities and gradients of the step that encodes every row under
+    its sentence's dropout masks, to rounding."""
+    shared, per_row = _sentence_step(batch, params, config)
     assert len(shared.trace.h_d) == batch.sentence_of.max() + 1
-    assert len(per_row.trace.h_d) == batch.size
     for key in ("ner_nll", "re_ce", "joint"):
         assert getattr(shared, key) == pytest.approx(getattr(per_row, key), rel=1e-12)
     _assert_relatively_close(shared.re_probs, per_row.re_probs)
@@ -920,21 +930,22 @@ def _assert_shared_matches_per_row(batch, params, config):
 
 
 class TestSharedSentenceEncoding:
-    """At dropout 0 a training step encodes and CRF-scores each distinct
-    sentence of a batch once and scores every MSLR row from it."""
+    """A training step encodes and CRF-scores each distinct sentence of a
+    batch once, under one set of dropout masks, and scores every MSLR row
+    from it."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(2, 10),
            batch_size=st.integers(1, 12), shuffle_seed=st.one_of(st.none(), st.integers(0, 99)),
-           use_mask=st.booleans(), use_type=st.booleans())
+           use_mask=st.booleans(), use_type=st.booleans(), dropout=st.sampled_from([0.0, 0.3]))
     @example(seed=3, n_sentences=6, batch_size=1, shuffle_seed=None, use_mask=True,
-             use_type=True)
+             use_type=True, dropout=0.0)
     def test_shared_step_matches_the_per_row_step(self, seed, n_sentences, batch_size,
-                                                   shuffle_seed, use_mask, use_type):
+                                                   shuffle_seed, use_mask, use_type, dropout):
         corpus = random_corpus(np.random.default_rng(seed), n_sentences)
         assume(any(sentence.relations for sentence in corpus.sentences))
         kept, vocab, config, params = _corpus_model(
-            corpus, seed % 1000, dropout=0.0, use_entity_mask=use_mask,
+            corpus, seed % 1000, dropout=dropout, use_entity_mask=use_mask,
             use_entity_type=use_type, alpha=0.9, beta=1.2)
         for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed):
             _assert_shared_matches_per_row(batch, params, config)
@@ -947,29 +958,48 @@ class TestSharedSentenceEncoding:
         assert batch.size >= 3 and batch.sentence_of.tolist() == [0] * batch.size
         _assert_shared_matches_per_row(batch, params, config)
 
-    def test_dropout_encodes_every_row_with_its_own_masks(self):
+    def test_dropout_masks_are_shared_by_a_sentences_rows(self):
         corpus = load_corpus(SMOKE_CORPUS)
         kept, vocab, config, params = _corpus_model(corpus, 5, dropout=0.3)
         batch = make_batches(kept, corpus.types, vocab, 16, shuffle_seed=1)[0]
-        assert batch.sentence_of.max() + 1 < batch.size  # some rows share a sentence
-        a = forward(batch, params, config, rng=np.random.default_rng(6))
-        b = forward(dataclasses.replace(batch, sentence_of=None), params, config,
-                    rng=np.random.default_rng(6))
-        assert a.trace.drop_emb.shape == batch.token_ids.shape + (config.embed_dim,)
-        assert len(a.trace.h_d) == batch.size  # one encoding per row
-        assert a.joint == b.joint and np.array_equal(a.re_probs, b.re_probs)
-        for field in dataclasses.fields(a.trace):
-            if field.name not in ("config", "batch", "gru", "relation"):
-                x, y = getattr(a.trace, field.name), getattr(b.trace, field.name)
-                assert np.array_equal(x, y), field.name
-        for name in ("x", "gates", "h"):
-            assert np.array_equal(getattr(a.trace.gru, name), getattr(b.trace.gru, name))
-        for field in dataclasses.fields(a.trace.relation):
-            x, y = (getattr(t.relation, field.name) for t in (a.trace, b.trace))
-            assert np.array_equal(x, y), field.name
-        grads = backward(b.trace, params)
-        for name, grad in backward(a.trace, params).items():
-            assert np.array_equal(grad, grads[name]), name
+        n_sentences = batch.sentence_of.max() + 1
+        assert n_sentences < batch.size  # some rows share a sentence
+        trace = forward(batch, params, config, rng=np.random.default_rng(6)).trace
+        width, n_pool = batch.max_len, 2 * config.hidden_dim
+        assert trace.drop_emb.shape == (n_sentences, width, config.embed_dim)
+        assert trace.drop_h.shape == trace.h_d.shape == (n_sentences, width, n_pool)
+        _assert_shared_matches_per_row(batch, params, config)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_rows_of_their_own_sentences_match_the_per_row_step_exactly(self, dropout):
+        # sentence_of = arange(B): unit CRF weights and an identity gather leave every bit
+        config = tiny_config(dropout=dropout, alpha=0.8, beta=1.3)
+        params = init_params(config, seed=27)
+        rows = _random_rows(np.random.default_rng(28), config, [5, 2, 4, 4])
+        shared, per_row = _sentence_step(_row_batch(rows, 6), params, config)
+        for key in ("ner_nll", "re_ce", "joint"):
+            assert getattr(shared, key) == getattr(per_row, key)
+        assert np.array_equal(shared.re_probs, per_row.re_probs)
+        expected = backward(per_row.trace, params)
+        for name, grad in backward(shared.trace, params).items():
+            assert np.array_equal(grad, expected[name]), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(2, 8),
+       batch_size=st.integers(2, 12), dropout=st.sampled_from([0.0, 0.3]))
+def test_embedding_scatter_matches_a_2d_add_at(seed, n_sentences, batch_size, dropout):
+    corpus = random_corpus(np.random.default_rng(seed), n_sentences)
+    assume(any(sentence.relations for sentence in corpus.sentences))
+    kept, vocab, config, params = _corpus_model(corpus, seed % 1000, dropout=dropout)
+    assert not config.freeze_embeddings
+    repeated = False  # some id is scattered onto more than once
+    for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed=seed % 97):
+        trace = forward(batch, params, config, rng=np.random.default_rng(seed)).trace
+        ids = trace.gru.packing.pack(trace.token_ids)
+        repeated |= len(np.unique(ids)) < len(ids)
+        assert np.array_equal(backward(trace, params)["embed"], embedding_grad_2d(trace, params))
+    assume(repeated)
 
 
 class TestBackwardBuffer:
