@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import evaluation, extract as extract_mod
 from .corpus import (
-    OntologySchema, check_corpus, dataset_stats, load_corpus, read_utf8, validate_ontology,
+    OntologySchema, check_corpus, dataset_stats, is_int, load_corpus, read_utf8,
+    validate_ontology,
 )
 from .errors import DataError, SchemaError
 from .model import ModelConfig, checkpoint_tables, load_checkpoint, write_atomic
@@ -285,10 +286,6 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_triple(t: dict) -> extract_mod.Triple:
     """One triple of an extractions file, every field checked for its type:
     a ``ValueError`` names the fields that do not match."""
@@ -298,10 +295,10 @@ def _read_triple(t: dict) -> extract_mod.Triple:
     if not (isinstance(confidence, (int, float)) and not isinstance(confidence, bool)
             and 0.0 <= confidence <= 1.0):  # NaN fails the comparison
         bad.append("confidence")
-    if not _is_int(t["sentence_index"]):
+    if not is_int(t["sentence_index"]):
         bad.append("sentence_index")
     bad += [k for k in ("head_span", "tail_span")
-            if not (isinstance(t[k], list) and len(t[k]) == 2 and all(map(_is_int, t[k])))]
+            if not (isinstance(t[k], list) and len(t[k]) == 2 and all(map(is_int, t[k])))]
     if bad:
         raise ValueError(f"triple fields of the wrong type: {', '.join(bad)}")
     return extract_mod.Triple(
@@ -317,7 +314,7 @@ def cmd_export(args) -> int:
     results = []
     try:
         for item in json.loads(text):
-            if not _is_int(item["sentence_index"]):
+            if not is_int(item["sentence_index"]):
                 raise ValueError("sentence_index is not an int")
             results.append(
                 extract_mod.ExtractionResult(

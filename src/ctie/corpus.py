@@ -288,6 +288,12 @@ def _document_records(doc) -> tuple[list, tuple[str, str, str]]:
     return doc, order
 
 
+def is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: ``true`` and ``false``
+    are not, though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_record_shape(record, order: tuple[str, str, str]) -> list[tuple[int, str, int]]:
     """Check field presence and types; return the relations as (head, name, tail)."""
     if not isinstance(record, dict):
@@ -304,7 +310,7 @@ def _check_record_shape(record, order: tuple[str, str, str]) -> list[tuple[int, 
         if not isinstance(ent, (list, tuple)) or len(ent) != 3:
             raise SchemaError(f"entities[{j}] must be [start, end, type]")
         start, end, name = ent
-        if not isinstance(start, int) or not isinstance(end, int) or not isinstance(name, str):
+        if not is_int(start) or not is_int(end) or not isinstance(name, str):
             raise SchemaError(f"entities[{j}] must be [int, int, str]")
     for j, tag in enumerate(record["entity_labels"]):
         if not isinstance(tag, str):
@@ -315,7 +321,7 @@ def _check_record_shape(record, order: tuple[str, str, str]) -> list[tuple[int, 
             raise SchemaError(f"relations[{j}] must be a 3-item list")
         by_name = dict(zip(order, rel))
         head, name, tail = by_name["head"], by_name["relation"], by_name["tail"]
-        if not isinstance(head, int) or not isinstance(tail, int) or not isinstance(name, str):
+        if not is_int(head) or not is_int(tail) or not isinstance(name, str):
             raise SchemaError(
                 f"relations[{j}] fields must be (int head, str relation, int tail)"
             )

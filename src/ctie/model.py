@@ -80,14 +80,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         check_field_types(self)
-        for name in ("vocab_size", "num_ner_labels", "num_relations",
-                     "num_entity_types", "embed_dim", "hidden_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be >= 0")
+        check_field_ranges(self, _MODEL_RANGES)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,6 +108,31 @@ def check_field_types(config) -> None:
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
             raise ValueError(f"{f.name} must be {described}"
                              f"{' or null' if optional else ''}, got {value!r}")
+
+
+POSITIVE = (lambda v: v > 0, "positive")
+AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
+
+_MODEL_RANGES = {
+    **dict.fromkeys(("vocab_size", "num_ner_labels", "num_relations", "num_entity_types",
+                     "embed_dim", "hidden_dim"), POSITIVE),
+    "dropout": UNIT_INTERVAL,
+    "alpha": FINITE_NON_NEGATIVE,
+    "beta": FINITE_NON_NEGATIVE,
+}
+
+
+def check_field_ranges(config, ranges: dict) -> None:
+    """ValueError naming the first field of ``config`` whose value fails its
+    (test, description) in ``ranges``; NaN fails every test, since every
+    comparison with it is false."""
+    for name, (test, described) in ranges.items():
+        value = getattr(config, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {described}, got {value!r}")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -755,9 +773,9 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 class ForwardTrace:
     """What ``backward`` reads of a ``forward``. The encoder and NER arrays
     (``token_ids`` to ``d_logits_ner``), the dropout masks included, hold
-    one row per distinct sentence of the batch (``batch.sentence_of``). The
-    relation head scores one pair per batch row, over its head and tail
-    spans in its sentence's row of ``h_d``."""
+    one row per sentence of the batch, as its sentence arrays do. The
+    relation head scores one pair per batch row, over the batch's span
+    table: each span pooled once from its sentence's row of ``h_d``."""
 
     config: ModelConfig
     batch: Batch
@@ -786,6 +804,37 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
+def _check_batch(batch: Batch) -> None:
+    """``ValueError`` naming the field unless ``batch`` is a consistent span
+    table (``Batch``): array lengths agree, ``lengths`` are the mask's row
+    sums, ``head``/``tail`` index the spans and ``span_rows`` the
+    sentences, each row's spans lie in one sentence, every span has 0 <=
+    start < end <= its sentence's length, and every sentence has a row."""
+    n_sentences, width = np.shape(batch.token_ids)
+    n_spans, n_rows = len(batch.span_rows), batch.size
+    for name, shape in (("attention_mask", (n_sentences, width)),
+                        ("ner_labels", (n_sentences, width)), ("lengths", (n_sentences,)),
+                        ("spans", (n_spans, 2)), ("head", (n_rows,)), ("tail", (n_rows,)),
+                        ("head_type", (n_rows,)), ("tail_type", (n_rows,)),
+                        ("relation_label", (n_rows,))):
+        if np.shape(getattr(batch, name)) != shape:
+            raise ValueError(f"batch.{name} has shape {np.shape(getattr(batch, name))}, "
+                             f"expected {shape}")
+    if (batch.attention_mask.sum(axis=1) != batch.lengths).any():
+        raise ValueError("batch.lengths must be the attention_mask row sums")
+    for name, bound in (("head", n_spans), ("tail", n_spans), ("span_rows", n_sentences)):
+        ids = getattr(batch, name)
+        if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+            raise ValueError(f"batch.{name} must lie in [0, {bound})")
+    if (batch.span_rows[batch.tail] != batch.sentence_of).any():
+        raise ValueError("batch.head and batch.tail of a row lie in different sentences")
+    starts, ends = batch.spans.T
+    if not ((0 <= starts) & (starts < ends) & (ends <= batch.lengths[batch.span_rows])).all():
+        raise ValueError("batch.spans must have 0 <= start < end <= their sentence's length")
+    if not np.bincount(batch.sentence_of, minlength=n_sentences).all():
+        raise ValueError("batch.token_ids holds a sentence that no row names")
+
+
 def forward(
     batch: Batch,
     params: Params,
@@ -802,23 +851,22 @@ def forward(
     eval mode, since inference and validation encode each sentence once
     (``encode``) and score its pairs with ``score_pairs``, as here.
 
-    The U distinct sentences of ``batch.sentence_of`` are embedded, encoded
-    and CRF-scored once each, under dropout masks of shape (U, T, d) and
-    (U, T, 2h) that the copies of a sentence share, as variational dropout
-    shares one mask across a sequence's steps (Gal & Ghahramani, 2016). The
-    CRF gradients are weighted by the sentence's row count, and each row's
-    head and tail spans are pooled from its sentence's encoding.
+    The batch (``_check_batch``) holds each of its U distinct sentences
+    once, and each is embedded, encoded and CRF-scored once, under dropout
+    masks of shape (U, T, d) and (U, T, 2h) that the rows of a sentence
+    share, as variational dropout shares one mask across a sequence's
+    steps (Gal & Ghahramani, 2016). The CRF gradients are weighted by the
+    sentence's row count, and ``score_pairs`` pools each span of the
+    batch's span table once.
     """
     if mode != "train":
         raise ValueError(f"mode must be 'train', got {mode!r}")
     if config.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout > 0 needs an rng")
+    _check_batch(batch)
 
-    sentence_of = batch.sentence_of
-    # ids count up in order of first appearance: each sentence's first row stands for it
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(sentence_of), prepend=-1))
-    token_ids, mask = batch.token_ids[first], batch.attention_mask[first]
-    emb = embed(token_ids, params["embed"])
+    mask, sentence_of = batch.attention_mask, batch.sentence_of
+    emb = embed(batch.token_ids, params["embed"])
 
     drop_emb = None
     emb_d = emb
@@ -835,21 +883,19 @@ def forward(
         h_d = h_bigru * drop_h
 
     logits = ner_logits(h_d, params["ner_w"], params["ner_b"])
-    # spans 0..B-1 are the rows' heads, B..2B-1 their tails, in their sentences' encodings
-    relation = score_pairs(h_d, mask, np.concatenate((sentence_of, sentence_of)),
-                           np.concatenate((batch.head_span, batch.tail_span)),
-                           np.arange(batch.size), np.arange(batch.size, 2 * batch.size),
+    relation = score_pairs(h_d, mask, batch.span_rows, batch.spans, batch.head, batch.tail,
                            batch.head_type, batch.tail_type, params, config)
 
-    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels[first], params["crf_trans"],
-                                           mask, weights=np.bincount(sentence_of))
+    nlls, d_logits, d_trans = crf_nll_grad(
+        logits, batch.ner_labels, params["crf_trans"], mask,
+        weights=np.bincount(sentence_of, minlength=len(mask)))
     ner_nll_mean = float(np.mean(nlls[sentence_of]))
     picked = relation.probs[np.arange(batch.size), batch.relation_label]
     re_ce_mean = float(np.mean(-np.log(picked)))
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = ForwardTrace(
-        config=config, batch=batch, token_ids=token_ids,
+        config=config, batch=batch, token_ids=batch.token_ids,
         drop_emb=drop_emb,
         gru=gru, drop_h=drop_h, h_d=h_d,
         logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation,

@@ -290,32 +290,39 @@ def encode_all(
 
 @dataclass
 class Batch:
-    """Stacked instance fields padded to the batch max length.
+    """A batch of B MSLR rows in the span-table layout that ``score_pairs``
+    reads. The sentence arrays hold each of the batch's U distinct
+    sentences once, in order of first appearance among the rows, padded to
+    the longest. The span table holds each entity span the rows name once,
+    in order of first naming (each row's head, then its tail, row by row):
+    span s is [``spans[s, 0]``, ``spans[s, 1]``) of sentence
+    ``span_rows[s]``. Row b pairs spans ``head[b]`` and ``tail[b]``."""
 
-    ``sentence_of`` gives each row's batch-local sentence id, numbered in
-    order of first appearance: rows with one id are copies of one sentence
-    (same token ids, BIO labels and length) and differ only in their pair
-    fields. With every row its own sentence it is ``arange(B)``."""
-
-    token_ids: np.ndarray       # (B, T) int64
-    attention_mask: np.ndarray  # (B, T) float64
-    head_span: np.ndarray       # (B, 2) int64 [start, end) of the head entity
-    tail_span: np.ndarray       # (B, 2) int64 [start, end) of the tail entity
+    token_ids: np.ndarray       # (U, T) int64
+    attention_mask: np.ndarray  # (U, T) float64
+    ner_labels: np.ndarray      # (U, T) int64
+    lengths: np.ndarray         # (U,) int64
+    span_rows: np.ndarray       # (S,) int64 the sentence of each span
+    spans: np.ndarray           # (S, 2) int64 [start, end) of each span
+    head: np.ndarray            # (B,) int64 the head entity's span
+    tail: np.ndarray            # (B,) int64 the tail entity's span
     head_type: np.ndarray       # (B,) int64
     tail_type: np.ndarray       # (B,) int64
-    ner_labels: np.ndarray      # (B, T) int64
     relation_label: np.ndarray  # (B,) int64
-    lengths: np.ndarray         # (B,) int64
     origins: tuple[tuple[int, int], ...]
-    sentence_of: np.ndarray     # (B,) int64
 
     @property
     def size(self) -> int:
-        return self.token_ids.shape[0]
+        return len(self.head)
 
     @property
     def max_len(self) -> int:
         return self.token_ids.shape[1]
+
+    @property
+    def sentence_of(self) -> np.ndarray:
+        """(B,) each row's sentence."""
+        return self.span_rows[self.head]
 
 
 def sentence_rows(
@@ -353,6 +360,14 @@ def pair_spans(
     return np.repeat(np.arange(len(kept)), n_spans), spans, pairs
 
 
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, index): the distinct values of ``ids`` in order of first
+    appearance, and each entry's position among them."""
+    local: dict[int, int] = {}
+    index = [local.setdefault(k, len(local)) for k in ids.tolist()]
+    return np.array(list(local), dtype=np.int64), np.array(index, dtype=np.int64)
+
+
 def make_batches(
     kept: Sequence[tuple[int, AnnotatedSentence, PairRows]], types: TypeSystem,
     vocab: Vocabulary, batch_size: int, shuffle_seed: int | None = None,
@@ -360,20 +375,19 @@ def make_batches(
     """The rows of ``kept`` (from ``sentence_rows``) in batches of
     ``batch_size``, the last maybe short; with a ``shuffle_seed``, in the
     order of ``default_rng(shuffle_seed).permutation``. Token and BIO label
-    ids fill one (S, T) table, and each batch gathers its rows from it and
-    records which of its rows share a sentence (``Batch.sentence_of``)."""
+    ids fill one table of ``kept``'s sentences and ``pair_spans`` numbers
+    their entity spans; each batch gathers the sentences and spans its rows
+    name, each once, in the order ``Batch`` states."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not kept:
         return []
-    lengths = np.array([len(sentence) for _, sentence, _ in kept])
+    lengths = np.array([len(sentence) for _, sentence, _ in kept], dtype=np.int64)
     tokens, labels = np.zeros((2, len(kept), lengths.max()), dtype=np.int64)
     for k, (_, sentence, _) in enumerate(kept):
         tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
         labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
-    sentence_of = np.repeat(np.arange(len(kept)), [len(rows) for *_, rows in kept])
-    _, spans, pairs = pair_spans(kept)
-    heads, tails = spans[pairs.head], spans[pairs.tail]
+    span_sentence, spans, pairs = pair_spans(kept)
     origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
     order = np.arange(len(origins))
     if shuffle_seed is not None:
@@ -381,18 +395,17 @@ def make_batches(
     batches = []
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
-        s, n = sentence_of[idx], lengths[sentence_of[idx]]
+        named, ends = _first_appearance(np.stack((pairs.head[idx], pairs.tail[idx]), 1).ravel())
+        sentences, span_rows = _first_appearance(span_sentence[named])
+        n = lengths[sentences]
         width = int(n.max())
-        local: dict[int, int] = {}
-        local_ids = [local.setdefault(k, len(local)) for k in s.tolist()]
+        head, tail = ends.reshape(-1, 2).T
         batches.append(Batch(
-            token_ids=tokens[s, :width], ner_labels=labels[s, :width],
-            attention_mask=(np.arange(width) < n[:, None]).astype(np.float64),
-            head_span=heads[idx], tail_span=tails[idx],
+            token_ids=tokens[sentences, :width], ner_labels=labels[sentences, :width],
+            attention_mask=(np.arange(width) < n[:, None]).astype(np.float64), lengths=n,
+            span_rows=span_rows, spans=spans[named], head=head, tail=tail,
             head_type=pairs.head_type[idx], tail_type=pairs.tail_type[idx],
-            relation_label=pairs.label[idx],
-            lengths=n, origins=tuple(origins[k] for k in idx),
-            sentence_of=np.array(local_ids, dtype=np.int64),
+            relation_label=pairs.label[idx], origins=tuple(origins[k] for k in idx),
         ))
     return batches
 

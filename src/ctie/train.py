@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -16,9 +17,14 @@ from .corpus import AnnotatedSentence, TypeSystem
 from .crf import crf_decode, crf_nll
 from .errors import DataError, NonFiniteLoss, SchemaError
 from .model import (
+    AT_LEAST_ONE,
+    FINITE_NON_NEGATIVE,
+    FINITE_POSITIVE,
+    UNIT_INTERVAL,
     ModelConfig,
     Params,
     backward,
+    check_field_ranges,
     check_field_types,
     decode_constraint,
     forward,
@@ -60,10 +66,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         check_field_types(self)
         check_split_ratios((self.train_ratio, self.val_ratio, self.test_ratio))
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning rate, batch size, and epochs must be positive")
-        if self.max_len < 1 or self.min_freq < 1:
-            raise ValueError("max_len and min_freq must be at least 1")
+        check_field_ranges(self, _TRAIN_RANGES)
 
     @property
     def effective_split_seed(self) -> int:
@@ -90,6 +93,19 @@ class TrainConfig:
         config = cls(**payload)
         config.validate()
         return config
+
+
+_TRAIN_RANGES = {
+    "learning_rate": FINITE_POSITIVE,
+    "epsilon": FINITE_POSITIVE,
+    "weight_decay": FINITE_NON_NEGATIVE,
+    "beta1": UNIT_INTERVAL,
+    "beta2": UNIT_INTERVAL,
+    "grad_clip_norm": (lambda v: v is None or 0 <= v < math.inf,
+                       "null, or finite and >= 0 (0: no clipping)"),
+    "checkpoint_every": (lambda v: v >= 0, ">= 0 (0: only the best and final checkpoints)"),
+    **dict.fromkeys(("batch_size", "epochs", "max_len", "min_freq"), AT_LEAST_ONE),
+}
 
 
 def check_split_ratios(ratios: tuple[float, float, float]) -> None:

@@ -219,48 +219,49 @@ def tiny_config(use_mask: bool = True, use_type: bool = True, dropout: float = 0
 
 
 def tiny_batch():
-    """Two rows, T=5, with one padded row so masking is exercised."""
+    """Two rows of two sentences, T=5, the second padded so masking is
+    exercised."""
     from ctie.mslr import Batch
 
     return Batch(
         token_ids=np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]], dtype=np.int64),
         attention_mask=np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64),
-        # pools tokens {0, 3} and {1, 2}
-        head_span=np.array([[0, 1], [1, 2]], dtype=np.int64),
-        tail_span=np.array([[3, 4], [2, 3]], dtype=np.int64),
+        ner_labels=np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64),
+        lengths=np.array([5, 3], dtype=np.int64),
+        # the rows pool tokens {0, 3} and {1, 2}
+        span_rows=np.array([0, 0, 1, 1], dtype=np.int64),
+        spans=np.array([[0, 1], [3, 4], [1, 2], [2, 3]], dtype=np.int64),
+        head=np.array([0, 2], dtype=np.int64),
+        tail=np.array([1, 3], dtype=np.int64),
         head_type=np.array([1, 0], dtype=np.int64),
         tail_type=np.array([2, 3], dtype=np.int64),
-        ner_labels=np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64),
         relation_label=np.array([1, 2], dtype=np.int64),
-        lengths=np.array([5, 3], dtype=np.int64),
         origins=((0, 0), (1, 0)),
-        sentence_of=np.arange(2),
     )
 
 
 def repeated_sentence_batch():
-    """Five rows of two sentences, T=5: rows 0, 2 and 3 are one full-length
-    sentence and rows 1 and 4 one padded sentence, each row with its own
-    pair and relation; ``sentence_of`` records the sharing."""
+    """Five rows of two sentences, T=5: rows 0, 2 and 3 are of a full-length
+    sentence and rows 1 and 4 of a padded one, each row with its own pair
+    and relation. Rows 0 and 3 share a head span, and rows 1 and 4 a tail
+    span."""
     from ctie.mslr import Batch
 
-    sentences = np.array([0, 1, 0, 0, 1])
-    tokens = np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]], dtype=np.int64)
-    labels = np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64)
-    lengths = np.array([5, 3], dtype=np.int64)[sentences]
     return Batch(
-        token_ids=tokens[sentences],
-        attention_mask=(np.arange(5) < lengths[:, None]).astype(np.float64),
-        # pools tokens {0, 3}, {1, 2}, {1, 4}, {0, 1, 2} and {0, 2}
-        head_span=np.array([[0, 1], [1, 2], [1, 2], [0, 1], [0, 1]], dtype=np.int64),
-        tail_span=np.array([[3, 4], [2, 3], [4, 5], [1, 3], [2, 3]], dtype=np.int64),
+        token_ids=np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]], dtype=np.int64),
+        attention_mask=np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64),
+        ner_labels=np.array([[1, 2, 0, 3, 4], [0, 1, 2, 0, 0]], dtype=np.int64),
+        lengths=np.array([5, 3], dtype=np.int64),
+        # the rows pool tokens {0, 3}, {1, 2}, {1, 4}, {0, 1, 2} and {0, 2}
+        span_rows=np.array([0, 0, 1, 1, 0, 0, 0, 1], dtype=np.int64),
+        spans=np.array([[0, 1], [3, 4], [1, 2], [2, 3], [1, 2], [4, 5], [1, 3], [0, 1]],
+                       dtype=np.int64),
+        head=np.array([0, 2, 4, 0, 7], dtype=np.int64),
+        tail=np.array([1, 3, 5, 6, 3], dtype=np.int64),
         head_type=np.array([1, 0, 2, 3, 1], dtype=np.int64),
         tail_type=np.array([2, 3, 0, 1, 1], dtype=np.int64),
-        ner_labels=labels[sentences],
         relation_label=np.array([1, 2, 0, 2, 1], dtype=np.int64),
-        lengths=lengths,
         origins=((0, 0), (1, 0), (0, 1), (0, 2), (1, 1)),
-        sentence_of=sentences,
     )
 
 
@@ -269,37 +270,53 @@ def repeated_sentence_batch():
 # ---------------------------------------------------------------------------
 
 
+def span_table(row_spans):
+    """(span_rows, spans, head, tail) of rows given as (sentence, head
+    bounds, tail bounds): each (sentence, bounds) once, in order of first
+    naming, each row's head before its tail."""
+    ids = {}
+    for sentence, *ends in row_spans:
+        for bounds in ends:
+            ids.setdefault((sentence, tuple(bounds)), len(ids))
+    head, tail = np.array([[ids[sentence, tuple(bounds)] for bounds in ends]
+                           for sentence, *ends in row_spans], dtype=np.int64).reshape(-1, 2).T
+    return (np.array([sentence for sentence, _ in ids], dtype=np.int64),
+            np.array([bounds for _, bounds in ids], dtype=np.int64).reshape(-1, 2), head, tail)
+
+
 def collate(instances):
-    """One ``Batch`` of encoded ``MslrInstance`` rows, each field stacked
-    row by row and padded with zeros to the longest row; rows whose origins
-    name one sentence share a sentence id, numbered in order of first
-    appearance."""
+    """One ``Batch`` of encoded ``MslrInstance`` rows, built record by
+    record: each sentence (named by ``origin[0]``) once, in order of first
+    appearance, padded with zeros to the longest, and the ``span_table`` of
+    the rows."""
     from ctie.mslr import Batch
 
-    width = max(inst.length for inst in instances)
-    sentence_ids = {}
+    firsts = {}
     for inst in instances:
-        sentence_ids.setdefault(inst.origin[0], len(sentence_ids))
+        firsts.setdefault(inst.origin[0], inst)
+    sentence_ids = {key: u for u, key in enumerate(firsts)}
+    firsts = list(firsts.values())
+    width = max(inst.length for inst in firsts)
 
     def stack(field: str) -> np.ndarray:
         rows = []
-        for inst in instances:
+        for inst in firsts:
             seq = list(getattr(inst, field))[: inst.length]
             rows.append(seq + [0] * (width - inst.length))
         return np.asarray(rows, dtype=np.int64)
 
+    span_rows, spans, head, tail = span_table(
+        [(sentence_ids[i.origin[0]], i.head_span, i.tail_span) for i in instances])
     return Batch(
         token_ids=stack("token_ids"),
         attention_mask=stack("attention_mask").astype(np.float64),
-        head_span=np.asarray([i.head_span for i in instances], dtype=np.int64).reshape(-1, 2),
-        tail_span=np.asarray([i.tail_span for i in instances], dtype=np.int64).reshape(-1, 2),
+        ner_labels=stack("ner_labels"),
+        lengths=np.asarray([inst.length for inst in firsts], dtype=np.int64),
+        span_rows=span_rows, spans=spans, head=head, tail=tail,
         head_type=np.asarray([i.head_type for i in instances], dtype=np.int64),
         tail_type=np.asarray([i.tail_type for i in instances], dtype=np.int64),
-        ner_labels=stack("ner_labels"),
         relation_label=np.asarray([i.relation_label for i in instances], dtype=np.int64),
-        lengths=np.asarray([i.length for i in instances], dtype=np.int64),
         origins=tuple(i.origin for i in instances),
-        sentence_of=np.asarray([sentence_ids[i.origin[0]] for i in instances], dtype=np.int64),
     )
 
 
@@ -377,28 +394,36 @@ def finite_difference_check(config, seed: int = 20, step: float = 1e-5,
 
 
 def per_row_forward(batch, params, config, drop_emb=None, drop_h=None):
-    """``forward`` with every row of ``batch`` encoded as its own sentence,
-    under the given dropout masks, (B, T, d) and (B, T, 2h), or none: a
-    ``ForwardResult`` whose trace ``backward`` reads. Fed
+    """``forward`` with every row of ``batch`` encoded from its own copy of
+    its sentence, under the given dropout masks, (B, T, d) and (B, T, 2h),
+    or none: a ``ForwardResult`` whose trace ``backward`` reads. Span s of
+    the batch's span table is pooled from the first row that names it, so
+    the relation head's gradients sum in ``forward``'s span order. Fed
     ``mask[batch.sentence_of]`` of a step's per-sentence masks, it is that
     step's per-row reference."""
     from ctie.crf import crf_nll_grad
     from ctie.model import (ForwardResult, ForwardTrace, bigru, embed, joint_loss, ner_logits,
                             score_pairs)
 
-    rows, mask = np.arange(batch.size), batch.attention_mask
-    emb = embed(batch.token_ids, params["embed"])
+    rows, sentence_of = np.arange(batch.size), batch.sentence_of
+    token_ids, mask = batch.token_ids[sentence_of], batch.attention_mask[sentence_of]
+    emb = embed(token_ids, params["embed"])
     h, gru = bigru(emb if drop_emb is None else emb * drop_emb, mask, params, with_trace=True)
     if drop_h is not None:
         h = h * drop_h
     logits = ner_logits(h, params["ner_w"], params["ner_b"])
-    relation = score_pairs(h, mask, np.concatenate((rows, rows)),
-                           np.concatenate((batch.head_span, batch.tail_span)), rows,
-                           rows + batch.size, batch.head_type, batch.tail_type, params, config)
-    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels, params["crf_trans"], mask)
+    namer = {}
+    for row, ends in enumerate(zip(batch.head.tolist(), batch.tail.tolist())):
+        for span in ends:
+            namer.setdefault(span, row)
+    span_rows = np.array([namer[s] for s in range(len(batch.spans))], dtype=np.int64)
+    relation = score_pairs(h, mask, span_rows, batch.spans, batch.head, batch.tail,
+                           batch.head_type, batch.tail_type, params, config)
+    nlls, d_logits, d_trans = crf_nll_grad(logits, batch.ner_labels[sentence_of],
+                                           params["crf_trans"], mask)
     ner_nll = float(np.mean(nlls))
     re_ce = float(np.mean(-np.log(relation.probs[rows, batch.relation_label])))
-    trace = ForwardTrace(config=config, batch=batch, token_ids=batch.token_ids,
+    trace = ForwardTrace(config=config, batch=batch, token_ids=token_ids,
                          drop_emb=drop_emb, gru=gru, drop_h=drop_h, h_d=h, logits_ner=logits,
                          d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation)
     return ForwardResult(ner_nll=ner_nll, re_ce=re_ce,

@@ -39,6 +39,18 @@ class TestValidate:
         assert "warning" in capsys.readouterr().out
         assert run("validate", "--dataset", path, "--strict") == 1
 
+    def test_boolean_indices_exit_one(self, tmp_path, capsys):
+        record = {
+            "text": "APT29 uses Mimikatz",
+            "entities": [[False, True, "HackOrg"], [2, 3, "Tool"]],
+            "relations": [[0, "uses", True]],
+            "entity_labels": ["B-HackOrg", "O", "B-Tool"],
+        }
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([record]))
+        assert run("validate", "--dataset", path) == 1
+        assert capsys.readouterr().out.count("SchemaError") == 1
+
     def test_missing_file_exit_one(self, capsys):
         assert run("validate", "--dataset", "/nonexistent/corpus.json") == 1
         assert "error" in capsys.readouterr().err
@@ -126,8 +138,22 @@ class TestUsageErrors:
         ((), {"use_entity_mask": "no"}, "use_entity_mask must be true or false"),
         ((), {"batch_size": True}, "batch_size must be an integer"),
         ((), {"max_len": 2.5}, "max_len must be an integer"),
+        (("--lr", "nan"), None, "learning_rate must be finite"),
+        ((), {"learning_rate": float("inf")}, "learning_rate must be finite"),
+        (("--grad-clip-norm", "-1"), None, "grad_clip_norm must be null, or finite and >= 0"),
+        ((), {"grad_clip_norm": float("nan")}, "grad_clip_norm must be null, or finite"),
+        ((), {"beta1": 1.5}, "beta1 must be in [0, 1)"),
+        ((), {"beta2": -0.1}, "beta2 must be in [0, 1)"),
+        ((), {"epsilon": 0}, "epsilon must be finite and > 0"),
+        (("--weight-decay", "-0.5"), None, "weight_decay must be finite and >= 0"),
+        ((), {"checkpoint_every": -2}, "checkpoint_every must be >= 0"),
+        (("--alpha", "nan"), None, "alpha must be finite and >= 0"),
+        ((), {"beta": float("inf")}, "beta must be finite and >= 0"),
     ], ids=["max-len-zero", "dropout-one", "negative-split-ratio", "epochs-float",
-            "grad-clip-norm-str", "use-entity-mask-str", "batch-size-bool", "max-len-float"])
+            "grad-clip-norm-str", "use-entity-mask-str", "batch-size-bool", "max-len-float",
+            "lr-nan", "lr-inf", "grad-clip-norm-negative", "grad-clip-norm-nan", "beta1-above-one",
+            "beta2-negative", "epsilon-zero", "weight-decay-negative", "checkpoint-every-negative",
+            "alpha-nan", "beta-inf"])
     def test_rejected_config_values_exit_two_before_writing(
             self, tmp_path, capsys, command, argv, file_config, message):
         if file_config is not None:
@@ -1117,7 +1143,8 @@ BAD_SEED_IDS = ["seed-str", "seed-negative", "seed-float", "seed-bool",
 class TestSeedValues:
     """A seed that is not a non-negative int is rejected like any other bad
     config value: a usage error (exit 2) before anything is written, and a
-    data error (exit 1) in a checkpoint's stored train_config."""
+    data error (exit 1) in a checkpoint's stored train_config, as an
+    out-of-range value there is."""
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("config", BAD_SEEDS, ids=BAD_SEED_IDS)
@@ -1156,6 +1183,28 @@ class TestSeedValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: checkpoint train_config is malformed")
         assert "must be a non-negative integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+        ({"grad_clip_norm": -1.0}, "grad_clip_norm must be null, or finite and >= 0"),
+        ({"beta2": 1.0}, "beta2 must be in [0, 1)"),
+        ({"checkpoint_every": -2}, "checkpoint_every must be >= 0"),
+    ], ids=["lr-nan", "grad-clip-norm-negative", "beta2-one", "checkpoint-every-negative"])
+    def test_stored_out_of_range_value_is_a_data_error(self, config, message, trained_run,
+                                                       tmp_path, capsys):
+        from ctie.model import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(trained_run / "best.ckpt")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt.params, ckpt.config, extras={
+            **ckpt.extras, "train_config": {**ckpt.extras["train_config"], **config}})
+        out = tmp_path / "eval"
+        assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", path, "--split", "test",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checkpoint train_config is malformed")
+        assert message in err
         assert not out.exists()
 
 

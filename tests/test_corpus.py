@@ -89,6 +89,19 @@ class TestParseDataset:
             parse_dataset(as_bytes([bad]))
         assert "record 0" in str(err.value)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("entities", [[False, True, "HackOrg"], [2, 3, "Tool"], [5, 7, "Org"]], r"entities\[0\]"),
+        ("entities", [[0, 1, "HackOrg"], [2, True, "Tool"], [5, 7, "Org"]], r"entities\[1\]"),
+        ("relations", [[0, "uses", True], [0, "targets", 2]], r"relations\[0\]"),
+        ("relations", [[0, "uses", 1], [False, "targets", 2]], r"relations\[1\]"),
+    ], ids=["entity-start-end", "entity-end", "relation-tail", "relation-head"])
+    def test_json_booleans_are_not_integers(self, field, value, message):
+        # Python's bool is an int: false and true would load as indices 0 and 1
+        bad = as_bytes([dict(FIG_RECORD, **{field: value})])
+        with pytest.raises(SchemaError, match=message):
+            parse_dataset(bad)
+        assert [issue.kind for issue in validate_records(bad)] == ["SchemaError"]
+
     def test_label_length_mismatch(self):
         bad = dict(FIG_RECORD, entity_labels=FIG_RECORD["entity_labels"][:-1])
         with pytest.raises(LabelError):
@@ -426,13 +439,14 @@ def _corrupt(record: dict, kind: str, draw) -> dict | list:
         elif variant == 4:
             entities.append([0, 1])
         elif variant == 5:
-            entities.append([0, "1", "Tool"])
+            entities.append(draw(st.sampled_from([[0, "1", "Tool"], [False, True, "Tool"]])))
         elif variant == 6:
             labels.append(7)
         else:
             r["relations"].append([0, "uses"])
     elif kind == "relation_fields":
-        r["relations"].append(draw(st.sampled_from([["0", "uses", 1], [0, 5, 1], [0, "uses", 1.0]])))
+        r["relations"].append(draw(st.sampled_from([["0", "uses", 1], [0, 5, 1], [0, "uses", 1.0],
+                                                    [0, "uses", True], [False, "uses", 1]])))
     elif kind == "label_count":
         if draw(st.booleans()):
             labels.append("O")

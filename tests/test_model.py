@@ -51,6 +51,7 @@ from helpers import (
     random_corpus,
     reference_gru,
     relation_head,
+    span_table,
     tiny_batch,
     tiny_config,
 )
@@ -113,7 +114,8 @@ def _random_rows(rng, config, lengths):
 
 
 def _row_batch(rows, width) -> Batch:
-    """The rows of ``_random_rows`` padded to ``width``, in the given order."""
+    """The rows of ``_random_rows``, each its own sentence, padded to
+    ``width``, in the given order."""
     def padded(key, dtype):
         out = np.zeros((len(rows), width), dtype=dtype)
         for b, row in enumerate(rows):
@@ -121,17 +123,17 @@ def _row_batch(rows, width) -> Batch:
         return out
 
     lengths = np.array([len(row["token_ids"]) for row in rows])
+    span_rows, spans, head, tail = span_table(
+        [(b, row["head_span"], row["tail_span"]) for b, row in enumerate(rows)])
     return Batch(
         token_ids=padded("token_ids", np.int64),
         attention_mask=(np.arange(width) < lengths[:, None]).astype(np.float64),
-        head_span=np.array([row["head_span"] for row in rows], dtype=np.int64),
-        tail_span=np.array([row["tail_span"] for row in rows], dtype=np.int64),
+        ner_labels=padded("ner_labels", np.int64),
+        lengths=lengths, span_rows=span_rows, spans=spans, head=head, tail=tail,
         head_type=np.array([row["head_type"] for row in rows]),
         tail_type=np.array([row["tail_type"] for row in rows]),
-        ner_labels=padded("ner_labels", np.int64),
         relation_label=np.array([row["relation_label"] for row in rows]),
-        lengths=lengths, origins=tuple((b, 0) for b in range(len(rows))),
-        sentence_of=np.arange(len(rows)),
+        origins=tuple((b, 0) for b in range(len(rows))),
     )
 
 
@@ -760,17 +762,15 @@ def decoded(result, params, batch, allowed=None):
 
 
 def encoder_path(batch, params, config):
-    """The batch's rows on the deterministic path of inference and
-    validation: (emissions, per-row CRF NLL, relation probabilities)."""
+    """The batch on the deterministic path of inference and validation:
+    (emissions of its sentences, each row's CRF NLL, relation
+    probabilities)."""
     mask = batch.attention_mask
     h = encode(batch.token_ids, mask, params)
     logits = ner_logits(h, params["ner_w"], params["ner_b"])
-    nll = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)
-    rows = np.arange(batch.size)
-    probs = score_pairs(h, mask, np.concatenate((rows, rows)),
-                        np.concatenate((batch.head_span, batch.tail_span)), rows,
-                        rows + batch.size, batch.head_type, batch.tail_type, params,
-                        config).probs
+    nll = crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)[batch.sentence_of]
+    probs = score_pairs(h, mask, batch.span_rows, batch.spans, batch.head, batch.tail,
+                        batch.head_type, batch.tail_type, params, config).probs
     return logits, nll, probs
 
 
@@ -821,10 +821,40 @@ class TestForward:
         config = tiny_config(use_mask=True)
         params = init_params(config, seed=10)
         batch = tiny_batch()
-        batch.tail_span = batch.tail_span.copy()
-        batch.tail_span[1, 1] = batch.tail_span[1, 0]  # the second row's tail selects no token
-        with pytest.raises(EmptyMask):
+        batch.spans = batch.spans.copy()
+        batch.spans[3, 1] = batch.spans[3, 0]  # the second row's tail selects no token
+        with pytest.raises(ValueError, match="batch.spans"):
             forward(batch, params, config, mode="train")
+
+    # tiny_batch: spans 0, 1 of sentence 0 (length 5) and 2, 3 of sentence 1 (length 3)
+    @pytest.mark.parametrize("change, message", [
+        (dict(head=[0, 4]), "batch.head"),
+        (dict(tail=[1, -1]), "batch.tail"),
+        (dict(span_rows=[0, 0, 1, 2]), "batch.span_rows"),
+        (dict(tail=[2, 3]), "different sentences"),
+        (dict(spans=[[0, 1], [3, 4], [1, 2], [2, 4]]), "batch.spans"),
+        (dict(spans=[[0, 1], [3, 7], [1, 2], [2, 3]]), "batch.spans"),
+        (dict(spans=[[-1, 1], [3, 4], [1, 2], [2, 3]]), "batch.spans"),
+        (dict(head=[0, 0], tail=[1, 1]), "no row names"),
+        (dict(relation_label=[1]), "batch.relation_label"),
+        (dict(spans=[[0, 1], [3, 4], [1, 2]]), "batch.spans"),
+        (dict(lengths=[5]), "batch.lengths"),
+        (dict(lengths=[5, 4]), "batch.lengths"),
+    ], ids=["head-past-the-spans", "negative-tail", "span-in-no-sentence",
+            "row-across-sentences", "span-past-its-sentence", "span-past-the-padding",
+            "negative-start", "sentence-without-rows", "short-relation-labels",
+            "short-spans", "short-lengths", "lengths-not-the-mask"])
+    def test_inconsistent_batch_is_rejected_before_embedding(self, change, message,
+                                                               monkeypatch):
+        config = tiny_config()
+        params = init_params(config, seed=10)
+        batch = dataclasses.replace(tiny_batch(), **{k: np.array(v, dtype=np.int64)
+                                                     for k, v in change.items()})
+        embedded = []
+        monkeypatch.setattr(model, "embed", lambda *args: embedded.append(args))
+        with pytest.raises(ValueError, match=message):
+            forward(batch, params, config, mode="train")
+        assert embedded == []
 
     @pytest.mark.parametrize("type_id", [-1, 4])
     def test_type_id_out_of_range_raises(self, type_id):

@@ -27,6 +27,7 @@ from ctie.mslr import (
     make_entity_mask,
     pair_rows,
     pair_spans,
+    relation_pairs,
     sentence_rows,
 )
 
@@ -363,6 +364,35 @@ class TestBatches:
         assert skipped == expected_skipped
         assert_batches_equal(
             make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 12),
+           batch_size=st.integers(1, 20), shuffle_seed=st.none() | st.integers(0, 2**16))
+    def test_rows_round_trip_through_the_span_table(self, seed, n_sentences, batch_size,
+                                                    shuffle_seed):
+        """Each row's sentence and head and tail bounds read back from the
+        batch's sentence arrays and span table, which name each sentence
+        and each (sentence, bounds) once."""
+        corpus = random_corpus(np.random.default_rng(seed), n_sentences)
+        sentences = corpus.sentences
+        vocab = build_vocab(sentences)
+        kept, _ = sentence_rows(sentences, range(n_sentences), corpus.types, max_len=256)
+        for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed):
+            corpus_index = {}  # each batch sentence's corpus record
+            for (i, j), u, h, t in zip(batch.origins, batch.sentence_of, batch.head, batch.tail):
+                assert corpus_index.setdefault(u, i) == i
+                _, head, tail = relation_pairs(sentences[i], i)[j]
+                assert batch.span_rows[t] == u
+                assert batch.spans[h].tolist() == [head.start, head.end]
+                assert batch.spans[t].tolist() == [tail.start, tail.end]
+            assert sorted(corpus_index) == list(range(len(batch.token_ids)))
+            assert len(set(corpus_index.values())) == len(corpus_index)
+            for u, i in corpus_index.items():
+                n = batch.lengths[u]
+                assert n == len(sentences[i])
+                assert batch.token_ids[u, :n].tolist() == [vocab.id(w) for w in sentences[i].tokens]
+            named = {(u, start, end) for u, (start, end) in zip(batch.span_rows, batch.spans)}
+            assert len(named) == len(batch.spans)
 
 
 class TestDump:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ctie.corpus import OntologySchema, load_corpus
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import DataError, NonFiniteLoss
-from ctie.model import decode_constraint, forward
+from ctie.model import ModelConfig, decode_constraint, forward
 from ctie.mslr import expand, make_batches, pair_rows, sentence_rows
 from ctie.train import (
     ADAMW_CHUNK,
@@ -73,6 +73,34 @@ class TestSplit:
         TrainConfig(**{field: 1}).validate()
         with pytest.raises(ValueError):
             TrainConfig(**{field: 0}).validate()
+
+    @pytest.mark.parametrize("field, bad, good", [
+        ("learning_rate", [0.0, -1e-3, float("nan"), float("inf")], [1e-5]),
+        ("grad_clip_norm", [-1.0, float("nan"), float("inf")], [None, 0.0, 5.0]),
+        ("beta1", [1.5, 1.0, -0.1, float("nan")], [0.0, 0.9]),
+        ("beta2", [-0.1, 1.0, float("nan")], [0.0, 0.999]),
+        ("epsilon", [0.0, -1e-8, float("nan"), float("inf")], [1e-8]),
+        ("weight_decay", [-0.5, float("nan"), float("inf")], [0.0, 0.01]),
+        ("checkpoint_every", [-2, -1], [0, 3]),
+        ("batch_size", [0, -4], [1]),
+        ("epochs", [0], [1]),
+    ], ids=["learning_rate", "grad_clip_norm", "beta1", "beta2", "epsilon", "weight_decay",
+            "checkpoint_every", "batch_size", "epochs"])
+    def test_config_rejects_out_of_range_values(self, field, bad, good):
+        for value in good:
+            TrainConfig(**{field: value}).validate()
+        for value in bad:
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_model_config_loss_weights_are_finite_and_non_negative(self, field):
+        config = dict(vocab_size=5, num_ner_labels=3, num_relations=2, num_entity_types=2)
+        for value in (0.0, 2.5):
+            ModelConfig(**config, **{field: value}).validate()
+        for value in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                ModelConfig(**config, **{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["seed", "split_seed", "shuffle_seed"])
     def test_config_seeds_are_non_negative_ints(self, field):
@@ -544,14 +572,15 @@ def row_batch_validation(result, sentences, val_idx, max_len, batch_size=8):
     rows = re_hits = tok_correct = tok_total = 0
     for batch in make_batches(kept, result.types, result.vocab, batch_size):
         out = forward(batch, params, config, mode="train")
-        # the dropout-free forward encodes each distinct sentence once
-        logits, mask = out.trace.logits_ner[batch.sentence_of], batch.attention_mask
-        ner += float(np.sum(crf_nll(logits, batch.ner_labels, params["crf_trans"], mask)))
+        # the batch and its dropout-free forward hold each distinct sentence once
+        logits, mask, labels, lengths = (a[batch.sentence_of] for a in (
+            out.trace.logits_ner, batch.attention_mask, batch.ner_labels, batch.lengths))
+        ner += float(np.sum(crf_nll(logits, labels, params["crf_trans"], mask)))
         picked = out.re_probs[np.arange(batch.size), batch.relation_label]
         re += float(np.sum(-np.log(picked)))
         re_hits += int(np.sum(np.argmax(out.re_probs, axis=1) == batch.relation_label))
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        for path, n, gold in zip(paths, batch.lengths, batch.ner_labels):
+        for path, n, gold in zip(paths, lengths, labels):
             tok_correct += int(np.sum(np.asarray(path) == gold[:n]))
             tok_total += int(n)
         rows += batch.size
