@@ -245,12 +245,10 @@ def cmd_ablate(args) -> int:
     result = evaluation.run_ablation(
         corpus.sentences, corpus.types, train_config, model_kwargs=model_kwargs
     )
-    flags = {name: (m, t) for name, m, t in evaluation.ABLATION_CONFIGS}
-    for name, tasks in result.reports.items():
-        mask, typ = flags[name]
-        payload = {task: report.to_dict() for task, report in tasks.items()}
+    payloads = result.to_dict()
+    for name, mask, typ in evaluation.ABLATION_CONFIGS:
         path = out / f"ablation_mask-{str(mask).lower()}_type-{str(typ).lower()}.json"
-        write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        write_atomic(path, json.dumps(payloads[name], indent=1, sort_keys=True) + "\n")
     write_atomic(out / "ablation.txt", result.to_table() + "\n")
     print(result.to_table())
     return 0
@@ -442,7 +440,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -277,7 +277,8 @@ def _document_records(doc) -> tuple[list, tuple[str, str, str]]:
         if "records" not in doc:
             raise SchemaError("document object must contain a 'records' array")
         declared = doc.get("relation_order", list(order))
-        if sorted(declared) != sorted(order):
+        if (not isinstance(declared, list) or not all(isinstance(x, str) for x in declared)
+                or sorted(declared) != sorted(order)):
             raise SchemaError(
                 f"relation_order must be a permutation of {list(order)}, got {declared}"
             )

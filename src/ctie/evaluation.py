@@ -293,10 +293,12 @@ def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Seque
     mean few walks of the recurrence, each on many rows; the budget also
     bounds a chunk's arrays. At 768/256, 32 sentences of 256 tokens in one
     chunk gather (2, 8192, 768) float64 gate pre-activations, 100 MB; under
-    2048 cells they are at most (2, 2048, 768), 25 MB. Every chunk reads
-    one ``projection`` of ``params`` (a new one when none is given), so a
-    token id repeated across the sentences has its input pre-activations
-    computed once."""
+    2048 cells they are at most (2, 2048, 768), 25 MB. Extraction,
+    validation and ``evaluate_model`` each consume a chunk before they ask
+    for the next, so they hold one chunk's encoding at a time. Every chunk
+    reads one ``projection`` of ``params`` (a new one when none is given),
+    so a token id repeated across the sentences has its input
+    pre-activations computed once."""
     if projection is None:
         projection = InputProjection(params)
     lo = 0
@@ -334,35 +336,30 @@ def predict_relations_gold_pairs(
     config: ModelConfig,
     types: TypeSystem,
     sentences: Sequence[AnnotatedSentence],
-    chunks: Sequence[tuple[np.ndarray, np.ndarray]],
+    h: np.ndarray,
+    mask: np.ndarray,
+    first: int,
     max_len: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each annotated entity pair using gold spans and gold types
-    as features, on the rows training reads (``mslr.sentence_rows``): like
-    training, skip sentences longer than ``max_len``. ``chunks`` are the
-    (h, mask) chunks ``encode_batches`` yields for ``sentences``; each is
+    """Classify each annotated entity pair of one encoder chunk using gold
+    spans and gold types as features, on the rows training reads
+    (``mslr.sentence_rows``): like training, skip sentences longer than
+    ``max_len``. ``(h, mask)`` is one chunk ``encode_batches`` yields for
+    ``sentences``; its row b is sentence ``first + b``, and its rows are
     scored in one ``model.score_pairs`` call. ``types`` is the
     checkpoint's: type ids are looked up there by name, and a pair whose
     relation or entity types it does not know raises a ``DataError``.
 
-    Returns the (gold, predicted) relation ids of the kept rows, in
+    Returns the (gold, predicted) relation ids of the chunk's kept rows, in
     sentence and relation order (``gold_pair_report`` counts them)."""
-    kept = sentence_rows(sentences, range(len(sentences)), types, max_len)[0]
-    gold, predicted = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    k = lo = 0
-    for h, mask in chunks:
-        first = k
-        while k < len(kept) and kept[k][0] < lo + len(h):
-            k += 1
-        if k > first:
-            span_of, spans, rows = pair_spans(kept[first:k])
-            chunk_row = np.array([i - lo for i, *_ in kept[first:k]])
-            probs = score_pairs(h, mask, chunk_row[span_of], spans, rows.head, rows.tail,
-                                rows.head_type, rows.tail_type, params, config).probs
-            gold.append(rows.label)
-            predicted.append(np.argmax(probs, axis=1))
-        lo += len(h)
-    return np.concatenate(gold), np.concatenate(predicted)
+    kept = sentence_rows(sentences, range(first, first + len(h)), types, max_len)[0]
+    if not kept:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    span_of, spans, rows = pair_spans(kept)
+    chunk_row = np.array([i - first for i, *_ in kept])
+    probs = score_pairs(h, mask, chunk_row[span_of], spans, rows.head, rows.tail,
+                        rows.head_type, rows.tail_type, params, config).probs
+    return rows.label, np.argmax(probs, axis=1)
 
 
 def check_confidence_floor(value: float) -> float:
@@ -388,6 +385,9 @@ def evaluate_model(
 ) -> dict[str, MetricReport]:
     """NER and RE reports for one sentence set, from one encoding per
     sentence; decoding honours the config's ``bio_constrained_decode``.
+    One pass over ``encode_batches``: each chunk is NER-decoded, then
+    RE-scored, and released before the next is encoded, so evaluation
+    holds one chunk's encoding at a time.
 
     ``re_mode="gold"`` scores relation classification on the annotated
     pairs; ``re_mode="pipeline"`` runs the end-to-end extractor (decoded
@@ -403,40 +403,30 @@ def evaluate_model(
     if re_mode == "gold" and (ontology_filter or confidence_floor):
         raise ValueError("ontology_filter and confidence_floor need re_mode='pipeline'")
     allowed = decode_constraint(config, types.bio_labels)
-    chunks = list(encode_batches(params, vocab, [s.tokens for s in sentences]))
-    predicted_labels = [tags for h, mask in chunks
-                        for tags in predict_ner_labels(params, types, h, mask, allowed)]
-    sentence_spans = [decode_spans(t, sentence_index=i) for i, t in enumerate(predicted_labels)]
-    gold_label_seqs = [list(s.labels) for s in sentences]
-    ner = ner_metrics(
-        gold_spans(sentences), [span for spans in sentence_spans for span in spans],
-        gold_label_seqs, predicted_labels,
-    )
-
-    if re_mode == "gold":
-        gold, predicted = predict_relations_gold_pairs(
-            params, config, types, sentences, chunks, max_len=max_len
-        )
-        re = gold_pair_report(types, sentences, gold, predicted)
-    else:
-        from .extract import Extractor
-
-        extractor = Extractor(
-            params=params, config=config, vocab=vocab, types=types,
-            ontology=ontology or OntologySchema.default(),
-        )
-        predicted_pairs, lo = [], 0
-        for h, mask in chunks:
-            hi = lo + len(h)
-            predicted_pairs.extend(
-                PairPrediction(t.sentence_index, t.head_span, t.tail_span, t.relation)
-                for result in extractor.score_chunk(
-                    h, mask, [s.tokens for s in sentences[lo:hi]], sentence_spans[lo:hi], lo,
-                    ontology_filter, confidence_floor)
-                for t in result.triples
-            )
-            lo = hi
-        re = re_metrics(gold_pairs(sentences), predicted_pairs)
+    if re_mode == "pipeline":
+        from .extract import Extractor  # extract imports this module
+        extractor = Extractor(params=params, config=config, vocab=vocab, types=types,
+                              ontology=ontology or OntologySchema.default())
+    labels, spans, pairs, ids = [], [], [], [(np.zeros(0, dtype=np.int64),) * 2]
+    first = 0
+    for h, mask in encode_batches(params, vocab, [s.tokens for s in sentences]):
+        tags = predict_ner_labels(params, types, h, mask, allowed)
+        chunk_spans = [decode_spans(t, sentence_index=first + b) for b, t in enumerate(tags)]
+        labels += tags
+        spans += [span for row in chunk_spans for span in row]
+        if re_mode == "gold":
+            ids.append(predict_relations_gold_pairs(params, config, types, sentences, h, mask,
+                                                    first, max_len=max_len))
+        else:
+            pairs += [PairPrediction(t.sentence_index, t.head_span, t.tail_span, t.relation)
+                      for result in extractor.score_chunk(
+                          h, mask, [s.tokens for s in sentences[first:first + len(h)]],
+                          chunk_spans, first, ontology_filter, confidence_floor)
+                      for t in result.triples]
+        first += len(h)
+    ner = ner_metrics(gold_spans(sentences), spans, [s.labels for s in sentences], labels)
+    re = (gold_pair_report(types, sentences, *map(np.concatenate, zip(*ids)))
+          if re_mode == "gold" else re_metrics(gold_pairs(sentences), pairs))
     return {"ner": ner, "re": re}
 
 

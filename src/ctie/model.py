@@ -772,14 +772,13 @@ def joint_loss(ner_nll: float, re_ce: float, alpha: float = 1.0, beta: float = 1
 @dataclass
 class ForwardTrace:
     """What ``backward`` reads of a ``forward``. The encoder and NER arrays
-    (``token_ids`` to ``d_logits_ner``), the dropout masks included, hold
-    one row per sentence of the batch, as its sentence arrays do. The
-    relation head scores one pair per batch row, over the batch's span
-    table: each span pooled once from its sentence's row of ``h_d``."""
+    (``drop_emb`` to ``d_logits_ner``) hold one row per sentence of
+    ``batch``, as its ``token_ids`` do. The relation head scores one pair
+    per batch row, over the batch's span table: each span pooled once
+    from its sentence's row of ``h_d``."""
 
     config: ModelConfig
     batch: Batch
-    token_ids: np.ndarray
     drop_emb: np.ndarray | None
     gru: GruTrace
     drop_h: np.ndarray | None
@@ -804,25 +803,31 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _check_batch(batch: Batch) -> None:
+def _check_batch(batch: Batch, config: ModelConfig) -> None:
     """``ValueError`` naming the field unless ``batch`` is a consistent span
-    table (``Batch``): array lengths agree, ``lengths`` are the mask's row
-    sums, ``head``/``tail`` index the spans and ``span_rows`` the
-    sentences, each row's spans lie in one sentence, every span has 0 <=
-    start < end <= its sentence's length, and every sentence has a row."""
+    table (``Batch``) for ``config``: array lengths agree, every array but
+    the mask holds integers, ``lengths`` are the mask's row sums,
+    ``head``/``tail`` index the spans, ``span_rows`` the sentences and the
+    BIO and relation labels the config's, each row's spans lie in one
+    sentence and are disjoint, every span has 0 <= start < end <= its
+    sentence's length, and every sentence has a row."""
     n_sentences, width = np.shape(batch.token_ids)
     n_spans, n_rows = len(batch.span_rows), batch.size
-    for name, shape in (("attention_mask", (n_sentences, width)),
-                        ("ner_labels", (n_sentences, width)), ("lengths", (n_sentences,)),
-                        ("spans", (n_spans, 2)), ("head", (n_rows,)), ("tail", (n_rows,)),
-                        ("head_type", (n_rows,)), ("tail_type", (n_rows,)),
-                        ("relation_label", (n_rows,))):
-        if np.shape(getattr(batch, name)) != shape:
-            raise ValueError(f"batch.{name} has shape {np.shape(getattr(batch, name))}, "
-                             f"expected {shape}")
+    table, rows = (n_sentences, width), (n_rows,)
+    for name, shape in (("token_ids", table), ("attention_mask", table), ("ner_labels", table),
+                        ("lengths", (n_sentences,)), ("span_rows", (n_spans,)),
+                        ("spans", (n_spans, 2)), ("head", rows), ("tail", rows),
+                        ("head_type", rows), ("tail_type", rows), ("relation_label", rows)):
+        value = np.asarray(getattr(batch, name))
+        if value.shape != shape:
+            raise ValueError(f"batch.{name} has shape {value.shape}, expected {shape}")
+        if name != "attention_mask" and not np.issubdtype(value.dtype, np.integer):
+            raise ValueError(f"batch.{name} must hold integers, got {value.dtype}")
     if (batch.attention_mask.sum(axis=1) != batch.lengths).any():
         raise ValueError("batch.lengths must be the attention_mask row sums")
-    for name, bound in (("head", n_spans), ("tail", n_spans), ("span_rows", n_sentences)):
+    for name, bound in (("head", n_spans), ("tail", n_spans), ("span_rows", n_sentences),
+                        ("ner_labels", config.num_ner_labels),
+                        ("relation_label", config.num_relations)):
         ids = getattr(batch, name)
         if ids.size and not 0 <= ids.min() <= ids.max() < bound:
             raise ValueError(f"batch.{name} must lie in [0, {bound})")
@@ -831,6 +836,9 @@ def _check_batch(batch: Batch) -> None:
     starts, ends = batch.spans.T
     if not ((0 <= starts) & (starts < ends) & (ends <= batch.lengths[batch.span_rows])).all():
         raise ValueError("batch.spans must have 0 <= start < end <= their sentence's length")
+    heads, tails = batch.spans[batch.head], batch.spans[batch.tail]
+    if ((heads[:, 0] < tails[:, 1]) & (tails[:, 0] < heads[:, 1])).any():
+        raise ValueError("batch.head and batch.tail of a row must be disjoint spans")
     if not np.bincount(batch.sentence_of, minlength=n_sentences).all():
         raise ValueError("batch.token_ids holds a sentence that no row names")
 
@@ -863,7 +871,7 @@ def forward(
         raise ValueError(f"mode must be 'train', got {mode!r}")
     if config.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout > 0 needs an rng")
-    _check_batch(batch)
+    _check_batch(batch, config)
 
     mask, sentence_of = batch.attention_mask, batch.sentence_of
     emb = embed(batch.token_ids, params["embed"])
@@ -895,8 +903,7 @@ def forward(
     joint = joint_loss(ner_nll_mean, re_ce_mean, config.alpha, config.beta)
 
     trace = ForwardTrace(
-        config=config, batch=batch, token_ids=batch.token_ids,
-        drop_emb=drop_emb,
+        config=config, batch=batch, drop_emb=drop_emb,
         gru=gru, drop_h=drop_h, h_d=h_d,
         logits_ner=logits, d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation,
     )
@@ -984,7 +991,7 @@ def backward(trace: ForwardTrace, params: Params, grads: Params | None = None) -
     if trace.drop_emb is not None:
         d_x *= packing.pack(trace.drop_emb)
     n_embed = d_x.shape[1]  # as for the span scatter: 1-D indices onto the raveled rows
-    cells = (packing.pack(trace.token_ids)[:, None] * n_embed + np.arange(n_embed)).ravel()
+    cells = (packing.pack(trace.batch.token_ids)[:, None] * n_embed + np.arange(n_embed)).ravel()
     np.add.at(grads["embed"].reshape(-1), cells, d_x.ravel())
     return grads
 

@@ -400,7 +400,8 @@ def per_row_forward(batch, params, config, drop_emb=None, drop_h=None):
     the batch's span table is pooled from the first row that names it, so
     the relation head's gradients sum in ``forward``'s span order. Fed
     ``mask[batch.sentence_of]`` of a step's per-sentence masks, it is that
-    step's per-row reference."""
+    step's per-row reference. The trace's batch holds the rows' copies of
+    their sentences' token ids, the ids ``backward`` scatters onto."""
     from ctie.crf import crf_nll_grad
     from ctie.model import (ForwardResult, ForwardTrace, bigru, embed, joint_loss, ner_logits,
                             score_pairs)
@@ -423,7 +424,7 @@ def per_row_forward(batch, params, config, drop_emb=None, drop_h=None):
                                            params["crf_trans"], mask)
     ner_nll = float(np.mean(nlls))
     re_ce = float(np.mean(-np.log(relation.probs[rows, batch.relation_label])))
-    trace = ForwardTrace(config=config, batch=batch, token_ids=token_ids,
+    trace = ForwardTrace(config=config, batch=replace(batch, token_ids=token_ids),
                          drop_emb=drop_emb, gru=gru, drop_h=drop_h, h_d=h, logits_ner=logits,
                          d_logits_ner=d_logits, d_crf_trans=d_trans, relation=relation)
     return ForwardResult(ner_nll=ner_nll, re_ce=re_ce,
@@ -439,12 +440,13 @@ def embedding_grad_2d(trace, params):
     whose scatter adds each of them once to a zero row."""
     from ctie.model import backward
 
-    packing = trace.gru.packing
-    own = np.arange(trace.token_ids.size).reshape(trace.token_ids.shape)
+    packing, token_ids = trace.gru.packing, trace.batch.token_ids
+    own = np.arange(token_ids.size).reshape(token_ids.shape)
     by_cell = dict(params, embed=np.zeros((own.size, params["embed"].shape[1])))
-    d_cells = backward(replace(trace, token_ids=own), by_cell)["embed"]
+    d_cells = backward(replace(trace, batch=replace(trace.batch, token_ids=own)),
+                       by_cell)["embed"]
     out = np.zeros_like(params["embed"])
-    np.add.at(out, packing.pack(trace.token_ids), d_cells[packing.pack(own)])
+    np.add.at(out, packing.pack(token_ids), d_cells[packing.pack(own)])
     return out
 
 

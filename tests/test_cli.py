@@ -51,9 +51,14 @@ class TestValidate:
         assert run("validate", "--dataset", path) == 1
         assert capsys.readouterr().out.count("SchemaError") == 1
 
-    def test_missing_file_exit_one(self, capsys):
-        assert run("validate", "--dataset", "/nonexistent/corpus.json") == 1
-        assert "error" in capsys.readouterr().err
+    def test_missing_file_exit_one(self, tmp_path, capsys):
+        # a directory, or a path under a file, is as unreadable as a missing file
+        (tmp_path / "file").write_text("[]")
+        for path in ("/nonexistent/corpus.json", tmp_path, tmp_path / "file" / "corpus.json"):
+            assert run("validate", "--dataset", path) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert run("extract", "--checkpoint", tmp_path, "--input", tmp_path / "file") == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_reads_and_decodes_the_corpus_once(self, monkeypatch, tmp_path, capsys):
         import ctie.corpus
@@ -456,7 +461,8 @@ class TestExtractExport:
 class TestMalformedExtractions:
     @pytest.mark.parametrize("blob", [
         b'[{"tokens": ["caf\xe9"]}]', b"{not json", b'[{"sentence_index": 0}]', b'{"a": 1}',
-    ], ids=["not-utf8", "not-json", "no-triples", "not-a-list"])
+        b'[{"sentence_index": "0", "tokens": [], "triples": []}]',
+    ], ids=["not-utf8", "not-json", "no-triples", "not-a-list", "sentence-index-str"])
     def test_export_exits_one_naming_the_file(self, blob, tmp_path, capsys):
         extractions = tmp_path / "extractions.json"
         extractions.write_bytes(blob)
@@ -602,16 +608,27 @@ class TestUnreadableInputFiles:
         assert str(config) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("rule", [
-        {"domain": ["Tool"]},
-        ["Tool", "Tool"],
-        {"domain": "Tool", "range": ["Tool"]},
-    ], ids=["no-range", "list-rule", "string-domain"])
-    def test_malformed_ontology_rule_exits_one(self, rule, tmp_path, capsys):
+    @pytest.mark.parametrize("payload", [[1, 2], "epochs", None], ids=["array", "string", "null"])
+    def test_config_that_is_not_an_object_exits_one_naming_it(self, payload, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert run("train", "--dataset", FIG_CORPUS, "--out", tmp_path / "out",
+                   "--config", config) == 1
+        assert f"config file {config} must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ontology_doc, message", [
+        ({"uses": {"domain": ["Tool"]}}, "'uses'"),
+        ({"uses": ["Tool", "Tool"]}, "'uses'"),
+        ({"uses": {"domain": "Tool", "range": ["Tool"]}}, "'uses'"),
+        ({"uses": {"domain": [], "range": ["Tool"]}}, "'uses'"),
+        (["uses"], "expected a JSON object"),
+    ], ids=["no-range", "list-rule", "string-domain", "empty-domain", "not-an-object"])
+    def test_malformed_ontology_rule_exits_one(self, ontology_doc, message, tmp_path, capsys):
         ontology = tmp_path / "ontology.json"
-        ontology.write_text(json.dumps({"uses": rule}))
+        ontology.write_text(json.dumps(ontology_doc))
         assert run("validate", "--dataset", FIG_CORPUS, "--ontology", ontology) == 1
-        assert "'uses'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestConfidenceFloorRange:
@@ -640,6 +657,8 @@ class TestCheckpointTables:
                              "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
         "types-not-an-object": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
                                 "types": ["Org", "Tool"]},
+        "vocab-repeats": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(6)] + ["w0"],
+                          "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
         "vocab-size": {"vocab": ["<pad>", "<unk>", "w0"],
                        "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
         "type-count": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],

@@ -143,6 +143,21 @@ class TestParseDataset:
         assert sentences[0].relations[0].relation.name == "uses"
         assert sentences[0].relations[0].tail_index == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"records": [], "relation_order": 5}, "relation_order"),
+        ({"records": [], "relation_order": [1, "head", None]}, "relation_order"),
+        ({"records": [], "relation_order": [["head"], "relation", "tail"]}, "relation_order"),
+        ({"records": [], "relation_order": "relation"}, "relation_order"),
+        ({"records": [], "relation_order": ["head", "head", "tail"]}, "relation_order"),
+        ({"relation_order": ["head", "relation", "tail"]}, "'records'"),
+        ("records", "JSON array"),
+        (5, "JSON array"),
+    ], ids=["order-int", "order-mixed", "order-nested", "order-string", "order-repeats",
+            "no-records", "document-string", "document-int"])
+    def test_malformed_document_is_a_schema_error(self, doc, message):
+        with pytest.raises(SchemaError, match=message):
+            parse_dataset(as_bytes(doc))
+
     def test_path_input(self):
         sentences = parse_dataset(FIG_CORPUS)
         assert len(sentences) == 3
@@ -291,7 +306,9 @@ class TestOntology:
         {"domain": ["Tool"]},
         ["Tool", "Tool"],
         {"domain": "Tool", "range": ["Tool"]},
-    ], ids=["no-range", "list-rule", "string-domain"])
+        {"domain": [], "range": ["Tool"]},
+        {"domain": ["Tool"], "range": []},
+    ], ids=["no-range", "list-rule", "string-domain", "empty-domain", "empty-range"])
     def test_malformed_rule_names_the_relation(self, rule):
         # a string domain would otherwise read as the set of its characters
         with pytest.raises(SchemaError, match="'uses'"):

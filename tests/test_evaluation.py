@@ -321,6 +321,30 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match="need re_mode='pipeline'"):
             evaluate_model(*model, corpus.types, sentences, re_mode="gold", **option)
 
+    @pytest.mark.parametrize("re_mode", ["gold", "pipeline"])
+    def test_holds_one_chunk_encoding_at_a_time(self, monkeypatch, re_mode):
+        # when a chunk is yielded, every chunk before the previous one is gone
+        import weakref
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = corpus.sentences
+        model = tiny_model(sentences, corpus.types)
+        real = evaluation.encode_batches
+        refs, older_alive = [], []
+
+        def spy(*args):
+            for h, mask in real(*args):
+                older_alive.append(sum(ref() is not None for ref in refs[:-1]))
+                refs.append(weakref.ref(h))
+                yield h, mask
+
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS",
+                            4 * max(len(s.tokens) for s in sentences))
+        monkeypatch.setattr(evaluation, "encode_batches", spy)
+        evaluate_model(*model, corpus.types, sentences, re_mode=re_mode)
+        assert len(refs) >= 4
+        assert older_alive == [0] * len(refs)
+
     @pytest.mark.parametrize("chunk", [4, 32])
     def test_batched_ner_decode_matches_per_sentence(self, monkeypatch, chunk):
         import ctie.evaluation as evaluation
@@ -470,8 +494,12 @@ class TestGoldPairScoring:
         np.testing.assert_allclose(scored, expected, rtol=1e-12, atol=0)
         assert np.array_equal(np.argmax(scored, axis=1), np.argmax(expected, axis=1))
 
-        gold, predicted = evaluation.predict_relations_gold_pairs(
-            params, config, types, sentences, chunks, max_len=max_len)
+        ids, lo = [], 0
+        for h, mask in chunks:
+            ids.append(evaluation.predict_relations_gold_pairs(
+                params, config, types, sentences, h, mask, lo, max_len=max_len))
+            lo += len(h)
+        gold, predicted = (np.concatenate(column) for column in zip(*ids))
         assert np.array_equal(gold, np.concatenate([rows.label for *_, rows in kept]))
         assert np.array_equal(predicted, np.argmax(expected, axis=1))
         report = evaluate_model(params, config, vocab, types, sentences, max_len=max_len)["re"]

@@ -96,12 +96,12 @@ def manual_gru_states(x, p, direction):
 
 
 def _random_rows(rng, config, lengths):
-    """One random MSLR row per length: token ids, labels, one-token head and
-    tail spans on distinct tokens (both on the token of a one-token row),
-    types and a relation label."""
+    """One random MSLR row per length (at least 2: a row pairs two disjoint
+    spans): token ids, labels, one-token head and tail spans on distinct
+    tokens, types and a relation label."""
     rows = []
     for n in lengths:
-        head, tail = rng.choice(n, size=2, replace=n < 2)
+        head, tail = rng.choice(n, size=2, replace=False)
         rows.append(dict(
             token_ids=rng.integers(1, config.vocab_size, n),
             ner_labels=rng.integers(0, config.num_ner_labels, n),
@@ -200,11 +200,11 @@ class TestBiGru:
             assert np.all(out[row, n:] == 0.0)
 
     @settings(max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 7), min_size=1, max_size=5),
            st.integers(0, 2))
     @example(0, [4], 0)                 # B=1
     @example(1, [5, 5, 5], 0)           # no padding
-    @example(2, [1, 6, 1, 3], 1)        # length-1 rows
+    @example(2, [2, 6, 2, 3], 1)        # shortest rows
     @example(3, [2, 5, 2, 5, 3], 0)     # repeated lengths, unsorted
     def test_packed_batch_equals_rows_run_alone(self, seed, lengths, extra):
         # bigru packs the valid tokens of rows sorted longest-first and runs
@@ -389,7 +389,7 @@ class TestLockstep:
             np.add.at(d_embed[-1], packing.pack(ids), d_x[0] + d_x[1, packing.rev])
         assert np.array_equal(d_embed[0], d_embed[1])
 
-    @pytest.mark.parametrize("lengths", [[6], [4, 6, 1, 4]], ids=["B=1", "ragged"])
+    @pytest.mark.parametrize("lengths", [[6], [4, 6, 2, 4]], ids=["B=1", "ragged"])
     def test_one_walk_each_equals_lockstep(self, lengths, monkeypatch):
         # through bigru, encode and backward: 768/256 walks each direction alone
         # (_direction_groups), in its own buffer layout; forced at small dims,
@@ -840,16 +840,25 @@ class TestForward:
         (dict(spans=[[0, 1], [3, 4], [1, 2]]), "batch.spans"),
         (dict(lengths=[5]), "batch.lengths"),
         (dict(lengths=[5, 4]), "batch.lengths"),
+        (dict(head=np.array([0.0, 2.0])), "batch.head"),
+        (dict(tail=[0, 3]), "disjoint"),
+        (dict(spans=[[0, 2], [1, 4], [1, 2], [2, 3]]), "disjoint"),
+        (dict(relation_label=[1, -1]), "batch.relation_label"),
+        (dict(relation_label=[1, 3]), "batch.relation_label"),
+        (dict(ner_labels=[[1, 2, 0, 3, 5], [0, 1, 2, 0, 0]]), "batch.ner_labels"),
     ], ids=["head-past-the-spans", "negative-tail", "span-in-no-sentence",
             "row-across-sentences", "span-past-its-sentence", "span-past-the-padding",
             "negative-start", "sentence-without-rows", "short-relation-labels",
-            "short-spans", "short-lengths", "lengths-not-the-mask"])
+            "short-spans", "short-lengths", "lengths-not-the-mask", "float-head",
+            "head-is-the-tail", "overlapping-spans", "negative-relation-label",
+            "relation-label-past-the-config", "bio-label-past-the-config"])
     def test_inconsistent_batch_is_rejected_before_embedding(self, change, message,
                                                                monkeypatch):
         config = tiny_config()
         params = init_params(config, seed=10)
-        batch = dataclasses.replace(tiny_batch(), **{k: np.array(v, dtype=np.int64)
-                                                     for k, v in change.items()})
+        batch = dataclasses.replace(tiny_batch(), **{
+            k: v if isinstance(v, np.ndarray) else np.array(v, dtype=np.int64)
+            for k, v in change.items()})
         embedded = []
         monkeypatch.setattr(model, "embed", lambda *args: embedded.append(args))
         with pytest.raises(ValueError, match=message):
@@ -1026,7 +1035,7 @@ def test_embedding_scatter_matches_a_2d_add_at(seed, n_sentences, batch_size, dr
     repeated = False  # some id is scattered onto more than once
     for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed=seed % 97):
         trace = forward(batch, params, config, rng=np.random.default_rng(seed)).trace
-        ids = trace.gru.packing.pack(trace.token_ids)
+        ids = trace.gru.packing.pack(trace.batch.token_ids)
         repeated |= len(np.unique(ids)) < len(ids)
         assert np.array_equal(backward(trace, params)["embed"], embedding_grad_2d(trace, params))
     assume(repeated)
@@ -1118,6 +1127,20 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, params, config)
         with pytest.raises(SchemaError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.pop("re_b"), r"missing=\['re_b'\]"),
+        (lambda params: params.update(extra=np.zeros(2)), r"extra=\['extra'\]"),
+        (lambda params: params["ner_b"].__setitem__(0, np.nan), "'ner_b' contains non-finite"),
+    ], ids=["missing-parameter", "extra-parameter", "nan-parameter"])
+    def test_valid_digest_over_bad_parameters_is_rejected(self, tmp_path, edit, message):
+        config = tiny_config()
+        params = init_params(config, seed=17)
+        edit(params)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, params, config)
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: .*{message}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -1284,10 +1307,15 @@ class TestContainerIntegrity:
         ("embeddings", _set(0, "shape", [4.0, 3])),
         ("embeddings", lambda header: header.update(arrays=[{"name": "embed",
                                                              "shape": [2, 3]}] * 2)),
+        ("embeddings", lambda header: header.update(arrays=[{"name": "embed", "shape": [3, 3]},
+                                                            {"name": "extra", "shape": [3]}])),
+        ("embeddings", lambda header: header.pop("vocab_hash")),
+        ("embeddings", lambda header: header.update(arrays=[{"name": "embed", "shape": [12]}])),
         ("checkpoint", lambda header: header["arrays"].pop()),
         ("checkpoint", lambda header: header.update(extras=[])),
     ], ids=["row-short", "row-over", "negative-dims", "float-dim", "repeated-name",
-            "array-unlisted", "extras-not-object"])
+            "extra-array", "no-vocab-hash", "one-dim-embed", "array-unlisted",
+            "extras-not-object"])
     def test_valid_digest_over_a_malformed_header_is_rejected(self, saved, kind, edit):
         blob, load, path = saved[kind]
         path.write_bytes(_rewrite_header(blob, edit))
