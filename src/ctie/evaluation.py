@@ -26,7 +26,7 @@ from .model import (
     ner_predict,
     score_pairs,
 )
-from .mslr import Vocabulary, pair_spans, sentence_rows
+from .mslr import Batch, Vocabulary, sentence_rows
 from .train import TrainConfig, TrainResult, train_loop
 
 
@@ -232,7 +232,7 @@ def gold_pair_report(
     ``predicted``. The other annotated pairs (those of skipped sentences)
     count as gold misses. Every relation name must be in ``types``, and no
     two annotated pairs of a sentence may share their spans (a loaded
-    corpus and ``mslr.pair_rows`` ensure both)."""
+    corpus and ``mslr.sentence_rows`` ensure both)."""
     n = types.num_relations
     annotated = Counter(r.relation.name for s in sentences for r in s.relations)
     n_predicted = np.bincount(predicted, minlength=n)
@@ -283,10 +283,10 @@ def gold_pairs(sentences: Sequence[AnnotatedSentence]) -> list[PairPrediction]:
 ENCODE_CELLS = 2048  # padded (sentence, step) cells per encoder chunk
 
 
-def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Sequence[str]],
+def encode_batches(params: Params, token_ids: Sequence[Sequence[int]],
                    projection: InputProjection | None = None):
     """Yield (h (B, T, 2h), mask (B, T)) for consecutive chunks of
-    ``token_seqs``, in order: one deterministic encoder pass per sentence,
+    ``token_ids``, in order: one deterministic encoder pass per sentence,
     padded to the chunk's longest. A chunk takes sentences while B * T
     stays within ``ENCODE_CELLS``, and always takes at least one, so a
     sentence longer than the budget is a chunk of its own. Few, full chunks
@@ -302,17 +302,17 @@ def encode_batches(params: Params, vocab: Vocabulary, token_seqs: Sequence[Seque
     if projection is None:
         projection = InputProjection(params)
     lo = 0
-    while lo < len(token_seqs):
-        hi, longest = lo + 1, len(token_seqs[lo])
-        while hi < len(token_seqs) and (
-                (hi + 1 - lo) * max(longest, len(token_seqs[hi])) <= ENCODE_CELLS):
-            longest = max(longest, len(token_seqs[hi]))
+    while lo < len(token_ids):
+        hi, longest = lo + 1, len(token_ids[lo])
+        while hi < len(token_ids) and (
+                (hi + 1 - lo) * max(longest, len(token_ids[hi])) <= ENCODE_CELLS):
+            longest = max(longest, len(token_ids[hi]))
             hi += 1
         ids = np.zeros((hi - lo, longest), dtype=np.int64)
         mask = np.zeros(ids.shape)
-        for b, tokens in enumerate(token_seqs[lo:hi]):
-            ids[b, : len(tokens)] = [vocab.id(t) for t in tokens]
-            mask[b, : len(tokens)] = 1.0
+        for b, seq in enumerate(token_ids[lo:hi]):
+            ids[b, : len(seq)] = seq
+            mask[b, : len(seq)] = 1.0
         yield encode(ids, mask, params, projection), mask
         lo = hi
 
@@ -334,32 +334,25 @@ def predict_ner_labels(
 def predict_relations_gold_pairs(
     params: Params,
     config: ModelConfig,
-    types: TypeSystem,
-    sentences: Sequence[AnnotatedSentence],
+    rows: Batch,
     h: np.ndarray,
     mask: np.ndarray,
-    first: int,
-    max_len: int = 256,
+    chunk_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each annotated entity pair of one encoder chunk using gold
-    spans and gold types as features, on the rows training reads
-    (``mslr.sentence_rows``): like training, skip sentences longer than
-    ``max_len``. ``(h, mask)`` is one chunk ``encode_batches`` yields for
-    ``sentences``; its row b is sentence ``first + b``, and its rows are
-    scored in one ``model.score_pairs`` call. ``types`` is the
-    checkpoint's: type ids are looked up there by name, and a pair whose
-    relation or entity types it does not know raises a ``DataError``.
+    """Classify the annotated entity pairs of one encoder chunk using gold
+    spans and gold types as features. ``rows`` is a ``Batch.sentence_range``
+    of the ``mslr.sentence_rows`` table, the rows training reads; its
+    sentence u is row ``chunk_rows[u]`` of ``(h, mask)``, one chunk
+    ``encode_batches`` yields. The rows are scored in one
+    ``model.score_pairs`` call.
 
-    Returns the (gold, predicted) relation ids of the chunk's kept rows, in
-    sentence and relation order (``gold_pair_report`` counts them)."""
-    kept = sentence_rows(sentences, range(first, first + len(h)), types, max_len)[0]
-    if not kept:
+    Returns the (gold, predicted) relation ids of the rows, in sentence and
+    relation order (``gold_pair_report`` counts them)."""
+    if not rows.size:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    span_of, spans, rows = pair_spans(kept)
-    chunk_row = np.array([i - first for i, *_ in kept])
-    probs = score_pairs(h, mask, chunk_row[span_of], spans, rows.head, rows.tail,
+    probs = score_pairs(h, mask, chunk_rows[rows.span_rows], rows.spans, rows.head, rows.tail,
                         rows.head_type, rows.tail_type, params, config).probs
-    return rows.label, np.argmax(probs, axis=1)
+    return rows.relation_label, np.argmax(probs, axis=1)
 
 
 def check_confidence_floor(value: float) -> float:
@@ -394,7 +387,8 @@ def evaluate_model(
     spans, enumerated pairs) and scores its positive triples.
     ``confidence_floor`` must lie in [0, 1] (``check_confidence_floor``).
     ``ontology_filter`` and ``confidence_floor`` act on the pipeline's
-    enumerated pairs only, so gold mode rejects them. Arguments are
+    enumerated pairs only, so gold mode rejects them. Arguments, and in gold
+    mode the pairs' rows (``mslr.sentence_rows``, of ``types`` ids), are
     checked before anything is encoded.
     """
     if re_mode not in ("gold", "pipeline"):
@@ -407,16 +401,21 @@ def evaluate_model(
         from .extract import Extractor  # extract imports this module
         extractor = Extractor(params=params, config=config, vocab=vocab, types=types,
                               ontology=ontology or OntologySchema.default())
+    token_ids = [vocab.ids(s.tokens) for s in sentences]
+    if re_mode == "gold":
+        rows = sentence_rows(sentences, token_ids, range(len(sentences)), types, max_len)[0]
+        index = np.array(list(dict.fromkeys(i for i, _ in rows.origins)), dtype=np.int64)
     labels, spans, pairs, ids = [], [], [], [(np.zeros(0, dtype=np.int64),) * 2]
     first = 0
-    for h, mask in encode_batches(params, vocab, [s.tokens for s in sentences]):
+    for h, mask in encode_batches(params, token_ids):
         tags = predict_ner_labels(params, types, h, mask, allowed)
         chunk_spans = [decode_spans(t, sentence_index=first + b) for b, t in enumerate(tags)]
         labels += tags
         spans += [span for row in chunk_spans for span in row]
         if re_mode == "gold":
-            ids.append(predict_relations_gold_pairs(params, config, types, sentences, h, mask,
-                                                    first, max_len=max_len))
+            lo, hi = np.searchsorted(index, (first, first + len(h))).tolist()
+            ids.append(predict_relations_gold_pairs(params, config, rows.sentence_range(lo, hi),
+                                                    h, mask, index[lo:hi] - first))
         else:
             pairs += [PairPrediction(t.sentence_index, t.head_span, t.tail_span, t.relation)
                       for result in extractor.score_chunk(

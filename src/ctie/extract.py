@@ -203,7 +203,8 @@ class Extractor:
                 except SpanError as exc:
                     raise SpanError(f"sentence {first_index + k}: {exc}") from None
         results: list[ExtractionResult] = []
-        for h, mask in encode_batches(self.params, self.vocab, token_seqs, self.projection()):
+        token_ids = [self.vocab.ids(tokens) for tokens in token_seqs]
+        for h, mask in encode_batches(self.params, token_ids, self.projection()):
             lo, hi = len(results), len(results) + len(h)
             batch_spans = (
                 self.decode_entities(h, mask, first_index + lo) if spans is None

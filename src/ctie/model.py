@@ -711,9 +711,10 @@ def span_pool(h: np.ndarray, rows, bounds) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in one new array; ``logits`` is left as it was."""
+    out = logits - np.max(logits, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    return np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
 
 
 @dataclass

@@ -9,8 +9,9 @@ label, which is what lets one classifier head answer "which relation
 holds for *this* pair" without destroying the NER signal.
 
 Training (``make_batches``), validation and gold-pair evaluation read
-their rows from ``sentence_rows``: ``pair_rows`` arrays, with the one
-overlong rule. ``expand`` and ``encode`` build the ``ctie mslr`` dump.
+their rows from slices of one ``sentence_rows`` table per sentence set,
+with the one overlong rule. ``expand`` and ``encode`` build the ``ctie
+mslr`` dump.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,11 +38,10 @@ class Vocabulary:
     """Token-to-id table with fixed PAD=0 / UNK=1 specials."""
 
     def __init__(self, tokens: Sequence[str]):
-        if list(tokens[:2]) != [PAD_TOKEN, UNK_TOKEN]:
-            tokens = [PAD_TOKEN, UNK_TOKEN] + [
-                t for t in tokens if t not in (PAD_TOKEN, UNK_TOKEN)
-            ]
         self.tokens: tuple[str, ...] = tuple(tokens)
+        if self.tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
+            # a stored table read in another order would shift every embedding row
+            raise ValueError(f"vocabulary must start with {PAD_TOKEN!r}, {UNK_TOKEN!r}")
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):
             raise ValueError("vocabulary contains duplicate tokens")
@@ -50,6 +51,10 @@ class Vocabulary:
 
     def id(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """The id of each token, UNK for one not in the table."""
+        return [self._ids.get(token, UNK_ID) for token in tokens]
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids
@@ -95,27 +100,6 @@ def make_entity_mask(sentence_length: int, head, tail) -> tuple[int, ...]:
         for pos in range(s, e):
             mask[pos] = 1
     return tuple(mask)
-
-
-@dataclass(frozen=True)
-class PairRows:
-    """One sentence's MSLR rows as arrays, one entry per annotated pair in
-    relation order: the head and tail entity indices into the sentence's
-    entities, and the head type, tail type and relation ids, (P,)."""
-
-    head: np.ndarray
-    tail: np.ndarray
-    head_type: np.ndarray
-    tail_type: np.ndarray
-    label: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-    @classmethod
-    def concat(cls, parts: Sequence["PairRows"]) -> "PairRows":
-        """The rows of ``parts``, in order, as one ``PairRows``."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -184,34 +168,6 @@ def relation_pairs(sentence: AnnotatedSentence, sentence_index: int = 0) -> list
     return pairs
 
 
-def pair_rows(sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0) -> PairRows:
-    """The gold-pair rows of ``sentence``, with type and relation ids looked
-    up by name in ``types``, the type system a checkpoint stores. An entity
-    type or relation that ``types`` does not know raises a ``DataError``;
-    each pair checks its head type, tail type and relation in that order,
-    and the first pair that fails names the error."""
-    pairs = relation_pairs(sentence, sentence_index)
-    type_ids = [types.entity_type(e.entity_type.name).id
-                if types.has_entity_type(e.entity_type.name) else None
-                for e in sentence.entities]
-    rows = []
-    for rel, head, tail in pairs:
-        for index, entity in ((rel.head_index, head), (rel.tail_index, tail)):
-            if type_ids[index] is None:
-                raise SchemaError(
-                    f"sentence {sentence_index}: entity type {entity.entity_type.name!r} is not "
-                    "in the checkpoint's type system"
-                )
-        if not types.has_relation(rel.relation.name):
-            raise UnknownRelation(
-                f"sentence {sentence_index}: relation {rel.relation.name!r} is not in the "
-                "checkpoint's type system"
-            )
-        rows.append((rel.head_index, rel.tail_index, type_ids[rel.head_index],
-                     type_ids[rel.tail_index], types.relation(rel.relation.name).id))
-    return PairRows(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
-
-
 def expand(
     sentence: AnnotatedSentence, types: TypeSystem, sentence_index: int = 0
 ) -> list[MslrExample]:
@@ -257,7 +213,7 @@ def encode(
         raise ValueError(f"pad_to {width} smaller than sentence length {n}")
     pad = width - n
     return MslrInstance(
-        token_ids=tuple(vocab.id(t) for t in example.tokens) + (PAD_ID,) * pad,
+        token_ids=tuple(vocab.ids(example.tokens)) + (PAD_ID,) * pad,
         attention_mask=(1,) * n + (0,) * pad,
         entity_mask=tuple(example.entity_mask) + (0,) * pad,
         head_type=example.head_type,
@@ -290,13 +246,17 @@ def encode_all(
 
 @dataclass
 class Batch:
-    """A batch of B MSLR rows in the span-table layout that ``score_pairs``
-    reads. The sentence arrays hold each of the batch's U distinct
-    sentences once, in order of first appearance among the rows, padded to
-    the longest. The span table holds each entity span the rows name once,
-    in order of first naming (each row's head, then its tail, row by row):
-    span s is [``spans[s, 0]``, ``spans[s, 1]``) of sentence
-    ``span_rows[s]``. Row b pairs spans ``head[b]`` and ``tail[b]``."""
+    """B MSLR rows in the span-table layout that ``score_pairs`` reads. The
+    sentence arrays hold each of the U sentences the rows name once, padded
+    to the longest. Span s is [``spans[s, 0]``, ``spans[s, 1]``) of sentence
+    ``span_rows[s]``; row b pairs spans ``head[b]`` and ``tail[b]``.
+
+    The table of ``sentence_rows`` holds its sentences in corpus order,
+    every entity span of each in entity order, and its rows in sentence
+    then relation order; so the sentences [lo, hi) own one run of spans and
+    one of rows (``sentence_range``). A ``make_batches`` batch holds its
+    sentences in order of first appearance among its rows, and the spans
+    they name in order of first naming (each row's head, then its tail)."""
 
     token_ids: np.ndarray       # (U, T) int64
     attention_mask: np.ndarray  # (U, T) float64
@@ -324,40 +284,83 @@ class Batch:
         """(B,) each row's sentence."""
         return self.span_rows[self.head]
 
+    def sentence_range(self, lo: int, hi: int) -> "Batch":
+        """The sentences [lo, hi) of a ``sentence_rows`` table, with their
+        spans and rows, numbered from 0 and padded to their longest: the
+        table ``sentence_rows`` builds of those sentences alone."""
+        r0, r1 = np.searchsorted(self.sentence_of, (lo, hi)).tolist()
+        s0, s1 = np.searchsorted(self.span_rows, (lo, hi)).tolist()
+        width = int(self.lengths[lo:hi].max(initial=0))
+        return Batch(
+            token_ids=self.token_ids[lo:hi, :width], ner_labels=self.ner_labels[lo:hi, :width],
+            attention_mask=self.attention_mask[lo:hi, :width], lengths=self.lengths[lo:hi],
+            span_rows=self.span_rows[s0:s1] - lo, spans=self.spans[s0:s1],
+            head=self.head[r0:r1] - s0, tail=self.tail[r0:r1] - s0,
+            head_type=self.head_type[r0:r1], tail_type=self.tail_type[r0:r1],
+            relation_label=self.relation_label[r0:r1], origins=self.origins[r0:r1],
+        )
+
+
+def _unknown_name(sentence_index: int, item) -> SchemaError | UnknownRelation:
+    """The error for an entity (``SchemaError``) or a relation instance
+    (``UnknownRelation``) whose type a type system does not know."""
+    what, error = ((f"relation {item.relation.name!r}", UnknownRelation)
+                   if hasattr(item, "relation") else
+                   (f"entity type {item.entity_type.name!r}", SchemaError))
+    return error(f"sentence {sentence_index}: {what} is not in the checkpoint's type system")
+
 
 def sentence_rows(
-    sentences: Sequence[AnnotatedSentence], indices: Iterable[int], types: TypeSystem,
-    max_len: int,
-) -> tuple[list[tuple[int, AnnotatedSentence, PairRows]], list[tuple[tuple[int, int], int]]]:
-    """(kept, skipped) over ``sentences[i]`` for each i of ``indices``.
-    ``kept`` holds (i, sentence, its ``pair_rows``) for each sentence with a
-    row and at most ``max_len`` tokens. An overlong sentence is never
-    truncated, which could drop entity tokens: it goes into ``skipped`` once
-    per row, as ((i, row), length)."""
-    kept, skipped = [], []
+    sentences: Sequence[AnnotatedSentence], token_ids: Sequence[Sequence[int]],
+    indices: Iterable[int], types: TypeSystem, max_len: int,
+) -> tuple[Batch, list[tuple[tuple[int, int], int]]]:
+    """(table, skipped): the ``Batch`` of the gold-pair rows of each
+    ``sentences[i]``, i of ``indices`` in order, with token ids
+    ``token_ids[i]``, that has a row and at most ``max_len`` tokens. An
+    overlong sentence is never truncated, which could drop entity tokens:
+    it goes into ``skipped`` once per row, as ((i, row), length). Type,
+    relation and BIO ids are looked up by name in ``types``, a checkpoint's
+    type system. Each pair checks its head type, tail type and relation in
+    that order, and the first that fails names the ``DataError``; then a
+    kept sentence, whose BIO ids the table holds, checks its other entities."""
+    entity_id = {t.name: t.id for t in types.entity_types}
+    relation_id = {r.name: r.id for r in types.relations}
+    bio_id = {tag: k for k, tag in enumerate(types.bio_labels)}
+    kept, rows, span_rows, spans, origins, skipped = [], [], [], [], [], []
     for i in indices:
-        rows, n = pair_rows(sentences[i], types, i), len(sentences[i])
-        if n > max_len:
-            skipped.extend(((i, j), n) for j in range(len(rows)))
-        elif len(rows):
-            kept.append((i, sentences[i], rows))
-    return kept, skipped
-
-
-def pair_spans(
-    kept: Sequence[tuple[int, AnnotatedSentence, PairRows]],
-) -> tuple[np.ndarray, np.ndarray, PairRows]:
-    """(sentence (S,), spans (S, 2), pairs) of ``kept`` (``sentence_rows``):
-    each entity span of its sentences once, as its sentence's position in
-    ``kept`` and its [start, end); the rows as one ``PairRows`` over them."""
-    n_spans = [len(sentence.entities) for _, sentence, _ in kept]
-    spans = np.array([(e.start, e.end) for _, sentence, _ in kept for e in sentence.entities],
-                     dtype=np.int64).reshape(-1, 2)
-    pairs = PairRows.concat([rows for *_, rows in kept])
-    shift = np.repeat(np.cumsum(n_spans) - n_spans, [len(rows) for *_, rows in kept])
-    for index in (pairs.head, pairs.tail):  # concat's own arrays
-        index += shift
-    return np.repeat(np.arange(len(kept)), n_spans), spans, pairs
+        sentence = sentences[i]
+        type_ids = [entity_id.get(e.entity_type.name) for e in sentence.entities]
+        own = []
+        for rel, head, tail in relation_pairs(sentence, i):
+            ids = (type_ids[rel.head_index], type_ids[rel.tail_index],
+                   relation_id.get(rel.relation.name))
+            if None in ids:
+                raise _unknown_name(i, (head, tail, rel)[ids.index(None)])
+            # entity indices shifted to the sentence's first span in the table
+            own.append((len(spans) + rel.head_index, len(spans) + rel.tail_index) + ids)
+        if len(sentence) > max_len:
+            skipped.extend(((i, j), len(sentence)) for j in range(len(own)))
+        elif own:
+            if None in type_ids:
+                raise _unknown_name(i, sentence.entities[type_ids.index(None)])
+            span_rows += [len(kept)] * len(sentence.entities)
+            spans += [(e.start, e.end) for e in sentence.entities]
+            origins += [(i, j) for j in range(len(own))]
+            rows += own
+            kept.append(i)
+    lengths = np.array([len(sentences[i]) for i in kept], dtype=np.int64)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    tokens, labels = np.zeros((2,) + mask.shape, dtype=np.int64)
+    tokens[mask] = np.fromiter(chain.from_iterable(token_ids[i] for i in kept), np.int64,
+                               count=int(lengths.sum()))
+    labels[mask] = [bio_id[tag] for i in kept for tag in sentences[i].labels]
+    head, tail, head_type, tail_type, label = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return Batch(
+        token_ids=tokens, attention_mask=mask.astype(np.float64), ner_labels=labels,
+        lengths=lengths, span_rows=np.array(span_rows, dtype=np.int64),
+        spans=np.array(spans, dtype=np.int64).reshape(-1, 2), head=head, tail=tail,
+        head_type=head_type, tail_type=tail_type, relation_label=label, origins=tuple(origins),
+    ), skipped
 
 
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,44 +371,32 @@ def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(local), dtype=np.int64), np.array(index, dtype=np.int64)
 
 
-def make_batches(
-    kept: Sequence[tuple[int, AnnotatedSentence, PairRows]], types: TypeSystem,
-    vocab: Vocabulary, batch_size: int, shuffle_seed: int | None = None,
-) -> list[Batch]:
-    """The rows of ``kept`` (from ``sentence_rows``) in batches of
+def make_batches(table: Batch, batch_size: int, shuffle_seed: int | None = None) -> list[Batch]:
+    """The rows of ``table`` (from ``sentence_rows``) in batches of
     ``batch_size``, the last maybe short; with a ``shuffle_seed``, in the
-    order of ``default_rng(shuffle_seed).permutation``. Token and BIO label
-    ids fill one table of ``kept``'s sentences and ``pair_spans`` numbers
-    their entity spans; each batch gathers the sentences and spans its rows
-    name, each once, in the order ``Batch`` states."""
+    order of ``default_rng(shuffle_seed).permutation``. Each batch gathers
+    the sentences and spans its rows name, each once, in the order
+    ``Batch`` states."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not kept:
-        return []
-    lengths = np.array([len(sentence) for _, sentence, _ in kept], dtype=np.int64)
-    tokens, labels = np.zeros((2, len(kept), lengths.max()), dtype=np.int64)
-    for k, (_, sentence, _) in enumerate(kept):
-        tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
-        labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
-    span_sentence, spans, pairs = pair_spans(kept)
-    origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
-    order = np.arange(len(origins))
+    order = np.arange(table.size)
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(origins))
+        order = np.random.default_rng(shuffle_seed).permutation(table.size)
     batches = []
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
-        named, ends = _first_appearance(np.stack((pairs.head[idx], pairs.tail[idx]), 1).ravel())
-        sentences, span_rows = _first_appearance(span_sentence[named])
-        n = lengths[sentences]
-        width = int(n.max())
+        named, ends = _first_appearance(np.stack((table.head[idx], table.tail[idx]), 1).ravel())
+        sentences, span_rows = _first_appearance(table.span_rows[named])
+        width = int(table.lengths[sentences].max())
         head, tail = ends.reshape(-1, 2).T
         batches.append(Batch(
-            token_ids=tokens[sentences, :width], ner_labels=labels[sentences, :width],
-            attention_mask=(np.arange(width) < n[:, None]).astype(np.float64), lengths=n,
-            span_rows=span_rows, spans=spans[named], head=head, tail=tail,
-            head_type=pairs.head_type[idx], tail_type=pairs.tail_type[idx],
-            relation_label=pairs.label[idx], origins=tuple(origins[k] for k in idx),
+            token_ids=table.token_ids[sentences, :width],
+            attention_mask=table.attention_mask[sentences, :width],
+            ner_labels=table.ner_labels[sentences, :width], lengths=table.lengths[sentences],
+            span_rows=span_rows, spans=table.spans[named], head=head, tail=tail,
+            head_type=table.head_type[idx], tail_type=table.tail_type[idx],
+            relation_label=table.relation_label[idx],
+            origins=tuple(table.origins[k] for k in idx),
         ))
     return batches
 

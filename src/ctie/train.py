@@ -34,7 +34,7 @@ from .model import (
     save_checkpoint,
     score_pairs,
 )
-from .mslr import Vocabulary, build_vocab, make_batches, pair_spans, sentence_rows
+from .mslr import Batch, Vocabulary, build_vocab, make_batches, sentence_rows
 
 
 @dataclass
@@ -335,9 +335,9 @@ class _Sums:
         return {k: v / self.rows if self.rows else None for k, v in sums.items()}
 
 
-def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dict:
-    """Mean losses and accuracies over the MSLR rows of ``sentences``, a
-    list of (index, sentence, ``PairRows``) as ``sentence_rows`` keeps them.
+def evaluate_split(params, config, rows: Batch, allowed=None) -> dict:
+    """Mean losses and accuracies over the rows of ``rows``, a
+    ``sentence_rows`` table; each encoder chunk reads its ``sentence_range``.
 
     A sentence's rows share one encoding (``encode_batches``). Its CRF NLL
     and its Viterbi token hits (under the ``allowed`` transition mask) are
@@ -350,25 +350,23 @@ def evaluate_split(params, config, vocab, types, sentences, allowed=None) -> dic
 
     sums = _Sums()
     tok_correct = tok_total = done = 0
-    for h, mask in encode_batches(params, vocab, [s.tokens for _, s, _ in sentences]):
-        chunk = sentences[done : done + len(h)]
+    for h, mask in encode_batches(params, [ids[:n] for ids, n in zip(rows.token_ids,
+                                                                        rows.lengths)]):
+        chunk = rows.sentence_range(done, done + len(h))
         done += len(h)
-        gold = np.zeros(mask.shape, dtype=np.int64)
-        for b, (_, sentence, _) in enumerate(chunk):
-            gold[b, : len(sentence)] = [types.bio_id(tag) for tag in sentence.labels]
         logits = ner_logits(h, params["ner_w"], params["ner_b"])
-        nlls = crf_nll(logits, gold, params["crf_trans"], mask).tolist()
+        nlls = crf_nll(logits, chunk.ner_labels, params["crf_trans"], mask).tolist()
         paths = crf_decode(logits, params["crf_trans"], mask, allowed=allowed)
-        span_rows, spans, rows = pair_spans(chunk)
-        probs = score_pairs(h, mask, span_rows, spans, rows.head, rows.tail, rows.head_type,
-                            rows.tail_type, params, config).probs
-        ce = -np.log(probs[np.arange(len(rows)), rows.label])
+        probs = score_pairs(h, mask, chunk.span_rows, chunk.spans, chunk.head, chunk.tail,
+                            chunk.head_type, chunk.tail_type, params, config).probs
+        ce = -np.log(probs[np.arange(chunk.size), chunk.relation_label])
+        counts = np.bincount(chunk.sentence_of, minlength=len(h)).tolist()
         lo = 0
-        for (_, sentence, own), y, path, nll in zip(chunk, gold, paths, nlls):
-            n, w = len(sentence), len(own)
+        for y, path, nll, n, w in zip(chunk.ner_labels, paths, nlls, chunk.lengths.tolist(),
+                                      counts):
             re = float(np.sum(ce[lo : lo + w]))
             sums.add(w * nll, re, config.alpha * w * nll + config.beta * re,
-                     probs[lo : lo + w], own.label)
+                     probs[lo : lo + w], chunk.relation_label[lo : lo + w])
             lo += w
             tok_correct += w * int(np.sum(np.asarray(path) == y[:n]))
             tok_total += w * n
@@ -397,16 +395,19 @@ def train_loop(
     train_config.validate()
     # split record indices, so every row's origin names its corpus record
     train_idx, val_idx, _test_idx = train_config.split(range(len(sentences)))
-    train_rows, skipped = sentence_rows(sentences, train_idx, types, train_config.max_len)
-    if not train_rows:
+    vocab = build_vocab([sentences[i] for i in train_idx], min_freq=train_config.min_freq)
+    token_ids = [vocab.ids(sentence.tokens) for sentence in sentences]
+    train_rows, skipped = sentence_rows(sentences, token_ids, train_idx, types,
+                                        train_config.max_len)
+    if not train_rows.size:
         overlong = len({origin[0] for origin, _ in skipped})
         raise DataError(f"no trainable MSLR row: of {len(train_idx)} training sentences, "
                         f"{len(train_idx) - overlong} have no relation and {overlong} are "
                         f"longer than max_len {train_config.max_len}")
-    val_rows, val_skipped = sentence_rows(sentences, val_idx, types, train_config.max_len)
+    val_rows, val_skipped = sentence_rows(sentences, token_ids, val_idx, types,
+                                          train_config.max_len)
     skipped.extend(val_skipped)
 
-    vocab = build_vocab([sentences[i] for i in train_idx], min_freq=train_config.min_freq)
     pretrained_embed = None
     if pretrained_embeddings is not None:
         pretrained_embed = load_embedding_file(
@@ -448,10 +449,8 @@ def train_loop(
 
     for epoch in range(1, train_config.epochs + 1):
         started = time.perf_counter()
-        batches = make_batches(
-            train_rows, types, vocab, train_config.batch_size,
-            shuffle_seed=train_config.effective_shuffle_seed + epoch,
-        )
+        batches = make_batches(train_rows, train_config.batch_size,
+                               shuffle_seed=train_config.effective_shuffle_seed + epoch)
         sums = _Sums()
         for batch in batches:
             result = forward(batch, params, config, mode="train", rng=dropout_rng)
@@ -466,7 +465,7 @@ def train_loop(
             sums.add(result.ner_nll * batch.size, result.re_ce * batch.size,
                      result.joint * batch.size, result.re_probs, batch.relation_label)
 
-        val = evaluate_split(params, config, vocab, types, val_rows, allowed)
+        val = evaluate_split(params, config, val_rows, allowed)
         stats = EpochStats(
             epoch=epoch,
             **{f"train_{k}": v for k, v in sums.means().items()},

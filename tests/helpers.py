@@ -338,6 +338,86 @@ def reference_batches(sentences, indices, types, vocab, max_len, batch_size,
     return batches, skipped
 
 
+def pair_rows(sentence, types, sentence_index=0):
+    """(P, 5) int64: one row per annotated pair of ``sentence``, in relation
+    order, as (head entity, tail entity, head type id, tail type id,
+    relation id), the ids looked up by name in ``types``; the first pair
+    whose head type, tail type or relation ``types`` lacks raises."""
+    from ctie.errors import SchemaError, UnknownRelation
+    from ctie.mslr import relation_pairs
+
+    rows = []
+    for rel, head, tail in relation_pairs(sentence, sentence_index):
+        for entity in (head, tail):
+            if not types.has_entity_type(entity.entity_type.name):
+                raise SchemaError(f"sentence {sentence_index}: entity type "
+                                  f"{entity.entity_type.name!r} is not in the checkpoint's "
+                                  "type system")
+        if not types.has_relation(rel.relation.name):
+            raise UnknownRelation(f"sentence {sentence_index}: relation "
+                                  f"{rel.relation.name!r} is not in the checkpoint's type system")
+        rows.append((rel.head_index, rel.tail_index, types.entity_type(head.entity_type.name).id,
+                     types.entity_type(tail.entity_type.name).id,
+                     types.relation(rel.relation.name).id))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+def per_sentence_batches(sentences, indices, types, vocab, max_len, batch_size,
+                         shuffle_seed=None):
+    """(batches, skipped) as ``make_batches`` over a ``sentence_rows`` table
+    gives them, built sentence by sentence: ``pair_rows`` of each sentence,
+    its entity indices renumbered to spans of all kept sentences, and token
+    and BIO id tables looked up for this call."""
+    from ctie.mslr import Batch
+
+    kept, skipped = [], []
+    for i in indices:
+        rows, n = pair_rows(sentences[i], types, i), len(sentences[i])
+        if n > max_len:
+            skipped.extend(((i, j), n) for j in range(len(rows)))
+        elif len(rows):
+            kept.append((i, sentences[i], rows))
+    if not kept:
+        return [], skipped
+    lengths = np.array([len(sentence) for _, sentence, _ in kept], dtype=np.int64)
+    tokens, labels = np.zeros((2, len(kept), lengths.max()), dtype=np.int64)
+    for k, (_, sentence, _) in enumerate(kept):
+        tokens[k, : lengths[k]] = [vocab.id(t) for t in sentence.tokens]
+        labels[k, : lengths[k]] = [types.bio_id(tag) for tag in sentence.labels]
+    n_spans = [len(sentence.entities) for _, sentence, _ in kept]
+    span_sentence = np.repeat(np.arange(len(kept)), n_spans)
+    spans = np.array([(e.start, e.end) for _, sentence, _ in kept for e in sentence.entities],
+                     dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate([rows for *_, rows in kept])
+    pairs[:, :2] += np.repeat(np.cumsum(n_spans) - n_spans, [len(r) for *_, r in kept])[:, None]
+    origins = [(i, j) for i, _, rows in kept for j in range(len(rows))]
+    order = np.arange(len(origins))
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(len(origins))
+    batches = []
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo : lo + batch_size]
+        named, ends = {}, []
+        for k in idx:
+            for end in pairs[k, :2].tolist():
+                ends.append(named.setdefault(end, len(named)))
+        sentence_ids = {}
+        span_rows = [sentence_ids.setdefault(u, len(sentence_ids))
+                     for u in span_sentence[list(named)].tolist()]
+        sentence_ids = list(sentence_ids)
+        n = lengths[sentence_ids]
+        width = int(n.max())
+        batches.append(Batch(
+            token_ids=tokens[sentence_ids, :width], ner_labels=labels[sentence_ids, :width],
+            attention_mask=(np.arange(width) < n[:, None]).astype(np.float64), lengths=n,
+            span_rows=np.array(span_rows, dtype=np.int64), spans=spans[list(named)],
+            head=np.array(ends[0::2], dtype=np.int64), tail=np.array(ends[1::2], dtype=np.int64),
+            head_type=pairs[idx, 2], tail_type=pairs[idx, 3], relation_label=pairs[idx, 4],
+            origins=tuple(origins[k] for k in idx),
+        ))
+    return batches, skipped
+
+
 def assert_batches_equal(actual, expected):
     """Same batches in the same order, every field equal in value and dtype."""
     import dataclasses
@@ -692,7 +772,8 @@ def reference_extract_many(extractor, token_seqs, first_index=0, ontology_filter
 
     token_seqs = [tuple(tokens) for tokens in token_seqs]
     results = []
-    for h, mask in encode_batches(extractor.params, extractor.vocab, token_seqs,
+    for h, mask in encode_batches(extractor.params,
+                                  [extractor.vocab.ids(tokens) for tokens in token_seqs],
                                   extractor.projection()):
         lo = len(results)
         batch_spans = (

@@ -661,6 +661,11 @@ class TestCheckpointTables:
                           "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
         "vocab-size": {"vocab": ["<pad>", "<unk>", "w0"],
                        "types": {"entity_types": ["Org", "Tool"], "relations": ["uses"]}},
+        # read in stored order, or every embedding row would be shifted
+        "vocab-specials-not-first": {"vocab": ["w0", "<pad>", "<unk>"]
+                                     + [f"w{i}" for i in range(1, 7)],
+                                     "types": {"entity_types": ["Org", "Tool"],
+                                               "relations": ["uses"]}},
         "type-count": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
                        "types": {"entity_types": ["Org", "Tool", "Area"], "relations": ["uses"]}},
         "relation-count": {"vocab": ["<pad>", "<unk>"] + [f"w{i}" for i in range(7)],
@@ -681,12 +686,15 @@ class TestCheckpointTables:
         text = tmp_path / "s.txt"
         text.write_text("hello world\n")
         argv = {
-            "eval": ("eval", "--dataset", FIG_CORPUS, "--checkpoint", path),
+            # --split all: the checkpoint stores no train_config to rebuild a split from
+            "eval": ("eval", "--dataset", FIG_CORPUS, "--checkpoint", path, "--split", "all"),
             "extract": ("extract", "--checkpoint", path, "--input", text),
         }[command]
         assert run(*argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: checkpoint ") and "table" in err
+        # the message after the path, which names this test's tables too
+        assert err.startswith(f"error: {path}: checkpoint ")
+        assert "table" in err[len(f"error: {path}"):]
 
 
 class TestFeatureToggleFlags:

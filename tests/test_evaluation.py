@@ -23,7 +23,7 @@ from ctie.evaluation import (
     spans_to_bio,
 )
 from ctie.model import ModelConfig, init_params, score_pairs
-from ctie.mslr import build_vocab, pair_spans, sentence_rows
+from ctie.mslr import build_vocab, sentence_rows
 from ctie.train import TrainConfig
 
 from helpers import SMOKE_CORPUS, entity_masks, random_corpus, relation_head, span_layouts
@@ -221,7 +221,7 @@ class TestEncodeBatches:
     def test_empty_input_yields_nothing(self):
         corpus = load_corpus(SMOKE_CORPUS)
         params, _, vocab = tiny_model(corpus.sentences, corpus.types)
-        assert list(evaluation.encode_batches(params, vocab, [])) == []
+        assert list(evaluation.encode_batches(params, [])) == []
 
     def test_chunks_are_maximal_within_the_budget_and_rows_match_lone_encodings(self):
         from ctie.model import encode
@@ -239,7 +239,7 @@ class TestEncodeBatches:
         def check(cells, seqs):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluation, "ENCODE_CELLS", cells)
-                chunks = list(evaluation.encode_batches(params, vocab, seqs))
+                chunks = list(evaluation.encode_batches(params, [vocab.ids(t) for t in seqs]))
             lengths = [len(tokens) for tokens in seqs]
             lo = 0
             for h, mask in chunks:
@@ -321,6 +321,42 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match="need re_mode='pipeline'"):
             evaluate_model(*model, corpus.types, sentences, re_mode="gold", **option)
 
+    @pytest.mark.parametrize("unknown", ["relation", "entity type"])
+    def test_unknown_name_in_the_last_chunk_raises_before_any_encoding(self, monkeypatch,
+                                                                       unknown):
+        # gold mode builds its row table, which checks every name, before the encoder loop
+        from ctie.corpus import EntityType, RelationType
+        from ctie.errors import DataError
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences = list(corpus.sentences[:8])
+        model = tiny_model(sentences, corpus.types)
+        last = sentences[-1]
+        rel = last.relations[0]
+        if unknown == "relation":
+            relations = (replace(rel, relation=RelationType("mystery", 99)),) + last.relations[1:]
+            sentences[-1] = replace(last, relations=relations)
+        else:
+            entities = list(last.entities)
+            entities[rel.head_index] = replace(entities[rel.head_index],
+                                               entity_type=EntityType("Odd", 99))
+            sentences[-1] = replace(last, entities=tuple(entities))
+        encoded = []
+        real = evaluation.encode
+
+        def spy(*args, **kwargs):
+            encoded.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "encode", spy)
+        # about one sentence a chunk: the last sentence is its own, last chunk
+        monkeypatch.setattr(evaluation, "ENCODE_CELLS", max(len(s) for s in sentences))
+        with pytest.raises(DataError, match=f"sentence 7: {unknown} '(mystery|Odd)' is not"):
+            evaluate_model(*model, corpus.types, sentences)
+        assert encoded == []
+        evaluate_model(*model, corpus.types, sentences[:-1])
+        assert len(encoded) >= 4
+
     @pytest.mark.parametrize("re_mode", ["gold", "pipeline"])
     def test_holds_one_chunk_encoding_at_a_time(self, monkeypatch, re_mode):
         # when a chunk is yielded, every chunk before the previous one is gone
@@ -362,7 +398,7 @@ class TestEvaluateModel:
         )
         params = init_params(config, seed=4)
         params["ner_w"] = np.random.default_rng(4).normal(scale=3.0, size=params["ner_w"].shape)
-        encodings = [next(evaluation.encode_batches(params, vocab, [s.tokens]))[0][0]
+        encodings = [next(evaluation.encode_batches(params, [vocab.ids(s.tokens)]))[0][0]
                      for s in sentences]
         assert len({len(h) for h in encodings}) > 1
 
@@ -376,7 +412,7 @@ class TestEvaluateModel:
         # chunks of at least ``chunk`` sentences, padded to different lengths
         monkeypatch.setattr(evaluation, "ENCODE_CELLS", chunk * max(map(len, encodings)))
         sizes = [len(h) for h, _ in
-                 evaluation.encode_batches(params, vocab, [s.tokens for s in sentences])]
+                 evaluation.encode_batches(params, [vocab.ids(s.tokens) for s in sentences])]
         assert len(sizes) >= 2
         monkeypatch.setattr(evaluation, "predict_ner_labels", spy)
         for constrained in (False, True):
@@ -459,16 +495,19 @@ class TestGoldPairScoring:
         for name in ("re_w", "type_embed"):
             params[name] = rng.normal(scale=3.0, size=params[name].shape)
         max_len = 12
-        kept, skipped = sentence_rows(sentences, range(len(sentences)), types, max_len)
-        assert skipped and len({len(s) for _, s, _ in kept}) > 1
+        token_ids = [vocab.ids(s.tokens) for s in sentences]
+        rows, skipped = sentence_rows(sentences, token_ids, range(len(sentences)), types,
+                                      max_len)
+        assert skipped and len(set(rows.lengths.tolist())) > 1
+        index = list(dict.fromkeys(i for i, _ in rows.origins))  # each table sentence's i
         expected, predictions = [], []
-        for i, sentence, rows in kept:
-            h = next(evaluation.encode_batches(params, vocab, [sentence.tokens]))[0][0]
-            _, spans, _ = pair_spans([(i, sentence, rows)])
-            heads, tails = spans[rows.head], spans[rows.tail]
-            masks = entity_masks(len(sentence), heads, tails)
+        for u, i in enumerate(index):
+            own = rows.sentence_range(u, u + 1)
+            h = next(evaluation.encode_batches(params, [token_ids[i]]))[0][0]
+            heads, tails = own.spans[own.head], own.spans[own.tail]
+            masks = entity_masks(len(sentences[i]), heads, tails)
             probs = relation_head(np.broadcast_to(h, masks.shape + h.shape[-1:]), masks,
-                                  rows.head_type, rows.tail_type, params, config,
+                                  own.head_type, own.tail_type, params, config,
                                   attention_mask=np.ones(masks.shape))
             expected.append(probs)
             predictions.extend(
@@ -478,29 +517,25 @@ class TestGoldPairScoring:
 
         monkeypatch.setattr(evaluation, "ENCODE_CELLS",
                             chunk * max(len(s.tokens) for s in sentences))
-        chunks = list(evaluation.encode_batches(params, vocab, [s.tokens for s in sentences]))
+        chunks = list(evaluation.encode_batches(params, token_ids))
         assert len(chunks) >= 2
-        scored, lo = [], 0
+        scored, ids, lo = [], [], 0
         for h, mask in chunks:
-            chunk = [(i - lo, s, rows) for i, s, rows in kept if lo <= i < lo + len(h)]
-            span_of, spans, rows = pair_spans(chunk)
-            span_rows = np.array([b for b, *_ in chunk])[span_of]
-            probs = score_pairs(h, mask, span_rows, spans, rows.head, rows.tail,
-                                rows.head_type, rows.tail_type, params, config).probs
-            assert probs.shape == (len(rows), types.num_relations)
+            # the table sentences of corpus sentences [lo, lo + len(h))
+            first, last = np.searchsorted(index, (lo, lo + len(h)))
+            chunk, chunk_rows = rows.sentence_range(first, last), np.array(index[first:last]) - lo
+            probs = score_pairs(h, mask, chunk_rows[chunk.span_rows], chunk.spans, chunk.head,
+                                chunk.tail, chunk.head_type, chunk.tail_type, params, config).probs
+            assert probs.shape == (chunk.size, types.num_relations)
             scored.append(probs)
+            ids.append(evaluation.predict_relations_gold_pairs(params, config, chunk, h, mask,
+                                                               chunk_rows))
             lo += len(h)
         scored = np.concatenate(scored)
         np.testing.assert_allclose(scored, expected, rtol=1e-12, atol=0)
         assert np.array_equal(np.argmax(scored, axis=1), np.argmax(expected, axis=1))
-
-        ids, lo = [], 0
-        for h, mask in chunks:
-            ids.append(evaluation.predict_relations_gold_pairs(
-                params, config, types, sentences, h, mask, lo, max_len=max_len))
-            lo += len(h)
         gold, predicted = (np.concatenate(column) for column in zip(*ids))
-        assert np.array_equal(gold, np.concatenate([rows.label for *_, rows in kept]))
+        assert np.array_equal(gold, rows.relation_label)
         assert np.array_equal(predicted, np.argmax(expected, axis=1))
         report = evaluate_model(params, config, vocab, types, sentences, max_len=max_len)["re"]
         assert report == re_metrics(gold_pairs(sentences), predictions)
@@ -521,19 +556,17 @@ class TestGoldPairScoring:
         # two relations no sentence is annotated with: only predictions name them
         types = TypeSystem(["HackOrg", "Tool", "Org", "Time"],
                            ["uses", "targets", "aaPredictedOnly", "zzPredictedOnly"])
-        kept, _ = sentence_rows(sentences, range(len(sentences)), types, max_len)
-        gold = np.array([k for *_, rows in kept for k in rows.label], dtype=np.int64)
+        table, _ = sentence_rows(sentences, [[0] * len(s) for s in sentences],
+                                 range(len(sentences)), types, max_len)
+        gold = table.relation_label
         ids = st.integers(0, types.num_relations - 1)
         predicted = np.array(data.draw(st.one_of(
             st.lists(ids, min_size=len(gold), max_size=len(gold)),
             st.just([types.no_relation.id] * len(gold)),
             st.just(gold.tolist()),
         )), dtype=np.int64)
-        rows = []
-        if kept:
-            _, spans, pairs = pair_spans(kept)
-            rows = zip([i for i, _, r in kept for _ in range(len(r))], spans[pairs.head],
-                       spans[pairs.tail])
+        rows = zip([i for i, _ in table.origins], table.spans[table.head],
+                   table.spans[table.tail])
         predictions = [pair(i, head, tail, types.relations[k].name)
                        for (i, head, tail), k in zip(rows, predicted)]
         expected = re_metrics(gold_pairs(sentences), predictions)

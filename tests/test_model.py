@@ -666,6 +666,17 @@ class TestEntityPool:
         assert np.array_equal(span_pool(wide, [row], [cuts])[0], alone)
 
 
+def test_softmax_matches_the_two_array_formula_and_keeps_its_argument():
+    rng = np.random.default_rng(31)
+    for shape in [(1, 3), (7, 5), (2, 4, 6)]:
+        logits = rng.normal(scale=30.0, size=shape)
+        before = logits.copy()
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        expected = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        assert np.array_equal(softmax(logits), expected)
+        assert np.array_equal(logits, before)
+
+
 class TestRelationFeatures:
     """The split logits' type terms (``score_pairs``)."""
 
@@ -926,15 +937,16 @@ class TestForward:
 
 
 def _corpus_model(corpus, seed, **kwargs):
-    """(kept rows, vocabulary, ModelConfig, params) for a small model of ``corpus``."""
-    kept, _ = sentence_rows(corpus.sentences, range(len(corpus.sentences)), corpus.types, 64)
+    """(row table, ModelConfig, params) for a small model of ``corpus``."""
     vocab = build_vocab(corpus.sentences)
     types = corpus.types
+    rows, _ = sentence_rows(corpus.sentences, [vocab.ids(s.tokens) for s in corpus.sentences],
+                            range(len(corpus.sentences)), types, 64)
     config = ModelConfig(vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
                          num_relations=types.num_relations,
                          num_entity_types=types.num_entity_types,
                          embed_dim=4, hidden_dim=3, **kwargs)
-    return kept, vocab, config, init_params(config, seed=seed)
+    return rows, config, init_params(config, seed=seed)
 
 
 def _assert_relatively_close(actual, expected, rel=1e-12):
@@ -983,24 +995,24 @@ class TestSharedSentenceEncoding:
                                                    shuffle_seed, use_mask, use_type, dropout):
         corpus = random_corpus(np.random.default_rng(seed), n_sentences)
         assume(any(sentence.relations for sentence in corpus.sentences))
-        kept, vocab, config, params = _corpus_model(
+        rows, config, params = _corpus_model(
             corpus, seed % 1000, dropout=dropout, use_entity_mask=use_mask,
             use_entity_type=use_type, alpha=0.9, beta=1.2)
-        for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed):
+        for batch in make_batches(rows, batch_size, shuffle_seed):
             _assert_shared_matches_per_row(batch, params, config)
 
     def test_every_row_one_sentence(self):
         corpus = load_corpus(SMOKE_CORPUS)
-        kept, vocab, config, params = _corpus_model(corpus, 4, dropout=0.0)
-        kept = [max(kept, key=lambda item: len(item[2]))]
-        (batch,) = make_batches(kept, corpus.types, vocab, 16)
+        rows, config, params = _corpus_model(corpus, 4, dropout=0.0)
+        most = np.argmax(np.bincount(rows.sentence_of))
+        (batch,) = make_batches(rows.sentence_range(most, most + 1), 16)
         assert batch.size >= 3 and batch.sentence_of.tolist() == [0] * batch.size
         _assert_shared_matches_per_row(batch, params, config)
 
     def test_dropout_masks_are_shared_by_a_sentences_rows(self):
         corpus = load_corpus(SMOKE_CORPUS)
-        kept, vocab, config, params = _corpus_model(corpus, 5, dropout=0.3)
-        batch = make_batches(kept, corpus.types, vocab, 16, shuffle_seed=1)[0]
+        rows, config, params = _corpus_model(corpus, 5, dropout=0.3)
+        batch = make_batches(rows, 16, shuffle_seed=1)[0]
         n_sentences = batch.sentence_of.max() + 1
         assert n_sentences < batch.size  # some rows share a sentence
         trace = forward(batch, params, config, rng=np.random.default_rng(6)).trace
@@ -1030,10 +1042,10 @@ class TestSharedSentenceEncoding:
 def test_embedding_scatter_matches_a_2d_add_at(seed, n_sentences, batch_size, dropout):
     corpus = random_corpus(np.random.default_rng(seed), n_sentences)
     assume(any(sentence.relations for sentence in corpus.sentences))
-    kept, vocab, config, params = _corpus_model(corpus, seed % 1000, dropout=dropout)
+    rows, config, params = _corpus_model(corpus, seed % 1000, dropout=dropout)
     assert not config.freeze_embeddings
     repeated = False  # some id is scattered onto more than once
-    for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed=seed % 97):
+    for batch in make_batches(rows, batch_size, shuffle_seed=seed % 97):
         trace = forward(batch, params, config, rng=np.random.default_rng(seed)).trace
         ids = trace.gru.packing.pack(trace.batch.token_ids)
         repeated |= len(np.unique(ids)) < len(ids)

@@ -25,19 +25,26 @@ from ctie.mslr import (
     expand,
     make_batches,
     make_entity_mask,
-    pair_rows,
-    pair_spans,
     relation_pairs,
     sentence_rows,
 )
+from ctie.model import ModelConfig, _check_batch
 
 from helpers import (
+    SMOKE_CORPUS,
     assert_batches_equal,
     entity_masks,
     load_fig_corpus,
+    per_sentence_batches,
     random_corpus,
     reference_batches,
 )
+
+
+def table(sentences, indices, types, vocab, max_len=256):
+    """``sentence_rows`` with the token ids of ``vocab``."""
+    return sentence_rows(sentences, [vocab.ids(s.tokens) for s in sentences], indices, types,
+                         max_len)
 
 
 def one_sentence(records):
@@ -182,10 +189,11 @@ class TestEntityMask:
             assert np.array_equal(masks, [make_entity_mask(n, head, tail) for head, tail in pairs])
 
 
-class TestPairRows:
-    """``pair_rows`` looks up each entity's type once per sentence, yet each
-    pair still checks its head type, tail type and relation in that order,
-    and the first pair that fails names the error."""
+class TestSentenceRowsChecks:
+    """``sentence_rows`` looks up each entity's type once per sentence, yet
+    each pair still checks its head type, tail type and relation in that
+    order, and the first pair that fails names the error. A kept sentence,
+    whose BIO labels the table holds, then checks its other entities."""
 
     KNOWN = TypeSystem(["HackOrg", "Tool"], ["uses"])
 
@@ -199,6 +207,11 @@ class TestPairRows:
             "entity_labels": [tag for name in types for tag in (f"B-{name}", "O")],
         }])[0]
 
+    def rows(self, sentence, index=5, max_len=256):
+        """``sentence_rows`` of ``sentence`` as sentence ``index``."""
+        return sentence_rows({index: sentence}, {index: [0] * len(sentence)}, [index],
+                             self.KNOWN, max_len)
+
     @pytest.mark.parametrize("relations, error, message", [
         # an unknown relation in the first pair beats an unknown type in a later one
         ([[0, "mystery", 1], [0, "uses", 2]], UnknownRelation, "relation 'mystery'"),
@@ -207,32 +220,38 @@ class TestPairRows:
         ([[2, "mystery", 3]], SchemaError, "entity type 'Odd'"),
         ([[3, "mystery", 2]], SchemaError, "entity type 'Rare'"),
         ([[0, "mystery", 3]], SchemaError, "entity type 'Rare'"),
+        # every pair known: the kept sentence's first unpaired unknown type
+        ([[1, "uses", 0]], SchemaError, "entity type 'Odd'"),
     ])
     def test_first_failing_pair_names_the_error(self, relations, error, message):
         with pytest.raises(error) as info:
-            pair_rows(self.sentence(relations), self.KNOWN, sentence_index=5)
+            self.rows(self.sentence(relations))
         assert str(info.value) == (f"sentence 5: {message} is not in the checkpoint's "
                                    "type system")
 
-    def test_unknown_type_of_an_unpaired_entity_is_never_read(self):
-        rows = pair_rows(self.sentence([[1, "uses", 0]]), self.KNOWN)
-        assert rows.head.tolist() == [1] and rows.tail.tolist() == [0]
-        assert rows.head_type.tolist() == [self.KNOWN.entity_type("Tool").id]
-        assert rows.tail_type.tolist() == [self.KNOWN.entity_type("HackOrg").id]
-        assert rows.label.tolist() == [self.KNOWN.relation("uses").id]
+    def test_unknown_type_of_an_unpaired_entity_in_a_skipped_sentence_is_never_read(self):
+        for relations, max_len in (([[1, "uses", 0]], 7), ([], 256)):
+            rows, skipped = self.rows(self.sentence(relations), max_len=max_len)
+            assert rows.size == 0 and len(skipped) == len(relations)
 
-    def test_pair_spans_give_each_span_once(self):
+    def test_table_gives_each_span_once(self):
         # every entity span of the sentences once, the pairs as indices into them
-        first = self.sentence([[1, "uses", 0], [0, "uses", 1]])
-        second = self.sentence([[0, "uses", 1]])
-        kept = [(i, s, pair_rows(s, self.KNOWN)) for i, s in ((3, first), (5, second))]
-        sentence, spans, pairs = pair_spans(kept)
-        assert sentence.tolist() == [0] * 4 + [1] * 4
-        assert spans.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]] * 2
-        assert (pairs.head.tolist(), pairs.tail.tolist()) == ([1, 0, 4], [0, 1, 5])
-        assert pairs.label.tolist() == [self.KNOWN.relation("uses").id] * 3
-        # the sentences' own rows are left as they were
-        assert kept[1][2].head.tolist() == [0]
+        known = ("HackOrg", "Tool", "Tool", "HackOrg")
+        first = self.sentence([[1, "uses", 0], [0, "uses", 1]], known)
+        second = self.sentence([[0, "uses", 1]], known)
+        rows, skipped = sentence_rows({3: first, 5: second}, {3: [0] * 8, 5: [1] * 8}, [3, 5],
+                                      self.KNOWN, 256)
+        assert skipped == []
+        assert rows.span_rows.tolist() == [0] * 4 + [1] * 4
+        assert rows.spans.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]] * 2
+        assert (rows.head.tolist(), rows.tail.tolist()) == ([1, 0, 4], [0, 1, 5])
+        assert rows.relation_label.tolist() == [self.KNOWN.relation("uses").id] * 3
+        hack, tool = (self.KNOWN.entity_type(name).id for name in ("HackOrg", "Tool"))
+        assert (rows.head_type.tolist(), rows.tail_type.tolist()) == ([tool, hack, hack],
+                                                                      [hack, tool, tool])
+        assert rows.origins == ((3, 0), (3, 1), (5, 0))
+        assert rows.token_ids.tolist() == [[0] * 8, [1] * 8]
+        assert rows.ner_labels[0].tolist() == [self.KNOWN.bio_id(tag) for tag in first.labels]
 
 
 class TestEncode:
@@ -295,18 +314,14 @@ class TestEncode:
 
 
 class TestBatches:
-    def _rows(self, copies):
-        """``copies`` copies of the fig corpus's first sentence (3 rows
-        each), under distinct indices so the batch order is observable."""
-        corpus = load_fig_corpus()
-        kept, _ = sentence_rows(corpus.sentences, [0], corpus.types, max_len=256)
-        (_, sentence, rows), = kept
-        return [(k, sentence, rows) for k in range(copies)], corpus
-
     def _batches(self, copies, batch_size, shuffle_seed):
-        kept, corpus = self._rows(copies)
-        vocab = build_vocab(corpus.sentences)
-        return make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed=shuffle_seed)
+        """The batches of ``copies`` copies of the fig corpus's first
+        sentence (3 rows each), under distinct indices so the batch order
+        is observable."""
+        corpus = load_fig_corpus()
+        rows, _ = table([corpus.sentences[0]] * copies, range(copies), corpus.types,
+                        build_vocab(corpus.sentences))
+        return make_batches(rows, batch_size, shuffle_seed=shuffle_seed)
 
     def test_batch_sizes(self):
         batches = self._batches(11, 16, shuffle_seed=0)
@@ -328,8 +343,8 @@ class TestBatches:
     def test_batch_pads_to_its_longest_row(self):
         corpus = load_fig_corpus()
         vocab = build_vocab(corpus.sentences)
-        kept, _ = sentence_rows(corpus.sentences, [0, 1], corpus.types, max_len=256)
-        batch, = make_batches(kept, corpus.types, vocab, 16)
+        rows, _ = table(corpus.sentences, [0, 1], corpus.types, vocab)
+        batch, = make_batches(rows, 16)
         assert batch.max_len == 7
         # padded region: attention 0, label 0, token PAD
         row = list(batch.lengths).index(6)
@@ -339,9 +354,10 @@ class TestBatches:
 
     def test_no_rows_no_batches(self):
         corpus = load_fig_corpus()
-        assert make_batches([], corpus.types, build_vocab(corpus.sentences), 4) == []
+        rows, _ = table(corpus.sentences, [], corpus.types, build_vocab(corpus.sentences))
+        assert make_batches(rows, 4) == []
         with pytest.raises(ValueError):
-            make_batches([], corpus.types, build_vocab(corpus.sentences), 0)
+            make_batches(rows, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 12),
@@ -356,14 +372,12 @@ class TestBatches:
         sentences = corpus.sentences
         vocab = build_vocab(sentences[: n_sentences // 2])  # some tokens UNK
         indices = sorted(data.draw(st.sets(st.integers(0, n_sentences - 1), min_size=1)))
-        kept, skipped = sentence_rows(sentences, indices, corpus.types, max_len)
-        rows = sum(len(r) for *_, r in kept)
-        batch_size = data.draw(st.integers(1, max(rows, 1)))
+        rows, skipped = table(sentences, indices, corpus.types, vocab, max_len)
+        batch_size = data.draw(st.integers(1, max(rows.size, 1)))
         expected, expected_skipped = reference_batches(
             sentences, indices, corpus.types, vocab, max_len, batch_size, shuffle_seed)
         assert skipped == expected_skipped
-        assert_batches_equal(
-            make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed), expected)
+        assert_batches_equal(make_batches(rows, batch_size, shuffle_seed), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 12),
@@ -376,8 +390,8 @@ class TestBatches:
         corpus = random_corpus(np.random.default_rng(seed), n_sentences)
         sentences = corpus.sentences
         vocab = build_vocab(sentences)
-        kept, _ = sentence_rows(sentences, range(n_sentences), corpus.types, max_len=256)
-        for batch in make_batches(kept, corpus.types, vocab, batch_size, shuffle_seed):
+        rows, _ = table(sentences, range(n_sentences), corpus.types, vocab)
+        for batch in make_batches(rows, batch_size, shuffle_seed):
             corpus_index = {}  # each batch sentence's corpus record
             for (i, j), u, h, t in zip(batch.origins, batch.sentence_of, batch.head, batch.tail):
                 assert corpus_index.setdefault(u, i) == i
@@ -393,6 +407,40 @@ class TestBatches:
                 assert batch.token_ids[u, :n].tolist() == [vocab.id(w) for w in sentences[i].tokens]
             named = {(u, start, end) for u, (start, end) in zip(batch.span_rows, batch.spans)}
             assert len(named) == len(batch.spans)
+
+
+class TestRowTable:
+    """The ``sentence_rows`` table of a smoke-corpus sentence set is a
+    consistent span table, each of its sentence ranges is the table of
+    those sentences alone, and its batches are those of the per-sentence
+    builder."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(max_len=st.integers(6, 14), data=st.data())
+    def test_table_slices_and_batches(self, max_len, data):
+        corpus = load_corpus(SMOKE_CORPUS)
+        sentences, types = corpus.sentences, corpus.types
+        indices = sorted(data.draw(st.sets(st.integers(0, len(sentences) - 1), max_size=16)))
+        vocab = build_vocab([sentences[i] for i in indices[::2]])  # some tokens UNK
+        token_ids = [vocab.ids(s.tokens) for s in sentences]
+        rows, skipped = sentence_rows(sentences, token_ids, indices, types, max_len)
+        _check_batch(rows, ModelConfig(
+            vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
+            num_relations=types.num_relations, num_entity_types=types.num_entity_types))
+
+        kept = list(dict.fromkeys(i for i, _ in rows.origins))
+        assert len(kept) == len(rows.lengths)
+        for lo in range(len(kept) + 1):
+            for hi in range(lo, len(kept) + 1):
+                alone, _ = sentence_rows(sentences, token_ids, kept[lo:hi], types, max_len)
+                assert_batches_equal([rows.sentence_range(lo, hi)], [alone])
+
+        for batch_size in (1, 3, 16):
+            for shuffle_seed in (None, 0, 7):
+                expected, expected_skipped = per_sentence_batches(
+                    sentences, indices, types, vocab, max_len, batch_size, shuffle_seed)
+                assert skipped == expected_skipped
+                assert_batches_equal(make_batches(rows, batch_size, shuffle_seed), expected)
 
 
 class TestDump:

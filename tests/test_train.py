@@ -10,7 +10,7 @@ from ctie.corpus import OntologySchema, load_corpus
 from ctie.crf import crf_decode, crf_nll
 from ctie.errors import DataError, NonFiniteLoss
 from ctie.model import ModelConfig, decode_constraint, forward
-from ctie.mslr import expand, make_batches, pair_rows, sentence_rows
+from ctie.mslr import expand, make_batches, sentence_rows
 from ctie.train import (
     ADAMW_CHUNK,
     TrainConfig,
@@ -21,7 +21,9 @@ from ctie.train import (
     train_loop,
 )
 
-from helpers import SMOKE_CORPUS, assert_batches_equal, random_corpus, reference_batches
+from helpers import (
+    SMOKE_CORPUS, assert_batches_equal, pair_rows, random_corpus, reference_batches,
+)
 
 
 # split ratios in and around [0, 1], its ends included
@@ -415,7 +417,7 @@ class TestTrainingRows:
         plain = load_corpus(SMOKE_CORPUS)
         first = plain.sentences[0]
         assert (expand(first, full.types)[0].relation_label
-                != pair_rows(first, full.types).label[0])
+                != pair_rows(first, full.types)[0, 4])
         config = smoke_train_config(epochs=2, train_ratio=0.7, val_ratio=0.15,
                                     test_ratio=0.15)
         runs = {}
@@ -567,10 +569,11 @@ def row_batch_validation(result, sentences, val_idx, max_len, batch_size=8):
     params = result.params
     config = dataclasses.replace(result.config, dropout=0.0)
     allowed = decode_constraint(config, result.types.bio_labels)
-    kept, skipped = sentence_rows(sentences, val_idx, result.types, max_len)
+    token_ids = [result.vocab.ids(s.tokens) for s in sentences]
+    table, skipped = sentence_rows(sentences, token_ids, val_idx, result.types, max_len)
     ner = re = 0.0
     rows = re_hits = tok_correct = tok_total = 0
-    for batch in make_batches(kept, result.types, result.vocab, batch_size):
+    for batch in make_batches(table, batch_size):
         out = forward(batch, params, config, mode="train")
         # the batch and its dropout-free forward hold each distinct sentence once
         logits, mask, labels, lengths = (a[batch.sentence_of] for a in (
@@ -653,13 +656,13 @@ class TestValidationValues:
         encoded = []
         real_encode_batches = evaluation.encode_batches
 
-        def encode_spy(params, vocab, token_seqs):
-            encoded.extend(token_seqs)
-            return real_encode_batches(params, vocab, token_seqs)
+        def encode_spy(params, token_ids):
+            encoded.extend(list(ids) for ids in token_ids)
+            return real_encode_batches(params, token_ids)
 
         monkeypatch.setattr(evaluation, "encode_batches", encode_spy)
         result, config, _, val_idx = self._run(sentences, corpus.types, monkeypatch)
-        assert sentences[bare].tokens not in encoded
+        assert result.vocab.ids(sentences[bare].tokens) not in encoded
         assert len(encoded) == len(val_idx) - 1
         others = [i for i in val_idx if i != bare]
         expected, _ = row_batch_validation(result, sentences, others, config.max_len)
