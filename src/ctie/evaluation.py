@@ -404,7 +404,7 @@ def evaluate_model(
     token_ids = [vocab.ids(s.tokens) for s in sentences]
     if re_mode == "gold":
         rows = sentence_rows(sentences, token_ids, range(len(sentences)), types, max_len)[0]
-        index = np.array(list(dict.fromkeys(i for i, _ in rows.origins)), dtype=np.int64)
+        records = rows.records
     labels, spans, pairs, ids = [], [], [], [(np.zeros(0, dtype=np.int64),) * 2]
     first = 0
     for h, mask in encode_batches(params, token_ids):
@@ -413,9 +413,9 @@ def evaluate_model(
         labels += tags
         spans += [span for row in chunk_spans for span in row]
         if re_mode == "gold":
-            lo, hi = np.searchsorted(index, (first, first + len(h))).tolist()
+            lo, hi = np.searchsorted(records, (first, first + len(h))).tolist()
             ids.append(predict_relations_gold_pairs(params, config, rows.sentence_range(lo, hi),
-                                                    h, mask, index[lo:hi] - first))
+                                                    h, mask, records[lo:hi] - first))
         else:
             pairs += [PairPrediction(t.sentence_index, t.head_span, t.tail_span, t.relation)
                       for result in extractor.score_chunk(

@@ -21,7 +21,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -284,6 +284,13 @@ class Batch:
         """(B,) each row's sentence."""
         return self.span_rows[self.head]
 
+    @property
+    def records(self) -> np.ndarray:
+        """(U,) each sentence's corpus record, the i of its rows' origins (i, j)."""
+        records = np.zeros(len(self.lengths), dtype=np.int64)
+        records[self.sentence_of] = [i for i, _ in self.origins]
+        return records
+
     def sentence_range(self, lo: int, hi: int) -> "Batch":
         """The sentences [lo, hi) of a ``sentence_rows`` table, with their
         spans and rows, numbered from 0 and padded to their longest: the
@@ -301,17 +308,9 @@ class Batch:
         )
 
 
-def _unknown_name(sentence_index: int, item) -> SchemaError | UnknownRelation:
-    """The error for an entity (``SchemaError``) or a relation instance
-    (``UnknownRelation``) whose type a type system does not know."""
-    what, error = ((f"relation {item.relation.name!r}", UnknownRelation)
-                   if hasattr(item, "relation") else
-                   (f"entity type {item.entity_type.name!r}", SchemaError))
-    return error(f"sentence {sentence_index}: {what} is not in the checkpoint's type system")
-
-
 def sentence_rows(
-    sentences: Sequence[AnnotatedSentence], token_ids: Sequence[Sequence[int]],
+    sentences: Sequence[AnnotatedSentence],
+    token_ids: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
     indices: Iterable[int], types: TypeSystem, max_len: int,
 ) -> tuple[Batch, list[tuple[tuple[int, int], int]]]:
     """(table, skipped): the ``Batch`` of the gold-pair rows of each
@@ -321,8 +320,10 @@ def sentence_rows(
     it goes into ``skipped`` once per row, as ((i, row), length). Type,
     relation and BIO ids are looked up by name in ``types``, a checkpoint's
     type system. Each pair checks its head type, tail type and relation in
-    that order, and the first that fails names the ``DataError``; then a
-    kept sentence, whose BIO ids the table holds, checks its other entities."""
+    that order, and the first that fails names the ``DataError``. Only the
+    pairs are checked: gold evaluation reads no BIO id, so the tag of an
+    unpaired entity whose type ``types`` lacks gets the out-of-range id
+    ``types.num_bio_labels``, which training's ``model._check_batch`` rejects."""
     entity_id = {t.name: t.id for t in types.entity_types}
     relation_id = {r.name: r.id for r in types.relations}
     bio_id = {tag: k for k, tag in enumerate(types.bio_labels)}
@@ -332,17 +333,20 @@ def sentence_rows(
         type_ids = [entity_id.get(e.entity_type.name) for e in sentence.entities]
         own = []
         for rel, head, tail in relation_pairs(sentence, i):
-            ids = (type_ids[rel.head_index], type_ids[rel.tail_index],
-                   relation_id.get(rel.relation.name))
-            if None in ids:
-                raise _unknown_name(i, (head, tail, rel)[ids.index(None)])
+            pair = (type_ids[rel.head_index], type_ids[rel.tail_index],
+                    relation_id.get(rel.relation.name))
+            for entity, type_id in ((head, pair[0]), (tail, pair[1])):
+                if type_id is None:
+                    raise SchemaError(f"sentence {i}: entity type {entity.entity_type.name!r} "
+                                      "is not in the checkpoint's type system")
+            if pair[2] is None:
+                raise UnknownRelation(f"sentence {i}: relation {rel.relation.name!r} is not in "
+                                      "the checkpoint's type system")
             # entity indices shifted to the sentence's first span in the table
-            own.append((len(spans) + rel.head_index, len(spans) + rel.tail_index) + ids)
+            own.append((len(spans) + rel.head_index, len(spans) + rel.tail_index) + pair)
         if len(sentence) > max_len:
             skipped.extend(((i, j), len(sentence)) for j in range(len(own)))
         elif own:
-            if None in type_ids:
-                raise _unknown_name(i, sentence.entities[type_ids.index(None)])
             span_rows += [len(kept)] * len(sentence.entities)
             spans += [(e.start, e.end) for e in sentence.entities]
             origins += [(i, j) for j in range(len(own))]
@@ -353,7 +357,8 @@ def sentence_rows(
     tokens, labels = np.zeros((2,) + mask.shape, dtype=np.int64)
     tokens[mask] = np.fromiter(chain.from_iterable(token_ids[i] for i in kept), np.int64,
                                count=int(lengths.sum()))
-    labels[mask] = [bio_id[tag] for i in kept for tag in sentences[i].labels]
+    # an unpaired entity's unknown type: a label id no config has (``_check_batch``)
+    labels[mask] = [bio_id.get(tag, len(bio_id)) for i in kept for tag in sentences[i].labels]
     head, tail, head_type, tail_type, label = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return Batch(
         token_ids=tokens, attention_mask=mask.astype(np.float64), ner_labels=labels,

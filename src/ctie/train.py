@@ -23,6 +23,7 @@ from .model import (
     UNIT_INTERVAL,
     ModelConfig,
     Params,
+    _check_batch,
     backward,
     check_field_ranges,
     check_field_types,
@@ -396,7 +397,7 @@ def train_loop(
     # split record indices, so every row's origin names its corpus record
     train_idx, val_idx, _test_idx = train_config.split(range(len(sentences)))
     vocab = build_vocab([sentences[i] for i in train_idx], min_freq=train_config.min_freq)
-    token_ids = [vocab.ids(sentence.tokens) for sentence in sentences]
+    token_ids = {i: vocab.ids(sentences[i].tokens) for i in (*train_idx, *val_idx)}
     train_rows, skipped = sentence_rows(sentences, token_ids, train_idx, types,
                                         train_config.max_len)
     if not train_rows.size:
@@ -426,6 +427,7 @@ def train_loop(
                           f"{pretrained_embed.shape[1]}-dim vectors, but embed_dim is "
                           f"{config.embed_dim}")
     allowed = decode_constraint(config, types.bio_labels)
+    _check_batch(val_rows, config)  # evaluate_split reads its labels without forward
     params = init_params(config, seed=train_config.seed, pretrained_embed=pretrained_embed)
     state = init_adamw(params)
     skip = frozenset(["embed"]) if config.freeze_embeddings else frozenset()

@@ -357,6 +357,24 @@ class TestEvaluateModel:
         evaluate_model(*model, corpus.types, sentences[:-1])
         assert len(encoded) >= 4
 
+    def test_unknown_type_of_an_unpaired_entity_is_an_ner_miss_in_both_modes(self):
+        # gold mode reads no BIO label, so such an entity is only an NER miss
+        from ctie.corpus import EntitySpan, EntityType
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        known = corpus.sentences[:8]
+        model = tiny_model(known, corpus.types)
+        sentences, sentence = list(known), known[-1]
+        t = sentence.labels.index("O")
+        odd = EntitySpan(t, t + 1, EntityType("Odd", 99), sentence.tokens[t])
+        sentences[-1] = replace(sentence, entities=sentence.entities + (odd,), labels=(
+            sentence.labels[:t] + ("B-Odd",) + sentence.labels[t + 1:]))
+        gold = evaluate_model(*model, corpus.types, sentences)
+        pipeline = evaluate_model(*model, corpus.types, sentences, re_mode="pipeline")
+        assert gold["ner"] == pipeline["ner"]
+        assert gold["ner"].gold_total == sum(len(s.entities) for s in sentences)
+        assert gold["re"] == evaluate_model(*model, corpus.types, known)["re"]
+
     @pytest.mark.parametrize("re_mode", ["gold", "pipeline"])
     def test_holds_one_chunk_encoding_at_a_time(self, monkeypatch, re_mode):
         # when a chunk is yielded, every chunk before the previous one is gone
@@ -499,7 +517,7 @@ class TestGoldPairScoring:
         rows, skipped = sentence_rows(sentences, token_ids, range(len(sentences)), types,
                                       max_len)
         assert skipped and len(set(rows.lengths.tolist())) > 1
-        index = list(dict.fromkeys(i for i, _ in rows.origins))  # each table sentence's i
+        index = rows.records  # each table sentence's i
         expected, predictions = [], []
         for u, i in enumerate(index):
             own = rows.sentence_range(u, u + 1)
@@ -523,7 +541,7 @@ class TestGoldPairScoring:
         for h, mask in chunks:
             # the table sentences of corpus sentences [lo, lo + len(h))
             first, last = np.searchsorted(index, (lo, lo + len(h)))
-            chunk, chunk_rows = rows.sentence_range(first, last), np.array(index[first:last]) - lo
+            chunk, chunk_rows = rows.sentence_range(first, last), index[first:last] - lo
             probs = score_pairs(h, mask, chunk_rows[chunk.span_rows], chunk.spans, chunk.head,
                                 chunk.tail, chunk.head_type, chunk.tail_type, params, config).probs
             assert probs.shape == (chunk.size, types.num_relations)

@@ -192,8 +192,9 @@ class TestEntityMask:
 class TestSentenceRowsChecks:
     """``sentence_rows`` looks up each entity's type once per sentence, yet
     each pair still checks its head type, tail type and relation in that
-    order, and the first pair that fails names the error. A kept sentence,
-    whose BIO labels the table holds, then checks its other entities."""
+    order, and the first pair that fails names the error. Nothing else is
+    checked: an unpaired entity's unknown type is read only as a BIO label
+    that training's ``_check_batch`` rejects."""
 
     KNOWN = TypeSystem(["HackOrg", "Tool"], ["uses"])
 
@@ -220,8 +221,6 @@ class TestSentenceRowsChecks:
         ([[2, "mystery", 3]], SchemaError, "entity type 'Odd'"),
         ([[3, "mystery", 2]], SchemaError, "entity type 'Rare'"),
         ([[0, "mystery", 3]], SchemaError, "entity type 'Rare'"),
-        # every pair known: the kept sentence's first unpaired unknown type
-        ([[1, "uses", 0]], SchemaError, "entity type 'Odd'"),
     ])
     def test_first_failing_pair_names_the_error(self, relations, error, message):
         with pytest.raises(error) as info:
@@ -229,10 +228,30 @@ class TestSentenceRowsChecks:
         assert str(info.value) == (f"sentence 5: {message} is not in the checkpoint's "
                                    "type system")
 
-    def test_unknown_type_of_an_unpaired_entity_in_a_skipped_sentence_is_never_read(self):
+    def test_unknown_type_of_an_unpaired_entity_is_never_read(self):
+        rows, skipped = self.rows(self.sentence([[1, "uses", 0]]))
+        assert skipped == [] and rows.origins == ((5, 0),)
+        assert rows.head.tolist() == [1] and rows.tail.tolist() == [0]
+        assert rows.head_type.tolist() == [self.KNOWN.entity_type("Tool").id]
+        assert rows.tail_type.tolist() == [self.KNOWN.entity_type("HackOrg").id]
+        assert rows.relation_label.tolist() == [self.KNOWN.relation("uses").id]
+        # the tags of 'Odd' and 'Rare' get the one id past the BIO labels
+        unknown = self.KNOWN.num_bio_labels
+        assert rows.ner_labels[0].tolist() == [self.KNOWN.bio_id("B-HackOrg"), 0,
+                                               self.KNOWN.bio_id("B-Tool"), 0,
+                                               unknown, 0, unknown, 0]
+        # a skipped sentence or one with no pair holds no label at all
         for relations, max_len in (([[1, "uses", 0]], 7), ([], 256)):
             rows, skipped = self.rows(self.sentence(relations), max_len=max_len)
             assert rows.size == 0 and len(skipped) == len(relations)
+
+    def test_training_rejects_the_label_of_an_unknown_type(self):
+        rows, _ = self.rows(self.sentence([[1, "uses", 0]]))
+        config = ModelConfig(vocab_size=2, num_ner_labels=self.KNOWN.num_bio_labels,
+                             num_relations=self.KNOWN.num_relations,
+                             num_entity_types=self.KNOWN.num_entity_types)
+        with pytest.raises(ValueError, match="batch.ner_labels must lie in"):
+            _check_batch(rows, config)
 
     def test_table_gives_each_span_once(self):
         # every entity span of the sentences once, the pairs as indices into them
@@ -428,8 +447,8 @@ class TestRowTable:
             vocab_size=len(vocab), num_ner_labels=types.num_bio_labels,
             num_relations=types.num_relations, num_entity_types=types.num_entity_types))
 
-        kept = list(dict.fromkeys(i for i, _ in rows.origins))
-        assert len(kept) == len(rows.lengths)
+        kept = rows.records.tolist()
+        assert kept == sorted(set(kept)) and set(kept) == {i for i, _ in rows.origins}
         for lo in range(len(kept) + 1):
             for hi in range(lo, len(kept) + 1):
                 alone, _ = sentence_rows(sentences, token_ids, kept[lo:hi], types, max_len)

@@ -453,6 +453,28 @@ class TestTrainingRows:
                 config.batch_size, shuffle_seed=config.effective_shuffle_seed + epoch)[0]
         assert_batches_equal(seen, expected)
 
+    def test_unknown_type_in_validation_is_rejected_before_training(self, monkeypatch):
+        # an unpaired entity whose type ``types`` lacks has a BIO label no
+        # config has; validation reads labels without forward's check
+        import ctie.train as train_mod
+        from ctie.corpus import EntitySpan, EntityType
+
+        corpus = load_corpus(SMOKE_CORPUS)
+        config = smoke_train_config(epochs=1, train_ratio=0.7, val_ratio=0.15,
+                                    test_ratio=0.15)
+        _, (v, *_), _ = config.split(range(len(corpus.sentences)))
+        sentences, sentence = list(corpus.sentences), corpus.sentences[v]
+        t = sentence.labels.index("O")
+        odd = EntitySpan(t, t + 1, EntityType("Odd", 99), sentence.tokens[t])
+        sentences[v] = dataclasses.replace(
+            sentence, entities=sentence.entities + (odd,),
+            labels=sentence.labels[:t] + ("B-Odd",) + sentence.labels[t + 1:])
+        steps = []
+        monkeypatch.setattr(train_mod, "forward", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(ValueError, match=r"batch.ner_labels must lie in \[0, "):
+            train_loop(sentences, corpus.types, config, model_kwargs=self.MODEL)
+        assert steps == []
+
     @pytest.mark.parametrize("pick,max_len,counts", [
         (lambda sentences: [], 64, "0 training sentences, 0 have no relation and 0"),
         (lambda sentences: sentences, 2, "50 training sentences, 0 have no relation and 50"),
