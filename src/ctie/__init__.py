@@ -15,11 +15,8 @@ from .corpus import (
     RelationInstance,
     RelationType,
     TypeSystem,
-    candidate_pairs,
     dataset_stats,
     load_corpus,
-    parse_dataset,
-    serialize_corpus,
     validate_bio,
     validate_ontology,
 )
@@ -34,7 +31,7 @@ from .evaluation import (
     re_metrics,
     run_ablation,
 )
-from .extract import ExtractionResult, Extractor, Triple, export_graph, import_graph
+from .extract import ExtractionResult, Extractor, Triple, export_graph
 from .model import (
     ModelConfig,
     backward,
@@ -85,7 +82,6 @@ __all__ = [
     "adamw_step",
     "backward",
     "build_vocab",
-    "candidate_pairs",
     "dataset_stats",
     "decode_spans",
     "encode",
@@ -93,18 +89,15 @@ __all__ = [
     "expand",
     "export_graph",
     "forward",
-    "import_graph",
     "init_params",
     "load_checkpoint",
     "load_corpus",
     "make_batches",
     "make_entity_mask",
     "ner_metrics",
-    "parse_dataset",
     "re_metrics",
     "run_ablation",
     "save_checkpoint",
-    "serialize_corpus",
     "split",
     "train_loop",
     "validate_bio",

@@ -11,10 +11,10 @@ A corpus file is a JSON array of records in the DNRTI-JE layout:
 
 Tokens are the whitespace split of ``text``. Entity spans are token-level
 and end-exclusive; they are cross-checked against ``entity_labels`` at load
-time. Relation triples index into the record's entity list and default to
-``[head, relation, tail]`` order; a document may instead be an object
-``{"relation_order": ["head", "relation", "tail"], "records": [...]}`` to
-declare a different field order.
+time. Relation triples index into the record's entity list, annotate each
+ordered entity pair at most once, and default to ``[head, relation, tail]``
+order; a document may instead be an object ``{"relation_order": ["head",
+"relation", "tail"], "records": [...]}`` to declare a different field order.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DataError,
+    DuplicatePairError,
     LabelError,
     MalformedDocument,
     RelationIndexError,
@@ -137,9 +138,6 @@ class TypeSystem:
     def relation(self, name: str) -> RelationType:
         return self._rel_by_name[name]
 
-    def has_relation(self, name: str) -> bool:
-        return name in self._rel_by_name
-
     def bio_id(self, tag: str) -> int:
         return self._bio_ids[tag]
 
@@ -228,12 +226,6 @@ class OntologySchema:
             for name, rule in sorted(self.rules.items())
             if head_type in rule.domain and tail_type in rule.range
         ]
-
-    def pair_admissible(self, head_type: str, tail_type: str) -> bool:
-        return any(
-            head_type in rule.domain and tail_type in rule.range
-            for rule in self.rules.values()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +349,8 @@ def _build_sentence(
     record: dict, relations: list[tuple[int, str, int]], types: TypeSystem
 ) -> AnnotatedSentence:
     """Every per-record check after the shape check, in order: label count,
-    tag form, BIO continuity, spans, relation indices."""
+    tag form, BIO continuity, spans, relation indices, then that no ordered
+    entity pair is annotated twice."""
     tokens = tuple(record["text"].split())
     labels = tuple(record["entity_labels"])
     if len(labels) != len(tokens):
@@ -383,7 +376,7 @@ def _build_sentence(
         EntitySpan(start, end, types.entity_type(name), " ".join(tokens[start:end]))
         for start, end, name in raw_spans
     )
-    instances = []
+    instances, seen = [], set()
     for j, (head, name, tail) in enumerate(relations):
         if not (0 <= head < len(entities)) or not (0 <= tail < len(entities)):
             raise RelationIndexError(
@@ -392,6 +385,10 @@ def _build_sentence(
             )
         if head == tail:
             raise RelationIndexError(f"relations[{j}] head and tail are the same entity")
+        if (head, tail) in seen:
+            raise DuplicatePairError(
+                f"relations[{j}] ordered entity pair ({head}, {tail}) annotated twice")
+        seen.add((head, tail))
         instances.append(RelationInstance(head, tail, types.relation(name)))
     return AnnotatedSentence(tokens, entities, tuple(instances), labels)
 
@@ -417,7 +414,8 @@ class RecordIssue:
 
 
 _RECORD_ERRORS = {
-    cls.__name__: cls for cls in (SchemaError, LabelError, SpanError, RelationIndexError)
+    cls.__name__: cls
+    for cls in (SchemaError, LabelError, SpanError, RelationIndexError, DuplicatePairError)
 }
 
 
@@ -460,7 +458,7 @@ def check_corpus(
             continue
         try:
             sentences.append(_build_sentence(record, relations, types))
-        except (LabelError, SpanError, RelationIndexError) as exc:
+        except (LabelError, SpanError, RelationIndexError, DuplicatePairError) as exc:
             issues.append(RecordIssue(i, type(exc).__name__, str(exc)))
     return Corpus(tuple(sentences), types), issues
 
@@ -477,25 +475,6 @@ def load_corpus(source, ontology: OntologySchema | None = None) -> Corpus:
 def validate_records(source, ontology: OntologySchema | None = None) -> list[RecordIssue]:
     """Collect one issue per bad record, in record order, instead of raising."""
     return check_corpus(source, ontology)[1]
-
-
-def parse_dataset(source, ontology: OntologySchema | None = None) -> list[AnnotatedSentence]:
-    return list(load_corpus(source, ontology).sentences)
-
-
-def sentence_to_record(sentence: AnnotatedSentence) -> dict:
-    return {
-        "text": " ".join(sentence.tokens),
-        "entities": [[e.start, e.end, e.entity_type.name] for e in sentence.entities],
-        "relations": [
-            [r.head_index, r.relation.name, r.tail_index] for r in sentence.relations
-        ],
-        "entity_labels": list(sentence.labels),
-    }
-
-
-def serialize_corpus(sentences: Sequence[AnnotatedSentence]) -> str:
-    return json.dumps([sentence_to_record(s) for s in sentences], indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -561,30 +540,8 @@ def validate_ontology(
 
 
 # ---------------------------------------------------------------------------
-# Candidate pairs and statistics
+# Statistics
 # ---------------------------------------------------------------------------
-
-
-def candidate_pairs(
-    entity_types: Sequence[str],
-    schema: OntologySchema | None = None,
-    ontology_filter: bool = False,
-) -> list[tuple[int, int]]:
-    """All ordered pairs (i, j), i != j, i then j ascending, of entities
-    whose type names are ``entity_types`` in span order.
-
-    With ``ontology_filter`` the pairs whose type combination matches no
-    relation's (domain, range) are dropped.
-    """
-    n = len(entity_types)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if ontology_filter:
-        if schema is None:
-            raise ValueError("ontology_filter requires a schema")
-        pairs = [
-            (i, j) for i, j in pairs if schema.pair_admissible(entity_types[i], entity_types[j])
-        ]
-    return pairs
 
 
 @dataclass(frozen=True)

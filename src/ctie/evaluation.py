@@ -171,15 +171,6 @@ def decode_spans(bio_labels: Sequence[str], sentence_index: int = 0) -> list[Spa
     return spans
 
 
-def spans_to_bio(spans: Iterable[SpanPrediction], length: int) -> list[str]:
-    labels = ["O"] * length
-    for span in spans:
-        labels[span.start] = f"B-{span.entity_type}"
-        for pos in range(span.start + 1, span.end):
-            labels[pos] = f"I-{span.entity_type}"
-    return labels
-
-
 def ner_metrics(
     gold: Iterable[SpanPrediction],
     predicted: Iterable[SpanPrediction],

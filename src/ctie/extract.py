@@ -363,17 +363,3 @@ def export_graph(results: Sequence[ExtractionResult], fmt: str = "json") -> byte
             )
         return buf.getvalue().encode("utf-8")
     raise UnknownFormat(f"unknown export format {fmt!r} (expected 'json' or 'csv')")
-
-
-def import_graph(data: bytes) -> list[tuple]:
-    """Rebuild (head, head_type, relation, tail, tail_type) tuples from a
-    JSON graph export; used for round-trip checks."""
-    doc = json.loads(data.decode("utf-8"))
-    nodes = {n["id"]: n for n in doc["nodes"]}
-    out = []
-    for e in doc["edges"]:
-        head, tail = nodes[e["head"]], nodes[e["tail"]]
-        out.append(
-            (head["surface"], head["type"], e["relation"], tail["surface"], tail["type"])
-        )
-    return out

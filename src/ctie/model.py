@@ -616,11 +616,11 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     ``InputProjection`` of ``params``), the (B, T) token ids, whose
     pre-activations are gathered from it. ``with_trace`` serves the first
     form only, since ``backward`` reads the inputs from the trace; with a
-    projection it is a ``ValueError``. A 1-D mask takes one unbatched row.
-    The mask marks padding only: each row is ones then zeros, and any other
-    mask is a ``ValueError``. Each direction reads the valid cells in its
-    walk order (``Packing``), the backward's row-aligned, so both run on
-    the same active rows at every step: in lockstep while their ``u``
+    projection it is a ``ValueError``. The mask is (B, T) and marks
+    padding only: each row is ones then zeros, and any other mask is a
+    ``ValueError``. Each direction reads the valid cells in its walk order
+    (``Packing``), the backward's row-aligned, so both run on the same
+    active rows at every step: in lockstep while their ``u``
     arrays fit in cache together (``_direction_groups``), else one after
     the other. The pre-activations are laid out once in each walk group's
     step-major buffer (``Packing.to_blocks``), which the walk overwrites
@@ -634,9 +634,8 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     if with_trace and projection is not None:
         raise ValueError("with_trace needs the inputs, not token ids through a projection")
     keep = np.asarray(attention_mask) != 0
-    squeeze = keep.ndim == 1
-    if squeeze:
-        keep, h_in = keep[None], h_in[None]
+    if keep.ndim != 2:
+        raise ValueError(f"attention mask must be (B, T), got shape {keep.shape}")
     check_padding_mask(keep)
     packing = Packing.from_mask(keep)
     groups = _direction_groups(params)
@@ -652,8 +651,6 @@ def bigru(h_in: np.ndarray, attention_mask, params: Params, *, with_trace: bool 
     for i, group in enumerate(groups):
         _gru_run(gates[i], h[i], packing, params["gru.u"][group])
     out = packing.unpack(h, n_dirs).reshape(*keep.shape, -1)
-    if squeeze:
-        out = out[0]
     if with_trace:
         return out, GruTrace(x, packing, gates, h, groups)
     return out
@@ -1142,4 +1139,6 @@ def load_embedding_file(path, expected_vocab_hash: str | None = None) -> np.ndar
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise SchemaError(f"{path}: embedding file was built for a different vocabulary "
                           f"(hash {vocab_hash[:12]}... != {expected_vocab_hash[:12]}...)")
+    if not np.all(np.isfinite(vectors)):
+        raise SchemaError(f"{path}: embedding file contains non-finite values")
     return vectors

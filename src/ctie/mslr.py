@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence, TypeSystem
-from .errors import DuplicatePairError, LengthError, OverlapError, SchemaError, UnknownRelation
+from .errors import LengthError, OverlapError, SchemaError, UnknownRelation
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -151,21 +151,11 @@ class MslrInstance:
         return json.dumps(payload, sort_keys=True)
 
 
-def relation_pairs(sentence: AnnotatedSentence, sentence_index: int = 0) -> list[tuple]:
+def relation_pairs(sentence: AnnotatedSentence) -> list[tuple]:
     """(relation, head entity, tail entity) per annotated relation, in
-    relation order; an ordered entity pair annotated twice raises
-    ``DuplicatePairError``."""
-    seen: set[tuple[int, int]] = set()
-    pairs = []
-    for rel in sentence.relations:
-        pair = (rel.head_index, rel.tail_index)
-        if pair in seen:
-            raise DuplicatePairError(
-                f"sentence {sentence_index}: ordered entity pair {pair} annotated twice"
-            )
-        seen.add(pair)
-        pairs.append((rel, sentence.entities[rel.head_index], sentence.entities[rel.tail_index]))
-    return pairs
+    relation order; ``load_corpus`` has made each ordered pair distinct."""
+    return [(rel, sentence.entities[rel.head_index], sentence.entities[rel.tail_index])
+            for rel in sentence.relations]
 
 
 def expand(
@@ -186,7 +176,7 @@ def expand(
             relation_label=rel.relation.id,
             origin=(sentence_index, j),
         )
-        for j, (rel, head, tail) in enumerate(relation_pairs(sentence, sentence_index))
+        for j, (rel, head, tail) in enumerate(relation_pairs(sentence))
     ]
 
 
@@ -276,10 +266,6 @@ class Batch:
         return len(self.head)
 
     @property
-    def max_len(self) -> int:
-        return self.token_ids.shape[1]
-
-    @property
     def sentence_of(self) -> np.ndarray:
         """(B,) each row's sentence."""
         return self.span_rows[self.head]
@@ -332,7 +318,7 @@ def sentence_rows(
         sentence = sentences[i]
         type_ids = [entity_id.get(e.entity_type.name) for e in sentence.entities]
         own = []
-        for rel, head, tail in relation_pairs(sentence, i):
+        for rel, head, tail in relation_pairs(sentence):
             pair = (type_ids[rel.head_index], type_ids[rel.tail_index],
                     relation_id.get(rel.relation.name))
             for entity, type_id in ((head, pair[0]), (tail, pair[1])):

@@ -32,6 +32,37 @@ def bio_for_spans(n_tokens: int, spans) -> list[str]:
     return labels
 
 
+def sentence_records(sentences) -> list[dict]:
+    """The corpus records that ``load_corpus`` reads back as ``sentences``."""
+    return [
+        {
+            "text": " ".join(s.tokens),
+            "entities": [[e.start, e.end, e.entity_type.name] for e in s.entities],
+            "relations": [[r.head_index, r.relation.name, r.tail_index] for r in s.relations],
+            "entity_labels": list(s.labels),
+        }
+        for s in sentences
+    ]
+
+
+def candidate_pairs(entity_types, schema=None) -> list[tuple[int, int]]:
+    """Reference pair enumeration: every ordered pair (i, j), i != j, i then
+    j ascending, of entities whose type names are ``entity_types``; with a
+    ``schema``, only the pairs it admits some relation for."""
+    n = len(entity_types)
+    return [(i, j) for i in range(n) for j in range(n) if i != j and (
+        schema is None or schema.admissible_relations(entity_types[i], entity_types[j]))]
+
+
+def import_graph(data: bytes) -> list[tuple]:
+    """The (head, head_type, relation, tail, tail_type) of each edge of a
+    JSON ``export_graph`` document, in edge order."""
+    doc = json.loads(data.decode("utf-8"))
+    nodes = {n["id"]: n for n in doc["nodes"]}
+    return [(nodes[e["head"]]["surface"], nodes[e["head"]]["type"], e["relation"],
+             nodes[e["tail"]]["surface"], nodes[e["tail"]]["type"]) for e in doc["edges"]]
+
+
 def random_record(rng: np.random.Generator, type_names=("HackOrg", "Tool", "Org", "Time")):
     """One random well-formed corpus record with 0-4 entities and relations
     labeled over a toy closed relation set."""
@@ -347,13 +378,13 @@ def pair_rows(sentence, types, sentence_index=0):
     from ctie.mslr import relation_pairs
 
     rows = []
-    for rel, head, tail in relation_pairs(sentence, sentence_index):
+    for rel, head, tail in relation_pairs(sentence):
         for entity in (head, tail):
             if not types.has_entity_type(entity.entity_type.name):
                 raise SchemaError(f"sentence {sentence_index}: entity type "
                                   f"{entity.entity_type.name!r} is not in the checkpoint's "
                                   "type system")
-        if not types.has_relation(rel.relation.name):
+        if rel.relation.name not in {r.name for r in types.relations}:
             raise UnknownRelation(f"sentence {sentence_index}: relation "
                                   f"{rel.relation.name!r} is not in the checkpoint's type system")
         rows.append((rel.head_index, rel.tail_index, types.entity_type(head.entity_type.name).id,

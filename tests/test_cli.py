@@ -319,6 +319,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{emb_path}: embedding file holds 8-dim vectors, but embed_dim is 16" in err
 
+    @pytest.mark.parametrize("freeze", [(), ("--freeze-embeddings",)], ids=["tuned", "frozen"])
+    def test_non_finite_embedding_names_the_file(self, freeze, tmp_path, capsys):
+        import numpy as np
+        from ctie.model import save_embedding_file
+        from ctie.mslr import Vocabulary
+
+        first = tmp_path / "first"
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", first,
+                   "--epochs", "1", *TRAIN_FLAGS[2:]) == 0
+        vocab = Vocabulary(json.loads((first / "vocab.json").read_text()))
+        vectors = np.zeros((len(vocab), 8))
+        vectors[-1, 3] = np.nan
+        emb_path = tmp_path / "vectors.emb"
+        save_embedding_file(emb_path, vectors, vocab.content_hash())
+        capsys.readouterr()
+        assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "second",
+                   "--epochs", "1", *TRAIN_FLAGS[2:], *freeze,
+                   "--pretrained-embeddings", emb_path) == 1
+        err = capsys.readouterr().err
+        assert f"{emb_path}: embedding file contains non-finite values" in err
+
     def test_one_log_line_per_skipped_sentence(self, tmp_path, capsys):
         assert run("train", "--dataset", SMOKE_CORPUS, "--out", tmp_path / "run",
                    "--epochs", "1", *TRAIN_FLAGS[2:-2], "--max-len", "12") == 0
@@ -791,7 +812,7 @@ def _constrained_reference(params, vocab, types, sentences, allowed):
     labels = []
     for sentence in sentences:
         ids = [vocab.id(t) for t in sentence.tokens]
-        h = bigru(embed(ids, params["embed"]), np.ones(len(ids)), params)
+        [h] = bigru(embed([ids], params["embed"]), np.ones((1, len(ids))), params)
         emissions = ner_logits(h, params["ner_w"], params["ner_b"])
         path = crf_decode(emissions, params["crf_trans"], allowed=allowed)
         labels.append([types.bio_tag(i) for i in path])
@@ -997,6 +1018,32 @@ class TestEvalUsesCheckpointTypes:
         assert got["re"]["support"]["predicted"] > 0
         assert got == {task: json.loads(r.to_json()) for task, r in expected.items()}
 
+    @pytest.mark.parametrize("second", ["uses", "noRelation"])
+    def test_pair_annotated_twice_exits_one_in_every_command(self, model, second, tmp_path,
+                                                             capsys):
+        # one pass parses and validates: `validate` rejects what the others do
+        _dataset, ckpt, records, *_ = model
+        records = json.loads(json.dumps(records))
+        k = next(k for k, r in enumerate(records) if r["relations"])
+        head, _name, tail = records[k]["relations"][0]
+        records[k]["relations"].append([head, second, tail])
+        dataset = tmp_path / "twice.json"
+        dataset.write_text(json.dumps(records))
+        issue = (f"relations[{len(records[k]['relations']) - 1}] ordered entity pair "
+                 f"({head}, {tail}) annotated twice")
+        assert run("validate", "--dataset", dataset) == 1
+        out = capsys.readouterr().out
+        assert f"record {k}: [DuplicatePairError] {issue}\n" in out
+        assert "structural errors: 1;" in out
+        for command, *flags in (
+            ("stats",), ("mslr", "--out", tmp_path / "mslr"),
+            ("train", "--out", tmp_path / "train", *TRAIN_FLAGS),
+            ("eval", "--checkpoint", ckpt, "--split", "all"),
+            ("eval", "--checkpoint", ckpt, "--split", "all", "--re-mode", "pipeline"),
+        ):
+            assert run(command, "--dataset", dataset, *flags) == 1, command
+            assert capsys.readouterr().err == f"error: record {k}: {issue}\n"
+
     def test_unknown_entity_type_exits_one(self, model, capsys):
         _dataset, ckpt, *_ = model
         assert run("eval", "--dataset", SMOKE_CORPUS, "--checkpoint", ckpt,
@@ -1006,7 +1053,7 @@ class TestEvalUsesCheckpointTypes:
 
     def test_unknown_relation_exits_one(self, model, tmp_path, capsys):
         _dataset, ckpt, records, corpus, *_ = model
-        assert not corpus.types.has_relation("associatedWith")
+        assert "associatedWith" not in {r.name for r in corpus.types.relations}
         records = json.loads(json.dumps(records))
         head, _name, tail = records[0]["relations"][0]
         records[0]["relations"][0] = [head, "associatedWith", tail]

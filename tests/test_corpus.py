@@ -1,4 +1,5 @@
-"""Corpus parsing, validation, candidate pairs, and statistics."""
+"""Corpus parsing and validation in one pass, the ontology schema, and
+statistics; a loaded corpus fails no later check."""
 
 import json
 
@@ -10,18 +11,16 @@ from ctie.corpus import (
     NO_RELATION,
     OntologySchema,
     TypeSystem,
-    candidate_pairs,
+    check_corpus,
     dataset_stats,
     load_corpus,
-    parse_dataset,
-    check_corpus,
-    serialize_corpus,
     validate_bio,
     validate_ontology,
     validate_records,
 )
 from ctie.errors import (
     DataError,
+    DuplicatePairError,
     LabelError,
     MalformedDocument,
     RelationIndexError,
@@ -29,13 +28,16 @@ from ctie.errors import (
     SpanError,
     UnknownRelation,
 )
+from ctie.mslr import build_vocab, expand, sentence_rows
 
 from helpers import (
     FIG_CORPUS,
     NAMES,
     bio_for_spans,
+    candidate_pairs,
     random_corpus,
     random_record,
+    sentence_records,
     span_layouts,
 )
 
@@ -54,7 +56,7 @@ FIG_RECORD = {
 
 class TestParseDataset:
     def test_fig_record(self):
-        sentences = parse_dataset(as_bytes([FIG_RECORD]))
+        sentences = load_corpus(as_bytes([FIG_RECORD])).sentences
         assert len(sentences) == 1
         s = sentences[0]
         assert len(s.entities) == 3
@@ -65,28 +67,28 @@ class TestParseDataset:
         assert [r.relation.name for r in s.relations] == ["uses", "targets", "targets"]
 
     def test_empty_array(self):
-        assert parse_dataset(b"[]") == []
+        assert load_corpus(b"[]").sentences == ()
 
     def test_relation_index_out_of_range(self):
         bad = dict(FIG_RECORD, relations=[[5, "uses", 1]])
         with pytest.raises(RelationIndexError) as err:
-            parse_dataset(as_bytes([bad]))
+            load_corpus(as_bytes([bad]))
         assert "record 0" in str(err.value)
         assert "relations[0]" in str(err.value)
 
     def test_head_equals_tail_rejected(self):
         bad = dict(FIG_RECORD, relations=[[1, "uses", 1]])
         with pytest.raises(RelationIndexError):
-            parse_dataset(as_bytes([bad]))
+            load_corpus(as_bytes([bad]))
 
     def test_malformed_json(self):
         with pytest.raises(MalformedDocument):
-            parse_dataset(b"{not json")
+            load_corpus(b"{not json")
 
     def test_missing_field(self):
         bad = {k: v for k, v in FIG_RECORD.items() if k != "relations"}
         with pytest.raises(SchemaError) as err:
-            parse_dataset(as_bytes([bad]))
+            load_corpus(as_bytes([bad]))
         assert "record 0" in str(err.value)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -99,24 +101,24 @@ class TestParseDataset:
         # Python's bool is an int: false and true would load as indices 0 and 1
         bad = as_bytes([dict(FIG_RECORD, **{field: value})])
         with pytest.raises(SchemaError, match=message):
-            parse_dataset(bad)
+            load_corpus(bad)
         assert [issue.kind for issue in validate_records(bad)] == ["SchemaError"]
 
     def test_label_length_mismatch(self):
         bad = dict(FIG_RECORD, entity_labels=FIG_RECORD["entity_labels"][:-1])
         with pytest.raises(LabelError):
-            parse_dataset(as_bytes([bad]))
+            load_corpus(as_bytes([bad]))
 
     def test_malformed_tag(self):
         labels = list(FIG_RECORD["entity_labels"])
         labels[0] = "X-HackOrg"
         with pytest.raises(LabelError):
-            parse_dataset(as_bytes([dict(FIG_RECORD, entity_labels=labels)]))
+            load_corpus(as_bytes([dict(FIG_RECORD, entity_labels=labels)]))
 
     def test_span_out_of_range(self):
         bad = dict(FIG_RECORD, entities=[[0, 1, "HackOrg"], [2, 3, "Tool"], [5, 8, "Org"]])
         with pytest.raises(SpanError):
-            parse_dataset(as_bytes([bad]))
+            load_corpus(as_bytes([bad]))
 
     def test_overlapping_spans_rejected(self):
         record = {
@@ -126,20 +128,20 @@ class TestParseDataset:
             "entity_labels": ["B-Tool", "I-Tool", "O"],
         }
         with pytest.raises(SpanError):
-            parse_dataset(as_bytes([record]))
+            load_corpus(as_bytes([record]))
 
     def test_labels_span_mismatch(self):
         labels = list(FIG_RECORD["entity_labels"])
         labels[2] = "B-Org"
         with pytest.raises(SpanError):
-            parse_dataset(as_bytes([dict(FIG_RECORD, entity_labels=labels)]))
+            load_corpus(as_bytes([dict(FIG_RECORD, entity_labels=labels)]))
 
     def test_relation_order_header(self):
         doc = {
             "relation_order": ["head", "tail", "relation"],
             "records": [dict(FIG_RECORD, relations=[[0, 1, "uses"]])],
         }
-        sentences = parse_dataset(as_bytes(doc))
+        sentences = load_corpus(as_bytes(doc)).sentences
         assert sentences[0].relations[0].relation.name == "uses"
         assert sentences[0].relations[0].tail_index == 1
 
@@ -156,22 +158,22 @@ class TestParseDataset:
             "no-records", "document-string", "document-int"])
     def test_malformed_document_is_a_schema_error(self, doc, message):
         with pytest.raises(SchemaError, match=message):
-            parse_dataset(as_bytes(doc))
+            load_corpus(as_bytes(doc))
 
     def test_path_input(self):
-        sentences = parse_dataset(FIG_CORPUS)
+        sentences = load_corpus(FIG_CORPUS).sentences
         assert len(sentences) == 3
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         corpus = random_corpus(rng, 30)
-        text = serialize_corpus(corpus.sentences)
-        again = parse_dataset(text.encode("utf-8"))
-        assert list(corpus.sentences) == again
+        again = load_corpus(as_bytes(sentence_records(corpus.sentences)))
+        assert again.sentences == corpus.sentences
 
     @given(st.data())
     def test_round_trip_random_corpora(self, data):
-        # tokens are any non-space text; relations join distinct entities
+        # tokens are any non-space text; relations join distinct entities, and
+        # each ordered pair at most once
         token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1,
                         max_size=5).filter(lambda t: t.split() == [t])
         records = []
@@ -179,7 +181,7 @@ class TestParseDataset:
             spans, length = data.draw(span_layouts(max_spans=4))
             length = max(length, 1)
             pairs = [(h, t) for h in range(len(spans)) for t in range(len(spans)) if h != t]
-            chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+            chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
             records.append({
                 "text": " ".join(data.draw(st.lists(token, min_size=length, max_size=length))),
                 "entities": [list(s) for s in spans],
@@ -187,10 +189,9 @@ class TestParseDataset:
                 "entity_labels": bio_for_spans(length, spans),
             })
         ontology = data.draw(st.sampled_from([None, OntologySchema.default()]))
-        corpus = list(load_corpus(as_bytes(records), ontology).sentences)
+        corpus = load_corpus(as_bytes(records), ontology).sentences
         assert len(corpus) == len(records)
-        text = serialize_corpus(corpus)
-        assert parse_dataset(text.encode("utf-8"), ontology) == corpus
+        assert load_corpus(as_bytes(sentence_records(corpus)), ontology).sentences == corpus
 
     def test_labels_rebuild_from_spans(self):
         rng = np.random.default_rng(12)
@@ -320,6 +321,8 @@ def type_names(sentence):
 
 
 class TestCandidatePairs:
+    """The reference pair enumeration that ``Extractor``'s is checked against."""
+
     def test_three_entities_unfiltered(self):
         corpus = load_corpus(as_bytes([FIG_RECORD]))
         pairs = candidate_pairs(type_names(corpus.sentences[0]))
@@ -334,7 +337,7 @@ class TestCandidatePairs:
             "entity_labels": ["B-Time", "O", "B-Org"],
         }
         corpus = load_corpus(as_bytes([record]), schema)
-        assert candidate_pairs(type_names(corpus.sentences[0]), schema, ontology_filter=True) == []
+        assert candidate_pairs(type_names(corpus.sentences[0]), schema) == []
         assert len(candidate_pairs(type_names(corpus.sentences[0]))) == 2
 
     def test_single_entity(self):
@@ -348,8 +351,8 @@ class TestCandidatePairs:
         assert candidate_pairs(type_names(corpus.sentences[0])) == []
 
     def test_filtered_pairs_labeled_by_schema_pass_validation(self):
-        # any sentence whose relations come from candidate_pairs + schema
-        # lookup validates clean against the same schema
+        # any sentence whose relations come from the filtered reference pairs
+        # and a schema lookup validates clean against the same schema
         schema = OntologySchema.default()
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -357,7 +360,7 @@ class TestCandidatePairs:
             corpus = load_corpus(as_bytes([dict(record, relations=[])]), schema)
             sentence = corpus.sentences[0]
             relations = []
-            for i, j in candidate_pairs(type_names(sentence), schema, ontology_filter=True):
+            for i, j in candidate_pairs(type_names(sentence), schema):
                 name = schema.admissible_relations(
                     sentence.entities[i].entity_type.name,
                     sentence.entities[j].entity_type.name,
@@ -434,6 +437,7 @@ CORRUPTIONS = {
     "span_overlap": SpanError,
     "span_disagreement": SpanError,
     "relation_index": RelationIndexError,
+    "duplicate_pair": DuplicatePairError,
 }
 
 
@@ -488,6 +492,13 @@ def _corrupt(record: dict, kind: str, draw) -> dict | list:
         if entities and draw(st.booleans()):
             bad = [0, "uses", 0]
         r["relations"].append(bad)
+    elif kind == "duplicate_pair":
+        if len(entities) < 2:
+            entities[:] = [[0, 1, "Tool"], [1, 2, "Org"]]
+            labels[:] = bio_for_spans(n, entities)
+        head, tail = draw(st.sampled_from([(0, 1), (1, 0)]))
+        names = st.sampled_from(["uses", "targets", NO_RELATION])
+        r["relations"] += [[head, draw(names), tail], [head, draw(names), tail]]
     return r
 
 
@@ -533,8 +544,38 @@ class TestOneParser:
         assert type(err.value).__name__ == first.kind
         assert str(err.value) == f"record {first.record_index}: {first.message}"
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(0, 8), st.integers(1, 16), st.data())
+    def test_a_loaded_corpus_fails_no_later_check(self, seed, n_records, max_len, data):
+        # random records, some annotating a pair a second time under any name:
+        # the parser and the loader agree, and the MSLR rows of whatever loads
+        # (the train/eval table and the `ctie mslr` examples) raise nothing
+        rng = np.random.default_rng(seed)
+        records = [random_record(rng) for _ in range(n_records)]
+        for r in records:
+            if r["relations"] and data.draw(st.booleans()):
+                head, _name, tail = data.draw(st.sampled_from(r["relations"]))
+                name = data.draw(st.sampled_from(["uses", "targets", NO_RELATION]))
+                r["relations"].insert(data.draw(st.integers(0, len(r["relations"]))),
+                                      [head, name, tail])
+        ontology = data.draw(st.sampled_from([None, OntologySchema.default()]))
+        doc = as_bytes(records)
+        checked, issues = check_corpus(doc, ontology)
+        try:
+            corpus = load_corpus(doc, ontology)
+        except DataError:
+            assert issues
+            return
+        assert not issues and corpus == checked
+        sentences = corpus.sentences
+        vocab = build_vocab(sentences)
+        sentence_rows(sentences, [vocab.ids(s.tokens) for s in sentences],
+                      range(len(sentences)), corpus.types, max_len)
+        for i, sentence in enumerate(sentences):
+            expand(sentence, corpus.types, sentence_index=i)
+
     def test_check_corpus_keeps_sound_records(self):
         bad = dict(FIG_RECORD, relations=[[9, "uses", 1]])
         corpus, issues = check_corpus(as_bytes([FIG_RECORD, bad, FIG_RECORD]))
         assert [i.record_index for i in issues] == [1]
-        assert corpus.sentences == tuple(parse_dataset(as_bytes([FIG_RECORD, FIG_RECORD])))
+        assert corpus.sentences == load_corpus(as_bytes([FIG_RECORD, FIG_RECORD])).sentences

@@ -20,13 +20,19 @@ from ctie.evaluation import (
     ner_metrics,
     re_metrics,
     run_ablation,
-    spans_to_bio,
 )
 from ctie.model import ModelConfig, init_params, score_pairs
 from ctie.mslr import build_vocab, sentence_rows
 from ctie.train import TrainConfig
 
-from helpers import SMOKE_CORPUS, entity_masks, random_corpus, relation_head, span_layouts
+from helpers import (
+    SMOKE_CORPUS,
+    bio_for_spans,
+    entity_masks,
+    random_corpus,
+    relation_head,
+    span_layouts,
+)
 
 
 def span(i, s, e, t):
@@ -78,16 +84,14 @@ class TestDecodeSpans:
             expected = [
                 span(i, e.start, e.end, e.entity_type.name) for e in sentence.entities
             ]
-            rebuilt = decode_spans(
-                spans_to_bio(expected, len(sentence.tokens)), sentence_index=i
-            )
-            assert rebuilt == expected
+            # load_corpus has checked the labels against the spans
+            assert decode_spans(sentence.labels, sentence_index=i) == expected
 
     @given(span_layouts(), st.integers(0, 50))
     def test_decode_inverts_span_encoding(self, layout, index):
         spans, length = layout
         expected = [span(index, s, e, t) for s, e, t in spans]
-        assert decode_spans(spans_to_bio(expected, length), sentence_index=index) == expected
+        assert decode_spans(bio_for_spans(length, spans), sentence_index=index) == expected
 
 
 class TestNerMetrics:

@@ -13,20 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 import ctie
 import ctie.evaluation as evaluation
-from ctie.corpus import NO_RELATION, OntologySchema, candidate_pairs, load_corpus
+from ctie.corpus import NO_RELATION, OntologySchema, load_corpus
 from ctie.errors import EmptyInput, SchemaError, SpanError, UnknownFormat
 from ctie.evaluation import SpanPrediction
-from ctie.extract import (
-    ExtractionResult,
-    Extractor,
-    Triple,
-    export_graph,
-    import_graph,
-)
+from ctie.extract import ExtractionResult, Extractor, Triple, export_graph
 from ctie.model import ModelConfig, PairScores, init_params, save_checkpoint, score_pairs
 from ctie.mslr import build_vocab, make_entity_mask
 
-from helpers import SMOKE_CORPUS, entity_masks, reference_extract_many
+from helpers import (
+    SMOKE_CORPUS,
+    candidate_pairs,
+    entity_masks,
+    import_graph,
+    reference_extract_many,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestExtract:
         names = [r.name for r in extractor.types.relations]
         no_rel = extractor.types.no_relation.id
         expected = []
-        pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, True)
+        pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology)
         for (i, j), row in zip(pairs, blocks[0]):
             admissible = set(extractor.ontology.admissible_relations(
                 spans[i].entity_type, spans[j].entity_type))
@@ -444,7 +444,7 @@ def test_evaluation_and_extraction_leave_numpy_ma_unimported(tmp_path):
 
 @pytest.mark.parametrize("ontology_filter", [False, True], ids=["all-pairs", "ontology-filter"])
 def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
-    # the reference is the per-pair path: corpus.candidate_pairs on the type
+    # the reference is the per-pair path: helpers.candidate_pairs on the type
     # names, one make_entity_mask per pair, type ids looked up by name; the
     # scorer gets each span once and the pairs as indices into the spans
     entity_types = [e.name for e in extractor.types.entity_types]
@@ -463,7 +463,8 @@ def test_pairs_and_masks_match_candidate_loop(extractor, ontology_filter):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("ctie.extract.score_pairs", spy)
             result = extractor.extract_tokens(tokens, spans=spans, ontology_filter=ontology_filter)
-        pairs = candidate_pairs([s.entity_type for s in spans], extractor.ontology, ontology_filter)
+        pairs = candidate_pairs([s.entity_type for s in spans],
+                                extractor.ontology if ontology_filter else None)
         bounds = [((spans[i].start, spans[i].end), (spans[j].start, spans[j].end))
                   for i, j in pairs]
         classified = [(t.head_span, t.tail_span) for t in result.triples] + [

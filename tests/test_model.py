@@ -150,14 +150,14 @@ class TestBiGru:
         for name in params:
             if name.startswith("gru."):
                 params[name] = np.zeros_like(params[name])
-        x = np.random.default_rng(2).normal(size=(4, 4))
-        out = bigru(x, [1, 1, 1, 1], params)
+        x = np.random.default_rng(2).normal(size=(1, 4, 4))
+        out = bigru(x, [[1, 1, 1, 1]], params)
         assert np.all(out == 0.0)
 
     def test_single_step_concatenates_both_directions(self):
         params = self._params()
         x = np.random.default_rng(3).normal(size=(1, 4))
-        out = bigru(x, [1], params)
+        [out] = bigru(x[None], [[1]], params)
         fwd = manual_gru_states(x, params, 0)[0]
         bwd = manual_gru_states(x, params, 1)[0]
         np.testing.assert_allclose(out[0], np.concatenate([fwd, bwd]), atol=1e-12)
@@ -165,7 +165,7 @@ class TestBiGru:
     def test_matches_straight_line_oracle(self):
         params = self._params(seed=7)
         x = np.random.default_rng(4).normal(size=(2, 4))
-        out = bigru(x, [1, 1], params)
+        [out] = bigru(x[None], [[1, 1]], params)
         fwd = manual_gru_states(x, params, 0)
         bwd_rev = manual_gru_states(x[::-1], params, 1)
         expected = np.stack(
@@ -180,8 +180,8 @@ class TestBiGru:
         params = self._params(seed=9)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 4))
-        full = bigru(x[:4], [1, 1, 1, 1], params)
-        padded = bigru(x, [1, 1, 1, 1, 0, 0], params)
+        [full] = bigru(x[None, :4], [[1, 1, 1, 1]], params)
+        [padded] = bigru(x[None], [[1, 1, 1, 1, 0, 0]], params)
         np.testing.assert_allclose(padded[:4], full, atol=1e-12)
         assert np.all(padded[4:] == 0.0)
 
@@ -195,8 +195,8 @@ class TestBiGru:
         mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
         out = bigru(x, mask.astype(int), params)
         for row, n in enumerate(lengths):
-            np.testing.assert_allclose(out[row, :n], bigru(x[row, :n], [1] * n, params),
-                                       rtol=1e-12)
+            [alone] = bigru(x[row : row + 1, :n], [[1] * n], params)
+            np.testing.assert_allclose(out[row, :n], alone, rtol=1e-12)
             assert np.all(out[row, n:] == 0.0)
 
     @settings(max_examples=40)
@@ -231,7 +231,7 @@ class TestBiGru:
                 rtol=1e-12, atol=1e-12, err_msg=name,
             )
 
-    @pytest.mark.parametrize("mask", [[1, 0, 1, 1], [0, 1, 1, 1], [[1, 1, 0, 0], [1, 0, 1, 0]]],
+    @pytest.mark.parametrize("mask", [[[1, 0, 1, 1]], [[0, 1, 1, 1]], [[1, 1, 0, 0], [1, 0, 1, 0]]],
                              ids=["interior-hole", "leading-zero", "batched"])
     def test_mask_with_a_hole_is_rejected(self, mask):
         # a masked step holds a zero state, so a hole would reset the
@@ -241,6 +241,11 @@ class TestBiGru:
         x = np.random.default_rng(6).normal(size=mask.shape + (4,))
         with pytest.raises(ValueError, match="padding only"):
             bigru(x, mask, params)
+
+    def test_unbatched_mask_is_rejected(self):
+        # one sentence is a batch of one: (1, T), as every caller passes it
+        with pytest.raises(ValueError, match=r"must be \(B, T\), got shape \(4,\)"):
+            bigru(np.ones((4, 4)), [1, 1, 1, 1], self._params())
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_init_blocks_match_per_gate_draws(self, seed):
@@ -1016,7 +1021,7 @@ class TestSharedSentenceEncoding:
         n_sentences = batch.sentence_of.max() + 1
         assert n_sentences < batch.size  # some rows share a sentence
         trace = forward(batch, params, config, rng=np.random.default_rng(6)).trace
-        width, n_pool = batch.max_len, 2 * config.hidden_dim
+        width, n_pool = batch.token_ids.shape[1], 2 * config.hidden_dim
         assert trace.drop_emb.shape == (n_sentences, width, config.embed_dim)
         assert trace.drop_h.shape == trace.h_d.shape == (n_sentences, width, n_pool)
         _assert_shared_matches_per_row(batch, params, config)
@@ -1242,6 +1247,17 @@ class TestEmbeddingFile:
             path.write_bytes(bad)
             with pytest.raises(SchemaError):
                 load_embedding_file(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_vector_rejected(self, tmp_path, value):
+        # it would train to a NonFiniteLoss, a runtime error, not a data error
+        vectors = np.ones((3, 2))
+        vectors[2, 1] = value
+        path = tmp_path / "emb.bin"
+        save_embedding_file(path, vectors, vocab_hash="abc")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ") + "embedding file contains "
+                           "non-finite values"):
+            load_embedding_file(path, expected_vocab_hash="abc")
 
     def test_wrong_shape_rejected(self):
         config = tiny_config()

@@ -104,25 +104,24 @@ class TestExpand:
         assert expand(corpus.sentences[2], corpus.types) == []
 
     def test_duplicate_ordered_pair_rejected(self):
-        sentence, types = one_sentence(
-            [{
-                "text": "APT29 uses Mimikatz",
-                "entities": [[0, 1, "HackOrg"], [2, 3, "Tool"]],
-                "relations": [[0, "uses", 1], [0, "targets", 1]],
-                "entity_labels": ["B-HackOrg", "O", "B-Tool"],
-            }]
-        )
-        with pytest.raises(DuplicatePairError):
-            expand(sentence, types)
+        # one row per ordered pair: the loader rejects a second annotation,
+        # so no corpus ``expand`` sees holds one; (1, 0) is another pair
+        with pytest.raises(DuplicatePairError,
+                           match=r"^record 0: relations\[2\] .* \(0, 1\) annotated twice$"):
+            one_sentence(
+                [{
+                    "text": "APT29 uses Mimikatz",
+                    "entities": [[0, 1, "HackOrg"], [2, 3, "Tool"]],
+                    "relations": [[0, "uses", 1], [1, "targets", 0], [0, "targets", 1]],
+                    "entity_labels": ["B-HackOrg", "O", "B-Tool"],
+                }]
+            )
 
     def test_cardinality_property(self):
         rng = np.random.default_rng(1)
         corpus = random_corpus(rng, 200)
         for i, sentence in enumerate(corpus.sentences):
-            try:
-                examples = expand(sentence, corpus.types, sentence_index=i)
-            except DuplicatePairError:
-                continue
+            examples = expand(sentence, corpus.types, sentence_index=i)
             assert len(examples) == len(sentence.relations)
             for j, e in enumerate(examples):
                 assert e.origin == (i, j)
@@ -296,11 +295,7 @@ class TestEncode:
         corpus = random_corpus(rng, 60)
         vocab = build_vocab(corpus.sentences)
         for i, sentence in enumerate(corpus.sentences):
-            try:
-                examples = expand(sentence, corpus.types, sentence_index=i)
-            except DuplicatePairError:
-                continue
-            for e in examples:
+            for e in expand(sentence, corpus.types, sentence_index=i):
                 pad_to = len(e.tokens) + int(rng.integers(0, 6))
                 inst = encode(e, vocab, pad_to=pad_to)
                 for em, am in zip(inst.entity_mask, inst.attention_mask):
@@ -364,7 +359,7 @@ class TestBatches:
         vocab = build_vocab(corpus.sentences)
         rows, _ = table(corpus.sentences, [0, 1], corpus.types, vocab)
         batch, = make_batches(rows, 16)
-        assert batch.max_len == 7
+        assert batch.token_ids.shape[1] == 7
         # padded region: attention 0, label 0, token PAD
         row = list(batch.lengths).index(6)
         assert batch.attention_mask[row, 6] == 0.0
@@ -414,7 +409,7 @@ class TestBatches:
             corpus_index = {}  # each batch sentence's corpus record
             for (i, j), u, h, t in zip(batch.origins, batch.sentence_of, batch.head, batch.tail):
                 assert corpus_index.setdefault(u, i) == i
-                _, head, tail = relation_pairs(sentences[i], i)[j]
+                _, head, tail = relation_pairs(sentences[i])[j]
                 assert batch.span_rows[t] == u
                 assert batch.spans[h].tolist() == [head.start, head.end]
                 assert batch.spans[t].tolist() == [tail.start, tail.end]
