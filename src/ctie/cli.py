@@ -22,7 +22,7 @@ from .corpus import (
     OntologySchema, check_corpus, dataset_stats, is_int, load_corpus, read_utf8,
     validate_ontology,
 )
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, UnknownRelation
 from .model import ModelConfig, checkpoint_tables, load_checkpoint, write_atomic
 from .mslr import build_vocab, dump_jsonl, encode_all, expand
 from .train import TrainConfig, train_loop
@@ -127,18 +127,25 @@ def cmd_validate(args) -> int:
     corpus, issues = check_corpus(args.dataset, ontology)
     for issue in issues:
         print(str(issue))
-    ontology_violations = 0
+    unknown = ontology_violations = 0
     if not issues:
         for i, sentence in enumerate(corpus.sentences):
-            for violation in validate_ontology(sentence, ontology):
+            try:
+                violations = validate_ontology(sentence, ontology)
+            except UnknownRelation as exc:  # no rule to check: an error, strict or not
+                unknown += 1
+                print(f"error: record {i}: {exc}")
+                continue
+            for violation in violations:
                 ontology_violations += 1
                 prefix = "error" if args.strict else "warning"
                 print(f"{prefix}: record {i}: {violation}")
     print(
         f"structural errors: {len(issues)}; "
+        f"records with a relation not in the ontology: {unknown}; "
         f"ontology domain/range violations: {ontology_violations}"
     )
-    if issues:
+    if issues or unknown:
         return 1
     if args.strict and ontology_violations:
         return 1
@@ -214,6 +221,7 @@ def cmd_eval(args) -> int:
     else:
         train_s, val_s, test_s = cfg.split(corpus.sentences)
         target = {"train": train_s, "val": val_s, "test": test_s}[args.split]
+    evaluation.check_split(args.split, target, len(corpus.sentences))
     reports = evaluation.evaluate_model(
         ckpt.params, ckpt.config, vocab, types, target,
         re_mode=args.re_mode,

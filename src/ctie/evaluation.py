@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import NO_RELATION, AnnotatedSentence, OntologySchema, TypeSystem
+from .errors import DataError
 from .model import (
     InputProjection,
     ModelConfig,
@@ -461,6 +462,14 @@ class AblationResult:
         return "\n".join(lines)
 
 
+def check_split(name: str, split: Sequence, corpus_size: int) -> None:
+    """``DataError`` when the ``name`` split holds no sentence: every score
+    of an empty split reads 0, as if the model found nothing."""
+    if not split:
+        raise DataError(f"the {name} split holds 0 of the corpus's {corpus_size} sentences: "
+                        "nothing to evaluate")
+
+
 def run_ablation(
     sentences: Sequence[AnnotatedSentence],
     types: TypeSystem,
@@ -473,6 +482,8 @@ def run_ablation(
     base_kwargs = dict(model_kwargs or {})
     result = AblationResult()
     test_s = train_config.split(sentences)[2]
+    if sentences:  # an empty corpus fails train_loop's row check, which says more
+        check_split("test", test_s, len(sentences))
     for name, use_mask, use_type in ABLATION_CONFIGS:
         kwargs = dict(base_kwargs, use_entity_mask=use_mask, use_entity_type=use_type)
         trained = train_loop(sentences, types, train_config, model_kwargs=kwargs)

@@ -85,6 +85,28 @@ class TestValidate:
         assert reads == [str(path)]
 
 
+    def test_unknown_relation_is_listed_per_record_and_checking_goes_on(self, tmp_path,
+                                                                        capsys):
+        records = json.loads(SMOKE_CORPUS.read_text())[:4]
+        records[1]["relations"][0][1] = "pwns"
+        records[3]["relations"][0][1] = "owns"
+        head = records[2]["relations"][0][0]  # no domain holds Time: two violations
+        start, end, name = records[2]["entities"][head]
+        records[2]["entities"][head][2] = "Time"
+        records[2]["entity_labels"][start:end] = [
+            tag.replace(name, "Time") for tag in records[2]["entity_labels"][start:end]]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(records))
+        for flags in ((), ("--strict",)):
+            assert run("validate", "--dataset", path, *flags) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert "error: record 1: relation 'pwns' not in ontology schema" in out
+            assert "error: record 3: relation 'owns' not in ontology schema" in out
+            assert any(line.startswith("warning: record 2:") != bool(flags) for line in out)
+            assert out[-1] == ("structural errors: 0; records with a relation not in the "
+                               "ontology: 2; ontology domain/range violations: 2")
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -397,6 +419,23 @@ class TestEval:
             "--split", "test", "--re-mode", "pipeline",
         )
         assert code == 0
+
+    def test_empty_split_is_a_data_error(self, trained_run, tmp_path, capsys):
+        # int(2 * 0.15) = 0 test sentences; an empty corpus has no sentence at all
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps(json.loads(SMOKE_CORPUS.read_text())[:2]))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        for dataset, split, message in (
+                (two, "test", "the test split holds 0 of the corpus's 2 sentences"),
+                (empty, "all", "the all split holds 0 of the corpus's 0 sentences")):
+            out = tmp_path / f"eval-{split}"
+            assert run("eval", "--dataset", dataset, "--checkpoint", trained_run / "best.ckpt",
+                       "--split", split, "--out", out) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}: nothing to evaluate\n"
+            assert "NER P" not in captured.out
+            assert not (out / "metrics.json").exists()
 
     def test_eval_writes_aligned_table(self, trained_run, tmp_path):
         out = tmp_path / "eval"
@@ -775,6 +814,21 @@ class TestAblate:
                 payload = json.loads(path.read_text())
                 assert set(payload) == {"ner", "re"}
         assert (out / "ablation.txt").exists()
+
+    def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        import ctie.evaluation
+
+        trained = []
+        monkeypatch.setattr(ctie.evaluation, "train_loop",
+                            lambda *a, **k: trained.append(a) or pytest.fail("trained"))
+        dataset = tmp_path / "three.json"
+        dataset.write_text(json.dumps(json.loads(SMOKE_CORPUS.read_text())[:3]))
+        out = tmp_path / "ablation"
+        assert run("ablate", "--dataset", dataset, "--out", out, "--epochs", "1",
+                   "--embed-dim", "8", "--hidden-dim", "4") == 1
+        assert capsys.readouterr().err == (
+            "error: the test split holds 0 of the corpus's 3 sentences: nothing to evaluate\n")
+        assert not trained and not (out / "ablation.txt").exists()
 
 
 def _perturbed_checkpoint(path, types, sentences, seed):

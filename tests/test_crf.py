@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctie.crf import (
+    VITERBI_PATH_MIN_ROWS,
     bio_allowed_transitions,
     crf_decode,
     crf_log_partition,
@@ -224,8 +225,10 @@ def ragged_batches(draw):
     whose padded steps hold junk: one emission drawn from {0, 1e300, -inf,
     +inf, nan} and out-of-range labels. Half the time, a BIO label set's
     -inf forbidden transitions are folded into the transition scores and
-    used to decode; gold paths then follow the BIO rules along each row."""
-    n_batch = draw(st.integers(1, 4))
+    used to decode; gold paths then follow the BIO rules along each row.
+    Batch sizes fall on both sides of ``VITERBI_PATH_MIN_ROWS``, so both
+    Viterbi forms are decoded."""
+    n_batch = draw(st.integers(1, 2 * VITERBI_PATH_MIN_ROWS))
     n_steps = draw(st.integers(1, 6))
     bio = None
     if draw(st.booleans()):
@@ -569,8 +572,9 @@ def _two_reduction_viterbi(emissions, transitions, mask, allowed):
 def tied_batches(draw):
     """Padded batches over a BIO label set whose emissions and transitions
     are small integers, so that steps often tie; half fold the BIO -inf
-    matrix into the transitions."""
-    n_batch = draw(st.integers(1, 4))
+    matrix into the transitions. Batch sizes fall on both sides of
+    ``VITERBI_PATH_MIN_ROWS``."""
+    n_batch = draw(st.integers(1, 2 * VITERBI_PATH_MIN_ROWS))
     n_steps = draw(st.integers(1, 7))
     bio = ("O",) + tuple(f"{p}-T{k}" for k in range(draw(st.integers(1, 3))) for p in "BI")
     n_labels = len(bio)
@@ -584,8 +588,11 @@ def tied_batches(draw):
 
 
 class TestViterbiOneReduction:
-    """One argmax per step, its maxima read back by index, decodes exactly
-    the paths of the argmax-and-max step, ties and -inf entries included."""
+    """Both batched Viterbi forms decode exactly the paths of the
+    argmax-and-max step, ties and -inf entries included: below
+    ``VITERBI_PATH_MIN_ROWS`` rows one argmax per step, its maxima read back
+    by index; from there max-only steps, with the back-pointers recovered
+    along the decoded path."""
 
     @pytest.mark.parametrize("constrained", [False, True], ids=["free", "allowed"])
     @settings(max_examples=150, deadline=None)
